@@ -40,10 +40,6 @@ class ReferenceDomain:
     def boundary_faces(self, resolution=64):
         raise NotImplementedError
 
-    def boundary_measure_scale(self, face, scale):
-        """Surface-measure factor of a face under x -> scale*x."""
-        return scale ** (self.dim - 1)
-
 
 @dataclass(frozen=True)
 class Interval(ReferenceDomain):

@@ -10,10 +10,12 @@ Quantities tracked per stored time on the moving domain:
 
 Spatial integrals are pulled back to the reference domain with weight
 det DPhi; boundary integrals use the per-face parametrization, never a
-space-time mesh.  Normal derivatives at the boundary come from one-sided
-stencils.  Time accumulation defaults to the forward rectangle rule,
-matching the first-order convergence the moving balance exhibits; the
-fixed-domain remainder uses trapezoid.
+space-time mesh.  The 1d ledgers take every stored time at once from the
+closed-form stretch Phi = lam(t) y (det DPhi = lam, DPsi = 1/lam, the
+moving end at lam L with normal speed lam' L).  Normal derivatives at the
+boundary come from one-sided stencils.  Time accumulation defaults to the
+forward rectangle rule, matching the first-order convergence the moving
+balance exhibits; the fixed-domain remainder uses trapezoid.
 
 The release-rate density is G_alpha = (1 - alpha^2) p^2 / 2 with the
 equivalent form (1-omega)/(1+omega) [p - u_dot]^2 / 2 cross-checked
@@ -27,7 +29,6 @@ import numpy as np
 from .characteristics import one_sided_derivative
 from .errors import SupersonicSpeed
 from .galerkin import gauss_legendre_panels
-from .motion import boundary_kinematics
 
 
 @dataclass
@@ -67,97 +68,68 @@ def _accumulate(times, rates, rule):
     return out
 
 
-def _moving_faces(kins):
-    """Faces with nonvanishing normal speed anywhere."""
-    return [fk for fk in kins if np.max(np.abs(fk.omega)) > 1e-13]
-
-
-def front_normal_derivative(traj, fam, i, face_name="right", offset=None):
-    """du/dnu at the moving end of a 1d reference trajectory.
+def front_normal_derivative(traj, fam, offset=None):
+    """du/dnu at the moving end of a 1d reference trajectory, per stored time.
 
     Uses the one-sided stencil on v at the three nearest samples (grid
     nodes, or resolution-matched offsets for modal trajectories), then the
-    pushforward factor DPsi(t, Phi).
+    pushforward factor DPsi = 1/lam.
     """
     L = traj.L
-    t = traj.times[i]
     if traj.kind == "grid":
         h = traj.x[1] - traj.x[0]
-        vy = one_sided_derivative(traj.values[i][-3:], h, "right")
+        v = traj.values[:, -3:]
     else:
         h = offset if offset is not None else L / (2.0 * traj.basis.m)
-        pts = np.array([L - 2 * h, L - h, L])
-        v, _, _ = traj.eval_index(i, pts)
-        v[-1] = 0.0
-        vy = one_sided_derivative(v, h, "right")
-    K = fam.dpsi_at_phi(t, np.array([[L]]))[0, 0, 0]
-    return vy * K  # outward normal is +1 at the right end
+        v = traj.values @ traj.basis.values(np.array([L - 2 * h, L - h, L])).T
+        v[:, -1] = 0.0
+    lam, _, _ = fam.stretch(traj.times)
+    return one_sided_derivative(v.T, h, "right") / lam  # outward normal +1 at the right end
 
 
 def ledger_transformed(traj, fam, forcing=None, kappa=None, problem=None,
-                       time_rule="rect", panels=None, nodes=10,
-                       resolution=64, trace_offset=None):
-    """Energy ledger for a transformed-solver trajectory on a 1d family."""
+                       time_rule="rect", panels=None, nodes=10, trace_offset=None):
+    """Energy ledger for a transformed-solver trajectory on a 1d family.
+
+    Every stored time at once: det DPhi = lam, DPsi = 1/lam and
+    Psi_dot(t, Phi) = -(lam'/lam) y; the fixed end y = 0 does not move,
+    the moving end sits at lam L with normal speed lam' L.
+    """
     if fam.dim != 1:
         raise ValueError("ledger_transformed is the 1d path")
     L = traj.L
     panels = panels or max(16, (traj.basis.m if traj.kind == "modal" else 16))
     yq, wq = gauss_legendre_panels(L, panels, nodes)
-    nt = len(traj.times)
+    times = traj.times
+    lam, dlam, _ = fam.stretch(times)
 
-    kinetic = np.empty(nt)
-    potential = np.empty(nt)
-    work_rate = np.empty(nt)
-    bdry_rate = np.empty(nt)
-    debond_rate = np.empty(nt)
-    Gtot = np.full(nt, np.nan)
+    _, vd, vy = traj.eval_all(yq)
+    ud = vd - vy * np.multiply.outer(dlam / lam, yq)
+    gu = vy / lam[:, None]
+    kinetic = 0.5 * lam * ((ud * ud) @ wq)
+    potential = 0.5 * lam * ((gu * gu) @ wq)
+    if forcing is None:
+        work_rate = np.zeros(len(times))
+    else:
+        f = np.asarray(forcing(times[:, None], np.multiply.outer(lam, yq)), dtype=float)
+        work_rate = lam * ((f * ud) @ wq)
 
-    faces = fam.reference.boundary_faces(resolution)
-    for i, t in enumerate(traj.times):
-        v, vd, vy = traj.eval_index(i, yq)
-        Y = yq.reshape(-1, 1)
-        detJ = fam.det_dphi(t, Y)
-        psd = fam.psi_dot_at_phi(t, Y)[:, 0]
-        K = fam.dpsi_at_phi(t, Y)[:, 0, 0]
-        ud = vd + vy * psd
-        gu = vy * K
-        kinetic[i] = 0.5 * np.sum(wq * ud * ud * detJ)
-        potential[i] = 0.5 * np.sum(wq * gu * gu * detJ)
-        if forcing is None:
-            work_rate[i] = 0.0
-        else:
-            xq = fam.phi(t, Y)[:, 0]
-            work_rate[i] = np.sum(wq * np.asarray(forcing(t, xq), dtype=float) * ud * detJ)
+    omega = dlam * L
+    p = front_normal_derivative(traj, fam, offset=trace_offset)
+    bdry_rate = 0.5 * omega * (1.0 - omega ** 2) * p ** 2
+    Gtot = np.full(len(times), np.nan)
+    growing = omega > 1e-13
+    Gtot[growing] = bdry_rate[growing] / omega[growing]
 
-        kins = boundary_kinematics(fam, t, faces=faces)
-        brate = 0.0
-        drate = 0.0
-        den = 0.0
-        for fk in kins:
-            if np.max(np.abs(fk.omega)) <= 1e-13 and kappa is None:
-                continue
-            if fk.name == "right":
-                # the moving end of the built-in 1d families
-                p = front_normal_derivative(traj, fam, i, offset=trace_offset)
-                pvals = np.full(len(fk.omega), p)
-            else:
-                pvals = np.zeros(len(fk.omega))
-            brate += np.sum(fk.weights * 0.5 * fk.omega * (1.0 - fk.omega ** 2) * pvals ** 2)
-            den += np.sum(fk.weights * fk.omega)
-            if kappa is not None:
-                kx = np.asarray(kappa(fk.x[:, 0]), dtype=float)
-                drate += np.sum(fk.weights * fk.omega * kx)
-        bdry_rate[i] = brate
-        debond_rate[i] = drate
-        Gtot[i] = brate / den if den > 1e-13 else np.nan
-
-    work = _accumulate(traj.times, work_rate, time_rule)
-    bdry = _accumulate(traj.times, bdry_rate, time_rule)
-    debond = _accumulate(traj.times, debond_rate, time_rule)
+    work = _accumulate(times, work_rate, time_rule)
+    bdry = _accumulate(times, bdry_rate, time_rule)
+    debond = None
+    if kappa is not None:
+        kx = np.asarray(kappa(lam * L), dtype=float)
+        debond = _accumulate(times, omega * kx, time_rule)
     led = EnergyLedger(
-        times=traj.times.copy(), kinetic=kinetic, potential=potential, work=work,
-        boundary_dissipation=bdry, debond_dissipation=debond if kappa is not None else None,
-        G_total=Gtot,
+        times=times.copy(), kinetic=kinetic, potential=potential, work=work,
+        boundary_dissipation=bdry, debond_dissipation=debond, G_total=Gtot,
         meta={"time_rule": time_rule, "panels": panels, "nodes": nodes},
     )
     led.residual_moving = balance_residual_moving(led)
@@ -178,67 +150,24 @@ def balance_residual_fixed(traj, problem, panels=None, nodes=10):
 
     residual(t) = | 1/2||v'||^2 + 1/2<B grad v, grad v> - initial - R(t) |,
     R(t) = int_0^t ( 1/2<B' grad v, grad v> - <a grad v, v'> - <div b, v'^2>
-                     + <g, v'> ).
+                     + <g, v'> ),
+    with B, B', a, div b and g in closed form at every stored time at once.
     """
     L = traj.L
     panels = panels or max(16, (traj.basis.m if traj.kind == "modal" else 16))
     yq, wq = gauss_legendre_panels(L, panels, nodes)
-    nt = len(traj.times)
-    lhs = np.empty(nt)
-    rate = np.empty(nt)
-    eps = problem.dt_step
-    T = problem.fam.horizon
-    for i, t in enumerate(traj.times):
-        v, vd, vy = traj.eval_index(i, yq)
-        B, a, b, g = problem.line(t, yq)
-        if t - eps < 0.0:
-            Bp, _, _, _ = problem.line(t + eps, yq)
-            B0, _, _, _ = problem.line(t, yq)
-            Bpp, _, _, _ = problem.line(t + 2 * eps, yq)
-            Bdot = (-3.0 * B0 + 4.0 * Bp - Bpp) / (2.0 * eps)
-        elif t + eps > T:
-            Bm, _, _, _ = problem.line(t - eps, yq)
-            B0, _, _, _ = problem.line(t, yq)
-            Bmm, _, _, _ = problem.line(t - 2 * eps, yq)
-            Bdot = (3.0 * B0 - 4.0 * Bm + Bmm) / (2.0 * eps)
-        else:
-            Bp, _, _, _ = problem.line(t + eps, yq)
-            Bm, _, _, _ = problem.line(t - eps, yq)
-            Bdot = (Bp - Bm) / (2.0 * eps)
-        divb = problem.div_b(t, yq)
-        lhs[i] = 0.5 * np.sum(wq * vd * vd) + 0.5 * np.sum(wq * B * vy * vy)
-        rate[i] = (0.5 * np.sum(wq * Bdot * vy * vy)
-                   - np.sum(wq * a * vy * vd)
-                   - np.sum(wq * divb * vd * vd)
-                   + np.sum(wq * g * vd))
+    _, vd, vy = traj.eval_all(yq)
+    B, a, _, g = problem.line(traj.times, yq)
+    Bdot, divb = problem.line_rates(traj.times, yq)
+    vy2 = vy * vy
+    vd2 = vd * vd
+    lhs = 0.5 * (vd2 @ wq) + 0.5 * ((B * vy2) @ wq)
+    rate = (0.5 * ((Bdot * vy2) @ wq)
+            - ((a * vy * vd) @ wq)
+            - ((divb * vd2) @ wq)
+            + ((g * vd) @ wq))
     R = _accumulate(traj.times, rate, "trap")
     return np.abs(lhs - lhs[0] - R)
-
-
-def ledger_physical(traj, fam=None, forcing=None, time_rule="trap"):
-    """Kinetic/potential/work ledger for physical-grid (cylinder) runs.
-
-    Uses the scheme-consistent discrete energy: trapezoid kinetic on the
-    nodes plus cell-slope potential.
-    """
-    x = traj.x
-    h = x[1] - x[0]
-    nt = len(traj.times)
-    kinetic = np.empty(nt)
-    potential = np.empty(nt)
-    work_rate = np.empty(nt)
-    for i in range(nt):
-        vd = traj.velocities[i]
-        dv = np.diff(traj.values[i])
-        kinetic[i] = 0.5 * h * float(np.sum(vd * vd))
-        potential[i] = 0.5 / h * float(np.sum(dv * dv))
-        work_rate[i] = 0.0 if forcing is None else h * float(
-            np.sum(np.asarray(forcing(traj.times[i], x), dtype=float) * vd))
-    work = _accumulate(traj.times, work_rate, time_rule)
-    led = EnergyLedger(times=traj.times.copy(), kinetic=kinetic,
-                       potential=potential, work=work,
-                       meta={"time_rule": time_rule})
-    return led
 
 
 # --- release rate ----------------------------------------------------------

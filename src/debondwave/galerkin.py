@@ -7,8 +7,16 @@ Projecting the transformed equation gives the second-order system
     d''_k - 2 sum_l b_lk d'_l + sum_l (B_lk + a_lk) d_l = g_k,
 
 with entries B_lk = <B w'_l, w'_k>, a_lk = <a w'_l, w_k>,
-b_lk = <b w'_l, w_k>, g_k = <g, w_k>, all by composite Gauss-Legendre
-quadrature.  Time integration is classical fixed-step RK4.
+b_lk = <b w'_l, w_k>, g_k = <g, w_k>.  The 1d coefficients of a stretch
+Phi = lam(t) y are B = 1/lam^2 - (lam'/lam)^2 y^2, a = -(lam''/lam) y and
+b = (lam'/lam) y, so the matrices are affine in three fixed ones,
+
+    K0 = <w'_l, w'_k>,   K2 = <y^2 w'_l, w'_k>,   A1 = <y w'_l, w_k>,
+
+assembled once by composite Gauss-Legendre quadrature and combined with
+scalar weights at every stage (the affine decomposition of reduced-basis
+methods).  Only a forcing needs a quadrature matvec per stage.  Time
+integration is classical fixed-step RK4.
 """
 
 from dataclasses import dataclass, field
@@ -59,7 +67,7 @@ class SineBasis:
 
 
 class GalerkinSystem:
-    """Time-dependent projected matrices with a small stage cache."""
+    """Time-dependent projected matrices from the fixed affine pieces."""
 
     def __init__(self, basis: SineBasis, problem, panels=None, nodes=10):
         self.basis = basis
@@ -68,29 +76,27 @@ class GalerkinSystem:
         self.yq, self.wq = gauss_legendre_panels(basis.L, panels, nodes)
         self.W = basis.values(self.yq)     # (Q, m)
         self.Wp = basis.derivs(self.yq)    # (Q, m)
-        self._cache = {}
+        wWp = self.wq[:, None] * self.Wp
+        self.K0 = self.Wp.T @ wWp
+        self.K2 = self.Wp.T @ ((self.yq * self.yq)[:, None] * wWp)
+        self.A1 = self.W.T @ (self.yq[:, None] * wWp)
+        self._zero = np.zeros(basis.m)
 
     def matrices(self, t):
         """(Bmat, amat, bmat, gvec) with [k, l] = <.. w_l, w_k> pairing."""
-        hit = self._cache.get(t)
-        if hit is not None:
-            return hit
-        B, a, b, g = self.problem.line(t, self.yq)
-        if not (np.all(np.isfinite(B)) and np.all(np.isfinite(a))
-                and np.all(np.isfinite(b)) and np.all(np.isfinite(g))):
+        lam, dlam, ddlam = self.problem.fam.stretch(t)
+        if not np.all(np.isfinite((lam, dlam, ddlam))):
             raise QuadratureFailure(f"non-finite coefficients at t = {t}")
-        wB = self.wq * B
-        wa = self.wq * a
-        wb = self.wq * b
-        Bmat = self.Wp.T @ (wB[:, None] * self.Wp)
-        amat = self.W.T @ (wa[:, None] * self.Wp)
-        bmat = self.W.T @ (wb[:, None] * self.Wp)
-        gvec = self.W.T @ (self.wq * g)
-        out = (Bmat, amat, bmat, gvec)
-        if len(self._cache) > 8:
-            self._cache.clear()
-        self._cache[t] = out
-        return out
+        rate = dlam / lam
+        Bmat = self.K0 / (lam * lam) - (rate * rate) * self.K2
+        amat = (-ddlam / lam) * self.A1
+        bmat = rate * self.A1
+        if self.problem.forcing is None:
+            return Bmat, amat, bmat, self._zero
+        _, _, _, g = self.problem.line(t, self.yq, out=(None, None, None, np.empty(len(self.yq))))
+        if not np.all(np.isfinite(g)):
+            raise QuadratureFailure(f"non-finite forcing at t = {t}")
+        return Bmat, amat, bmat, self.W.T @ (self.wq * g)
 
     def rhs(self, t, d, ddot):
         Bmat, amat, bmat, gvec = self.matrices(t)
@@ -116,8 +122,17 @@ class Trajectory:
         return i
 
     def eval(self, t, y):
-        """(v, v_dot, v_y) at reference points y, at the stored time nearest t."""
+        """(v, v_dot, v_y) at reference points y, at the stored time nearest t.
+
+        Raises ValueError when t lies more than half a stored step away
+        from every stored time.
+        """
         i = self.index_of(t)
+        gap = abs(t - self.times[i])
+        step = np.max(np.diff(self.times), initial=0.0)
+        if gap > 0.5 * step + 1e-12 * max(1.0, abs(t)):
+            raise ValueError(f"t = {t} is {gap:g} from the nearest stored time "
+                             f"{self.times[i]}, more than half a step")
         return self.eval_index(i, y)
 
     def eval_index(self, i, y):
@@ -131,22 +146,25 @@ class Trajectory:
         else:
             v = np.interp(y, self.x, self.values[i])
             vd = np.interp(y, self.x, self.velocities[i])
-            vy = np.interp(y, self.x, _grid_gradient(self.values[i], self.x))
+            vy = np.interp(y, self.x, np.gradient(self.values[i], self.x, edge_order=2))
         return v, vd, vy
 
-    def reference_eval(self):
-        """Adapter (t, y) -> (v, v_dot, grad v) for transform.pushforward."""
+    def eval_all(self, y):
+        """(v, v_dot, v_y) at reference points y for every stored time, (nt, len(y))."""
+        y = np.asarray(y, dtype=float).reshape(-1)
+        if self.kind == "modal":
+            W = self.basis.values(y)
+            Wp = self.basis.derivs(y)
+            return self.values @ W.T, self.velocities @ W.T, self.values @ Wp.T
+        x = self.x
+        j = np.clip(np.searchsorted(x, y, side="right") - 1, 0, len(x) - 2)
+        w = np.clip((y - x[j]) / (x[j + 1] - x[j]), 0.0, 1.0)
 
-        def _eval(t, ypts):
-            y = np.asarray(ypts, dtype=float).reshape(-1)
-            v, vd, vy = self.eval(t, y)
-            return v, vd, vy.reshape(-1, 1)
+        def interp(F):
+            return F[:, j] + w * (F[:, j + 1] - F[:, j])
 
-        return _eval
-
-
-def _grid_gradient(vals, x):
-    return np.gradient(vals, x, edge_order=2)
+        grad = np.gradient(self.values, x, axis=1, edge_order=2)
+        return interp(self.values), interp(self.velocities), interp(grad)
 
 
 def integrate(system: GalerkinSystem, d0, ddot0, dt, T, store_every=1):

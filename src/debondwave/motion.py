@@ -169,14 +169,10 @@ class MotionFamily:
     def is_nondecreasing(self, samples=200):
         raise NotImplementedError
 
-    def max_boundary_speed(self):
-        """Supremum of |Phi_dot| over [0, T] x closure(reference), sampled."""
-        ts = np.linspace(0.0, self.horizon, 41)
-        Y = self.reference.interior_grid(64)
-        best = 0.0
-        for t in ts:
-            best = max(best, float(np.max(np.linalg.norm(self.phi_dot(t, Y), axis=1))))
-        return best
+    def stretch(self, t):
+        """(lam, lam', lam'') at a scalar t or an array of times, for families
+        with Phi(t, y) = lam(t) y; the others raise NotImplementedError."""
+        raise NotImplementedError(f"{self.kind} is not a pure stretch Phi = lam(t) y")
 
 
 # --- analytic kinds -------------------------------------------------------
@@ -227,6 +223,10 @@ class IdentityMotion(MotionFamily):
 
     def is_nondecreasing(self, samples=200):
         return True
+
+    def stretch(self, t):
+        one = np.ones_like(np.asarray(t, dtype=float))
+        return one, 0.0 * one, 0.0 * one
 
 
 class OneDScalingMotion(MotionFamily):
@@ -288,6 +288,10 @@ class OneDScalingMotion(MotionFamily):
 
     def domain_measure(self, t):
         return self._l(t)
+
+    def stretch(self, t):
+        p = self.profile
+        return p(t) / self.l0, p.deriv(t) / self.l0, p.deriv2(t) / self.l0
 
     def is_nondecreasing(self, samples=200):
         ts = np.linspace(0.0, self.horizon, samples)
@@ -356,6 +360,10 @@ class HomotheticMotion(MotionFamily):
 
     def domain_measure(self, t):
         return self._lam(t) ** self.dim * self.reference.measure()
+
+    def stretch(self, t):
+        p = self.profile
+        return p(t), p.deriv(t), p.deriv2(t)
 
     def is_nondecreasing(self, samples=200):
         ts = np.linspace(0.0, self.horizon, samples)
@@ -586,6 +594,14 @@ class SublevelFlowMotion(MotionFamily):
     def is_nondecreasing(self, samples=200):
         ts = np.linspace(0.0, self.horizon, samples)
         return bool(np.all(self.profile.deriv(ts) >= -1e-12))
+
+    def stretch(self, t):
+        """The interval flow of g = R - x is Phi(t, y) = (rho(t)/rho(0)) y."""
+        if not isinstance(self.level, ReflectedLevel):
+            return super().stretch(t)
+        p = self.profile
+        rho0 = float(p(0.0))
+        return p(t) / rho0, p.deriv(t) / rho0, p.deriv2(t) / rho0
 
     # sublevel-specific checks ----------------------------------------------
     def level_identity_residual(self, t, y):

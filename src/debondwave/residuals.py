@@ -39,7 +39,6 @@ def weak_residual(traj, problem, n_probes=8, panels=None, nodes=10,
     if time_stride is None:
         time_stride = max(1, (len(traj.times) - 4) // 200)
     worst = 0.0
-    eps = 1e-6 * L
     for i in list(idx)[::time_stride]:
         t = traj.times[i]
         v, vd, vy = traj.eval_index(i, yq)
@@ -48,7 +47,7 @@ def weak_residual(traj, problem, n_probes=8, panels=None, nodes=10,
         else:
             vdd = np.interp(yq, traj.x, vdd_all[i])
         B, a, b, g = problem.line(t, yq)
-        divb = problem.div_b(t, yq, eps=eps) if hasattr(problem, "div_b") else _fd_div(problem, t, yq, eps)
+        _, divb = problem.line_rates(t, yq)
         for k in range(basis.m):
             phi = W[:, k]
             phip = Wp[:, k]
@@ -62,8 +61,3 @@ def weak_residual(traj, problem, n_probes=8, panels=None, nodes=10,
             worst = max(worst, abs(float(r)))
     return worst
 
-
-def _fd_div(problem, t, y, eps):
-    _, _, bp, _ = problem.line(t, y + eps)
-    _, _, bm, _ = problem.line(t, y - eps)
-    return (bp - bm) / (2.0 * eps)

@@ -11,9 +11,19 @@ has coefficients
     a = -( B^T grad det DPhi + d/dt [ b det DPhi ] ) / det DPhi
     g(t, y) = f(t, Phi(t, y))
 
-and initial data v0 = u0, v1 = u1 + Phi_dot(0, .) . grad u0.  The time
-derivative inside a is taken by differencing b det DPhi in t (step
-1e-5 T, one-sided at the ends); everything else comes from the jets.
+and initial data v0 = u0, v1 = u1 + Phi_dot(0, .) . grad u0.
+
+Every 1d family is a pure stretch Phi(t, y) = lam(t) y, so in 1d the
+coefficients are exact in lam and its two derivatives:
+
+    B = 1/lam^2 - (lam'/lam)^2 y^2,   b = (lam'/lam) y,   a = -(lam''/lam) y,
+    dB/dt = -2 lam'/lam^3 - 2 (lam'/lam)(lam''/lam - (lam'/lam)^2) y^2,
+    div b = lam'/lam.
+
+line() and line_rates() evaluate these for a scalar t or for an array of
+times at once.  The n-d path coefficients() builds B and b from the jets
+and gets the time derivative inside a by differencing b det DPhi in t
+(step 1e-5 T, one-sided at the ends).
 """
 
 from dataclasses import dataclass
@@ -77,19 +87,53 @@ class PulledBackProblem:
         B, a, b, g = self.coefficients(t, y)
         return CoefficientSample(B=B[0], a=a[0], b=b[0], g=float(g[0]), at=(t, np.atleast_1d(y)))
 
-    def line(self, t, y):
-        """1d fast path: scalar arrays (B, a, b, g) along reference points y."""
+    def _rates(self, t):
+        """lam, lam'/lam and lam''/lam at a scalar t or an array of times."""
+        lam, dlam, ddlam = self.fam.stretch(t)
+        return lam, dlam / lam, ddlam / lam
+
+    def line(self, t, y, out=None):
+        """1d closed form: (B, a, b, g) along reference points y.
+
+        A scalar t gives (n,) arrays, an (S,) array of times (S, n) arrays.
+        out, if given, is a tuple of four arrays of that shape filled in
+        place; an entry None is not computed.
+        """
         if self.fam.dim != 1:
             raise ValueError("line() is the 1d path")
-        B, a, b, g = self.coefficients(t, np.asarray(y, dtype=float).reshape(-1, 1))
-        return B[:, 0, 0], a[:, 0], b[:, 0], g
+        t = np.asarray(t, dtype=float)
+        y = np.asarray(y, dtype=float).reshape(-1)
+        lam, rate, accel = self._rates(t)
+        if out is None:
+            out = tuple(np.empty(t.shape + y.shape) for _ in range(4))
+        B, a, b, g = out
+        if B is not None:
+            np.multiply.outer(-rate * rate, y * y, out=B)
+            B += np.expand_dims(1.0 / (lam * lam), -1)
+        if a is not None:
+            np.multiply.outer(-accel, y, out=a)
+        if b is not None:
+            np.multiply.outer(rate, y, out=b)
+        if g is not None:
+            if self.forcing is None:
+                g.fill(0.0)
+            elif t.ndim == 0:
+                g[...] = self.forcing(float(t), float(lam) * y)
+            else:
+                g[...] = self.forcing(t[:, None], np.multiply.outer(lam, y))
+        return out
 
-    def div_b(self, t, y, eps=1.0e-6):
-        """Divergence of b along a 1d line, by central differences."""
-        y = np.asarray(y, dtype=float)
-        _, _, bp, _ = self.line(t, y + eps)
-        _, _, bm, _ = self.line(t, y - eps)
-        return (bp - bm) / (2.0 * eps)
+    def line_rates(self, t, y):
+        """1d closed form: (dB/dt, div b) along y, shaped like line()."""
+        if self.fam.dim != 1:
+            raise ValueError("line_rates() is the 1d path")
+        t = np.asarray(t, dtype=float)
+        y = np.asarray(y, dtype=float).reshape(-1)
+        lam, rate, accel = self._rates(t)
+        dB = np.multiply.outer(-2.0 * rate * (accel - rate * rate), y * y)
+        dB -= np.expand_dims(2.0 * rate / (lam * lam), -1)
+        divb = np.multiply.outer(rate, np.ones_like(y))
+        return dB, divb
 
 
 def ellipticity_constant(problem_or_fam, nt=21, npts=41, grid=None):
@@ -100,14 +144,11 @@ def ellipticity_constant(problem_or_fam, nt=21, npts=41, grid=None):
     fam = problem.fam
     ts = np.linspace(0.0, fam.horizon, nt)
     Y = grid if grid is not None else fam.reference.interior_grid(npts)
-    c = np.inf
-    for t in ts:
-        B, _, _, _ = problem.coefficients(t, Y)
-        if fam.dim == 1:
-            lam = B[:, 0, 0]
-        else:
-            lam = np.linalg.eigvalsh(B)[:, 0]
-        c = min(c, float(np.min(lam)))
+    if fam.dim == 1:
+        c = float(np.min(problem.line(ts, Y)[0]))
+    else:
+        c = min(float(np.min(np.linalg.eigvalsh(problem.coefficients(t, Y)[0])))
+                for t in ts)
     if c <= 0.0:
         raise NotElliptic(f"min eig(B) = {c} <= 0 on the sample grid")
     return c

@@ -4,7 +4,7 @@ import pytest
 from debondwave.cylinder import solve_cylinder
 from debondwave.domains import Interval
 from debondwave.errors import BlowUp, CflViolation, NotMonotone
-from debondwave.expressions import Affine, Poly
+from debondwave.expressions import Affine, Poly, SineMode, SpaceTimeField
 from debondwave.fd import solve_fd
 from debondwave.galerkin import (
     GalerkinSystem,
@@ -83,6 +83,56 @@ def test_quadrature_insensitive_to_node_doubling():
     for t in (0.0, 0.6):
         for a, b in zip(coarse.matrices(t), fine.matrices(t)):
             assert np.max(np.abs(a - b)) < 1e-10
+
+
+@pytest.mark.parametrize("forcing", [None, SpaceTimeField(SineMode(1.0, 2).bound(1.0),
+                                                            Poly(0.5, 1.0, -0.3))])
+def test_affine_matrices_match_direct_quadrature(forcing):
+    pb = PulledBackProblem(one_d_scaling(Poly(1.0, 0.3, 0.1), 1.0), forcing=forcing)
+    system = GalerkinSystem(SineBasis(1.0, 8), pb)
+    W, Wp, wq = system.W, system.Wp, system.wq
+    for t in (0.0, 0.45, 1.0):
+        B, a, b, g = pb.line(t, system.yq)
+        direct = (Wp.T @ ((wq * B)[:, None] * Wp), W.T @ ((wq * a)[:, None] * Wp),
+                  W.T @ ((wq * b)[:, None] * Wp), W.T @ (wq * g))
+        for got, want in zip(system.matrices(t), direct):
+            assert np.max(np.abs(got - want)) < 1e-12
+
+
+# --- trajectories -------------------------------------------------------------
+
+
+def _grid_and_modal_trajectories():
+    times = np.linspace(0.0, 1.0, 11)
+    x = np.linspace(0.0, 1.0, 41)
+    vals = np.sin(np.pi * x)[None, :] * np.cos(np.pi * times)[:, None] + x * (1 - x) ** 2
+    vels = np.sin(2 * np.pi * x)[None, :] * np.sin(times)[:, None]
+    grid = Trajectory(kind="grid", times=times, values=vals, velocities=vels, L=1.0, x=x)
+    basis = SineBasis(1.0, 5)
+    coeffs = np.cos(np.outer(times, np.arange(1, 6)))
+    modal = Trajectory(kind="modal", times=times, values=coeffs, velocities=coeffs ** 2,
+                       L=1.0, basis=basis)
+    return grid, modal
+
+
+def test_eval_all_matches_eval_index():
+    ys = np.concatenate([np.linspace(0.0, 1.0, 23), [0.0125, 0.9999]])
+    for traj in _grid_and_modal_trajectories():
+        batch = traj.eval_all(ys)
+        for i in range(len(traj.times)):
+            for got, want in zip(batch, traj.eval_index(i, ys)):
+                assert np.max(np.abs(got[i] - want)) < 1e-13
+
+
+def test_trajectory_eval_refuses_times_between_samples():
+    grid, _ = _grid_and_modal_trajectories()
+    ys = np.linspace(0.0, 1.0, 5)
+    assert np.array_equal(grid.eval(0.3, ys)[0], grid.eval_index(3, ys)[0])
+    assert np.array_equal(grid.eval(0.34, ys)[0], grid.eval_index(3, ys)[0])  # within half a step
+    assert np.array_equal(grid.eval(1.04, ys)[0], grid.eval_index(10, ys)[0])
+    for t in (1.06, -0.06, 3.0):
+        with pytest.raises(ValueError):
+            grid.eval(t, ys)
 
 
 # --- modal integration --------------------------------------------------------

@@ -5,7 +5,12 @@ from debondwave.domains import Interval
 from debondwave.errors import BoundaryMismatch, NotElliptic
 from debondwave.expressions import Affine, Const, Poly, SineMode, SpaceTimeField
 from debondwave.galerkin import Trajectory
-from debondwave.motion import identity_motion, one_d_scaling, radial_annulus_flow
+from debondwave.motion import (
+    identity_motion,
+    interval_flow,
+    one_d_scaling,
+    radial_annulus_flow,
+)
 from debondwave.transform import (
     PulledBackProblem,
     ellipticity_constant,
@@ -56,6 +61,57 @@ def test_a_matches_analytic_value_for_curved_profile():
     for t in (0.0, 0.5, 1.0):
         _, a, _, _ = pb.line(t, ys)
         assert np.max(np.abs(a + 0.2 * ys / prof(t))) < 1e-6
+
+
+ONE_D_FAMILIES = {
+    "identity": lambda: identity_motion(Interval(1.0), 1.0),
+    "scaling-affine": lambda: one_d_scaling(Affine(1.0, 0.5), 1.0),
+    "scaling-poly": lambda: one_d_scaling(Poly(1.0, 0.3, 0.1), 1.0),
+    "interval-flow": lambda: interval_flow(4.0, Affine(1.0, 0.5), 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_D_FAMILIES))
+def test_closed_form_line_matches_generic_path(name):
+    fam = ONE_D_FAMILIES[name]()
+    pb = PulledBackProblem(fam)
+    ys = np.linspace(0.0, fam.reference.length, 17)
+    for t in (0.0, 0.25, 0.6, 1.0):
+        B, a, b, _ = pb.line(t, ys)
+        Bg, ag, bg, _ = pb.coefficients(t, ys.reshape(-1, 1))
+        assert np.max(np.abs(B - Bg[:, 0, 0])) < 1e-12
+        assert np.max(np.abs(b - bg[:, 0])) < 1e-12
+        assert np.max(np.abs(a - ag[:, 0])) < 1e-6  # finite-differenced on the generic side
+
+
+@pytest.mark.parametrize("name", sorted(ONE_D_FAMILIES))
+def test_array_time_line_stacks_scalar_calls(name):
+    fam = ONE_D_FAMILIES[name]()
+    pb = PulledBackProblem(fam, forcing=SpaceTimeField(Poly(0.0, 1.0, 2.0), Affine(1.0, -0.5)))
+    ys = np.linspace(0.0, fam.reference.length, 13)
+    ts = np.linspace(0.0, 1.0, 7)
+    batch = pb.line(ts, ys)
+    for k, arr in enumerate(batch):
+        assert arr.shape == (7, 13)
+        stacked = np.array([pb.line(t, ys)[k] for t in ts])
+        assert np.max(np.abs(arr - stacked)) <= 1e-15
+    rates = pb.line_rates(ts, ys)
+    for k, arr in enumerate(rates):
+        assert arr.shape == (7, 13)
+        stacked = np.array([pb.line_rates(t, ys)[k] for t in ts])
+        assert np.max(np.abs(arr - stacked)) <= 1e-15
+
+
+def test_line_fills_given_arrays_in_place():
+    pb = PulledBackProblem(_scaling())
+    ts = np.linspace(0.0, 1.0, 5)
+    ys = np.linspace(0.0, 1.0, 9)
+    B = np.full((5, 9), np.nan)
+    b = np.full((5, 9), np.nan)
+    out = pb.line(ts, ys, out=(B, None, b, None))
+    assert out[0] is B and out[2] is b and out[1] is None and out[3] is None
+    want = pb.line(ts, ys)
+    assert np.array_equal(B, want[0]) and np.array_equal(b, want[2])
 
 
 def test_B_is_exactly_symmetric():
