@@ -89,6 +89,8 @@ class PulledBackProblem:
 
     def _rates(self, t):
         """lam, lam'/lam and lam''/lam at a scalar t or an array of times."""
+        if self.fam.dim != 1:
+            raise ValueError("line() and line_rates() are the 1d path")
         lam, dlam, ddlam = self.fam.stretch(t)
         return lam, dlam / lam, ddlam / lam
 
@@ -99,8 +101,6 @@ class PulledBackProblem:
         out, if given, is a tuple of four arrays of that shape filled in
         place; an entry None is not computed.
         """
-        if self.fam.dim != 1:
-            raise ValueError("line() is the 1d path")
         t = np.asarray(t, dtype=float)
         y = np.asarray(y, dtype=float).reshape(-1)
         lam, rate, accel = self._rates(t)
@@ -125,8 +125,6 @@ class PulledBackProblem:
 
     def line_rates(self, t, y):
         """1d closed form: (dB/dt, div b) along y, shaped like line()."""
-        if self.fam.dim != 1:
-            raise ValueError("line_rates() is the 1d path")
         t = np.asarray(t, dtype=float)
         y = np.asarray(y, dtype=float).reshape(-1)
         lam, rate, accel = self._rates(t)
