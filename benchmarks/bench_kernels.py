@@ -1,7 +1,9 @@
 """Benchmark the numba wave stepper against the pure-numpy fallback.
 
-Runs the RK4 wave stepper on a realistic size under both backends and
-prints a timing table.  Usage:
+Runs the RK4 wave stepper under both backends in two call patterns and
+prints a timing table: one long run (as solve_fd makes it) and 6144
+chained single-step calls at n = 1024 (as the coupled front solver makes
+them for scenarios/debonding_constant.scn).  Usage:
 
     python benchmarks/bench_kernels.py [--steps N] [--grid N]
 """
@@ -43,6 +45,29 @@ def bench_fd(impl, n, nsteps, repeats=3):
     return best
 
 
+def bench_chain(impl, n, nsteps, repeats=3):
+    """nsteps calls of one step each, the coupled solvers' call pattern."""
+    h = 1.0 / n
+    dt = 0.45 * h
+    y = np.linspace(0.0, 1.0, n + 1)
+    ym = 0.5 * (y[:-1] + y[1:])
+    Bm = np.tile(1.0 - 0.2 * ym ** 2, (3, 1))
+    an = np.tile(-0.1 * y, (3, 1))
+    bn = np.tile(0.2 * y, (3, 1))
+    gn = np.zeros((3, n + 1))
+    out_v = np.empty((2, n + 1))
+    out_vd = np.empty((2, n + 1))
+    best = np.inf
+    for _ in range(repeats):
+        v = np.sin(np.pi * y)
+        vd = np.zeros(n + 1)
+        t0 = time.perf_counter()
+        for _ in range(nsteps):
+            impl(v, vd, h, dt, 1, Bm, an, bn, gn, 1, out_v, out_vd)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--steps", type=int, default=4000)
@@ -50,12 +75,15 @@ def main():
     args = ap.parse_args()
 
     rows = []
-    t_np = bench_fd(_fd_run_numpy, args.grid, args.steps)
-    rows.append(("wave stepper", "numpy", t_np, 1.0))
-    if NUMBA_ENABLED:
-        bench_fd(_fd_run_numba, 32, 4)  # JIT warmup
-        t_nb = bench_fd(_fd_run_numba, args.grid, args.steps)
-        rows.append(("wave stepper", "numba", t_nb, t_np / t_nb))
+    cases = (("wave stepper", bench_fd, args.grid, args.steps),
+             ("1-step chain", bench_chain, 1024, 6144))
+    for name, bench, n, steps in cases:
+        t_np = bench(_fd_run_numpy, n, steps)
+        rows.append((name, "numpy", t_np, 1.0))
+        if NUMBA_ENABLED:
+            bench(_fd_run_numba, 32, 4)  # JIT warmup
+            t_nb = bench(_fd_run_numba, n, steps)
+            rows.append((name, "numba", t_nb, t_np / t_nb))
 
     print(f"{'kernel':<22} {'backend':<8} {'best time (s)':>14} {'speedup':>9}")
     for name, backend, t, s in rows:

@@ -6,9 +6,7 @@ Dirichlet ends.  Time: classical RK4 at fixed step, coefficients sampled
 on the half-step grid.  All 2 nsteps + 1 half-step slices come from one
 closed-form PulledBackProblem.line call per node set, written in place
 into the four arrays the stepping kernel reads.  The CFL guard
-dt <= 0.9 h / sqrt(max B) raises before an unstable run starts; pick_dt()
-below applies the sharper bound including the drift speed
-|b| + sqrt(b^2 + B) that strongly moving domains need.
+dt <= 0.9 h / sqrt(max B) raises before an unstable run starts.
 """
 
 import numpy as np
@@ -18,19 +16,6 @@ from .errors import BlowUp, CflViolation
 from .galerkin import Trajectory
 
 CFL_SAFETY = 0.9
-
-
-def max_wave_speed(problem, L, nt=33, npts=257):
-    """max over samples of |b| + sqrt(b^2 + B), the transformed char speed."""
-    ts = np.linspace(0.0, getattr(problem.fam, "horizon", 1.0), nt)
-    y = np.linspace(0.0, L, npts)
-    B, _, b, _ = problem.line(ts, y)
-    return float(np.max(np.abs(b) + np.sqrt(b * b + np.maximum(B, 0.0))))
-
-
-def pick_dt(problem, L, n, safety=0.7, nt=33):
-    h = L / n
-    return safety * h / max_wave_speed(problem, L, nt=nt)
 
 
 def solve_fd(problem, L, n, v0, v1, dt, T, store_every=1, cfl_check=True):

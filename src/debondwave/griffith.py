@@ -11,8 +11,14 @@ scan over the alpha grid serves as the independent oracle.
 The coupled solvers use explicit staggered splitting: extract the front
 trace, apply the flow rule, advance the front by one Euler step, then
 advance the transformed PDE on the reference grid with the map rebuilt
-from the updated front.  The 1d exact ODE from the characteristics module
-is the oracle for the constant-data scenario.
+from the updated front; one loop serves the interval and the annulus.
+The 1d exact ODE from the characteristics module is the oracle for the
+constant-data scenario.
+
+The radial supercritical run passes near the switch p^2 = 2 kappa at
+t = 0.31, so one ulp more PDE velocity per step moves its front speed by
+0.085.  Keep the per-element operation order of the coefficient fill and
+of the stepping kernel (no matmul, tensordot, einsum or 1/h prescaling).
 """
 
 import enum
@@ -21,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .characteristics import CharScenario, front_trace_grid
+from .characteristics import CharScenario, one_sided_derivative
 from .energy import EnergyLedger, _accumulate
 from .errors import (
     BlowUp,
@@ -170,9 +176,6 @@ class FrontHistory:
     trace: np.ndarray         # normal derivative p at the front
     kappa: np.ndarray
 
-    def speed_at(self, t):
-        return float(np.interp(t, self.times, self.speed))
-
     def second_difference_bound(self):
         """C^{2,1} surrogate: bounded discrete second differences of the front."""
         if len(self.times) < 3:
@@ -203,6 +206,250 @@ def _fixed_end_taper(y, yc, u0_at_0, u1_at_0):
     return np.where(inside, H, 0.0), np.where(inside, theta, 0.0)
 
 
+_SLICES = (0.0, 0.5, 1.0)  # the RK4 coefficient slices of one step, in dt
+
+
+class _Interval:
+    """(0, ell(t)) on the reference (0, l0), Phi = (ell / l0) y: the front
+    is the right end, and the data are tapered at the fixed end."""
+
+    name = "coupled 1d"
+    side, normal = "right", 1.0
+    limit = np.inf
+    traj_meta = {"reference": True}
+    ledger_meta = {"coupled": True}
+
+    def __init__(self, sc, num):
+        self.sc = sc
+        self.kappa = sc.kappa
+        self.L = l0 = sc.l0
+        n = num.n
+        self.y = np.linspace(0.0, l0, n + 1)
+        self.ym = 0.5 * (self.y[:-1] + self.y[1:])
+        self.yc = max(num.taper * l0, 4 * (l0 / n))
+        self._m = np.empty(n)
+        self._n = np.empty(n + 1)
+
+    def initial_state(self, om):
+        sc, y = self.sc, self.y
+        H, theta = _fixed_end_taper(y, self.yc, float(sc.u0(0.0)), float(sc.u1(0.0)))
+        v0p = np.asarray(sc.u0.deriv(y), dtype=float) + theta
+        v = np.asarray(sc.u0(y), dtype=float) + H
+        vd = (np.asarray(sc.u1(y), dtype=float) + theta) + (om * y / self.L) * v0p
+        return v, vd
+
+    def kappa_at(self, ell):
+        return float(self.kappa(ell))
+
+    def grad(self, vy, ell):
+        return vy * (self.L / ell)
+
+    def nodes(self, ell):
+        return (ell / self.L) * self.y
+
+    def drift(self, ell, om, out=None):
+        return np.divide(np.multiply(self.y, om, out=self._n), ell, out=out)
+
+    def fill(self, B, a, b, ells, om, acc):
+        lt = np.array(ells)[:, None]
+        q = np.multiply(self.ym, om, out=self._m)
+        np.square(q, out=q)
+        np.subtract(self.L * self.L, q, out=q)
+        np.divide(q, lt * lt, out=B)
+        self.drift(lt, om, out=b)
+        self.drift(lt, -acc, out=a)
+
+    def volume(self, ell):
+        return 1.0, ell / self.L
+
+    def debond(self, ell):
+        l0 = self.L
+        if isinstance(self.kappa, Expression):
+            return float(self.kappa.integral(l0, ell))
+        xq, wq = gauss_legendre_panels(1.0, 8, 10)
+        return (ell - l0) * float(np.sum(wq * np.asarray(self.kappa(l0 + (ell - l0) * xq))))
+
+
+class _Annulus:
+    """R - rho(t) < r < R on the reference [R - rho0, R], Phi = R - (rho /
+    rho0)(R - y): the front is the inner circle; the radial reduction adds
+    the drift -(dim - 1)/r u_r and the volume weight 2 pi r."""
+
+    name = "radial coupled"
+    side, normal = "left", -1.0
+    ledger_meta = {"coupled": "radial"}
+
+    def __init__(self, R, rho0, u0, u1, kappa, num, dim):
+        self.R, self.L, self.dim = R, rho0, dim
+        self.u0, self.u1, self.kappa = u0, u1, kappa
+        n = num.n
+        self.limit = R - 4 * (rho0 / n)
+        self.traj_meta = {"radial": True, "R": R, "dim": dim}
+        self.y = np.linspace(R - rho0, R, n + 1)
+        self.Ry = R - self.y
+        self.nRy = -self.Ry
+        self.Rym = R - 0.5 * (self.y[:-1] + self.y[1:])
+        self._m = np.empty(n)
+        self._n = np.empty(n + 1)
+        self._P = np.empty((len(_SLICES), n + 1))
+
+    def initial_state(self, om):
+        # v_dot(0) = u1 + u0' Phi_dot(0, .), Phi_dot = -(om/rho0)(R - y)
+        y = self.y
+        v = np.asarray(self.u0(y), dtype=float)
+        vd = np.asarray(self.u1(y), dtype=float) - (om / self.L) * self.Ry * np.asarray(
+            self.u0.deriv(y), dtype=float)
+        return v, vd
+
+    def kappa_at(self, rho):
+        return float(self.kappa(self.R - rho))
+
+    def grad(self, vy, rho):
+        return vy / (rho / self.L)
+
+    def nodes(self, rho):
+        return self.R - (rho / self.L) * self.Ry
+
+    def drift(self, rho, om, out=None):
+        return np.divide(np.multiply(self.nRy, om / self.L, out=self._n), rho / self.L, out=out)
+
+    def fill(self, B, a, b, rhos, om, acc):
+        st = [r / self.L for r in rhos]
+        s = np.array(st)[:, None]
+        np.multiply(self.Rym, om / self.L, out=self._m)
+        np.divide(self._m, s, out=B)
+        np.square(B, out=B)
+        np.subtract(np.array([1.0 / x ** 2 for x in st])[:, None], B, out=B)
+        rt = np.array(rhos)[:, None]
+        self.drift(rt, om, out=b)
+        self.drift(rt, -acc, out=a)
+        # a -= (dim - 1) / (phi s), phi = R - s (R - y) the node radii
+        P = np.multiply(s, self.Ry, out=self._P)
+        np.subtract(self.R, P, out=P)
+        np.multiply(P, s, out=P)
+        np.divide(self.dim - 1.0, P, out=P)
+        np.subtract(a, P, out=a)
+
+    def volume(self, rho):
+        return 2.0 * np.pi * self.nodes(rho) * (rho / self.L), 1.0
+
+    def debond(self, rho):
+        # newly debonded ring R - rho < r < R - rho0
+        xq, wq = gauss_legendre_panels(1.0, 8, 10)
+        a, b = self.R - rho, self.R - self.L
+        rr = a + (b - a) * xq
+        return (b - a) * float(np.sum(wq * np.asarray(self.kappa(rr)) * (2.0 * np.pi) * rr))
+
+
+def _evolve_coupled(geo, p0, kap0, horizon, num, forcing, verdict):
+    """Each step: front trace -> flow rule -> one RK4 step of the PDE with
+    the front at l + om (tau - t) -> Euler front advance."""
+    om = flow_rule(p0, kap0)
+    v, vd = geo.initial_state(om)
+    v[0] = v[-1] = 0.0
+    vd[0] = vd[-1] = 0.0
+
+    n = num.n
+    h = geo.L / n
+    # reference characteristic speed is at most (1 + omega) l0 / ell <= 2
+    dt = num.dt if num.dt is not None else num.cfl * h
+    nsteps = int(np.ceil(horizon / dt - 1e-12))
+    dt = horizon / nsteps
+    window = slice(-3, None) if geo.side == "right" else slice(0, 3)
+
+    times, position, speed, trace, kappas = np.empty((5, nsteps + 1))
+    times[0], position[0], speed[0], trace[0], kappas[0] = 0.0, geo.L, om, p0, kap0
+    nst = -(-nsteps // num.store_every) + 1
+    st_times, st_pos = np.empty((2, nst))
+    st_v = np.empty((nst, n + 1))
+    st_vd = np.empty((nst, n + 1))
+    st_times[0], st_pos[0], st_v[0], st_vd[0] = 0.0, geo.L, v, vd
+    stored = 1
+
+    pos = geo.L
+    om_prev = om
+    Bm = np.empty((3, n))
+    an, bn = np.empty((2, 3, n + 1))
+    gn = np.zeros((3, n + 1))
+    out_v, out_vd = np.empty((2, 2, n + 1))
+
+    for k in range(nsteps):
+        t = k * dt
+        p = geo.grad(geo.normal * one_sided_derivative(v[window], h, geo.side), pos)
+        kap = geo.kappa_at(pos)
+        om = flow_rule(p, kap)
+        if om >= 1.0 - num.max_speed_slack:
+            raise SupersonicStep(f"flow rule returned {om} at t = {t}")
+        acc = (om - om_prev) / dt if k > 0 else 0.0
+
+        pos_slices = [pos + om * frac * dt for frac in _SLICES]
+        geo.fill(Bm, an, bn, pos_slices, om, acc)
+        if forcing is not None:
+            for j, frac in enumerate(_SLICES):
+                gn[j] = np.asarray(forcing(t + frac * dt, geo.nodes(pos_slices[j])), dtype=float)
+        status = kernels.fd_run(v, vd, h, dt, 1, Bm, an, bn, gn, 1, out_v, out_vd)
+        if status < 0:
+            raise BlowUp(f"{geo.name} run blew up at step {k}")
+        pos = pos + dt * om
+        om_prev = om
+        if pos >= geo.limit:
+            raise HorizonReached(f"front reached the outer circle region at t = {t + dt}")
+
+        times[k + 1] = t + dt
+        position[k + 1] = pos
+        speed[k + 1] = om
+        trace[k + 1] = p
+        kappas[k + 1] = kap
+        if (k + 1) % num.store_every == 0 or k + 1 == nsteps:
+            st_times[stored] = t + dt
+            st_pos[stored] = pos
+            st_v[stored] = v
+            st_vd[stored] = vd
+            stored += 1
+
+    front = FrontHistory(times=times, position=position, speed=speed, trace=trace, kappa=kappas)
+    traj = Trajectory(
+        kind="grid", times=st_times, values=st_v, velocities=st_vd, L=geo.L, x=geo.y,
+        front=st_pos, meta={"dt": dt, "n": n, **geo.traj_meta},
+    )
+    ledger = _coupled_ledger(geo, traj, forcing)
+    report = griffith_check(front.times, front.speed, front.trace, front.kappa)
+    return CoupledRun(front=front, traj=traj, ledger=ledger, report=report,
+                      meta={"verdict": verdict.value, "dt": dt})
+
+
+def _coupled_ledger(geo, traj, forcing):
+    """Kinetic/potential/work and debonding dissipation along a coupled run."""
+    y = traj.x
+    h = y[1] - y[0]
+    nt = len(traj.times)
+    kinetic = np.empty(nt)
+    potential = np.empty(nt)
+    work_rate = np.zeros(nt)
+    debond = np.empty(nt)
+    speeds = np.gradient(traj.front, traj.times) if nt > 2 else np.zeros(nt)
+    w = np.full(len(y), h)
+    w[0] = w[-1] = 0.5 * h
+    for i in range(nt):
+        pos = traj.front[i]
+        vy = np.gradient(traj.values[i], h, edge_order=2)
+        ud = traj.velocities[i] - geo.drift(pos, speeds[i]) * vy
+        ur = geo.grad(vy, pos)
+        vol, scale = geo.volume(pos)
+        kinetic[i] = 0.5 * np.sum(w * ud * ud * vol) * scale
+        potential[i] = 0.5 * np.sum(w * ur * ur * vol) * scale
+        if forcing is not None:
+            f = np.asarray(forcing(traj.times[i], geo.nodes(pos)))
+            work_rate[i] = np.sum(w * f * ud * vol) * scale
+        debond[i] = geo.debond(pos)
+    work = _accumulate(traj.times, work_rate, "trap")
+    led = EnergyLedger(times=traj.times.copy(), kinetic=kinetic, potential=potential,
+                       work=work, debond_dissipation=debond, meta=dict(geo.ledger_meta))
+    E = kinetic + potential - work
+    led.residual_moving = np.abs(E + debond - E[0])
+    return led
+
+
 def evolve_coupled_1d(sc: CharScenario, numerics: CoupledNumerics = None):
     """Staggered coupled evolution of the 1d debonding problem.
 
@@ -214,159 +461,17 @@ def evolve_coupled_1d(sc: CharScenario, numerics: CoupledNumerics = None):
     front each step.
     """
     num = numerics or CoupledNumerics()
-    verdict = compatibility_check(
-        float(sc.u0.deriv(sc.l0)), float(sc.u1(sc.l0)), float(sc.kappa(sc.l0)))
+    p0 = float(sc.u0.deriv(sc.l0))
+    kap0 = float(sc.kappa(sc.l0))
+    verdict = compatibility_check(p0, float(sc.u1(sc.l0)), kap0)
     if verdict is Verdict.INCOMPATIBLE:
         raise CompatibilityViolated("coupled run requires compatible front data")
-
-    l0 = sc.l0
-    n = num.n
-    h = l0 / n
-    y = np.linspace(0.0, l0, n + 1)
-    ym = 0.5 * (y[:-1] + y[1:])
-
-    yc = max(num.taper * l0, 4 * h)
-    u0v = np.asarray(sc.u0(y), dtype=float)
-    u0p = np.asarray(sc.u0.deriv(y), dtype=float)
-    u1v = np.asarray(sc.u1(y), dtype=float)
-    H, theta = _fixed_end_taper(y, yc, float(sc.u0(0.0)), float(sc.u1(0.0)))
-    v0 = u0v + H
-    v0p = u0p + theta
-    u1t = u1v + theta
-
-    p0 = float(sc.u0.deriv(l0))
-    om = flow_rule(p0, float(sc.kappa(l0)))
-    v = v0.copy()
-    vd = u1t + (om * y / l0) * v0p
-    v[0] = v[-1] = 0.0
-    vd[0] = vd[-1] = 0.0
-
-    # reference characteristic speed is at most (1 + omega) l0 / ell <= 2
-    dt = num.dt if num.dt is not None else num.cfl * h
-    T = sc.horizon
-    nsteps = int(np.ceil(T / dt - 1e-12))
-    dt = T / nsteps
-
-    times = [0.0]
-    ells = [l0]
-    speeds = [om]
-    traces = [p0]
-    kappas = [float(sc.kappa(l0))]
-    st_times = [0.0]
-    st_v = [v.copy()]
-    st_vd = [vd.copy()]
-    st_ell = [l0]
-
-    ell = l0
-    om_prev = om
-    Bm = np.empty((3, n))
-    an = np.empty((3, n + 1))
-    bn = np.empty((3, n + 1))
-    gn = np.empty((3, n + 1))
-    out_v = np.empty((2, n + 1))
-    out_vd = np.empty((2, n + 1))
-
     forcing = sc.forcing if sc.forcing is not None and not (
         hasattr(sc.forcing, "is_zero") and sc.forcing.is_zero()) else None
-
-    for k in range(nsteps):
-        t = k * dt
-        # trace -> flow rule
-        vy = front_trace_grid(v, vd, h, side="right")[0]
-        p = vy * (l0 / ell)
-        kap = float(sc.kappa(ell))
-        om = flow_rule(p, kap)
-        if om >= 1.0 - num.max_speed_slack:
-            raise SupersonicStep(f"flow rule returned {om} at t = {t}")
-        ldd = (om - om_prev) / dt if k > 0 else 0.0
-
-        # PDE advance on [t, t+dt] with the map l(tau) = ell + om (tau - t)
-        for j, frac in enumerate((0.0, 0.5, 1.0)):
-            lt = ell + om * frac * dt
-            Bm[j] = (l0 * l0 - (om * ym) ** 2) / (lt * lt)
-            bn[j] = om * y / lt
-            an[j] = -ldd * y / lt
-            if forcing is None:
-                gn[j] = 0.0
-            else:
-                gn[j] = np.asarray(forcing(t + frac * dt, (lt / l0) * y), dtype=float)
-        out_v[0] = v
-        out_vd[0] = vd
-        status = kernels.fd_run(v, vd, h, dt, 1, Bm, an, bn, gn, 1, out_v, out_vd)
-        if status < 0:
-            raise BlowUp(f"coupled 1d run blew up at step {k}")
-        ell = ell + dt * om
-        om_prev = om
-
-        times.append(t + dt)
-        ells.append(ell)
-        speeds.append(om)
-        traces.append(p)
-        kappas.append(kap)
-        if (k + 1) % num.store_every == 0 or k + 1 == nsteps:
-            st_times.append(t + dt)
-            st_v.append(v.copy())
-            st_vd.append(vd.copy())
-            st_ell.append(ell)
-
-    front = FrontHistory(
-        times=np.asarray(times), position=np.asarray(ells),
-        speed=np.asarray(speeds), trace=np.asarray(traces),
-        kappa=np.asarray(kappas),
-    )
-    traj = Trajectory(
-        kind="grid", times=np.asarray(st_times), values=np.asarray(st_v),
-        velocities=np.asarray(st_vd), L=l0, x=y,
-        front=np.asarray(st_ell), meta={"dt": dt, "n": n, "reference": True},
-    )
-    ledger = _coupled_ledger_1d(traj, sc, l0)
-    report = griffith_check(front.times, front.speed, front.trace, front.kappa)
-    return CoupledRun(front=front, traj=traj, ledger=ledger, report=report,
-                      meta={"verdict": verdict.value, "dt": dt, "taper": yc})
-
-
-def _coupled_ledger_1d(traj, sc, l0):
-    """Kinetic/potential/work and debonding dissipation along a coupled run."""
-    y = traj.x
-    h = y[1] - y[0]
-    nt = len(traj.times)
-    kinetic = np.empty(nt)
-    potential = np.empty(nt)
-    work_rate = np.zeros(nt)
-    debond = np.empty(nt)
-    forcing = sc.forcing if sc.forcing is not None and not (
-        hasattr(sc.forcing, "is_zero") and sc.forcing.is_zero()) else None
-    speeds = np.gradient(traj.front, traj.times) if nt > 2 else np.zeros(nt)
-    for i in range(nt):
-        ell = traj.front[i]
-        v = traj.values[i]
-        vd = traj.velocities[i]
-        vy = np.gradient(v, h, edge_order=2)
-        om = speeds[i]
-        ud = vd - (om * y / ell) * vy
-        ur = vy * (l0 / ell)
-        w = np.full(len(y), h)
-        w[0] = w[-1] = 0.5 * h
-        detJ = ell / l0
-        kinetic[i] = 0.5 * np.sum(w * ud * ud) * detJ
-        potential[i] = 0.5 * np.sum(w * ur * ur) * detJ
-        if forcing is not None:
-            work_rate[i] = np.sum(w * np.asarray(forcing(traj.times[i], (ell / l0) * y)) * ud) * detJ
-        if isinstance(sc.kappa, Expression):
-            debond[i] = float(sc.kappa.integral(l0, ell))
-        else:
-            xq, wq = gauss_legendre_panels(1.0, 8, 10)
-            debond[i] = (ell - l0) * float(np.sum(wq * np.asarray(sc.kappa(l0 + (ell - l0) * xq))))
-    work = _accumulate(traj.times, work_rate, "trap")
-    led = EnergyLedger(times=traj.times.copy(), kinetic=kinetic, potential=potential,
-                       work=work, debond_dissipation=debond,
-                       meta={"coupled": True})
-    E = kinetic + potential - work
-    led.residual_moving = np.abs(E + debond - E[0])
-    return led
-
-
-# --- radial coupled evolution ------------------------------------------------
+    geo = _Interval(sc, num)
+    run = _evolve_coupled(geo, p0, kap0, sc.horizon, num, forcing, verdict)
+    run.meta["taper"] = geo.yc
+    return run
 
 
 def evolve_coupled_radial(R, rho0, u0, u1, kappa, horizon,
@@ -383,138 +488,9 @@ def evolve_coupled_radial(R, rho0, u0, u1, kappa, horizon,
         raise ValueError("the radial coupled solver is implemented for dim 2")
     num = numerics or CoupledNumerics(taper=0.0)
     p0 = -float(u0.deriv(R - rho0))  # outward normal at the inner circle is -e_r
-    verdict = compatibility_check(p0, float(u1(R - rho0)), float(kappa(R - rho0)))
+    kap0 = float(kappa(R - rho0))
+    verdict = compatibility_check(p0, float(u1(R - rho0)), kap0)
     if verdict is Verdict.INCOMPATIBLE:
         raise CompatibilityViolated("radial data incompatible at the inner circle")
-
-    n = num.n
-    h = rho0 / n
-    y = np.linspace(R - rho0, R, n + 1)
-    ym = 0.5 * (y[:-1] + y[1:])
-
-    om = flow_rule(p0, float(kappa(R - rho0)))
-    v = np.asarray(u0(y), dtype=float)
-    # v_dot(0) = u1 + u0' Phi_dot(0, .), Phi_dot = -(om/rho0)(R - y)
-    vd = np.asarray(u1(y), dtype=float) - (om / rho0) * (R - y) * np.asarray(u0.deriv(y), dtype=float)
-    v[0] = v[-1] = 0.0
-    vd[0] = vd[-1] = 0.0
-
-    dt = num.dt if num.dt is not None else num.cfl * h
-    nsteps = int(np.ceil(horizon / dt - 1e-12))
-    dt = horizon / nsteps
-
-    times = [0.0]
-    rhos = [rho0]
-    speeds = [om]
-    traces = [p0]
-    kappas = [float(kappa(R - rho0))]
-    st = {"times": [0.0], "v": [v.copy()], "vd": [vd.copy()], "rho": [rho0]}
-
-    rho = rho0
-    om_prev = om
-    Bm = np.empty((3, n))
-    an = np.empty((3, n + 1))
-    bn = np.empty((3, n + 1))
-    gn = np.zeros((3, n + 1))
-    out_v = np.empty((2, n + 1))
-    out_vd = np.empty((2, n + 1))
-
-    for k in range(nsteps):
-        t = k * dt
-        vyl = front_trace_grid(v, vd, h, side="left")[0]  # returns -v_y at left end
-        s = rho / rho0
-        p = vyl / s  # du/dnu = -u_r = -v_y/s at the inner circle
-        kap = float(kappa(R - rho))
-        om = flow_rule(p, kap)
-        if om >= 1.0 - num.max_speed_slack:
-            raise SupersonicStep(f"flow rule returned {om} at t = {t}")
-        rdd = (om - om_prev) / dt if k > 0 else 0.0
-
-        for j, frac in enumerate((0.0, 0.5, 1.0)):
-            rt = rho + om * frac * dt
-            st_ = rt / rho0
-            sd = om / rho0
-            sdd = rdd / rho0
-            phin = R - st_ * (R - y)
-            phim = R - st_ * (R - ym)
-            Bm[j] = 1.0 / st_ ** 2 - ((R - ym) * sd / st_) ** 2
-            bn[j] = -(R - y) * sd / st_
-            an[j] = (R - y) * sdd / st_ - (dim - 1.0) / (phin * st_)
-            if forcing is not None:
-                gn[j] = np.asarray(forcing(t + frac * dt, phin), dtype=float)
-        out_v[0] = v
-        out_vd[0] = vd
-        status = kernels.fd_run(v, vd, h, dt, 1, Bm, an, bn, gn, 1, out_v, out_vd)
-        if status < 0:
-            raise BlowUp(f"radial coupled run blew up at step {k}")
-        rho = rho + dt * om
-        om_prev = om
-        if rho >= R - 4 * h:
-            raise HorizonReached(f"front reached the outer circle region at t = {t + dt}")
-
-        times.append(t + dt)
-        rhos.append(rho)
-        speeds.append(om)
-        traces.append(p)
-        kappas.append(kap)
-        if (k + 1) % num.store_every == 0 or k + 1 == nsteps:
-            st["times"].append(t + dt)
-            st["v"].append(v.copy())
-            st["vd"].append(vd.copy())
-            st["rho"].append(rho)
-
-    front = FrontHistory(
-        times=np.asarray(times), position=np.asarray(rhos),
-        speed=np.asarray(speeds), trace=np.asarray(traces),
-        kappa=np.asarray(kappas),
-    )
-    traj = Trajectory(
-        kind="grid", times=np.asarray(st["times"]), values=np.asarray(st["v"]),
-        velocities=np.asarray(st["vd"]), L=rho0, x=y,
-        front=np.asarray(st["rho"]),
-        meta={"dt": dt, "n": n, "radial": True, "R": R, "dim": dim},
-    )
-    ledger = _coupled_ledger_radial(traj, R, rho0, kappa, forcing, dim)
-    report = griffith_check(front.times, front.speed, front.trace, front.kappa)
-    return CoupledRun(front=front, traj=traj, ledger=ledger, report=report,
-                      meta={"verdict": verdict.value, "dt": dt})
-
-
-def _coupled_ledger_radial(traj, R, rho0, kappa, forcing, dim):
-    y = traj.x
-    h = y[1] - y[0]
-    nt = len(traj.times)
-    kinetic = np.empty(nt)
-    potential = np.empty(nt)
-    work_rate = np.zeros(nt)
-    debond = np.empty(nt)
-    angular = 2.0 * np.pi
-    speeds = np.gradient(traj.front, traj.times) if nt > 2 else np.zeros(nt)
-    xq, wq = gauss_legendre_panels(1.0, 8, 10)
-    for i in range(nt):
-        rho = traj.front[i]
-        s = rho / rho0
-        sd = speeds[i] / rho0
-        v = traj.values[i]
-        vd = traj.velocities[i]
-        vy = np.gradient(v, h, edge_order=2)
-        r_phys = R - s * (R - y)
-        ud = vd + ((R - y) * sd / s) * vy
-        ur = vy / s
-        w = np.full(len(y), h)
-        w[0] = w[-1] = 0.5 * h
-        vol = angular * r_phys * s  # 2 pi r dr with dr = s dy
-        kinetic[i] = 0.5 * np.sum(w * ud * ud * vol)
-        potential[i] = 0.5 * np.sum(w * ur * ur * vol)
-        if forcing is not None:
-            work_rate[i] = np.sum(w * np.asarray(forcing(traj.times[i], r_phys)) * ud * vol)
-        # newly debonded ring R - rho < r < R - rho0
-        a, b = R - rho, R - rho0
-        rr = a + (b - a) * xq
-        debond[i] = (b - a) * float(np.sum(wq * np.asarray(kappa(rr)) * angular * rr))
-    work = _accumulate(traj.times, work_rate, "trap")
-    led = EnergyLedger(times=traj.times.copy(), kinetic=kinetic, potential=potential,
-                       work=work, debond_dissipation=debond, meta={"coupled": "radial"})
-    E = kinetic + potential - work
-    led.residual_moving = np.abs(E + debond - E[0])
-    return led
+    geo = _Annulus(R, rho0, u0, u1, kappa, num, dim)
+    return _evolve_coupled(geo, p0, kap0, horizon, num, forcing, verdict)

@@ -20,53 +20,81 @@ BLOWUP_LIMIT = 1.0e12
 # --- finite-difference wave stepper --------------------------------------
 
 
-def _fd_rhs_numpy(v, vd, h, Bm, an, bn, gn, out):
-    inv_h2 = 1.0 / (h * h)
-    inv_2h = 0.5 / h
-    flux = (Bm[1:] * (v[2:] - v[1:-1]) - Bm[:-1] * (v[1:-1] - v[:-2])) * inv_h2
-    adv = an[1:-1] * (v[2:] - v[:-2]) * inv_2h
-    drift = bn[1:-1] * (vd[2:] - vd[:-2]) * inv_2h
-    out[1:-1] = flux - adv + 2.0 * drift + gn[1:-1]
-    out[0] = 0.0
-    out[-1] = 0.0
-    return out
-
-
 def _fd_run_numpy(v, vd, h, dt, nsteps, Bm, an, bn, gn, store_every, out_v, out_vd):
+    """Advance (v, vd) in place by nsteps RK4 steps.
+
+    Bm holds one frozen slice or the 2 nsteps + 1 half-step slices.  Every
+    store_every-th state goes to out_v/out_vd from row 1 on.  Returns the
+    number of rows filled, or -(k + 1) when step k blows up.
+    """
     n1 = v.shape[0]
-    acc = np.empty(n1)
-    k1a = np.empty(n1)
-    k2a = np.empty(n1)
-    k3a = np.empty(n1)
-    k4a = np.empty(n1)
-    frozen = Bm.shape[0] == 1
-    stored = 1
+    # W[s] = (v_s, vd_s, vdd_s) at RK4 stage s: rows 0-1 are the stage
+    # state and rows 1-2 its time derivative, so the state (v, vd) is
+    # W[0, :2] and the four stage derivatives are K = W[:, 1:]
+    W = np.empty((4, 3, n1))
+    W[:, 2, ::n1 - 1] = 0.0
+    S = [W[s, :2] for s in range(4)]
+    K = W[:, 1:]
+    X = S[0]
+    X[0] = v
+    X[1] = vd
+    # work arrays of one right-hand side: d = v_{i+1} - v_i, c = central
+    # differences of (v, vd)
+    d = np.empty(n1 - 1)
+    c = np.empty((2, n1 - 2))
+    views = [(x[0, 1:], x[0, :-1], x[:, 2:], x[:, :-2], W[s, 2, 1:-1]) for s, x in enumerate(S)]
+    dr, dl = d[1:], d[:-1]
+    c0, c1 = c
+    an, bn, gn = an[:, 1:-1], bn[:, 1:-1], gn[:, 1:-1]
+    # scalars as 0-d arrays: the same float64 arithmetic, less call overhead
+    inv_h2, inv_2h, two, half, full, sixth = (
+        np.array(x) for x in (1.0 / (h * h), 0.5 / h, 2.0, 0.5 * dt, dt, dt / 6.0))
+
+    def rhs(s, j):
+        # acc = d/dy(B v_y) - a v_y + 2 b vd_y + g, each term rounded in
+        # the order of the numba twin
+        vr, vl, xr, xl, acc = views[s]
+        np.subtract(vr, vl, out=d)
+        np.multiply(Bm[j], d, out=d)
+        np.subtract(dr, dl, out=acc)
+        np.multiply(acc, inv_h2, out=acc)
+        np.subtract(xr, xl, out=c)
+        np.multiply(an[j], c0, out=c0)
+        np.multiply(bn[j], c1, out=c1)
+        np.multiply(c, inv_2h, out=c)
+        np.subtract(acc, c0, out=acc)
+        np.multiply(c1, two, out=c1)
+        np.add(acc, c1, out=acc)
+        np.add(acc, gn[j], out=acc)
+
+    step = 0 if Bm.shape[0] == 1 else 1  # frozen: one slice serves every stage
+    status = 1
     for k in range(nsteps):
-        j0 = 0 if frozen else 2 * k
-        j1 = 0 if frozen else 2 * k + 1
-        j2 = 0 if frozen else 2 * k + 2
-        _fd_rhs_numpy(v, vd, h, Bm[j0], an[j0], bn[j0], gn[j0], k1a)
-        v2 = v + (0.5 * dt) * vd
-        vd2 = vd + (0.5 * dt) * k1a
-        _fd_rhs_numpy(v2, vd2, h, Bm[j1], an[j1], bn[j1], gn[j1], k2a)
-        v3 = v + (0.5 * dt) * vd2
-        vd3 = vd + (0.5 * dt) * k2a
-        _fd_rhs_numpy(v3, vd3, h, Bm[j1], an[j1], bn[j1], gn[j1], k3a)
-        v4 = v + dt * vd3
-        vd4 = vd + dt * k3a
-        _fd_rhs_numpy(v4, vd4, h, Bm[j2], an[j2], bn[j2], gn[j2], k4a)
-        acc[:] = vd + 2.0 * vd2 + 2.0 * vd3 + vd4
-        v += (dt / 6.0) * acc
-        vd += (dt / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-        v[0] = v[-1] = 0.0
-        vd[0] = vd[-1] = 0.0
-        if np.max(np.abs(v)) > BLOWUP_LIMIT:
-            return -(k + 1)
+        j = 2 * k * step
+        rhs(0, j)
+        for s, cs, js in ((1, half, j + step), (2, half, j + step), (3, full, j + 2 * step)):
+            np.multiply(K[s - 1], cs, out=S[s])
+            np.add(X, S[s], out=S[s])
+            rhs(s, js)
+        # X += (dt/6) (((K0 + 2 K1) + 2 K2) + K3), summed into K1
+        np.multiply(K[1:3], two, out=K[1:3])
+        np.add(K[0], K[1], out=K[1])
+        np.add(K[1], K[2], out=K[1])
+        np.add(K[1], K[3], out=K[1])
+        np.multiply(K[1], sixth, out=K[1])
+        np.add(X, K[1], out=X)
+        X[:, ::n1 - 1] = 0.0
+        # not (max <= limit): a NaN state is a blow-up too
+        if not (np.maximum.reduce(np.abs(X[0], out=S[1][0])) <= BLOWUP_LIMIT):
+            status = -(k + 1)
+            break
         if (k + 1) % store_every == 0:
-            out_v[stored] = v
-            out_vd[stored] = vd
-            stored += 1
-    return stored
+            out_v[status] = X[0]
+            out_vd[status] = X[1]
+            status += 1
+    v[:] = X[0]
+    vd[:] = X[1]
+    return status
 
 
 @njit
@@ -144,16 +172,15 @@ def _fd_run_numba(v, vd, h, dt, nsteps, Bm, an, bn, gn, store_every, out_v, out_
             drift = b2[i] * (vd4[i + 1] - vd4[i - 1]) * inv_2h
             k4a[i] = flux - adv + 2.0 * drift + g2[i]
         sixth = dt / 6.0
-        vmax = 0.0
         for i in range(n1):
             v[i] += sixth * (vd[i] + 2.0 * vd2[i] + 2.0 * vd3[i] + vd4[i])
             vd[i] += sixth * (k1a[i] + 2.0 * k2a[i] + 2.0 * k3a[i] + k4a[i])
-            if abs(v[i]) > vmax:
-                vmax = abs(v[i])
         v[0] = v[n] = 0.0
         vd[0] = vd[n] = 0.0
-        if vmax > BLOWUP_LIMIT:
-            return -(k + 1)
+        for i in range(n1):
+            # not (|v| <= limit): a NaN state is a blow-up too
+            if not (abs(v[i]) <= BLOWUP_LIMIT):
+                return -(k + 1)
         if (k + 1) % store_every == 0:
             out_v[stored] = v
             out_vd[stored] = vd

@@ -68,12 +68,11 @@ def build_motion(motion):
 def write_csv(path, columns):
     """columns: list of (name, array); deterministic 17-digit format."""
     names = [c[0] for c in columns]
-    arrays = [np.asarray(c[1]) for c in columns]
-    n = len(arrays[0])
+    table = np.column_stack([np.asarray(c[1], dtype=float) for c in columns])
+    row = ",".join(["%.17g"] * len(names)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(names) + "\n")
-        for i in range(n):
-            fh.write(",".join(f"{float(a[i]):.17g}" for a in arrays) + "\n")
+        fh.write(row * len(table) % tuple(table.ravel().tolist()))
 
 
 class RunArtifacts:

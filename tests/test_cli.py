@@ -6,6 +6,7 @@ import pytest
 
 from debondwave.cli import main
 from debondwave.errors import CompatibilityViolated, MissingRequired, TypeMismatch, UnknownKey
+from debondwave.runner import write_csv
 from debondwave.scenarios import parse_scenario
 
 SQ2 = np.sqrt(2.0)
@@ -185,3 +186,16 @@ def test_parser_edge_cases(tmp_path):
 def test_verify_scenario_file_target(tmp_path):
     path = _write(tmp_path, "v.scn", MINIMAL + "[numerics]\nmodes = 8\ndt = 0.005\n")
     assert main(["verify", path, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_write_csv_matches_per_value_formatter(tmp_path):
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0 / 3.0, -2.5e-310, 1e300])
+    columns = [("t", np.arange(8) * 0.1), ("x", special), ("k", np.arange(-3, 5)),
+               ("flag", special > 0.0), ("y", special[::-1])]
+    path = tmp_path / "out.csv"
+    write_csv(str(path), columns)
+    # the per-value formatter the table-at-once writer replaced
+    lines = [",".join(name for name, _ in columns)]
+    for i in range(8):
+        lines.append(",".join(f"{float(np.asarray(a)[i]):.17g}" for _, a in columns))
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")

@@ -1,10 +1,140 @@
-"""The numba stepper and the numpy fallback must agree numerically."""
+"""The RK4 wave stepper: numpy kernel against a reference, numba twin, blow-up guard."""
 
 import numpy as np
 import pytest
 
 from debondwave import kernels
 from debondwave.backend import NUMBA_ENABLED
+from debondwave.characteristics import CharScenario
+from debondwave.domains import Interval
+from debondwave.errors import BlowUp
+from debondwave.expressions import Const, Poly
+from debondwave.fd import solve_fd
+from debondwave.griffith import CoupledNumerics, evolve_coupled_1d
+from debondwave.motion import identity_motion
+from debondwave.transform import PulledBackProblem
+
+
+# --- reference: the straightforward numpy stepper, one temporary per term ---
+
+
+def _ref_rhs(v, vd, h, Bm, an, bn, gn, out):
+    inv_h2 = 1.0 / (h * h)
+    inv_2h = 0.5 / h
+    flux = (Bm[1:] * (v[2:] - v[1:-1]) - Bm[:-1] * (v[1:-1] - v[:-2])) * inv_h2
+    adv = an[1:-1] * (v[2:] - v[:-2]) * inv_2h
+    drift = bn[1:-1] * (vd[2:] - vd[:-2]) * inv_2h
+    out[1:-1] = flux - adv + 2.0 * drift + gn[1:-1]
+    out[0] = 0.0
+    out[-1] = 0.0
+    return out
+
+
+def _ref_run(v, vd, h, dt, nsteps, Bm, an, bn, gn, store_every, out_v, out_vd):
+    n1 = v.shape[0]
+    acc = np.empty(n1)
+    k1a = np.empty(n1)
+    k2a = np.empty(n1)
+    k3a = np.empty(n1)
+    k4a = np.empty(n1)
+    frozen = Bm.shape[0] == 1
+    stored = 1
+    for k in range(nsteps):
+        j0 = 0 if frozen else 2 * k
+        j1 = 0 if frozen else 2 * k + 1
+        j2 = 0 if frozen else 2 * k + 2
+        _ref_rhs(v, vd, h, Bm[j0], an[j0], bn[j0], gn[j0], k1a)
+        v2 = v + (0.5 * dt) * vd
+        vd2 = vd + (0.5 * dt) * k1a
+        _ref_rhs(v2, vd2, h, Bm[j1], an[j1], bn[j1], gn[j1], k2a)
+        v3 = v + (0.5 * dt) * vd2
+        vd3 = vd + (0.5 * dt) * k2a
+        _ref_rhs(v3, vd3, h, Bm[j1], an[j1], bn[j1], gn[j1], k3a)
+        v4 = v + dt * vd3
+        vd4 = vd + dt * k3a
+        _ref_rhs(v4, vd4, h, Bm[j2], an[j2], bn[j2], gn[j2], k4a)
+        acc[:] = vd + 2.0 * vd2 + 2.0 * vd3 + vd4
+        v += (dt / 6.0) * acc
+        vd += (dt / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+        v[0] = v[-1] = 0.0
+        vd[0] = vd[-1] = 0.0
+        if np.max(np.abs(v)) > kernels.BLOWUP_LIMIT:
+            return -(k + 1)
+        if (k + 1) % store_every == 0:
+            out_v[stored] = v
+            out_vd[stored] = vd
+            stored += 1
+    return stored
+
+
+def _coefficients(n, S, moving, forced, seed=3):
+    """S coefficient slices on n cells; time-dependent when ``moving``."""
+    rng = np.random.default_rng(seed)
+    y = np.linspace(0.0, 1.0, n + 1)
+    ym = 0.5 * (y[:-1] + y[1:])
+    s = 1.0 + 0.3 * rng.random((S, 1)) if moving else np.ones((S, 1))
+    Bm = (1.0 - 0.3 * ym ** 2) / s ** 2
+    an = -0.2 * y / s
+    bn = 0.3 * y / s
+    gn = np.sin(np.pi * y) * s if forced else np.zeros((S, n + 1))
+    return y, Bm, an, bn, gn
+
+
+def _initial(y, seed=2):
+    v = np.sin(np.pi * y)
+    vd = 0.1 * np.random.default_rng(seed).standard_normal(len(y))
+    v[0] = v[-1] = vd[0] = vd[-1] = 0.0
+    return v, vd
+
+
+def _run(impl, y, dt, nsteps, Bm, an, bn, gn, store_every):
+    h = y[1] - y[0]
+    v, vd = _initial(y)
+    nstored = nsteps // store_every + 1
+    out_v = np.empty((nstored, len(y)))
+    out_vd = np.empty((nstored, len(y)))
+    out_v[0] = v
+    out_vd[0] = vd
+    status = impl(v, vd, h, dt, nsteps, Bm, an, bn, gn, store_every, out_v, out_vd)
+    return status, v, vd, out_v, out_vd
+
+
+@pytest.mark.parametrize("moving, forced, store_every", [
+    (False, False, 1),   # frozen: one slice for every step
+    (True, True, 1),     # 2 nsteps + 1 time-dependent slices with a forcing
+    (True, False, 4),    # stores every 4th step only
+])
+def test_numpy_kernel_matches_reference_bit_for_bit(moving, forced, store_every):
+    n, nsteps = 64, 40
+    S = 2 * nsteps + 1 if moving else 1
+    y, Bm, an, bn, gn = _coefficients(n, S, moving, forced)
+    dt = 0.5 / n
+    got = _run(kernels._fd_run_numpy, y, dt, nsteps, Bm, an, bn, gn, store_every)
+    ref = _run(_ref_run, y, dt, nsteps, Bm, an, bn, gn, store_every)
+    assert got[0] == ref[0] == nsteps // store_every + 1
+    for a, b in zip(got[1:], ref[1:]):
+        assert np.array_equal(a, b)
+
+
+def test_numpy_kernel_chained_single_steps_match_reference():
+    # the coupled-solver pattern: one step per call on three fresh slices
+    n, nsteps = 64, 30
+    y, Bm, an, bn, gn = _coefficients(n, 2 * nsteps + 1, moving=True, forced=True)
+    h = y[1] - y[0]
+    dt = 0.5 / n
+    states = []
+    for impl in (kernels._fd_run_numpy, _ref_run):
+        v, vd = _initial(y)
+        out_v = np.empty((2, n + 1))
+        out_vd = np.empty((2, n + 1))
+        for k in range(nsteps):
+            sl = slice(2 * k, 2 * k + 3)
+            status = impl(v, vd, h, dt, 1, Bm[sl], an[sl], bn[sl], gn[sl], 1, out_v, out_vd)
+            assert status == 2
+            assert np.array_equal(out_v[1], v) and np.array_equal(out_vd[1], vd)
+        states.append((v, vd))
+    assert np.array_equal(states[0][0], states[1][0])
+    assert np.array_equal(states[0][1], states[1][1])
 
 
 @pytest.mark.skipif(not NUMBA_ENABLED, reason="numba backend not active")
@@ -36,3 +166,37 @@ def test_fd_run_backends_agree():
     vb, db = run(kernels._fd_run_numpy)
     assert np.max(np.abs(va - vb)) < 1e-13
     assert np.max(np.abs(da - db)) < 1e-13
+
+
+# --- blow-up guard: a NaN state must count as a blow-up ---------------------
+
+
+@pytest.mark.parametrize("impl", [kernels._fd_run_numpy, kernels._fd_run_numba])
+def test_kernel_reports_nan_state_as_blowup(impl):
+    # without numba the twin is plain Python, so its guard runs here too
+    n, nsteps = 16, 5
+    y, Bm, an, bn, gn = _coefficients(n, 1, moving=False, forced=True)
+    gn = gn.copy()
+    gn[0, n // 2] = np.nan
+    status = _run(impl, y, 0.5 / n, nsteps, Bm, an, bn, gn, 1)[0]
+    assert status == -1
+
+
+def test_solve_fd_raises_blowup_on_nan_coefficient():
+    def forcing(t, x):
+        return np.full(np.shape(x), np.nan)
+
+    pb = PulledBackProblem(identity_motion(Interval(1.0), 0.1), forcing)
+    with pytest.raises(BlowUp):
+        solve_fd(pb, 1.0, 32, lambda y: np.sin(np.pi * np.asarray(y)),
+                 lambda y: 0.0 * np.asarray(y), dt=0.01, T=0.1)
+
+
+def test_coupled_solver_raises_blowup_on_nan_coefficient():
+    def forcing(t, x):
+        return np.full(np.shape(x), np.nan)
+
+    sc = CharScenario(l0=1.0, u0=Poly(2.0, -2.0), u1=Const(np.sqrt(2.0)),
+                      kappa=Const(1.0), horizon=0.1, forcing=forcing)
+    with pytest.raises(BlowUp):
+        evolve_coupled_1d(sc, CoupledNumerics(n=64, store_every=1))
