@@ -35,7 +35,6 @@ from .griffith import (
     mdp_oracle,
 )
 from .motion import (
-    MotionJet,
     boundary_kinematics,
     homothetic,
     identity_motion,

@@ -5,16 +5,19 @@ Subcommands:
     run <file>            execute a scenario, write CSVs and manifest
     verify <suite|file>   run a named verification suite (or a scenario
                           file's own suite) and report pass/fail lines
-    sweep <dir>           run every scenario file in a directory
+    sweep <dir>           run every scenario file in a directory, one
+                          "done <name>" or "FAIL <file>: <error>" line each
 
 Exit codes: 0 ok, 1 verification failure, 2 usage/parse error,
-3 numerical failure.
+3 numerical failure.  A sweep runs every file and exits with the highest
+code among its failing files.
 """
 
 import argparse
 import json
 import os
 import sys
+import traceback
 
 from .errors import DebondWaveError, ScenarioError, UnknownSuite
 from .scenarios import parse_scenario
@@ -25,6 +28,8 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+
+_USAGE_ERRORS = (ScenarioError, UnknownSuite, FileNotFoundError)
 
 
 def _build_parser():
@@ -88,10 +93,22 @@ def _cmd_verify(args):
 
 
 def _run_one(path_out_tol):
+    """Run one sweep file; return its status line and the exit code a lone
+    run of the file gives."""
     path, out, tol = path_out_tol
-    sc = parse_scenario(path)
-    run_scenario(sc, out_dir=out, tol_scale=tol)
-    return sc.name
+    try:
+        sc = parse_scenario(path)
+        run_scenario(sc, out_dir=out, tol_scale=tol)
+    except Exception as exc:  # a failing file must not end the sweep
+        if isinstance(exc, _USAGE_ERRORS):
+            code = EXIT_USAGE
+        elif isinstance(exc, DebondWaveError):
+            code = EXIT_NUMERICAL
+        else:  # a defect, not a typed failure: keep its traceback
+            traceback.print_exc()
+            code = 1  # the status of an uncaught exception
+        return f"FAIL {path}: {type(exc).__name__}: {exc}", code
+    return f"done {sc.name}", EXIT_OK
 
 
 def _cmd_sweep(args):
@@ -108,12 +125,17 @@ def _cmd_sweep(args):
         import concurrent.futures as cf
 
         with cf.ProcessPoolExecutor(max_workers=args.workers) as ex:
-            for name in ex.map(_run_one, jobs):
-                print(f"done {name}")
-    else:
-        for job in jobs:
-            print(f"done {_run_one(job)}")
-    return EXIT_OK
+            return _report(ex.map(_run_one, jobs))
+    return _report(map(_run_one, jobs))
+
+
+def _report(results):
+    """Print each sweep status line as it arrives; return the worst code."""
+    worst = EXIT_OK
+    for line, code in results:
+        print(line, flush=True)
+        worst = max(worst, code)
+    return worst
 
 
 def main(argv=None):
@@ -132,7 +154,7 @@ def main(argv=None):
         if args.command == "sweep":
             return _cmd_sweep(args)
         return EXIT_USAGE
-    except (ScenarioError, UnknownSuite, FileNotFoundError) as exc:
+    except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DebondWaveError as exc:

@@ -134,7 +134,7 @@ def ledger_transformed(traj, fam, forcing=None, kappa=None, problem=None,
     )
     led.residual_moving = balance_residual_moving(led)
     if problem is not None:
-        led.residual_fixed = balance_residual_fixed(traj, problem, panels=panels, nodes=nodes)
+        led.residual_fixed = _fixed_residual(problem, times, yq, wq, vd, vy)
     return led
 
 
@@ -153,12 +153,16 @@ def balance_residual_fixed(traj, problem, panels=None, nodes=10):
                      + <g, v'> ),
     with B, B', a, div b and g in closed form at every stored time at once.
     """
-    L = traj.L
     panels = panels or max(16, (traj.basis.m if traj.kind == "modal" else 16))
-    yq, wq = gauss_legendre_panels(L, panels, nodes)
+    yq, wq = gauss_legendre_panels(traj.L, panels, nodes)
     _, vd, vy = traj.eval_all(yq)
-    B, a, _, g = problem.line(traj.times, yq)
-    Bdot, divb = problem.line_rates(traj.times, yq)
+    return _fixed_residual(problem, traj.times, yq, wq, vd, vy)
+
+
+def _fixed_residual(problem, times, yq, wq, vd, vy):
+    """The fixed-domain residual from v_dot and v_y at the quadrature nodes."""
+    B, a, _, g = problem.line(times, yq)
+    Bdot, divb = problem.line_rates(times, yq)
     vy2 = vy * vy
     vd2 = vd * vd
     lhs = 0.5 * (vd2 @ wq) + 0.5 * ((B * vy2) @ wq)
@@ -166,7 +170,7 @@ def balance_residual_fixed(traj, problem, panels=None, nodes=10):
             - ((a * vy * vd) @ wq)
             - ((divb * vd2) @ wq)
             + ((g * vd) @ wq))
-    R = _accumulate(traj.times, rate, "trap")
+    R = _accumulate(times, rate, "trap")
     return np.abs(lhs - lhs[0] - R)
 
 

@@ -30,14 +30,14 @@ class FlowEscape(DebondWaveError):
 
 
 class DegenerateNormal(DebondWaveError):
-    """Normal pushforward produced a zero vector (broken jet)."""
+    """Normal pushforward produced a zero vector (broken map fields)."""
 
 
 # --- transform ----------------------------------------------------------
 
 
 class NotElliptic(DebondWaveError):
-    """min eig(B) <= 0 on the sample grid; H2 violated or jet corrupted."""
+    """min eig(B) <= 0 on the sample grid; H2 violated or corrupted map fields."""
 
 
 class BoundaryMismatch(DebondWaveError):

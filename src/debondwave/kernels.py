@@ -190,11 +190,3 @@ def _fd_run_numba(v, vd, h, dt, nsteps, Bm, an, bn, gn, store_every, out_v, out_
 
 fd_run = _fd_run_numba if NUMBA_ENABLED else _fd_run_numpy
 
-
-# --- level-function kinds -------------------------------------------------
-#
-# The sublevel motion families dispatch their closed-form transport on the
-# kind of g: radial (g = |x|) or affine (g = c.x + d).
-
-GKIND_RADIAL = 0
-GKIND_LINEAR = 1

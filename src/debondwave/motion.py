@@ -1,27 +1,27 @@
 """Moving-domain families described by diffeomorphisms.
 
 A family maps a fixed reference domain onto the moving one through
-Phi(t, .), with inverse Psi(t, .).  Four kinds are built in:
+Phi(t, .), with inverse Psi(t, .).  Two kinds are built in:
 
-    Identity        Phi(t, y) = y
-    OneDScaling     Phi(t, y) = l(t) y / l(0) on an interval
-    Homothetic      Phi(t, y) = lam(t) y, lam(0) = 1
+    Stretch         Phi(t, y) = lam(t) y with lam = p(t)/s on any reference
+                    domain; the identity (p = 1), the interval scaling
+                    (p = l, s = l(0)) and the homothety (lam(0) = 1) are
+                    its three constructors
     SublevelFlow    Phi is the flow of  x' = (rho'/rho)(g(x) - R) grad g/|grad g|^2,
                     so that Omega_t = { R - rho(t) < g < R }
 
-The analytic kinds carry closed-form jets.  SublevelFlow has closed-form
-maps too: for g = |x| and affine g the flow carries each point along its
-straight gradient line and scales g - R by q = rho(t1)/rho(t0), so Phi and
-DPhi are exact; the time derivatives come from the vector field.  Psi for
-SublevelFlow is the same transport evaluated from t back to 0, never the
-inverse matrix of DPhi.
+Both have closed-form maps.  For g = |x| and affine g the sublevel flow
+carries each point along its straight gradient line and scales g - R by
+q = rho(t1)/rho(t0), so Phi and DPhi are exact; the time derivatives come
+from the vector field.  Psi for SublevelFlow is the same transport
+evaluated from t back to 0, never the inverse matrix of DPhi.
 
-Jet conventions: the composed fields DPsi(t, Phi) and dPsi/dt(t, Phi)
-inside a jet use the exact algebraic relations (matrix inverse and
--DPsi Phi_dot); the *direct* Psi-side evaluators (psi, dpsi, det_dpsi,
-psi_dot) are kept independent so that identity validation is not
-circular.  Tolerances are split: 1e-9 for analytic kinds (round-off),
-1e-6 for sublevel flows (their validation difference steps are coarser).
+The composed fields DPsi(t, Phi) and Psi_dot(t, Phi) use the exact
+algebraic relations (matrix inverse and -DPsi Phi_dot); the *direct*
+Psi-side evaluators (psi, dpsi, det_dpsi, psi_dot) are kept independent
+so that identity validation is not circular.  Tolerances are split: 1e-9
+for stretches (round-off), 1e-6 for sublevel flows (their validation
+difference steps are coarser).
 """
 
 import math
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .domains import Annulus, Interval, ReferenceDomain
 from .errors import (
     DegenerateNormal,
@@ -38,10 +37,14 @@ from .errors import (
     LevelOutOfRange,
     NonPositiveScale,
 )
-from .expressions import Expression
+from .expressions import Const, Expression
 
 ANALYTIC_TOL = 1.0e-9
 FLOW_TOL = 1.0e-6
+
+# level-function kinds the closed-form sublevel transport dispatches on
+GKIND_RADIAL = 0
+GKIND_LINEAR = 1
 
 
 def _as_points(Y, dim):
@@ -53,29 +56,6 @@ def _as_points(Y, dim):
     if Y.shape[1] != dim:
         raise ValueError(f"points have dimension {Y.shape[1]}, family has {dim}")
     return Y
-
-
-@dataclass
-class MotionJet:
-    """All first-order data of the maps at one reference point."""
-
-    phi: np.ndarray
-    phi_dot: np.ndarray
-    phi_ddot: np.ndarray
-    dphi: np.ndarray
-    dphi_dt: np.ndarray
-    grad_det_dphi: np.ndarray
-    det_dphi_dt: float
-    dpsi_at_phi: np.ndarray
-    psi_dot_at_phi: np.ndarray
-    det_dphi: float
-
-    def check(self, tol):
-        if self.det_dphi <= 0:
-            raise FlowEscape(f"det DPhi = {self.det_dphi} is not positive")
-        gap = np.max(np.abs(self.dpsi_at_phi @ self.dphi - np.eye(self.dphi.shape[0])))
-        if gap > tol:
-            raise FlowEscape(f"DPsi DPhi deviates from identity by {gap}")
 
 
 class MotionFamily:
@@ -101,13 +81,7 @@ class MotionFamily:
     def phi_dot(self, t, Y):
         raise NotImplementedError
 
-    def phi_ddot(self, t, Y):
-        raise NotImplementedError
-
     def dphi(self, t, Y):
-        raise NotImplementedError
-
-    def dphi_dt(self, t, Y):
         raise NotImplementedError
 
     def det_dphi(self, t, Y):
@@ -119,7 +93,7 @@ class MotionFamily:
     def grad_det_dphi(self, t, Y):
         raise NotImplementedError
 
-    # composed fields used by jets and coefficients ------------------------
+    # composed fields used by kinematics and coefficients ------------------
     def dpsi_at_phi(self, t, Y):
         raise NotImplementedError
 
@@ -145,29 +119,13 @@ class MotionFamily:
         return (self.psi(t + eps, X) - self.psi(t - eps, X)) / (2.0 * eps)
 
     # derived --------------------------------------------------------------
-    def jet(self, t, y):
-        """Full jet at a single reference point (spec values, checked)."""
-        Y = _as_points(y, self.dim)
-        j = MotionJet(
-            phi=self.phi(t, Y)[0],
-            phi_dot=self.phi_dot(t, Y)[0],
-            phi_ddot=self.phi_ddot(t, Y)[0],
-            dphi=self.dphi(t, Y)[0],
-            dphi_dt=self.dphi_dt(t, Y)[0],
-            grad_det_dphi=self.grad_det_dphi(t, Y)[0],
-            det_dphi_dt=float(self.det_dphi_dt(t, Y)[0]),
-            dpsi_at_phi=self.dpsi_at_phi(t, Y)[0],
-            psi_dot_at_phi=self.psi_dot_at_phi(t, Y)[0],
-            det_dphi=float(self.det_dphi(t, Y)[0]),
-        )
-        j.check(max(self.tol, 1e-6))
-        return j
-
     def domain_measure(self, t):
         raise NotImplementedError
 
     def is_nondecreasing(self, samples=200):
-        raise NotImplementedError
+        """Whether the family's profile never decreases on [0, horizon]."""
+        ts = np.linspace(0.0, self.horizon, samples)
+        return bool(np.all(self.profile.deriv(ts) >= -1e-12))
 
     def stretch(self, t):
         """(lam, lam', lam'') at a scalar t or an array of times, for families
@@ -175,199 +133,66 @@ class MotionFamily:
         raise NotImplementedError(f"{self.kind} is not a pure stretch Phi = lam(t) y")
 
 
-# --- analytic kinds -------------------------------------------------------
+# --- stretch --------------------------------------------------------------
 
 
-class IdentityMotion(MotionFamily):
-    kind = "identity"
+class StretchMotion(MotionFamily):
+    """Phi(t, y) = lam(t) y with lam = profile / scale on any reference domain."""
 
-    def phi(self, t, Y):
-        return _as_points(Y, self.dim).copy()
-
-    def phi_dot(self, t, Y):
-        return np.zeros_like(_as_points(Y, self.dim))
-
-    phi_ddot = phi_dot
-
-    def dphi(self, t, Y):
-        Y = _as_points(Y, self.dim)
-        return np.tile(np.eye(self.dim), (len(Y), 1, 1))
-
-    def dphi_dt(self, t, Y):
-        Y = _as_points(Y, self.dim)
-        return np.zeros((len(Y), self.dim, self.dim))
-
-    def det_dphi(self, t, Y):
-        return np.ones(len(_as_points(Y, self.dim)))
-
-    def det_dphi_dt(self, t, Y):
-        return np.zeros(len(_as_points(Y, self.dim)))
-
-    def grad_det_dphi(self, t, Y):
-        return np.zeros_like(_as_points(Y, self.dim))
-
-    def dpsi_at_phi(self, t, Y):
-        return self.dphi(t, Y)
-
-    def psi(self, t, X):
-        return _as_points(X, self.dim).copy()
-
-    def dpsi(self, t, X):
-        return self.dphi(t, X)
-
-    def psi_dot(self, t, X):
-        return np.zeros_like(_as_points(X, self.dim))
-
-    def domain_measure(self, t):
-        return self.reference.measure()
-
-    def is_nondecreasing(self, samples=200):
-        return True
-
-    def stretch(self, t):
-        one = np.ones_like(np.asarray(t, dtype=float))
-        return one, 0.0 * one, 0.0 * one
-
-
-class OneDScalingMotion(MotionFamily):
-    """Interval (0, l(0)) stretched to (0, l(t))."""
-
-    kind = "one_d_scaling"
-
-    def __init__(self, profile: Expression, horizon, tol=ANALYTIC_TOL):
-        self.profile = profile
-        l0 = float(profile(0.0))
-        _check_positive_profile(profile, horizon, "l")
-        super().__init__(Interval(l0), horizon, tol)
-        self.l0 = l0
-
-    def _l(self, t):
-        return float(self.profile(t))
-
-    def phi(self, t, Y):
-        return _as_points(Y, 1) * (self._l(t) / self.l0)
-
-    def phi_dot(self, t, Y):
-        return _as_points(Y, 1) * (float(self.profile.deriv(t)) / self.l0)
-
-    def phi_ddot(self, t, Y):
-        return _as_points(Y, 1) * (float(self.profile.deriv2(t)) / self.l0)
-
-    def dphi(self, t, Y):
-        Y = _as_points(Y, 1)
-        return np.full((len(Y), 1, 1), self._l(t) / self.l0)
-
-    def dphi_dt(self, t, Y):
-        Y = _as_points(Y, 1)
-        return np.full((len(Y), 1, 1), float(self.profile.deriv(t)) / self.l0)
-
-    def det_dphi(self, t, Y):
-        return np.full(len(_as_points(Y, 1)), self._l(t) / self.l0)
-
-    def det_dphi_dt(self, t, Y):
-        return np.full(len(_as_points(Y, 1)), float(self.profile.deriv(t)) / self.l0)
-
-    def grad_det_dphi(self, t, Y):
-        return np.zeros_like(_as_points(Y, 1))
-
-    def dpsi_at_phi(self, t, Y):
-        Y = _as_points(Y, 1)
-        return np.full((len(Y), 1, 1), self.l0 / self._l(t))
-
-    def psi(self, t, X):
-        return _as_points(X, 1) * (self.l0 / self._l(t))
-
-    def dpsi(self, t, X):
-        X = _as_points(X, 1)
-        return np.full((len(X), 1, 1), self.l0 / self._l(t))
-
-    def psi_dot(self, t, X):
-        X = _as_points(X, 1)
-        l = self._l(t)
-        return -self.l0 * float(self.profile.deriv(t)) * X / (l * l)
-
-    def domain_measure(self, t):
-        return self._l(t)
-
-    def stretch(self, t):
-        p = self.profile
-        return p(t) / self.l0, p.deriv(t) / self.l0, p.deriv2(t) / self.l0
-
-    def is_nondecreasing(self, samples=200):
-        ts = np.linspace(0.0, self.horizon, samples)
-        return bool(np.all(self.profile.deriv(ts) >= -1e-12))
-
-
-class HomotheticMotion(MotionFamily):
-    """Phi(t, y) = lam(t) y with lam(0) = 1 on any reference domain."""
-
-    kind = "homothetic"
-
-    def __init__(self, profile: Expression, reference: ReferenceDomain, horizon, tol=ANALYTIC_TOL):
-        if abs(float(profile(0.0)) - 1.0) > 1e-12:
-            raise ValueError("homothety profile must satisfy lam(0) = 1")
-        _check_positive_profile(profile, horizon, "lam")
+    def __init__(self, profile: Expression, reference: ReferenceDomain, scale, horizon, tol):
         super().__init__(reference, horizon, tol)
         self.profile = profile
+        self.scale = float(scale)
 
     def _lam(self, t):
-        return float(self.profile(t))
+        return float(self.profile(t)) / self.scale
+
+    def _dlam(self, t):
+        return float(self.profile.deriv(t)) / self.scale
+
+    def _eyes(self, Y, c):
+        return np.tile(c * np.eye(self.dim), (len(_as_points(Y, self.dim)), 1, 1))
 
     def phi(self, t, Y):
         return _as_points(Y, self.dim) * self._lam(t)
 
     def phi_dot(self, t, Y):
-        return _as_points(Y, self.dim) * float(self.profile.deriv(t))
-
-    def phi_ddot(self, t, Y):
-        return _as_points(Y, self.dim) * float(self.profile.deriv2(t))
+        return _as_points(Y, self.dim) * self._dlam(t)
 
     def dphi(self, t, Y):
-        Y = _as_points(Y, self.dim)
-        return np.tile(self._lam(t) * np.eye(self.dim), (len(Y), 1, 1))
-
-    def dphi_dt(self, t, Y):
-        Y = _as_points(Y, self.dim)
-        return np.tile(float(self.profile.deriv(t)) * np.eye(self.dim), (len(Y), 1, 1))
+        return self._eyes(Y, self._lam(t))
 
     def det_dphi(self, t, Y):
         return np.full(len(_as_points(Y, self.dim)), self._lam(t) ** self.dim)
 
     def det_dphi_dt(self, t, Y):
         lam = self._lam(t)
-        return np.full(
-            len(_as_points(Y, self.dim)),
-            self.dim * lam ** (self.dim - 1) * float(self.profile.deriv(t)),
-        )
+        return np.full(len(_as_points(Y, self.dim)),
+                       self.dim * lam ** (self.dim - 1) * self._dlam(t))
 
     def grad_det_dphi(self, t, Y):
         return np.zeros_like(_as_points(Y, self.dim))
 
     def dpsi_at_phi(self, t, Y):
-        Y = _as_points(Y, self.dim)
-        return np.tile(np.eye(self.dim) / self._lam(t), (len(Y), 1, 1))
+        return self._eyes(Y, 1.0 / self._lam(t))
 
     def psi(self, t, X):
         return _as_points(X, self.dim) / self._lam(t)
 
     def dpsi(self, t, X):
-        X = _as_points(X, self.dim)
-        return np.tile(np.eye(self.dim) / self._lam(t), (len(X), 1, 1))
+        return self._eyes(X, 1.0 / self._lam(t))
 
     def psi_dot(self, t, X):
         lam = self._lam(t)
-        return -float(self.profile.deriv(t)) * _as_points(X, self.dim) / (lam * lam)
+        return -self._dlam(t) * _as_points(X, self.dim) / (lam * lam)
 
     def domain_measure(self, t):
-        return self._lam(t) ** self.dim * self.reference.measure()
+        s = self.scale
+        return float(self.profile(t)) ** self.dim * (self.reference.measure() / s ** self.dim)
 
     def stretch(self, t):
-        p = self.profile
-        return p(t), p.deriv(t), p.deriv2(t)
-
-    def is_nondecreasing(self, samples=200):
-        ts = np.linspace(0.0, self.horizon, samples)
-        return bool(np.all(self.profile.deriv(ts) >= -1e-12))
+        p, s = self.profile, self.scale
+        return p(t) / s, p.deriv(t) / s, p.deriv2(t) / s
 
 
 # --- sublevel flow --------------------------------------------------------
@@ -392,7 +217,7 @@ class LevelFunction:
 class RadialLevel(LevelFunction):
     """g(x) = |x|."""
 
-    gkind = kernels.GKIND_RADIAL
+    gkind = GKIND_RADIAL
 
     def __init__(self, dim=2):
         self.dim = dim
@@ -417,7 +242,7 @@ class RadialLevel(LevelFunction):
 class ReflectedLevel(LevelFunction):
     """g(x) = R - x on the line; sublevel families then live on (0, rho(t))."""
 
-    gkind = kernels.GKIND_LINEAR
+    gkind = GKIND_LINEAR
 
     def __init__(self, R):
         self.dim = 1
@@ -452,7 +277,7 @@ class SublevelFlowMotion(MotionFamily):
         if np.any(rho >= self.R):
             raise LevelOutOfRange("rho(t) must stay below the outer level R")
         rho0 = float(profile(0.0))
-        if level.gkind == kernels.GKIND_RADIAL:
+        if level.gkind == GKIND_RADIAL:
             reference = Annulus(self.R - rho0, self.R, level.dim)
         else:
             reference = Interval(rho0)
@@ -473,7 +298,7 @@ class SublevelFlowMotion(MotionFamily):
         """
         q = float(self.profile(t1)) / float(self.profile(t0))
         n = Y.shape[1]
-        if self.level.gkind == kernels.GKIND_RADIAL:
+        if self.level.gkind == GKIND_RADIAL:
             r0 = np.linalg.norm(Y, axis=1)
             yh = Y / r0[:, None]
             r = self.R + q * (r0 - self.R)
@@ -518,41 +343,16 @@ class SublevelFlowMotion(MotionFamily):
         _, J = self._flow(Y, 0.0, t)
         return J
 
-    def _phi_and_dphi(self, t, Y):
-        Y = _as_points(Y, self.dim)
-        return self._flow(Y, 0.0, t)
-
     def phi_dot(self, t, Y):
         x = self.phi(t, Y)
         Xf, _ = self._field(t, x)
         return Xf
 
-    def phi_ddot(self, t, Y):
-        x = self.phi(t, Y)
-        Xf, DX = self._field(t, x)
-        rho = float(self.profile(t))
-        dr = float(self.profile.deriv(t))
-        ddr = float(self.profile.deriv2(t))
-        s = dr / rho
-        sdot = ddr / rho - s * s
-        # X = s(t) F(x); Xdot = (sdot/s) X when s != 0, else sdot F(x)
-        g = self.level.value(x)
-        G = self.level.grad(x)
-        G2 = np.sum(G * G, axis=1)
-        F = (g - self.R)[:, None] * G / G2[:, None]
-        Xdot = sdot * F
-        return Xdot + np.einsum("pij,pj->pi", DX, Xf)
-
-    def dphi_dt(self, t, Y):
-        x, J = self._phi_and_dphi(t, Y)
-        _, DX = self._field(t, x)
-        return np.einsum("pij,pjk->pik", DX, J)
-
     def det_dphi(self, t, Y):
         return np.linalg.det(self.dphi(t, Y))
 
     def det_dphi_dt(self, t, Y):
-        x, J = self._phi_and_dphi(t, Y)
+        x, J = self._flow(_as_points(Y, self.dim), 0.0, t)
         _, DX = self._field(t, x)
         trace = np.einsum("pii->p", DX)
         return np.linalg.det(J) * trace
@@ -585,15 +385,11 @@ class SublevelFlowMotion(MotionFamily):
 
     def domain_measure(self, t):
         rho = float(self.profile(t))
-        if self.level.gkind == kernels.GKIND_RADIAL:
+        if self.level.gkind == GKIND_RADIAL:
             n = self.dim
             vn = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
             return vn * (self.R ** n - (self.R - rho) ** n)
         return rho
-
-    def is_nondecreasing(self, samples=200):
-        ts = np.linspace(0.0, self.horizon, samples)
-        return bool(np.all(self.profile.deriv(ts) >= -1e-12))
 
     def stretch(self, t):
         """The interval flow of g = R - x is Phi(t, y) = (rho(t)/rho(0)) y."""
@@ -636,15 +432,23 @@ def _check_positive_profile(profile, horizon, name):
 
 
 def identity_motion(reference, horizon, tol=ANALYTIC_TOL):
-    return IdentityMotion(reference, horizon, tol)
+    """Phi(t, y) = y on any reference domain."""
+    return StretchMotion(Const(1.0), reference, 1.0, horizon, tol)
 
 
 def one_d_scaling(profile, horizon, tol=ANALYTIC_TOL):
-    return OneDScalingMotion(profile, horizon, tol)
+    """Interval (0, l(0)) stretched to (0, l(t))."""
+    l0 = float(profile(0.0))
+    _check_positive_profile(profile, horizon, "l")
+    return StretchMotion(profile, Interval(l0), l0, horizon, tol)
 
 
 def homothetic(profile, reference, horizon, tol=ANALYTIC_TOL):
-    return HomotheticMotion(profile, reference, horizon, tol)
+    """Phi(t, y) = lam(t) y with lam(0) = 1 on any reference domain."""
+    if abs(float(profile(0.0)) - 1.0) > 1e-12:
+        raise ValueError("homothety profile must satisfy lam(0) = 1")
+    _check_positive_profile(profile, horizon, "lam")
+    return StretchMotion(profile, reference, 1.0, horizon, tol)
 
 
 def sublevel_flow(level, R, profile, horizon, tol=FLOW_TOL):
@@ -791,7 +595,7 @@ def validate(fam, nt=20, npts=20):
         res["mixed"] = max(res["mixed"], float(np.max(np.abs(
             np.sum(gdK * pd, axis=1) * detJ - np.sum(psd * gdJ, axis=1) * dK))))
 
-        # divergence identity from the jet fields, central differences in y
+        # divergence identity from the composed fields, central differences in y
         div = np.zeros(len(Y))
         for k in range(fam.dim):
             e = np.zeros(fam.dim)
@@ -801,7 +605,7 @@ def validate(fam, nt=20, npts=20):
             div += (fp[:, k] - fm[:, k]) / (2.0 * eps_x)
         res["divergence"] = max(res["divergence"], float(np.max(np.abs(dJt + div))))
 
-        # H1' surrogate: bounded second differences of first-derivative jets
+        # H1' surrogate: bounded second differences of Phi_dot
         eps2 = max(1.0e-5 * max(1.0, fam.horizon), eps_t)
         d2 = (fam.phi_dot(t + eps2, Y) - 2.0 * pd + fam.phi_dot(t - eps2, Y)) / eps2 ** 2
         second = max(second, float(np.max(np.abs(d2))))

@@ -20,12 +20,12 @@ from .fd import solve_fd
 from .galerkin import solve_transformed_modal
 from .griffith import CoupledNumerics, evolve_coupled_1d, evolve_coupled_radial
 from .motion import (
-    HomotheticMotion,
-    IdentityMotion,
-    OneDScalingMotion,
     RadialLevel,
     ReflectedLevel,
     SublevelFlowMotion,
+    homothetic,
+    identity_motion,
+    one_d_scaling,
 )
 from .scenarios import Scenario, SlopeField
 from .transform import PulledBackProblem, lift_dirichlet, pullback_initial
@@ -51,11 +51,11 @@ def build_motion(motion):
     kind = motion["kind"]
     T = motion["horizon"]
     if kind == "identity":
-        return IdentityMotion(build_reference(motion), T, 1e-9)
+        return identity_motion(build_reference(motion), T, 1e-9)
     if kind == "one_d_scaling":
-        return OneDScalingMotion(motion["profile"], T)
+        return one_d_scaling(motion["profile"], T)
     if kind == "homothetic":
-        return HomotheticMotion(motion["profile"], build_reference(motion), T)
+        return homothetic(motion["profile"], build_reference(motion), T)
     if kind == "sublevel_flow":
         if motion["level_kind"] == "radial":
             level = RadialLevel(motion["dim"])
@@ -169,7 +169,7 @@ def _run_wave(sc, directory):
             traj = solve_fd(problem, L, num["grid"], data.v0, data.v1,
                             dt=num["dt"], T=fam.horizon, store_every=num["store_every"])
 
-    moving = not isinstance(fam, IdentityMotion)
+    moving = sc.motion["kind"] != "identity"
     kappa = sc.data["kappa"].bound(L) if moving else None
     with _stage("ledger"):
         led = ledger_transformed(traj, fam, forcing=forcing, kappa=kappa, problem=problem)

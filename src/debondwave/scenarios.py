@@ -19,6 +19,8 @@ error names its line.  Defaults below are part of the format contract:
 
 The special token ``u1 = Compatible`` requests the initial velocity that
 makes the transformed problem start at rest, u1 = -Phi_dot(0,.) . grad u0.
+Only the 1d coupled run tapers its data, so a ``coupled_radial`` file that
+sets a nonzero ``taper`` is an error.
 """
 
 from dataclasses import dataclass
@@ -159,6 +161,7 @@ def parse_scenario(path):
         lines = fh.readlines()
 
     raw = {s: {} for s in _SCHEMA}
+    line_of = {}
     section = None
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -181,6 +184,7 @@ def parse_scenario(path):
         if key in raw[section]:
             raise TypeMismatch(f"duplicate key {key!r}", lineno)
         raw[section][key] = _convert(section, key, value.strip(), lineno)
+        line_of[section, key] = lineno
 
     resolved = {}
     for section, keys in _SCHEMA.items():
@@ -203,6 +207,9 @@ def parse_scenario(path):
     elif kind == "coupled":
         if resolved["data"]["u0_prime"] is None:
             raise MissingRequired("coupled scenarios require data u0_prime")
+    elif raw["numerics"].get("taper", 0.0) != 0.0:
+        raise TypeMismatch("coupled_radial runs do not taper their data; "
+                           "set taper = 0.0 or drop the line", line_of["numerics", "taper"])
     _validate_numerics(resolved["numerics"])
 
     sc = Scenario(

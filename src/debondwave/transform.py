@@ -21,9 +21,9 @@ coefficients are exact in lam and its two derivatives:
     div b = lam'/lam.
 
 line() and line_rates() evaluate these for a scalar t or for an array of
-times at once.  The n-d path coefficients() builds B and b from the jets
-and gets the time derivative inside a by differencing b det DPhi in t
-(step 1e-5 T, one-sided at the ends).
+times at once.  The n-d path coefficients() builds B and b from the
+composed map fields and gets the time derivative inside a by differencing
+b det DPhi in t (step 1e-5 T, one-sided at the ends).
 """
 
 from dataclasses import dataclass

@@ -164,6 +164,47 @@ def test_sweep_runs_all(tmp_path):
     assert os.path.isdir(tmp_path / "out" / "s-b")
 
 
+@pytest.mark.parametrize("workers", ["0", "2"])
+def test_sweep_carries_on_past_failing_files(tmp_path, capsys, workers):
+    _write(tmp_path, "a_bad.scn", "[scenario]\nname = x\n[data]\ntouhgness = Const(1)\n")
+    _write(tmp_path, "b_good.scn", MINIMAL.replace("minimal", "s-good")
+           + "[numerics]\nmodes = 8\ndt = 0.005\n")
+    argv = ["sweep", str(tmp_path), "--out", str(tmp_path / "out"), "--workers", workers]
+    assert main(argv) == 2  # a parse error, as a lone run of a_bad.scn gives
+    assert os.path.isfile(tmp_path / "out" / "s-good" / "ledger.csv")
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"FAIL {tmp_path / 'a_bad.scn'}: UnknownKey: line 4")
+    assert lines[1] == "done s-good"
+    # a numerical failure outranks a parse error
+    _write(tmp_path, "c_cfl.scn", "[scenario]\nname = cfl\n[numerics]\nsolver = grid\n"
+           "grid = 128\ndt = 0.05\n")
+    assert main(argv) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["FAIL", "done", "FAIL"]
+    assert "CflViolation" in lines[2]
+
+
+RADIAL_SCN = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
+                          "debonding_radial.scn")
+
+
+def test_radial_taper_must_be_zero(tmp_path):
+    with open(RADIAL_SCN, encoding="utf-8") as fh:
+        radial = fh.read()
+    assert "taper = 0.0\n" in radial
+    assert parse_scenario(_write(tmp_path, "r0.scn", radial)).numerics["taper"] == 0.0
+    untapered = radial.replace("taper = 0.0\n", "")
+    assert parse_scenario(_write(tmp_path, "r1.scn", untapered)).numerics["taper"] == 0.5
+    tapered = radial.replace("taper = 0.0", "taper = 0.35")
+    line = tapered.splitlines().index("taper = 0.35") + 1
+    with pytest.raises(TypeMismatch) as err:
+        parse_scenario(_write(tmp_path, "r2.scn", tapered))
+    assert f"line {line}:" in str(err.value)
+    # the 1d coupled run does taper its data
+    sc = parse_scenario(_write(tmp_path, "c.scn", COUPLED + "taper = 0.35\n"))
+    assert sc.numerics["taper"] == 0.35
+
+
 def test_manifest_written_and_sorted(tmp_path):
     path = _write(tmp_path, "m.scn", MINIMAL + "[numerics]\nmodes = 8\ndt = 0.005\n")
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 0

@@ -90,6 +90,19 @@ def test_fixed_balance_moving_run():
     assert np.max(balance_residual_fixed(traj, pb)) < 1e-3
 
 
+def test_ledger_evaluates_the_trajectory_once(monkeypatch):
+    fam = one_d_scaling(Affine(1.0, 0.5), 0.5)
+    pb = PulledBackProblem(fam)
+    traj = solve_fd(pb, 1.0, 64, lambda y: np.sin(np.pi * y),
+                    lambda y: 0.0 * np.asarray(y), dt=5e-3, T=0.5)
+    calls = []
+    eval_all = traj.eval_all
+    monkeypatch.setattr(traj, "eval_all", lambda y: calls.append(1) or eval_all(y))
+    led = ledger_transformed(traj, fam, problem=pb)
+    assert len(calls) == 1
+    assert np.array_equal(led.residual_fixed, balance_residual_fixed(traj, pb))
+
+
 def test_moving_balance_first_order_in_resolution():
     fam = one_d_scaling(Affine(1.0, 0.5), 1.0)
     pb = PulledBackProblem(fam)

@@ -19,28 +19,58 @@ from debondwave.motion import (
 SQ2 = np.sqrt(2.0)
 
 
-# --- jets -----------------------------------------------------------------
+# --- stretch maps -----------------------------------------------------------
 
 
-def test_identity_jet_is_trivial():
+def test_identity_maps_are_trivial():
     fam = identity_motion(Interval(1.0), 1.0)
-    j = fam.jet(0.7, 0.3)
-    assert np.allclose(j.dphi, np.eye(1))
-    assert np.allclose(j.phi_dot, 0.0)
-    assert j.det_dphi == 1.0
-    assert np.allclose(j.psi_dot_at_phi, 0.0)
+    Y = np.array([[0.3]])
+    assert np.allclose(fam.dphi(0.7, Y), np.eye(1))
+    assert np.allclose(fam.phi_dot(0.7, Y), 0.0)
+    assert fam.det_dphi(0.7, Y)[0] == 1.0
+    assert np.allclose(fam.psi_dot_at_phi(0.7, Y), 0.0)
 
 
-def test_scaling_jet_hand_values():
+def test_scaling_maps_hand_values():
     # l(t) = 1 + t/2 at (t, y) = (1, 0.5): all fields known in closed form
     fam = one_d_scaling(Affine(1.0, 0.5), 1.0)
-    j = fam.jet(1.0, 0.5)
-    assert abs(j.phi[0] - 0.75) < 1e-14
-    assert abs(j.dphi[0, 0] - 1.5) < 1e-14
-    assert abs(j.det_dphi - 1.5) < 1e-14
-    assert abs(j.phi_dot[0] - 0.25) < 1e-14
-    assert abs(j.dpsi_at_phi[0, 0] - 2.0 / 3.0) < 1e-14
-    assert abs(j.psi_dot_at_phi[0] + 1.0 / 6.0) < 1e-14
+    Y = np.array([[0.5]])
+    assert abs(fam.phi(1.0, Y)[0, 0] - 0.75) < 1e-14
+    assert abs(fam.dphi(1.0, Y)[0, 0, 0] - 1.5) < 1e-14
+    assert abs(fam.det_dphi(1.0, Y)[0] - 1.5) < 1e-14
+    assert abs(fam.phi_dot(1.0, Y)[0, 0] - 0.25) < 1e-14
+    assert abs(fam.dpsi_at_phi(1.0, Y)[0, 0, 0] - 2.0 / 3.0) < 1e-14
+    assert abs(fam.psi_dot_at_phi(1.0, Y)[0, 0] + 1.0 / 6.0) < 1e-14
+
+
+@pytest.mark.parametrize("profile", [Affine(1.0, 0.5), Poly(1.0, 0.3, 0.1), Affine(2.0, 0.5)])
+def test_scaling_keeps_the_closed_form_rounding(profile):
+    # the interval scaling's own closed forms, written out: lam = l(t)/l(0)
+    fam = one_d_scaling(profile, 1.0)
+    l0 = float(profile(0.0))
+    ts = np.linspace(0.0, 1.0, 7)
+    Y = np.linspace(0.0, l0, 9).reshape(-1, 1)
+    lam, dlam, ddlam = fam.stretch(ts)
+    assert np.array_equal(lam, profile(ts) / l0)
+    assert np.array_equal(dlam, profile.deriv(ts) / l0)
+    assert np.array_equal(ddlam, profile.deriv2(ts) / l0)
+    for t in ts:
+        assert fam.stretch(t) == (profile(t) / l0, profile.deriv(t) / l0,
+                                  profile.deriv2(t) / l0)
+        assert np.array_equal(fam.phi_dot(t, Y), Y * (float(profile.deriv(t)) / l0))
+        assert fam.domain_measure(t) == float(profile(t))
+
+
+def test_identity_and_homothety_keep_the_closed_form_rounding():
+    ts = np.linspace(0.0, 1.0, 7)
+    lam, dlam, ddlam = identity_motion(Interval(1.0), 1.0).stretch(ts)
+    assert np.array_equal(lam, np.ones(7))
+    assert np.array_equal(dlam, np.zeros(7)) and np.array_equal(ddlam, np.zeros(7))
+    profile = Poly(1.0, 0.2, 0.05)
+    fam = homothetic(profile, Ball(1.0, 2), 1.0)
+    measure = Ball(1.0, 2).measure()
+    for t in ts:
+        assert fam.domain_measure(t) == float(profile(t)) ** 2 * measure
 
 
 def test_homothetic_det_is_lambda_power():

@@ -222,13 +222,8 @@ def test_cylinder_single_partition_is_fixed_solve():
 
 
 def test_cylinder_rejects_shrinking_domain():
-    from debondwave.motion import OneDScalingMotion
-
-    class Shrinking(OneDScalingMotion):
-        def domain_measure(self, t):
-            return 1.0 - 0.3 * t
-
-    fam = Shrinking(Affine(1.0, 0.0), 1.0)
+    fam = one_d_scaling(Affine(1.0, 0.0), 1.0)
+    fam.domain_measure = lambda t: 1.0 - 0.3 * t
     with pytest.raises(NotMonotone):
         solve_cylinder(fam, _zero, _zero, partitions=4, inner_n=64)
 
