@@ -165,9 +165,6 @@ class FrontCurve:
     speed: np.ndarray
     tstar: float
 
-    def speed_at(self, t):
-        return float(np.interp(t, self.times, self.speed))
-
     def position_at(self, t):
         return float(np.interp(t, self.times, self.position))
 
@@ -265,55 +262,3 @@ def one_sided_derivative(values, spacing, side):
         return (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * spacing)
     raise ValueError("side must be 'left' or 'right'")
 
-
-def front_trace_physical(u_eval, udot_eval, position, spacing, side="right"):
-    """(du/dnu, u_dot) at a boundary point from physical-space evaluations.
-
-    u_eval / udot_eval map an array of points to values; the normal
-    derivative uses the one-sided stencil with the boundary value included.
-    """
-    sgn = 1.0 if side == "right" else -1.0
-    pts = position - sgn * spacing * np.array([2.0, 1.0, 0.0])
-    uv = np.asarray(u_eval(pts), dtype=float)
-    # the sample ordering runs inward to the boundary along the outward
-    # normal, so the stencil value is du/dnu directly
-    p = one_sided_derivative(uv, spacing, "right")
-    ud = float(np.asarray(udot_eval(np.array([position])), dtype=float)[0])
-    return p, ud
-
-
-def front_trace_grid(values, velocities, h, side="right", boundary_index=None):
-    """(du/dnu, u_dot trace) at a grid boundary node.
-
-    The normal derivative uses the Dirichlet boundary value plus the two
-    nearest interior samples; the velocity trace is the interior limit,
-    extrapolated quadratically from the three nearest interior nodes
-    (the boundary node itself carries the clamped value 0).
-    """
-    v = np.asarray(values, dtype=float)
-    vd = np.asarray(velocities, dtype=float)
-    if boundary_index is None:
-        boundary_index = len(v) - 1 if side == "right" else 0
-    if side == "right":
-        if boundary_index < 3:
-            raise TooFewSamples("grid too coarse for a boundary stencil")
-        window = v[boundary_index - 2: boundary_index + 1]
-        dudx = one_sided_derivative(window, h, "right")
-        wd = vd[boundary_index - 3: boundary_index]
-        ud = quadratic_extrapolate(wd)
-        return dudx, ud
-    if boundary_index > len(v) - 4:
-        raise TooFewSamples("grid too coarse for a boundary stencil")
-    window = v[boundary_index: boundary_index + 3]
-    dudx = one_sided_derivative(window, h, "left")
-    wd = vd[boundary_index + 1: boundary_index + 4]
-    ud = quadratic_extrapolate(wd[::-1])
-    return -dudx, ud
-
-
-def quadratic_extrapolate(values):
-    """Extrapolate f(b) from [f(b-3h), f(b-2h), f(b-h)] at 2nd order."""
-    v = np.asarray(values, dtype=float)
-    if len(v) < 3:
-        raise TooFewSamples("quadratic extrapolation needs three samples")
-    return float(v[-3] - 3.0 * v[-2] + 3.0 * v[-1])

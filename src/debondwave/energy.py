@@ -29,6 +29,7 @@ import numpy as np
 from .characteristics import one_sided_derivative
 from .errors import SupersonicSpeed
 from .galerkin import gauss_legendre_panels
+from .motion import boundary_kinematics
 
 
 @dataclass
@@ -212,13 +213,13 @@ def total_release_rate(omega, p, weights):
 
 def measure_identity_residual(fam, t=None, nt=201, resolution=128):
     """| |Omega_t| - |Omega_0| - int_0^t int_bdry omega | via Simpson in time."""
-    from .motion import boundary_flux
-
     t = fam.horizon if t is None else t
     if nt % 2 == 0:
         nt += 1
     ts = np.linspace(0.0, t, nt)
-    flux = np.array([boundary_flux(fam, s, resolution=resolution) for s in ts])
+    faces = fam.reference.boundary_faces(resolution)
+    flux = np.array([sum(float(np.sum(fk.weights * fk.omega))
+                         for fk in boundary_kinematics(fam, s, faces=faces)) for s in ts])
     h = ts[1] - ts[0]
     w = np.ones(nt)
     w[1:-1:2] = 4.0

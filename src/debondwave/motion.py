@@ -93,7 +93,7 @@ class MotionFamily:
     def grad_det_dphi(self, t, Y):
         raise NotImplementedError
 
-    # composed fields used by kinematics and coefficients ------------------
+    # composed fields used by kinematics and the diffusion B -------------
     def dpsi_at_phi(self, t, Y):
         raise NotImplementedError
 
@@ -511,15 +511,6 @@ def boundary_kinematics(fam, t, resolution=64, faces=None):
         w_phys = face.weights * fam.det_dphi(t, Y) * norms
         out.append(FaceKinematics(face.name, Y, x, nu, nu_st, omega, w_phys))
     return out
-
-
-def boundary_flux(fam, t, values=None, resolution=64):
-    """Integral over the moving boundary of omega * values(x)."""
-    total = 0.0
-    for fk in boundary_kinematics(fam, t, resolution):
-        vals = 1.0 if values is None else values(fk.x)
-        total += float(np.sum(fk.weights * fk.omega * vals))
-    return total
 
 
 # --- hypothesis validation -------------------------------------------------

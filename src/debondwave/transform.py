@@ -21,9 +21,8 @@ coefficients are exact in lam and its two derivatives:
     div b = lam'/lam.
 
 line() and line_rates() evaluate these for a scalar t or for an array of
-times at once.  The n-d path coefficients() builds B and b from the
-composed map fields and gets the time derivative inside a by differencing
-b det DPhi in t (step 1e-5 T, one-sided at the ends).
+times at once.  In any dimension diffusion() builds B alone from the
+composed map fields K and w; it is what the n-d ellipticity check needs.
 """
 
 from dataclasses import dataclass
@@ -34,58 +33,20 @@ from .errors import BoundaryMismatch, NotElliptic
 from .motion import MotionFamily, _as_points
 
 
-@dataclass
-class CoefficientSample:
-    """Transformed-problem data at one (t, y)."""
-
-    B: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    g: float
-    at: tuple
-
-
 class PulledBackProblem:
     """Vectorized coefficient evaluator for one motion family and forcing."""
 
     def __init__(self, fam: MotionFamily, forcing=None):
         self.fam = fam
         self.forcing = forcing
-        self.dt_step = 1.0e-5 * max(fam.horizon, 1.0)
 
-    def _b_detj(self, t, Y):
-        return -self.fam.psi_dot_at_phi(t, Y) * self.fam.det_dphi(t, Y)[:, None]
-
-    def coefficients(self, t, Y):
-        """B (P,N,N), a (P,N), b (P,N), g (P,) at reference points Y."""
+    def diffusion(self, t, Y):
+        """B = K K^T - w (x) w, shape (P, N, N), at reference points Y."""
         fam = self.fam
         Y = _as_points(Y, fam.dim)
         K = fam.dpsi_at_phi(t, Y)
         w = fam.psi_dot_at_phi(t, Y)
-        B = np.einsum("pij,pkj->pik", K, K) - w[:, :, None] * w[:, None, :]
-        b = -w
-        detJ = fam.det_dphi(t, Y)
-        gdJ = fam.grad_det_dphi(t, Y)
-        eps = self.dt_step
-        if t - eps < 0.0:
-            dbd = (-3.0 * self._b_detj(t, Y) + 4.0 * self._b_detj(t + eps, Y)
-                   - self._b_detj(t + 2 * eps, Y)) / (2.0 * eps)
-        elif t + eps > fam.horizon:
-            dbd = (3.0 * self._b_detj(t, Y) - 4.0 * self._b_detj(t - eps, Y)
-                   + self._b_detj(t - 2 * eps, Y)) / (2.0 * eps)
-        else:
-            dbd = (self._b_detj(t + eps, Y) - self._b_detj(t - eps, Y)) / (2.0 * eps)
-        a = -(np.einsum("pji,pj->pi", B, gdJ) + dbd) / detJ[:, None]
-        if self.forcing is None:
-            g = np.zeros(len(Y))
-        else:
-            x = fam.phi(t, Y)
-            g = np.asarray(self.forcing(t, x[:, 0] if fam.dim == 1 else x), dtype=float)
-        return B, a, b, g
-
-    def sample(self, t, y):
-        B, a, b, g = self.coefficients(t, y)
-        return CoefficientSample(B=B[0], a=a[0], b=b[0], g=float(g[0]), at=(t, np.atleast_1d(y)))
+        return np.einsum("pij,pkj->pik", K, K) - w[:, :, None] * w[:, None, :]
 
     def _rates(self, t):
         """lam, lam'/lam and lam''/lam at a scalar t or an array of times."""
@@ -145,8 +106,7 @@ def ellipticity_constant(problem_or_fam, nt=21, npts=41, grid=None):
     if fam.dim == 1:
         c = float(np.min(problem.line(ts, Y)[0]))
     else:
-        c = min(float(np.min(np.linalg.eigvalsh(problem.coefficients(t, Y)[0])))
-                for t in ts)
+        c = min(float(np.min(np.linalg.eigvalsh(problem.diffusion(t, Y)))) for t in ts)
     if c <= 0.0:
         raise NotElliptic(f"min eig(B) = {c} <= 0 on the sample grid")
     return c

@@ -6,7 +6,6 @@ from debondwave.characteristics import (
     adaptive_simpson,
     dalembert_fixed,
     front_ode_exact,
-    front_trace_grid,
     one_sided_derivative,
 )
 from debondwave.errors import CompatibilityViolated, TooFewSamples
@@ -139,54 +138,6 @@ def test_one_sided_derivative_exact_on_quadratics():
     xs = np.array([0.0, h, 2 * h])
     f = 3.0 * xs ** 2 - xs
     assert abs(one_sided_derivative(f, h, "left") + 1.0) < 1e-12
-
-
-def test_front_trace_grid_polynomial_probe():
-    ell = 2.0
-    xs = np.linspace(0.0, ell, 41)
-    h = xs[1] - xs[0]
-    vals = xs * (ell - xs)
-    vels = np.full_like(xs, 0.3)
-    p, ud = front_trace_grid(vals, vels, h, side="right")
-    assert abs(p + ell) < 1e-10   # outward derivative -l
-    assert abs(ud - 0.3) < 1e-12
-
-
-def test_front_trace_grid_standing_wave():
-    xs = np.linspace(0.0, 1.0, 201)
-    h = xs[1] - xs[0]
-    t = 0.3
-    vals = np.cos(np.pi * t) * np.sin(np.pi * xs)
-    vels = -np.pi * np.sin(np.pi * t) * np.sin(np.pi * xs)
-    p, _ = front_trace_grid(vals, vels, h, side="right")
-    assert abs(p - np.pi * np.cos(np.pi * t) * np.cos(np.pi)) < 5e-4
-
-
-def test_front_trace_zero_field():
-    xs = np.linspace(0.0, 1.0, 11)
-    p, ud = front_trace_grid(np.zeros_like(xs), np.zeros_like(xs), 0.1, "right")
-    assert p == 0.0 and ud == 0.0
-
-
-def test_front_trace_needs_three_samples():
     with pytest.raises(TooFewSamples):
-        front_trace_grid(np.zeros(3), np.zeros(3), 0.1, side="right")
+        one_sided_derivative(f[:2], h, "right")
 
-
-def test_front_trace_physical_probe():
-    from debondwave.characteristics import front_trace_physical
-
-    ell = 1.3
-
-    def u_eval(x):
-        return np.asarray(x) * (ell - np.asarray(x))
-
-    def udot_eval(x):
-        return np.full_like(np.asarray(x, dtype=float), 0.7)
-
-    p, ud = front_trace_physical(u_eval, udot_eval, ell, spacing=0.01, side="right")
-    assert abs(p + ell) < 1e-10
-    assert abs(ud - 0.7) < 1e-12
-    # left end of the same probe: outward normal is -1
-    p2, _ = front_trace_physical(u_eval, udot_eval, 0.0, spacing=0.01, side="left")
-    assert abs(p2 + ell) < 1e-10

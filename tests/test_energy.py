@@ -158,7 +158,7 @@ def test_total_release_rate():
     assert abs(G - 0.5 * (1 - 0.09) * 1.7 ** 2) < 1e-12
 
 
-def test_measure_identity_all_families():
+def test_measure_identity_all_families(monkeypatch):
     fams = [
         identity_motion(Interval(1.0), 1.0),
         one_d_scaling(Affine(1.0, 0.5), 1.0),
@@ -168,5 +168,14 @@ def test_measure_identity_all_families():
         radial_annulus_flow(1.0, Affine(0.2, 0.1), 1.0),
         interval_flow(4.0, Affine(1.0, 0.5), 1.0),
     ]
+    # the reference faces are built once per family, not once per time
+    built = []
+    for cls in {type(fam.reference) for fam in fams}:
+        def counting(self, resolution=64, _real=cls.boundary_faces):
+            built.append(resolution)
+            return _real(self, resolution)
+        monkeypatch.setattr(cls, "boundary_faces", counting)
     for fam in fams:
+        built.clear()
         assert measure_identity_residual(fam) < 1e-6
+        assert built == [128]

@@ -67,7 +67,7 @@ def _ref_run(v, vd, h, dt, nsteps, Bm, an, bn, gn, store_every, out_v, out_vd):
     return stored
 
 
-def _coefficients(n, S, moving, forced, seed=3):
+def _coefficient_slices(n, S, moving, forced, seed=3):
     """S coefficient slices on n cells; time-dependent when ``moving``."""
     rng = np.random.default_rng(seed)
     y = np.linspace(0.0, 1.0, n + 1)
@@ -107,7 +107,7 @@ def _run(impl, y, dt, nsteps, Bm, an, bn, gn, store_every):
 def test_numpy_kernel_matches_reference_bit_for_bit(moving, forced, store_every):
     n, nsteps = 64, 40
     S = 2 * nsteps + 1 if moving else 1
-    y, Bm, an, bn, gn = _coefficients(n, S, moving, forced)
+    y, Bm, an, bn, gn = _coefficient_slices(n, S, moving, forced)
     dt = 0.5 / n
     got = _run(kernels._fd_run_numpy, y, dt, nsteps, Bm, an, bn, gn, store_every)
     ref = _run(_ref_run, y, dt, nsteps, Bm, an, bn, gn, store_every)
@@ -119,7 +119,7 @@ def test_numpy_kernel_matches_reference_bit_for_bit(moving, forced, store_every)
 def test_numpy_kernel_chained_single_steps_match_reference():
     # the coupled-solver pattern: one step per call on three fresh slices
     n, nsteps = 64, 30
-    y, Bm, an, bn, gn = _coefficients(n, 2 * nsteps + 1, moving=True, forced=True)
+    y, Bm, an, bn, gn = _coefficient_slices(n, 2 * nsteps + 1, moving=True, forced=True)
     h = y[1] - y[0]
     dt = 0.5 / n
     states = []
@@ -175,7 +175,7 @@ def test_fd_run_backends_agree():
 def test_kernel_reports_nan_state_as_blowup(impl):
     # without numba the twin is plain Python, so its guard runs here too
     n, nsteps = 16, 5
-    y, Bm, an, bn, gn = _coefficients(n, 1, moving=False, forced=True)
+    y, Bm, an, bn, gn = _coefficient_slices(n, 1, moving=False, forced=True)
     gn = gn.copy()
     gn[0, n // 2] = np.nan
     status = _run(impl, y, 0.5 / n, nsteps, Bm, an, bn, gn, 1)[0]

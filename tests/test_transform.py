@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from debondwave.domains import Interval
+from debondwave.domains import Ball, Box, Interval, Tetrahedron
 from debondwave.errors import BoundaryMismatch, NotElliptic
 from debondwave.expressions import Affine, Const, Poly, SineMode, SpaceTimeField
 from debondwave.galerkin import Trajectory
 from debondwave.motion import (
+    homothetic,
     identity_motion,
     interval_flow,
     one_d_scaling,
@@ -38,9 +39,9 @@ def test_identity_coefficients():
 
 def test_scaling_sample_hand_values():
     pb = PulledBackProblem(_scaling())
-    s = pb.sample(1.0, np.array([0.5]))
-    assert abs(s.B[0, 0] - 5.0 / 12.0) < 1e-12
-    assert abs(s.b[0] - 1.0 / 6.0) < 1e-12
+    B, _, b, _ = pb.line(1.0, np.array([0.5]))
+    assert abs(B[0] - 5.0 / 12.0) < 1e-12
+    assert abs(b[0] - 1.0 / 6.0) < 1e-12
 
 
 def test_scaling_closed_form_coefficients():
@@ -72,16 +73,16 @@ ONE_D_FAMILIES = {
 
 
 @pytest.mark.parametrize("name", sorted(ONE_D_FAMILIES))
-def test_closed_form_line_matches_generic_path(name):
+def test_closed_form_line_matches_generic_path(name, paper_formula):
     fam = ONE_D_FAMILIES[name]()
     pb = PulledBackProblem(fam)
     ys = np.linspace(0.0, fam.reference.length, 17)
     for t in (0.0, 0.25, 0.6, 1.0):
         B, a, b, _ = pb.line(t, ys)
-        Bg, ag, bg, _ = pb.coefficients(t, ys.reshape(-1, 1))
+        Bg, ag, bg = paper_formula(fam, t, ys.reshape(-1, 1))
         assert np.max(np.abs(B - Bg[:, 0, 0])) < 1e-12
         assert np.max(np.abs(b - bg[:, 0])) < 1e-12
-        assert np.max(np.abs(a - ag[:, 0])) < 1e-6  # finite-differenced on the generic side
+        assert np.max(np.abs(a - ag[:, 0])) < 1e-6  # finite-differenced on the formula side
 
 
 @pytest.mark.parametrize("name", sorted(ONE_D_FAMILIES))
@@ -118,7 +119,7 @@ def test_B_is_exactly_symmetric():
     fam = radial_annulus_flow(1.0, Affine(0.2, 0.1), 1.0)
     pb = PulledBackProblem(fam)
     Y = fam.reference.interior_grid(9)
-    B, _, _, _ = pb.coefficients(0.6, Y)
+    B = pb.diffusion(0.6, Y)
     assert np.array_equal(B, np.swapaxes(B, 1, 2))
 
 
@@ -149,6 +150,26 @@ def test_ellipticity_constant():
     assert abs(cb - 1.0 / 3.0) < 1e-10
     with pytest.raises(NotElliptic):
         ellipticity_constant(one_d_scaling(Affine(1.0, 1.2), 1.0))
+
+
+@pytest.mark.parametrize("profile, reference", [
+    (Poly(1.0, 0.2, 0.05), Ball(1.0, 2)),
+    (Affine(1.0, 0.3), Box((1.0, 0.5))),
+    (Affine(1.0, 0.2), Tetrahedron((0.6, 0.8))),
+], ids=["ball", "box", "tetra"])
+def test_ellipticity_constant_of_homotheties(profile, reference):
+    # B = I/lam^2 - (lam'/lam)^2 y y^T has smallest eigenvalue
+    # 1/lam^2 - (lam'/lam)^2 |y|^2, minimised over the same sample grid
+    fam = homothetic(profile, reference, 1.0)
+    ts = np.linspace(0.0, 1.0, 21)
+    r2 = np.sum(reference.interior_grid(41) ** 2, axis=1)
+    lam, rate = profile(ts), profile.deriv(ts) / profile(ts)
+    want = float(np.min(1.0 / lam[:, None] ** 2 - rate[:, None] ** 2 * r2[None, :]))
+    assert abs(ellipticity_constant(fam) - want) < 1e-12
+
+
+def test_ellipticity_constant_of_sublevel_annulus():
+    assert ellipticity_constant(radial_annulus_flow(1.0, Affine(0.2, 0.1), 1.0)) > 0.0
 
 
 def test_pushforward_round_trip_identity():
@@ -238,18 +259,17 @@ def test_lifted_load_solution_matches_dalembert():
         assert abs(got - exact) < 5e-4
 
 
-def test_matched_families_give_matching_coefficients():
+def test_matched_families_give_matching_coefficients(paper_formula):
     # the scaling family and the sublevel realization of the same tube must
-    # produce the same transformed coefficients, not just the same omega
-    from debondwave.motion import interval_flow, one_d_scaling
-
+    # produce the same transformed coefficients, not just the same omega:
+    # the scaling's closed form against the formula on the flow's map fields
     prof = Affine(1.0, 0.5)
     pa = PulledBackProblem(one_d_scaling(prof, 1.0))
-    pb = PulledBackProblem(interval_flow(4.0, prof, 1.0))
+    flow = interval_flow(4.0, prof, 1.0)
     ys = np.linspace(0.05, 0.95, 19)
     for t in (0.0, 0.4, 1.0):
         Ba, aa, ba, _ = pa.line(t, ys)
-        Bb, ab, bb, _ = pb.line(t, ys)
-        assert np.max(np.abs(Ba - Bb)) < 1e-6
-        assert np.max(np.abs(ba - bb)) < 1e-6
-        assert np.max(np.abs(aa - ab)) < 1e-4  # a carries two finite differences
+        Bb, ab, bb = paper_formula(flow, t, ys.reshape(-1, 1))
+        assert np.max(np.abs(Ba - Bb[:, 0, 0])) < 1e-12
+        assert np.max(np.abs(ba - bb[:, 0])) < 1e-12
+        assert np.max(np.abs(aa - ab[:, 0])) < 1e-6  # finite-differenced on the formula side
