@@ -41,7 +41,6 @@ from .motion import (
     interval_flow,
     one_d_scaling,
     radial_annulus_flow,
-    sublevel_flow,
     validate,
 )
 from .residuals import weak_residual

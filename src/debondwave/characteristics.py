@@ -169,7 +169,7 @@ class FrontCurve:
         return float(np.interp(t, self.times, self.position))
 
 
-def front_ode_exact(sc: CharScenario, dt=1e-3, simpson_tol=1e-9, check=True):
+def front_ode_exact(sc: CharScenario, dt=1e-3, check=True):
     """Integrate the exact front ODE with RK4 up to min(T, T*).
 
     T* is the first time l(t) - t hits zero (located by step bisection);
@@ -186,7 +186,7 @@ def front_ode_exact(sc: CharScenario, dt=1e-3, simpson_tol=1e-9, check=True):
         xi = max(xi, 0.0)
         F = sc.front_data(xi)
         if sc.forcing is not None and not (hasattr(sc.forcing, "is_zero") and sc.forcing.is_zero()):
-            F -= adaptive_simpson(lambda tau: float(sc.forcing(tau, tau - t + ell)), 0.0, t, simpson_tol)
+            F -= adaptive_simpson(lambda tau: float(sc.forcing(tau, tau - t + ell)), 0.0, t)
         k = float(sc.kappa(ell))
         F2 = F * F
         return max((F2 - 2.0 * k) / (F2 + 2.0 * k), 0.0)

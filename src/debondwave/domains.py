@@ -157,11 +157,7 @@ class Annulus(ReferenceDomain):
 
 def _sphere_face(name, radius, dim, resolution, outward):
     """Quadrature on a sphere |x| = radius; outward=+1 points away from 0."""
-    if dim == 1:
-        pts = np.array([[radius]])
-        w = np.array([1.0])
-        nrm = np.array([[outward]])
-    elif dim == 2:
+    if dim == 2:
         theta = (np.arange(resolution) + 0.5) * (2 * np.pi / resolution)
         pts = radius * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
         w = np.full(resolution, 2 * np.pi * radius / resolution)

@@ -13,7 +13,7 @@ det DPhi; boundary integrals use the per-face parametrization, never a
 space-time mesh.  The 1d ledgers take every stored time at once from the
 closed-form stretch Phi = lam(t) y (det DPhi = lam, DPsi = 1/lam, the
 moving end at lam L with normal speed lam' L).  Normal derivatives at the
-boundary come from one-sided stencils.  Time accumulation defaults to the
+boundary come from one-sided stencils.  Time accumulation uses the
 forward rectangle rule, matching the first-order convergence the moving
 balance exhibits; the fixed-domain remainder uses trapezoid.
 
@@ -69,11 +69,17 @@ def _accumulate(times, rates, rule):
     return out
 
 
-def front_normal_derivative(traj, fam, offset=None):
+def _quadrature(traj):
+    """Gauss-Legendre nodes and weights on (0, L): max(16, modes) panels of 10."""
+    panels = max(16, (traj.basis.m if traj.kind == "modal" else 16))
+    return gauss_legendre_panels(traj.L, panels, 10)
+
+
+def front_normal_derivative(traj, fam):
     """du/dnu at the moving end of a 1d reference trajectory, per stored time.
 
     Uses the one-sided stencil on v at the three nearest samples (grid
-    nodes, or resolution-matched offsets for modal trajectories), then the
+    nodes, or offsets L/(2m) apart for modal trajectories), then the
     pushforward factor DPsi = 1/lam.
     """
     L = traj.L
@@ -81,15 +87,14 @@ def front_normal_derivative(traj, fam, offset=None):
         h = traj.x[1] - traj.x[0]
         v = traj.values[:, -3:]
     else:
-        h = offset if offset is not None else L / (2.0 * traj.basis.m)
+        h = L / (2.0 * traj.basis.m)
         v = traj.values @ traj.basis.values(np.array([L - 2 * h, L - h, L])).T
         v[:, -1] = 0.0
     lam, _, _ = fam.stretch(traj.times)
     return one_sided_derivative(v.T, h, "right") / lam  # outward normal +1 at the right end
 
 
-def ledger_transformed(traj, fam, forcing=None, kappa=None, problem=None,
-                       time_rule="rect", panels=None, nodes=10, trace_offset=None):
+def ledger_transformed(traj, fam, forcing=None, kappa=None, problem=None):
     """Energy ledger for a transformed-solver trajectory on a 1d family.
 
     Every stored time at once: det DPhi = lam, DPsi = 1/lam and
@@ -99,8 +104,7 @@ def ledger_transformed(traj, fam, forcing=None, kappa=None, problem=None,
     if fam.dim != 1:
         raise ValueError("ledger_transformed is the 1d path")
     L = traj.L
-    panels = panels or max(16, (traj.basis.m if traj.kind == "modal" else 16))
-    yq, wq = gauss_legendre_panels(L, panels, nodes)
+    yq, wq = _quadrature(traj)
     times = traj.times
     lam, dlam, _ = fam.stretch(times)
 
@@ -116,22 +120,21 @@ def ledger_transformed(traj, fam, forcing=None, kappa=None, problem=None,
         work_rate = lam * ((f * ud) @ wq)
 
     omega = dlam * L
-    p = front_normal_derivative(traj, fam, offset=trace_offset)
+    p = front_normal_derivative(traj, fam)
     bdry_rate = 0.5 * omega * (1.0 - omega ** 2) * p ** 2
     Gtot = np.full(len(times), np.nan)
     growing = omega > 1e-13
     Gtot[growing] = bdry_rate[growing] / omega[growing]
 
-    work = _accumulate(times, work_rate, time_rule)
-    bdry = _accumulate(times, bdry_rate, time_rule)
+    work = _accumulate(times, work_rate, "rect")
+    bdry = _accumulate(times, bdry_rate, "rect")
     debond = None
     if kappa is not None:
         kx = np.asarray(kappa(lam * L), dtype=float)
-        debond = _accumulate(times, omega * kx, time_rule)
+        debond = _accumulate(times, omega * kx, "rect")
     led = EnergyLedger(
         times=times.copy(), kinetic=kinetic, potential=potential, work=work,
         boundary_dissipation=bdry, debond_dissipation=debond, G_total=Gtot,
-        meta={"time_rule": time_rule, "panels": panels, "nodes": nodes},
     )
     led.residual_moving = balance_residual_moving(led)
     if problem is not None:
@@ -146,7 +149,7 @@ def balance_residual_moving(led: EnergyLedger):
     return np.abs(led.kinetic + led.potential + bd - e0 - led.work)
 
 
-def balance_residual_fixed(traj, problem, panels=None, nodes=10):
+def balance_residual_fixed(traj, problem):
     """Fixed-domain balance with remainder, per stored time.
 
     residual(t) = | 1/2||v'||^2 + 1/2<B grad v, grad v> - initial - R(t) |,
@@ -154,8 +157,7 @@ def balance_residual_fixed(traj, problem, panels=None, nodes=10):
                      + <g, v'> ),
     with B, B', a, div b and g in closed form at every stored time at once.
     """
-    panels = panels or max(16, (traj.basis.m if traj.kind == "modal" else 16))
-    yq, wq = gauss_legendre_panels(traj.L, panels, nodes)
+    yq, wq = _quadrature(traj)
     _, vd, vy = traj.eval_all(yq)
     return _fixed_residual(problem, traj.times, yq, wq, vd, vy)
 

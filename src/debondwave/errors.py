@@ -21,10 +21,6 @@ class LevelOutOfRange(DebondWaveError):
     """Sublevel family would touch or cross the outer level set."""
 
 
-class GradientVanishes(DebondWaveError):
-    """The level function has a critical point on the sampled closure."""
-
-
 class FlowEscape(DebondWaveError):
     """Sublevel flow left the region where the level function is usable."""
 

@@ -231,5 +231,3 @@ class SpaceTimeField:
     def spec(self):
         return f"{self.space.spec()} * {self.time.spec()}"
 
-
-ZERO_FIELD = SpaceTimeField(Const(0.0))

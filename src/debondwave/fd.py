@@ -18,7 +18,7 @@ from .galerkin import Trajectory
 CFL_SAFETY = 0.9
 
 
-def solve_fd(problem, L, n, v0, v1, dt, T, store_every=1, cfl_check=True):
+def solve_fd(problem, L, n, v0, v1, dt, T, store_every=1):
     """Solve the transformed problem on n cells over (0, L) up to time T.
 
     v0, v1 are callables; the trajectory stores nodal values each
@@ -45,7 +45,7 @@ def solve_fd(problem, L, n, v0, v1, dt, T, store_every=1, cfl_check=True):
     problem.line(ts, xm, out=(Bm, None, None, None))
     problem.line(ts, x, out=(None, an, bn, None if problem.forcing is None else gn))
     maxB = float(np.max(Bm))
-    if cfl_check and dt > CFL_SAFETY * h / np.sqrt(maxB):
+    if dt > CFL_SAFETY * h / np.sqrt(maxB):
         raise CflViolation(
             f"dt = {dt} exceeds {CFL_SAFETY} h / sqrt(max B) = {CFL_SAFETY * h / np.sqrt(maxB)}"
         )

@@ -156,7 +156,6 @@ class CoupledNumerics:
     cfl: float = 0.45
     store_every: int = 8
     taper: float = 0.35       # fraction of the initial domain regularized at the fixed end
-    max_speed_slack: float = 1e-12
 
 
 @dataclass
@@ -378,7 +377,7 @@ def _evolve_coupled(geo, p0, kap0, horizon, num, forcing, verdict):
         p = geo.grad(geo.normal * one_sided_derivative(v[window], h, geo.side), pos)
         kap = geo.kappa_at(pos)
         om = flow_rule(p, kap)
-        if om >= 1.0 - num.max_speed_slack:
+        if om >= 1.0 - 1e-12:
             raise SupersonicStep(f"flow rule returned {om} at t = {t}")
         acc = (om - om_prev) / dt if k > 0 else 0.0
 

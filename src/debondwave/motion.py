@@ -10,11 +10,13 @@ Phi(t, .), with inverse Psi(t, .).  Two kinds are built in:
     SublevelFlow    Phi is the flow of  x' = (rho'/rho)(g(x) - R) grad g/|grad g|^2,
                     so that Omega_t = { R - rho(t) < g < R }
 
-Both have closed-form maps.  For g = |x| and affine g the sublevel flow
-carries each point along its straight gradient line and scales g - R by
-q = rho(t1)/rho(t0), so Phi and DPhi are exact; the time derivatives come
-from the vector field.  Psi for SublevelFlow is the same transport
-evaluated from t back to 0, never the inverse matrix of DPhi.
+Both have closed-form maps.  The sublevel flow has two level kinds:
+"radial" (g = |x|, annuli in dim >= 2) and "reflected" (g = R - x on the
+line, so Omega_t = (0, rho(t))).  Either way each point moves along its
+straight gradient line and g - R scales by q = rho(t1)/rho(t0), so Phi,
+DPhi, Phi_dot, det DPhi and its t- and y-derivatives are exact formulas
+in q and q'.  Psi for SublevelFlow is the same transport evaluated from t
+back to 0, never the inverse matrix of DPhi.
 
 The composed fields DPsi(t, Phi) and Psi_dot(t, Phi) use the exact
 algebraic relations (matrix inverse and -DPsi Phi_dot); the *direct*
@@ -33,7 +35,6 @@ from .domains import Annulus, Interval, ReferenceDomain
 from .errors import (
     DegenerateNormal,
     FlowEscape,
-    GradientVanishes,
     LevelOutOfRange,
     NonPositiveScale,
 )
@@ -41,10 +42,6 @@ from .expressions import Const, Expression
 
 ANALYTIC_TOL = 1.0e-9
 FLOW_TOL = 1.0e-6
-
-# level-function kinds the closed-form sublevel transport dispatches on
-GKIND_RADIAL = 0
-GKIND_LINEAR = 1
 
 
 def _as_points(Y, dim):
@@ -198,75 +195,21 @@ class StretchMotion(MotionFamily):
 # --- sublevel flow --------------------------------------------------------
 
 
-class LevelFunction:
-    """Scalar field g with gradient and Hessian, plus the kind (radial or affine)
-    and coefficients that the closed-form transport dispatches on."""
-
-    gkind = None
-
-    def value(self, X):
-        raise NotImplementedError
-
-    def grad(self, X):
-        raise NotImplementedError
-
-    def hess(self, X):
-        raise NotImplementedError
-
-
-class RadialLevel(LevelFunction):
-    """g(x) = |x|."""
-
-    gkind = GKIND_RADIAL
-
-    def __init__(self, dim=2):
-        self.dim = dim
-        self.cvec = np.zeros(dim)
-        self.dshift = 0.0
-
-    def value(self, X):
-        return np.linalg.norm(X, axis=1)
-
-    def grad(self, X):
-        r = np.linalg.norm(X, axis=1, keepdims=True)
-        return X / r
-
-    def hess(self, X):
-        r = np.linalg.norm(X, axis=1)
-        n = X.shape[1]
-        eye = np.eye(n)[None, :, :]
-        xh = X / r[:, None]
-        return (eye - xh[:, :, None] * xh[:, None, :]) / r[:, None, None]
-
-
-class ReflectedLevel(LevelFunction):
-    """g(x) = R - x on the line; sublevel families then live on (0, rho(t))."""
-
-    gkind = GKIND_LINEAR
-
-    def __init__(self, R):
-        self.dim = 1
-        self.R = float(R)
-        self.cvec = np.array([-1.0])
-        self.dshift = float(R)
-
-    def value(self, X):
-        return self.dshift - X[:, 0]
-
-    def grad(self, X):
-        return np.full_like(X, -1.0)
-
-    def hess(self, X):
-        return np.zeros((len(X), 1, 1))
-
-
 class SublevelFlowMotion(MotionFamily):
-    """Omega_t = { R - rho(t) < g < R }, transported by the level-set flow."""
+    """Omega_t = { R - rho(t) < g < R }, transported by the level-set flow.
+
+    level_kind is "radial" (g = |x|, annuli in dim >= 2) or "reflected"
+    (g = R - x on the line, so Omega_t = (0, rho(t)) and Phi = q y); dim
+    is read by the radial kind only.
+    """
 
     kind = "sublevel_flow"
+    level_kinds = ("radial", "reflected")
 
-    def __init__(self, level: LevelFunction, R, profile: Expression, horizon, tol=FLOW_TOL):
-        self.level = level
+    def __init__(self, level_kind, R, profile: Expression, horizon, dim=2, tol=FLOW_TOL):
+        if level_kind not in self.level_kinds:
+            raise ValueError(f"level_kind must be one of {self.level_kinds}, got {level_kind!r}")
+        self.radial = level_kind == "radial"
         self.R = float(R)
         self.profile = profile
         pad = 1.0e-2 * max(1.0, horizon)
@@ -276,18 +219,17 @@ class SublevelFlowMotion(MotionFamily):
             raise NonPositiveScale("rho must stay positive on the (padded) horizon")
         if np.any(rho >= self.R):
             raise LevelOutOfRange("rho(t) must stay below the outer level R")
-        rho0 = float(profile(0.0))
-        if level.gkind == GKIND_RADIAL:
-            reference = Annulus(self.R - rho0, self.R, level.dim)
+        self._rho0 = float(profile(0.0))
+        if self.radial:
+            reference = Annulus(self.R - self._rho0, self.R, dim)
         else:
-            reference = Interval(rho0)
+            reference = Interval(self._rho0)
         super().__init__(reference, horizon, tol)
         self._eps_x = 3.0e-4 * max(1.0, self.R)
         self._eps_t = 3.0e-4 * max(1.0, horizon)
-        grid = reference.interior_grid(64)
-        gn = np.linalg.norm(level.grad(grid), axis=1)
-        if np.any(gn < 1e-12):
-            raise GradientVanishes("grad g vanishes at a sampled reference point")
+
+    def _g(self, X):
+        return np.linalg.norm(X, axis=1) if self.radial else self.R - X[:, 0]
 
     # flow plumbing --------------------------------------------------------
     def _flow(self, Y, t0, t1):
@@ -296,128 +238,107 @@ class SublevelFlowMotion(MotionFamily):
         g - R scales by q = rho(t1)/rho(t0) along the straight gradient
         lines of g, so both the points and the Jacobian are closed-form.
         """
+        Y = _as_points(Y, self.dim)
         q = float(self.profile(t1)) / float(self.profile(t0))
-        n = Y.shape[1]
-        if self.level.gkind == GKIND_RADIAL:
+        if self.radial:
             r0 = np.linalg.norm(Y, axis=1)
             yh = Y / r0[:, None]
             r = self.R + q * (r0 - self.R)
             x = r[:, None] * yh
             radial = yh[:, :, None] * yh[:, None, :]
-            J = q * radial + (r / r0)[:, None, None] * (np.eye(n) - radial)
+            J = q * radial + (r / r0)[:, None, None] * (np.eye(self.dim) - radial)
         else:
-            c = self.level.cvec
-            c2 = float(np.dot(c, c))
-            g0 = Y @ c + self.level.dshift
-            x = Y + ((q - 1.0) * (g0 - self.R) / c2)[:, None] * c[None, :]
-            J = np.tile(np.eye(n) + (q - 1.0) * np.outer(c, c) / c2, (len(Y), 1, 1))
+            x = q * Y
+            J = np.full((len(Y), 1, 1), q)
         if not np.all(np.isfinite(x)):
             raise FlowEscape("sublevel flow produced non-finite points")
-        g = self.level.value(x)
-        if np.any(g <= 1e-3 * self.R):
+        if np.any(self._g(x) <= 1e-3 * self.R):
             raise FlowEscape("sublevel flow left the region where g is usable")
         return x, J
 
-    def _field(self, t, X):
-        """Vector field and its Jacobian at physical points."""
-        s = float(self.profile.deriv(t)) / float(self.profile(t))
-        g = self.level.value(X)
-        G = self.level.grad(X)
-        G2 = np.sum(G * G, axis=1)
-        base = G / G2[:, None]
-        Xf = s * (g - self.R)[:, None] * base
-        H = self.level.hess(X)
-        HG = np.einsum("pij,pj->pi", H, G)
-        Dbase = H / G2[:, None, None] - 2.0 * base[:, :, None] * HG[:, None, :] / G2[:, None, None]
-        DX = s * (base[:, :, None] * G[:, None, :] + (g - self.R)[:, None, None] * Dbase)
-        return Xf, DX
+    def _parts(self, t, Y):
+        """Points, q = rho(t)/rho(0) and q'; for the radial kind also |y| and
+        s = |Phi|/|y| = q + (1 - q) R/|y|."""
+        Y = _as_points(Y, self.dim)
+        q = float(self.profile(t)) / self._rho0
+        dq = float(self.profile.deriv(t)) / self._rho0
+        if not self.radial:
+            return Y, q, dq, None, None
+        r0 = np.linalg.norm(Y, axis=1)
+        return Y, q, dq, r0, q + (1.0 - q) * self.R / r0
 
     # forward side ---------------------------------------------------------
     def phi(self, t, Y):
-        Y = _as_points(Y, self.dim)
-        x, _ = self._flow(Y, 0.0, t)
-        return x
+        return self._flow(Y, 0.0, t)[0]
 
     def dphi(self, t, Y):
-        Y = _as_points(Y, self.dim)
-        _, J = self._flow(Y, 0.0, t)
-        return J
+        return self._flow(Y, 0.0, t)[1]
 
     def phi_dot(self, t, Y):
-        x = self.phi(t, Y)
-        Xf, _ = self._field(t, x)
-        return Xf
+        """q' (|y| - R) y/|y| radially, q' y on the line."""
+        Y, _, dq, r0, _ = self._parts(t, Y)
+        if not self.radial:
+            return dq * Y
+        return dq * (r0[:, None] - self.R) * (Y / r0[:, None])
 
     def det_dphi(self, t, Y):
-        return np.linalg.det(self.dphi(t, Y))
+        """q s^(n-1) radially, q on the line."""
+        Y, q, _, _, s = self._parts(t, Y)
+        return q * s ** (self.dim - 1) if self.radial else np.full(len(Y), q)
 
     def det_dphi_dt(self, t, Y):
-        x, J = self._flow(_as_points(Y, self.dim), 0.0, t)
-        _, DX = self._field(t, x)
-        trace = np.einsum("pii->p", DX)
-        return np.linalg.det(J) * trace
+        """q' s^(n-1) + (n-1) q s^(n-2) q' (|y| - R)/|y| radially, q' on the line."""
+        Y, q, dq, r0, s = self._parts(t, Y)
+        if not self.radial:
+            return np.full(len(Y), dq)
+        n = self.dim
+        return dq * s ** (n - 1) + (n - 1) * q * s ** (n - 2) * dq * (r0 - self.R) / r0
 
     def grad_det_dphi(self, t, Y):
-        Y = _as_points(Y, self.dim)
-        eps = self._eps_x
-        out = np.zeros_like(Y)
-        for k in range(self.dim):
-            e = np.zeros(self.dim)
-            e[k] = eps
-            dp = self.det_dphi(t, Y + e)
-            dm = self.det_dphi(t, Y - e)
-            out[:, k] = (dp - dm) / (2.0 * eps)
-        return out
+        """-(n-1) q (1-q) R s^(n-2)/|y|^2 y/|y| radially, 0 on the line."""
+        Y, q, _, r0, s = self._parts(t, Y)
+        if not self.radial:
+            return np.zeros_like(Y)
+        n = self.dim
+        return (-(n - 1) * q * (1.0 - q) * self.R * s ** (n - 2) / r0 ** 3)[:, None] * Y
 
     def dpsi_at_phi(self, t, Y):
         return np.linalg.inv(self.dphi(t, Y))
 
     # independent inverse side ----------------------------------------------
     def psi(self, t, X):
-        X = _as_points(X, self.dim)
-        y, _ = self._flow(X, t, 0.0)
-        return y
+        return self._flow(X, t, 0.0)[0]
 
     def dpsi(self, t, X):
-        X = _as_points(X, self.dim)
-        _, J = self._flow(X, t, 0.0)
-        return J
+        return self._flow(X, t, 0.0)[1]
 
     def domain_measure(self, t):
         rho = float(self.profile(t))
-        if self.level.gkind == GKIND_RADIAL:
+        if self.radial:
             n = self.dim
             vn = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
             return vn * (self.R ** n - (self.R - rho) ** n)
         return rho
 
     def stretch(self, t):
-        """The interval flow of g = R - x is Phi(t, y) = (rho(t)/rho(0)) y."""
-        if not isinstance(self.level, ReflectedLevel):
+        """The reflected flow is Phi(t, y) = (rho(t)/rho(0)) y."""
+        if self.radial:
             return super().stretch(t)
         p = self.profile
-        rho0 = float(p(0.0))
-        return p(t) / rho0, p.deriv(t) / rho0, p.deriv2(t) / rho0
+        return p(t) / self._rho0, p.deriv(t) / self._rho0, p.deriv2(t) / self._rho0
 
     # sublevel-specific checks ----------------------------------------------
     def level_identity_residual(self, t, y):
         """| g(Phi(t,y)) - R - (rho(t)/rho(0)) (g(y) - R) |."""
-        Y = _as_points(y, self.dim)
-        x = self.phi(t, Y)
-        lhs = self.level.value(x) - self.R
-        rhs = (float(self.profile(t)) / float(self.profile(0.0))) * (self.level.value(Y) - self.R)
-        return float(np.max(np.abs(lhs - rhs)))
+        Y, q, _, _, _ = self._parts(t, y)
+        lhs = self._g(self.phi(t, Y)) - self.R
+        return float(np.max(np.abs(lhs - q * (self._g(Y) - self.R))))
 
-    def speed_condition_margin(self, nt=41, npts=200):
-        """min over samples of |grad g| - rho'(t); positive margin certifies H2."""
+    def speed_condition_margin(self, nt=41):
+        """1 - max rho'(t) on nt sample times (|grad g| = 1 for both kinds);
+        a positive margin certifies H2."""
         ts = np.linspace(0.0, self.horizon, nt)
-        Y = self.reference.interior_grid(npts)
-        margin = np.inf
-        for t in ts:
-            x = self.phi(t, Y)
-            gn = np.linalg.norm(self.level.grad(x), axis=1)
-            margin = min(margin, float(np.min(gn) - float(self.profile.deriv(t))))
-        return margin
+        return 1.0 - float(np.max(self.profile.deriv(ts)))
 
 
 def _check_positive_profile(profile, horizon, name):
@@ -451,18 +372,14 @@ def homothetic(profile, reference, horizon, tol=ANALYTIC_TOL):
     return StretchMotion(profile, reference, 1.0, horizon, tol)
 
 
-def sublevel_flow(level, R, profile, horizon, tol=FLOW_TOL):
-    return SublevelFlowMotion(level, R, profile, horizon, tol)
-
-
 def radial_annulus_flow(R, profile, horizon, dim=2, tol=FLOW_TOL):
     """Annuli { R - rho(t) < |x| < R }."""
-    return SublevelFlowMotion(RadialLevel(dim), R, profile, horizon, tol)
+    return SublevelFlowMotion("radial", R, profile, horizon, dim, tol)
 
 
 def interval_flow(R, profile, horizon, tol=FLOW_TOL):
     """Intervals (0, rho(t)) realized as sublevel sets of g(x) = R - x."""
-    return SublevelFlowMotion(ReflectedLevel(R), R, profile, horizon, tol)
+    return SublevelFlowMotion("reflected", R, profile, horizon, tol=tol)
 
 
 # --- boundary kinematics --------------------------------------------------

@@ -20,8 +20,6 @@ from .fd import solve_fd
 from .galerkin import solve_transformed_modal
 from .griffith import CoupledNumerics, evolve_coupled_1d, evolve_coupled_radial
 from .motion import (
-    RadialLevel,
-    ReflectedLevel,
     SublevelFlowMotion,
     homothetic,
     identity_motion,
@@ -57,11 +55,8 @@ def build_motion(motion):
     if kind == "homothetic":
         return homothetic(motion["profile"], build_reference(motion), T)
     if kind == "sublevel_flow":
-        if motion["level_kind"] == "radial":
-            level = RadialLevel(motion["dim"])
-        else:
-            level = ReflectedLevel(motion["level"])
-        return SublevelFlowMotion(level, motion["level"], motion["profile"], T)
+        return SublevelFlowMotion(motion["level_kind"], motion["level"], motion["profile"], T,
+                                  dim=motion["dim"])
     raise TypeMismatch(f"unknown motion kind {kind!r}")
 
 

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import MissingRequired, TypeMismatch, UnknownKey
 from .expressions import Const, parse_expression
+from .motion import SublevelFlowMotion
 
 _FLOAT = "float"
 _INT = "int"
@@ -81,7 +82,7 @@ _ENUMS = {
     ("scenario", "kind"): {"wave", "coupled", "coupled_radial"},
     ("motion", "kind"): {"identity", "one_d_scaling", "homothetic", "sublevel_flow"},
     ("motion", "reference"): {"interval", "ball", "box", "tetrahedron"},
-    ("motion", "level_kind"): {"radial", "reflected"},
+    ("motion", "level_kind"): SublevelFlowMotion.level_kinds,
     ("numerics", "solver"): {"spectral", "grid"},
 }
 

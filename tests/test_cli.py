@@ -224,6 +224,15 @@ def test_parser_edge_cases(tmp_path):
         parse_scenario(_write(tmp_path, "s4.scn", "[scenario]\nname = x\nkind = banana\n"))
 
 
+def test_unknown_level_kind_names_its_line(tmp_path):
+    text = ("[scenario]\nname = x\n[motion]\nkind = sublevel_flow\n"
+            "level_kind = affine\nprofile = Const(0.5)\n")
+    with pytest.raises(TypeMismatch) as err:
+        parse_scenario(_write(tmp_path, "lk.scn", text))
+    assert "line 5:" in str(err.value)
+    assert "['radial', 'reflected']" in str(err.value)
+
+
 def test_verify_scenario_file_target(tmp_path):
     path = _write(tmp_path, "v.scn", MINIMAL + "[numerics]\nmodes = 8\ndt = 0.005\n")
     assert main(["verify", path, "--out", str(tmp_path / "out")]) == 0

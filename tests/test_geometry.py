@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from debondwave.domains import Ball, Interval, Tetrahedron
-from debondwave.errors import GradientVanishes, LevelOutOfRange, NonPositiveScale
+from debondwave.errors import LevelOutOfRange, NonPositiveScale
 from debondwave.expressions import Affine, Const, Poly
 from debondwave.motion import (
-    LevelFunction,
     SublevelFlowMotion,
     boundary_kinematics,
     homothetic,
@@ -196,25 +195,10 @@ def test_builder_guards():
     with pytest.raises(ValueError):
         homothetic(Affine(1.1, 0.1), Ball(1.0, 2), 1.0)  # lam(0) != 1
 
-    class FlatLevel(LevelFunction):
-        gkind = 0
 
-        def __init__(self):
-            self.dim = 2
-            self.cvec = np.zeros(2)
-            self.dshift = 0.0
-
-        def value(self, X):
-            return np.linalg.norm(X, axis=1)
-
-        def grad(self, X):
-            return np.zeros_like(X)
-
-        def hess(self, X):
-            return np.zeros((len(X), 2, 2))
-
-    with pytest.raises(GradientVanishes):
-        SublevelFlowMotion(FlatLevel(), 1.0, Affine(0.2, 0.1), 1.0)
+def test_unknown_level_kind_is_refused():
+    with pytest.raises(ValueError, match="level_kind"):
+        SublevelFlowMotion("affine", 1.0, Affine(0.2, 0.1), 1.0)
 
 
 def test_sublevel_flow_matches_closed_form_map():
@@ -229,9 +213,28 @@ def test_sublevel_flow_matches_closed_form_map():
     assert np.max(np.abs(got - expect)) < 1e-9
 
 
+def _level_set_rates(fam, t, x):
+    """The paper's field X = (rho'/rho)(g - R) grad g/|grad g|^2 and its Jacobian."""
+    s = float(fam.profile.deriv(t)) / float(fam.profile(t))
+    if fam.dim == 1:  # g = R - x
+        g, G, H = fam.R - x[:, 0], -np.ones_like(x), np.zeros((len(x), 1, 1))
+    else:  # g = |x|
+        g = np.linalg.norm(x, axis=1)
+        G = x / g[:, None]
+        H = (np.eye(fam.dim) - G[:, :, None] * G[:, None, :]) / g[:, None, None]
+    G2 = np.sum(G * G, axis=1)
+    base = G / G2[:, None]
+    HG = np.einsum("pij,pj->pi", H, G)
+    Dbase = H / G2[:, None, None] - 2.0 * base[:, :, None] * HG[:, None, :] / G2[:, None, None]
+    X = s * (g - fam.R)[:, None] * base
+    DX = s * (base[:, :, None] * G[:, None, :] + (g - fam.R)[:, None, None] * Dbase)
+    return X, DX
+
+
 def test_sublevel_map_solves_the_level_set_flow():
     # the closed-form Phi must solve the level-set flow: dPhi/dt = X(t, Phi)
-    # and, for the variational equation, d(DPhi)/dt = DX(t, Phi) DPhi
+    # and, for the variational equation, d(DPhi)/dt = DX(t, Phi) DPhi; the
+    # exact rates must read Phi_dot = X(t, Phi) and d/dt det DPhi = det DPhi tr DX
     fams = (
         radial_annulus_flow(1.0, Poly(0.2, 0.1, 0.05), 1.0),
         radial_annulus_flow(2.0, Poly(0.5, 0.3, -0.1), 1.0, dim=3),
@@ -242,9 +245,12 @@ def test_sublevel_map_solves_the_level_set_flow():
         Y = fam.reference.interior_grid(8)
         for t in (0.1, 0.45, 0.9):
             x = fam.phi(t, Y)
-            X, DX = fam._field(t, x)
+            X, DX = _level_set_rates(fam, t, x)
             phi_t = (fam.phi(t + h, Y) - fam.phi(t - h, Y)) / (2.0 * h)
             dphi_t = (fam.dphi(t + h, Y) - fam.dphi(t - h, Y)) / (2.0 * h)
             assert np.max(np.abs(X)) > 1e-2
             assert np.max(np.abs(phi_t - X)) < 1e-8
             assert np.max(np.abs(dphi_t - DX @ fam.dphi(t, Y))) < 1e-8
+            assert np.max(np.abs(fam.phi_dot(t, Y) - X)) < 1e-12
+            det_t = fam.det_dphi(t, Y) * np.einsum("pii->p", DX)
+            assert np.max(np.abs(fam.det_dphi_dt(t, Y) - det_t)) < 1e-12

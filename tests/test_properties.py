@@ -1,4 +1,5 @@
-"""Property tests of the closed-form 1d pullback over random stretch profiles."""
+"""Property tests over random cubic profiles: the closed-form 1d pullback and
+the exact rates of the sublevel maps."""
 
 import numpy as np
 import pytest
@@ -9,12 +10,13 @@ from hypothesis import strategies as st  # noqa: E402
 
 from debondwave.errors import LevelOutOfRange, NonPositiveScale  # noqa: E402
 from debondwave.expressions import Poly  # noqa: E402
-from debondwave.motion import interval_flow, one_d_scaling  # noqa: E402
+from debondwave.motion import interval_flow, one_d_scaling, radial_annulus_flow, validate  # noqa: E402
 from debondwave.transform import PulledBackProblem  # noqa: E402
 
 FIXED = settings(derandomize=True, max_examples=60, deadline=None)
 
 coefficient = st.floats(-0.4, 0.4, allow_nan=False, allow_infinity=False)
+small = st.floats(-0.2, 0.2, allow_nan=False, allow_infinity=False)
 
 
 def _family(c0, c1, c2, c3, kind):
@@ -57,3 +59,38 @@ def test_line_matches_the_paper_formula(paper_formula, c0, c1, c2, c3, kind, t):
     assert np.max(np.abs(B - Bp[:, 0, 0])) <= 1e-12 * (1.0 + np.max(np.abs(B)))
     assert np.max(np.abs(b - bp[:, 0])) <= 1e-12 * (1.0 + np.max(np.abs(b)))
     assert np.max(np.abs(a - ap[:, 0])) <= 1e-6 * (1.0 + np.max(np.abs(a)))
+
+
+def _sublevel_family(c0, c1, c2, c3, kind):
+    """A radial (dim 2 or 3) or interval flow of a cubic rho in (0.1, 0.8), R = 1."""
+    prof = Poly(c0, c1, c2, c3)
+    vals = prof(np.linspace(-0.01, 1.01, 103))
+    assume(np.min(vals) > 0.1 and np.max(vals) < 0.8)
+    if kind == "interval":
+        return interval_flow(1.0, prof, 1.0)
+    return radial_annulus_flow(1.0, prof, 1.0, dim=int(kind[-1]))
+
+
+@FIXED
+@given(c0=st.floats(0.3, 0.6), c1=small, c2=small, c3=small,
+       kind=st.sampled_from(["radial2", "radial3", "interval"]), t=st.floats(0.01, 0.99))
+def test_sublevel_rates_match_central_differences(c0, c1, c2, c3, kind, t):
+    fam = _sublevel_family(c0, c1, c2, c3, kind)
+    Y = fam.reference.interior_grid(8)
+    h = 1e-6
+
+    def det(t, Y):
+        return np.linalg.det(fam.dphi(t, Y))
+
+    phi_t = (fam.phi(t + h, Y) - fam.phi(t - h, Y)) / (2 * h)
+    assert np.max(np.abs(fam.phi_dot(t, Y) - phi_t)) <= 1e-7
+    det_t = (det(t + h, Y) - det(t - h, Y)) / (2 * h)
+    assert np.max(np.abs(fam.det_dphi_dt(t, Y) - det_t)) <= 1e-7
+    assert np.max(np.abs(fam.det_dphi(t, Y) - det(t, Y))) <= 1e-12
+    grad = np.empty_like(Y)
+    for k in range(fam.dim):
+        e = np.zeros(fam.dim)
+        e[k] = h
+        grad[:, k] = (det(t, Y + e) - det(t, Y - e)) / (2 * h)
+    assert np.max(np.abs(fam.grad_det_dphi(t, Y) - grad)) <= 1e-7
+    assert validate(fam).h1_ok
