@@ -1,9 +1,8 @@
-"""Benchmark the numba wave stepper against the pure-numpy fallback.
+"""Time the RK4 wave stepper, kernels.fd_run, in its two call patterns.
 
-Runs the RK4 wave stepper under both backends in two call patterns and
-prints a timing table: one long run (as solve_fd makes it) and 6144
-chained single-step calls at n = 1024 (as the coupled front solver makes
-them for scenarios/debonding_constant.scn).  Usage:
+Prints the best of three timings for one long run (as solve_fd makes it)
+and for 6144 chained single-step calls at n = 1024 (as the coupled front
+solver makes them for scenarios/debonding_constant.scn).  Usage:
 
     python benchmarks/bench_kernels.py [--steps N] [--grid N]
 """
@@ -13,14 +12,10 @@ import time
 
 import numpy as np
 
-from debondwave.backend import NUMBA_ENABLED
-from debondwave.kernels import _fd_run_numpy
-
-if NUMBA_ENABLED:
-    from debondwave.kernels import _fd_run_numba
+from debondwave.kernels import fd_run
 
 
-def bench_fd(impl, n, nsteps, repeats=3):
+def bench_fd(n, nsteps, repeats=3):
     h = 1.0 / n
     dt = 0.7 * h
     S = 2 * nsteps + 1
@@ -40,12 +35,12 @@ def bench_fd(impl, n, nsteps, repeats=3):
         out_v[0] = v
         out_vd[0] = vd
         t0 = time.perf_counter()
-        impl(v, vd, h, dt, nsteps, Bm, an, bn, gn, nsteps, out_v, out_vd)
+        fd_run(v, vd, h, dt, nsteps, Bm, an, bn, gn, nsteps, out_v, out_vd)
         best = min(best, time.perf_counter() - t0)
     return best
 
 
-def bench_chain(impl, n, nsteps, repeats=3):
+def bench_chain(n, nsteps, repeats=3):
     """nsteps calls of one step each, the coupled solvers' call pattern."""
     h = 1.0 / n
     dt = 0.45 * h
@@ -63,7 +58,7 @@ def bench_chain(impl, n, nsteps, repeats=3):
         vd = np.zeros(n + 1)
         t0 = time.perf_counter()
         for _ in range(nsteps):
-            impl(v, vd, h, dt, 1, Bm, an, bn, gn, 1, out_v, out_vd)
+            fd_run(v, vd, h, dt, 1, Bm, an, bn, gn, 1, out_v, out_vd)
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -74,23 +69,11 @@ def main():
     ap.add_argument("--grid", type=int, default=800)
     args = ap.parse_args()
 
-    rows = []
     cases = (("wave stepper", bench_fd, args.grid, args.steps),
              ("1-step chain", bench_chain, 1024, 6144))
+    print(f"{'kernel':<22} {'best time (s)':>14}")
     for name, bench, n, steps in cases:
-        t_np = bench(_fd_run_numpy, n, steps)
-        rows.append((name, "numpy", t_np, 1.0))
-        if NUMBA_ENABLED:
-            bench(_fd_run_numba, 32, 4)  # JIT warmup
-            t_nb = bench(_fd_run_numba, n, steps)
-            rows.append((name, "numba", t_nb, t_np / t_nb))
-
-    print(f"{'kernel':<22} {'backend':<8} {'best time (s)':>14} {'speedup':>9}")
-    for name, backend, t, s in rows:
-        print(f"{name:<22} {backend:<8} {t:>14.4f} {s:>8.1f}x")
-    if not NUMBA_ENABLED:
-        print("numba not available: numpy rows only")
-
+        print(f"{name:<22} {bench(n, steps):>14.4f}")
 
 if __name__ == "__main__":
     main()

@@ -8,7 +8,7 @@ characteristic solutions as ground truth.
 
 __version__ = "0.1.0"
 
-from .backend import backend_name
+from .kernels import backend_name
 from .characteristics import CharScenario, dalembert_fixed, front_ode_exact
 from .domains import Annulus, Ball, Box, Interval, Tetrahedron
 from .energy import (

@@ -26,8 +26,8 @@ from .errors import CompatibilityViolated, TooFewSamples
 from .expressions import Expression
 
 
-def adaptive_simpson(f, a, b, tol=1e-9, max_depth=48):
-    """Classic recursive adaptive Simpson rule."""
+def adaptive_simpson(f, a, b, tol=1e-9):
+    """Classic recursive adaptive Simpson rule, at most 48 levels deep."""
     if a == b:
         return 0.0
 
@@ -42,7 +42,7 @@ def adaptive_simpson(f, a, b, tol=1e-9, max_depth=48):
         fr = f(xr)
         left = simpson(x0, xm, f0, fl, f1)
         right = simpson(xm, x2, f1, fr, f2)
-        if depth >= max_depth or abs(left + right - whole) <= 15.0 * eps:
+        if depth >= 48 or abs(left + right - whole) <= 15.0 * eps:
             return left + right + (left + right - whole) / 15.0
         return (recurse(x0, xm, f0, fl, f1, left, 0.5 * eps, depth + 1)
                 + recurse(xm, x2, f1, fr, f2, right, 0.5 * eps, depth + 1))

@@ -46,14 +46,13 @@ class CylinderRun:
         return float(np.max(self.energies - self.works - self.energies[0]))
 
 
-def solve_cylinder(fam, u0, u1, forcing=None, partitions=32, inner_n=384,
-                   T=None, store_every=1):
-    """Cylinder-scheme solution of the moving-domain problem for a 1d family."""
+def solve_cylinder(fam, u0, u1, forcing=None, partitions=32, inner_n=384):
+    """Cylinder-scheme solution of the moving-domain problem for a 1d family
+    on [0, horizon]; the trajectory stores every inner step."""
     if fam.dim != 1:
         raise ValueError("cylinder scheme is 1d")
-    T = fam.horizon if T is None else T
     K = int(partitions)
-    tgrid = np.linspace(0.0, T, K + 1)
+    tgrid = np.linspace(0.0, fam.horizon, K + 1)
     lengths = np.array([fam.domain_measure(t) for t in tgrid])
     if np.any(np.diff(lengths) < -1e-12):
         raise NotMonotone("domain shrinks between partition points")
@@ -125,11 +124,10 @@ def solve_cylinder(fam, u0, u1, forcing=None, partitions=32, inner_n=384,
                 fa = np.asarray(forcing(t - dt, x[: m + 1]), dtype=float)
                 fb = np.asarray(forcing(t, x[: m + 1]), dtype=float)
                 work += 0.5 * dt * h * float(np.sum(fa * out_vd[s - 1] + fb * out_vd[s]))
-            if s % store_every == 0 or s == steps:
-                times.append(t)
-                vals.append(full_v)
-                vels.append(full_vd)
-                fronts.append(m * h)
+            times.append(t)
+            vals.append(full_v)
+            vels.append(full_vd)
+            fronts.append(m * h)
         V[: m + 1] = out_v[steps]
         VD[: m + 1] = out_vd[steps]
         V[m + 1:] = 0.0

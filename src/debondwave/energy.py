@@ -213,19 +213,20 @@ def total_release_rate(omega, p, weights):
 # --- measure identity -------------------------------------------------------
 
 
-def measure_identity_residual(fam, t=None, nt=201, resolution=128):
-    """| |Omega_t| - |Omega_0| - int_0^t int_bdry omega | via Simpson in time."""
-    t = fam.horizon if t is None else t
-    if nt % 2 == 0:
-        nt += 1
-    ts = np.linspace(0.0, t, nt)
-    faces = fam.reference.boundary_faces(resolution)
+def measure_identity_residual(fam):
+    """| |Omega_T| - |Omega_0| - int_0^T int_bdry omega | at the horizon T.
+
+    Simpson's rule on 201 times over the boundary faces at resolution 128.
+    """
+    T = fam.horizon
+    ts = np.linspace(0.0, T, 201)
+    faces = fam.reference.boundary_faces(128)
     flux = np.array([sum(float(np.sum(fk.weights * fk.omega))
                          for fk in boundary_kinematics(fam, s, faces=faces)) for s in ts])
     h = ts[1] - ts[0]
-    w = np.ones(nt)
+    w = np.ones(len(ts))
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     integral = h / 3.0 * float(np.sum(w * flux))
-    geometric = fam.domain_measure(t) - fam.domain_measure(0.0)
+    geometric = fam.domain_measure(T) - fam.domain_measure(0.0)
     return abs(geometric - integral)

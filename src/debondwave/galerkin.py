@@ -58,22 +58,21 @@ class SineBasis:
         y = np.asarray(y, dtype=float)
         return self.scale * self.freqs[None, :] * np.cos(np.outer(y, self.freqs))
 
-    def project(self, f, panels=None, nodes=10):
-        """L^2 coefficients of a callable by composite quadrature."""
-        panels = panels or max(8, self.m)
-        y, w = gauss_legendre_panels(self.L, panels, nodes)
+    def project(self, f):
+        """L^2 coefficients of a callable by 10-point Gauss on max(8, m) panels."""
+        y, w = gauss_legendre_panels(self.L, max(8, self.m), 10)
         vals = np.asarray(f(y), dtype=float)
         return self.values(y).T @ (w * vals)
 
 
 class GalerkinSystem:
-    """Time-dependent projected matrices from the fixed affine pieces."""
+    """Time-dependent projected matrices from the fixed affine pieces,
+    integrated by nodes-point Gauss on max(8, m) panels."""
 
-    def __init__(self, basis: SineBasis, problem, panels=None, nodes=10):
+    def __init__(self, basis: SineBasis, problem, nodes=10):
         self.basis = basis
         self.problem = problem
-        panels = panels or max(8, basis.m)
-        self.yq, self.wq = gauss_legendre_panels(basis.L, panels, nodes)
+        self.yq, self.wq = gauss_legendre_panels(basis.L, max(8, basis.m), nodes)
         self.W = basis.values(self.yq)     # (Q, m)
         self.Wp = basis.derivs(self.yq)    # (Q, m)
         wWp = self.wq[:, None] * self.Wp
@@ -216,10 +215,10 @@ def integrate(system: GalerkinSystem, d0, ddot0, dt, T, store_every=1):
 
 
 def solve_transformed_modal(problem, L, v0, v1, m=32, dt=1e-3, T=1.0,
-                            panels=None, nodes=10, store_every=1):
+                            nodes=10, store_every=1):
     """Assemble and integrate in one call; v0, v1 are callables on (0, L)."""
     basis = SineBasis(L, m)
-    system = GalerkinSystem(basis, problem, panels=panels, nodes=nodes)
+    system = GalerkinSystem(basis, problem, nodes=nodes)
     d0 = basis.project(v0)
     dd0 = basis.project(v1)
     return integrate(system, d0, dd0, dt, T, store_every=store_every)

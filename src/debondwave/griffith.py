@@ -59,12 +59,16 @@ def flow_rule(p, kappa, udot=None):
     return max((q - 2.0 * kappa) / (q + 2.0 * kappa), 0.0)
 
 
-def flow_rule_fixed_point(p, kappa, tol=1e-14, max_iter=10_000):
-    """Quotient form evaluated at the self-consistent trace u_dot = -omega p."""
+def flow_rule_fixed_point(p, kappa):
+    """Quotient form evaluated at the self-consistent trace u_dot = -omega p.
+
+    Damped fixed-point iteration: stops when a step moves omega by less
+    than 1e-14, or after 10 000 steps.
+    """
     om = 0.0
-    for _ in range(max_iter):
+    for _ in range(10_000):
         nxt = flow_rule(p, kappa, udot=-om * p)
-        if abs(nxt - om) < tol:
+        if abs(nxt - om) < 1e-14:
             return nxt
         om = 0.5 * (om + nxt)
     return om

@@ -1,9 +1,7 @@
 """Hot numerical kernel: the RK4 method-of-lines stepper of the 1d
-hyperbolic solver.
-
-It exists in a numba version and a pure-numpy version; ``backend`` picks
-one at import time, and the benchmark script times the two against each
-other.
+hyperbolic solver, shared by the grid solver, the cylinder scheme and both
+coupled debonding runs.  It is plain numpy: every stage works in place on
+one preallocated stacked array.
 
 The stepper advances  v'' = d/dy(B v') - a v' + 2 b v'* + g  on a uniform
 grid with homogeneous Dirichlet ends (v'* is the y-derivative of the
@@ -13,14 +11,12 @@ is time t_k, slot 2k+1 is t_k + dt/2.
 
 import numpy as np
 
-from .backend import NUMBA_ENABLED, njit
-
 BLOWUP_LIMIT = 1.0e12
 
 # --- finite-difference wave stepper --------------------------------------
 
 
-def _fd_run_numpy(v, vd, h, dt, nsteps, Bm, an, bn, gn, store_every, out_v, out_vd):
+def fd_run(v, vd, h, dt, nsteps, Bm, an, bn, gn, store_every, out_v, out_vd):
     """Advance (v, vd) in place by nsteps RK4 steps.
 
     Bm holds one frozen slice or the 2 nsteps + 1 half-step slices.  Every
@@ -52,7 +48,7 @@ def _fd_run_numpy(v, vd, h, dt, nsteps, Bm, an, bn, gn, store_every, out_v, out_
 
     def rhs(s, j):
         # acc = d/dy(B v_y) - a v_y + 2 b vd_y + g, each term rounded in
-        # the order of the numba twin
+        # the order of the reference stepper in tests/test_kernels.py
         vr, vl, xr, xl, acc = views[s]
         np.subtract(vr, vl, out=d)
         np.multiply(Bm[j], d, out=d)
@@ -97,96 +93,6 @@ def _fd_run_numpy(v, vd, h, dt, nsteps, Bm, an, bn, gn, store_every, out_v, out_
     return status
 
 
-@njit
-def _fd_run_numba(v, vd, h, dt, nsteps, Bm, an, bn, gn, store_every, out_v, out_vd):  # pragma: no cover - numba path
-    n1 = v.shape[0]
-    n = n1 - 1
-    inv_h2 = 1.0 / (h * h)
-    inv_2h = 0.5 / h
-    v2 = np.empty(n1)
-    v3 = np.empty(n1)
-    v4 = np.empty(n1)
-    vd2 = np.empty(n1)
-    vd3 = np.empty(n1)
-    vd4 = np.empty(n1)
-    k1a = np.zeros(n1)
-    k2a = np.zeros(n1)
-    k3a = np.zeros(n1)
-    k4a = np.zeros(n1)
-    frozen = Bm.shape[0] == 1
-    stored = 1
-    for k in range(nsteps):
-        if frozen:
-            j0 = 0
-            j1 = 0
-            j2 = 0
-        else:
-            j0 = 2 * k
-            j1 = 2 * k + 1
-            j2 = 2 * k + 2
-        B0 = Bm[j0]
-        a0 = an[j0]
-        b0 = bn[j0]
-        g0 = gn[j0]
-        for i in range(1, n):
-            flux = (B0[i] * (v[i + 1] - v[i]) - B0[i - 1] * (v[i] - v[i - 1])) * inv_h2
-            adv = a0[i] * (v[i + 1] - v[i - 1]) * inv_2h
-            drift = b0[i] * (vd[i + 1] - vd[i - 1]) * inv_2h
-            k1a[i] = flux - adv + 2.0 * drift + g0[i]
-        for i in range(n1):
-            v2[i] = v[i] + 0.5 * dt * vd[i]
-            vd2[i] = vd[i] + 0.5 * dt * k1a[i]
-        v2[0] = v2[n] = 0.0
-        vd2[0] = vd2[n] = 0.0
-        B1 = Bm[j1]
-        a1 = an[j1]
-        b1 = bn[j1]
-        g1 = gn[j1]
-        for i in range(1, n):
-            flux = (B1[i] * (v2[i + 1] - v2[i]) - B1[i - 1] * (v2[i] - v2[i - 1])) * inv_h2
-            adv = a1[i] * (v2[i + 1] - v2[i - 1]) * inv_2h
-            drift = b1[i] * (vd2[i + 1] - vd2[i - 1]) * inv_2h
-            k2a[i] = flux - adv + 2.0 * drift + g1[i]
-        for i in range(n1):
-            v3[i] = v[i] + 0.5 * dt * vd2[i]
-            vd3[i] = vd[i] + 0.5 * dt * k2a[i]
-        v3[0] = v3[n] = 0.0
-        vd3[0] = vd3[n] = 0.0
-        for i in range(1, n):
-            flux = (B1[i] * (v3[i + 1] - v3[i]) - B1[i - 1] * (v3[i] - v3[i - 1])) * inv_h2
-            adv = a1[i] * (v3[i + 1] - v3[i - 1]) * inv_2h
-            drift = b1[i] * (vd3[i + 1] - vd3[i - 1]) * inv_2h
-            k3a[i] = flux - adv + 2.0 * drift + g1[i]
-        for i in range(n1):
-            v4[i] = v[i] + dt * vd3[i]
-            vd4[i] = vd[i] + dt * k3a[i]
-        v4[0] = v4[n] = 0.0
-        vd4[0] = vd4[n] = 0.0
-        B2 = Bm[j2]
-        a2 = an[j2]
-        b2 = bn[j2]
-        g2 = gn[j2]
-        for i in range(1, n):
-            flux = (B2[i] * (v4[i + 1] - v4[i]) - B2[i - 1] * (v4[i] - v4[i - 1])) * inv_h2
-            adv = a2[i] * (v4[i + 1] - v4[i - 1]) * inv_2h
-            drift = b2[i] * (vd4[i + 1] - vd4[i - 1]) * inv_2h
-            k4a[i] = flux - adv + 2.0 * drift + g2[i]
-        sixth = dt / 6.0
-        for i in range(n1):
-            v[i] += sixth * (vd[i] + 2.0 * vd2[i] + 2.0 * vd3[i] + vd4[i])
-            vd[i] += sixth * (k1a[i] + 2.0 * k2a[i] + 2.0 * k3a[i] + k4a[i])
-        v[0] = v[n] = 0.0
-        vd[0] = vd[n] = 0.0
-        for i in range(n1):
-            # not (|v| <= limit): a NaN state is a blow-up too
-            if not (abs(v[i]) <= BLOWUP_LIMIT):
-                return -(k + 1)
-        if (k + 1) % store_every == 0:
-            out_v[stored] = v
-            out_vd[stored] = vd
-            stored += 1
-    return stored
-
-
-fd_run = _fd_run_numba if NUMBA_ENABLED else _fd_run_numpy
-
+def backend_name():
+    """The stepper's implementation, recorded in manifests and run records."""
+    return "numpy"

@@ -22,8 +22,8 @@ The composed fields DPsi(t, Phi) and Psi_dot(t, Phi) use the exact
 algebraic relations (matrix inverse and -DPsi Phi_dot); the *direct*
 Psi-side evaluators (psi, dpsi, det_dpsi, psi_dot) are kept independent
 so that identity validation is not circular.  Tolerances are split: 1e-9
-for stretches (round-off), 1e-6 for sublevel flows (their validation
-difference steps are coarser).
+for stretches (round-off), 1e-6 for sublevel flows (their Psi side is the
+backward transport, and its psi_dot a central difference).
 """
 
 import math
@@ -119,9 +119,9 @@ class MotionFamily:
     def domain_measure(self, t):
         raise NotImplementedError
 
-    def is_nondecreasing(self, samples=200):
-        """Whether the family's profile never decreases on [0, horizon]."""
-        ts = np.linspace(0.0, self.horizon, samples)
+    def is_nondecreasing(self):
+        """Whether the family's profile never decreases at 200 samples of [0, horizon]."""
+        ts = np.linspace(0.0, self.horizon, 200)
         return bool(np.all(self.profile.deriv(ts) >= -1e-12))
 
     def stretch(self, t):
@@ -225,8 +225,6 @@ class SublevelFlowMotion(MotionFamily):
         else:
             reference = Interval(self._rho0)
         super().__init__(reference, horizon, tol)
-        self._eps_x = 3.0e-4 * max(1.0, self.R)
-        self._eps_t = 3.0e-4 * max(1.0, horizon)
 
     def _g(self, X):
         return np.linalg.norm(X, axis=1) if self.radial else self.R - X[:, 0]

@@ -102,7 +102,7 @@ class Scenario:
 
     def manifest(self):
         from . import __version__
-        from .backend import backend_name
+        from .kernels import backend_name
 
         def _enc(v):
             if hasattr(v, "spec"):

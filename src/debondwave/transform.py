@@ -95,14 +95,14 @@ class PulledBackProblem:
         return dB, divb
 
 
-def ellipticity_constant(problem_or_fam, nt=21, npts=41, grid=None):
+def ellipticity_constant(problem_or_fam, nt=21, npts=41):
     """min over the sample grid of the smallest eigenvalue of B (> 0 or raise)."""
     problem = problem_or_fam
     if isinstance(problem_or_fam, MotionFamily):
         problem = PulledBackProblem(problem_or_fam)
     fam = problem.fam
     ts = np.linspace(0.0, fam.horizon, nt)
-    Y = grid if grid is not None else fam.reference.interior_grid(npts)
+    Y = fam.reference.interior_grid(npts)
     if fam.dim == 1:
         c = float(np.min(problem.line(ts, Y)[0]))
     else:

@@ -1,19 +1,6 @@
 import numpy as np
 import pytest
 
-from debondwave import kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Trigger JIT compilation once so timed checks measure compute only."""
-    v = np.zeros(9)
-    vd = np.zeros(9)
-    Bm = np.ones((1, 8))
-    an = np.zeros((1, 9))
-    out = np.empty((2, 9))
-    kernels.fd_run(v, vd, 0.125, 0.01, 1, Bm, an, an, an, 1, out, out.copy())
-
 
 def _paper_formula(fam, t, Y, h=1.0e-5):
     """B (P,N,N), a (P,N), b (P,N) of the pullback from a family's map fields.

@@ -111,6 +111,15 @@ def test_validate_sublevel_within_flow_tolerance():
     assert rep.h2_ok
 
 
+def test_validate_sublevel_interval_uses_the_stretch_steps():
+    # the same motion as one_d_scaling passes at round-off; the validation
+    # differences must not add truncation error of their own on top
+    fam = interval_flow(4.0, Poly(2.0, 0.0, -0.5, -0.75), 1.0)
+    rep = validate(fam)
+    assert rep.max_residual() < 1e-7
+    assert rep.h1_ok
+
+
 # --- boundary kinematics -----------------------------------------------------
 
 

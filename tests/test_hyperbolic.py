@@ -311,6 +311,42 @@ def test_integrated_trajectory_passes_weak_residual():
     assert weak_residual(traj, pb, n_probes=8) < 1e-5
 
 
+def _weak_residual_loop(traj, problem, n_probes):
+    """Reference: one stored time and one probe at a time."""
+    basis = SineBasis(traj.L, n_probes)
+    yq, wq = gauss_legendre_panels(traj.L, max(8, 2 * n_probes), 10)
+    nt = len(traj.times)
+    dt = traj.times[1] - traj.times[0]
+    worst = 0.0
+    for i in range(2, nt - 2, max(1, (nt - 4) // 200)):
+        t = traj.times[i]
+        _, vd, vy = traj.eval_index(i, yq)
+        vdd = sum(c * traj.eval_index(i + k, yq)[1] for k, c in ((2, -1), (1, 8), (-1, -8), (-2, 1)))
+        vdd = vdd / (12.0 * dt)
+        B, a, b, g = problem.line(t, yq)
+        _, divb = problem.line_rates(t, yq)
+        for phi, phip in zip(basis.values(yq).T, basis.derivs(yq).T):
+            r = np.sum(wq * ((vdd + a * vy - g) * phi + B * vy * phip
+                             + 2.0 * vd * (divb * phi + b * phip)))
+            worst = max(worst, abs(float(r)))
+    return worst
+
+
+def test_weak_residual_matches_time_by_time_loop():
+    forced = PulledBackProblem(one_d_scaling(Affine(1.0, 0.5), 1.0),
+                               lambda t, x: np.sin(3.0 * x) * np.cos(t))
+    v0 = lambda y: np.sin(np.pi * np.asarray(y))
+    cases = [
+        (_harmonic_trajectory(1e-3), _identity_problem(), 3),
+        (solve_transformed_modal(forced, 1.0, v0, _zero, m=8, dt=2e-3, T=1.0), forced, 4),
+        (solve_fd(forced, 1.0, 128, v0, _zero, dt=2e-3, T=1.0), forced, 5),
+    ]
+    for traj, pb, n_probes in cases:
+        want = _weak_residual_loop(traj, pb, n_probes)
+        assert want > 0.0
+        assert abs(weak_residual(traj, pb, n_probes=n_probes) - want) <= 1e-13 * max(1.0, want)
+
+
 def test_galerkin_reprojection_reproduces_coefficients():
     pb = _identity_problem()
     basis = SineBasis(1.0, 8)

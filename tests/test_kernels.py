@@ -1,10 +1,9 @@
-"""The RK4 wave stepper: numpy kernel against a reference, numba twin, blow-up guard."""
+"""The RK4 wave stepper: bit-for-bit against a reference stepper, blow-up guard."""
 
 import numpy as np
 import pytest
 
 from debondwave import kernels
-from debondwave.backend import NUMBA_ENABLED
 from debondwave.characteristics import CharScenario
 from debondwave.domains import Interval
 from debondwave.errors import BlowUp
@@ -109,7 +108,7 @@ def test_numpy_kernel_matches_reference_bit_for_bit(moving, forced, store_every)
     S = 2 * nsteps + 1 if moving else 1
     y, Bm, an, bn, gn = _coefficient_slices(n, S, moving, forced)
     dt = 0.5 / n
-    got = _run(kernels._fd_run_numpy, y, dt, nsteps, Bm, an, bn, gn, store_every)
+    got = _run(kernels.fd_run, y, dt, nsteps, Bm, an, bn, gn, store_every)
     ref = _run(_ref_run, y, dt, nsteps, Bm, an, bn, gn, store_every)
     assert got[0] == ref[0] == nsteps // store_every + 1
     for a, b in zip(got[1:], ref[1:]):
@@ -123,7 +122,7 @@ def test_numpy_kernel_chained_single_steps_match_reference():
     h = y[1] - y[0]
     dt = 0.5 / n
     states = []
-    for impl in (kernels._fd_run_numpy, _ref_run):
+    for impl in (kernels.fd_run, _ref_run):
         v, vd = _initial(y)
         out_v = np.empty((2, n + 1))
         out_vd = np.empty((2, n + 1))
@@ -137,48 +136,15 @@ def test_numpy_kernel_chained_single_steps_match_reference():
     assert np.array_equal(states[0][1], states[1][1])
 
 
-@pytest.mark.skipif(not NUMBA_ENABLED, reason="numba backend not active")
-def test_fd_run_backends_agree():
-    n = 64
-    h = 1.0 / n
-    dt = 0.5 * h
-    nsteps = 40
-    S = 2 * nsteps + 1
-    y = np.linspace(0.0, 1.0, n + 1)
-    ym = 0.5 * (y[:-1] + y[1:])
-    Bm = np.tile(1.0 - 0.3 * ym ** 2, (S, 1))
-    an = np.tile(0.1 * y, (S, 1))
-    bn = np.tile(0.2 * y, (S, 1))
-    gn = np.tile(np.sin(np.pi * y), (S, 1))
-
-    def run(impl):
-        v = np.sin(np.pi * y)
-        vd = 0.1 * np.random.default_rng(2).standard_normal(n + 1)
-        v[0] = v[-1] = vd[0] = vd[-1] = 0.0
-        out_v = np.empty((nsteps + 1, n + 1))
-        out_vd = np.empty((nsteps + 1, n + 1))
-        out_v[0] = v
-        out_vd[0] = vd
-        impl(v, vd, h, dt, nsteps, Bm, an, bn, gn, 1, out_v, out_vd)
-        return out_v, out_vd
-
-    va, da = run(kernels._fd_run_numba)
-    vb, db = run(kernels._fd_run_numpy)
-    assert np.max(np.abs(va - vb)) < 1e-13
-    assert np.max(np.abs(da - db)) < 1e-13
-
-
 # --- blow-up guard: a NaN state must count as a blow-up ---------------------
 
 
-@pytest.mark.parametrize("impl", [kernels._fd_run_numpy, kernels._fd_run_numba])
-def test_kernel_reports_nan_state_as_blowup(impl):
-    # without numba the twin is plain Python, so its guard runs here too
+def test_kernel_reports_nan_state_as_blowup():
     n, nsteps = 16, 5
     y, Bm, an, bn, gn = _coefficient_slices(n, 1, moving=False, forced=True)
     gn = gn.copy()
     gn[0, n // 2] = np.nan
-    status = _run(impl, y, 0.5 / n, nsteps, Bm, an, bn, gn, 1)[0]
+    status = _run(kernels.fd_run, y, 0.5 / n, nsteps, Bm, an, bn, gn, 1)[0]
     assert status == -1
 
 
