@@ -1,8 +1,11 @@
-"""Time the RK4 wave stepper, kernels.fd_run, in its two call patterns.
+"""Time the RK4 wave stepper in its two call patterns.
 
-Prints the best of three timings for one long run (as solve_fd makes it)
-and for 6144 chained single-step calls at n = 1024 (as the coupled front
-solver makes them for scenarios/debonding_constant.scn).  Usage:
+Prints the best of three timings for one long kernels.fd_run call (as
+solve_fd makes it) and for 6144 chained single-step runs of one
+kernels.Stepper at n = 1024 on three coefficient slices (as the coupled
+front solver makes them for scenarios/debonding_constant.scn; the solver
+also refills the slices in place before each step, which is not timed
+here).  Usage:
 
     python benchmarks/bench_kernels.py [--steps N] [--grid N]
 """
@@ -12,7 +15,7 @@ import time
 
 import numpy as np
 
-from debondwave.kernels import fd_run
+from debondwave.kernels import Stepper, fd_run
 
 
 def bench_fd(n, nsteps, repeats=3):
@@ -41,7 +44,7 @@ def bench_fd(n, nsteps, repeats=3):
 
 
 def bench_chain(n, nsteps, repeats=3):
-    """nsteps calls of one step each, the coupled solvers' call pattern."""
+    """nsteps single-step runs of one Stepper, the coupled solvers' pattern."""
     h = 1.0 / n
     dt = 0.45 * h
     y = np.linspace(0.0, 1.0, n + 1)
@@ -50,15 +53,15 @@ def bench_chain(n, nsteps, repeats=3):
     an = np.tile(-0.1 * y, (3, 1))
     bn = np.tile(0.2 * y, (3, 1))
     gn = np.zeros((3, n + 1))
-    out_v = np.empty((2, n + 1))
-    out_vd = np.empty((2, n + 1))
     best = np.inf
     for _ in range(repeats):
-        v = np.sin(np.pi * y)
-        vd = np.zeros(n + 1)
+        stepper = Stepper(h, dt, Bm, an, bn, gn)
+        v, vd = stepper.state
+        v[:] = np.sin(np.pi * y)
+        vd[:] = 0.0
         t0 = time.perf_counter()
         for _ in range(nsteps):
-            fd_run(v, vd, h, dt, 1, Bm, an, bn, gn, 1, out_v, out_vd)
+            stepper.run(1)
         best = min(best, time.perf_counter() - t0)
     return best
 

@@ -56,6 +56,9 @@ class Const(Expression):
         self.c = float(c)
 
     def __call__(self, x):
+        if isinstance(x, float):
+            # the scalar c * 1.0 of the array path, without np.ones_like
+            return np.float64(self.c)
         return self.c * np.ones_like(np.asarray(x, dtype=float))
 
     def deriv(self, x):

@@ -162,8 +162,15 @@ class Trajectory:
         def interp(F):
             return F[:, j] + w * (F[:, j + 1] - F[:, j])
 
-        grad = np.gradient(self.values, x, axis=1, edge_order=2)
-        return interp(self.values), interp(self.velocities), interp(grad)
+        # v_y: np.gradient over blocks of rows, not the whole (nt, n + 1)
+        # array at once; the rows are independent, so the bits are the same.
+        # Column-major like interp's results: the ledger's matmuls round by it
+        V = self.values
+        vy = np.empty((len(V), len(y)), order="F")
+        rows = max(1, (1 << 16) // len(x))
+        for r in range(0, len(V), rows):
+            vy[r:r + rows] = interp(np.gradient(V[r:r + rows], x, axis=1, edge_order=2))
+        return interp(V), interp(self.velocities), vy
 
 
 def integrate(system: GalerkinSystem, d0, ddot0, dt, T, store_every=1):

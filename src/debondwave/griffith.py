@@ -12,8 +12,10 @@ The coupled solvers use explicit staggered splitting: extract the front
 trace, apply the flow rule, advance the front by one Euler step, then
 advance the transformed PDE on the reference grid with the map rebuilt
 from the updated front; one loop serves the interval and the annulus.
-The 1d exact ODE from the characteristics module is the oracle for the
-constant-data scenario.
+The loop owns one ``kernels.Stepper`` for the whole run: its state is the
+solution, and each step refills the stepper's three coefficient slices in
+place.  The 1d exact ODE from the characteristics module is the oracle for
+the constant-data scenario.
 
 The radial supercritical run passes near the switch p^2 = 2 kappa at
 t = 0.31, so one ulp more PDE velocity per step moves its front speed by
@@ -346,12 +348,10 @@ class _Annulus:
 
 def _evolve_coupled(geo, p0, kap0, horizon, num, forcing, verdict):
     """Each step: front trace -> flow rule -> one RK4 step of the PDE with
-    the front at l + om (tau - t) -> Euler front advance."""
-    om = flow_rule(p0, kap0)
-    v, vd = geo.initial_state(om)
-    v[0] = v[-1] = 0.0
-    vd[0] = vd[-1] = 0.0
+    the front at l + om (tau - t) -> Euler front advance.
 
+    The run owns one ``kernels.Stepper``: v and vd are views of its state,
+    and each step refills its three coefficient slices in place."""
     n = num.n
     h = geo.L / n
     # reference characteristic speed is at most (1 + omega) l0 / ell <= 2
@@ -359,6 +359,16 @@ def _evolve_coupled(geo, p0, kap0, horizon, num, forcing, verdict):
     nsteps = int(np.ceil(horizon / dt - 1e-12))
     dt = horizon / nsteps
     window = slice(-3, None) if geo.side == "right" else slice(0, 3)
+
+    Bm = np.empty((3, n))
+    an, bn = np.empty((2, 3, n + 1))
+    gn = np.zeros((3, n + 1))
+    stepper = kernels.Stepper(h, dt, Bm, an, bn, gn)
+    v, vd = stepper.state
+    om = flow_rule(p0, kap0)
+    v[:], vd[:] = geo.initial_state(om)
+    v[0] = v[-1] = 0.0
+    vd[0] = vd[-1] = 0.0
 
     times, position, speed, trace, kappas = np.empty((5, nsteps + 1))
     times[0], position[0], speed[0], trace[0], kappas[0] = 0.0, geo.L, om, p0, kap0
@@ -371,10 +381,6 @@ def _evolve_coupled(geo, p0, kap0, horizon, num, forcing, verdict):
 
     pos = geo.L
     om_prev = om
-    Bm = np.empty((3, n))
-    an, bn = np.empty((2, 3, n + 1))
-    gn = np.zeros((3, n + 1))
-    out_v, out_vd = np.empty((2, 2, n + 1))
 
     for k in range(nsteps):
         t = k * dt
@@ -390,8 +396,7 @@ def _evolve_coupled(geo, p0, kap0, horizon, num, forcing, verdict):
         if forcing is not None:
             for j, frac in enumerate(_SLICES):
                 gn[j] = np.asarray(forcing(t + frac * dt, geo.nodes(pos_slices[j])), dtype=float)
-        status = kernels.fd_run(v, vd, h, dt, 1, Bm, an, bn, gn, 1, out_v, out_vd)
-        if status < 0:
+        if stepper.run(1) < 0:
             raise BlowUp(f"{geo.name} run blew up at step {k}")
         pos = pos + dt * om
         om_prev = om

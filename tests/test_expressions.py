@@ -51,3 +51,18 @@ def test_space_time_field_derivatives():
     assert abs(F.dtt(2.0, 3.0)) < 1e-14
     assert abs(F.dxx(2.0, 3.0) - 4.0) < 1e-14
     assert SpaceTimeField(Const(0.0)).is_zero()
+
+
+@pytest.mark.parametrize("c", [1.0, -2.5, -0.0, 1e300, np.nan])
+def test_const_scalar_path_keeps_the_array_path_bits(c):
+    k = Const(c)
+    for x in (0.7, np.float64(-3.0)):
+        want = k.c * np.ones_like(np.asarray(x, dtype=float))
+        got = k(x)
+        assert type(got) is type(want)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    for x in (np.linspace(0.0, 1.0, 5), np.ones((2, 3)), [1, 2], 3, np.array(0.5)):
+        want = k.c * np.ones_like(np.asarray(x, dtype=float))
+        got = np.asarray(k(x))
+        assert got.shape == np.shape(want) and got.dtype == want.dtype
+        assert got.tobytes() == np.asarray(want).tobytes()

@@ -211,3 +211,31 @@ def test_radial_solver_reproduces_manufactured_solution():
     i = len(run.traj.times) - 1
     exact = np.cos(run.traj.times[i]) * phi(run.traj.x)
     assert np.max(np.abs(run.traj.values[i] - exact)) < 1e-5
+
+
+# --- bit-for-bit pins of the coupled solvers --------------------------------
+# Any change in the rounding of the coefficient fill or of the RK4 step moves
+# these reprs; near t = 0.31 the radial run sits on the switch p^2 = 2 kappa,
+# where one ulp of PDE velocity per step moves the front speed by about 0.085.
+# The final trace p also sees the PDE after the radial front has stopped.
+
+
+def _front_pins(run):
+    f = run.front
+    i = int(np.argmin(np.abs(f.times - 0.31)))
+    return (repr(float(f.position[-1])), repr(float(f.speed[i])),
+            int(np.count_nonzero(run.report.activation)), repr(float(f.trace[-1])))
+
+
+def test_radial_supercritical_run_is_bit_for_bit():
+    u0, u1 = radial_data()
+    run = evolve_coupled_radial(2.0, 0.5, u0, u1, Const(1.0), horizon=0.4,
+                                numerics=CoupledNumerics(n=128, taper=0.0))
+    assert _front_pins(run) == ("0.6626877278081944", "0.038674767591575586", 181,
+                                 "-0.4275448696952554")
+
+
+def test_coupled_1d_run_is_bit_for_bit():
+    run = evolve_coupled_1d(constant_scenario(0.5), CoupledNumerics(n=64))
+    assert _front_pins(run) == ("1.3535533905932793", "0.7071067811865445", 73,
+                                 "-1.9999999999999931")

@@ -124,6 +124,56 @@ def test_eval_all_matches_eval_index():
                 assert np.max(np.abs(got[i] - want)) < 1e-13
 
 
+def _full_gradient_eval(traj, y):
+    # v_y the way eval_all took it before: np.gradient of the whole array
+    x = traj.x
+    j = np.clip(np.searchsorted(x, y, side="right") - 1, 0, len(x) - 2)
+    w = np.clip((y - x[j]) / (x[j + 1] - x[j]), 0.0, 1.0)
+    G = np.gradient(traj.values, x, axis=1, edge_order=2)
+    return G[:, j] + w * (G[:, j + 1] - G[:, j])
+
+
+@pytest.mark.parametrize("x", [
+    np.arange(41) * 0.25,          # equal diffs: numpy's uniform branch
+    np.linspace(0.0, 1.0, 41),     # unequal diffs in the last bit: nonuniform branch
+])
+def test_eval_all_gradient_matches_full_array_gradient(x):
+    d = np.diff(x)
+    assert (d == d[0]).all() == (x[1] == 0.25)
+    # more rows than one np.gradient block of eval_all, so block seams are hit
+    nt = 4000
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((nt, len(x)))
+    traj = Trajectory(kind="grid", times=np.arange(nt) * 0.1, values=values,
+                      velocities=values ** 2, L=x[-1], x=x)
+    # both end cells, every interior cell, nodes, and points clipped at the ends
+    y = np.concatenate([[-1.0, 0.0], x, 0.5 * (x[:-1] + x[1:]), [x[-1], 2 * x[-1]]])
+    got, want = traj.eval_all(y)[2], _full_gradient_eval(traj, y)
+    assert np.array_equal(got, want)
+    # the memory order too: a matmul on v_y sums in an order set by it
+    assert got.flags.f_contiguous == want.flags.f_contiguous
+
+
+def test_eval_all_gradient_transient_stays_small():
+    import tracemalloc
+
+    nt, n = 2000, 800
+    x = np.linspace(0.0, 1.0, n + 1)
+    values = np.random.default_rng(6).standard_normal((nt, n + 1))
+    traj = Trajectory(kind="grid", times=np.arange(nt) * 0.01, values=values,
+                      velocities=values, L=1.0, x=x)
+    y, _ = gauss_legendre_panels(1.0, 2, 10)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = traj.eval_all(y)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for a in out)
+    assert peak - held < 0.25 * values.nbytes
+
+
 def test_trajectory_eval_refuses_times_between_samples():
     grid, _ = _grid_and_modal_trajectories()
     ys = np.linspace(0.0, 1.0, 5)

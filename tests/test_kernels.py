@@ -116,24 +116,27 @@ def test_numpy_kernel_matches_reference_bit_for_bit(moving, forced, store_every)
 
 
 def test_numpy_kernel_chained_single_steps_match_reference():
-    # the coupled-solver pattern: one step per call on three fresh slices
+    # the coupled-solver pattern: one Stepper bound to three slices that the
+    # caller refills in place before every single-step run; a stepper that
+    # copied its buffers would step on the uninitialised ones
     n, nsteps = 64, 30
     y, Bm, an, bn, gn = _coefficient_slices(n, 2 * nsteps + 1, moving=True, forced=True)
     h = y[1] - y[0]
     dt = 0.5 / n
-    states = []
-    for impl in (kernels.fd_run, _ref_run):
-        v, vd = _initial(y)
-        out_v = np.empty((2, n + 1))
-        out_vd = np.empty((2, n + 1))
-        for k in range(nsteps):
-            sl = slice(2 * k, 2 * k + 3)
-            status = impl(v, vd, h, dt, 1, Bm[sl], an[sl], bn[sl], gn[sl], 1, out_v, out_vd)
-            assert status == 2
-            assert np.array_equal(out_v[1], v) and np.array_equal(out_vd[1], vd)
-        states.append((v, vd))
-    assert np.array_equal(states[0][0], states[1][0])
-    assert np.array_equal(states[0][1], states[1][1])
+    B3 = np.empty((3, n))
+    a3, b3, g3 = np.empty((3, 3, n + 1))
+    stepper = kernels.Stepper(h, dt, B3, a3, b3, g3)
+    v, vd = _initial(y)
+    stepper.state[0] = v
+    stepper.state[1] = vd
+    out_v, out_vd, ref_v, ref_vd = np.empty((4, 2, n + 1))
+    for k in range(nsteps):
+        sl = slice(2 * k, 2 * k + 3)
+        B3[:], a3[:], b3[:], g3[:] = Bm[sl], an[sl], bn[sl], gn[sl]
+        assert stepper.run(1, 1, out_v, out_vd) == 2
+        assert _ref_run(v, vd, h, dt, 1, Bm[sl], an[sl], bn[sl], gn[sl], 1, ref_v, ref_vd) == 2
+        assert np.array_equal(stepper.state[0], v) and np.array_equal(stepper.state[1], vd)
+        assert np.array_equal(out_v[1], ref_v[1]) and np.array_equal(out_vd[1], ref_vd[1])
 
 
 # --- blow-up guard: a NaN state must count as a blow-up ---------------------
@@ -146,6 +149,24 @@ def test_kernel_reports_nan_state_as_blowup():
     gn[0, n // 2] = np.nan
     status = _run(kernels.fd_run, y, 0.5 / n, nsteps, Bm, an, bn, gn, 1)[0]
     assert status == -1
+
+
+@pytest.mark.parametrize("moving, slot, status", [
+    (False, 0, -1),   # the frozen slice serves the first step
+    (True, 5, -3),    # the half-step slice of step 2
+    (True, 6, -4),    # the end slice of step 2: NaN reaches v one step later
+])
+def test_stepper_and_fd_run_report_the_same_nan_blowup(moving, slot, status):
+    n, nsteps = 16, 5
+    y, Bm, an, bn, gn = _coefficient_slices(n, 2 * nsteps + 1 if moving else 1,
+                                             moving=moving, forced=True)
+    gn = gn.copy()
+    gn[slot, n // 2] = np.nan
+    dt = 0.5 / n
+    stepper = kernels.Stepper(y[1] - y[0], dt, Bm, an, bn, gn)
+    stepper.state[:] = _initial(y)
+    assert stepper.run(nsteps) == status
+    assert _run(kernels.fd_run, y, dt, nsteps, Bm, an, bn, gn, 1)[0] == status
 
 
 def test_solve_fd_raises_blowup_on_nan_coefficient():
