@@ -1,11 +1,13 @@
-"""Time the RK4 wave stepper in its two call patterns.
+"""Time the RK4 wave stepper in its two call patterns, and the modal RK4.
 
 Prints the best of three timings for one long kernels.fd_run call (as
-solve_fd makes it) and for 6144 chained single-step runs of one
+solve_fd makes it), for 6144 chained single-step runs of one
 kernels.Stepper at n = 1024 on three coefficient slices (as the coupled
 front solver makes them for scenarios/debonding_constant.scn; the solver
 also refills the slices in place before each step, which is not timed
-here).  Usage:
+here) and for one solve_transformed_modal call on the criterion-4
+problem (l(t) = 1 + t/2, v0 = sin(pi y), m = 64, dt = 5e-4, T = 1,
+assembly and projection included).  Usage:
 
     python benchmarks/bench_kernels.py [--steps N] [--grid N]
 """
@@ -15,7 +17,11 @@ import time
 
 import numpy as np
 
+from debondwave.expressions import Affine
+from debondwave.galerkin import solve_transformed_modal
 from debondwave.kernels import Stepper, fd_run
+from debondwave.motion import one_d_scaling
+from debondwave.transform import PulledBackProblem
 
 
 def bench_fd(n, nsteps, repeats=3):
@@ -66,6 +72,18 @@ def bench_chain(n, nsteps, repeats=3):
     return best
 
 
+def bench_modal(m, nsteps, repeats=3):
+    """One modal solve of the criterion-4 problem over T = 1."""
+    problem = PulledBackProblem(one_d_scaling(Affine(1.0, 0.5), 1.0))
+    best = np.inf
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        solve_transformed_modal(problem, 1.0, lambda y: np.sin(np.pi * y),
+                                lambda y: np.zeros_like(y), m=m, dt=1.0 / nsteps, T=1.0)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--steps", type=int, default=4000)
@@ -73,7 +91,8 @@ def main():
     args = ap.parse_args()
 
     cases = (("wave stepper", bench_fd, args.grid, args.steps),
-             ("1-step chain", bench_chain, 1024, 6144))
+             ("1-step chain", bench_chain, 1024, 6144),
+             ("modal RK4", bench_modal, 64, 2000))
     print(f"{'kernel':<22} {'best time (s)':>14}")
     for name, bench, n, steps in cases:
         print(f"{name:<22} {bench(n, steps):>14.4f}")

@@ -13,10 +13,19 @@ b = (lam'/lam) y, so the matrices are affine in three fixed ones,
 
     K0 = <w'_l, w'_k>,   K2 = <y^2 w'_l, w'_k>,   A1 = <y w'_l, w_k>,
 
-assembled once by composite Gauss-Legendre quadrature and combined with
-scalar weights at every stage (the affine decomposition of reduced-basis
-methods).  Only a forcing needs a quadrature matvec per stage.  Time
-integration is classical fixed-step RK4.
+assembled once by composite Gauss-Legendre quadrature (the affine
+decomposition of reduced-basis methods).  With r = lam'/lam the
+acceleration is
+
+    d'' = -K0 d / lam^2 + r^2 K2 d + (lam''/lam) A1 d + 2 r A1 d' + g,
+
+fixed products combined with scalar weights.  Time integration is
+classical fixed-step RK4.  ``integrate`` calls ``stretch`` once for the
+weights of every stage time (and projects a forcing for all of them in
+row blocks), then steps the stacked state X = (d, d'): each stage is two
+matmuls, X @ [K0; K2; A1]^T giving the six products K0 x, K2 x, A1 x for
+x = d, d', and their sum weighted by (-1/lam^2, r^2, lam''/lam, 0, 0, 2r).
+No m x m array is formed while stepping.
 """
 
 from dataclasses import dataclass, field
@@ -24,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BlowUp, QuadratureFailure
+from .kernels import BLOWUP_LIMIT
 
 
 def gauss_legendre_panels(L, panels, nodes):
@@ -66,8 +76,8 @@ class SineBasis:
 
 
 class GalerkinSystem:
-    """Time-dependent projected matrices from the fixed affine pieces,
-    integrated by nodes-point Gauss on max(8, m) panels."""
+    """The fixed affine pieces of the projected system, integrated by
+    nodes-point Gauss on max(8, m) panels, and its stage acceleration."""
 
     def __init__(self, basis: SineBasis, problem, nodes=10):
         self.basis = basis
@@ -79,27 +89,63 @@ class GalerkinSystem:
         self.K0 = self.Wp.T @ wWp
         self.K2 = self.Wp.T @ ((self.yq * self.yq)[:, None] * wWp)
         self.A1 = self.W.T @ (self.yq[:, None] * wWp)
-        self._zero = np.zeros(basis.m)
+        # X @ op for a stacked (2, m) state X = (d, d') is (2, 3m): the rows
+        # (K0 x, K2 x, A1 x) for x = d and for x = d'
+        self.op = np.hstack((self.K0.T, self.K2.T, self.A1.T))
+        self._products = np.empty((2, 3 * basis.m))
+        self._rows = self._products.reshape(6, basis.m)
 
-    def matrices(self, t):
-        """(Bmat, amat, bmat, gvec) with [k, l] = <.. w_l, w_k> pairing."""
-        lam, dlam, ddlam = self.problem.fam.stretch(t)
-        if not np.all(np.isfinite((lam, dlam, ddlam))):
-            raise QuadratureFailure(f"non-finite coefficients at t = {t}")
+    def stage_weights(self, ts):
+        """(S, 6) stage weights at the S times ts from one stretch call, one
+        per product (K0 d, K2 d, A1 d, K0 d', K2 d', A1 d'):
+        (-1/lam^2, (lam'/lam)^2, lam''/lam, 0, 0, 2 lam'/lam).
+
+        Raises QuadratureFailure naming the first t with a non-finite
+        stretch value.
+        """
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+        lam, dlam, ddlam = np.broadcast_arrays(ts, *self.problem.fam.stretch(ts))[1:]
+        bad = ~(np.isfinite(lam) & np.isfinite(dlam) & np.isfinite(ddlam))
+        if bad.any():
+            raise QuadratureFailure(f"non-finite coefficients at t = {ts[np.argmax(bad)]}")
         rate = dlam / lam
-        Bmat = self.K0 / (lam * lam) - (rate * rate) * self.K2
-        amat = (-ddlam / lam) * self.A1
-        bmat = rate * self.A1
-        if self.problem.forcing is None:
-            return Bmat, amat, bmat, self._zero
-        _, _, _, g = self.problem.line(t, self.yq, out=(None, None, None, np.empty(len(self.yq))))
-        if not np.all(np.isfinite(g)):
-            raise QuadratureFailure(f"non-finite forcing at t = {t}")
-        return Bmat, amat, bmat, self.W.T @ (self.wq * g)
+        w = np.zeros((len(ts), 6))
+        w[:, 0] = -1.0 / (lam * lam)
+        w[:, 1] = rate * rate
+        w[:, 2] = ddlam / lam
+        w[:, 5] = 2.0 * rate
+        return w
 
-    def rhs(self, t, d, ddot):
-        Bmat, amat, bmat, gvec = self.matrices(t)
-        return 2.0 * (bmat @ ddot) - (Bmat + amat) @ d + gvec
+    def projected_forcing(self, ts):
+        """(S, m) projected forcing <g(t), w_k> at the S times ts, or None
+        without a forcing.  The quadrature values are taken in blocks of
+        rows, so the transient stays bounded."""
+        if self.problem.forcing is None:
+            return None
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+        G = np.empty((len(ts), self.basis.m))
+        rows = max(1, (1 << 16) // len(self.yq))
+        buf = np.empty((min(rows, len(ts)), len(self.yq)))
+        for r in range(0, len(ts), rows):
+            block = ts[r:r + rows]
+            g = buf[:len(block)]
+            self.problem.line(block, self.yq, out=(None, None, None, g))
+            finite = np.isfinite(g).all(axis=1)
+            if not finite.all():
+                raise QuadratureFailure(f"non-finite forcing at t = {block[np.argmin(finite)]}")
+            np.multiply(g, self.wq, out=g)
+            np.matmul(g, self.W, out=G[r:r + rows])
+        return G
+
+    def accel(self, X, w, g, out):
+        """d'' of the stacked (2, m) state X = (d, d') into out, for stage
+        weights w (one row of ``stage_weights``) and projected forcing g (or
+        None): two matmuls, the six products X @ op and their weighted sum."""
+        np.dot(X, self.op, out=self._products)
+        np.dot(w, self._rows, out=out)
+        if g is not None:
+            np.add(out, g, out=out)
+        return out
 
 
 @dataclass
@@ -174,45 +220,69 @@ class Trajectory:
 
 
 def integrate(system: GalerkinSystem, d0, ddot0, dt, T, store_every=1):
-    """RK4 on the projected system; the trajectory stores every step."""
+    """RK4 on the projected system; the trajectory stores every
+    store_every-th step.  Step k samples t_k = k dt, t_k + dt/2 and
+    t_k + dt; the weights (and a forcing) of all 3 nsteps stage times are
+    evaluated before the first step."""
     m = system.basis.m
-    d = np.array(d0, dtype=float).reshape(m)
-    dd = np.array(ddot0, dtype=float).reshape(m)
     nsteps = int(round(T / dt))
     if abs(nsteps * dt - T) > 1e-9 * max(1.0, T):
         nsteps = int(np.ceil(T / dt - 1e-12))
     if nsteps % store_every:
         raise ValueError("store_every must divide the step count")
+    tk = np.arange(nsteps) * dt
+    ts = np.stack((tk, tk + 0.5 * dt, tk + dt), axis=1).reshape(-1)
+    weights = system.stage_weights(ts)
+    G = system.projected_forcing(ts)
+    if G is None:
+        G = [None] * len(ts)
+
+    # W[s] = (d_s, d'_s, d''_s) at RK4 stage s: rows 0-1 are the stage state
+    # and rows 1-2 its time derivative, so the state is W[0, :2] and the
+    # four stage derivatives are K = W[:, 1:]
+    W = np.empty((4, 3, m))
+    X, S1, S2, S3 = (W[s, :2] for s in range(4))
+    a0, a1, a2, a3 = W[:, 2]
+    K0, K1, K2, K3 = K = W[:, 1:]
+    K12 = K[1:3]
+    X[0] = np.asarray(d0, dtype=float).reshape(m)
+    X[1] = np.asarray(ddot0, dtype=float).reshape(m)
+    half, sixth = 0.5 * dt, dt / 6.0
+    accel = system.accel
+
     nstored = nsteps // store_every + 1
-    times = np.empty(nstored)
+    times = (np.arange(nstored) * store_every) * dt
     vals = np.empty((nstored, m))
     vels = np.empty((nstored, m))
-    times[0] = 0.0
-    vals[0] = d
-    vels[0] = dd
+    vals[0] = X[0]
+    vels[0] = X[1]
     stored = 1
-    t = 0.0
     for k in range(nsteps):
-        k1d, k1v = dd, system.rhs(t, d, dd)
-        d2 = d + 0.5 * dt * k1d
-        v2 = dd + 0.5 * dt * k1v
-        k2d, k2v = v2, system.rhs(t + 0.5 * dt, d2, v2)
-        d3 = d + 0.5 * dt * k2d
-        v3 = dd + 0.5 * dt * k2v
-        k3d, k3v = v3, system.rhs(t + 0.5 * dt, d3, v3)
-        d4 = d + dt * k3d
-        v4 = dd + dt * k3v
-        k4d, k4v = v4, system.rhs(t + dt, d4, v4)
-        d = d + (dt / 6.0) * (k1d + 2 * k2d + 2 * k3d + k4d)
-        dd = dd + (dt / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        t = (k + 1) * dt
-        norm = float(np.max(np.abs(d)))
-        if not np.isfinite(norm) or norm > 1.0e12:
-            raise BlowUp(f"modal state norm {norm} at t = {t}; shrink dt")
+        j = 3 * k
+        accel(X, weights[j], G[j], a0)
+        np.multiply(K0, half, out=S1)
+        np.add(X, S1, out=S1)
+        accel(S1, weights[j + 1], G[j + 1], a1)
+        np.multiply(K1, half, out=S2)
+        np.add(X, S2, out=S2)
+        accel(S2, weights[j + 1], G[j + 1], a2)
+        np.multiply(K2, dt, out=S3)
+        np.add(X, S3, out=S3)
+        accel(S3, weights[j + 2], G[j + 2], a3)
+        # X += (dt/6) (((K0 + 2 K1) + 2 K2) + K3), summed into K1
+        np.multiply(K12, 2.0, out=K12)
+        np.add(K0, K1, out=K1)
+        np.add(K1, K2, out=K1)
+        np.add(K1, K3, out=K1)
+        np.multiply(K1, sixth, out=K1)
+        np.add(X, K1, out=X)
+        # both rows, and not (max <= limit): a NaN state is a blow-up too
+        norm = np.maximum.reduce(np.abs(X, out=S1), axis=None)
+        if not norm <= BLOWUP_LIMIT:
+            raise BlowUp(f"modal state norm {norm} at t = {(k + 1) * dt}; shrink dt")
         if (k + 1) % store_every == 0:
-            times[stored] = t
-            vals[stored] = d
-            vels[stored] = dd
+            vals[stored] = X[0]
+            vels[stored] = X[1]
             stored += 1
     return Trajectory(
         kind="modal", times=times, values=vals, velocities=vels,

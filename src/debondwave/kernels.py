@@ -54,7 +54,7 @@ class Stepper:
         # scalars as 0-d arrays: the same float64 arithmetic, less call overhead
         inv_h2, inv_2h, two, half, full, sixth = (
             np.array(x) for x in (1.0 / (h * h), 0.5 / h, 2.0, 0.5 * dt, dt, dt / 6.0))
-        v, edges, absv = X[0], X[:, ::n1 - 1], S1[0]
+        edges = X[:, ::n1 - 1]
 
         def rhs(views, j):
             # acc = d/dy(B v_y) - a v_y + 2 b vd_y + g, each term rounded in
@@ -94,8 +94,9 @@ class Stepper:
             np.multiply(K1, sixth, out=K1)
             np.add(X, K1, out=X)
             edges.fill(0.0)
-            # not (max <= limit): a NaN state is a blow-up too
-            return np.maximum.reduce(np.abs(v, out=absv)) <= BLOWUP_LIMIT
+            # both rows, so a NaN velocity from the end slice counts at this
+            # step; not (max <= limit): a NaN state is a blow-up too
+            return np.maximum.reduce(np.abs(X, out=S1), axis=None) <= BLOWUP_LIMIT
 
         self._step = step
         self._stride = 0 if Bm.shape[0] == 1 else 1

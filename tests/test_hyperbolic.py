@@ -3,8 +3,8 @@ import pytest
 
 from debondwave.cylinder import solve_cylinder
 from debondwave.domains import Interval
-from debondwave.errors import BlowUp, CflViolation, NotMonotone
-from debondwave.expressions import Affine, Poly, SineMode, SpaceTimeField
+from debondwave.errors import BlowUp, CflViolation, NotMonotone, QuadratureFailure
+from debondwave.expressions import Affine, Const, Poly, SineMode, SpaceTimeField
 from debondwave.fd import solve_fd
 from debondwave.galerkin import (
     GalerkinSystem,
@@ -52,27 +52,50 @@ def test_eigenfunction_projection_identity():
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
+def _stage_accel(system, t, d, dd):
+    """The integrator's stage acceleration at one time t."""
+    w = system.stage_weights([t])[0]
+    G = system.projected_forcing([t])
+    out = np.empty(system.basis.m)
+    return system.accel(np.stack((d, dd)), w, None if G is None else G[0], out)
+
+
+def _direct_accel(system, t, d, dd):
+    """2 b d' - (B + a) d + g with each matrix by direct quadrature of line()."""
+    W, Wp, wq = system.W, system.Wp, system.wq
+    B, a, b, g = system.problem.line(t, system.yq)
+    Bmat = Wp.T @ ((wq * B)[:, None] * Wp)
+    amat = W.T @ ((wq * a)[:, None] * Wp)
+    bmat = W.T @ ((wq * b)[:, None] * Wp)
+    return 2.0 * (bmat @ dd) - (Bmat + amat) @ d + W.T @ (wq * g)
+
+
+def _random_state(m, seed=0):
+    d, dd = np.random.default_rng(seed).standard_normal((2, m))
+    return d, dd
+
+
 def test_assemble_identity_matrices():
+    # identity family: d'' = -diag(eigenvalues) d, no drift, no forcing
     basis = SineBasis(1.0, 3)
     system = GalerkinSystem(basis, _identity_problem())
-    Bmat, amat, bmat, gvec = system.matrices(0.3)
-    assert np.max(np.abs(Bmat - np.diag(basis.eigenvalues))) < 1e-12
-    assert np.max(np.abs(amat)) < 1e-9
-    assert np.max(np.abs(bmat)) < 1e-12
-    assert np.max(np.abs(gvec)) < 1e-12
+    d, dd = _random_state(3)
+    assert np.max(np.abs(_stage_accel(system, 0.3, d, dd) + basis.eigenvalues * d)) < 1e-12
+    assert np.max(np.abs(_stage_accel(system, 0.3, np.zeros(3), dd))) < 1e-9
 
 
 def test_assembly_against_brute_force_quadrature():
-    # B_11(0) for the scaling family, oracle: 10^6-node trapezoid rule
+    # B_11(0) for the scaling family, oracle: 10^6-node trapezoid rule;
+    # at t = 0 with d = e_1, d' = 0 and lam'' = 0, d''_1 = -B_11
     fam = one_d_scaling(Affine(1.0, 0.5), 1.0)
     basis = SineBasis(1.0, 4)
     system = GalerkinSystem(basis, PulledBackProblem(fam))
-    Bmat, _, _, _ = system.matrices(0.0)
+    B11 = -_stage_accel(system, 0.0, np.eye(4)[0], np.zeros(4))[0]
     y = np.linspace(0.0, 1.0, 1_000_001)
     Bvals = 1.0 - (0.5 * y) ** 2
     w1p = np.sqrt(2.0) * np.pi * np.cos(np.pi * y)
     oracle = np.trapezoid(Bvals * w1p * w1p, y)
-    assert abs(Bmat[0, 0] - oracle) < 1e-8
+    assert abs(B11 - oracle) < 1e-8
 
 
 def test_quadrature_insensitive_to_node_doubling():
@@ -80,9 +103,10 @@ def test_quadrature_insensitive_to_node_doubling():
     basis = SineBasis(1.0, 8)
     coarse = GalerkinSystem(basis, PulledBackProblem(fam), nodes=10)
     fine = GalerkinSystem(basis, PulledBackProblem(fam), nodes=20)
+    d, dd = _random_state(8)
     for t in (0.0, 0.6):
-        for a, b in zip(coarse.matrices(t), fine.matrices(t)):
-            assert np.max(np.abs(a - b)) < 1e-10
+        a, b = _stage_accel(coarse, t, d, dd), _stage_accel(fine, t, d, dd)
+        assert np.max(np.abs(a - b)) < 1e-10
 
 
 @pytest.mark.parametrize("forcing", [None, SpaceTimeField(SineMode(1.0, 2).bound(1.0),
@@ -90,13 +114,10 @@ def test_quadrature_insensitive_to_node_doubling():
 def test_affine_matrices_match_direct_quadrature(forcing):
     pb = PulledBackProblem(one_d_scaling(Poly(1.0, 0.3, 0.1), 1.0), forcing=forcing)
     system = GalerkinSystem(SineBasis(1.0, 8), pb)
-    W, Wp, wq = system.W, system.Wp, system.wq
+    d, dd = _random_state(8)
     for t in (0.0, 0.45, 1.0):
-        B, a, b, g = pb.line(t, system.yq)
-        direct = (Wp.T @ ((wq * B)[:, None] * Wp), W.T @ ((wq * a)[:, None] * Wp),
-                  W.T @ ((wq * b)[:, None] * Wp), W.T @ (wq * g))
-        for got, want in zip(system.matrices(t), direct):
-            assert np.max(np.abs(got - want)) < 1e-12
+        got, want = _stage_accel(system, t, d, dd), _direct_accel(system, t, d, dd)
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
 # --- trajectories -------------------------------------------------------------
@@ -215,6 +236,93 @@ def test_modal_blowup_guard():
     with pytest.raises(BlowUp):
         integrate(GalerkinSystem(SineBasis(1.0, 3), _identity_problem()),
                   np.array([1.0, 0.0, 0.0]), np.zeros(3), dt=1.0, T=60.0)
+
+
+def test_modal_blowup_guard_reads_the_velocity_row():
+    # d stays near 2e9 after one step while d' is still 2e12
+    system = GalerkinSystem(SineBasis(1.0, 3), _identity_problem())
+    with pytest.raises(BlowUp, match="at t = 0.001;"):
+        integrate(system, np.zeros(3), np.array([2e12, 0.0, 0.0]), dt=1e-3, T=0.01)
+
+
+class _NanWindow(Poly):
+    """A profile that is NaN on (0.22, 0.28) only."""
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.where((x > 0.22) & (x < 0.28), np.nan, super().__call__(x))
+
+
+@pytest.mark.parametrize("where", ["stretch", "forcing"])
+def test_modal_non_finite_stage_time_raises(where):
+    # dt = 0.1: the window holds one stage time, 0.2 + 0.05 (mid-step of step 2)
+    if where == "stretch":
+        pb = PulledBackProblem(one_d_scaling(_NanWindow(1.0, 0.3), 1.0))
+        what = "coefficients"
+    else:
+        pb = PulledBackProblem(one_d_scaling(Poly(1.0, 0.3), 1.0),
+                               SpaceTimeField(Const(1.0), _NanWindow(1.0)))
+        what = "forcing"
+    system = GalerkinSystem(SineBasis(1.0, 4), pb)
+    with pytest.raises(QuadratureFailure, match=f"non-finite {what} at t = 0.25$"):
+        integrate(system, np.ones(4), np.zeros(4), dt=0.1, T=0.5)
+
+
+def _ref_accel(system, t, d, dd):
+    """The per-stage matrices of the stage-by-stage integrator."""
+    lam, dlam, ddlam = system.problem.fam.stretch(t)
+    rate = dlam / lam
+    Bmat = system.K0 / (lam * lam) - (rate * rate) * system.K2
+    amat = (-ddlam / lam) * system.A1
+    bmat = rate * system.A1
+    gvec = 0.0
+    if system.problem.forcing is not None:
+        g = system.problem.line(t, system.yq)[3]
+        gvec = system.W.T @ (system.wq * g)
+    return 2.0 * (bmat @ dd) - (Bmat + amat) @ d + gvec
+
+
+def _ref_integrate(system, d, dd, dt, T, store_every):
+    """Reference: RK4 with the matrices formed at every stage."""
+    nsteps = int(round(T / dt))
+    vals, vels, times = [d], [dd], [0.0]
+    t = 0.0
+    for k in range(nsteps):
+        k1d, k1v = dd, _ref_accel(system, t, d, dd)
+        d2 = d + 0.5 * dt * k1d
+        v2 = dd + 0.5 * dt * k1v
+        k2d, k2v = v2, _ref_accel(system, t + 0.5 * dt, d2, v2)
+        d3 = d + 0.5 * dt * k2d
+        v3 = dd + 0.5 * dt * k2v
+        k3d, k3v = v3, _ref_accel(system, t + 0.5 * dt, d3, v3)
+        d4 = d + dt * k3d
+        v4 = dd + dt * k3v
+        k4d, k4v = v4, _ref_accel(system, t + dt, d4, v4)
+        d = d + (dt / 6.0) * (k1d + 2 * k2d + 2 * k3d + k4d)
+        dd = dd + (dt / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        t = (k + 1) * dt
+        if (k + 1) % store_every == 0:
+            vals.append(d)
+            vels.append(dd)
+            times.append(t)
+    return np.array(times), np.array(vals), np.array(vels)
+
+
+@pytest.mark.parametrize("problem", [
+    PulledBackProblem(one_d_scaling(Poly(1.0, 0.3, 0.1), 1.0)),
+    PulledBackProblem(identity_motion(Interval(1.0), 1.0)),
+    PulledBackProblem(one_d_scaling(Poly(1.0, 0.3, 0.1), 1.0),
+                      SpaceTimeField(SineMode(1.0, 2).bound(1.0), Poly(0.5, 1.0, -0.3))),
+], ids=["scaling", "identity", "forced"])
+def test_integrate_matches_per_stage_matrix_loop(problem):
+    system = GalerkinSystem(SineBasis(1.0, 8), problem)
+    d0, dd0 = _random_state(8, seed=1)
+    traj = integrate(system, d0, dd0, dt=2e-3, T=0.4, store_every=4)
+    times, vals, vels = _ref_integrate(system, d0, dd0, 2e-3, 0.4, 4)
+    assert np.array_equal(traj.times, times)
+    for got, want in ((traj.values, vals), (traj.velocities, vels)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 # --- grid solver ---------------------------------------------------------------

@@ -154,7 +154,7 @@ def test_kernel_reports_nan_state_as_blowup():
 @pytest.mark.parametrize("moving, slot, status", [
     (False, 0, -1),   # the frozen slice serves the first step
     (True, 5, -3),    # the half-step slice of step 2
-    (True, 6, -4),    # the end slice of step 2: NaN reaches v one step later
+    (True, 6, -3),    # the end slice of step 2: NaN velocity, caught at step 2
 ])
 def test_stepper_and_fd_run_report_the_same_nan_blowup(moving, slot, status):
     n, nsteps = 16, 5
