@@ -22,18 +22,15 @@ def solve_fd(problem, L, n, v0, v1, dt, T, store_every=1):
     """Solve the transformed problem on n cells over (0, L) up to time T.
 
     v0, v1 are callables; the trajectory stores nodal values each
-    store_every steps.  Raises CflViolation or BlowUp.
+    store_every steps, and dt is the one ``kernels.step_count`` gives.
+    Raises CflViolation or BlowUp.
     """
     if n < 8:
         raise ValueError("need at least 8 grid cells")
     h = L / n
     x = np.linspace(0.0, L, n + 1)
     xm = 0.5 * (x[:-1] + x[1:])
-    nsteps = int(round(T / dt))
-    if abs(nsteps * dt - T) > 1e-9 * max(1.0, T):
-        nsteps = int(np.ceil(T / dt - 1e-12))
-    if nsteps % store_every:
-        raise ValueError("store_every must divide the step count")
+    nsteps, dt = kernels.step_count(dt, T, store_every)
 
     # every half-step coefficient slice at once, filled in place
     S = 2 * nsteps + 1

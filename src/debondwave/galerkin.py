@@ -19,13 +19,14 @@ acceleration is
 
     d'' = -K0 d / lam^2 + r^2 K2 d + (lam''/lam) A1 d + 2 r A1 d' + g,
 
-fixed products combined with scalar weights.  Time integration is
-classical fixed-step RK4.  ``integrate`` calls ``stretch`` once for the
-weights of every stage time (and projects a forcing for all of them in
-row blocks), then steps the stacked state X = (d, d'): each stage is two
-matmuls, X @ [K0; K2; A1]^T giving the six products K0 x, K2 x, A1 x for
-x = d, d', and their sum weighted by (-1/lam^2, r^2, lam''/lam, 0, 0, 2r).
-No m x m array is formed while stepping.
+fixed products combined with scalar weights.  ``integrate`` reads the
+stretch rates once for the weights of every stage time (and projects a
+forcing for all of them in row blocks), then hands the stacked state
+X = (d, d') to the shared RK4 driver, ``kernels.RK4``, with
+``GalerkinSystem.accel`` as its acceleration: two matmuls a stage,
+X @ [K0; K2; A1]^T giving the six products K0 x, K2 x, A1 x for x = d, d',
+and their sum weighted by (-1/lam^2, r^2, lam''/lam, 0, 0, 2r).  No m x m
+array is formed while stepping.
 """
 
 from dataclasses import dataclass, field
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BlowUp, QuadratureFailure
-from .kernels import BLOWUP_LIMIT
+from .kernels import RK4, step_count
 
 
 def gauss_legendre_panels(L, panels, nodes):
@@ -96,23 +97,22 @@ class GalerkinSystem:
         self._rows = self._products.reshape(6, basis.m)
 
     def stage_weights(self, ts):
-        """(S, 6) stage weights at the S times ts from one stretch call, one
+        """(S, 6) stage weights at the S times ts from one ``rates`` call, one
         per product (K0 d, K2 d, A1 d, K0 d', K2 d', A1 d'):
         (-1/lam^2, (lam'/lam)^2, lam''/lam, 0, 0, 2 lam'/lam).
 
         Raises QuadratureFailure naming the first t with a non-finite
-        stretch value.
+        stretch rate.
         """
         ts = np.asarray(ts, dtype=float).reshape(-1)
-        lam, dlam, ddlam = np.broadcast_arrays(ts, *self.problem.fam.stretch(ts))[1:]
-        bad = ~(np.isfinite(lam) & np.isfinite(dlam) & np.isfinite(ddlam))
+        lam, rate, accel = np.broadcast_arrays(ts, *self.problem.rates(ts))[1:]
+        bad = ~(np.isfinite(lam) & np.isfinite(rate) & np.isfinite(accel))
         if bad.any():
             raise QuadratureFailure(f"non-finite coefficients at t = {ts[np.argmax(bad)]}")
-        rate = dlam / lam
         w = np.zeros((len(ts), 6))
         w[:, 0] = -1.0 / (lam * lam)
         w[:, 1] = rate * rate
-        w[:, 2] = ddlam / lam
+        w[:, 2] = accel
         w[:, 5] = 2.0 * rate
         return w
 
@@ -220,16 +220,13 @@ class Trajectory:
 
 
 def integrate(system: GalerkinSystem, d0, ddot0, dt, T, store_every=1):
-    """RK4 on the projected system; the trajectory stores every
-    store_every-th step.  Step k samples t_k = k dt, t_k + dt/2 and
-    t_k + dt; the weights (and a forcing) of all 3 nsteps stage times are
-    evaluated before the first step."""
+    """RK4 on the projected system: one ``kernels.RK4`` run whose
+    acceleration is ``system.accel``.  The trajectory stores every
+    store_every-th step; dt is the one ``step_count`` gives.  Step k samples
+    t_k = k dt, t_k + dt/2 and t_k + dt; the weights (and a forcing) of all
+    3 nsteps stage times are evaluated before the first step."""
     m = system.basis.m
-    nsteps = int(round(T / dt))
-    if abs(nsteps * dt - T) > 1e-9 * max(1.0, T):
-        nsteps = int(np.ceil(T / dt - 1e-12))
-    if nsteps % store_every:
-        raise ValueError("store_every must divide the step count")
+    nsteps, dt = step_count(dt, T, store_every)
     tk = np.arange(nsteps) * dt
     ts = np.stack((tk, tk + 0.5 * dt, tk + dt), axis=1).reshape(-1)
     weights = system.stage_weights(ts)
@@ -237,56 +234,26 @@ def integrate(system: GalerkinSystem, d0, ddot0, dt, T, store_every=1):
     if G is None:
         G = [None] * len(ts)
 
-    # W[s] = (d_s, d'_s, d''_s) at RK4 stage s: rows 0-1 are the stage state
-    # and rows 1-2 its time derivative, so the state is W[0, :2] and the
-    # four stage derivatives are K = W[:, 1:]
-    W = np.empty((4, 3, m))
-    X, S1, S2, S3 = (W[s, :2] for s in range(4))
-    a0, a1, a2, a3 = W[:, 2]
-    K0, K1, K2, K3 = K = W[:, 1:]
-    K12 = K[1:3]
-    X[0] = np.asarray(d0, dtype=float).reshape(m)
-    X[1] = np.asarray(ddot0, dtype=float).reshape(m)
-    half, sixth = 0.5 * dt, dt / 6.0
-    accel = system.accel
+    rk = RK4(m, dt, 3, 1)
+    views = [(Y[:2], Y[2]) for Y in rk.stages]
 
+    def accel(s, j):
+        X, out = views[s]
+        system.accel(X, weights[j], G[j], out)
+
+    rk.accel = accel
     nstored = nsteps // store_every + 1
-    times = (np.arange(nstored) * store_every) * dt
     vals = np.empty((nstored, m))
     vels = np.empty((nstored, m))
-    vals[0] = X[0]
-    vels[0] = X[1]
-    stored = 1
-    for k in range(nsteps):
-        j = 3 * k
-        accel(X, weights[j], G[j], a0)
-        np.multiply(K0, half, out=S1)
-        np.add(X, S1, out=S1)
-        accel(S1, weights[j + 1], G[j + 1], a1)
-        np.multiply(K1, half, out=S2)
-        np.add(X, S2, out=S2)
-        accel(S2, weights[j + 1], G[j + 1], a2)
-        np.multiply(K2, dt, out=S3)
-        np.add(X, S3, out=S3)
-        accel(S3, weights[j + 2], G[j + 2], a3)
-        # X += (dt/6) (((K0 + 2 K1) + 2 K2) + K3), summed into K1
-        np.multiply(K12, 2.0, out=K12)
-        np.add(K0, K1, out=K1)
-        np.add(K1, K2, out=K1)
-        np.add(K1, K3, out=K1)
-        np.multiply(K1, sixth, out=K1)
-        np.add(X, K1, out=X)
-        # both rows, and not (max <= limit): a NaN state is a blow-up too
-        norm = np.maximum.reduce(np.abs(X, out=S1), axis=None)
-        if not norm <= BLOWUP_LIMIT:
-            raise BlowUp(f"modal state norm {norm} at t = {(k + 1) * dt}; shrink dt")
-        if (k + 1) % store_every == 0:
-            vals[stored] = X[0]
-            vels[stored] = X[1]
-            stored += 1
+    vals[0] = rk.state[0] = np.asarray(d0, dtype=float).reshape(m)
+    vels[0] = rk.state[1] = np.asarray(ddot0, dtype=float).reshape(m)
+    status = rk.run(nsteps, store_every, vals, vels)
+    if status < 0:
+        norm = np.max(np.abs(rk.state))
+        raise BlowUp(f"modal state norm {norm} at t = {-status * dt}; shrink dt")
     return Trajectory(
-        kind="modal", times=times, values=vals, velocities=vels,
-        L=system.basis.L, basis=system.basis,
+        kind="modal", times=(np.arange(nstored) * store_every) * dt, values=vals,
+        velocities=vels, L=system.basis.L, basis=system.basis,
         meta={"dt": dt, "m": m},
     )
 

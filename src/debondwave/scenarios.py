@@ -13,14 +13,16 @@ error names its line.  Defaults below are part of the format contract:
                f_time, w and w_time (boundary load and its time profile)
     [coupled]  l0 = 1.0, R = 2.0, rho0 = 0.5
     [numerics] solver = spectral, modes = 32, grid = 400, dt = 1e-3,
-               partitions = 32, quad_nodes = 10, store_every = 1,
-               front_grid = 1024, taper = 0.5, cfl = 0.45
+               quad_nodes = 10, store_every = 1, front_grid = 1024,
+               taper = 0.5, cfl = 0.45
     [output]   directory = out, series = ledger
 
 The special token ``u1 = Compatible`` requests the initial velocity that
 makes the transformed problem start at rest, u1 = -Phi_dot(0,.) . grad u0.
 Only the 1d coupled run tapers its data, so a ``coupled_radial`` file that
-sets a nonzero ``taper`` is an error.
+sets a nonzero ``taper`` is an error.  The coupled runs take their step
+from ``cfl``, so a ``coupled`` or ``coupled_radial`` file that sets ``dt``
+is an error too.
 """
 
 from dataclasses import dataclass
@@ -68,7 +70,6 @@ _SCHEMA = {
         "modes": (_INT, 32),
         "grid": (_INT, 400),
         "dt": (_FLOAT, 1.0e-3),
-        "partitions": (_INT, 32),
         "quad_nodes": (_INT, 10),
         "store_every": (_INT, 1),
         "front_grid": (_INT, 1024),
@@ -211,6 +212,9 @@ def parse_scenario(path):
     elif raw["numerics"].get("taper", 0.0) != 0.0:
         raise TypeMismatch("coupled_radial runs do not taper their data; "
                            "set taper = 0.0 or drop the line", line_of["numerics", "taper"])
+    if kind != "wave" and "dt" in raw["numerics"]:
+        raise TypeMismatch(f"{kind} runs take dt from cfl; drop the dt line",
+                           line_of["numerics", "dt"])
     _validate_numerics(resolved["numerics"])
 
     sc = Scenario(
@@ -228,7 +232,7 @@ def parse_scenario(path):
 
 
 def _validate_numerics(num):
-    for key in ("modes", "grid", "partitions", "quad_nodes", "store_every", "front_grid"):
+    for key in ("modes", "grid", "quad_nodes", "store_every", "front_grid"):
         if num[key] <= 0:
             raise TypeMismatch(f"numerics {key} must be positive")
     for key in ("dt", "cfl"):

@@ -20,7 +20,8 @@ coefficients are exact in lam and its two derivatives:
     dB/dt = -2 lam'/lam^3 - 2 (lam'/lam)(lam''/lam - (lam'/lam)^2) y^2,
     div b = lam'/lam.
 
-line() and line_rates() evaluate these for a scalar t or for an array of
+rates() gives lam, lam'/lam and lam''/lam, and line() and line_rates()
+evaluate the coefficients from them, for a scalar t or for an array of
 times at once.  In any dimension diffusion() builds B alone from the
 composed map fields K and w; it is what the n-d ellipticity check needs.
 """
@@ -48,10 +49,10 @@ class PulledBackProblem:
         w = fam.psi_dot_at_phi(t, Y)
         return np.einsum("pij,pkj->pik", K, K) - w[:, :, None] * w[:, None, :]
 
-    def _rates(self, t):
+    def rates(self, t):
         """lam, lam'/lam and lam''/lam at a scalar t or an array of times."""
         if self.fam.dim != 1:
-            raise ValueError("line() and line_rates() are the 1d path")
+            raise ValueError("rates(), line() and line_rates() are the 1d path")
         lam, dlam, ddlam = self.fam.stretch(t)
         return lam, dlam / lam, ddlam / lam
 
@@ -64,7 +65,7 @@ class PulledBackProblem:
         """
         t = np.asarray(t, dtype=float)
         y = np.asarray(y, dtype=float).reshape(-1)
-        lam, rate, accel = self._rates(t)
+        lam, rate, accel = self.rates(t)
         if out is None:
             out = tuple(np.empty(t.shape + y.shape) for _ in range(4))
         B, a, b, g = out
@@ -88,7 +89,7 @@ class PulledBackProblem:
         """1d closed form: (dB/dt, div b) along y, shaped like line()."""
         t = np.asarray(t, dtype=float)
         y = np.asarray(y, dtype=float).reshape(-1)
-        lam, rate, accel = self._rates(t)
+        lam, rate, accel = self.rates(t)
         dB = np.multiply.outer(-2.0 * rate * (accel - rate * rate), y * y)
         dB -= np.expand_dims(2.0 * rate / (lam * lam), -1)
         divb = np.multiply.outer(rate, np.ones_like(y))

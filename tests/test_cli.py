@@ -205,6 +205,23 @@ def test_radial_taper_must_be_zero(tmp_path):
     assert sc.numerics["taper"] == 0.35
 
 
+@pytest.mark.parametrize("kind", ["coupled", "coupled_radial"])
+def test_coupled_dt_is_rejected_on_its_line(tmp_path, kind):
+    if kind == "coupled":
+        text = COUPLED
+    else:
+        with open(RADIAL_SCN, encoding="utf-8") as fh:
+            text = fh.read()
+    # the default dt does not count: only a line that sets it
+    assert parse_scenario(_write(tmp_path, "a.scn", text)).numerics["dt"] == 1e-3
+    text = text.replace("[numerics]\n", "[numerics]\ndt = 0.001\n")
+    line = text.splitlines().index("dt = 0.001") + 1
+    with pytest.raises(TypeMismatch) as err:
+        parse_scenario(_write(tmp_path, "b.scn", text))
+    assert f"line {line}:" in str(err.value)
+    assert f"{kind} runs take dt from cfl" in str(err.value)
+
+
 def test_manifest_written_and_sorted(tmp_path):
     path = _write(tmp_path, "m.scn", MINIMAL + "[numerics]\nmodes = 8\ndt = 0.005\n")
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
@@ -222,6 +239,9 @@ def test_parser_edge_cases(tmp_path):
         parse_scenario(_write(tmp_path, "s3.scn", "[scenario]\nname  x\n"))
     with pytest.raises(TypeMismatch):  # enum violation
         parse_scenario(_write(tmp_path, "s4.scn", "[scenario]\nname = x\nkind = banana\n"))
+    with pytest.raises(UnknownKey) as err:  # the deleted cylinder partition count
+        parse_scenario(_write(tmp_path, "s5.scn", MINIMAL + "[numerics]\npartitions = 32\n"))
+    assert "line 4:" in str(err.value) and "'partitions'" in str(err.value)
 
 
 def test_unknown_level_kind_names_its_line(tmp_path):

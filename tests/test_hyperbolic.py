@@ -245,6 +245,23 @@ def test_modal_blowup_guard_reads_the_velocity_row():
         integrate(system, np.zeros(3), np.array([2e12, 0.0, 0.0]), dt=1e-3, T=0.01)
 
 
+def test_modal_nan_initial_state_blows_up_at_the_first_step():
+    system = GalerkinSystem(SineBasis(1.0, 3), _identity_problem())
+    with pytest.raises(BlowUp, match=r"modal state norm nan at t = 0\.01;"):
+        integrate(system, np.array([1.0, np.nan, 0.0]), np.zeros(3), dt=0.01, T=0.1)
+
+
+def test_solvers_end_at_the_horizon_for_a_non_dividing_dt():
+    # dt = 0.03 does not divide T = 1: 34 steps of 1/34, not 34 of 0.03
+    u0 = SineMode(1.0, 1).bound(1.0)
+    runs = [solve_transformed_modal(_identity_problem(), 1.0, u0, _zero, m=4, dt=0.03, T=1.0),
+            solve_fd(_identity_problem(), 1.0, 16, u0, _zero, dt=0.03, T=1.0)]
+    for traj in runs:
+        assert len(traj.times) == 35
+        assert traj.times[-1] == pytest.approx(1.0, abs=1e-14)
+        assert traj.meta["dt"] == 1.0 / 34
+
+
 class _NanWindow(Poly):
     """A profile that is NaN on (0.22, 0.28) only."""
 

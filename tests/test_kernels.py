@@ -1,4 +1,5 @@
-"""The RK4 wave stepper: bit-for-bit against a reference stepper, blow-up guard."""
+"""The RK4 driver and the wave stepper on it: bit-for-bit against reference
+steppers, blow-up guard."""
 
 import numpy as np
 import pytest
@@ -137,6 +138,70 @@ def test_numpy_kernel_chained_single_steps_match_reference():
         assert _ref_run(v, vd, h, dt, 1, Bm[sl], an[sl], bn[sl], gn[sl], 1, ref_v, ref_vd) == 2
         assert np.array_equal(stepper.state[0], v) and np.array_equal(stepper.state[1], vd)
         assert np.array_equal(out_v[1], ref_v[1]) and np.array_equal(out_vd[1], ref_vd[1])
+
+
+def test_stepper_clamps_nonzero_ends_like_the_reference():
+    # the ends feed the first step's stage states before they are set to 0
+    n, nsteps = 32, 6
+    y, Bm, an, bn, gn = _coefficient_slices(n, 2 * nsteps + 1, moving=True, forced=True)
+    h, dt = y[1] - y[0], 0.5 / n
+    states = []
+    for impl in (kernels.fd_run, _ref_run):
+        v, vd = _initial(y)
+        v[0], vd[-1] = 0.3, -0.2
+        out = np.empty((2, nsteps + 1, n + 1))
+        assert impl(v, vd, h, dt, nsteps, Bm, an, bn, gn, 1, *out) == nsteps + 1
+        states.append((v, vd, out[:, 1:]))
+    assert states[0][0][0] == states[0][1][-1] == 0.0
+    for a, b in zip(*states):
+        assert np.array_equal(a, b)
+
+
+# --- the RK4 driver on a small linear system --------------------------------
+
+
+@pytest.mark.parametrize("store_every", [1, 3])
+def test_rk4_driver_matches_textbook_rk4(store_every):
+    # x'' = -A x - 2 C x' + g_j with a forcing per stage slot, slots laid out
+    # like the modal solver's: 3k, 3k + 1, 3k + 2 at t_k, t_k + dt/2, t_k + dt
+    n, nsteps, dt = 5, 12, 0.05
+    rng = np.random.default_rng(7)
+    A, C = rng.standard_normal((2, n, n))
+    g = rng.standard_normal((3 * nsteps, n))
+    x0 = rng.standard_normal((2, n))
+
+    def accel(x, xd, j):
+        return -(A * x).sum(axis=1) - 2.0 * (C * xd).sum(axis=1) + g[j]
+
+    def f(y, j):
+        return np.stack((y[1], accel(y[0], y[1], j)))
+
+    y = x0.copy()
+    ref = [y]
+    for k in range(nsteps):
+        j = 3 * k
+        k1 = f(y, j)
+        k2 = f(y + (0.5 * dt) * k1, j + 1)
+        k3 = f(y + (0.5 * dt) * k2, j + 1)
+        k4 = f(y + dt * k3, j + 2)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if (k + 1) % store_every == 0:
+            ref.append(y)
+    ref = np.array(ref)
+
+    rk = kernels.RK4(n, dt, 3, 1)
+
+    def stage_accel(s, j):
+        x, xd, out = rk.stages[s]
+        out[:] = accel(x, xd, j)
+
+    rk.accel = stage_accel
+    rk.state[:] = x0
+    out_v, out_vd = np.empty((2, nsteps // store_every + 1, n))
+    out_v[0], out_vd[0] = x0
+    assert rk.run(nsteps, store_every, out_v, out_vd) == len(ref)
+    assert np.array_equal(rk.state, ref[-1])
+    assert np.array_equal(out_v, ref[:, 0]) and np.array_equal(out_vd, ref[:, 1])
 
 
 # --- blow-up guard: a NaN state must count as a blow-up ---------------------
