@@ -45,7 +45,6 @@ def _build_parser():
     p = sub.add_parser("run", help="execute a scenario file")
     p.add_argument("file")
     p.add_argument("--out", default=None, help="output directory root")
-    p.add_argument("--tol-scale", type=float, default=1.0)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("target", help=f"one of {sorted(SUITES)}, 'all', or a scenario file")
@@ -56,7 +55,6 @@ def _build_parser():
     p = sub.add_parser("sweep", help="run every scenario file in a directory")
     p.add_argument("directory")
     p.add_argument("--out", default=None)
-    p.add_argument("--tol-scale", type=float, default=1.0)
     p.add_argument("--workers", type=int, default=0, help="0 = sequential")
     return ap
 
@@ -70,7 +68,7 @@ def _cmd_validate(args):
 
 def _cmd_run(args):
     sc = parse_scenario(args.file)
-    artifacts = run_scenario(sc, out_dir=args.out, tol_scale=args.tol_scale)
+    artifacts = run_scenario(sc, out_dir=args.out)
     for f in artifacts.files:
         print(f)
     return EXIT_OK
@@ -80,7 +78,7 @@ def _cmd_verify(args):
     target = args.target
     if target not in SUITES and target != "all" and os.path.exists(target):
         sc = parse_scenario(target)
-        run_scenario(sc, out_dir=args.out, tol_scale=args.tol_scale)
+        run_scenario(sc, out_dir=args.out)
         print(f"PASS scenario.{sc.name}  (ran to completion)")
         return EXIT_OK
     results = run_suite(target, tol_scale=args.tol_scale, seed=args.seed)
@@ -92,13 +90,13 @@ def _cmd_verify(args):
     return EXIT_OK if failed == 0 else EXIT_VERIFY
 
 
-def _run_one(path_out_tol):
+def _run_one(path_out):
     """Run one sweep file; return its status line and the exit code a lone
     run of the file gives."""
-    path, out, tol = path_out_tol
+    path, out = path_out
     try:
         sc = parse_scenario(path)
-        run_scenario(sc, out_dir=out, tol_scale=tol)
+        run_scenario(sc, out_dir=out)
     except Exception as exc:  # a failing file must not end the sweep
         if isinstance(exc, _USAGE_ERRORS):
             code = EXIT_USAGE
@@ -120,7 +118,7 @@ def _cmd_sweep(args):
     if not files:
         print(f"no .scn files in {args.directory}", file=sys.stderr)
         return EXIT_USAGE
-    jobs = [(f, args.out, args.tol_scale) for f in files]
+    jobs = [(f, args.out) for f in files]
     if args.workers and args.workers > 1:
         import concurrent.futures as cf
 

@@ -40,6 +40,10 @@ class ReferenceDomain:
     def boundary_faces(self, resolution=64):
         raise NotImplementedError
 
+    def contains(self, Y, tol=1e-12):
+        """Whether each point of Y (..., dim) lies in the closure, within tol."""
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
 class Interval(ReferenceDomain):
@@ -54,6 +58,10 @@ class Interval(ReferenceDomain):
 
     def measure(self):
         return self.length
+
+    def contains(self, Y, tol=1e-12):
+        y = np.asarray(Y, dtype=float)[..., 0]
+        return (y >= -tol) & (y <= self.length + tol)
 
     def interior_grid(self, k):
         return np.linspace(0.0, self.length, k).reshape(-1, 1)
@@ -94,6 +102,9 @@ class Ball(ReferenceDomain):
     def measure(self):
         return _unit_ball_volume(self.dim_) * self.radius ** self.dim_
 
+    def contains(self, Y, tol=1e-12):
+        return np.linalg.norm(Y, axis=-1) <= self.radius + tol
+
     def interior_grid(self, k):
         n = self.dim_
         side = max(2, int(round(k ** (1.0 / n))))
@@ -130,6 +141,10 @@ class Annulus(ReferenceDomain):
     def measure(self):
         v = _unit_ball_volume(self.dim_)
         return v * (self.outer ** self.dim_ - self.inner ** self.dim_)
+
+    def contains(self, Y, tol=1e-12):
+        r = np.linalg.norm(Y, axis=-1)
+        return (r >= self.inner - tol) & (r <= self.outer + tol)
 
     def interior_grid(self, k):
         n = self.dim_
@@ -197,6 +212,10 @@ class Box(ReferenceDomain):
     def measure(self):
         return float(np.prod(self.extents))
 
+    def contains(self, Y, tol=1e-12):
+        Y = np.asarray(Y, dtype=float)
+        return np.all((Y >= -tol) & (Y <= np.asarray(self.extents) + tol), axis=-1)
+
     def interior_grid(self, k):
         n = self.dim
         side = max(2, int(round(k ** (1.0 / n))))
@@ -262,6 +281,10 @@ class Tetrahedron(ReferenceDomain):
         d = self.dim
         # simplex with legs level/n_i along the axes
         return self.level ** d / (math.factorial(d) * float(np.prod(n)))
+
+    def contains(self, Y, tol=1e-12):
+        Y = np.asarray(Y, dtype=float)
+        return np.all(Y >= -tol, axis=-1) & (Y @ np.asarray(self.normal) <= self.level + tol)
 
     def interior_grid(self, k):
         n = np.asarray(self.normal, dtype=float)

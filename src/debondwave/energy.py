@@ -212,17 +212,24 @@ def total_release_rate(omega, p, weights):
 
 # --- measure identity -------------------------------------------------------
 
+_BLOCK_POINTS = 4096
+
 
 def measure_identity_residual(fam):
     """| |Omega_T| - |Omega_0| - int_0^T int_bdry omega | at the horizon T.
 
     Simpson's rule on 201 times over the boundary faces at resolution 128.
+    The times go to boundary_kinematics in blocks of about _BLOCK_POINTS
+    face points, which bounds the memory of one call.
     """
     T = fam.horizon
     ts = np.linspace(0.0, T, 201)
     faces = fam.reference.boundary_faces(128)
-    flux = np.array([sum(float(np.sum(fk.weights * fk.omega))
-                         for fk in boundary_kinematics(fam, s, faces=faces)) for s in ts])
+    per_block = max(1, _BLOCK_POINTS // sum(len(f.weights) for f in faces))
+    flux = np.concatenate([
+        sum(np.sum(fk.weights * fk.omega, axis=-1)
+            for fk in boundary_kinematics(fam, ts[i:i + per_block], faces=faces))
+        for i in range(0, len(ts), per_block)])
     h = ts[1] - ts[0]
     w = np.ones(len(ts))
     w[1:-1:2] = 4.0

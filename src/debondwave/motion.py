@@ -24,14 +24,20 @@ Psi-side evaluators (psi, dpsi, det_dpsi, psi_dot) are kept independent
 so that identity validation is not circular.  Tolerances are split: 1e-9
 for stretches (round-off), 1e-6 for sublevel flows (their Psi side is the
 backward transport, and its psi_dot a central difference).
+
+Time is an array axis: every map, boundary_kinematics and domain_measure
+take a scalar t, which gives vector fields (P, N), Jacobians (P, N, N),
+determinants (P,) and a float measure, or an (S,) array of times, which
+adds a leading axis.  Points are shared, (P, N), or per time, (S, P, N),
+as X = phi(ts, Y) is on the inverse side.  A batched call equals the
+stacked scalar calls bit for bit.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import Annulus, Interval, ReferenceDomain
+from .domains import Annulus, Interval, ReferenceDomain, _unit_ball_volume
 from .errors import (
     DegenerateNormal,
     FlowEscape,
@@ -50,9 +56,25 @@ def _as_points(Y, dim):
         Y = Y.reshape(1, 1)
     elif Y.ndim == 1:
         Y = Y.reshape(-1, 1) if dim == 1 else Y.reshape(1, -1)
-    if Y.shape[1] != dim:
-        raise ValueError(f"points have dimension {Y.shape[1]}, family has {dim}")
+    if Y.shape[-1] != dim:
+        raise ValueError(f"points have dimension {Y.shape[-1]}, family has {dim}")
     return Y
+
+
+def _pow(x, n):
+    """x ** n per element with Python's float pow, which a scalar x has always
+    used; numpy's array power rounds some elements differently."""
+    return np.asarray(np.asarray(x, dtype=float).astype(object) ** n, dtype=float)
+
+
+def _check_positive_profile(profile, horizon, name):
+    """The profile at 400 times of the padded horizon, all of them positive."""
+    pad = 1.0e-2 * max(1.0, horizon)
+    ts = np.linspace(-pad, horizon + pad, 400)
+    vals = np.asarray(profile(ts), dtype=float)
+    if np.any(vals <= 0):
+        raise NonPositiveScale(f"{name}(t) must stay positive on the horizon")
+    return vals
 
 
 class MotionFamily:
@@ -98,7 +120,7 @@ class MotionFamily:
         """Psi_dot(t, Phi(t, y)) = -DPsi(t, Phi) Phi_dot(t, y)."""
         K = self.dpsi_at_phi(t, Y)
         pd = self.phi_dot(t, Y)
-        return -np.einsum("pij,pj->pi", K, pd)
+        return -np.einsum("...ij,...j->...i", K, pd)
 
     # independent inverse side (validation) --------------------------------
     def psi(self, t, X):
@@ -142,13 +164,21 @@ class StretchMotion(MotionFamily):
         self.scale = float(scale)
 
     def _lam(self, t):
-        return float(self.profile(t)) / self.scale
+        """lam at a scalar t or an (S,) array of times, shaped (..., 1, 1) to
+        scale (P, N) or (S, P, N) points."""
+        return np.asarray(self.profile(t), dtype=float)[..., None, None] / self.scale
 
     def _dlam(self, t):
-        return float(self.profile.deriv(t)) / self.scale
+        return np.asarray(self.profile.deriv(t), dtype=float)[..., None, None] / self.scale
+
+    def _fill(self, Y, c):
+        """The per-time values c at every point: (..., P)."""
+        return c[..., 0] * np.ones(_as_points(Y, self.dim).shape[-2])
 
     def _eyes(self, Y, c):
-        return np.tile(c * np.eye(self.dim), (len(_as_points(Y, self.dim)), 1, 1))
+        """c I at every point: (..., P, N, N)."""
+        P = _as_points(Y, self.dim).shape[-2]
+        return np.ones((P, 1, 1)) * (c[..., None] * np.eye(self.dim))
 
     def phi(self, t, Y):
         return _as_points(Y, self.dim) * self._lam(t)
@@ -160,15 +190,14 @@ class StretchMotion(MotionFamily):
         return self._eyes(Y, self._lam(t))
 
     def det_dphi(self, t, Y):
-        return np.full(len(_as_points(Y, self.dim)), self._lam(t) ** self.dim)
+        return self._fill(Y, _pow(self._lam(t), self.dim))
 
     def det_dphi_dt(self, t, Y):
         lam = self._lam(t)
-        return np.full(len(_as_points(Y, self.dim)),
-                       self.dim * lam ** (self.dim - 1) * self._dlam(t))
+        return self._fill(Y, self.dim * _pow(lam, self.dim - 1) * self._dlam(t))
 
     def grad_det_dphi(self, t, Y):
-        return np.zeros_like(_as_points(Y, self.dim))
+        return np.zeros_like(self.phi(t, Y))
 
     def dpsi_at_phi(self, t, Y):
         return self._eyes(Y, 1.0 / self._lam(t))
@@ -185,7 +214,7 @@ class StretchMotion(MotionFamily):
 
     def domain_measure(self, t):
         s = self.scale
-        return float(self.profile(t)) ** self.dim * (self.reference.measure() / s ** self.dim)
+        return _pow(self.profile(t), self.dim) * (self.reference.measure() / s ** self.dim)
 
     def stretch(self, t):
         p, s = self.profile, self.scale
@@ -212,11 +241,7 @@ class SublevelFlowMotion(MotionFamily):
         self.radial = level_kind == "radial"
         self.R = float(R)
         self.profile = profile
-        pad = 1.0e-2 * max(1.0, horizon)
-        ts = np.linspace(-pad, horizon + pad, 400)
-        rho = np.asarray(profile(ts), dtype=float)
-        if np.any(rho <= 0):
-            raise NonPositiveScale("rho must stay positive on the (padded) horizon")
+        rho = _check_positive_profile(profile, horizon, "rho")
         if np.any(rho >= self.R):
             raise LevelOutOfRange("rho(t) must stay below the outer level R")
         self._rho0 = float(profile(0.0))
@@ -227,7 +252,7 @@ class SublevelFlowMotion(MotionFamily):
         super().__init__(reference, horizon, tol)
 
     def _g(self, X):
-        return np.linalg.norm(X, axis=1) if self.radial else self.R - X[:, 0]
+        return np.linalg.norm(X, axis=-1) if self.radial else self.R - X[..., 0]
 
     # flow plumbing --------------------------------------------------------
     def _flow(self, Y, t0, t1):
@@ -237,17 +262,19 @@ class SublevelFlowMotion(MotionFamily):
         lines of g, so both the points and the Jacobian are closed-form.
         """
         Y = _as_points(Y, self.dim)
-        q = float(self.profile(t1)) / float(self.profile(t0))
+        q = (np.asarray(self.profile(t1), dtype=float)
+             / np.asarray(self.profile(t0), dtype=float))[..., None]
         if self.radial:
-            r0 = np.linalg.norm(Y, axis=1)
-            yh = Y / r0[:, None]
+            r0 = np.linalg.norm(Y, axis=-1)
+            yh = Y / r0[..., None]
             r = self.R + q * (r0 - self.R)
-            x = r[:, None] * yh
-            radial = yh[:, :, None] * yh[:, None, :]
-            J = q * radial + (r / r0)[:, None, None] * (np.eye(self.dim) - radial)
+            x = r[..., None] * yh
+            radial = yh[..., :, None] * yh[..., None, :]
+            J = (q[..., None, None] * radial
+                 + (r / r0)[..., None, None] * (np.eye(self.dim) - radial))
         else:
-            x = q * Y
-            J = np.full((len(Y), 1, 1), q)
+            x = q[..., None] * Y
+            J = q[..., None, None] * np.ones((Y.shape[-2], 1, 1))
         if not np.all(np.isfinite(x)):
             raise FlowEscape("sublevel flow produced non-finite points")
         if np.any(self._g(x) <= 1e-3 * self.R):
@@ -255,14 +282,14 @@ class SublevelFlowMotion(MotionFamily):
         return x, J
 
     def _parts(self, t, Y):
-        """Points, q = rho(t)/rho(0) and q'; for the radial kind also |y| and
-        s = |Phi|/|y| = q + (1 - q) R/|y|."""
+        """Points, q = rho(t)/rho(0) and q' (with a trailing axis for the
+        points); for the radial kind also |y| and s = |Phi|/|y| = q + (1 - q) R/|y|."""
         Y = _as_points(Y, self.dim)
-        q = float(self.profile(t)) / self._rho0
-        dq = float(self.profile.deriv(t)) / self._rho0
+        q = (np.asarray(self.profile(t), dtype=float) / self._rho0)[..., None]
+        dq = (np.asarray(self.profile.deriv(t), dtype=float) / self._rho0)[..., None]
         if not self.radial:
             return Y, q, dq, None, None
-        r0 = np.linalg.norm(Y, axis=1)
+        r0 = np.linalg.norm(Y, axis=-1)
         return Y, q, dq, r0, q + (1.0 - q) * self.R / r0
 
     # forward side ---------------------------------------------------------
@@ -276,29 +303,29 @@ class SublevelFlowMotion(MotionFamily):
         """q' (|y| - R) y/|y| radially, q' y on the line."""
         Y, _, dq, r0, _ = self._parts(t, Y)
         if not self.radial:
-            return dq * Y
-        return dq * (r0[:, None] - self.R) * (Y / r0[:, None])
+            return dq[..., None] * Y
+        return dq[..., None] * (r0[..., None] - self.R) * (Y / r0[..., None])
 
     def det_dphi(self, t, Y):
         """q s^(n-1) radially, q on the line."""
         Y, q, _, _, s = self._parts(t, Y)
-        return q * s ** (self.dim - 1) if self.radial else np.full(len(Y), q)
+        return q * s ** (self.dim - 1) if self.radial else q * np.ones(Y.shape[-2])
 
     def det_dphi_dt(self, t, Y):
         """q' s^(n-1) + (n-1) q s^(n-2) q' (|y| - R)/|y| radially, q' on the line."""
         Y, q, dq, r0, s = self._parts(t, Y)
         if not self.radial:
-            return np.full(len(Y), dq)
+            return dq * np.ones(Y.shape[-2])
         n = self.dim
         return dq * s ** (n - 1) + (n - 1) * q * s ** (n - 2) * dq * (r0 - self.R) / r0
 
     def grad_det_dphi(self, t, Y):
         """-(n-1) q (1-q) R s^(n-2)/|y|^2 y/|y| radially, 0 on the line."""
-        Y, q, _, r0, s = self._parts(t, Y)
         if not self.radial:
-            return np.zeros_like(Y)
+            return np.zeros_like(self.phi_dot(t, Y))
+        Y, q, _, r0, s = self._parts(t, Y)
         n = self.dim
-        return (-(n - 1) * q * (1.0 - q) * self.R * s ** (n - 2) / r0 ** 3)[:, None] * Y
+        return (-(n - 1) * q * (1.0 - q) * self.R * s ** (n - 2) / r0 ** 3)[..., None] * Y
 
     def dpsi_at_phi(self, t, Y):
         return np.linalg.inv(self.dphi(t, Y))
@@ -311,12 +338,11 @@ class SublevelFlowMotion(MotionFamily):
         return self._flow(X, t, 0.0)[1]
 
     def domain_measure(self, t):
-        rho = float(self.profile(t))
+        rho = np.asarray(self.profile(t), dtype=float)
         if self.radial:
             n = self.dim
-            vn = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
-            return vn * (self.R ** n - (self.R - rho) ** n)
-        return rho
+            return _unit_ball_volume(n) * (self.R ** n - _pow(self.R - rho, n))
+        return rho[()]  # a float for a scalar t
 
     def stretch(self, t):
         """The reflected flow is Phi(t, y) = (rho(t)/rho(0)) y."""
@@ -337,14 +363,6 @@ class SublevelFlowMotion(MotionFamily):
         a positive margin certifies H2."""
         ts = np.linspace(0.0, self.horizon, nt)
         return 1.0 - float(np.max(self.profile.deriv(ts)))
-
-
-def _check_positive_profile(profile, horizon, name):
-    pad = 1.0e-2 * max(1.0, horizon)
-    ts = np.linspace(-pad, horizon + pad, 400)
-    vals = np.asarray(profile(ts), dtype=float)
-    if np.any(vals <= 0):
-        raise NonPositiveScale(f"{name}(t) must stay positive on the horizon")
 
 
 # --- constructors ---------------------------------------------------------
@@ -385,7 +403,8 @@ def interval_flow(R, profile, horizon, tol=FLOW_TOL):
 
 @dataclass
 class FaceKinematics:
-    """Boundary samples of one face pushed to the moving domain at time t."""
+    """Boundary samples of one face pushed to the moving domain at time t;
+    an (S,) array of times adds a leading axis to every field but y."""
 
     name: str
     y: np.ndarray         # reference points (Q, N)
@@ -409,19 +428,20 @@ def boundary_kinematics(fam, t, resolution=64, faces=None):
     for face in faces:
         Y = face.points
         K = fam.dpsi_at_phi(t, Y)
-        raw = np.einsum("pji,pj->pi", K, face.normals)  # K^T nu0
-        norms = np.linalg.norm(raw, axis=1)
+        raw = np.einsum("...ji,...j->...i", K, face.normals)  # K^T nu0
+        norms = np.linalg.norm(raw, axis=-1)
         if np.any(norms < 1e-14):
             raise DegenerateNormal(f"normal pushforward degenerate on face {face.name}")
-        nu = raw / norms[:, None]
+        nu = raw / norms[..., None]
         x = fam.phi(t, Y)
         pd = fam.phi_dot(t, Y)
-        omega = np.sum(pd * nu, axis=1)
+        omega = np.sum(pd * nu, axis=-1)
         denom = np.sqrt(1.0 + omega ** 2)
-        nu_st = np.concatenate([(-omega / denom)[:, None], nu / denom[:, None]], axis=1)
-        # consistency of the two omega formulas (algebraic, asserted)
-        omega_alt = -nu_st[:, 0] / np.linalg.norm(nu_st[:, 1:], axis=1)
-        if np.max(np.abs(omega - omega_alt)) > 1e-9 * (1.0 + np.max(np.abs(omega))):
+        nu_st = np.concatenate([(-omega / denom)[..., None], nu / denom[..., None]], axis=-1)
+        # consistency of the two omega formulas (algebraic, asserted per time)
+        omega_alt = -nu_st[..., 0] / np.linalg.norm(nu_st[..., 1:], axis=-1)
+        gap = np.max(np.abs(omega - omega_alt), axis=-1)
+        if np.any(gap > 1e-9 * (1.0 + np.max(np.abs(omega), axis=-1))):
             raise DegenerateNormal("omega mismatch between definitions")
         w_phys = face.weights * fam.det_dphi(t, Y) * norms
         out.append(FaceKinematics(face.name, Y, x, nu, nu_st, omega, w_phys))
@@ -457,64 +477,59 @@ def validate(fam, nt=20, npts=20):
     """
     ts = np.linspace(0.0, fam.horizon, nt)
     Y = fam.reference.interior_grid(npts)
-    names = ("dpsi_dphi", "det_product", "psi_dot", "grad_det", "det_dt", "mixed", "divergence")
-    res = {n: 0.0 for n in names}
-    max_pd = 0.0
-    min_det = np.inf
-    second = 0.0
     eye = np.eye(fam.dim)
     eps_x = fam._eps_x
     eps_t = fam._eps_t
 
-    for t in ts:
-        X = fam.phi(t, Y)
-        J = fam.dphi(t, Y)
-        detJ = fam.det_dphi(t, Y)
-        pd = fam.phi_dot(t, Y)
-        gdJ = fam.grad_det_dphi(t, Y)
-        dJt = fam.det_dphi_dt(t, Y)
-        K = fam.dpsi(t, X)
-        dK = fam.det_dpsi(t, X)
-        psd = fam.psi_dot(t, X)
+    # every field at every time at once: (nt, P, ...)
+    X = fam.phi(ts, Y)
+    J = fam.dphi(ts, Y)
+    detJ = fam.det_dphi(ts, Y)
+    pd = fam.phi_dot(ts, Y)
+    gdJ = fam.grad_det_dphi(ts, Y)
+    dJt = fam.det_dphi_dt(ts, Y)
+    K = fam.dpsi(ts, X)
+    dK = fam.det_dpsi(ts, X)
+    psd = fam.psi_dot(ts, X)
 
-        min_det = min(min_det, float(np.min(detJ)))
-        max_pd = max(max_pd, float(np.max(np.linalg.norm(pd, axis=1))))
+    def worst(r):
+        return float(np.max(np.abs(r)))
 
-        res["dpsi_dphi"] = max(res["dpsi_dphi"], float(np.max(np.abs(
-            np.einsum("pij,pjk->pik", K, J) - eye[None]))))
-        res["det_product"] = max(res["det_product"], float(np.max(np.abs(dK * detJ - 1.0))))
-        res["psi_dot"] = max(res["psi_dot"], float(np.max(np.abs(
-            psd + np.einsum("pij,pj->pi", K, pd)))))
+    res = {
+        "dpsi_dphi": worst(np.einsum("...ij,...jk->...ik", K, J) - eye),
+        "det_product": worst(dK * detJ - 1.0),
+        "psi_dot": worst(psd + np.einsum("...ij,...j->...i", K, pd)),
+    }
 
-        # x and t derivatives of det DPsi, by differences of the direct evaluator
-        gdK = np.zeros_like(X)
-        for k in range(fam.dim):
-            e = np.zeros(fam.dim)
-            e[k] = eps_x
-            gdK[:, k] = (fam.det_dpsi(t, X + e) - fam.det_dpsi(t, X - e)) / (2.0 * eps_x)
-        dKt = (fam.det_dpsi(t + eps_t, X) - fam.det_dpsi(t - eps_t, X)) / (2.0 * eps_t)
+    # x and t derivatives of det DPsi, by differences of the direct evaluator
+    gdK = np.zeros_like(X)
+    for k in range(fam.dim):
+        e = np.zeros(fam.dim)
+        e[k] = eps_x
+        gdK[..., k] = (fam.det_dpsi(ts, X + e) - fam.det_dpsi(ts, X - e)) / (2.0 * eps_x)
+    dKt = (fam.det_dpsi(ts + eps_t, X) - fam.det_dpsi(ts - eps_t, X)) / (2.0 * eps_t)
 
-        res["grad_det"] = max(res["grad_det"], float(np.max(np.abs(
-            gdK * detJ[:, None] + dK[:, None] * np.einsum("pji,pj->pi", K, gdJ)))))
-        res["det_dt"] = max(res["det_dt"], float(np.max(np.abs(
-            (dKt + np.sum(gdK * pd, axis=1)) * detJ + dK * dJt))))
-        res["mixed"] = max(res["mixed"], float(np.max(np.abs(
-            np.sum(gdK * pd, axis=1) * detJ - np.sum(psd * gdJ, axis=1) * dK))))
+    res["grad_det"] = worst(gdK * detJ[..., None]
+                            + dK[..., None] * np.einsum("...ji,...j->...i", K, gdJ))
+    res["det_dt"] = worst((dKt + np.sum(gdK * pd, axis=-1)) * detJ + dK * dJt)
+    res["mixed"] = worst(np.sum(gdK * pd, axis=-1) * detJ - np.sum(psd * gdJ, axis=-1) * dK)
 
-        # divergence identity from the composed fields, central differences in y
-        div = np.zeros(len(Y))
-        for k in range(fam.dim):
-            e = np.zeros(fam.dim)
-            e[k] = eps_x
-            fp = fam.psi_dot_at_phi(t, Y + e) * fam.det_dphi(t, Y + e)[:, None]
-            fm = fam.psi_dot_at_phi(t, Y - e) * fam.det_dphi(t, Y - e)[:, None]
-            div += (fp[:, k] - fm[:, k]) / (2.0 * eps_x)
-        res["divergence"] = max(res["divergence"], float(np.max(np.abs(dJt + div))))
+    # divergence identity from the composed fields, central differences in y
+    div = np.zeros(detJ.shape)
+    for k in range(fam.dim):
+        e = np.zeros(fam.dim)
+        e[k] = eps_x
+        fp = fam.psi_dot_at_phi(ts, Y + e) * fam.det_dphi(ts, Y + e)[..., None]
+        fm = fam.psi_dot_at_phi(ts, Y - e) * fam.det_dphi(ts, Y - e)[..., None]
+        div += (fp[..., k] - fm[..., k]) / (2.0 * eps_x)
+    res["divergence"] = worst(dJt + div)
 
-        # H1' surrogate: bounded second differences of Phi_dot
-        eps2 = max(1.0e-5 * max(1.0, fam.horizon), eps_t)
-        d2 = (fam.phi_dot(t + eps2, Y) - 2.0 * pd + fam.phi_dot(t - eps2, Y)) / eps2 ** 2
-        second = max(second, float(np.max(np.abs(d2))))
+    # H1' surrogate: bounded second differences of Phi_dot
+    eps2 = max(1.0e-5 * max(1.0, fam.horizon), eps_t)
+    d2 = (fam.phi_dot(ts + eps2, Y) - 2.0 * pd + fam.phi_dot(ts - eps2, Y)) / eps2 ** 2
+    second = worst(d2)
+    max_pd = float(np.max(np.linalg.norm(pd, axis=-1)))
+    min_det = float(np.min(detJ))
 
     tol = fam.tol
     return RegularityReport(

@@ -90,7 +90,7 @@ def _stage(name):
         raise type(exc)(f"[stage: {name}] {exc}") from exc
 
 
-def run_scenario(sc: Scenario, out_dir=None, tol_scale=1.0):
+def run_scenario(sc: Scenario, out_dir=None):
     """Execute a parsed scenario and write its artifacts."""
     out_root = out_dir or sc.output["directory"]
     directory = os.path.join(out_root, sc.name)
@@ -106,7 +106,6 @@ def run_scenario(sc: Scenario, out_dir=None, tol_scale=1.0):
             files += _run_coupled_radial(sc, directory)
 
     manifest = sc.manifest()
-    manifest["tol_scale"] = tol_scale
     mpath = os.path.join(directory, "manifest.json")
     with open(mpath, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
@@ -142,7 +141,7 @@ def _run_wave(sc, directory):
         # nonzero load on the fixed end: lift to homogeneous data
         W = SpaceTimeField(sc.data["w"].bound(L), sc.data["w_time"])
         ts = np.linspace(0.0, fam.horizon, 9)
-        moving = (ts, np.array([fam.domain_measure(t) for t in ts]))
+        moving = (ts, fam.domain_measure(ts))
         f_lift, u0, u1 = lift_dirichlet(W, u0, u1, fixed_points=[0.0],
                                         moving_points=moving)
         base = forcing

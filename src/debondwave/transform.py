@@ -42,12 +42,13 @@ class PulledBackProblem:
         self.forcing = forcing
 
     def diffusion(self, t, Y):
-        """B = K K^T - w (x) w, shape (P, N, N), at reference points Y."""
+        """B = K K^T - w (x) w, shape (P, N, N), at reference points Y; an
+        (S,) array of times adds a leading axis, as the maps do."""
         fam = self.fam
         Y = _as_points(Y, fam.dim)
         K = fam.dpsi_at_phi(t, Y)
         w = fam.psi_dot_at_phi(t, Y)
-        return np.einsum("pij,pkj->pik", K, K) - w[:, :, None] * w[:, None, :]
+        return np.einsum("...ij,...kj->...ik", K, K) - w[..., :, None] * w[..., None, :]
 
     def rates(self, t):
         """lam, lam'/lam and lam''/lam at a scalar t or an array of times."""
@@ -107,7 +108,7 @@ def ellipticity_constant(problem_or_fam, nt=21, npts=41):
     if fam.dim == 1:
         c = float(np.min(problem.line(ts, Y)[0]))
     else:
-        c = min(float(np.min(np.linalg.eigvalsh(problem.diffusion(t, Y)))) for t in ts)
+        c = float(np.min(np.linalg.eigvalsh(problem.diffusion(ts, Y))))
     if c <= 0.0:
         raise NotElliptic(f"min eig(B) = {c} <= 0 on the sample grid")
     return c
@@ -145,8 +146,8 @@ def pushforward(fam, traj_eval, t, x):
     """
     X = _as_points(x, fam.dim)
     y = fam.psi(t, X)
-    outside = _outside_reference(fam, y)
-    y = np.clip(y, _reference_lo(fam), _reference_hi(fam)) if fam.dim == 1 else y
+    outside = ~fam.reference.contains(y)
+    y = np.clip(y, 0.0, fam.reference.length) if fam.dim == 1 else y
     v, vd, vy = traj_eval(t, y)
     K = fam.dpsi_at_phi(t, y)
     psd = fam.psi_dot_at_phi(t, y)
@@ -158,27 +159,6 @@ def pushforward(fam, traj_eval, t, x):
         ud[outside] = 0.0
         gu[outside] = 0.0
     return u, ud, gu, outside
-
-
-def _reference_lo(fam):
-    return 0.0
-
-
-def _reference_hi(fam):
-    return fam.reference.length if fam.dim == 1 else None
-
-
-def _outside_reference(fam, y):
-    ref = fam.reference
-    tol = 1e-12
-    if ref.dim == 1:
-        return (y[:, 0] < -tol) | (y[:, 0] > ref.length + tol)
-    if hasattr(ref, "inner"):
-        r = np.linalg.norm(y, axis=1)
-        return (r < ref.inner - tol) | (r > ref.outer + tol)
-    if hasattr(ref, "radius"):
-        return np.linalg.norm(y, axis=1) > ref.radius + tol
-    return np.zeros(len(y), dtype=bool)
 
 
 def lift_dirichlet(W, U0, U1, fixed_points, moving_points=None, tol=1e-9):

@@ -104,10 +104,9 @@ def suite_identities(tol_scale=1.0, seed=0):
     prof = Affine(1.0, 0.5)
     f1 = one_d_scaling(prof, 1.0)
     f2 = fams["sublevel_interval"]
-    worst = 0.0
-    for t in np.linspace(0.0, 1.0, 50):
-        for a, b in zip(boundary_kinematics(f1, t), boundary_kinematics(f2, t)):
-            worst = max(worst, float(np.max(np.abs(a.omega - b.omega))))
+    ts = np.linspace(0.0, 1.0, 50)
+    worst = max(float(np.max(np.abs(a.omega - b.omega)))
+                for a, b in zip(boundary_kinematics(f1, ts), boundary_kinematics(f2, ts)))
     out.append(_check("identities", "omega-well-defined", worst, 1e-6 * tol_scale, t0))
 
     t0 = time.time()

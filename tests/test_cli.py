@@ -269,3 +269,15 @@ def test_write_csv_matches_per_value_formatter(tmp_path):
     for i in range(8):
         lines.append(",".join(f"{float(np.asarray(a)[i]):.17g}" for _, a in columns))
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_tol_scale_belongs_to_suites_only(tmp_path):
+    # run and sweep take no --tol-scale and write no tol_scale key;
+    # verify <suite> scales its tolerances with it
+    path = _write(tmp_path, "m.scn", MINIMAL)
+    assert main(["run", "--tol-scale", "2", path]) == 2
+    assert main(["sweep", str(tmp_path), "--tol-scale", "2"]) == 2
+    assert main(["verify", "griffith", "--tol-scale", "2"]) == 0
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "minimal" / "manifest.json", encoding="utf-8") as fh:
+        assert "tol_scale" not in json.load(fh)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -179,3 +181,17 @@ def test_measure_identity_all_families(monkeypatch):
         built.clear()
         assert measure_identity_residual(fam) < 1e-6
         assert built == [128]
+
+
+def test_measure_identity_memory_is_bounded():
+    # the 201 times reach boundary_kinematics in blocks of a few thousand face
+    # points; one call for every time holds about 10 MB for this box
+    fam = homothetic(Affine(1.0, 0.3), Box((1.0, 0.5)), 1.0)
+    measure_identity_residual(fam)
+    tracemalloc.start()
+    try:
+        measure_identity_residual(fam)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2 ** 20

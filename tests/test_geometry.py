@@ -14,6 +14,8 @@ from debondwave.motion import (
     radial_annulus_flow,
     validate,
 )
+from debondwave.transform import PulledBackProblem
+from debondwave.verify import _builtin_families
 
 SQ2 = np.sqrt(2.0)
 
@@ -263,3 +265,43 @@ def test_sublevel_map_solves_the_level_set_flow():
             assert np.max(np.abs(fam.phi_dot(t, Y) - X)) < 1e-12
             det_t = fam.det_dphi(t, Y) * np.einsum("pii->p", DX)
             assert np.max(np.abs(fam.det_dphi_dt(t, Y) - det_t)) < 1e-12
+
+
+# --- time as an array axis ------------------------------------------------------
+
+_FORWARD = ("phi", "dphi", "det_dphi", "phi_dot", "det_dphi_dt", "grad_det_dphi",
+            "dpsi_at_phi", "psi_dot_at_phi")
+_INVERSE = ("psi", "dpsi", "det_dpsi", "psi_dot")
+
+
+@pytest.mark.parametrize("name", sorted(_builtin_families()))
+def test_batched_times_equal_stacked_scalar_calls(name):
+    # an (S,) array of times adds a leading axis, and each slice is the
+    # scalar call's result bit for bit; the later times are what a map that
+    # mixed up its rows would get wrong
+    fam = _builtin_families()[name]
+    ts = np.array([0.0, 0.15, 0.4, 0.55, 0.9, 1.0]) * fam.horizon
+    Y = fam.reference.interior_grid(20)
+    per_time = np.stack([np.roll(Y, i, axis=0) for i in range(len(ts))])
+    for method in _FORWARD:
+        f = getattr(fam, method)
+        shared, given = f(ts, Y), f(ts, per_time)
+        for i, t in enumerate(ts):
+            assert np.array_equal(shared[i], f(t, Y)), (method, t)
+            assert np.array_equal(given[i], f(t, per_time[i])), (method, t)
+    X = fam.phi(ts, Y)
+    for method in _INVERSE:
+        f = getattr(fam, method)
+        batch = f(ts, X)
+        for i, t in enumerate(ts):
+            assert np.array_equal(batch[i], f(t, fam.phi(t, Y))), (method, t)
+    measures = fam.domain_measure(ts)
+    B = PulledBackProblem(fam).diffusion(ts, Y)
+    faces = boundary_kinematics(fam, ts, resolution=16)
+    for i, t in enumerate(ts):
+        assert measures[i] == fam.domain_measure(t)
+        assert np.array_equal(B[i], PulledBackProblem(fam).diffusion(t, Y))
+        for batch, single in zip(faces, boundary_kinematics(fam, t, resolution=16)):
+            assert batch.name == single.name and np.array_equal(batch.y, single.y)
+            for field in ("x", "nu", "nu_spacetime", "omega", "weights"):
+                assert np.array_equal(getattr(batch, field)[i], getattr(single, field)), field

@@ -547,3 +547,35 @@ def test_refinement_reduces_cross_solver_gap():
         vg = grid.eval(1.0, ys)[0]
         gaps.append(np.sqrt(np.sum((vm - vg) ** 2) * w))
     assert gaps[0] / gaps[1] >= 1.3
+
+
+def test_cylinder_run_is_bit_for_bit():
+    # exact values of the criterion-4 scenario on 8 partitions, so any
+    # change to the store, the step rule or the restarts shows here
+    fam = one_d_scaling(Affine(1.0, 0.5), 1.0)
+    u0 = lambda x: np.sin(np.pi * np.clip(np.asarray(x, dtype=float), 0.0, 1.0))
+
+    def u1(x):
+        x = np.asarray(x, dtype=float)
+        return -(x / 2.0) * np.pi * np.cos(np.pi * x)
+
+    run = solve_cylinder(fam, u0, u1, partitions=8, inner_n=64)
+    tr = run.traj
+    assert tr.values.shape == tr.velocities.shape == (57, 65)
+    assert [repr(float(tr.times[i])) for i in (1, 28, 37, 56)] == [
+        "0.017857142857142856", "0.5", "0.6607142857142857", "1.0"]
+    assert [repr(float(tr.values[i, 20])) for i in (1, 28, 37, 56)] == [
+        "0.9923410436648127", "0.1351719026341693", "-0.3597106286462278",
+        "-0.746173078113004"]
+    assert [repr(float(tr.velocities[i, 40])) for i in (1, 28, 37, 56)] == [
+        "1.4080111957044985", "-0.5094859908521155", "-1.4139896810197294",
+        "-1.1816876835907015"]
+    assert [repr(float(tr.front[i])) for i in (1, 28, 37, 56)] == [
+        "1.0078125", "1.1953125", "1.3125", "1.4296875"]
+    assert repr(float(np.sum(tr.values))) == "216.17750097653692"
+    assert repr(float(np.sum(tr.velocities))) == "-3220.3357523842615"
+    assert [repr(float(e)) for e in run.energies] == [
+        "2.672613287276652", "2.6709564305417914", "2.6542751171690773",
+        "2.6401570150129743", "2.6148206059049777", "2.591387245834728",
+        "2.5757267506480757", "2.563200853236169", "2.553759520839059"]
+    assert run.energy_margin() == 0.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from debondwave.domains import Ball, Box, Interval, Tetrahedron
+from debondwave.domains import Annulus, Ball, Box, Interval, Tetrahedron
 from debondwave.errors import BoundaryMismatch, NotElliptic
 from debondwave.expressions import Affine, Const, Poly, SineMode, SpaceTimeField
 from debondwave.galerkin import Trajectory
@@ -19,6 +19,7 @@ from debondwave.transform import (
     pullback_initial,
     pushforward,
 )
+from debondwave.verify import _builtin_families
 
 
 def _scaling():
@@ -273,3 +274,31 @@ def test_matched_families_give_matching_coefficients(paper_formula):
         assert np.max(np.abs(Ba - Bb[:, 0, 0])) < 1e-12
         assert np.max(np.abs(ba - bb[:, 0])) < 1e-12
         assert np.max(np.abs(aa - ab[:, 0])) < 1e-6  # finite-differenced on the formula side
+
+
+@pytest.mark.parametrize("name", ["homothetic_box", "homothetic_tetra"])
+def test_pushforward_zero_extends_outside_boxes_and_simplices(name):
+    fam = _builtin_families()[name]
+
+    def traj_eval(t, y):  # v = 1 on the reference domain
+        return np.ones(len(y)), np.zeros(len(y)), np.zeros_like(y)
+
+    x = np.array([[5.0, 5.0], [0.1, 0.1]])
+    u, ud, gu, outside = pushforward(fam, traj_eval, 0.5, x)
+    assert outside.tolist() == [True, False]
+    assert u.tolist() == [0.0, 1.0]
+    assert not ud.any() and not gu.any()
+
+
+@pytest.mark.parametrize("reference, inside, outside", [
+    (Interval(1.0), [[0.0], [1.0]], [[-1e-9], [1.0 + 1e-9]]),
+    (Ball(1.0, 2), [[0.0, 0.0], [0.6, 0.8]], [[0.8, 0.7]]),
+    (Annulus(0.5, 1.0), [[0.5, 0.0], [0.0, -1.0]], [[0.1, 0.1], [1.0, 0.1]]),
+    (Box((1.0, 0.5)), [[0.0, 0.0], [1.0, 0.5]], [[0.5, 0.6], [-0.1, 0.2], [5.0, 5.0]]),
+    (Tetrahedron((0.6, 0.8)), [[0.0, 0.0], [0.6, 0.8]], [[1.0, 0.8], [-0.1, 0.1], [5.0, 5.0]]),
+])
+def test_reference_domains_contain_their_closure_only(reference, inside, outside):
+    assert reference.contains(np.array(inside)).all()
+    assert not reference.contains(np.array(outside)).any()
+    # any leading axes, as per-time points have
+    assert reference.contains(np.array(inside)[None]).shape == (1, len(inside))
