@@ -49,8 +49,8 @@ def _build_parser():
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("target", help=f"one of {sorted(SUITES)}, 'all', or a scenario file")
     p.add_argument("--out", default=None)
-    p.add_argument("--tol-scale", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol-scale", type=float, default=None, help="suites only (default 1)")
+    p.add_argument("--seed", type=int, default=None, help="suites only (default 0)")
 
     p = sub.add_parser("sweep", help="run every scenario file in a directory")
     p.add_argument("directory")
@@ -77,11 +77,16 @@ def _cmd_run(args):
 def _cmd_verify(args):
     target = args.target
     if target not in SUITES and target != "all" and os.path.exists(target):
+        if args.tol_scale is not None or args.seed is not None:
+            print("error: --tol-scale and --seed apply to suites, not scenario files",
+                  file=sys.stderr)
+            return EXIT_USAGE
         sc = parse_scenario(target)
         run_scenario(sc, out_dir=args.out)
         print(f"PASS scenario.{sc.name}  (ran to completion)")
         return EXIT_OK
-    results = run_suite(target, tol_scale=args.tol_scale, seed=args.seed)
+    tol_scale = 1.0 if args.tol_scale is None else args.tol_scale
+    results = run_suite(target, tol_scale=tol_scale, seed=args.seed or 0)
     failed = 0
     for res in results:
         print(res.line())

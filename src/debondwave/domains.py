@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_CLOSURE_TOL = 1e-12  # slack of contains() on every domain boundary
+
 
 def _unit_ball_volume(n):
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
@@ -40,8 +42,9 @@ class ReferenceDomain:
     def boundary_faces(self, resolution=64):
         raise NotImplementedError
 
-    def contains(self, Y, tol=1e-12):
-        """Whether each point of Y (..., dim) lies in the closure, within tol."""
+    def contains(self, Y):
+        """Whether each point of Y (..., dim) lies in the closure, within
+        _CLOSURE_TOL."""
         raise NotImplementedError
 
 
@@ -59,9 +62,9 @@ class Interval(ReferenceDomain):
     def measure(self):
         return self.length
 
-    def contains(self, Y, tol=1e-12):
+    def contains(self, Y):
         y = np.asarray(Y, dtype=float)[..., 0]
-        return (y >= -tol) & (y <= self.length + tol)
+        return (y >= -_CLOSURE_TOL) & (y <= self.length + _CLOSURE_TOL)
 
     def interior_grid(self, k):
         return np.linspace(0.0, self.length, k).reshape(-1, 1)
@@ -102,8 +105,8 @@ class Ball(ReferenceDomain):
     def measure(self):
         return _unit_ball_volume(self.dim_) * self.radius ** self.dim_
 
-    def contains(self, Y, tol=1e-12):
-        return np.linalg.norm(Y, axis=-1) <= self.radius + tol
+    def contains(self, Y):
+        return np.linalg.norm(Y, axis=-1) <= self.radius + _CLOSURE_TOL
 
     def interior_grid(self, k):
         n = self.dim_
@@ -142,9 +145,9 @@ class Annulus(ReferenceDomain):
         v = _unit_ball_volume(self.dim_)
         return v * (self.outer ** self.dim_ - self.inner ** self.dim_)
 
-    def contains(self, Y, tol=1e-12):
+    def contains(self, Y):
         r = np.linalg.norm(Y, axis=-1)
-        return (r >= self.inner - tol) & (r <= self.outer + tol)
+        return (r >= self.inner - _CLOSURE_TOL) & (r <= self.outer + _CLOSURE_TOL)
 
     def interior_grid(self, k):
         n = self.dim_
@@ -212,9 +215,10 @@ class Box(ReferenceDomain):
     def measure(self):
         return float(np.prod(self.extents))
 
-    def contains(self, Y, tol=1e-12):
+    def contains(self, Y):
         Y = np.asarray(Y, dtype=float)
-        return np.all((Y >= -tol) & (Y <= np.asarray(self.extents) + tol), axis=-1)
+        hi = np.asarray(self.extents) + _CLOSURE_TOL
+        return np.all((Y >= -_CLOSURE_TOL) & (Y <= hi), axis=-1)
 
     def interior_grid(self, k):
         n = self.dim
@@ -282,9 +286,10 @@ class Tetrahedron(ReferenceDomain):
         # simplex with legs level/n_i along the axes
         return self.level ** d / (math.factorial(d) * float(np.prod(n)))
 
-    def contains(self, Y, tol=1e-12):
+    def contains(self, Y):
         Y = np.asarray(Y, dtype=float)
-        return np.all(Y >= -tol, axis=-1) & (Y @ np.asarray(self.normal) <= self.level + tol)
+        return (np.all(Y >= -_CLOSURE_TOL, axis=-1)
+                & (Y @ np.asarray(self.normal) <= self.level + _CLOSURE_TOL))
 
     def interior_grid(self, k):
         n = np.asarray(self.normal, dtype=float)

@@ -151,7 +151,7 @@ def test_exit_codes(tmp_path):
 
 
 def test_verify_suite_exit_zero():
-    assert main(["verify", "griffith", "--seed", "1"]) == 0
+    assert main(["verify", "griffith", "--seed", "1", "--tol-scale", "2"]) == 0
 
 
 def test_sweep_runs_all(tmp_path):
@@ -273,11 +273,12 @@ def test_write_csv_matches_per_value_formatter(tmp_path):
 
 def test_tol_scale_belongs_to_suites_only(tmp_path):
     # run and sweep take no --tol-scale and write no tol_scale key;
-    # verify <suite> scales its tolerances with it
+    # verify <suite> scales its tolerances with it; verify <file> refuses it
     path = _write(tmp_path, "m.scn", MINIMAL)
     assert main(["run", "--tol-scale", "2", path]) == 2
     assert main(["sweep", str(tmp_path), "--tol-scale", "2"]) == 2
-    assert main(["verify", "griffith", "--tol-scale", "2"]) == 0
+    assert main(["verify", path, "--tol-scale", "2"]) == 2
+    assert main(["verify", path, "--seed", "1"]) == 2
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
     with open(tmp_path / "out" / "minimal" / "manifest.json", encoding="utf-8") as fh:
         assert "tol_scale" not in json.load(fh)
