@@ -17,12 +17,13 @@ data directly, i.e. while l(t) - t >= 0.  Integration stops at the first
 root of l(t) - t (the horizon T*) and refuses to continue past it.
 """
 
+import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CompatibilityViolated, TooFewSamples
+from .errors import CompatibilityViolated, NonPositiveToughness, TooFewSamples
 from .expressions import Expression
 
 
@@ -136,26 +137,29 @@ class CharScenario:
         """u0'(xi) - u1(xi), the characteristic combination feeding the ODE."""
         return float(self.u0.deriv(xi)) - float(self.u1(xi))
 
-    def check_front_compatibility(self, tol=1e-9):
-        """Conditions at the front for an activated start: u0(l0) = 0,
-        u0'(l0)^2 - u1(l0)^2 = 2 kappa(l0) and u0'/u1 < -1."""
-        l0 = self.l0
-        if abs(float(self.u0(l0))) > tol:
-            raise CompatibilityViolated("u0 must vanish at the initial front")
-        p0 = float(self.u0.deriv(l0))
-        w0 = float(self.u1(l0))
-        k0 = float(self.kappa(l0))
-        if k0 <= 0:
-            raise CompatibilityViolated("toughness must be positive at the front")
-        if w0 == 0.0:
-            if p0 * p0 > 2.0 * k0 + tol:
-                raise CompatibilityViolated("resting start needs u0'(l0)^2 <= 2 kappa")
-            return "rest"
-        if abs(p0 * p0 - w0 * w0 - 2.0 * k0) > max(tol, 1e-9 * (1 + abs(k0))):
-            raise CompatibilityViolated("activated start needs u0'^2 - u1^2 = 2 kappa at l0")
-        if p0 / w0 >= -1.0:
-            raise CompatibilityViolated("activated start needs u0'(l0)/u1(l0) < -1")
-        return "activated"
+
+class Verdict(enum.Enum):
+    SUBCRITICAL_REST = "SubcriticalRest"
+    ACTIVATED_START = "ActivatedStart"
+    INCOMPATIBLE = "Incompatible"
+
+
+def compatibility_check(u0_prime, u1, kappa, tol=1e-9):
+    """Classify initial data at a front point.
+
+    Either u1 = 0 with (u0')^2 <= 2 kappa (rest), or u1 != 0 with
+    (u0')^2 - u1^2 = 2 kappa and u0'/u1 < -1 (activated start).
+    """
+    if kappa <= 0.0:
+        raise NonPositiveToughness(f"kappa = {kappa}")
+    if abs(u1) <= tol:
+        if u0_prime * u0_prime <= 2.0 * kappa + tol:
+            return Verdict.SUBCRITICAL_REST
+        return Verdict.INCOMPATIBLE
+    if abs(u0_prime * u0_prime - u1 * u1 - 2.0 * kappa) <= max(tol, 1e-9 * (1 + kappa)):
+        if u0_prime / u1 < -1.0:
+            return Verdict.ACTIVATED_START
+    return Verdict.INCOMPATIBLE
 
 
 @dataclass
@@ -174,10 +178,16 @@ def front_ode_exact(sc: CharScenario, dt=1e-3, check=True):
 
     T* is the first time l(t) - t hits zero (located by step bisection);
     past it the backward characteristic no longer reads initial data and
-    the formula is refused.
+    the formula is refused.  With ``check`` the data must pass
+    ``compatibility_check`` at l0, and u0(l0) = 0.
     """
     if check:
-        sc.check_front_compatibility()
+        l0 = sc.l0
+        if abs(float(sc.u0(l0))) > 1e-9:
+            raise CompatibilityViolated("u0 must vanish at the initial front")
+        verdict = compatibility_check(float(sc.u0.deriv(l0)), float(sc.u1(l0)), float(sc.kappa(l0)))
+        if verdict is Verdict.INCOMPATIBLE:
+            raise CompatibilityViolated("front data fail the compatibility conditions at l0")
 
     def speed(t, ell):
         xi = ell - t

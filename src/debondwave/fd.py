@@ -16,6 +16,7 @@ from .errors import BlowUp, CflViolation
 from .galerkin import Trajectory
 
 CFL_SAFETY = 0.9
+MIN_CELLS = 8
 
 
 def solve_fd(problem, L, n, v0, v1, dt, T, store_every=1):
@@ -25,8 +26,8 @@ def solve_fd(problem, L, n, v0, v1, dt, T, store_every=1):
     store_every steps, and dt is the one ``kernels.step_count`` gives.
     Raises CflViolation or BlowUp.
     """
-    if n < 8:
-        raise ValueError("need at least 8 grid cells")
+    if n < MIN_CELLS:
+        raise ValueError(f"need at least {MIN_CELLS} grid cells")
     h = L / n
     x = np.linspace(0.0, L, n + 1)
     xm = 0.5 * (x[:-1] + x[1:])

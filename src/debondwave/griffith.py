@@ -11,7 +11,9 @@ scan over the alpha grid serves as the independent oracle.
 The coupled solvers use explicit staggered splitting: extract the front
 trace, apply the flow rule, advance the front by one Euler step, then
 advance the transformed PDE on the reference grid with the map rebuilt
-from the updated front; one loop serves the interval and the annulus.
+from the updated front; one loop serves the interval and the annulus,
+which is 2d (the radial reduction of a disc with a hole).  Both check their
+front data with ``characteristics.compatibility_check``.
 The loop owns one ``kernels.Stepper`` for the whole run: its state is the
 solution, and each step refills the stepper's three coefficient slices in
 place.  The 1d exact ODE from the characteristics module is the oracle for
@@ -23,13 +25,17 @@ t = 0.31, so one ulp more PDE velocity per step moves its front speed by
 of the stepping kernel (no matmul, tensordot, einsum or 1/h prescaling).
 """
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
-from .characteristics import CharScenario, one_sided_derivative
+from .characteristics import (
+    CharScenario,
+    Verdict,
+    compatibility_check,
+    one_sided_derivative,
+)
 from .energy import EnergyLedger, _accumulate
 from .errors import (
     BlowUp,
@@ -95,30 +101,6 @@ def mdp_oracle(p, kappa, M=10_000):
     return float(alpha[ok].max())
 
 
-class Verdict(enum.Enum):
-    SUBCRITICAL_REST = "SubcriticalRest"
-    ACTIVATED_START = "ActivatedStart"
-    INCOMPATIBLE = "Incompatible"
-
-
-def compatibility_check(u0_prime, u1, kappa, tol=1e-9):
-    """Classify initial data at a front point.
-
-    Either u1 = 0 with (u0')^2 <= 2 kappa (rest), or u1 != 0 with
-    (u0')^2 - u1^2 = 2 kappa and u0'/u1 < -1 (activated start).
-    """
-    if kappa <= 0.0:
-        raise NonPositiveToughness(f"kappa = {kappa}")
-    if abs(u1) <= tol:
-        if u0_prime * u0_prime <= 2.0 * kappa + tol:
-            return Verdict.SUBCRITICAL_REST
-        return Verdict.INCOMPATIBLE
-    if abs(u0_prime * u0_prime - u1 * u1 - 2.0 * kappa) <= max(tol, 1e-9 * (1 + kappa)):
-        if u0_prime / u1 < -1.0:
-            return Verdict.ACTIVATED_START
-    return Verdict.INCOMPATIBLE
-
-
 @dataclass
 class GriffithReport:
     """Pointwise Griffith-criterion audit along a front history."""
@@ -158,7 +140,6 @@ def griffith_check(times, speed, p, kappa_vals, tol=1e-3):
 @dataclass
 class CoupledNumerics:
     n: int = 1024
-    dt: float = None
     cfl: float = 0.45
     store_every: int = 8
     taper: float = 0.35       # fraction of the initial domain regularized at the fixed end
@@ -277,19 +258,19 @@ class _Interval:
 
 class _Annulus:
     """R - rho(t) < r < R on the reference [R - rho0, R], Phi = R - (rho /
-    rho0)(R - y): the front is the inner circle; the radial reduction adds
-    the drift -(dim - 1)/r u_r and the volume weight 2 pi r."""
+    rho0)(R - y): the front is the inner circle; the 2d radial reduction
+    adds the drift -u_r / r and the volume weight 2 pi r."""
 
     name = "radial coupled"
     side, normal = "left", -1.0
     ledger_meta = {"coupled": "radial"}
 
-    def __init__(self, R, rho0, u0, u1, kappa, num, dim):
-        self.R, self.L, self.dim = R, rho0, dim
+    def __init__(self, R, rho0, u0, u1, kappa, num):
+        self.R, self.L = R, rho0
         self.u0, self.u1, self.kappa = u0, u1, kappa
         n = num.n
         self.limit = R - 4 * (rho0 / n)
-        self.traj_meta = {"radial": True, "R": R, "dim": dim}
+        self.traj_meta = {"radial": True, "R": R}
         self.y = np.linspace(R - rho0, R, n + 1)
         self.Ry = R - self.y
         self.nRy = -self.Ry
@@ -328,11 +309,11 @@ class _Annulus:
         rt = np.array(rhos)[:, None]
         self.drift(rt, om, out=b)
         self.drift(rt, -acc, out=a)
-        # a -= (dim - 1) / (phi s), phi = R - s (R - y) the node radii
+        # a -= 1 / (phi s), phi = R - s (R - y) the node radii
         P = np.multiply(s, self.Ry, out=self._P)
         np.subtract(self.R, P, out=P)
         np.multiply(P, s, out=P)
-        np.divide(self.dim - 1.0, P, out=P)
+        np.divide(1.0, P, out=P)
         np.subtract(a, P, out=a)
 
     def volume(self, rho):
@@ -355,7 +336,7 @@ def _evolve_coupled(geo, p0, kap0, horizon, num, forcing, verdict):
     n = num.n
     h = geo.L / n
     # reference characteristic speed is at most (1 + omega) l0 / ell <= 2
-    dt = num.dt if num.dt is not None else num.cfl * h
+    dt = num.cfl * h
     nsteps = int(np.ceil(horizon / dt - 1e-12))
     dt = horizon / nsteps
     window = slice(-3, None) if geo.side == "right" else slice(0, 3)
@@ -483,22 +464,20 @@ def evolve_coupled_1d(sc: CharScenario, numerics: CoupledNumerics = None):
 
 
 def evolve_coupled_radial(R, rho0, u0, u1, kappa, horizon,
-                          numerics: CoupledNumerics = None, forcing=None, dim=2):
-    """Coupled debonding on annuli { R - rho(t) < |x| < R } (radial symmetry).
+                          numerics: CoupledNumerics = None, forcing=None):
+    """Coupled debonding on 2d annuli { R - rho(t) < |x| < R } (radial symmetry).
 
-    The radial reduction adds the drift -(dim-1)/r u_r to the 1d operator;
+    The radial reduction adds the drift -u_r / r to the 1d operator;
     the inner circle is the front, the outer one stays fixed.  Data are
     radial profiles of r on [R - rho0, R]; compatibility must hold at the
     inner circle (activated or resting start) and homogeneous conditions
     at the outer one.
     """
-    if dim != 2:
-        raise ValueError("the radial coupled solver is implemented for dim 2")
     num = numerics or CoupledNumerics(taper=0.0)
     p0 = -float(u0.deriv(R - rho0))  # outward normal at the inner circle is -e_r
     kap0 = float(kappa(R - rho0))
     verdict = compatibility_check(p0, float(u1(R - rho0)), kap0)
     if verdict is Verdict.INCOMPATIBLE:
         raise CompatibilityViolated("radial data incompatible at the inner circle")
-    geo = _Annulus(R, rho0, u0, u1, kappa, num, dim)
+    geo = _Annulus(R, rho0, u0, u1, kappa, num)
     return _evolve_coupled(geo, p0, kap0, horizon, num, forcing, verdict)

@@ -12,7 +12,7 @@ import os
 import numpy as np
 
 from .characteristics import CharScenario
-from .domains import Ball, Box, Interval, Tetrahedron
+from .domains import Interval
 from .energy import ledger_transformed
 from .errors import TypeMismatch
 from .expressions import Const, SpaceTimeField
@@ -29,34 +29,19 @@ from .scenarios import Scenario, SlopeField
 from .transform import PulledBackProblem, lift_dirichlet, pullback_initial
 
 
-def build_reference(motion):
-    kind = motion["reference"]
-    if kind == "interval":
-        return Interval(motion["length"])
-    if kind == "ball":
-        return Ball(motion["radius"], motion["dim"])
-    if kind == "box":
-        return Box(tuple(motion["extents"]))
-    if kind == "tetrahedron":
-        if motion["normal"] is None:
-            raise TypeMismatch("tetrahedron reference requires a normal")
-        return Tetrahedron(tuple(motion["normal"]), motion["level"])
-    raise TypeMismatch(f"unknown reference {kind!r}")
-
-
 def build_motion(motion):
-    """Motion family from a resolved [motion] section."""
+    """Motion family from a resolved [motion] section; identity and
+    homothetic act on the interval (0, length)."""
     kind = motion["kind"]
     T = motion["horizon"]
     if kind == "identity":
-        return identity_motion(build_reference(motion), T, 1e-9)
+        return identity_motion(Interval(motion["length"]), T, 1e-9)
     if kind == "one_d_scaling":
         return one_d_scaling(motion["profile"], T)
     if kind == "homothetic":
-        return homothetic(motion["profile"], build_reference(motion), T)
+        return homothetic(motion["profile"], Interval(motion["length"]), T)
     if kind == "sublevel_flow":
-        return SublevelFlowMotion(motion["level_kind"], motion["level"], motion["profile"], T,
-                                  dim=motion["dim"])
+        return SublevelFlowMotion(motion["level_kind"], motion["level"], motion["profile"], T)
     raise TypeMismatch(f"unknown motion kind {kind!r}")
 
 

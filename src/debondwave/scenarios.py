@@ -3,11 +3,13 @@
 Sections in square brackets, ``#`` comments, decimal numbers with optional
 exponent, expressions from the fixed catalog (``Const(c)``, ``Affine(a,b)``,
 ``SineMode(A,k)``, ``Poly(c0,c1,...)``).  Unknown keys are errors and every
-error names its line.  Defaults below are part of the format contract:
+error names its line.  The format describes 1d wave runs and the coupled
+runs; the n-d domain families are library and ``verify`` features only.
+Defaults below are part of the format contract:
 
     [scenario] kind = wave
-    [motion]   kind = identity, reference = interval, length = 1.0,
-               dim = 2, horizon = 1.0, level = 1.0, level_kind = radial
+    [motion]   kind = identity, length = 1.0, horizon = 1.0, level = 1.0,
+               level_kind = radial
     [data]     u0 = SineMode(1.0, 1), u1 = Const(0.0), f = Const(0.0),
                kappa = Const(1.0); optional: u0_prime (coupled slope),
                f_time, w and w_time (boundary load and its time profile)
@@ -17,6 +19,11 @@ error names its line.  Defaults below are part of the format contract:
                taper = 0.5, cfl = 0.45
     [output]   directory = out, series = ledger
 
+The identity and homothetic motions act on the interval (0, length); a
+radial sublevel flow is 2d, so it validates but does not run.  length,
+horizon, l0, rho0, dt, cfl and the counts must be positive, grid at least
+``fd.MIN_CELLS`` and taper in [0, 1), and a wave file's store_every must
+divide the step count that ``kernels.step_count`` gives for dt and horizon.
 The special token ``u1 = Compatible`` requests the initial velocity that
 makes the transformed problem start at rest, u1 = -Phi_dot(0,.) . grad u0.
 Only the 1d coupled run tapers its data, so a ``coupled_radial`` file that
@@ -29,26 +36,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingRequired, TypeMismatch, UnknownKey
-from .expressions import Const, parse_expression
+from .characteristics import Verdict, compatibility_check
+from .errors import CompatibilityViolated, MissingRequired, TypeMismatch, UnknownKey
+from .expressions import parse_expression
+from .fd import MIN_CELLS
+from .kernels import step_count
 from .motion import SublevelFlowMotion
 
 _FLOAT = "float"
 _INT = "int"
 _STR = "str"
 _EXPR = "expr"
-_LIST = "floatlist"
 
 _SCHEMA = {
     "scenario": {"name": (_STR, None), "kind": (_STR, "wave")},
     "motion": {
         "kind": (_STR, "identity"),
-        "reference": (_STR, "interval"),
         "length": (_FLOAT, 1.0),
-        "radius": (_FLOAT, 1.0),
-        "extents": (_LIST, (1.0,)),
-        "normal": (_LIST, None),
-        "dim": (_INT, 2),
         "profile": (_EXPR, None),
         "level": (_FLOAT, 1.0),
         "level_kind": (_STR, "radial"),
@@ -82,9 +86,18 @@ _SCHEMA = {
 _ENUMS = {
     ("scenario", "kind"): {"wave", "coupled", "coupled_radial"},
     ("motion", "kind"): {"identity", "one_d_scaling", "homothetic", "sublevel_flow"},
-    ("motion", "reference"): {"interval", "ball", "box", "tetrahedron"},
     ("motion", "level_kind"): SublevelFlowMotion.level_kinds,
     ("numerics", "solver"): {"spectral", "grid"},
+}
+
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_RANGES = {
+    **{("motion", k): _POSITIVE for k in ("length", "horizon")},
+    **{("coupled", k): _POSITIVE for k in ("l0", "rho0")},
+    **{("numerics", k): _POSITIVE
+       for k in ("modes", "dt", "quad_nodes", "store_every", "front_grid", "cfl")},
+    ("numerics", "grid"): (lambda v: v >= MIN_CELLS, f"must be at least {MIN_CELLS}"),
+    ("numerics", "taper"): (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
 }
 
 
@@ -106,11 +119,7 @@ class Scenario:
         from .kernels import backend_name
 
         def _enc(v):
-            if hasattr(v, "spec"):
-                return v.spec()
-            if isinstance(v, tuple):
-                return list(v)
-            return v
+            return v.spec() if hasattr(v, "spec") else v
 
         return {
             "scenario": {"name": self.name, "kind": self.kind},
@@ -132,29 +141,21 @@ def _convert(section, key, raw, lineno):
         if allowed and val not in allowed:
             raise TypeMismatch(f"{key} must be one of {sorted(allowed)}, got {val!r}", lineno)
         return val
-    if typ == _FLOAT:
-        try:
-            v = float(raw)
-        except ValueError:
-            raise TypeMismatch(f"{key} expects a number, got {raw!r}", lineno) from None
-        if not np.isfinite(v):
-            raise TypeMismatch(f"{key} must be finite", lineno)
-        return v
-    if typ == _INT:
-        try:
-            return int(raw)
-        except ValueError:
-            raise TypeMismatch(f"{key} expects an integer, got {raw!r}", lineno) from None
-    if typ == _LIST:
-        try:
-            return tuple(float(p) for p in raw.split(",") if p.strip())
-        except ValueError:
-            raise TypeMismatch(f"{key} expects comma-separated numbers, got {raw!r}", lineno) from None
     if typ == _EXPR:
         if raw.strip().lower() == "compatible" and key == "u1":
             return "compatible"
         return parse_expression(raw, lineno)
-    raise AssertionError(typ)
+    number, what = (float, "a number") if typ == _FLOAT else (int, "an integer")
+    try:
+        v = number(raw)
+    except ValueError:
+        raise TypeMismatch(f"{key} expects {what}, got {raw!r}", lineno) from None
+    if not np.isfinite(v):
+        raise TypeMismatch(f"{key} must be finite", lineno)
+    ok, rule = _RANGES.get((section, key), (None, None))
+    if ok is not None and not ok(v):
+        raise TypeMismatch(f"{key} {rule}, got {raw}", lineno)
+    return v
 
 
 def parse_scenario(path):
@@ -215,7 +216,13 @@ def parse_scenario(path):
     if kind != "wave" and "dt" in raw["numerics"]:
         raise TypeMismatch(f"{kind} runs take dt from cfl; drop the dt line",
                            line_of["numerics", "dt"])
-    _validate_numerics(resolved["numerics"])
+    if kind == "wave":
+        num, horizon = resolved["numerics"], resolved["motion"]["horizon"]
+        try:
+            step_count(num["dt"], horizon, num["store_every"])
+        except ValueError as exc:  # store_every = 1 always divides, so its line exists
+            raise TypeMismatch(f"{exc} (dt = {num['dt']:g}, horizon = {horizon:g})",
+                               line_of["numerics", "store_every"]) from None
 
     sc = Scenario(
         name=resolved["scenario"]["name"],
@@ -231,24 +238,10 @@ def parse_scenario(path):
     return sc
 
 
-def _validate_numerics(num):
-    for key in ("modes", "grid", "quad_nodes", "store_every", "front_grid"):
-        if num[key] <= 0:
-            raise TypeMismatch(f"numerics {key} must be positive")
-    for key in ("dt", "cfl"):
-        if num[key] <= 0:
-            raise TypeMismatch(f"numerics {key} must be positive")
-    if not (0.0 <= num["taper"] < 1.0):
-        raise TypeMismatch("numerics taper must lie in [0, 1)")
-
-
 def _early_checks(sc):
     """Checks promised at parse time (e.g. coupled compatibility)."""
     if sc.kind not in ("coupled", "coupled_radial"):
         return
-    from .errors import CompatibilityViolated
-    from .griffith import Verdict, compatibility_check
-
     u1 = sc.data["u1"]
     kap = sc.data["kappa"]
     if sc.kind == "coupled":

@@ -119,7 +119,6 @@ class TransformedData:
     """Initial data of the fixed-domain problem, as callables on the reference."""
 
     v0: object
-    v0_deriv: object
     v1: object
 
 
@@ -133,7 +132,7 @@ def pullback_initial(fam, u0, u1):
         pd = fam.phi_dot(0.0, y.reshape(-1, 1))[:, 0]
         return np.asarray(u1(y), dtype=float) + pd * np.asarray(u0.deriv(y), dtype=float)
 
-    return TransformedData(v0=u0, v0_deriv=u0.deriv, v1=v1)
+    return TransformedData(v0=u0, v1=v1)
 
 
 def pushforward(fam, traj_eval, t, x):

@@ -8,7 +8,7 @@ from debondwave.characteristics import (
     front_ode_exact,
     one_sided_derivative,
 )
-from debondwave.errors import CompatibilityViolated, TooFewSamples
+from debondwave.errors import CompatibilityViolated, NonPositiveToughness, TooFewSamples
 from debondwave.expressions import Const, Poly, SineMode, SpaceTimeField
 
 SQ2 = np.sqrt(2.0)
@@ -125,6 +125,15 @@ def test_front_compatibility_guard():
                        kappa=Const(1.0), horizon=1.0)
     with pytest.raises(CompatibilityViolated):
         front_ode_exact(bad)
+    # activated-start data, but u0(l0) = 0.5 instead of 0
+    lifted = CharScenario(l0=1.0, u0=Poly(2.5, -2.0), u1=Const(SQ2),
+                          kappa=Const(1.0), horizon=1.0)
+    with pytest.raises(CompatibilityViolated):
+        front_ode_exact(lifted)
+    soft = CharScenario(l0=1.0, u0=Poly(2.0, -2.0), u1=Const(SQ2),
+                        kappa=Const(0.0), horizon=1.0)
+    with pytest.raises(NonPositiveToughness):
+        front_ode_exact(soft)
 
 
 # --- boundary traces -----------------------------------------------------------

@@ -150,6 +150,46 @@ def test_exit_codes(tmp_path):
     assert main(["run", cfl, "--out", str(tmp_path / "out")]) == 3
 
 
+RADIAL = """\
+[scenario]
+name = radial
+kind = coupled_radial
+
+[motion]
+horizon = 0.4
+
+[data]
+u0 = Poly(-48.0, 80.0, -44.0, 8.0)
+u1 = Poly(-113.137084989848, 203.646752981726, -118.79393923934, 22.6274169979695)
+
+[coupled]
+rho0 = 0.5
+
+[numerics]
+front_grid = 128
+taper = 0.0
+"""
+
+
+@pytest.mark.parametrize("text, key", [
+    (MINIMAL + "[motion]\nhorizon = 0\n", "horizon"),
+    (MINIMAL + "[motion]\nhorizon = -1\n", "horizon"),
+    (MINIMAL + "[motion]\nlength = -1\n", "length"),
+    (MINIMAL + "[numerics]\nsolver = grid\ngrid = 4\n", "grid"),
+    (MINIMAL + "[numerics]\nstore_every = 7\n", "store_every"),  # 1000 steps
+    (COUPLED.replace("horizon = 0.8", "horizon = 0"), "horizon"),
+    (COUPLED.replace("l0 = 1.0", "l0 = -1"), "l0"),
+    (RADIAL.replace("rho0 = 0.5", "rho0 = 0"), "rho0"),
+], ids=["horizon-0", "horizon-neg", "length-neg", "grid-4", "store-every-7",
+        "coupled-horizon-0", "l0-neg", "rho0-0"])
+def test_run_rejects_out_of_range_values(tmp_path, capsys, text, key):
+    path = _write(tmp_path, "range.scn", text)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    line = next(i for i, row in enumerate(text.splitlines(), 1) if row.startswith(key + " ="))
+    assert f"line {line}: {key}" in err and "Traceback" not in err
+
+
 def test_verify_suite_exit_zero():
     assert main(["verify", "griffith", "--seed", "1", "--tol-scale", "2"]) == 0
 
@@ -242,6 +282,10 @@ def test_parser_edge_cases(tmp_path):
     with pytest.raises(UnknownKey) as err:  # the deleted cylinder partition count
         parse_scenario(_write(tmp_path, "s5.scn", MINIMAL + "[numerics]\npartitions = 32\n"))
     assert "line 4:" in str(err.value) and "'partitions'" in str(err.value)
+    for key in ("reference", "radius", "extents", "normal", "dim"):  # the n-d reference keys
+        with pytest.raises(UnknownKey) as err:
+            parse_scenario(_write(tmp_path, f"{key}.scn", MINIMAL + f"[motion]\n{key} = 1.0\n"))
+        assert "line 4:" in str(err.value) and f"'{key}'" in str(err.value)
 
 
 def test_unknown_level_kind_names_its_line(tmp_path):
