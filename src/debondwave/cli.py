@@ -3,10 +3,10 @@
 Subcommands:
     validate <file>       parse a scenario and echo its manifest
     run <file>            execute a scenario, write CSVs and manifest
-    verify <suite|file>   run a named verification suite (or a scenario
-                          file's own suite) and report pass/fail lines
-    sweep <dir>           run every scenario file in a directory, one
-                          "done <name>" or "FAIL <file>: <error>" line each
+    verify <suite>        run a named verification suite (or 'all') and
+                          report pass/fail lines
+    sweep <dir>           run every scenario file in a directory in turn,
+                          one "done <name>" or "FAIL <file>: <error>" line each
 
 Exit codes: 0 ok, 1 verification failure, 2 usage/parse error,
 3 numerical failure.  A sweep runs every file and exits with the highest
@@ -47,15 +47,13 @@ def _build_parser():
     p.add_argument("--out", default=None, help="output directory root")
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("target", help=f"one of {sorted(SUITES)}, 'all', or a scenario file")
-    p.add_argument("--out", default=None)
-    p.add_argument("--tol-scale", type=float, default=None, help="suites only (default 1)")
-    p.add_argument("--seed", type=int, default=None, help="suites only (default 0)")
+    p.add_argument("suite", help=f"one of {sorted(SUITES)} or 'all'")
+    p.add_argument("--tol-scale", type=float, default=1.0)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("sweep", help="run every scenario file in a directory")
     p.add_argument("directory")
     p.add_argument("--out", default=None)
-    p.add_argument("--workers", type=int, default=0, help="0 = sequential")
     return ap
 
 
@@ -75,18 +73,7 @@ def _cmd_run(args):
 
 
 def _cmd_verify(args):
-    target = args.target
-    if target not in SUITES and target != "all" and os.path.exists(target):
-        if args.tol_scale is not None or args.seed is not None:
-            print("error: --tol-scale and --seed apply to suites, not scenario files",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        sc = parse_scenario(target)
-        run_scenario(sc, out_dir=args.out)
-        print(f"PASS scenario.{sc.name}  (ran to completion)")
-        return EXIT_OK
-    tol_scale = 1.0 if args.tol_scale is None else args.tol_scale
-    results = run_suite(target, tol_scale=tol_scale, seed=args.seed or 0)
+    results = run_suite(args.suite, tol_scale=args.tol_scale, seed=args.seed)
     failed = 0
     for res in results:
         print(res.line())
@@ -95,10 +82,9 @@ def _cmd_verify(args):
     return EXIT_OK if failed == 0 else EXIT_VERIFY
 
 
-def _run_one(path_out):
+def _run_one(path, out):
     """Run one sweep file; return its status line and the exit code a lone
     run of the file gives."""
-    path, out = path_out
     try:
         sc = parse_scenario(path)
         run_scenario(sc, out_dir=out)
@@ -123,19 +109,9 @@ def _cmd_sweep(args):
     if not files:
         print(f"no .scn files in {args.directory}", file=sys.stderr)
         return EXIT_USAGE
-    jobs = [(f, args.out) for f in files]
-    if args.workers and args.workers > 1:
-        import concurrent.futures as cf
-
-        with cf.ProcessPoolExecutor(max_workers=args.workers) as ex:
-            return _report(ex.map(_run_one, jobs))
-    return _report(map(_run_one, jobs))
-
-
-def _report(results):
-    """Print each sweep status line as it arrives; return the worst code."""
     worst = EXIT_OK
-    for line, code in results:
+    for path in files:
+        line, code = _run_one(path, args.out)
         print(line, flush=True)
         worst = max(worst, code)
     return worst

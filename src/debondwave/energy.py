@@ -45,16 +45,6 @@ class EnergyLedger:
     G_total: np.ndarray = None
     meta: dict = field(default_factory=dict)
 
-    def columns(self):
-        cols = [("t", self.times), ("kinetic", self.kinetic),
-                ("potential", self.potential), ("work", self.work)]
-        for name in ("boundary_dissipation", "debond_dissipation",
-                     "residual_moving", "residual_fixed", "G_total"):
-            arr = getattr(self, name)
-            if arr is not None:
-                cols.append((name, arr))
-        return cols
-
 
 def _accumulate(times, rates, rule):
     """Cumulative time integral of a sampled rate."""

@@ -205,9 +205,6 @@ class SpaceTimeField:
         self.space = space
         self.time = time if time is not None else Const(1.0)
 
-    def bound(self, length):
-        return SpaceTimeField(self.space.bound(length), self.time)
-
     def __call__(self, t, x):
         return self.time(t) * self.space(x)
 

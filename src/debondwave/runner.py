@@ -25,7 +25,7 @@ from .motion import (
     identity_motion,
     one_d_scaling,
 )
-from .scenarios import Scenario, SlopeField
+from .scenarios import SERIES, Scenario, SlopeField
 from .transform import PulledBackProblem, lift_dirichlet, pullback_initial
 
 
@@ -76,19 +76,23 @@ def _stage(name):
 
 
 def run_scenario(sc: Scenario, out_dir=None):
-    """Execute a parsed scenario and write its artifacts."""
+    """Execute a parsed scenario and write its artifacts: the CSVs its
+    [output] series asks for, in the kind's SERIES order, then the manifest."""
     out_root = out_dir or sc.output["directory"]
     directory = os.path.join(out_root, sc.name)
     os.makedirs(directory, exist_ok=True)
-    files = []
 
     with _stage(sc.kind):
-        if sc.kind == "wave":
-            files += _run_wave(sc, directory)
-        elif sc.kind == "coupled":
-            files += _run_coupled(sc, directory)
-        else:
-            files += _run_coupled_radial(sc, directory)
+        tables = _run_wave(sc) if sc.kind == "wave" else _run_coupled(sc)
+    wanted = sc.series
+    if sc.kind != "wave" and wanted == ["ledger"]:  # the coupled default writes every table
+        wanted = SERIES[sc.kind]
+    files = []
+    for name in SERIES[sc.kind]:
+        if name in wanted:
+            path = os.path.join(directory, f"{name}.csv")
+            write_csv(path, tables[name])
+            files.append(path)
 
     manifest = sc.manifest()
     mpath = os.path.join(directory, "manifest.json")
@@ -106,25 +110,26 @@ def _forcing_field(sc):
     return SpaceTimeField(f, sc.data["f_time"])
 
 
-def _run_wave(sc, directory):
+def _run_wave(sc):
+    """Columns of the wave run's tables, keyed by series name."""
     fam = build_motion(sc.motion)
     if fam.dim != 1:
         raise TypeMismatch("the run pipeline solves 1d scenarios; "
                            "higher dimensions are verification-only")
     L = fam.reference.length
-    u0 = sc.data["u0"].bound(L)
+    u0 = sc.data["u0"]
     if sc.data["u1"] == "compatible":
         def u1(y):
             y = np.asarray(y, dtype=float)
             pd = fam.phi_dot(0.0, y.reshape(-1, 1))[:, 0]
             return -pd * np.asarray(u0.deriv(y), dtype=float)
     else:
-        u1 = sc.data["u1"].bound(L)
+        u1 = sc.data["u1"]
     forcing = _forcing_field(sc)
 
     if sc.data["w"] is not None:
         # nonzero load on the fixed end: lift to homogeneous data
-        W = SpaceTimeField(sc.data["w"].bound(L), sc.data["w_time"])
+        W = SpaceTimeField(sc.data["w"], sc.data["w_time"])
         ts = np.linspace(0.0, fam.horizon, 9)
         moving = (ts, fam.domain_measure(ts))
         f_lift, u0, u1 = lift_dirichlet(W, u0, u1, fixed_points=[0.0],
@@ -149,7 +154,7 @@ def _run_wave(sc, directory):
                             dt=num["dt"], T=fam.horizon, store_every=num["store_every"])
 
     moving = sc.motion["kind"] != "identity"
-    kappa = sc.data["kappa"].bound(L) if moving else None
+    kappa = sc.data["kappa"] if moving else None
     with _stage("ledger"):
         led = ledger_transformed(traj, fam, forcing=forcing, kappa=kappa, problem=problem)
 
@@ -161,81 +166,35 @@ def _run_wave(sc, directory):
             cols += [("debond_dissipation", led.debond_dissipation)]
         cols += [("residual_moving", led.residual_moving)]
     cols += [("residual_fixed", led.residual_fixed)]
-
-    files = []
-    series = [s.strip() for s in sc.output["series"].split(",") if s.strip()]
-    if "ledger" in series:
-        path = os.path.join(directory, "ledger.csv")
-        write_csv(path, cols)
-        files.append(path)
-    if "trajectory" in series:
-        path = os.path.join(directory, "trajectory.csv")
-        vals = [("t", traj.times)] + [
-            (f"c{k}", traj.values[:, k]) for k in range(traj.values.shape[1])]
-        write_csv(path, vals)
-        files.append(path)
-    return files
+    trajectory = [("t", traj.times)] + [
+        (f"c{k}", traj.values[:, k]) for k in range(traj.values.shape[1])]
+    return {"ledger": cols, "trajectory": trajectory}
 
 
-def _coupled_files(run, directory, series):
-    files = []
-    if "front" in series:
-        path = os.path.join(directory, "front.csv")
-        write_csv(path, [("t", run.front.times), ("position", run.front.position),
-                         ("speed", run.front.speed), ("trace", run.front.trace),
-                         ("kappa", run.front.kappa)])
-        files.append(path)
-    if "griffith" in series:
-        path = os.path.join(directory, "griffith.csv")
-        rep = run.report
-        write_csv(path, [("t", rep.times), ("speed", rep.speed), ("G", rep.G),
-                         ("kappa", rep.kappa),
-                         ("activation", rep.activation.astype(float)),
-                         ("complementarity", rep.complementarity)])
-        files.append(path)
-    if "ledger" in series:
-        path = os.path.join(directory, "ledger.csv")
-        led = run.ledger
-        write_csv(path, [("t", led.times), ("kinetic", led.kinetic),
-                         ("potential", led.potential), ("work", led.work),
-                         ("debond_dissipation", led.debond_dissipation),
-                         ("residual_moving", led.residual_moving)])
-        files.append(path)
-    return files
-
-
-def _coupled_numerics(sc):
+def _run_coupled(sc):
+    """Columns of a coupled run's tables (1d or radial), keyed by series name."""
     num = sc.numerics
-    return CoupledNumerics(n=num["front_grid"], cfl=num["cfl"],
-                           store_every=num["store_every"], taper=num["taper"])
-
-
-def _run_coupled(sc, directory):
-    l0 = sc.coupled["l0"]
-    u0p = sc.data["u0_prime"]
-    u0 = SlopeField(u0p, l0)
+    numerics = CoupledNumerics(n=num["front_grid"], cfl=num["cfl"],
+                               store_every=num["store_every"], taper=num["taper"])
     u1 = Const(0.0) if sc.data["u1"] == "compatible" else sc.data["u1"]
-    char = CharScenario(l0=l0, u0=u0, u1=u1, kappa=sc.data["kappa"],
-                        horizon=sc.motion["horizon"], forcing=_forcing_field(sc))
-    run = evolve_coupled_1d(char, _coupled_numerics(sc))
-    series = [s.strip() for s in sc.output["series"].split(",") if s.strip()]
-    if not series or series == ["ledger"]:
-        series = ["ledger", "front", "griffith"]
-    return _coupled_files(run, directory, series)
-
-
-def _run_coupled_radial(sc, directory):
-    R = sc.coupled["R"]
-    rho0 = sc.coupled["rho0"]
-    u0 = sc.data["u0"]  # radial profile of r; must vanish at both circles
-    u1 = sc.data["u1"]
-    if u1 == "compatible":
-        u1 = Const(0.0)
-    run = evolve_coupled_radial(R, rho0, u0, u1, sc.data["kappa"],
-                                horizon=sc.motion["horizon"],
-                                numerics=_coupled_numerics(sc),
-                                forcing=_forcing_field(sc))
-    series = [s.strip() for s in sc.output["series"].split(",") if s.strip()]
-    if not series or series == ["ledger"]:
-        series = ["ledger", "front", "griffith"]
-    return _coupled_files(run, directory, series)
+    horizon, forcing = sc.motion["horizon"], _forcing_field(sc)
+    if sc.kind == "coupled":
+        l0 = sc.coupled["l0"]
+        char = CharScenario(l0=l0, u0=SlopeField(sc.data["u0_prime"], l0), u1=u1,
+                            kappa=sc.data["kappa"], horizon=horizon, forcing=forcing)
+        run = evolve_coupled_1d(char, numerics)
+    else:  # u0 is a radial profile of r; it must vanish at both circles
+        run = evolve_coupled_radial(sc.coupled["R"], sc.coupled["rho0"], sc.data["u0"], u1,
+                                    sc.data["kappa"], horizon=horizon, numerics=numerics,
+                                    forcing=forcing)
+    front, rep, led = run.front, run.report, run.ledger
+    return {
+        "front": [("t", front.times), ("position", front.position), ("speed", front.speed),
+                  ("trace", front.trace), ("kappa", front.kappa)],
+        "griffith": [("t", rep.times), ("speed", rep.speed), ("G", rep.G),
+                     ("kappa", rep.kappa), ("activation", rep.activation.astype(float)),
+                     ("complementarity", rep.complementarity)],
+        "ledger": [("t", led.times), ("kinetic", led.kinetic), ("potential", led.potential),
+                   ("work", led.work), ("debond_dissipation", led.debond_dissipation),
+                   ("residual_moving", led.residual_moving)],
+    }

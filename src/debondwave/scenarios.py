@@ -29,7 +29,12 @@ makes the transformed problem start at rest, u1 = -Phi_dot(0,.) . grad u0.
 Only the 1d coupled run tapers its data, so a ``coupled_radial`` file that
 sets a nonzero ``taper`` is an error.  The coupled runs take their step
 from ``cfl``, so a ``coupled`` or ``coupled_radial`` file that sets ``dt``
-is an error too.
+is an error too, and so is a radial R <= rho0 or a homothetic profile(0) != 1.
+``series`` lists tables of the kind (``SERIES``); a coupled run whose
+series is just ``ledger`` writes all three.  Expressions are bound at parse
+(only SineMode reads it): time profiles to the horizon, spatial fields to
+``length`` (identity, homothetic), profile(0) (one_d_scaling,
+sublevel_flow), l0 (coupled) or R (coupled_radial).
 """
 
 from dataclasses import dataclass
@@ -90,6 +95,12 @@ _ENUMS = {
     ("numerics", "solver"): {"spectral", "grid"},
 }
 
+SERIES = {
+    "wave": ("ledger", "trajectory"),
+    "coupled": ("front", "griffith", "ledger"),
+    "coupled_radial": ("front", "griffith", "ledger"),
+}
+
 _POSITIVE = (lambda v: v > 0, "must be positive")
 _RANGES = {
     **{("motion", k): _POSITIVE for k in ("length", "horizon")},
@@ -113,6 +124,11 @@ class Scenario:
     numerics: dict
     output: dict
     source: str = ""
+
+    @property
+    def series(self):
+        """The names listed in [output] series."""
+        return [s.strip() for s in self.output["series"].split(",") if s.strip()]
 
     def manifest(self):
         from . import __version__
@@ -213,11 +229,19 @@ def parse_scenario(path):
     elif raw["numerics"].get("taper", 0.0) != 0.0:
         raise TypeMismatch("coupled_radial runs do not taper their data; "
                            "set taper = 0.0 or drop the line", line_of["numerics", "taper"])
+    _bind_lengths(resolved, kind)
+    if kind == "coupled_radial" and resolved["coupled"]["R"] <= resolved["coupled"]["rho0"]:
+        raise TypeMismatch("R must exceed rho0",
+                           line_of.get(("coupled", "R"), line_of.get(("coupled", "rho0"))))
     if kind != "wave" and "dt" in raw["numerics"]:
         raise TypeMismatch(f"{kind} runs take dt from cfl; drop the dt line",
                            line_of["numerics", "dt"])
     if kind == "wave":
-        num, horizon = resolved["numerics"], resolved["motion"]["horizon"]
+        motion, num = resolved["motion"], resolved["numerics"]
+        horizon = motion["horizon"]
+        if motion["kind"] == "homothetic" and abs(float(motion["profile"](0.0)) - 1.0) > 1e-12:
+            raise TypeMismatch("profile of a homothetic motion must satisfy profile(0) = 1",
+                               line_of["motion", "profile"])
         try:
             step_count(num["dt"], horizon, num["store_every"])
         except ValueError as exc:  # store_every = 1 always divides, so its line exists
@@ -234,8 +258,31 @@ def parse_scenario(path):
         output=resolved["output"],
         source=str(path),
     )
+    series = sc.series
+    if not series or not set(series) <= set(SERIES[kind]):
+        raise TypeMismatch(f"series must list names from {list(SERIES[kind])}, "
+                           f"got {sc.output['series']!r}", line_of["output", "series"])
     _early_checks(sc)
     return sc
+
+
+def _bind_lengths(resolved, kind):
+    """Bind every expression to its length (see the module notes)."""
+    motion, data = resolved["motion"], resolved["data"]
+    horizon = motion["horizon"]
+    if motion["profile"] is not None:
+        motion["profile"] = motion["profile"].bound(horizon)
+    if kind == "coupled":
+        length = resolved["coupled"]["l0"]
+    elif kind == "coupled_radial":
+        length = resolved["coupled"]["R"]
+    elif motion["kind"] in ("identity", "homothetic"):
+        length = motion["length"]
+    else:
+        length = float(motion["profile"](0.0))
+    for key, expr in data.items():
+        if hasattr(expr, "bound"):  # not None or the token "compatible"
+            data[key] = expr.bound(horizon if key.endswith("_time") else length)
 
 
 def _early_checks(sc):

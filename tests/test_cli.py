@@ -180,8 +180,12 @@ taper = 0.0
     (COUPLED.replace("horizon = 0.8", "horizon = 0"), "horizon"),
     (COUPLED.replace("l0 = 1.0", "l0 = -1"), "l0"),
     (RADIAL.replace("rho0 = 0.5", "rho0 = 0"), "rho0"),
+    (MINIMAL + "[motion]\nkind = homothetic\nprofile = Affine(2.0, 0.5)\n", "profile"),
+    (RADIAL.replace("rho0 = 0.5", "R = 0.5\nrho0 = 0.5"), "R"),
+    (RADIAL.replace("rho0 = 0.5", "R = 0.3\nrho0 = 0.5"), "R"),
 ], ids=["horizon-0", "horizon-neg", "length-neg", "grid-4", "store-every-7",
-        "coupled-horizon-0", "l0-neg", "rho0-0"])
+        "coupled-horizon-0", "l0-neg", "rho0-0", "homothetic-profile-0", "R-eq-rho0",
+        "R-below-rho0"])
 def test_run_rejects_out_of_range_values(tmp_path, capsys, text, key):
     path = _write(tmp_path, "range.scn", text)
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
@@ -204,12 +208,11 @@ def test_sweep_runs_all(tmp_path):
     assert os.path.isdir(tmp_path / "out" / "s-b")
 
 
-@pytest.mark.parametrize("workers", ["0", "2"])
-def test_sweep_carries_on_past_failing_files(tmp_path, capsys, workers):
+def test_sweep_carries_on_past_failing_files(tmp_path, capsys):
     _write(tmp_path, "a_bad.scn", "[scenario]\nname = x\n[data]\ntouhgness = Const(1)\n")
     _write(tmp_path, "b_good.scn", MINIMAL.replace("minimal", "s-good")
            + "[numerics]\nmodes = 8\ndt = 0.005\n")
-    argv = ["sweep", str(tmp_path), "--out", str(tmp_path / "out"), "--workers", workers]
+    argv = ["sweep", str(tmp_path), "--out", str(tmp_path / "out")]
     assert main(argv) == 2  # a parse error, as a lone run of a_bad.scn gives
     assert os.path.isfile(tmp_path / "out" / "s-good" / "ledger.csv")
     lines = capsys.readouterr().out.splitlines()
@@ -297,9 +300,12 @@ def test_unknown_level_kind_names_its_line(tmp_path):
     assert "['radial', 'reflected']" in str(err.value)
 
 
-def test_verify_scenario_file_target(tmp_path):
+def test_verify_scenario_file_is_an_unknown_suite(tmp_path, capsys):
     path = _write(tmp_path, "v.scn", MINIMAL + "[numerics]\nmodes = 8\ndt = 0.005\n")
-    assert main(["verify", path, "--out", str(tmp_path / "out")]) == 0
+    assert main(["verify", path]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown suite {path!r}" in err and "'griffith'" in err
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_write_csv_matches_per_value_formatter(tmp_path):
@@ -317,7 +323,7 @@ def test_write_csv_matches_per_value_formatter(tmp_path):
 
 def test_tol_scale_belongs_to_suites_only(tmp_path):
     # run and sweep take no --tol-scale and write no tol_scale key;
-    # verify <suite> scales its tolerances with it; verify <file> refuses it
+    # verify <suite> scales its tolerances with it; verify takes no file
     path = _write(tmp_path, "m.scn", MINIMAL)
     assert main(["run", "--tol-scale", "2", path]) == 2
     assert main(["sweep", str(tmp_path), "--tol-scale", "2"]) == 2
@@ -326,3 +332,142 @@ def test_tol_scale_belongs_to_suites_only(tmp_path):
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
     with open(tmp_path / "out" / "minimal" / "manifest.json", encoding="utf-8") as fh:
         assert "tol_scale" not in json.load(fh)
+
+
+SINE = "SineMode(1.0, 1)"
+WAVE = MINIMAL + "[numerics]\nmodes = 8\ndt = 0.005\n"
+COUPLED_REST = COUPLED.replace(f"u1 = Const({float(SQ2)!r})", "u1 = Const(0.0)")
+RADIAL_REST = RADIAL.replace("u1 = Poly(-113.137084989848, 203.646752981726, -118.79393923934, "
+                             "22.6274169979695)", "u1 = Const(0.0)")
+
+
+@pytest.mark.parametrize("text, code", [
+    (WAVE + f"[data]\nf = {SINE}\n", 0),
+    (WAVE + f"[data]\nf = Const(1.0)\nf_time = {SINE}\n", 0),
+    (WAVE + f"[data]\nw = Affine(1.0, -1.0)\nw_time = {SINE}\n", 0),
+    (WAVE + f"[motion]\nkind = one_d_scaling\nprofile = {SINE}\n", 3),  # l(0) = 0
+    (COUPLED + f"[data]\nf = {SINE}\n", 0),
+    (COUPLED.replace("kappa = Const(1.0)", f"kappa = {SINE}"), 3),  # kappa(l0) = 0
+    (COUPLED_REST.replace("u0_prime = Const(-2.0)", f"u0_prime = {SINE}"), 0),
+    (COUPLED_REST.replace("u0_prime = Const(-2.0)", "u0_prime = Const(-1.0)")
+     .replace("u1 = Const(0.0)", f"u1 = {SINE}"), 0),
+    (RADIAL + f"[data]\nf = {SINE}\n", 0),
+    (RADIAL + "[data]\nkappa = SineMode(1.4142135623730951, 1)\n", 0),  # kappa(R - rho0) = 1
+    (RADIAL_REST.replace("u0 = Poly(-48.0, 80.0, -44.0, 8.0)", f"u0 = {SINE}"), 0),
+], ids=["wave-f", "wave-f_time", "wave-w_time", "wave-profile", "coupled-f", "coupled-kappa",
+        "coupled-u0_prime", "coupled-u1", "radial-f", "radial-kappa", "radial-u0"])
+def test_sine_mode_runs_in_every_field(tmp_path, capsys, text, code):
+    path = _write(tmp_path, "sine.scn", text)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_expressions_bound_to_run_lengths(tmp_path):
+    wave = parse_scenario(_write(tmp_path, "w.scn", (
+        "[scenario]\nname = w\n[motion]\nkind = one_d_scaling\nprofile = Affine(1.5, 0.5)\n"
+        f"horizon = 0.8\n[data]\nf = {SINE}\nf_time = {SINE}\nw = {SINE}\nw_time = {SINE}\n"
+        f"kappa = {SINE}\n"
+        "[numerics]\ndt = 0.001\n")))
+    assert [wave.data[k].length for k in ("u0", "f", "w", "kappa")] == [1.5] * 4
+    assert [wave.data[k].length for k in ("f_time", "w_time")] == [0.8] * 2
+    homothetic = parse_scenario(_write(tmp_path, "h.scn", MINIMAL + (
+        "[motion]\nkind = homothetic\nlength = 2.5\nprofile = Affine(1.0, 0.5)\n")))
+    assert homothetic.data["u0"].length == 2.5
+    radial = parse_scenario(_write(tmp_path, "r.scn", RADIAL + (
+        "[data]\nkappa = SineMode(1.4142135623730951, 1)\n")))
+    assert radial.data["kappa"].length == 2.0  # R: vanishes on the fixed outer circle
+
+
+@pytest.mark.parametrize("series", ["ledgr", "front", "ledger, griffith", ""])
+def test_series_outside_the_kind_names_its_line(tmp_path, capsys, series):
+    text = WAVE + f"[output]\nseries = {series}\n"
+    assert main(["run", _write(tmp_path, "s.scn", text), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"line {len(text.splitlines())}: series must list names from " in err
+    assert not os.path.exists(tmp_path / "out")
+
+
+def _table(path):
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+    return header, np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+def test_run_radial_scenario_writes_coupled_tables(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", RADIAL_SCN, "--out", str(out)]) == 0
+    run_dir = out / "debonding-radial"
+    assert capsys.readouterr().out.splitlines() == [
+        str(run_dir / f) for f in ("front.csv", "griffith.csv", "ledger.csv", "manifest.json")]
+    headers = {"front": "t,position,speed,trace,kappa",
+               "griffith": "t,speed,G,kappa,activation,complementarity",
+               "ledger": "t,kinetic,potential,work,debond_dissipation,residual_moving"}
+    for name, header in headers.items():
+        got, table = _table(run_dir / f"{name}.csv")
+        assert ",".join(got) == header and np.all(np.isfinite(table))
+
+
+FORCED = """\
+[scenario]
+name = forced
+
+[motion]
+kind = one_d_scaling
+profile = Affine(1.0, 0.5)
+
+[data]
+f = Poly(0.0, 1.0, -1.0)
+f_time = Affine(0.0, 1.0)
+
+[numerics]
+solver = grid
+grid = 200
+dt = 2e-3
+"""
+
+
+def test_run_forced_wave_ledger_books_the_work(tmp_path):
+    assert main(["run", _write(tmp_path, "f.scn", FORCED), "--out", str(tmp_path)]) == 0
+    header, table = _table(tmp_path / "forced" / "ledger.csv")
+    col = {name: np.abs(table[:, i]) for i, name in enumerate(header)}
+    assert col["work"].max() > 0.05  # 0.104 measured
+    assert col["residual_fixed"].max() < 2e-3  # 1.05e-3 measured
+    assert col["residual_moving"].max() < 9e-3  # 4.4e-3 measured
+
+
+def test_run_boundary_load_balances_the_fixed_ledger(tmp_path):
+    text = WAVE.replace("modes = 8\ndt = 0.005", "modes = 16\ndt = 2e-3") + (
+        "[data]\nu0 = Affine(1.0, -1.0)\nw = Affine(1.0, -1.0)\nw_time = Affine(1.0, 0.5)\n")
+    assert main(["run", _write(tmp_path, "w.scn", text), "--out", str(tmp_path)]) == 0
+    header, table = _table(tmp_path / "minimal" / "ledger.csv")
+    assert header == ["t", "kinetic", "potential", "work", "residual_fixed"]
+    assert table[:, 1].max() > 1e-2  # the load drives the string
+    assert np.abs(table[:, 4]).max() < 1e-8  # 2.6e-9 measured
+
+
+def test_run_writes_trajectory_series(tmp_path, capsys):
+    text = FORCED + "\n[output]\nseries = ledger, trajectory\n"
+    assert main(["run", _write(tmp_path, "t.scn", text), "--out", str(tmp_path)]) == 0
+    assert [os.path.basename(f) for f in capsys.readouterr().out.splitlines()] == [
+        "ledger.csv", "trajectory.csv", "manifest.json"]
+    header, table = _table(tmp_path / "forced" / "trajectory.csv")
+    assert header == ["t"] + [f"c{k}" for k in range(201)]  # one column per node
+    assert table.shape == (501, 202)
+    np.testing.assert_allclose(table[0, 1:], np.sin(np.pi * np.linspace(0.0, 1.0, 201)),
+                               atol=1e-15)
+
+
+def test_homothetic_run_matches_interval_scaling(tmp_path):
+    homothetic = MOVING.replace("kind = one_d_scaling", "kind = homothetic\nlength = 1.0")
+    for name, text in (("scaling", MOVING), ("homothetic", homothetic)):
+        assert main(["run", _write(tmp_path, f"{name}.scn", text),
+                     "--out", str(tmp_path / name)]) == 0
+    a = (tmp_path / "scaling" / "moving" / "ledger.csv").read_bytes()
+    assert a == (tmp_path / "homothetic" / "moving" / "ledger.csv").read_bytes()
+
+
+def test_validate_echoes_the_manifest_as_json(tmp_path, capsys):
+    assert main(["validate", _write(tmp_path, "v.scn", MOVING)]) == 0
+    manifest = json.loads(capsys.readouterr().out)
+    assert manifest["scenario"] == {"name": "moving", "kind": "wave"}
+    assert manifest["motion"]["profile"] == "Affine(1, 0.5)"

@@ -3,7 +3,7 @@ import pytest
 
 from debondwave.characteristics import CharScenario, front_ode_exact
 from debondwave.errors import CompatibilityViolated, NonPositiveToughness
-from debondwave.expressions import Const, Poly, SineMode
+from debondwave.expressions import Const, Poly, SineMode, SpaceTimeField
 from debondwave.fd import solve_fd
 from debondwave.griffith import (
     CoupledNumerics,
@@ -101,6 +101,21 @@ def test_coupled_constant_data_tracks_exact_speed():
     for t in (0.5, 1.5, 2.5):
         got = np.interp(t, run.front.times, run.front.position)
         assert abs(got - exact.position_at(t)) < 2e-3
+
+
+def test_coupled_forced_front_converges_to_exact():
+    # the exact front ODE subtracts the forcing's integral along the backward
+    # characteristic; the Euler front advance makes the forced run first order
+    sc = CharScenario(l0=1.0, u0=Poly(2.0, -2.0), u1=Const(SQ2), kappa=Const(1.0),
+                      horizon=1.5, forcing=SpaceTimeField(Const(0.5)))
+    exact = front_ode_exact(sc, dt=1e-3)
+    errs = []
+    for n in (512, 1024):
+        run = evolve_coupled_1d(sc, CoupledNumerics(n=n, store_every=16))
+        errs.append(max(abs(p - exact.position_at(t))
+                        for t, p in zip(run.front.times, run.front.position)))
+    assert errs[1] <= 2e-5  # 1.07e-5 measured; 2.14e-5 at n = 512
+    assert errs[0] / errs[1] >= 1.8
 
 
 def test_coupled_front_monotone_and_subsonic():
