@@ -1,23 +1,30 @@
-"""Time the RK4 wave stepper in its two call patterns, and the modal RK4.
+"""Time the RK4 wave stepper in its two call patterns, the modal RK4 and
+the grid solver.
 
-Prints the best of three timings for one long kernels.fd_run call (as
-solve_fd makes it), for 6144 chained single-step runs of one
+Prints the best of three timings for one long kernels.fd_run call on
+precomputed slices, for 6144 chained single-step runs of one
 kernels.Stepper at n = 1024 on three coefficient slices (as the coupled
 front solver makes them for scenarios/debonding_constant.scn; the solver
 also refills the slices in place before each step, which is not timed
 here) and for one solve_transformed_modal call on the criterion-4
 problem (l(t) = 1 + t/2, v0 = sin(pi y), m = 64, dt = 5e-4, T = 1,
-assembly and projection included).  Usage:
+assembly and projection included).  Then, for one solve_fd call on the
+same problem at n = 800, dt = 5e-4 (coefficient fill included), the
+median of three wall times and the tracemalloc peak of a fourth call,
+with the bytes of the returned trajectory it includes.  Usage:
 
     python benchmarks/bench_kernels.py [--steps N] [--grid N]
 """
 
 import argparse
+import statistics
 import time
+import tracemalloc
 
 import numpy as np
 
 from debondwave.expressions import Affine
+from debondwave.fd import solve_fd
 from debondwave.galerkin import solve_transformed_modal
 from debondwave.kernels import Stepper, fd_run
 from debondwave.motion import one_d_scaling
@@ -84,6 +91,30 @@ def bench_modal(m, nsteps, repeats=3):
     return best
 
 
+def bench_solve_fd(n, repeats=3):
+    """(median wall time, tracemalloc peak, trajectory bytes) of solve_fd on
+    the criterion-4 problem over T = 1 at dt = 5e-4."""
+    problem = PulledBackProblem(one_d_scaling(Affine(1.0, 0.5), 1.0))
+
+    def solve():
+        return solve_fd(problem, 1.0, n, lambda y: np.sin(np.pi * y), np.zeros_like,
+                        dt=5e-4, T=1.0)
+
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        solve()
+        times.append(time.perf_counter() - t0)
+    tracemalloc.start()
+    try:
+        traj = solve()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for a in (traj.times, traj.values, traj.velocities, traj.x))
+    return statistics.median(times), peak, held
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--steps", type=int, default=4000)
@@ -96,6 +127,9 @@ def main():
     print(f"{'kernel':<22} {'best time (s)':>14}")
     for name, bench, n, steps in cases:
         print(f"{name:<22} {bench(n, steps):>14.4f}")
+    median, peak, held = bench_solve_fd(args.grid)
+    print(f"solve_fd n={args.grid}: median {median:.4f} s of 3, tracemalloc peak "
+          f"{peak / 1e6:.1f} MB ({held / 1e6:.1f} MB of it the returned trajectory)")
 
 if __name__ == "__main__":
     main()

@@ -101,6 +101,9 @@ def _run_one(path, out):
 
 
 def _cmd_sweep(args):
+    if not os.path.isdir(args.directory):
+        print(f"error: {args.directory} is not a directory", file=sys.stderr)
+        return EXIT_USAGE
     files = sorted(
         os.path.join(args.directory, f)
         for f in os.listdir(args.directory)

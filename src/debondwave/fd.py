@@ -3,10 +3,13 @@
 Space: flux-form central differences for d/dy(B v_y) with B at cell
 midpoints, centered first differences for the a and b terms, homogeneous
 Dirichlet ends.  Time: classical RK4 at fixed step, coefficients sampled
-on the half-step grid.  All 2 nsteps + 1 half-step slices come from one
-closed-form PulledBackProblem.line call per node set, written in place
-into the four arrays the stepping kernel reads.  The CFL guard
-dt <= 0.9 h / sqrt(max B) raises before an unstable run starts.
+on the half-step grid.  The run goes in blocks of K steps: each block's
+2K + 1 half-step slices come from one closed-form PulledBackProblem.line
+call per node set, written in place into the four buffers of the one
+``kernels.Stepper`` the run owns, so the coefficients take
+O(K n) memory whatever the step count.  The CFL guard
+dt <= 0.9 h / sqrt(max B) sees every slice and raises before an unstable
+run starts.
 """
 
 import numpy as np
@@ -17,6 +20,8 @@ from .galerkin import Trajectory
 
 CFL_SAFETY = 0.9
 MIN_CELLS = 8
+# node-steps in one coefficient block: about 80 steps at n = 800
+_BLOCK_POINTS = 1 << 16
 
 
 def solve_fd(problem, L, n, v0, v1, dt, T, store_every=1):
@@ -33,23 +38,27 @@ def solve_fd(problem, L, n, v0, v1, dt, T, store_every=1):
     xm = 0.5 * (x[:-1] + x[1:])
     nsteps, dt = kernels.step_count(dt, T, store_every)
 
-    # every half-step coefficient slice at once, filled in place
-    S = 2 * nsteps + 1
-    ts = 0.5 * dt * np.arange(S)
+    # K steps to a block, a multiple of store_every; block k0 reads the
+    # slices ts[2 k0 : 2 (k0 + K) + 1] from slot 0 of the buffers
+    K = max(store_every, min(nsteps, _BLOCK_POINTS // (n + 1) // store_every * store_every))
+    S = 2 * K + 1
+    ts = 0.5 * dt * np.arange(2 * nsteps + 1)
     Bm = np.empty((S, n))
-    an = np.empty((S, n + 1))
-    bn = np.empty((S, n + 1))
-    gn = np.zeros((S, n + 1))  # left untouched, so unpaged, without a forcing
-    problem.line(ts, xm, out=(Bm, None, None, None))
-    problem.line(ts, x, out=(None, an, bn, None if problem.forcing is None else gn))
-    maxB = float(np.max(Bm))
+    an, bn = np.empty((2, S, n + 1))
+    gn = np.zeros((S, n + 1))  # stays 0 without a forcing
+
+    # the guard reads max B over all slices before any step or forcing: a
+    # pass of B alone through the buffer
+    maxB = float(np.max([np.max(problem.line(tb, xm, out=(Bm[:len(tb)], None, None, None))[0])
+                         for tb in (ts[j:j + S] for j in range(0, len(ts), S))]))
     if dt > CFL_SAFETY * h / np.sqrt(maxB):
         raise CflViolation(
             f"dt = {dt} exceeds {CFL_SAFETY} h / sqrt(max B) = {CFL_SAFETY * h / np.sqrt(maxB)}"
         )
 
-    v = np.asarray(v0(x), dtype=float).copy()
-    vd = np.asarray(v1(x), dtype=float).copy()
+    stepper = kernels.Stepper(h, dt, Bm, an, bn, gn)
+    v, vd = stepper.state
+    v[:], vd[:] = v0(x), v1(x)
     v[0] = v[-1] = 0.0
     vd[0] = vd[-1] = 0.0
 
@@ -58,9 +67,15 @@ def solve_fd(problem, L, n, v0, v1, dt, T, store_every=1):
     out_vd = np.empty((nstored, n + 1))
     out_v[0] = v
     out_vd[0] = vd
-    status = kernels.fd_run(v, vd, h, dt, nsteps, Bm, an, bn, gn, store_every, out_v, out_vd)
-    if status < 0:
-        raise BlowUp(f"grid state exceeded {kernels.BLOWUP_LIMIT:g} at step {-status}; shrink dt")
+    for k0 in range(0, nsteps, K):
+        k = min(K, nsteps - k0)
+        m = 2 * k + 1
+        tb = ts[2 * k0:2 * k0 + m]
+        problem.line(tb, xm, out=(Bm[:m], None, None, None))
+        problem.line(tb, x, out=(None, an[:m], bn[:m], None if problem.forcing is None else gn[:m]))
+        status = stepper.run(k, store_every, out_v[k0 // store_every:], out_vd[k0 // store_every:])
+        if status < 0:
+            raise BlowUp(f"grid state exceeded {kernels.BLOWUP_LIMIT:g} at step {k0 - status}; shrink dt")
     times = np.arange(nstored) * (store_every * dt)
     return Trajectory(
         kind="grid", times=times, values=out_v, velocities=out_vd,

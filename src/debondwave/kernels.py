@@ -6,8 +6,9 @@ preallocated stacked array.
 supplies the acceleration.  ``Stepper`` supplies the grid one,
 v'' = d/dy(B v') - a v' + 2 b v'* + g with homogeneous Dirichlet ends
 (v'* is the y-derivative of the velocity), on coefficient slot 2k at t_k
-and 2k+1 at t_k + dt/2; the coupled solvers call one once per step, and
-``fd_run`` is its one-shot wrapper for the grid and cylinder solvers.
+and 2k+1 at t_k + dt/2; the grid solver runs one a block of steps at a
+time, the coupled solvers once per step, and ``fd_run`` is its one-shot
+wrapper for the cylinder solver.
 ``galerkin.integrate`` supplies the modal one, on slots 3k, 3k+1 and 3k+2
 at t_k, t_k + dt/2 and t_k + dt.
 """
@@ -106,8 +107,9 @@ class Stepper(RK4):
     """``RK4`` with the wave right-hand side on one grid, one dt and one set
     of coefficients, held by reference: Bm (S, n), an, bn and gn (S, n+1),
     which a caller may refill in place between runs.  S is 1 (a frozen
-    slice serves every stage) or 2 nsteps + 1 half-step slices.  The
-    Dirichlet ends of each new state are set to 0.
+    slice serves every stage), or at least 2 nsteps + 1 half-step slices
+    for a run of nsteps, with slot 0 at the run's first time: every run
+    starts from slot 0.  The Dirichlet ends of each new state are set to 0.
     """
 
     def __init__(self, h, dt, Bm, an, bn, gn):
@@ -151,9 +153,10 @@ class Stepper(RK4):
 def fd_run(v, vd, h, dt, nsteps, Bm, an, bn, gn, store_every, out_v, out_vd):
     """Advance (v, vd) in place by nsteps RK4 steps: a one-shot ``Stepper``.
 
-    Bm holds one frozen slice or the 2 nsteps + 1 half-step slices.  Every
-    store_every-th state goes to out_v/out_vd from row 1 on.  Returns the
-    number of rows filled, or -(k + 1) when step k blows up.
+    Bm holds one frozen slice or at least 2 nsteps + 1 half-step slices,
+    slot 0 at the first step's time.  Every store_every-th state goes to
+    out_v/out_vd from row 1 on.  Returns the number of rows filled, or
+    -(k + 1) when step k blows up.
     """
     stepper = Stepper(h, dt, Bm, an, bn, gn)
     stepper.state[:] = v, vd

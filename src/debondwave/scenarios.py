@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characteristics import Verdict, compatibility_check
-from .errors import CompatibilityViolated, MissingRequired, TypeMismatch, UnknownKey
+from .errors import MissingRequired, TypeMismatch, UnknownKey
 from .expressions import parse_expression
 from .fd import MIN_CELLS
 from .kernels import step_count
@@ -262,7 +262,7 @@ def parse_scenario(path):
     if not series or not set(series) <= set(SERIES[kind]):
         raise TypeMismatch(f"series must list names from {list(SERIES[kind])}, "
                            f"got {sc.output['series']!r}", line_of["output", "series"])
-    _early_checks(sc)
+    _early_checks(sc, line_of)
     return sc
 
 
@@ -285,8 +285,10 @@ def _bind_lengths(resolved, kind):
             data[key] = expr.bound(horizon if key.endswith("_time") else length)
 
 
-def _early_checks(sc):
-    """Checks promised at parse time (e.g. coupled compatibility)."""
+def _early_checks(sc, line_of):
+    """Checks promised at parse time: the coupled front compatibility
+    conditions, reported at the line of the first of kappa, u1 and the
+    slope key that the file sets."""
     if sc.kind not in ("coupled", "coupled_radial"):
         return
     u1 = sc.data["u1"]
@@ -294,14 +296,21 @@ def _early_checks(sc):
     if sc.kind == "coupled":
         front = sc.coupled["l0"]
         p0 = float(sc.data["u0_prime"](front))
+        slope_key = "u0_prime"
     else:
         front = sc.coupled["R"] - sc.coupled["rho0"]
         p0 = -float(sc.data["u0"].deriv(front))
+        slope_key = "u0"
+    line = next((line_of[k] for k in (("data", "kappa"), ("data", "u1"), ("data", slope_key))
+                 if k in line_of), None)
     u1v = 0.0 if u1 == "compatible" else float(u1(front))
-    verdict = compatibility_check(p0, u1v, float(kap(front)))
+    kv = float(kap(front))
+    if kv <= 0.0:
+        raise TypeMismatch(f"kappa must be positive at the front {front:g}, got {kv}", line)
+    verdict = compatibility_check(p0, u1v, kv)
     if verdict is Verdict.INCOMPATIBLE:
-        raise CompatibilityViolated(
-            "coupled scenario data fails the front compatibility conditions")
+        raise TypeMismatch(f"data {slope_key}, u1 and kappa fail the front compatibility "
+                           f"conditions at the front {front:g}", line)
     sc.coupled["verdict"] = verdict.value
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from debondwave.cli import main
-from debondwave.errors import CompatibilityViolated, MissingRequired, TypeMismatch, UnknownKey
+from debondwave.errors import MissingRequired, TypeMismatch, UnknownKey
 from debondwave.runner import write_csv
 from debondwave.scenarios import parse_scenario
 
@@ -89,12 +89,30 @@ def test_type_mismatch_and_duplicates(tmp_path):
         parse_scenario(_write(tmp_path, "d.scn", "[numerics]\ndt = 0.001\n"))
 
 
-def test_coupled_parse_checks_compatibility(tmp_path):
+def test_coupled_parse_checks_compatibility(tmp_path, capsys):
     sc = parse_scenario(_write(tmp_path, "e.scn", COUPLED))
     assert sc.coupled["verdict"] == "ActivatedStart"
     bad = COUPLED.replace("Const(-2.0)", "Const(-0.5)").replace(f"Const({float(SQ2)!r})", "Const(1.0)")
-    with pytest.raises(CompatibilityViolated):
+    with pytest.raises(TypeMismatch, match="^line 11: .* compatibility conditions"):
         parse_scenario(_write(tmp_path, "f.scn", bad))
+    with pytest.raises(TypeMismatch, match="^line 11: kappa must be positive"):
+        parse_scenario(_write(tmp_path, "g.scn", COUPLED.replace("kappa = Const(1.0)",
+                                                                 "kappa = Const(-1.0)")))
+    # kappa = sin(pi l0) is 0 up to round-off at the front: a bad file, not a
+    # numerical failure, for run and sweep alike
+    (tmp_path / "sweep").mkdir()
+    sine = _write(tmp_path / "sweep", "h.scn",
+                  COUPLED.replace("kappa = Const(1.0)", "kappa = SineMode(1.0, 1)"))
+    capsys.readouterr()
+    assert main(["run", sine, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: line 11: ")
+    assert main(["sweep", str(tmp_path / "sweep"), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().out.startswith(f"FAIL {sine}: TypeMismatch: line 11: ")
+
+
+def test_sweep_refuses_a_file(capsys):
+    assert main(["sweep", RADIAL_SCN]) == 2
+    assert capsys.readouterr().err == f"error: {RADIAL_SCN} is not a directory\n"
 
 
 def test_manifest_round_trips_every_field(tmp_path):
@@ -347,7 +365,7 @@ RADIAL_REST = RADIAL.replace("u1 = Poly(-113.137084989848, 203.646752981726, -11
     (WAVE + f"[data]\nw = Affine(1.0, -1.0)\nw_time = {SINE}\n", 0),
     (WAVE + f"[motion]\nkind = one_d_scaling\nprofile = {SINE}\n", 3),  # l(0) = 0
     (COUPLED + f"[data]\nf = {SINE}\n", 0),
-    (COUPLED.replace("kappa = Const(1.0)", f"kappa = {SINE}"), 3),  # kappa(l0) = 0
+    (COUPLED.replace("kappa = Const(1.0)", f"kappa = {SINE}"), 2),  # kappa(l0) = 0: bad data
     (COUPLED_REST.replace("u0_prime = Const(-2.0)", f"u0_prime = {SINE}"), 0),
     (COUPLED_REST.replace("u0_prime = Const(-2.0)", "u0_prime = Const(-1.0)")
      .replace("u1 = Const(0.0)", f"u1 = {SINE}"), 0),

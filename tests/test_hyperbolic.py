@@ -358,6 +358,23 @@ def test_fd_cfl_guard():
         solve_fd(_identity_problem(), 1.0, 64, _zero, _zero, dt=0.1, T=0.5)
 
 
+def test_solve_fd_coefficients_stay_small_beside_the_trajectory():
+    import tracemalloc
+
+    # 2000 steps at n = 800: all 4001 half-step slices of the four
+    # coefficients at once would take about 100 MB
+    pb = PulledBackProblem(one_d_scaling(Affine(1.0, 0.5), 1.0))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        traj = solve_fd(pb, 1.0, 800, lambda y: np.sin(np.pi * y), _zero, dt=5e-4, T=1.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for a in (traj.times, traj.values, traj.velocities, traj.x))
+    assert peak - held < 8e6
+
+
 def test_modal_grid_agreement_moving():
     fam = one_d_scaling(Affine(1.0, 0.5), 1.0)
     pb = PulledBackProblem(fam)

@@ -1,17 +1,19 @@
 """The RK4 driver and the wave stepper on it: bit-for-bit against reference
-steppers, blow-up guard."""
+steppers, blow-up guard; the blocked grid solver against the all-at-once
+one."""
 
 import numpy as np
 import pytest
 
-from debondwave import kernels
+from debondwave import fd, kernels
 from debondwave.characteristics import CharScenario
 from debondwave.domains import Interval
-from debondwave.errors import BlowUp
-from debondwave.expressions import Const, Poly
+from debondwave.errors import BlowUp, CflViolation
+from debondwave.expressions import Affine, Const, Poly
 from debondwave.fd import solve_fd
+from debondwave.galerkin import Trajectory
 from debondwave.griffith import CoupledNumerics, evolve_coupled_1d
-from debondwave.motion import identity_motion
+from debondwave.motion import identity_motion, one_d_scaling
 from debondwave.transform import PulledBackProblem
 
 
@@ -252,3 +254,108 @@ def test_coupled_solver_raises_blowup_on_nan_coefficient():
                       kappa=Const(1.0), horizon=0.1, forcing=forcing)
     with pytest.raises(BlowUp):
         evolve_coupled_1d(sc, CoupledNumerics(n=64, store_every=1))
+
+
+# --- the grid solver: blocked fill against the all-at-once fill -------------
+
+
+def _ref_solve_fd(problem, L, n, v0, v1, dt, T, store_every=1):
+    """solve_fd with all 2 nsteps + 1 half-step slices filled before the first step."""
+    h = L / n
+    x = np.linspace(0.0, L, n + 1)
+    xm = 0.5 * (x[:-1] + x[1:])
+    nsteps, dt = kernels.step_count(dt, T, store_every)
+    S = 2 * nsteps + 1
+    ts = 0.5 * dt * np.arange(S)
+    Bm = np.empty((S, n))
+    an = np.empty((S, n + 1))
+    bn = np.empty((S, n + 1))
+    gn = np.zeros((S, n + 1))
+    problem.line(ts, xm, out=(Bm, None, None, None))
+    problem.line(ts, x, out=(None, an, bn, None if problem.forcing is None else gn))
+    maxB = float(np.max(Bm))
+    if dt > fd.CFL_SAFETY * h / np.sqrt(maxB):
+        raise CflViolation("reference CFL guard")
+    v = np.asarray(v0(x), dtype=float).copy()
+    vd = np.asarray(v1(x), dtype=float).copy()
+    v[0] = v[-1] = 0.0
+    vd[0] = vd[-1] = 0.0
+    nstored = nsteps // store_every + 1
+    out_v = np.empty((nstored, n + 1))
+    out_vd = np.empty((nstored, n + 1))
+    out_v[0] = v
+    out_vd[0] = vd
+    status = kernels.fd_run(v, vd, h, dt, nsteps, Bm, an, bn, gn, store_every, out_v, out_vd)
+    if status < 0:
+        raise BlowUp(f"grid state exceeded {kernels.BLOWUP_LIMIT:g} at step {-status}; shrink dt")
+    times = np.arange(nstored) * (store_every * dt)
+    return Trajectory(kind="grid", times=times, values=out_v, velocities=out_vd,
+                      L=L, x=x, meta={"dt": dt, "n": n})
+
+
+def _moving_problem(horizon, forcing=None):
+    return PulledBackProblem(one_d_scaling(Affine(1.0, 0.5), horizon), forcing)
+
+
+def _sine(y):
+    return np.sin(np.pi * np.asarray(y))
+
+
+def _kick(y):
+    return 0.3 * np.sin(2 * np.pi * np.asarray(y))
+
+
+def _wavy_forcing(t, x):
+    return np.cos(3.0 * t) * np.sin(np.pi * x)
+
+
+@pytest.mark.parametrize("n, dt, T, store_every, forcing", [
+    (200, 2e-3, 2.0, 1, None),              # 1000 steps, not a multiple of a block
+    (200, 2e-3, 0.5, 1, None),              # 250 steps, shorter than one block
+    (200, 2e-3, 1.998, 3, None),            # 999 steps stored every 3rd
+    (200, 2e-3, 2.002, 7, _wavy_forcing),   # 1001 steps stored every 7th, forced
+    (1 << 16, 1e-5, 3e-5, 1, None),         # so many nodes that a block is one step
+])
+def test_blocked_solve_fd_matches_all_at_once_fill(n, dt, T, store_every, forcing):
+    problem = _moving_problem(T, forcing)
+    got = solve_fd(problem, 1.0, n, _sine, _kick, dt=dt, T=T, store_every=store_every)
+    want = _ref_solve_fd(problem, 1.0, n, _sine, _kick, dt=dt, T=T, store_every=store_every)
+    for name in ("times", "values", "velocities", "x"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.meta == want.meta
+
+
+def test_solve_fd_cfl_guard_sees_the_last_block_before_any_forcing():
+    # lam = 1 - 0.27785 t shrinks, so max B grows; at dt = 2e-3 on 200 cells
+    # only the last half-step slice, at t = T, breaks dt <= 0.9 h / sqrt(max B)
+    n, dt, T = 200, 2e-3, 2.0
+    assert T / dt > fd._BLOCK_POINTS // (n + 1)  # more than one block
+    calls = []
+
+    def counting(t, x):
+        calls.append(t)
+        return np.zeros(np.broadcast_shapes(np.shape(t), np.shape(x)))
+
+    fam = one_d_scaling(Affine(1.0, -0.27785), T)
+    solve_fd(PulledBackProblem(fam), 1.0, n, _sine, _kick, dt=dt, T=T - dt)
+    with pytest.raises(CflViolation):
+        _ref_solve_fd(PulledBackProblem(fam), 1.0, n, _sine, _kick, dt=dt, T=T)
+    with pytest.raises(CflViolation):
+        solve_fd(PulledBackProblem(fam, counting), 1.0, n, _sine, _kick, dt=dt, T=T)
+    assert calls == []
+
+
+def test_solve_fd_blowup_names_the_reference_step():
+    # NaN from t > 0.7 on; the end slice of step 350 of 500 sits at
+    # 0.5 dt 700 = 0.7000000000000001, inside the second block
+    def late_nan(t, x):
+        return np.where(t > 0.7, np.nan, np.sin(np.pi * x))
+
+    problem = _moving_problem(1.0, late_nan)
+    messages = []
+    for solve in (solve_fd, _ref_solve_fd):
+        with pytest.raises(BlowUp) as err:
+            solve(problem, 1.0, 200, _sine, _kick, dt=2e-3, T=1.0)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert "at step 350;" in messages[0]
