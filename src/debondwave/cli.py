@@ -48,8 +48,6 @@ def _build_parser():
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", help=f"one of {sorted(SUITES)} or 'all'")
-    p.add_argument("--tol-scale", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("sweep", help="run every scenario file in a directory")
     p.add_argument("directory")
@@ -73,7 +71,7 @@ def _cmd_run(args):
 
 
 def _cmd_verify(args):
-    results = run_suite(args.suite, tol_scale=args.tol_scale, seed=args.seed)
+    results = run_suite(args.suite)
     failed = 0
     for res in results:
         print(res.line())

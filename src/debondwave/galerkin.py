@@ -258,11 +258,10 @@ def integrate(system: GalerkinSystem, d0, ddot0, dt, T, store_every=1):
     )
 
 
-def solve_transformed_modal(problem, L, v0, v1, m=32, dt=1e-3, T=1.0,
-                            nodes=10, store_every=1):
+def solve_transformed_modal(problem, L, v0, v1, m=32, dt=1e-3, T=1.0, store_every=1):
     """Assemble and integrate in one call; v0, v1 are callables on (0, L)."""
     basis = SineBasis(L, m)
-    system = GalerkinSystem(basis, problem, nodes=nodes)
+    system = GalerkinSystem(basis, problem)
     d0 = basis.project(v0)
     dd0 = basis.project(v1)
     return integrate(system, d0, dd0, dt, T, store_every=store_every)

@@ -12,37 +12,14 @@ import os
 import numpy as np
 
 from .characteristics import CharScenario
-from .domains import Interval
 from .energy import ledger_transformed
 from .errors import TypeMismatch
 from .expressions import Const, SpaceTimeField
 from .fd import solve_fd
 from .galerkin import solve_transformed_modal
 from .griffith import CoupledNumerics, evolve_coupled_1d, evolve_coupled_radial
-from .motion import (
-    SublevelFlowMotion,
-    homothetic,
-    identity_motion,
-    one_d_scaling,
-)
-from .scenarios import SERIES, Scenario, SlopeField
-from .transform import PulledBackProblem, lift_dirichlet, pullback_initial
-
-
-def build_motion(motion):
-    """Motion family from a resolved [motion] section; identity and
-    homothetic act on the interval (0, length)."""
-    kind = motion["kind"]
-    T = motion["horizon"]
-    if kind == "identity":
-        return identity_motion(Interval(motion["length"]), T, 1e-9)
-    if kind == "one_d_scaling":
-        return one_d_scaling(motion["profile"], T)
-    if kind == "homothetic":
-        return homothetic(motion["profile"], Interval(motion["length"]), T)
-    if kind == "sublevel_flow":
-        return SublevelFlowMotion(motion["level_kind"], motion["level"], motion["profile"], T)
-    raise TypeMismatch(f"unknown motion kind {kind!r}")
+from .scenarios import SERIES, Scenario, SlopeField, build_motion, lift_boundary_load
+from .transform import PulledBackProblem, pullback_initial
 
 
 def write_csv(path, columns):
@@ -85,8 +62,6 @@ def run_scenario(sc: Scenario, out_dir=None):
     with _stage(sc.kind):
         tables = _run_wave(sc) if sc.kind == "wave" else _run_coupled(sc)
     wanted = sc.series
-    if sc.kind != "wave" and wanted == ["ledger"]:  # the coupled default writes every table
-        wanted = SERIES[sc.kind]
     files = []
     for name in SERIES[sc.kind]:
         if name in wanted:
@@ -129,11 +104,7 @@ def _run_wave(sc):
 
     if sc.data["w"] is not None:
         # nonzero load on the fixed end: lift to homogeneous data
-        W = SpaceTimeField(sc.data["w"], sc.data["w_time"])
-        ts = np.linspace(0.0, fam.horizon, 9)
-        moving = (ts, fam.domain_measure(ts))
-        f_lift, u0, u1 = lift_dirichlet(W, u0, u1, fixed_points=[0.0],
-                                        moving_points=moving)
+        f_lift, u0, u1 = lift_boundary_load(sc, fam, u0, u1)
         base = forcing
         if base is None:
             forcing = f_lift
@@ -148,15 +119,15 @@ def _run_wave(sc):
         if num["solver"] == "spectral":
             traj = solve_transformed_modal(
                 problem, L, data.v0, data.v1, m=num["modes"], dt=num["dt"],
-                T=fam.horizon, nodes=num["quad_nodes"], store_every=num["store_every"])
+                T=fam.horizon, store_every=num["store_every"])
         else:
             traj = solve_fd(problem, L, num["grid"], data.v0, data.v1,
                             dt=num["dt"], T=fam.horizon, store_every=num["store_every"])
 
     moving = sc.motion["kind"] != "identity"
-    kappa = sc.data["kappa"] if moving else None
     with _stage("ledger"):
-        led = ledger_transformed(traj, fam, forcing=forcing, kappa=kappa, problem=problem)
+        led = ledger_transformed(traj, fam, forcing=forcing, kappa=sc.data.get("kappa"),
+                                 problem=problem)
 
     cols = [("t", led.times), ("kinetic", led.kinetic), ("potential", led.potential),
             ("work", led.work)]
@@ -174,8 +145,9 @@ def _run_wave(sc):
 def _run_coupled(sc):
     """Columns of a coupled run's tables (1d or radial), keyed by series name."""
     num = sc.numerics
+    taper = {"taper": num["taper"]} if "taper" in num else {}  # the radial run has none
     numerics = CoupledNumerics(n=num["front_grid"], cfl=num["cfl"],
-                               store_every=num["store_every"], taper=num["taper"])
+                               store_every=num["store_every"], **taper)
     u1 = Const(0.0) if sc.data["u1"] == "compatible" else sc.data["u1"]
     horizon, forcing = sc.motion["horizon"], _forcing_field(sc)
     if sc.kind == "coupled":

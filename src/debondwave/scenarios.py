@@ -2,22 +2,39 @@
 
 Sections in square brackets, ``#`` comments, decimal numbers with optional
 exponent, expressions from the fixed catalog (``Const(c)``, ``Affine(a,b)``,
-``SineMode(A,k)``, ``Poly(c0,c1,...)``).  Unknown keys are errors and every
-error names its line.  The format describes 1d wave runs and the coupled
-runs; the n-d domain families are library and ``verify`` features only.
-Defaults below are part of the format contract:
+``SineMode(A,k)``, ``Poly(c0,c1,...)``).  A file sets only keys its run
+reads: ``ROW`` holds them, each with its default, keyed by scenario kind
+and, for a wave run, refined by motion kind and solver.  Any other key is
+an error, and every error names its line.  The format describes 1d wave
+runs and the coupled runs; the n-d domain families are library and
+``verify`` features only.  The keys and their defaults are part of the
+format contract (``required`` has no default, ``unset`` is optional):
 
-    [scenario] kind = wave
-    [motion]   kind = identity, length = 1.0, horizon = 1.0, level = 1.0,
-               level_kind = radial
-    [data]     u0 = SineMode(1.0, 1), u1 = Const(0.0), f = Const(0.0),
-               kappa = Const(1.0); optional: u0_prime (coupled slope),
-               f_time, w and w_time (boundary load and its time profile)
-    [coupled]  l0 = 1.0, R = 2.0, rho0 = 0.5
-    [numerics] solver = spectral, modes = 32, grid = 400, dt = 1e-3,
-               quad_nodes = 10, store_every = 1, front_grid = 1024,
-               taper = 0.5, cfl = 0.45
-    [output]   directory = out, series = ledger
+    every run       [scenario] name = required, kind = wave
+                    [motion]   horizon = 1.0
+                    [data]     u1 = Const(0.0), f = Const(0.0), f_time = unset
+                    [numerics] store_every = 1
+                    [output]   directory = out
+    wave            [motion]   kind = identity
+                    [data]     u0 = SineMode(1.0, 1), w = unset, w_time = unset
+                    [numerics] solver = spectral, dt = 1e-3
+                    [output]   series = ledger
+      identity      [motion]   length = 1.0
+      one_d_scaling [motion]   profile = required; [data] kappa = Const(1.0)
+      homothetic    [motion]   profile = required, length = 1.0;
+                    [data]     kappa = Const(1.0)
+      sublevel_flow [motion]   profile = required, level = 1.0,
+                               level_kind = radial; [data] kappa = Const(1.0)
+      spectral      [numerics] modes = 32
+      grid          [numerics] grid = 400
+    coupled         [data]     u0_prime = required, kappa = Const(1.0)
+                    [coupled]  l0 = 1.0
+                    [numerics] front_grid = 1024, cfl = 0.45, taper = 0.5
+                    [output]   series = front, griffith, ledger
+    coupled_radial  [data]     u0 = SineMode(1.0, 1), kappa = Const(1.0)
+                    [coupled]  R = 2.0, rho0 = 0.5
+                    [numerics] front_grid = 1024, cfl = 0.45
+                    [output]   series = front, griffith, ledger
 
 The identity and homothetic motions act on the interval (0, length); a
 radial sublevel flow is 2d, so it validates but does not run.  length,
@@ -26,14 +43,11 @@ horizon, l0, rho0, dt, cfl and the counts must be positive, grid at least
 divide the step count that ``kernels.step_count`` gives for dt and horizon.
 The special token ``u1 = Compatible`` requests the initial velocity that
 makes the transformed problem start at rest, u1 = -Phi_dot(0,.) . grad u0.
-Only the 1d coupled run tapers its data, so a ``coupled_radial`` file that
-sets a nonzero ``taper`` is an error.  The coupled runs take their step
-from ``cfl``, so a ``coupled`` or ``coupled_radial`` file that sets ``dt``
-is an error too, and so is a radial R <= rho0 or a homothetic profile(0) != 1.
-``series`` lists tables of the kind (``SERIES``); a coupled run whose
-series is just ``ledger`` writes all three.  Expressions are bound at parse
-(only SineMode reads it): time profiles to the horizon, spatial fields to
-``length`` (identity, homothetic), profile(0) (one_d_scaling,
+A radial R <= rho0 is an error, and so is a homothetic profile(0) != 1 or
+a boundary load w w_time that does not vanish on the moving end.
+``series`` lists tables of the kind (``SERIES``).  Expressions are bound
+at parse (only SineMode reads it): time profiles to the horizon, spatial
+fields to ``length`` (identity, homothetic), profile(0) (one_d_scaling,
 sublevel_flow), l0 (coupled) or R (coupled_radial).
 """
 
@@ -42,58 +56,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characteristics import Verdict, compatibility_check
-from .errors import MissingRequired, TypeMismatch, UnknownKey
-from .expressions import parse_expression
+from .domains import Interval
+from .errors import (
+    BoundaryMismatch,
+    DebondWaveError,
+    MissingRequired,
+    TypeMismatch,
+    UnknownKey,
+)
+from .expressions import SpaceTimeField, parse_expression
 from .fd import MIN_CELLS
 from .kernels import step_count
-from .motion import SublevelFlowMotion
+from .motion import SublevelFlowMotion, homothetic, identity_motion, one_d_scaling
+from .transform import lift_dirichlet
 
-_FLOAT = "float"
-_INT = "int"
-_STR = "str"
-_EXPR = "expr"
+_EXPR = "expr"  # a catalog expression; the other types are float, int and str
+REQUIRED = "required"
 
-_SCHEMA = {
-    "scenario": {"name": (_STR, None), "kind": (_STR, "wave")},
-    "motion": {
-        "kind": (_STR, "identity"),
-        "length": (_FLOAT, 1.0),
-        "profile": (_EXPR, None),
-        "level": (_FLOAT, 1.0),
-        "level_kind": (_STR, "radial"),
-        "horizon": (_FLOAT, 1.0),
-    },
-    "data": {
-        "u0": (_EXPR, "SineMode(1.0, 1)"),
-        "u1": (_EXPR, "Const(0.0)"),
-        "u0_prime": (_EXPR, None),
-        "f": (_EXPR, "Const(0.0)"),
-        "f_time": (_EXPR, None),
-        "w": (_EXPR, None),
-        "w_time": (_EXPR, None),
-        "kappa": (_EXPR, "Const(1.0)"),
-    },
-    "coupled": {"l0": (_FLOAT, 1.0), "R": (_FLOAT, 2.0), "rho0": (_FLOAT, 0.5)},
-    "numerics": {
-        "solver": (_STR, "spectral"),
-        "modes": (_INT, 32),
-        "grid": (_INT, 400),
-        "dt": (_FLOAT, 1.0e-3),
-        "quad_nodes": (_INT, 10),
-        "store_every": (_INT, 1),
-        "front_grid": (_INT, 1024),
-        "taper": (_FLOAT, 0.5),
-        "cfl": (_FLOAT, 0.45),
-    },
-    "output": {"directory": (_STR, "out"), "series": (_STR, "ledger")},
-}
-
-_ENUMS = {
-    ("scenario", "kind"): {"wave", "coupled", "coupled_radial"},
-    ("motion", "kind"): {"identity", "one_d_scaling", "homothetic", "sublevel_flow"},
-    ("motion", "level_kind"): SublevelFlowMotion.level_kinds,
-    ("numerics", "solver"): {"spectral", "grid"},
-}
+SECTIONS = ("scenario", "motion", "data", "coupled", "numerics", "output")
 
 SERIES = {
     "wave": ("ledger", "trajectory"),
@@ -101,20 +81,75 @@ SERIES = {
     "coupled_radial": ("front", "griffith", "ledger"),
 }
 
+# A key maps to (type, default) or (type, default, rule).  A rule is a
+# range check (predicate, message) or, for a key that selects, a dict from
+# each allowed value to the keys that value adds to the row.
 _POSITIVE = (lambda v: v > 0, "must be positive")
-_RANGES = {
-    **{("motion", k): _POSITIVE for k in ("length", "horizon")},
-    **{("coupled", k): _POSITIVE for k in ("l0", "rho0")},
-    **{("numerics", k): _POSITIVE
-       for k in ("modes", "dt", "quad_nodes", "store_every", "front_grid", "cfl")},
-    ("numerics", "grid"): (lambda v: v >= MIN_CELLS, f"must be at least {MIN_CELLS}"),
-    ("numerics", "taper"): (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
+_PROFILE = {"motion.profile": (_EXPR, REQUIRED)}
+_LENGTH = {"motion.length": (float, 1.0, _POSITIVE)}
+_KAPPA = {"data.kappa": (_EXPR, "Const(1.0)")}
+_EVERY_RUN = {
+    "motion.horizon": (float, 1.0, _POSITIVE),
+    "data.u1": (_EXPR, "Const(0.0)"),
+    "data.f": (_EXPR, "Const(0.0)"),
+    "data.f_time": (_EXPR, None),
+    "numerics.store_every": (int, 1, _POSITIVE),
+    "output.directory": (str, "out"),
+}
+_COUPLED = {
+    **_EVERY_RUN,
+    **_KAPPA,
+    "numerics.front_grid": (int, 1024, _POSITIVE),
+    "numerics.cfl": (float, 0.45, _POSITIVE),
+    "output.series": (str, ", ".join(SERIES["coupled"])),
+}
+
+ROW = {
+    "scenario.name": (str, REQUIRED),
+    "scenario.kind": (str, "wave", {
+        "wave": {
+            **_EVERY_RUN,
+            "motion.kind": (str, "identity", {
+                "identity": _LENGTH,
+                "one_d_scaling": {**_PROFILE, **_KAPPA},
+                "homothetic": {**_PROFILE, **_LENGTH, **_KAPPA},
+                "sublevel_flow": {
+                    **_PROFILE, **_KAPPA,
+                    "motion.level": (float, 1.0),
+                    "motion.level_kind": (str, "radial",
+                                          dict.fromkeys(SublevelFlowMotion.level_kinds, {})),
+                },
+            }),
+            "data.u0": (_EXPR, "SineMode(1.0, 1)"),
+            "data.w": (_EXPR, None),
+            "data.w_time": (_EXPR, None),
+            "numerics.solver": (str, "spectral", {
+                "spectral": {"numerics.modes": (int, 32, _POSITIVE)},
+                "grid": {"numerics.grid": (int, 400, (lambda v: v >= MIN_CELLS,
+                                                         f"must be at least {MIN_CELLS}"))},
+            }),
+            "numerics.dt": (float, 1.0e-3, _POSITIVE),
+            "output.series": (str, "ledger"),
+        },
+        "coupled": {
+            **_COUPLED,
+            "data.u0_prime": (_EXPR, REQUIRED),
+            "coupled.l0": (float, 1.0, _POSITIVE),
+            "numerics.taper": (float, 0.5, (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)")),
+        },
+        "coupled_radial": {
+            **_COUPLED,
+            "data.u0": (_EXPR, "SineMode(1.0, 1)"),
+            "coupled.R": (float, 2.0),
+            "coupled.rho0": (float, 0.5, _POSITIVE),
+        },
+    }),
 }
 
 
 @dataclass
 class Scenario:
-    """Fully resolved scenario: every schema key is present."""
+    """Fully resolved scenario: every key of its run's row is present."""
 
     name: str
     kind: str
@@ -137,50 +172,61 @@ class Scenario:
         def _enc(v):
             return v.spec() if hasattr(v, "spec") else v
 
-        return {
-            "scenario": {"name": self.name, "kind": self.kind},
-            "motion": {k: _enc(v) for k, v in self.motion.items()},
-            "data": {k: _enc(v) for k, v in self.data.items()},
-            "coupled": {k: _enc(v) for k, v in self.coupled.items()},
-            "numerics": {k: _enc(v) for k, v in self.numerics.items()},
-            "output": {k: _enc(v) for k, v in self.output.items()},
-            "version": __version__,
-            "backend": backend_name(),
-        }
+        out = {"scenario": {"name": self.name, "kind": self.kind},
+               "version": __version__, "backend": backend_name()}
+        for section in SECTIONS[1:]:
+            keys = getattr(self, section)
+            if keys:
+                out[section] = {k: _enc(v) for k, v in keys.items()}
+        return out
 
 
-def _convert(section, key, raw, lineno):
-    typ, _ = _SCHEMA[section][key]
-    if typ == _STR:
-        val = raw.strip()
-        allowed = _ENUMS.get((section, key))
-        if allowed and val not in allowed:
-            raise TypeMismatch(f"{key} must be one of {sorted(allowed)}, got {val!r}", lineno)
-        return val
+def _row(found):
+    """The keys the file's run reads, and the values of the keys that
+    picked them."""
+    row, picks, pending = {}, {}, list(ROW.items())
+    while pending:
+        key, spec = pending.pop(0)
+        row[key] = spec
+        choices = spec[2] if len(spec) > 2 else None
+        if isinstance(choices, dict):
+            value, lineno = found.get(key, (spec[1], None))
+            if value not in choices:
+                raise TypeMismatch(f"{key.split('.')[1]} must be one of {sorted(choices)}, "
+                                   f"got {value!r}", lineno)
+            picks[key] = value
+            pending.extend(choices[value].items())
+    return row, picks
+
+
+def _convert(key, spec, raw, lineno):
+    typ, name = spec[0], key.split(".")[1]
+    if typ is str:  # the choices of a selecting key are checked by _row
+        return raw
     if typ == _EXPR:
-        if raw.strip().lower() == "compatible" and key == "u1":
+        if raw.lower() == "compatible" and name == "u1":
             return "compatible"
         return parse_expression(raw, lineno)
-    number, what = (float, "a number") if typ == _FLOAT else (int, "an integer")
     try:
-        v = number(raw)
+        v = typ(raw)
     except ValueError:
-        raise TypeMismatch(f"{key} expects {what}, got {raw!r}", lineno) from None
+        what = "a number" if typ is float else "an integer"
+        raise TypeMismatch(f"{name} expects {what}, got {raw!r}", lineno) from None
     if not np.isfinite(v):
-        raise TypeMismatch(f"{key} must be finite", lineno)
-    ok, rule = _RANGES.get((section, key), (None, None))
+        raise TypeMismatch(f"{name} must be finite", lineno)
+    ok, rule = spec[2] if len(spec) > 2 else (None, None)
     if ok is not None and not ok(v):
-        raise TypeMismatch(f"{key} {rule}, got {raw}", lineno)
+        raise TypeMismatch(f"{name} {rule}, got {raw}", lineno)
     return v
 
 
 def parse_scenario(path):
-    """Parse and fully resolve a scenario file; strict about unknown keys."""
+    """Parse and fully resolve a scenario file: every key of its run's row,
+    from the file or by default; a key outside the row is an error."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
 
-    raw = {s: {} for s in _SCHEMA}
-    line_of = {}
+    found = {}  # "section.key" -> (raw value, line), in file order
     section = None
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -188,7 +234,7 @@ def parse_scenario(path):
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
             name = stripped[1:-1].strip()
-            if name not in _SCHEMA:
+            if name not in SECTIONS:
                 raise UnknownKey(f"unknown section [{name}]", lineno)
             section = name
             continue
@@ -196,72 +242,56 @@ def parse_scenario(path):
             raise TypeMismatch(f"expected 'key = value', got {stripped!r}", lineno)
         if section is None:
             raise UnknownKey("key outside any section", lineno)
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        if key not in _SCHEMA[section]:
-            raise UnknownKey(f"unknown key {key!r} in section [{section}]", lineno)
-        if key in raw[section]:
-            raise TypeMismatch(f"duplicate key {key!r}", lineno)
-        raw[section][key] = _convert(section, key, value.strip(), lineno)
-        line_of[section, key] = lineno
+        name, _, value = stripped.partition("=")
+        name = name.strip()
+        if not name.isidentifier():  # a dotted name would break "section.key"
+            raise UnknownKey(f"unknown key {name!r} in section [{section}]", lineno)
+        if f"{section}.{name}" in found:
+            raise TypeMismatch(f"duplicate key {name!r}", lineno)
+        found[f"{section}.{name}"] = (value.strip(), lineno)
 
-    resolved = {}
-    for section, keys in _SCHEMA.items():
-        out = {}
-        for key, (typ, default) in keys.items():
-            if key in raw[section]:
-                out[key] = raw[section][key]
-            elif typ == _EXPR and isinstance(default, str):
-                out[key] = parse_expression(default)
-            else:
-                out[key] = default
-        resolved[section] = out
+    row, picks = _row(found)
+    kind = picks["scenario.kind"]
+    resolved = {s: {} for s in SECTIONS}
+    for key, (raw, lineno) in found.items():
+        section, name = key.split(".")
+        if key not in row:
+            run = ", ".join("[{}] {} = {}".format(*k.split("."), v) for k, v in picks.items())
+            raise UnknownKey(f"unknown key {name!r} in section [{section}] for {run}", lineno)
+        resolved[section][name] = _convert(key, row[key], raw, lineno)
+    for key, (typ, default, *_) in row.items():
+        section, name = key.split(".")
+        if name in resolved[section]:
+            continue
+        if default == REQUIRED:
+            raise MissingRequired(f"a {kind} run requires [{section}] {name}")
+        if typ == _EXPR and default is not None:
+            default = parse_expression(default)
+        resolved[section][name] = default
+    line_of = {key: lineno for key, (_, lineno) in found.items()}
 
-    if resolved["scenario"]["name"] is None:
-        raise MissingRequired("scenario requires a name ([scenario] name = ...)")
-    kind = resolved["scenario"]["kind"]
-    if kind == "wave":
-        if resolved["motion"]["kind"] != "identity" and resolved["motion"]["profile"] is None:
-            raise MissingRequired("non-identity motion requires a profile expression")
-    elif kind == "coupled":
-        if resolved["data"]["u0_prime"] is None:
-            raise MissingRequired("coupled scenarios require data u0_prime")
-    elif raw["numerics"].get("taper", 0.0) != 0.0:
-        raise TypeMismatch("coupled_radial runs do not taper their data; "
-                           "set taper = 0.0 or drop the line", line_of["numerics", "taper"])
     _bind_lengths(resolved, kind)
     if kind == "coupled_radial" and resolved["coupled"]["R"] <= resolved["coupled"]["rho0"]:
         raise TypeMismatch("R must exceed rho0",
-                           line_of.get(("coupled", "R"), line_of.get(("coupled", "rho0"))))
-    if kind != "wave" and "dt" in raw["numerics"]:
-        raise TypeMismatch(f"{kind} runs take dt from cfl; drop the dt line",
-                           line_of["numerics", "dt"])
+                           line_of.get("coupled.R", line_of.get("coupled.rho0")))
     if kind == "wave":
         motion, num = resolved["motion"], resolved["numerics"]
         horizon = motion["horizon"]
         if motion["kind"] == "homothetic" and abs(float(motion["profile"](0.0)) - 1.0) > 1e-12:
             raise TypeMismatch("profile of a homothetic motion must satisfy profile(0) = 1",
-                               line_of["motion", "profile"])
+                               line_of["motion.profile"])
         try:
             step_count(num["dt"], horizon, num["store_every"])
         except ValueError as exc:  # store_every = 1 always divides, so its line exists
             raise TypeMismatch(f"{exc} (dt = {num['dt']:g}, horizon = {horizon:g})",
-                               line_of["numerics", "store_every"]) from None
+                               line_of["numerics.store_every"]) from None
 
-    sc = Scenario(
-        name=resolved["scenario"]["name"],
-        kind=kind,
-        motion=resolved["motion"],
-        data=resolved["data"],
-        coupled=resolved["coupled"],
-        numerics=resolved["numerics"],
-        output=resolved["output"],
-        source=str(path),
-    )
+    sc = Scenario(name=resolved["scenario"]["name"], kind=kind,
+                  **{s: resolved[s] for s in SECTIONS[1:]}, source=str(path))
     series = sc.series
     if not series or not set(series) <= set(SERIES[kind]):
         raise TypeMismatch(f"series must list names from {list(SERIES[kind])}, "
-                           f"got {sc.output['series']!r}", line_of["output", "series"])
+                           f"got {sc.output['series']!r}", line_of["output.series"])
     _early_checks(sc, line_of)
     return sc
 
@@ -270,13 +300,13 @@ def _bind_lengths(resolved, kind):
     """Bind every expression to its length (see the module notes)."""
     motion, data = resolved["motion"], resolved["data"]
     horizon = motion["horizon"]
-    if motion["profile"] is not None:
+    if "profile" in motion:
         motion["profile"] = motion["profile"].bound(horizon)
     if kind == "coupled":
         length = resolved["coupled"]["l0"]
     elif kind == "coupled_radial":
         length = resolved["coupled"]["R"]
-    elif motion["kind"] in ("identity", "homothetic"):
+    elif "length" in motion:
         length = motion["length"]
     else:
         length = float(motion["profile"](0.0))
@@ -285,11 +315,46 @@ def _bind_lengths(resolved, kind):
             data[key] = expr.bound(horizon if key.endswith("_time") else length)
 
 
+def build_motion(motion):
+    """Motion family from a resolved wave [motion] section; identity and
+    homothetic act on the interval (0, length)."""
+    kind = motion["kind"]
+    T = motion["horizon"]
+    if kind == "identity":
+        return identity_motion(Interval(motion["length"]), T, 1e-9)
+    if kind == "one_d_scaling":
+        return one_d_scaling(motion["profile"], T)
+    if kind == "homothetic":
+        return homothetic(motion["profile"], Interval(motion["length"]), T)
+    return SublevelFlowMotion(motion["level_kind"], motion["level"], motion["profile"], T)
+
+
+def lift_boundary_load(sc, fam, u0, u1):
+    """``lift_dirichlet`` of the file's load W = w_time(t) w(x) on the fixed
+    end of a 1d run, checked on the moving end at 9 times: (f, u0, u1)."""
+    W = SpaceTimeField(sc.data["w"], sc.data["w_time"])
+    ts = np.linspace(0.0, fam.horizon, 9)
+    return lift_dirichlet(W, u0, u1, fixed_points=[0.0],
+                          moving_points=(ts, fam.domain_measure(ts)))
+
+
 def _early_checks(sc, line_of):
-    """Checks promised at parse time: the coupled front compatibility
+    """Checks promised at parse time: a wave run's boundary load against
+    its motion, reported at the w line, and the coupled front compatibility
     conditions, reported at the line of the first of kappa, u1 and the
     slope key that the file sets."""
-    if sc.kind not in ("coupled", "coupled_radial"):
+    if sc.kind == "wave":
+        if sc.data["w"] is None:
+            return
+        try:
+            fam = build_motion(sc.motion)
+        except DebondWaveError as exc:  # e.g. a profile not positive on the horizon
+            raise TypeMismatch(str(exc), line_of.get("motion.profile")) from None
+        if fam.dim == 1:  # the run refuses the rest
+            try:
+                lift_boundary_load(sc, fam, sc.data["u0"], sc.data["u1"])
+            except BoundaryMismatch as exc:
+                raise TypeMismatch(str(exc), line_of["data.w"]) from None
         return
     u1 = sc.data["u1"]
     kap = sc.data["kappa"]
@@ -301,7 +366,7 @@ def _early_checks(sc, line_of):
         front = sc.coupled["R"] - sc.coupled["rho0"]
         p0 = -float(sc.data["u0"].deriv(front))
         slope_key = "u0"
-    line = next((line_of[k] for k in (("data", "kappa"), ("data", "u1"), ("data", slope_key))
+    line = next((line_of[k] for k in ("data.kappa", "data.u1", f"data.{slope_key}")
                  if k in line_of), None)
     u1v = 0.0 if u1 == "compatible" else float(u1(front))
     kv = float(kap(front))

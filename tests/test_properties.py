@@ -1,5 +1,6 @@
 """Property tests over random cubic profiles: the closed-form 1d pullback and
-the exact rates of the sublevel maps."""
+the exact rates of the sublevel maps; and the flow-rule forms against the
+maximum-dissipation oracle."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from debondwave.errors import LevelOutOfRange, NonPositiveScale  # noqa: E402
 from debondwave.expressions import Poly  # noqa: E402
+from debondwave.griffith import flow_rule, flow_rule_fixed_point, mdp_oracle  # noqa: E402
 from debondwave.motion import interval_flow, one_d_scaling, radial_annulus_flow, validate  # noqa: E402
 from debondwave.transform import PulledBackProblem  # noqa: E402
 
@@ -94,3 +96,13 @@ def test_sublevel_rates_match_central_differences(c0, c1, c2, c3, kind, t):
         grad[:, k] = (det(t, Y + e) - det(t, Y - e)) / (2 * h)
     assert np.max(np.abs(fam.grad_det_dphi(t, Y) - grad)) <= 1e-7
     assert validate(fam).h1_ok
+
+
+@FIXED
+@given(p=st.floats(0.0, 5.0), kappa=st.floats(0.1, 5.0))
+def test_flow_rule_forms_agree_with_the_oracle(p, kappa):
+    # the griffith suite's equivalence check, over (p, kappa) beyond its fixed draw
+    a = flow_rule(p, kappa)
+    b = flow_rule_fixed_point(p, kappa)
+    m = mdp_oracle(p, kappa, 10_000)
+    assert max(abs(a - b), abs(a - m), abs(b - m)) <= 2e-4
