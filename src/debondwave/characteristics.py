@@ -26,9 +26,11 @@ import numpy as np
 from .errors import CompatibilityViolated, NonPositiveToughness, TooFewSamples
 from .expressions import Expression
 
+QUAD_TOL = 1e-9  # error target of every adaptive Simpson quadrature below
 
-def adaptive_simpson(f, a, b, tol=1e-9):
-    """Classic recursive adaptive Simpson rule, at most 48 levels deep."""
+
+def adaptive_simpson(f, a, b):
+    """Classic recursive adaptive Simpson rule to QUAD_TOL, at most 48 levels deep."""
     if a == b:
         return 0.0
 
@@ -50,7 +52,7 @@ def adaptive_simpson(f, a, b, tol=1e-9):
 
     fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
     whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)
+    return recurse(a, b, fa, fm, fb, whole, QUAD_TOL, 0)
 
 
 def _fold(s, L):
@@ -68,7 +70,7 @@ def _extended_value(field, s, L):
     return sign * float(field(p))
 
 
-def _extended_integral(field, a, b, L, tol=1e-9):
+def _extended_integral(field, a, b, L):
     """Integral of the odd 2L-periodic extension over [a, b].
 
     The interval is split at reflection points; on [kL, (k+1)L] the
@@ -77,7 +79,7 @@ def _extended_integral(field, a, b, L, tol=1e-9):
     exact when the field is a catalog expression, adaptive Simpson else.
     """
     if b < a:
-        return -_extended_integral(field, b, a, L, tol)
+        return -_extended_integral(field, b, a, L)
     total = 0.0
     exact = isinstance(field, Expression)
     lo = a
@@ -95,27 +97,27 @@ def _extended_integral(field, a, b, L, tol=1e-9):
         if exact:
             seg = float(field.integral(p1, p2))
         else:
-            seg = adaptive_simpson(lambda x: float(field(x)), p1, p2, tol)
+            seg = adaptive_simpson(lambda x: float(field(x)), p1, p2)
         total += sign * seg
         lo = hi
     return total
 
 
-def dalembert_fixed(L, u0, u1, f, t, x, tol=1e-9):
+def dalembert_fixed(L, u0, u1, f, t, x):
     """Exact solution of the fixed-interval problem at one point."""
     if not (0.0 <= x <= L):
         raise ValueError("x outside [0, L]")
     u = 0.5 * (_extended_value(u0, x + t, L) + _extended_value(u0, x - t, L))
-    u += 0.5 * _extended_integral(u1, x - t, x + t, L, tol)
+    u += 0.5 * _extended_integral(u1, x - t, x + t, L)
     if f is not None and not (hasattr(f, "is_zero") and f.is_zero()):
         def cone_slice(s):
             lo, hi = x - (t - s), x + (t - s)
             if hasattr(f, "space") and isinstance(f.space, Expression):
-                inner = _extended_integral(f.space, lo, hi, L, tol)
+                inner = _extended_integral(f.space, lo, hi, L)
                 return float(f.time(s)) * inner
-            return adaptive_simpson(lambda xi: _extended_value(lambda p: f(s, p), xi, L), lo, hi, tol)
+            return adaptive_simpson(lambda xi: _extended_value(lambda p: f(s, p), xi, L), lo, hi)
 
-        u += 0.5 * adaptive_simpson(cone_slice, 0.0, t, tol)
+        u += 0.5 * adaptive_simpson(cone_slice, 0.0, t)
     return u
 
 
@@ -144,7 +146,10 @@ class Verdict(enum.Enum):
     INCOMPATIBLE = "Incompatible"
 
 
-def compatibility_check(u0_prime, u1, kappa, tol=1e-9):
+COMPAT_TOL = 1e-9  # |u1| of a front at rest, slack of the (in)equalities
+
+
+def compatibility_check(u0_prime, u1, kappa):
     """Classify initial data at a front point.
 
     Either u1 = 0 with (u0')^2 <= 2 kappa (rest), or u1 != 0 with
@@ -152,11 +157,11 @@ def compatibility_check(u0_prime, u1, kappa, tol=1e-9):
     """
     if kappa <= 0.0:
         raise NonPositiveToughness(f"kappa = {kappa}")
-    if abs(u1) <= tol:
-        if u0_prime * u0_prime <= 2.0 * kappa + tol:
+    if abs(u1) <= COMPAT_TOL:
+        if u0_prime * u0_prime <= 2.0 * kappa + COMPAT_TOL:
             return Verdict.SUBCRITICAL_REST
         return Verdict.INCOMPATIBLE
-    if abs(u0_prime * u0_prime - u1 * u1 - 2.0 * kappa) <= max(tol, 1e-9 * (1 + kappa)):
+    if abs(u0_prime * u0_prime - u1 * u1 - 2.0 * kappa) <= COMPAT_TOL * (1 + kappa):
         if u0_prime / u1 < -1.0:
             return Verdict.ACTIVATED_START
     return Verdict.INCOMPATIBLE

@@ -169,8 +169,10 @@ def _fixed_residual(problem, times, yq, wq, vd, vy):
 
 # --- release rate ----------------------------------------------------------
 
+RELEASE_FORMS_TOL = 1e-10
 
-def release_rate_density(p, udot=None, alpha=0.0, tol=1e-10):
+
+def release_rate_density(p, udot=None, alpha=0.0):
     """G_alpha = (1 - alpha^2) p^2 / 2, cross-checked against the
     (1-a)/(1+a) [p - u_dot]^2 / 2 form on kinematically consistent pairs."""
     if not (0.0 <= alpha < 1.0):
@@ -178,7 +180,7 @@ def release_rate_density(p, udot=None, alpha=0.0, tol=1e-10):
     G = 0.5 * (1.0 - alpha * alpha) * p * p
     if udot is not None and abs(udot + alpha * p) <= 1e-8 * (1.0 + abs(p)):
         alt = 0.5 * (1.0 - alpha) / (1.0 + alpha) * (p - udot) ** 2
-        if abs(alt - G) > tol * max(1.0, abs(G)):
+        if abs(alt - G) > RELEASE_FORMS_TOL * max(1.0, abs(G)):
             raise AssertionError(
                 f"release-rate forms disagree: {G} vs {alt} at alpha={alpha}")
     return G

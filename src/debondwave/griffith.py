@@ -82,8 +82,12 @@ def flow_rule_fixed_point(p, kappa):
     return om
 
 
-def mdp_oracle(p, kappa, M=10_000):
-    """Brute-force maximum dissipation scan over an alpha grid.
+ORACLE_GRID = 10_000  # cells of the alpha grid of mdp_oracle
+GRIFFITH_TOL = 1e-3  # GriffithReport.ok: slack of G <= kappa and alpha (G - kappa) = 0
+
+
+def mdp_oracle(p, kappa):
+    """Brute-force maximum dissipation scan over the alpha grid k / ORACLE_GRID.
 
     Accepts alpha when |alpha kappa - alpha G_alpha| is within half a
     grid cell of the local slope (the grid-induced slack), and returns
@@ -91,12 +95,10 @@ def mdp_oracle(p, kappa, M=10_000):
     """
     if kappa <= 0.0:
         raise NonPositiveToughness(f"kappa = {kappa}")
-    if M < 100:
-        raise ValueError("oracle grid needs at least 100 points")
-    alpha = np.arange(M) / M
+    alpha = np.arange(ORACLE_GRID) / ORACLE_GRID
     h = alpha * kappa - alpha * 0.5 * (1.0 - alpha ** 2) * p * p
     slope = kappa - 0.5 * p * p + 1.5 * alpha ** 2 * p * p
-    slack = 0.5 * np.abs(slope) / M + 1e-15
+    slack = 0.5 * np.abs(slope) / ORACLE_GRID + 1e-15
     ok = np.abs(h) <= slack
     return float(alpha[ok].max())
 
@@ -111,16 +113,15 @@ class GriffithReport:
     kappa: np.ndarray
     activation: np.ndarray
     complementarity: np.ndarray
-    tol: float
 
     def ok(self):
         subsonic = np.all((self.speed >= 0.0) & (self.speed < 1.0))
-        bounded = np.all(self.G <= self.kappa + self.tol)
-        comp = np.all(np.abs(self.complementarity) <= self.tol)
+        bounded = np.all(self.G <= self.kappa + GRIFFITH_TOL)
+        comp = np.all(np.abs(self.complementarity) <= GRIFFITH_TOL)
         return bool(subsonic and bounded and comp)
 
 
-def griffith_check(times, speed, p, kappa_vals, tol=1e-3):
+def griffith_check(times, speed, p, kappa_vals):
     """Evaluate the three Griffith conditions on a sampled front history."""
     times = np.asarray(times, dtype=float)
     speed = np.asarray(speed, dtype=float)
@@ -130,7 +131,7 @@ def griffith_check(times, speed, p, kappa_vals, tol=1e-3):
     comp = speed * (G - kappa_vals)
     return GriffithReport(
         times=times, speed=speed, G=G, kappa=kappa_vals,
-        activation=speed > 0.0, complementarity=comp, tol=tol,
+        activation=speed > 0.0, complementarity=comp,
     )
 
 

@@ -21,9 +21,10 @@ back to 0, never the inverse matrix of DPhi.
 The composed fields DPsi(t, Phi) and Psi_dot(t, Phi) use the exact
 algebraic relations (matrix inverse and -DPsi Phi_dot); the *direct*
 Psi-side evaluators (psi, dpsi, det_dpsi, psi_dot) are kept independent
-so that identity validation is not circular.  Tolerances are split: 1e-9
-for stretches (round-off), 1e-6 for sublevel flows (their Psi side is the
-backward transport, and its psi_dot a central difference).
+so that identity validation is not circular.  Tolerances are split by the
+class attribute tol, which no constructor takes: 1e-9 for stretches
+(round-off), 1e-6 for sublevel flows (their Psi side is the backward
+transport, and its psi_dot a central difference).
 
 Time is an array axis: every map, boundary_kinematics and domain_measure
 take a scalar t, which gives vector fields (P, N), Jacobians (P, N, N),
@@ -45,9 +46,6 @@ from .errors import (
     NonPositiveScale,
 )
 from .expressions import Const, Expression
-
-ANALYTIC_TOL = 1.0e-9
-FLOW_TOL = 1.0e-6
 
 
 def _as_points(Y, dim):
@@ -78,16 +76,15 @@ def _check_positive_profile(profile, horizon, name):
 
 
 class MotionFamily:
-    """Base class for the built-in families."""
+    """Base class for the built-in families; each sets ``tol`` for validate."""
 
     kind = "abstract"
 
-    def __init__(self, reference: ReferenceDomain, horizon: float, tol: float):
+    def __init__(self, reference: ReferenceDomain, horizon: float):
         if horizon <= 0:
             raise ValueError("horizon must be positive")
         self.reference = reference
         self.horizon = float(horizon)
-        self.tol = float(tol)
         self.dim = reference.dim
         # finite-difference steps for validation-side derivatives
         self._eps_t = 5.0e-6 * max(1.0, self.horizon)
@@ -154,12 +151,16 @@ class MotionFamily:
 
 # --- stretch --------------------------------------------------------------
 
+ANALYTIC_TOL = 1.0e-9
+
 
 class StretchMotion(MotionFamily):
     """Phi(t, y) = lam(t) y with lam = profile / scale on any reference domain."""
 
-    def __init__(self, profile: Expression, reference: ReferenceDomain, scale, horizon, tol):
-        super().__init__(reference, horizon, tol)
+    tol = ANALYTIC_TOL
+
+    def __init__(self, profile: Expression, reference: ReferenceDomain, scale, horizon):
+        super().__init__(reference, horizon)
         self.profile = profile
         self.scale = float(scale)
 
@@ -223,6 +224,9 @@ class StretchMotion(MotionFamily):
 
 # --- sublevel flow --------------------------------------------------------
 
+FLOW_TOL = 1.0e-6
+MARGIN_SAMPLES = 41  # times of speed_condition_margin
+
 
 class SublevelFlowMotion(MotionFamily):
     """Omega_t = { R - rho(t) < g < R }, transported by the level-set flow.
@@ -234,8 +238,9 @@ class SublevelFlowMotion(MotionFamily):
 
     kind = "sublevel_flow"
     level_kinds = ("radial", "reflected")
+    tol = FLOW_TOL
 
-    def __init__(self, level_kind, R, profile: Expression, horizon, dim=2, tol=FLOW_TOL):
+    def __init__(self, level_kind, R, profile: Expression, horizon, dim=2):
         if level_kind not in self.level_kinds:
             raise ValueError(f"level_kind must be one of {self.level_kinds}, got {level_kind!r}")
         self.radial = level_kind == "radial"
@@ -249,7 +254,7 @@ class SublevelFlowMotion(MotionFamily):
             reference = Annulus(self.R - self._rho0, self.R, dim)
         else:
             reference = Interval(self._rho0)
-        super().__init__(reference, horizon, tol)
+        super().__init__(reference, horizon)
 
     def _g(self, X):
         return np.linalg.norm(X, axis=-1) if self.radial else self.R - X[..., 0]
@@ -358,44 +363,44 @@ class SublevelFlowMotion(MotionFamily):
         lhs = self._g(self.phi(t, Y)) - self.R
         return float(np.max(np.abs(lhs - q * (self._g(Y) - self.R))))
 
-    def speed_condition_margin(self, nt=41):
-        """1 - max rho'(t) on nt sample times (|grad g| = 1 for both kinds);
-        a positive margin certifies H2."""
-        ts = np.linspace(0.0, self.horizon, nt)
+    def speed_condition_margin(self):
+        """1 - max rho'(t) on MARGIN_SAMPLES times of [0, horizon] (|grad g| = 1
+        for both kinds); a positive margin certifies H2."""
+        ts = np.linspace(0.0, self.horizon, MARGIN_SAMPLES)
         return 1.0 - float(np.max(self.profile.deriv(ts)))
 
 
 # --- constructors ---------------------------------------------------------
 
 
-def identity_motion(reference, horizon, tol=ANALYTIC_TOL):
+def identity_motion(reference, horizon):
     """Phi(t, y) = y on any reference domain."""
-    return StretchMotion(Const(1.0), reference, 1.0, horizon, tol)
+    return StretchMotion(Const(1.0), reference, 1.0, horizon)
 
 
-def one_d_scaling(profile, horizon, tol=ANALYTIC_TOL):
+def one_d_scaling(profile, horizon):
     """Interval (0, l(0)) stretched to (0, l(t))."""
     l0 = float(profile(0.0))
     _check_positive_profile(profile, horizon, "l")
-    return StretchMotion(profile, Interval(l0), l0, horizon, tol)
+    return StretchMotion(profile, Interval(l0), l0, horizon)
 
 
-def homothetic(profile, reference, horizon, tol=ANALYTIC_TOL):
+def homothetic(profile, reference, horizon):
     """Phi(t, y) = lam(t) y with lam(0) = 1 on any reference domain."""
     if abs(float(profile(0.0)) - 1.0) > 1e-12:
         raise ValueError("homothety profile must satisfy lam(0) = 1")
     _check_positive_profile(profile, horizon, "lam")
-    return StretchMotion(profile, reference, 1.0, horizon, tol)
+    return StretchMotion(profile, reference, 1.0, horizon)
 
 
-def radial_annulus_flow(R, profile, horizon, dim=2, tol=FLOW_TOL):
+def radial_annulus_flow(R, profile, horizon, dim=2):
     """Annuli { R - rho(t) < |x| < R }."""
-    return SublevelFlowMotion("radial", R, profile, horizon, dim, tol)
+    return SublevelFlowMotion("radial", R, profile, horizon, dim)
 
 
-def interval_flow(R, profile, horizon, tol=FLOW_TOL):
+def interval_flow(R, profile, horizon):
     """Intervals (0, rho(t)) realized as sublevel sets of g(x) = R - x."""
-    return SublevelFlowMotion("reflected", R, profile, horizon, tol=tol)
+    return SublevelFlowMotion("reflected", R, profile, horizon)
 
 
 # --- boundary kinematics --------------------------------------------------
@@ -459,7 +464,6 @@ class RegularityReport:
     max_phi_dot: float
     min_det_dphi: float
     second_diff_bound: float
-    tol: float
     h1_ok: bool
     h1prime_ok: bool
     h2_ok: bool
@@ -531,14 +535,12 @@ def validate(fam, nt=20, npts=20):
     max_pd = float(np.max(np.linalg.norm(pd, axis=-1)))
     min_det = float(np.min(detJ))
 
-    tol = fam.tol
     return RegularityReport(
         residuals=res,
         max_phi_dot=max_pd,
         min_det_dphi=min_det,
         second_diff_bound=second,
-        tol=tol,
-        h1_ok=(max(res.values()) <= max(10 * tol, 1e-6) and min_det > 0),
+        h1_ok=(max(res.values()) <= max(10 * fam.tol, 1e-6) and min_det > 0),
         h1prime_ok=bool(np.isfinite(second)),
         h2_ok=max_pd < 1.0,
     )

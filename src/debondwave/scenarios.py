@@ -43,8 +43,9 @@ horizon, l0, rho0, dt, cfl and the counts must be positive, grid at least
 divide the step count that ``kernels.step_count`` gives for dt and horizon.
 The special token ``u1 = Compatible`` requests the initial velocity that
 makes the transformed problem start at rest, u1 = -Phi_dot(0,.) . grad u0.
-A radial R <= rho0 is an error, and so is a homothetic profile(0) != 1 or
-a boundary load w w_time that does not vanish on the moving end.
+A radial R <= rho0 is an error, and so is a motion that cannot be built, a
+homothetic profile(0) != 1, a w_time without w or a boundary load w w_time
+that does not vanish on the moving end.
 ``series`` lists tables of the kind (``SERIES``).  Expressions are bound
 at parse (only SineMode reads it): time profiles to the horizon, spatial
 fields to ``length`` (identity, homothetic), profile(0) (one_d_scaling,
@@ -158,7 +159,6 @@ class Scenario:
     coupled: dict
     numerics: dict
     output: dict
-    source: str = ""
 
     @property
     def series(self):
@@ -287,7 +287,7 @@ def parse_scenario(path):
                                line_of["numerics.store_every"]) from None
 
     sc = Scenario(name=resolved["scenario"]["name"], kind=kind,
-                  **{s: resolved[s] for s in SECTIONS[1:]}, source=str(path))
+                  **{s: resolved[s] for s in SECTIONS[1:]})
     series = sc.series
     if not series or not set(series) <= set(SERIES[kind]):
         raise TypeMismatch(f"series must list names from {list(SERIES[kind])}, "
@@ -321,7 +321,7 @@ def build_motion(motion):
     kind = motion["kind"]
     T = motion["horizon"]
     if kind == "identity":
-        return identity_motion(Interval(motion["length"]), T, 1e-9)
+        return identity_motion(Interval(motion["length"]), T)
     if kind == "one_d_scaling":
         return one_d_scaling(motion["profile"], T)
     if kind == "homothetic":
@@ -339,17 +339,19 @@ def lift_boundary_load(sc, fam, u0, u1):
 
 
 def _early_checks(sc, line_of):
-    """Checks promised at parse time: a wave run's boundary load against
-    its motion, reported at the w line, and the coupled front compatibility
-    conditions, reported at the line of the first of kappa, u1 and the
-    slope key that the file sets."""
+    """Checks promised at parse time: a wave run's motion (at the profile
+    line) and its boundary load against it (at the w or w_time line); the
+    coupled front compatibility conditions, reported at the line of the
+    first of kappa, u1 and the slope key that the file sets."""
     if sc.kind == "wave":
-        if sc.data["w"] is None:
-            return
         try:
             fam = build_motion(sc.motion)
         except DebondWaveError as exc:  # e.g. a profile not positive on the horizon
             raise TypeMismatch(str(exc), line_of.get("motion.profile")) from None
+        if sc.data["w"] is None:
+            if "data.w_time" in line_of:
+                raise TypeMismatch("w_time needs a boundary load w", line_of["data.w_time"])
+            return
         if fam.dim == 1:  # the run refuses the rest
             try:
                 lift_boundary_load(sc, fam, sc.data["u0"], sc.data["u1"])

@@ -160,21 +160,24 @@ def pushforward(fam, traj_eval, t, x):
     return u, ud, gu, outside
 
 
-def lift_dirichlet(W, U0, U1, fixed_points, moving_points=None, tol=1e-9):
+LIFT_TOL = 1e-9
+
+
+def lift_dirichlet(W, U0, U1, fixed_points, moving_points=None):
     """Reduce a nonzero load W on the fixed boundary to homogeneous data.
 
     Returns (f, u0, u1) with f(t,x) = Lap W - W_tt, u0 = U0 - W(0,.),
     u1 = U1 - W_t(0,.).  W must vanish on the moving boundary; U0 must
-    match W(0,.) on the fixed boundary.
+    match W(0,.) on the fixed boundary; both hold to LIFT_TOL.
     """
     fixed_points = np.atleast_1d(np.asarray(fixed_points, dtype=float))
     gap = np.max(np.abs(np.asarray(U0(fixed_points)) - W(0.0, fixed_points)))
-    if gap > tol:
+    if gap > LIFT_TOL:
         raise BoundaryMismatch(f"U0 differs from W(0,.) by {gap} on the fixed boundary")
     if moving_points is not None:
         ts, xs = moving_points
         wmax = float(np.max(np.abs(W(np.asarray(ts), np.asarray(xs)))))
-        if wmax > tol:
+        if wmax > LIFT_TOL:
             raise BoundaryMismatch(f"W does not vanish on the moving boundary (max {wmax})")
 
     def f(t, x):

@@ -240,7 +240,7 @@ def suite_griffith():
         k = rng.uniform(0.1, 5.0)
         a = flow_rule(p, k)
         b = flow_rule_fixed_point(p, k)
-        m = mdp_oracle(p, k, 10_000)
+        m = mdp_oracle(p, k)
         worst = max(worst, abs(a - b), abs(a - m), abs(b - m))
     res = _check("griffith", "equivalence", worst, 2e-4, t0)
     out.append(res)
@@ -281,8 +281,8 @@ def suite_coupled_1d():
     return out
 
 
-def radial_test_data(R=2.0, rho0=0.5):
-    """Supercritical radial data: activated at the inner circle, quiet outer."""
+def radial_test_data():
+    """Supercritical radial data for R = 2, rho0 = 0.5: activated at r = 1.5, quiet at 2."""
     u0 = Poly(-48.0, 80.0, -44.0, 8.0)  # 8 (r - 1.5)(r - 2)^2 on [1.5, 2]
     c0 = 1 - 12 * 2.25 - 16 * 3.375
     c1 = 12 * 3 + 16 * 6.75

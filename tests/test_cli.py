@@ -342,7 +342,7 @@ RADIAL_REST = RADIAL.replace("u1 = Poly(-113.137084989848, 203.646752981726, -11
     (WAVE + f"[data]\nf = {SINE}\n", 0),
     (WAVE + f"[data]\nf = Const(1.0)\nf_time = {SINE}\n", 0),
     (WAVE + f"[data]\nw = Affine(1.0, -1.0)\nw_time = {SINE}\n", 0),
-    (WAVE + f"[motion]\nkind = one_d_scaling\nprofile = {SINE}\n", 3),  # l(0) = 0
+    (WAVE + f"[motion]\nkind = one_d_scaling\nprofile = {SINE}\n", 2),  # l(0) = 0: bad data
     (COUPLED + f"[data]\nf = {SINE}\n", 0),
     (COUPLED.replace("kappa = Const(1.0)", f"kappa = {SINE}"), 2),  # kappa(l0) = 0: bad data
     (COUPLED_REST.replace("u0_prime = Const(-2.0)", f"u0_prime = {SINE}"), 0),

@@ -104,5 +104,5 @@ def test_flow_rule_forms_agree_with_the_oracle(p, kappa):
     # the griffith suite's equivalence check, over (p, kappa) beyond its fixed draw
     a = flow_rule(p, kappa)
     b = flow_rule_fixed_point(p, kappa)
-    m = mdp_oracle(p, kappa, 10_000)
+    m = mdp_oracle(p, kappa)
     assert max(abs(a - b), abs(a - m), abs(b - m)) <= 2e-4

@@ -63,6 +63,8 @@ def _text(row_id):
             return fh.read()
     _, motion, solver = row_id.split("-")
     profile = "" if motion == "identity" else "profile = Affine(1.0, 0.5)\n"
+    if motion == "sublevel_flow":  # rho stays below the default level R = 1
+        profile = "profile = Affine(0.2, 0.1)\n"
     return (f"[scenario]\nname = w\n[motion]\nkind = {motion}\n{profile}"
             f"[numerics]\nsolver = {solver}\n")
 
@@ -194,9 +196,30 @@ def test_every_scenario_file_echoes_its_row():
 
 
 def test_a_loaded_motion_that_cannot_be_built_names_the_profile_line(tmp_path, capsys):
-    # the boundary load is checked against the motion at parse, so a profile
-    # that is not positive on the horizon is refused there on its line
+    # every wave motion is built at parse, so a profile that is not positive
+    # on the horizon is refused there on its line, before the load is checked
     text = ("[scenario]\nname = n\n[motion]\nkind = one_d_scaling\nprofile = Affine(-1.0, 0.5)\n"
             "[data]\nw = Const(0.0)\n")
     assert main(["validate", _write(tmp_path, "n.scn", text)]) == 2
     assert capsys.readouterr().err.startswith("error: line 5: ")
+
+
+def test_a_motion_that_cannot_be_built_names_the_profile_line(tmp_path, capsys):
+    # with no boundary load as well: bad data, not a numerical failure (exit 3)
+    text = "[scenario]\nname = n\n[motion]\nkind = one_d_scaling\nprofile = Affine(-1.0, 0.5)\n"
+    path = _write(tmp_path, "n.scn", text)
+    with pytest.raises(TypeMismatch, match=r"^line 5: l\(t\) must stay positive on the horizon"):
+        parse_scenario(path)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: line 5: ")
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_w_time_without_w_names_its_line(tmp_path, capsys):
+    # w_time scales the load w; alone it would be dropped and the run unloaded
+    path = _write(tmp_path, "t.scn", WAVE_FILE + "[data]\nw_time = Const(5.0)\n")
+    with pytest.raises(TypeMismatch, match="^line 7: w_time needs a boundary load w"):
+        parse_scenario(path)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: line 7: ")
+    assert not os.path.exists(tmp_path / "out")
