@@ -11,7 +11,11 @@ problem (l(t) = 1 + t/2, v0 = sin(pi y), m = 64, dt = 5e-4, T = 1,
 assembly and projection included).  Then, for one solve_fd call on the
 same problem at n = 800, dt = 5e-4 (coefficient fill included), the
 median of three wall times and the tracemalloc peak of a fourth call,
-with the bytes of the returned trajectory it includes.  Usage:
+with the bytes of the returned trajectory it includes; then the peak of
+one call that stores only t = 0 and t = 1 (store_every = 2000).  Last,
+the tracemalloc peak of ledger_transformed on the every-step n = 800
+trajectory, without and with the fixed-domain balance (problem=), beside
+the trajectory it reads.  Usage:
 
     python benchmarks/bench_kernels.py [--steps N] [--grid N]
 """
@@ -23,6 +27,7 @@ import tracemalloc
 
 import numpy as np
 
+from debondwave.energy import ledger_transformed
 from debondwave.expressions import Affine
 from debondwave.fd import solve_fd
 from debondwave.galerkin import solve_transformed_modal
@@ -91,28 +96,52 @@ def bench_modal(m, nsteps, repeats=3):
     return best
 
 
+def _criterion4_problem():
+    return PulledBackProblem(one_d_scaling(Affine(1.0, 0.5), 1.0))
+
+
+def _traced_peak(fn):
+    """(result, tracemalloc peak above the memory traced before the call)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def _solve(problem, n, store_every=1):
+    return solve_fd(problem, 1.0, n, lambda y: np.sin(np.pi * y), np.zeros_like,
+                    dt=5e-4, T=1.0, store_every=store_every)
+
+
 def bench_solve_fd(n, repeats=3):
     """(median wall time, tracemalloc peak, trajectory bytes) of solve_fd on
     the criterion-4 problem over T = 1 at dt = 5e-4."""
-    problem = PulledBackProblem(one_d_scaling(Affine(1.0, 0.5), 1.0))
-
-    def solve():
-        return solve_fd(problem, 1.0, n, lambda y: np.sin(np.pi * y), np.zeros_like,
-                        dt=5e-4, T=1.0)
-
+    problem = _criterion4_problem()
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        solve()
+        _solve(problem, n)
         times.append(time.perf_counter() - t0)
-    tracemalloc.start()
-    try:
-        traj = solve()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    traj, peak = _traced_peak(lambda: _solve(problem, n))
     held = sum(a.nbytes for a in (traj.times, traj.values, traj.velocities, traj.x))
     return statistics.median(times), peak, held
+
+
+def bench_memory(n):
+    """tracemalloc peaks of solve_fd storing only both ends (store_every =
+    2000) and of ledger_transformed without and with problem= on the
+    every-step trajectory (already allocated, so not counted)."""
+    problem = _criterion4_problem()
+    fam = problem.fam
+    _, sparse = _traced_peak(lambda: _solve(problem, n, store_every=2000))
+    traj = _solve(problem, n)
+    _, plain = _traced_peak(lambda: ledger_transformed(traj, fam))
+    _, fixed = _traced_peak(lambda: ledger_transformed(traj, fam, problem=problem))
+    return sparse, plain, fixed
 
 
 def main():
@@ -130,6 +159,10 @@ def main():
     median, peak, held = bench_solve_fd(args.grid)
     print(f"solve_fd n={args.grid}: median {median:.4f} s of 3, tracemalloc peak "
           f"{peak / 1e6:.1f} MB ({held / 1e6:.1f} MB of it the returned trajectory)")
+    sparse, plain, fixed = bench_memory(args.grid)
+    print(f"solve_fd n={args.grid} store_every=2000: tracemalloc peak {sparse / 1e6:.1f} MB")
+    print(f"ledger_transformed on that n={args.grid} trajectory: tracemalloc peak "
+          f"{plain / 1e6:.1f} MB, {fixed / 1e6:.1f} MB with problem=")
 
 if __name__ == "__main__":
     main()

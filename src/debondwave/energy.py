@@ -10,12 +10,14 @@ Quantities tracked per stored time on the moving domain:
 
 Spatial integrals are pulled back to the reference domain with weight
 det DPhi; boundary integrals use the per-face parametrization, never a
-space-time mesh.  The 1d ledgers take every stored time at once from the
-closed-form stretch Phi = lam(t) y (det DPhi = lam, DPsi = 1/lam, the
-moving end at lam L with normal speed lam' L).  Normal derivatives at the
-boundary come from one-sided stencils.  Time accumulation uses the
-forward rectangle rule, matching the first-order convergence the moving
-balance exhibits; the fixed-domain remainder uses trapezoid.
+space-time mesh.  The 1d ledgers read the closed-form stretch
+Phi = lam(t) y (det DPhi = lam, DPsi = 1/lam, the moving end at lam L with
+normal speed lam' L) and form their integrands a block of stored times at
+a time, so their transient memory does not grow with the step count.
+Normal derivatives at the boundary come from one-sided stencils.  Time
+accumulation uses the forward rectangle rule, matching the first-order
+convergence the moving balance exhibits; the fixed-domain remainder uses
+trapezoid.
 
 The release-rate density is G_alpha = (1 - alpha^2) p^2 / 2 with the
 equivalent form (1-omega)/(1+omega) [p - u_dot]^2 / 2 cross-checked
@@ -84,12 +86,29 @@ def front_normal_derivative(traj, fam):
     return one_sided_derivative(v.T, h, "right") / lam  # outward normal +1 at the right end
 
 
+# quadrature values in one row block of the ledgers.  Blocks start at
+# multiples of 16 rows and none is a single row, so at one BLAS thread each
+# block's matrix-vector products round every row as those of the whole
+# array do: OpenBLAS treats the rows past a multiple of 4 apart, and a
+# single row takes another path.
+_BLOCK_VALUES = 1 << 15
+
+
+def _row_blocks(nt, nq):
+    rows = max(16, _BLOCK_VALUES // nq // 16 * 16)
+    ends = list(range(rows, nt, rows))
+    if ends and nt - ends[-1] == 1:
+        ends.pop()
+    return [slice(a, b) for a, b in zip([0] + ends, ends + [nt])]
+
+
 def ledger_transformed(traj, fam, forcing=None, kappa=None, problem=None):
     """Energy ledger for a transformed-solver trajectory on a 1d family.
 
-    Every stored time at once: det DPhi = lam, DPsi = 1/lam and
-    Psi_dot(t, Phi) = -(lam'/lam) y; the fixed end y = 0 does not move,
-    the moving end sits at lam L with normal speed lam' L.
+    det DPhi = lam, DPsi = 1/lam and Psi_dot(t, Phi) = -(lam'/lam) y; the
+    fixed end y = 0 does not move, the moving end sits at lam L with normal
+    speed lam' L.  The trajectory is evaluated once at the quadrature
+    nodes, and the integrands are formed in blocks of stored times.
     """
     if fam.dim != 1:
         raise ValueError("ledger_transformed is the 1d path")
@@ -97,17 +116,18 @@ def ledger_transformed(traj, fam, forcing=None, kappa=None, problem=None):
     yq, wq = _quadrature(traj)
     times = traj.times
     lam, dlam, _ = fam.stretch(times)
+    rate = dlam / lam
 
-    _, vd, vy = traj.eval_all(yq)
-    ud = vd - vy * np.multiply.outer(dlam / lam, yq)
-    gu = vy / lam[:, None]
-    kinetic = 0.5 * lam * ((ud * ud) @ wq)
-    potential = 0.5 * lam * ((gu * gu) @ wq)
-    if forcing is None:
-        work_rate = np.zeros(len(times))
-    else:
-        f = np.asarray(forcing(times[:, None], np.multiply.outer(lam, yq)), dtype=float)
-        work_rate = lam * ((f * ud) @ wq)
+    vd, vy = traj.eval_all(yq)
+    kinetic, potential, work_rate = (np.zeros(len(times)) for _ in range(3))
+    for s in _row_blocks(len(times), len(yq)):
+        ud = vd[s] - vy[s] * np.multiply.outer(rate[s], yq)
+        gu = vy[s] / lam[s, None]
+        kinetic[s] = 0.5 * lam[s] * ((ud * ud) @ wq)
+        potential[s] = 0.5 * lam[s] * ((gu * gu) @ wq)
+        if forcing is not None:
+            f = np.asarray(forcing(times[s, None], np.multiply.outer(lam[s], yq)), dtype=float)
+            work_rate[s] = lam[s] * ((f * ud) @ wq)
 
     omega = dlam * L
     p = front_normal_derivative(traj, fam)
@@ -145,24 +165,27 @@ def balance_residual_fixed(traj, problem):
     residual(t) = | 1/2||v'||^2 + 1/2<B grad v, grad v> - initial - R(t) |,
     R(t) = int_0^t ( 1/2<B' grad v, grad v> - <a grad v, v'> - <div b, v'^2>
                      + <g, v'> ),
-    with B, B', a, div b and g in closed form at every stored time at once.
+    with B, B', a, div b and g in closed form, a block of stored times at once.
     """
     yq, wq = _quadrature(traj)
-    _, vd, vy = traj.eval_all(yq)
+    vd, vy = traj.eval_all(yq)
     return _fixed_residual(problem, traj.times, yq, wq, vd, vy)
 
 
 def _fixed_residual(problem, times, yq, wq, vd, vy):
     """The fixed-domain residual from v_dot and v_y at the quadrature nodes."""
-    B, a, _, g = problem.line(times, yq)
-    Bdot, divb = problem.line_rates(times, yq)
-    vy2 = vy * vy
-    vd2 = vd * vd
-    lhs = 0.5 * (vd2 @ wq) + 0.5 * ((B * vy2) @ wq)
-    rate = (0.5 * ((Bdot * vy2) @ wq)
-            - ((a * vy * vd) @ wq)
-            - ((divb * vd2) @ wq)
-            + ((g * vd) @ wq))
+    lhs, rate = np.empty(len(times)), np.empty(len(times))
+    for s in _row_blocks(len(times), len(yq)):
+        B, a, _, g = problem.line(times[s], yq)
+        Bdot, divb = problem.line_rates(times[s], yq)
+        vys, vds = vy[s], vd[s]
+        vy2 = vys * vys
+        vd2 = vds * vds
+        lhs[s] = 0.5 * (vd2 @ wq) + 0.5 * ((B * vy2) @ wq)
+        rate[s] = (0.5 * ((Bdot * vy2) @ wq)
+                   - ((a * vys * vds) @ wq)
+                   - ((divb * vd2) @ wq)
+                   + ((g * vds) @ wq))
     R = _accumulate(times, rate, "trap")
     return np.abs(lhs - lhs[0] - R)
 

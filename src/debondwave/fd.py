@@ -3,13 +3,14 @@
 Space: flux-form central differences for d/dy(B v_y) with B at cell
 midpoints, centered first differences for the a and b terms, homogeneous
 Dirichlet ends.  Time: classical RK4 at fixed step, coefficients sampled
-on the half-step grid.  The run goes in blocks of K steps: each block's
-2K + 1 half-step slices come from one closed-form PulledBackProblem.line
-call per node set, written in place into the four buffers of the one
-``kernels.Stepper`` the run owns, so the coefficients take
-O(K n) memory whatever the step count.  The CFL guard
-dt <= 0.9 h / sqrt(max B) sees every slice and raises before an unstable
-run starts.
+on the half-step grid.  The run goes in blocks of K steps, K about
+2^16 / (n + 1) whatever store_every: each block's 2K + 1 half-step slices
+come from one closed-form PulledBackProblem.line call per node set,
+written in place into the four buffers of the one ``kernels.Stepper`` the
+run owns, so the coefficients take O(2^16) memory whatever the step count
+or the storing stride; a stored step may fall anywhere in a block.  The
+CFL guard dt <= 0.9 h / sqrt(max B) sees every slice and raises before an
+unstable run starts.
 """
 
 import numpy as np
@@ -38,9 +39,9 @@ def solve_fd(problem, L, n, v0, v1, dt, T, store_every=1):
     xm = 0.5 * (x[:-1] + x[1:])
     nsteps, dt = kernels.step_count(dt, T, store_every)
 
-    # K steps to a block, a multiple of store_every; block k0 reads the
-    # slices ts[2 k0 : 2 (k0 + K) + 1] from slot 0 of the buffers
-    K = max(store_every, min(nsteps, _BLOCK_POINTS // (n + 1) // store_every * store_every))
+    # K steps to a block, whatever store_every; block k0 reads the slices
+    # ts[2 k0 : 2 (k0 + K) + 1] from slot 0 of the buffers
+    K = max(1, min(nsteps, _BLOCK_POINTS // (n + 1)))
     S = 2 * K + 1
     ts = 0.5 * dt * np.arange(2 * nsteps + 1)
     Bm = np.empty((S, n))
@@ -73,7 +74,8 @@ def solve_fd(problem, L, n, v0, v1, dt, T, store_every=1):
         tb = ts[2 * k0:2 * k0 + m]
         problem.line(tb, xm, out=(Bm[:m], None, None, None))
         problem.line(tb, x, out=(None, an[:m], bn[:m], None if problem.forcing is None else gn[:m]))
-        status = stepper.run(k, store_every, out_v[k0 // store_every:], out_vd[k0 // store_every:])
+        status = stepper.run(k, store_every, out_v[k0 // store_every:],
+                             out_vd[k0 // store_every:], done=k0)
         if status < 0:
             raise BlowUp(f"grid state exceeded {kernels.BLOWUP_LIMIT:g} at step {k0 - status}; shrink dt")
     times = np.arange(nstored) * (store_every * dt)

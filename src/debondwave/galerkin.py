@@ -195,12 +195,17 @@ class Trajectory:
         return v, vd, vy
 
     def eval_all(self, y):
-        """(v, v_dot, v_y) at reference points y for every stored time, (nt, len(y))."""
+        """(v_dot, v_y) at reference points y for every stored time, (nt, len(y)).
+
+        A grid trajectory is interpolated, and differenced for v_y, a block
+        of rows at a time into column-major outputs, so the transient beside
+        them does not grow with nt.  The rows are independent, so the bits
+        are those of the whole array at once; the outputs keep its memory
+        order too, by which the ledger's matmuls round.
+        """
         y = np.asarray(y, dtype=float).reshape(-1)
         if self.kind == "modal":
-            W = self.basis.values(y)
-            Wp = self.basis.derivs(y)
-            return self.values @ W.T, self.velocities @ W.T, self.values @ Wp.T
+            return self.velocities @ self.basis.values(y).T, self.values @ self.basis.derivs(y).T
         x = self.x
         j = np.clip(np.searchsorted(x, y, side="right") - 1, 0, len(x) - 2)
         w = np.clip((y - x[j]) / (x[j + 1] - x[j]), 0.0, 1.0)
@@ -208,15 +213,14 @@ class Trajectory:
         def interp(F):
             return F[:, j] + w * (F[:, j + 1] - F[:, j])
 
-        # v_y: np.gradient over blocks of rows, not the whole (nt, n + 1)
-        # array at once; the rows are independent, so the bits are the same.
-        # Column-major like interp's results: the ledger's matmuls round by it
         V = self.values
-        vy = np.empty((len(V), len(y)), order="F")
-        rows = max(1, (1 << 16) // len(x))
+        vd, vy = (np.empty((len(V), len(y)), order="F") for _ in range(2))
+        rows = max(1, (1 << 16) // max(len(x), len(y)))
         for r in range(0, len(V), rows):
-            vy[r:r + rows] = interp(np.gradient(V[r:r + rows], x, axis=1, edge_order=2))
-        return interp(V), interp(self.velocities), vy
+            s = slice(r, r + rows)
+            vd[s] = interp(self.velocities[s])
+            vy[s] = interp(np.gradient(V[s], x, axis=1, edge_order=2))
+        return vd, vy
 
 
 def integrate(system: GalerkinSystem, d0, ddot0, dt, T, store_every=1):

@@ -59,11 +59,12 @@ class RK4:
         self._work = (self.state, W[1, :2], W[2, :2], W[3, :2], *K, K[1:3],
                       *(np.array(x) for x in (0.5 * dt, dt, dt / 6.0, 2.0)))
 
-    def run(self, nsteps, store_every=1, out_v=None, out_vd=None):
+    def run(self, nsteps, store_every=1, out_v=None, out_vd=None, done=0):
         """Advance ``state`` in place by nsteps RK4 steps.
 
         With out_v/out_vd given, every store_every-th state goes to them
-        from row 1 on.  Returns the number of rows filled (1 when nothing is
+        from row 1 on; done steps taken before this run count toward
+        store_every.  Returns the number of rows filled (1 when nothing is
         stored), or -(k + 1) when step k blows up.
         """
         accel, clamp = self.accel, self.clamp
@@ -96,7 +97,7 @@ class RK4:
             # step; not (max <= limit): a NaN state is a blow-up too
             if not np.maximum.reduce(np.abs(X, out=S1), axis=None) <= BLOWUP_LIMIT:
                 return -(k + 1)
-            if out_v is not None and (k + 1) % store_every == 0:
+            if out_v is not None and (done + k + 1) % store_every == 0:
                 out_v[status] = X[0]
                 out_vd[status] = X[1]
                 status += 1

@@ -540,7 +540,7 @@ def validate(fam, nt=20, npts=20):
         max_phi_dot=max_pd,
         min_det_dphi=min_det,
         second_diff_bound=second,
-        h1_ok=(max(res.values()) <= max(10 * fam.tol, 1e-6) and min_det > 0),
+        h1_ok=(max(res.values()) <= 10 * fam.tol and min_det > 0),
         h1prime_ok=bool(np.isfinite(second)),
         h2_ok=max_pd < 1.0,
     )

@@ -30,7 +30,7 @@ def weak_residual(traj, problem, n_probes=8):
     Wp = wq[:, None] * basis.derivs(yq)
 
     rows = np.arange(2, nt - 2)[::max(1, (nt - 4) // 200)]
-    _, vd, vy = traj.eval_all(yq)
+    vd, vy = traj.eval_all(yq)
     dt = traj.times[1] - traj.times[0]
     vdd = (-vd[rows + 2] + 8 * vd[rows + 1] - 8 * vd[rows - 1] + vd[rows - 2]) / (12.0 * dt)
     vd, vy = vd[rows], vy[rows]

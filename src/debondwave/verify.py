@@ -26,6 +26,7 @@ from .griffith import (
     flow_rule_fixed_point,
     mdp_oracle,
 )
+from .kernels import step_count
 from .motion import (
     boundary_kinematics,
     homothetic,
@@ -138,8 +139,13 @@ def _criterion4_scenario():
 
 
 def _cross_solver_distances(fam, problem, v0, v1, u0, u1, m, n, parts, dt, inner_n):
-    modal = solve_transformed_modal(problem, 1.0, v0, v1, m=m, dt=dt, T=1.0)
-    grid = solve_fd(problem, 1.0, n, v0, v1, dt=dt, T=1.0)
+    """L2 distances at t = 1 between the three solvers' physical fields.
+
+    The modal and grid runs store only t = 0 and t = 1, the one time read.
+    """
+    store = step_count(dt, 1.0)[0]
+    modal = solve_transformed_modal(problem, 1.0, v0, v1, m=m, dt=dt, T=1.0, store_every=store)
+    grid = solve_fd(problem, 1.0, n, v0, v1, dt=dt, T=1.0, store_every=store)
     cyl = solve_cylinder(fam, u0, u1, partitions=parts, inner_n=inner_n)
     lT = fam.domain_measure(1.0)
     xs = np.linspace(0.0, lT, 3001)[1:-1]
@@ -152,9 +158,8 @@ def _cross_solver_distances(fam, problem, v0, v1, u0, u1, m, n, parts, dt, inner
     def l2(a, b):
         return float(np.sqrt(np.sum((a - b) ** 2) * w))
 
-    dists = {"modal-grid": l2(um, ug), "modal-cylinder": l2(um, uc),
-             "grid-cylinder": l2(ug, uc)}
-    return dists, modal, grid, cyl
+    return {"modal-grid": l2(um, ug), "modal-cylinder": l2(um, uc),
+            "grid-cylinder": l2(ug, uc)}
 
 
 def suite_transform_equivalence():
@@ -176,10 +181,8 @@ def suite_transform_equivalence():
 
     fam, problem, v0, v1, u0, u1 = _criterion4_scenario()
     t0 = time.time()
-    base, *_ = _cross_solver_distances(fam, problem, v0, v1, u0, u1,
-                                       32, 400, 32, 1e-3, 384)
-    fine, *_ = _cross_solver_distances(fam, problem, v0, v1, u0, u1,
-                                       64, 800, 64, 5e-4, 768)
+    base = _cross_solver_distances(fam, problem, v0, v1, u0, u1, 32, 400, 32, 1e-3, 384)
+    fine = _cross_solver_distances(fam, problem, v0, v1, u0, u1, 64, 800, 64, 5e-4, 768)
     elapsed = time.time() - t0
     for pair in ("modal-grid", "modal-cylinder", "grid-cylinder"):
         out.append(CheckResult("transform-equivalence", f"cross-{pair}",
@@ -198,13 +201,12 @@ def suite_energy():
     out = []
     fam, problem, v0, v1, u0, u1 = _criterion4_scenario()
 
+    # each trajectory goes as soon as its value is read
     t0 = time.time()
-    g1 = solve_fd(problem, 1.0, 400, v0, v1, dt=1e-3, T=1.0)
-    led1 = ledger_transformed(g1, fam, problem=problem)
-    g2 = solve_fd(problem, 1.0, 800, v0, v1, dt=5e-4, T=1.0)
-    led2 = ledger_transformed(g2, fam)
-    r1 = float(led1.residual_moving.max())
-    r2 = float(led2.residual_moving.max())
+    r1 = float(ledger_transformed(solve_fd(problem, 1.0, 400, v0, v1, dt=1e-3, T=1.0),
+                                  fam).residual_moving.max())
+    r2 = float(ledger_transformed(solve_fd(problem, 1.0, 800, v0, v1, dt=5e-4, T=1.0),
+                                  fam).residual_moving.max())
     out.append(_check("energy", "moving-balance", r1, 5e-3, t0,
                       note=f"refined={r2:.3g}"))
     ratio = r1 / r2
@@ -214,15 +216,16 @@ def suite_energy():
 
     t0 = time.time()
     modal = solve_transformed_modal(problem, 1.0, v0, v1, m=32, dt=1e-3, T=1.0)
-    ledm = ledger_transformed(modal, fam, problem=problem)
-    out.append(_check("energy", "fixed-balance", float(ledm.residual_fixed.max()),
-                      1e-3, t0))
+    rf = float(ledger_transformed(modal, fam, problem=problem).residual_fixed.max())
+    del modal
+    out.append(_check("energy", "fixed-balance", rf, 1e-3, t0))
 
     t0 = time.time()
     margins = []
     for parts, inner in ((32, 384), (64, 768)):
         cyl = solve_cylinder(fam, u0, u1, partitions=parts, inner_n=inner)
         margins.append(cyl.energy_margin() / cyl.energies[0])
+        del cyl
     out.append(_check("energy", "cylinder-inequality", max(margins),
                       1e-8, t0))
     return out

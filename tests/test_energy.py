@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import debondwave
 from debondwave.domains import Interval
 from debondwave.energy import (
+    _quadrature,
     balance_residual_fixed,
     ledger_transformed,
     measure_identity_residual,
@@ -12,7 +17,7 @@ from debondwave.energy import (
     total_release_rate,
 )
 from debondwave.errors import SupersonicSpeed
-from debondwave.expressions import Affine, Const, Poly
+from debondwave.expressions import Affine, Const, Poly, SineMode, SpaceTimeField
 from debondwave.domains import Ball, Box, Tetrahedron
 from debondwave.fd import solve_fd
 from debondwave.galerkin import SineBasis, Trajectory, solve_transformed_modal
@@ -103,6 +108,95 @@ def test_ledger_evaluates_the_trajectory_once(monkeypatch):
     led = ledger_transformed(traj, fam, problem=pb)
     assert len(calls) == 1
     assert np.array_equal(led.residual_fixed, balance_residual_fixed(traj, pb))
+
+
+def _whole_array_ledger(traj, fam, forcing, problem):
+    """(kinetic, potential, work, residual_fixed) from every stored time at
+    once, the formulas of the ledger before its row blocks."""
+    yq, wq = _quadrature(traj)
+    times = traj.times
+    lam, dlam, _ = fam.stretch(times)
+    vd, vy = traj.eval_all(yq)
+    ud = vd - vy * np.multiply.outer(dlam / lam, yq)
+    gu = vy / lam[:, None]
+    kinetic = 0.5 * lam * ((ud * ud) @ wq)
+    potential = 0.5 * lam * ((gu * gu) @ wq)
+    f = np.asarray(forcing(times[:, None], np.multiply.outer(lam, yq)), dtype=float)
+    work_rate = lam * ((f * ud) @ wq)
+    work = np.zeros(len(times))
+    work[1:] = np.cumsum(np.diff(times) * work_rate[:-1])
+
+    B, a, _, g = problem.line(times, yq)
+    Bdot, divb = problem.line_rates(times, yq)
+    vy2 = vy * vy
+    vd2 = vd * vd
+    lhs = 0.5 * (vd2 @ wq) + 0.5 * ((B * vy2) @ wq)
+    rate = (0.5 * ((Bdot * vy2) @ wq) - ((a * vy * vd) @ wq) - ((divb * vd2) @ wq)
+            + ((g * vd) @ wq))
+    R = np.zeros(len(times))
+    R[1:] = np.cumsum(0.5 * np.diff(times) * (rate[:-1] + rate[1:]))
+    return kinetic, potential, work, np.abs(lhs - lhs[0] - R)
+
+
+def check_ledger_blocks_match_the_whole_array():
+    fam = one_d_scaling(Affine(1.0, 0.5), 1.0)
+    forcing = SpaceTimeField(SineMode(1.0, 2).bound(1.0), Poly(0.5, 1.0, -0.3))
+    pb = PulledBackProblem(fam, forcing=forcing)
+    v0 = lambda y: np.sin(np.pi * y)
+    v1 = lambda y: 0.0 * np.asarray(y)
+    # ledger blocks of 192 rows at 160 quadrature values (grid), 96 at 320
+    # (m = 32): row counts past several blocks, and one row past a block
+    trajs = [solve_fd(pb, 1.0, 64, v0, v1, dt=1 / 500, T=1.0),
+             solve_fd(pb, 1.0, 64, v0, v1, dt=1 / 192, T=1.0),
+             solve_transformed_modal(pb, 1.0, v0, v1, m=32, dt=1 / 300, T=1.0),
+             solve_transformed_modal(pb, 1.0, v0, v1, m=32, dt=1 / 96, T=1.0)]
+    for traj in trajs:
+        assert len(traj.times) % 16
+        led = ledger_transformed(traj, fam, forcing=forcing, problem=pb)
+        kinetic, potential, work, fixed = _whole_array_ledger(traj, fam, forcing, pb)
+        assert np.array_equal(led.kinetic, kinetic)
+        assert np.array_equal(led.potential, potential)
+        assert np.array_equal(led.work, work)
+        assert np.array_equal(led.residual_moving,
+                              np.abs(kinetic + potential + led.boundary_dissipation
+                                     - (kinetic[0] + potential[0]) - work))
+        assert np.array_equal(led.residual_fixed, fixed)
+        assert np.array_equal(balance_residual_fixed(traj, pb), fixed)
+
+
+def test_ledger_row_blocks_keep_the_whole_array_bits():
+    # at one BLAS thread: a threaded gemv splits the whole array at rows
+    # that no block boundary can follow, so more threads may move an ulp
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(debondwave.__file__)))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join([src, tests])}
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import test_energy; test_energy.check_ledger_blocks_match_the_whole_array()"],
+        env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+def test_ledger_transient_stays_small_beside_the_trajectory():
+    # 4001 stored times at 160 quadrature values: one (nt, nq) array is 5.1 MB,
+    # and the whole-array formulas took a traced 72 MB here
+    fam = one_d_scaling(Affine(1.0, 0.5), 1.0)
+    pb = PulledBackProblem(fam)
+    traj = solve_fd(pb, 1.0, 32, lambda y: np.sin(np.pi * y),
+                    lambda y: 0.0 * np.asarray(y), dt=1 / 4000, T=1.0)
+    ledger_transformed(traj, fam, problem=pb)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ledger_transformed(traj, fam, problem=pb)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    whole = len(traj.times) * 160 * 8
+    # v_dot and v_y at the quadrature nodes are held whole; the blocks beside
+    # them take about 4 MB whatever the step count
+    assert peak - 2 * whole < 6e6
 
 
 def test_moving_balance_first_order_in_resolution():

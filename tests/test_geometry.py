@@ -99,6 +99,15 @@ def test_validate_scaling_analytic_tolerance():
     assert rep.h2_ok
 
 
+def test_validate_judges_h1_by_the_class_tolerance():
+    # the identities hold to about 2e-11 here: within 10 ANALYTIC_TOL = 1e-8,
+    # not within 10 x 1e-14; no floor of 1e-6 decides instead
+    fam = one_d_scaling(Affine(1.0, 0.5), 1.0)
+    assert validate(fam, nt=12, npts=12).h1_ok
+    fam.tol = 1e-14
+    assert not validate(fam, nt=12, npts=12).h1_ok
+
+
 def test_validate_detects_supersonic_growth():
     rep = validate(one_d_scaling(Affine(1.0, 1.2), 1.0), nt=6, npts=6)
     assert abs(rep.max_phi_dot - 1.2) < 1e-12

@@ -140,8 +140,9 @@ def test_eval_all_matches_eval_index():
     ys = np.concatenate([np.linspace(0.0, 1.0, 23), [0.0125, 0.9999]])
     for traj in _grid_and_modal_trajectories():
         batch = traj.eval_all(ys)
+        assert len(batch) == 2  # (v_dot, v_y): no caller reads v
         for i in range(len(traj.times)):
-            for got, want in zip(batch, traj.eval_index(i, ys)):
+            for got, want in zip(batch, traj.eval_index(i, ys)[1:]):
                 assert np.max(np.abs(got[i] - want)) < 1e-13
 
 
@@ -169,7 +170,7 @@ def test_eval_all_gradient_matches_full_array_gradient(x):
                       velocities=values ** 2, L=x[-1], x=x)
     # both end cells, every interior cell, nodes, and points clipped at the ends
     y = np.concatenate([[-1.0, 0.0], x, 0.5 * (x[:-1] + x[1:]), [x[-1], 2 * x[-1]]])
-    got, want = traj.eval_all(y)[2], _full_gradient_eval(traj, y)
+    got, want = traj.eval_all(y)[1], _full_gradient_eval(traj, y)
     assert np.array_equal(got, want)
     # the memory order too: a matmul on v_y sums in an order set by it
     assert got.flags.f_contiguous == want.flags.f_contiguous
@@ -358,21 +359,36 @@ def test_fd_cfl_guard():
         solve_fd(_identity_problem(), 1.0, 64, _zero, _zero, dt=0.1, T=0.5)
 
 
-def test_solve_fd_coefficients_stay_small_beside_the_trajectory():
+def _criterion4_grid_run(store_every=1):
+    pb = PulledBackProblem(one_d_scaling(Affine(1.0, 0.5), 1.0))
+    return solve_fd(pb, 1.0, 800, lambda y: np.sin(np.pi * y), _zero, dt=5e-4, T=1.0,
+                    store_every=store_every)
+
+
+@pytest.fixture(scope="module")
+def every_step_grid_run():
+    return _criterion4_grid_run()
+
+
+@pytest.mark.parametrize("store_every", [1, 100, 2000])
+def test_solve_fd_coefficients_stay_small_beside_the_trajectory(store_every, every_step_grid_run):
     import tracemalloc
 
     # 2000 steps at n = 800: all 4001 half-step slices of the four
-    # coefficients at once would take about 100 MB
-    pb = PulledBackProblem(one_d_scaling(Affine(1.0, 0.5), 1.0))
+    # coefficients at once would take about 100 MB, and so would a block of
+    # 2000 steps that a block size tied to store_every asks for
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        traj = solve_fd(pb, 1.0, 800, lambda y: np.sin(np.pi * y), _zero, dt=5e-4, T=1.0)
+        traj = _criterion4_grid_run(store_every)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     held = sum(a.nbytes for a in (traj.times, traj.values, traj.velocities, traj.x))
     assert peak - held < 8e6
+    # a stored step may fall anywhere in a coefficient block
+    assert np.array_equal(traj.values, every_step_grid_run.values[::store_every])
+    assert np.array_equal(traj.velocities, every_step_grid_run.velocities[::store_every])
 
 
 def test_modal_grid_agreement_moving():
