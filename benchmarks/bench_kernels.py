@@ -1,19 +1,22 @@
-"""Time the RK4 wave stepper in its two call patterns, the modal RK4 and
-the grid solver.
+"""Time the RK4 wave stepper in its two call patterns, the modal RK4, the
+cylinder scheme and the grid solver.
 
-Prints the best of three timings for one long kernels.fd_run call on
-precomputed slices, for 6144 chained single-step runs of one
+Prints the best of three timings, and that time per RK4 step in
+microseconds, for one long unforced kernels.fd_run call on precomputed
+slices, for 6144 chained single-step runs of one unforced
 kernels.Stepper at n = 1024 on three coefficient slices (as the coupled
 front solver makes them for scenarios/debonding_constant.scn; the solver
 also refills the slices in place before each step, which is not timed
-here) and for one solve_transformed_modal call on the criterion-4
-problem (l(t) = 1 + t/2, v0 = sin(pi y), m = 64, dt = 5e-4, T = 1,
-assembly and projection included).  Then, for one solve_fd call on the
-same problem at n = 800, dt = 5e-4 (coefficient fill included), the
-median of three wall times and the tracemalloc peak of a fourth call,
-with the bytes of the returned trajectory it includes; then the peak of
-one call that stores only t = 0 and t = 1 (store_every = 2000).  Last,
-the tracemalloc peak of ledger_transformed on the every-step n = 800
+here), for one solve_transformed_modal call on the criterion-4 problem
+(l(t) = 1 + t/2, v0 = sin(pi y), m = 64, dt = 5e-4, T = 1, assembly and
+projection included) and for one solve_cylinder call on the same
+problem at 64 partitions of the 768-cell grid (640 inner steps of
+kernels.UnitStepper, the trajectory store included).  Then, for one
+solve_fd call on the same problem at n = 800, dt = 5e-4 (coefficient fill
+included), the median of three wall times and the tracemalloc peak of a
+fourth call, with the bytes of the returned trajectory it includes; then
+the peak of one call that stores only t = 0 and t = 1 (store_every =
+2000).  Last, the tracemalloc peak of ledger_transformed on the every-step n = 800
 trajectory, without and with the fixed-domain balance (problem=), beside
 the trajectory it reads.  Usage:
 
@@ -27,6 +30,7 @@ import tracemalloc
 
 import numpy as np
 
+from debondwave.cylinder import solve_cylinder
 from debondwave.energy import ledger_transformed
 from debondwave.expressions import Affine
 from debondwave.fd import solve_fd
@@ -45,7 +49,6 @@ def bench_fd(n, nsteps, repeats=3):
     Bm = 1.0 - 0.2 * np.sin(np.pi * 0.5 * (y[:-1] + y[1:]))[None, :] * np.ones((S, 1))
     an = 0.1 * y[None, :] * np.ones((S, 1))
     bn = 0.2 * y[None, :] * np.ones((S, 1))
-    gn = np.zeros((S, n + 1))
     best = np.inf
     for _ in range(repeats):
         v = np.sin(np.pi * y)
@@ -56,7 +59,7 @@ def bench_fd(n, nsteps, repeats=3):
         out_v[0] = v
         out_vd[0] = vd
         t0 = time.perf_counter()
-        fd_run(v, vd, h, dt, nsteps, Bm, an, bn, gn, nsteps, out_v, out_vd)
+        fd_run(v, vd, h, dt, nsteps, Bm, an, bn, None, nsteps, out_v, out_vd)
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -68,12 +71,10 @@ def bench_chain(n, nsteps, repeats=3):
     y = np.linspace(0.0, 1.0, n + 1)
     ym = 0.5 * (y[:-1] + y[1:])
     Bm = np.tile(1.0 - 0.2 * ym ** 2, (3, 1))
-    an = np.tile(-0.1 * y, (3, 1))
-    bn = np.tile(0.2 * y, (3, 1))
-    gn = np.zeros((3, n + 1))
+    ab = np.stack((np.tile(-0.1 * y, (3, 1)), np.tile(0.2 * y, (3, 1))))
     best = np.inf
     for _ in range(repeats):
-        stepper = Stepper(h, dt, Bm, an, bn, gn)
+        stepper = Stepper(h, dt, Bm, ab)
         v, vd = stepper.state
         v[:] = np.sin(np.pi * y)
         vd[:] = 0.0
@@ -94,6 +95,26 @@ def bench_modal(m, nsteps, repeats=3):
                                 lambda y: np.zeros_like(y), m=m, dt=1.0 / nsteps, T=1.0)
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def bench_cylinder(inner_n, partitions, repeats=3):
+    """One cylinder solve of the criterion-4 problem over T = 1; returns
+    (best time, inner steps)."""
+    fam = _criterion4_problem().fam
+
+    def u0(x):
+        return np.sin(np.pi * np.clip(np.asarray(x, dtype=float), 0.0, 1.0))
+
+    def u1(x):
+        x = np.asarray(x, dtype=float)
+        return -(x / 2.0) * np.pi * np.cos(np.pi * x)
+
+    best = np.inf
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        run = solve_cylinder(fam, u0, u1, partitions=partitions, inner_n=inner_n)
+        best = min(best, time.perf_counter() - t0)
+    return best, len(run.traj.times) - 1
 
 
 def _criterion4_problem():
@@ -153,9 +174,12 @@ def main():
     cases = (("wave stepper", bench_fd, args.grid, args.steps),
              ("1-step chain", bench_chain, 1024, 6144),
              ("modal RK4", bench_modal, 64, 2000))
-    print(f"{'kernel':<22} {'best time (s)':>14}")
+    print(f"{'kernel':<22} {'best time (s)':>14} {'us / step':>10}")
     for name, bench, n, steps in cases:
-        print(f"{name:<22} {bench(n, steps):>14.4f}")
+        best = bench(n, steps)
+        print(f"{name:<22} {best:>14.4f} {1e6 * best / steps:>10.1f}")
+    best, steps = bench_cylinder(768, 64)
+    print(f"{'cylinder 64 x 768':<22} {best:>14.4f} {1e6 * best / steps:>10.1f}")
     median, peak, held = bench_solve_fd(args.grid)
     print(f"solve_fd n={args.grid}: median {median:.4f} s of 3, tracemalloc peak "
           f"{peak / 1e6:.1f} MB ({held / 1e6:.1f} MB of it the returned trajectory)")

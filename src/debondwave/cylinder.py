@@ -76,17 +76,14 @@ def solve_cylinder(fam, u0, u1, partitions=32, inner_n=384):
         row[marks[0]:] = 0.0
         row[0] = 0.0
 
-    # the state of the current partition, over the largest frozen domain
-    V = vals[0].copy()
-    VD = vels[0].copy()
     for k in range(K):
         t0, m, n, r = tgrid[k], marks[k], steps[k], rows[k]
         dt = (tgrid[k + 1] - t0) / n
-        # the standard wave equation on the frozen domain: B = 1, a = b = g = 0
-        Bm = np.ones((1, m))
-        zero = np.zeros((1, m + 1))
-        status = kernels.fd_run(V[: m + 1], VD[: m + 1], h, dt, n, Bm, zero, zero, zero, 1,
-                                vals[r: r + n + 1, : m + 1], vels[r: r + n + 1, : m + 1])
+        # the standard wave equation on the frozen domain, from the last
+        # stored state, zero beyond the previous partition's domain
+        stepper = kernels.UnitStepper(h, dt, m + 1)
+        stepper.state[:] = vals[r, : m + 1], vels[r, : m + 1]
+        status = stepper.run(n, 1, vals[r: r + n + 1, : m + 1], vels[r: r + n + 1, : m + 1])
         if status < 0:
             raise BlowUp(f"cylinder partition {k} blew up at inner step {-status}")
         times[r + 1: r + n + 1] = t0 + np.arange(1, n + 1) * dt

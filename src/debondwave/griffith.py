@@ -216,6 +216,9 @@ class _Interval:
         self.yc = max(num.taper * l0, 4 * (l0 / n))
         self._m = np.empty(n)
         self._n = np.empty(n + 1)
+        # debond()'s quadrature, for a kappa without a closed-form integral
+        if not isinstance(self.kappa, Expression):
+            self._rule = gauss_legendre_panels(1.0, 8, 10)
 
     def initial_state(self, om):
         sc, y = self.sc, self.y
@@ -253,7 +256,7 @@ class _Interval:
         l0 = self.L
         if isinstance(self.kappa, Expression):
             return float(self.kappa.integral(l0, ell))
-        xq, wq = gauss_legendre_panels(1.0, 8, 10)
+        xq, wq = self._rule
         return (ell - l0) * float(np.sum(wq * np.asarray(self.kappa(l0 + (ell - l0) * xq))))
 
 
@@ -279,6 +282,7 @@ class _Annulus:
         self._m = np.empty(n)
         self._n = np.empty(n + 1)
         self._P = np.empty((len(_SLICES), n + 1))
+        self._rule = gauss_legendre_panels(1.0, 8, 10)  # debond()'s quadrature
 
     def initial_state(self, om):
         # v_dot(0) = u1 + u0' Phi_dot(0, .), Phi_dot = -(om/rho0)(R - y)
@@ -322,7 +326,7 @@ class _Annulus:
 
     def debond(self, rho):
         # newly debonded ring R - rho < r < R - rho0
-        xq, wq = gauss_legendre_panels(1.0, 8, 10)
+        xq, wq = self._rule
         a, b = self.R - rho, self.R - self.L
         rr = a + (b - a) * xq
         return (b - a) * float(np.sum(wq * np.asarray(self.kappa(rr)) * (2.0 * np.pi) * rr))
@@ -343,9 +347,9 @@ def _evolve_coupled(geo, p0, kap0, horizon, num, forcing, verdict):
     window = slice(-3, None) if geo.side == "right" else slice(0, 3)
 
     Bm = np.empty((3, n))
-    an, bn = np.empty((2, 3, n + 1))
-    gn = np.zeros((3, n + 1))
-    stepper = kernels.Stepper(h, dt, Bm, an, bn, gn)
+    an, bn = ab = np.empty((2, 3, n + 1))
+    gn = None if forcing is None else np.empty((3, n + 1))
+    stepper = kernels.Stepper(h, dt, Bm, ab, gn)
     v, vd = stepper.state
     om = flow_rule(p0, kap0)
     v[:], vd[:] = geo.initial_state(om)

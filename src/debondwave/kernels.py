@@ -1,21 +1,32 @@
-"""The RK4 driver of every solver, and the wave right-hand side of the 1d
-hyperbolic solver, in plain numpy: each stage works in place on one
-preallocated stacked array.
+"""The RK4 driver of every solver, and the wave right-hand sides of the 1d
+grid solvers, in plain numpy: each stage works in place on one
+preallocated stacked array.  At the solvers' sizes (65 to 1025 unknowns)
+a numpy call costs one to two microseconds, mostly call overhead, so a
+step costs about what its number of calls says.
 
 ``RK4`` steps x'' = f(t, x, x') with the state (x, x') stacked; its owner
-supplies the acceleration.  ``Stepper`` supplies the grid one,
+supplies the acceleration.  Besides the four accelerations a step makes
+11 numpy calls: 6 for the stage states, 4 for the stage sum (one
+``np.add.reduce`` over the stage axis) and 1 for the blow-up guard; the
+Dirichlet steppers add one to set the ends after a run's first step.
+
+``Stepper`` supplies the grid acceleration,
 v'' = d/dy(B v') - a v' + 2 b v'* + g with homogeneous Dirichlet ends
-(v'* is the y-derivative of the velocity), on coefficient slot 2k at t_k
-and 2k+1 at t_k + dt/2; the grid solver runs one a block of steps at a
-time, the coupled solvers once per step, and ``fd_run`` is its one-shot
-wrapper for the cylinder solver.
-``galerkin.integrate`` supplies the modal one, on slots 3k, 3k+1 and 3k+2
-at t_k, t_k + dt/2 and t_k + dt.
+(v'* is the y-derivative of the velocity), in 10 numpy calls a stage, 11
+with a forcing: 51 a step, 55 forced.  Its coefficients are Bm (S, n), ab
+(2, S, n+1) with the a and b slices as its two rows, and gn (S, n+1), or
+None without a forcing; slot 2k holds t_k and 2k+1 t_k + dt/2.  The grid
+solver runs one a block of steps at a time, the coupled solvers once per
+step, and ``fd_run`` is its one-shot wrapper.  ``UnitStepper`` supplies
+v'' = v_yy alone, in 3 calls a stage (23 a step): the cylinder solver's
+frozen partitions.  ``galerkin.integrate`` supplies the modal
+acceleration, on slots 3k, 3k+1 and 3k+2 at t_k, t_k + dt/2 and t_k + dt.
 """
 
 import numpy as np
 
 BLOWUP_LIMIT = 1.0e12
+_LIMIT_SQ = BLOWUP_LIMIT * BLOWUP_LIMIT
 
 
 def step_count(dt, T, store_every=1):
@@ -42,7 +53,8 @@ class RK4:
     owner sets ``accel(s, j)``, which writes x''_s into stages[s, 2] with
     the data of slot j (step k uses slots j, j + per_stage twice and
     j + 2 per_stage, j = per_step k), and may set ``clamp()``, applied to
-    each new state before the blow-up guard.
+    the state after the first step of each run, before the blow-up guard:
+    a clamp that later steps keep, as zero ends with zero accelerations.
     """
 
     def __init__(self, n, dt, per_step, per_stage):
@@ -55,8 +67,11 @@ class RK4:
         self.clamp = None
         self._slots = per_step, per_stage
         K = W[:, 1:]
+        # the state flat for the blow-up guard: a view, as W is contiguous
+        Xf = W[0].reshape(-1)[:2 * n]
         # scalars as 0-d arrays: the same float64 arithmetic, less call overhead
-        self._work = (self.state, W[1, :2], W[2, :2], W[3, :2], *K, K[1:3],
+        self._work = (self.state, Xf, W[1, :2], W[2, :2], W[3, :2], *K[:3], K, K[1:3],
+                      np.empty((2, n)),
                       *(np.array(x) for x in (0.5 * dt, dt, dt / 6.0, 2.0)))
 
     def run(self, nsteps, store_every=1, out_v=None, out_vd=None, done=0):
@@ -68,7 +83,7 @@ class RK4:
         stored), or -(k + 1) when step k blows up.
         """
         accel, clamp = self.accel, self.clamp
-        X, S1, S2, S3, K0, K1, K2, K3, K12, half, full, sixth, two = self._work
+        X, Xf, S1, S2, S3, K0, K1, K2, K, K12, Ksum, half, full, sixth, two = self._work
         per_step, per_stage = self._slots
         status = 1
         for k in range(nsteps):
@@ -84,18 +99,20 @@ class RK4:
             np.multiply(K2, full, out=S3)
             np.add(X, S3, out=S3)
             accel(3, jh + per_stage)
-            # X += (dt/6) (((K0 + 2 K1) + 2 K2) + K3), summed into K1
+            # X += (dt/6) (((K0 + 2 K1) + 2 K2) + K3): a reduction over the
+            # outer stage axis adds whole rows in index order
             np.multiply(K12, two, out=K12)
-            np.add(K0, K1, out=K1)
-            np.add(K1, K2, out=K1)
-            np.add(K1, K3, out=K1)
-            np.multiply(K1, sixth, out=K1)
-            np.add(X, K1, out=X)
-            if clamp is not None:
+            np.add.reduce(K, axis=0, out=Ksum)
+            np.multiply(Ksum, sixth, out=Ksum)
+            np.add(X, Ksum, out=X)
+            if k == 0 and clamp is not None:
                 clamp()
             # both rows, so a NaN velocity from the last stage counts at this
-            # step; not (max <= limit): a NaN state is a blow-up too
-            if not np.maximum.reduce(np.abs(X, out=S1), axis=None) <= BLOWUP_LIMIT:
+            # step; not (max <= limit): a NaN state is a blow-up too.  The
+            # sum of squares is at least the largest square in any order, so
+            # below the limit's square it clears the state in one call
+            if not np.dot(Xf, Xf) < _LIMIT_SQ and not (
+                    np.maximum.reduce(np.abs(X, out=S1), axis=None) <= BLOWUP_LIMIT):
                 return -(k + 1)
             if out_v is not None and (done + k + 1) % store_every == 0:
                 out_v[status] = X[0]
@@ -104,31 +121,49 @@ class RK4:
         return status
 
 
-class Stepper(RK4):
+class _Dirichlet(RK4):
+    """``RK4`` on n1 grid nodes whose end values stay 0: their
+    accelerations are 0, and the clamp sets the ends of the state to 0
+    after a run's first step (the first step's stages see the ends as
+    given, as the reference stepper's do)."""
+
+    def __init__(self, n1, dt, per_step, per_stage):
+        super().__init__(n1, dt, per_step, per_stage)
+        self.stages[:, 2, ::n1 - 1] = 0.0
+        edges = self.state[:, ::n1 - 1]
+        self.clamp = lambda: edges.fill(0.0)
+
+
+class Stepper(_Dirichlet):
     """``RK4`` with the wave right-hand side on one grid, one dt and one set
-    of coefficients, held by reference: Bm (S, n), an, bn and gn (S, n+1),
-    which a caller may refill in place between runs.  S is 1 (a frozen
-    slice serves every stage), or at least 2 nsteps + 1 half-step slices
-    for a run of nsteps, with slot 0 at the run's first time: every run
-    starts from slot 0.  The Dirichlet ends of each new state are set to 0.
+    of coefficients, held by reference: Bm (S, n), ab (2, S, n+1), the a
+    and b slices as its two rows, and gn (S, n+1) or None without a
+    forcing, which a caller may refill in place between runs.  S is 1 (a
+    frozen slice serves every stage), or at least 2 nsteps + 1 half-step
+    slices for a run of nsteps, with slot 0 at the run's first time: every
+    run starts from slot 0.
     """
 
-    def __init__(self, h, dt, Bm, an, bn, gn):
-        n1 = an.shape[1]
+    def __init__(self, h, dt, Bm, ab, gn=None):
+        n1 = ab.shape[2]
         super().__init__(n1, dt, *((0, 0) if Bm.shape[0] == 1 else (2, 1)))
-        W = self.stages
-        W[:, 2, ::n1 - 1] = 0.0
         # work arrays of one right-hand side: d = v_{i+1} - v_i, c = central
         # differences of (v, vd)
         d = np.empty(n1 - 1)
         c = np.empty((2, n1 - 2))
         views = [(x[0, 1:], x[0, :-1], x[:, 2:], x[:, :-2], acc[1:-1])
-                 for x, acc in zip(W[:, :2], W[:, 2])]
+                 for x, acc in zip(self.stages[:, :2], self.stages[:, 2])]
         dr, dl = d[1:], d[:-1]
         c0, c1 = c
-        an, bn, gn = an[:, 1:-1], bn[:, 1:-1], gn[:, 1:-1]
-        inv_h2, inv_2h, two = (np.array(x) for x in (1.0 / (h * h), 0.5 / h, 2.0))
-        edges = self.state[:, ::n1 - 1]
+        an, bn = ab[:, :, 1:-1]
+        gn = None if gn is None else gn[:, 1:-1]
+        inv_h2 = np.array(1.0 / (h * h))
+        # rows 1/2h and 2/2h: the b term's factor 2 is a power of two, so in
+        # the scale it rounds as a multiply by 2 afterwards (away from
+        # subnormals).  The scale is a full array and a and b multiply row
+        # by row: a (2, 1) scale column, or one multiply over both strided
+        # ab rows, costs more than the call it saves
+        scale = np.repeat([[0.5 / h], [2.0 * (0.5 / h)]], n1 - 2, axis=1)
 
         def accel(s, j):
             # acc = d/dy(B v_y) - a v_y + 2 b vd_y + g, each term rounded in
@@ -141,25 +176,49 @@ class Stepper(RK4):
             np.subtract(xr, xl, out=c)
             np.multiply(an[j], c0, out=c0)
             np.multiply(bn[j], c1, out=c1)
-            np.multiply(c, inv_2h, out=c)
+            np.multiply(c, scale, out=c)
             np.subtract(acc, c0, out=acc)
-            np.multiply(c1, two, out=c1)
             np.add(acc, c1, out=acc)
-            np.add(acc, gn[j], out=acc)
+            if gn is not None:
+                np.add(acc, gn[j], out=acc)
 
         self.accel = accel
-        self.clamp = lambda: edges.fill(0.0)
+
+
+class UnitStepper(_Dirichlet):
+    """``RK4`` with the standard wave equation v'' = v_yy on n1 nodes of
+    spacing h: ``Stepper``'s values for B = 1 and a = b = g = 0 without the
+    calls that multiply by them.  Dropping the add of +0 terms only keeps
+    a -0 acceleration -0, which needs a -0 in the state.
+    """
+
+    def __init__(self, h, dt, n1):
+        super().__init__(n1, dt, 0, 0)
+        d = np.empty(n1 - 1)
+        dr, dl = d[1:], d[:-1]
+        views = [(x[1:], x[:-1], acc[1:-1])
+                 for x, acc in zip(self.stages[:, 0], self.stages[:, 2])]
+        inv_h2 = np.array(1.0 / (h * h))
+
+        def accel(s, j):
+            vr, vl, acc = views[s]
+            np.subtract(vr, vl, out=d)
+            np.subtract(dr, dl, out=acc)
+            np.multiply(acc, inv_h2, out=acc)
+
+        self.accel = accel
 
 
 def fd_run(v, vd, h, dt, nsteps, Bm, an, bn, gn, store_every, out_v, out_vd):
-    """Advance (v, vd) in place by nsteps RK4 steps: a one-shot ``Stepper``.
+    """Advance (v, vd) in place by nsteps RK4 steps: a one-shot ``Stepper``
+    on copies of an and bn stacked; gn may be None.
 
     Bm holds one frozen slice or at least 2 nsteps + 1 half-step slices,
     slot 0 at the first step's time.  Every store_every-th state goes to
     out_v/out_vd from row 1 on.  Returns the number of rows filled, or
     -(k + 1) when step k blows up.
     """
-    stepper = Stepper(h, dt, Bm, an, bn, gn)
+    stepper = Stepper(h, dt, Bm, np.stack((an, bn)), gn)
     stepper.state[:] = v, vd
     status = stepper.run(nsteps, store_every, out_v, out_vd)
     v[:], vd[:] = stepper.state

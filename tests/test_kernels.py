@@ -127,8 +127,8 @@ def test_numpy_kernel_chained_single_steps_match_reference():
     h = y[1] - y[0]
     dt = 0.5 / n
     B3 = np.empty((3, n))
-    a3, b3, g3 = np.empty((3, 3, n + 1))
-    stepper = kernels.Stepper(h, dt, B3, a3, b3, g3)
+    a3, b3, g3 = abg3 = np.empty((3, 3, n + 1))
+    stepper = kernels.Stepper(h, dt, B3, abg3[:2], g3)
     v, vd = _initial(y)
     stepper.state[0] = v
     stepper.state[1] = vd
@@ -158,6 +158,62 @@ def test_stepper_clamps_nonzero_ends_like_the_reference():
     for a, b in zip(*states):
         assert np.array_equal(a, b)
 
+
+# --- the stepper without a forcing, and the unit-coefficient stepper -------
+
+
+@pytest.mark.parametrize("moving", [False, True])
+def test_stepper_without_forcing_matches_zero_forcing(moving):
+    # gn=None skips the add of +0: the same values and the same zero signs
+    n, nsteps = 64, 40
+    y, Bm, an, bn, gn = _coefficient_slices(n, 2 * nsteps + 1 if moving else 1,
+                                             moving=moving, forced=False)
+    got = []
+    for g in (None, gn):
+        stepper = kernels.Stepper(y[1] - y[0], 0.5 / n, Bm, np.stack((an, bn)), g)
+        stepper.state[:] = _initial(y)
+        out = np.zeros((2, nsteps + 1, n + 1))
+        assert stepper.run(nsteps, 1, *out) == nsteps + 1
+        got.append((stepper.state.copy(), out))
+    for a, b in zip(*got):
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _unit_run(v, vd, h, dt, nsteps, Bm, an, bn, gn, store_every, out_v, out_vd):
+    # the fd_run call pattern on UnitStepper, which reads no coefficients
+    stepper = kernels.UnitStepper(h, dt, len(v))
+    stepper.state[:] = v, vd
+    status = stepper.run(nsteps, store_every, out_v, out_vd)
+    v[:], vd[:] = stepper.state
+    return status
+
+
+@pytest.mark.parametrize("nsteps, dt_h, status", [
+    (40, 0.5, 41),   # the cylinder's partitions run at dt = 0.8 h at most
+    (60, 2.0, -17),  # beyond the CFL limit: the same blow-up step
+])
+def test_unit_stepper_matches_stepper_with_unit_coefficients(nsteps, dt_h, status):
+    n = 48
+    y = np.linspace(0.0, 1.0, n + 1)
+    Bm = np.ones((1, n))
+    zero = np.zeros((1, n + 1))
+    unit, grid, ref = (_run(impl, y, dt_h / n, nsteps, Bm, zero, zero, zero, 1)
+                       for impl in (_unit_run, kernels.fd_run, _ref_run))
+    rows = abs(status)  # the stored rows, the initial one included
+    assert unit[0] == grid[0] == status
+    for a, b in zip(unit[1:], grid[1:]):
+        assert np.array_equal(a[:rows], b[:rows])
+    if status > 0:
+        assert ref[0] == status
+        for a, b in zip(unit[1:], ref[1:]):
+            assert np.array_equal(a, b)
+    else:
+        # the reference's guard reads v alone, so it stops a step or more
+        # later; its rows up to the stepper's blow-up are the same
+        assert ref[0] < status
+        for a, b in zip(unit[3:], ref[3:]):
+            assert np.array_equal(a[:rows], b[:rows])
 
 # --- the RK4 driver on a small linear system --------------------------------
 
@@ -230,10 +286,26 @@ def test_stepper_and_fd_run_report_the_same_nan_blowup(moving, slot, status):
     gn = gn.copy()
     gn[slot, n // 2] = np.nan
     dt = 0.5 / n
-    stepper = kernels.Stepper(y[1] - y[0], dt, Bm, an, bn, gn)
+    stepper = kernels.Stepper(y[1] - y[0], dt, Bm, np.stack((an, bn)), gn)
     stepper.state[:] = _initial(y)
     assert stepper.run(nsteps) == status
     assert _run(kernels.fd_run, y, dt, nsteps, Bm, an, bn, gn, 1)[0] == status
+
+
+
+@pytest.mark.parametrize("x0, status", [
+    (0.9e12, 1),                   # all entries: the squares sum past 1e24
+    (kernels.BLOWUP_LIMIT, 1),     # at the limit is not beyond it
+    (np.nextafter(kernels.BLOWUP_LIMIT, np.inf), -1),
+])
+def test_blowup_guard_reads_the_largest_entry(x0, status):
+    # x'' = 0 from rest keeps the state; one entry or all of them at x0
+    n = 1000
+    rk = kernels.RK4(n, 0.1, 0, 0)
+    rk.accel = lambda s, j: rk.stages[s, 2].fill(0.0)
+    for state in (np.full(n, x0), np.where(np.arange(n) == 7, x0, 0.0)):
+        rk.state[0], rk.state[1] = state, 0.0
+        assert rk.run(1) == status
 
 
 def test_solve_fd_raises_blowup_on_nan_coefficient():
@@ -343,6 +415,19 @@ def test_solve_fd_cfl_guard_sees_the_last_block_before_any_forcing():
     with pytest.raises(CflViolation):
         solve_fd(PulledBackProblem(fam, counting), 1.0, n, _sine, _kick, dt=dt, T=T)
     assert calls == []
+
+
+@pytest.mark.parametrize("problem", [
+    _moving_problem(2.0),                      # growing: lam' > 0
+    _moving_problem(2.0, _wavy_forcing),       # forced
+    PulledBackProblem(one_d_scaling(Affine(1.0, -0.27785), 2.0)),  # shrinking
+])
+def test_cfl_guard_reads_the_max_of_every_slice(problem):
+    n, nsteps, dt = 200, 1000, 2e-3
+    x = np.linspace(0.0, 1.0, n + 1)
+    xm = 0.5 * (x[:-1] + x[1:])
+    ts = 0.5 * dt * np.arange(2 * nsteps + 1)
+    assert fd._max_B(problem, ts, xm) == float(np.max(problem.line(ts, xm)[0]))
 
 
 def test_solve_fd_blowup_names_the_reference_step():
