@@ -3,10 +3,11 @@ cylinder scheme and the grid solver.
 
 Prints the best of three timings, and that time per RK4 step in
 microseconds, for one long unforced kernels.fd_run call on precomputed
-slices, for 6144 chained single-step runs of one unforced
-kernels.Stepper at n = 1024 on three coefficient slices (as the coupled
-front solver makes them for scenarios/debonding_constant.scn; the solver
-also refills the slices in place before each step, which is not timed
+slices, with the a term and without it (a = 0, the path solve_fd takes
+when lam'' = 0 over the run), for 6144 chained single-step runs of one
+unforced kernels.Stepper at n = 1024 on three coefficient slices (as the
+coupled front solver makes them for scenarios/debonding_constant.scn; the
+solver also refills the slices in place before each step, which is not timed
 here), for one solve_transformed_modal call on the criterion-4 problem
 (l(t) = 1 + t/2, v0 = sin(pi y), m = 64, dt = 5e-4, T = 1, assembly and
 projection included) and for one solve_cylinder call on the same
@@ -40,14 +41,14 @@ from debondwave.motion import one_d_scaling
 from debondwave.transform import PulledBackProblem
 
 
-def bench_fd(n, nsteps, repeats=3):
+def bench_fd(n, nsteps, repeats=3, a_term=True):
     h = 1.0 / n
     dt = 0.7 * h
     S = 2 * nsteps + 1
     rng = np.random.default_rng(0)
     y = np.linspace(0.0, 1.0, n + 1)
     Bm = 1.0 - 0.2 * np.sin(np.pi * 0.5 * (y[:-1] + y[1:]))[None, :] * np.ones((S, 1))
-    an = 0.1 * y[None, :] * np.ones((S, 1))
+    an = 0.1 * y[None, :] * np.ones((S, 1)) if a_term else None
     bn = 0.2 * y[None, :] * np.ones((S, 1))
     best = np.inf
     for _ in range(repeats):
@@ -71,10 +72,10 @@ def bench_chain(n, nsteps, repeats=3):
     y = np.linspace(0.0, 1.0, n + 1)
     ym = 0.5 * (y[:-1] + y[1:])
     Bm = np.tile(1.0 - 0.2 * ym ** 2, (3, 1))
-    ab = np.stack((np.tile(-0.1 * y, (3, 1)), np.tile(0.2 * y, (3, 1))))
+    an, bn = np.tile(-0.1 * y, (3, 1)), np.tile(0.2 * y, (3, 1))
     best = np.inf
     for _ in range(repeats):
-        stepper = Stepper(h, dt, Bm, ab)
+        stepper = Stepper(h, dt, Bm, an, bn)
         v, vd = stepper.state
         v[:] = np.sin(np.pi * y)
         vd[:] = 0.0
@@ -172,6 +173,8 @@ def main():
     args = ap.parse_args()
 
     cases = (("wave stepper", bench_fd, args.grid, args.steps),
+             ("wave stepper, a = 0", lambda n, steps: bench_fd(n, steps, a_term=False),
+              args.grid, args.steps),
              ("1-step chain", bench_chain, 1024, 6144),
              ("modal RK4", bench_modal, 64, 2000))
     print(f"{'kernel':<22} {'best time (s)':>14} {'us / step':>10}")

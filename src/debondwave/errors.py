@@ -17,6 +17,10 @@ class NonPositiveScale(DebondWaveError):
     """A scale profile (length, homothety or level offset) is <= 0 on [0, T]."""
 
 
+class ProfileStart(DebondWaveError):
+    """A homothety profile does not start at lam(0) = 1."""
+
+
 class LevelOutOfRange(DebondWaveError):
     """Sublevel family would touch or cross the outer level set."""
 

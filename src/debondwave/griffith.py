@@ -347,9 +347,9 @@ def _evolve_coupled(geo, p0, kap0, horizon, num, forcing, verdict):
     window = slice(-3, None) if geo.side == "right" else slice(0, 3)
 
     Bm = np.empty((3, n))
-    an, bn = ab = np.empty((2, 3, n + 1))
+    an, bn = np.empty((2, 3, n + 1))
     gn = None if forcing is None else np.empty((3, n + 1))
-    stepper = kernels.Stepper(h, dt, Bm, ab, gn)
+    stepper = kernels.Stepper(h, dt, Bm, an, bn, gn)
     v, vd = stepper.state
     om = flow_rule(p0, kap0)
     v[:], vd[:] = geo.initial_state(om)

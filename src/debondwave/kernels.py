@@ -13,14 +13,16 @@ Dirichlet steppers add one to set the ends after a run's first step.
 ``Stepper`` supplies the grid acceleration,
 v'' = d/dy(B v') - a v' + 2 b v'* + g with homogeneous Dirichlet ends
 (v'* is the y-derivative of the velocity), in 10 numpy calls a stage, 11
-with a forcing: 51 a step, 55 forced.  Its coefficients are Bm (S, n), ab
-(2, S, n+1) with the a and b slices as its two rows, and gn (S, n+1), or
-None without a forcing; slot 2k holds t_k and 2k+1 t_k + dt/2.  The grid
-solver runs one a block of steps at a time, the coupled solvers once per
-step, and ``fd_run`` is its one-shot wrapper.  ``UnitStepper`` supplies
-v'' = v_yy alone, in 3 calls a stage (23 a step): the cylinder solver's
-frozen partitions.  ``galerkin.integrate`` supplies the modal
-acceleration, on slots 3k, 3k+1 and 3k+2 at t_k, t_k + dt/2 and t_k + dt.
+with a forcing: 51 a step, 55 forced.  Without the a term (an None) a
+stage makes 8 calls, 9 forced: 43 a step, 47 forced.  Its coefficients
+are Bm (S, n), an and bn (S, n+1), and gn (S, n+1), or None without a
+forcing; slot 2k holds t_k and 2k+1 t_k + dt/2.  The grid solver runs
+one a block of steps at a time, without a when lam'' = 0 over the run,
+the coupled solvers once per step, always with a, and ``fd_run`` is its
+one-shot wrapper.  ``UnitStepper`` supplies v'' = v_yy alone, in 3 calls
+a stage (23 a step): the cylinder solver's frozen partitions.
+``galerkin.integrate`` supplies the modal acceleration, on slots 3k,
+3k+1 and 3k+2 at t_k, t_k + dt/2 and t_k + dt.
 """
 
 import numpy as np
@@ -136,48 +138,57 @@ class _Dirichlet(RK4):
 
 class Stepper(_Dirichlet):
     """``RK4`` with the wave right-hand side on one grid, one dt and one set
-    of coefficients, held by reference: Bm (S, n), ab (2, S, n+1), the a
-    and b slices as its two rows, and gn (S, n+1) or None without a
-    forcing, which a caller may refill in place between runs.  S is 1 (a
-    frozen slice serves every stage), or at least 2 nsteps + 1 half-step
-    slices for a run of nsteps, with slot 0 at the run's first time: every
-    run starts from slot 0.
+    of coefficients, held by reference in ``coefficients``: Bm (S, n), an,
+    bn (S, n+1) and gn (S, n+1), which a caller may refill in place between
+    runs.  an None steps without the a term (a = 0, as for lam'' = 0), gn
+    None without a forcing.  S is 1 (a frozen slice serves every stage), or
+    at least 2 nsteps + 1 half-step slices for a run of nsteps, with slot 0
+    at the run's first time: every run starts from slot 0.  A stage makes
+    10 numpy calls, 8 without the a term and one more with a forcing: 51 a
+    step (55 forced), or 43 (47) without a.
     """
 
-    def __init__(self, h, dt, Bm, ab, gn=None):
-        n1 = ab.shape[2]
+    def __init__(self, h, dt, Bm, an, bn, gn=None):
+        n1 = bn.shape[1]
         super().__init__(n1, dt, *((0, 0) if Bm.shape[0] == 1 else (2, 1)))
+        self.coefficients = Bm, an, bn, gn
         # work arrays of one right-hand side: d = v_{i+1} - v_i, c = central
-        # differences of (v, vd)
+        # differences of (v, vd), or of vd alone without the a term
+        rows = slice(1 if an is None else 0, 2)
         d = np.empty(n1 - 1)
-        c = np.empty((2, n1 - 2))
-        views = [(x[0, 1:], x[0, :-1], x[:, 2:], x[:, :-2], acc[1:-1])
+        c = np.empty((2, n1 - 2))[rows]
+        views = [(x[0, 1:], x[0, :-1], x[rows, 2:], x[rows, :-2], acc[1:-1])
                  for x, acc in zip(self.stages[:, :2], self.stages[:, 2])]
         dr, dl = d[1:], d[:-1]
-        c0, c1 = c
-        an, bn = ab[:, :, 1:-1]
+        c0, c1 = c[0], c[-1]
+        an = None if an is None else an[:, 1:-1]
+        bn = bn[:, 1:-1]
         gn = None if gn is None else gn[:, 1:-1]
         inv_h2 = np.array(1.0 / (h * h))
         # rows 1/2h and 2/2h: the b term's factor 2 is a power of two, so in
         # the scale it rounds as a multiply by 2 afterwards (away from
         # subnormals).  The scale is a full array and a and b multiply row
         # by row: a (2, 1) scale column, or one multiply over both strided
-        # ab rows, costs more than the call it saves
-        scale = np.repeat([[0.5 / h], [2.0 * (0.5 / h)]], n1 - 2, axis=1)
+        # a and b rows, costs more than the call it saves
+        scale = np.repeat([[0.5 / h], [2.0 * (0.5 / h)]], n1 - 2, axis=1)[rows]
 
         def accel(s, j):
             # acc = d/dy(B v_y) - a v_y + 2 b vd_y + g, each term rounded in
-            # the order of the reference stepper in tests/test_kernels.py
+            # the order of the reference stepper in tests/test_kernels.py.
+            # Without a, acc - (+-0) = acc is skipped: only a -0 flux term
+            # and a -0 b term end -0 here where the full step gives +0
             vr, vl, xr, xl, acc = views[s]
             np.subtract(vr, vl, out=d)
             np.multiply(Bm[j], d, out=d)
             np.subtract(dr, dl, out=acc)
             np.multiply(acc, inv_h2, out=acc)
             np.subtract(xr, xl, out=c)
-            np.multiply(an[j], c0, out=c0)
+            if an is not None:
+                np.multiply(an[j], c0, out=c0)
             np.multiply(bn[j], c1, out=c1)
             np.multiply(c, scale, out=c)
-            np.subtract(acc, c0, out=acc)
+            if an is not None:
+                np.subtract(acc, c0, out=acc)
             np.add(acc, c1, out=acc)
             if gn is not None:
                 np.add(acc, gn[j], out=acc)
@@ -211,14 +222,14 @@ class UnitStepper(_Dirichlet):
 
 def fd_run(v, vd, h, dt, nsteps, Bm, an, bn, gn, store_every, out_v, out_vd):
     """Advance (v, vd) in place by nsteps RK4 steps: a one-shot ``Stepper``
-    on copies of an and bn stacked; gn may be None.
+    on the given slices; an and gn may be None.
 
     Bm holds one frozen slice or at least 2 nsteps + 1 half-step slices,
     slot 0 at the first step's time.  Every store_every-th state goes to
     out_v/out_vd from row 1 on.  Returns the number of rows filled, or
     -(k + 1) when step k blows up.
     """
-    stepper = Stepper(h, dt, Bm, np.stack((an, bn)), gn)
+    stepper = Stepper(h, dt, Bm, an, bn, gn)
     stepper.state[:] = v, vd
     status = stepper.run(nsteps, store_every, out_v, out_vd)
     v[:], vd[:] = stepper.state

@@ -44,6 +44,7 @@ from .errors import (
     FlowEscape,
     LevelOutOfRange,
     NonPositiveScale,
+    ProfileStart,
 )
 from .expressions import Const, Expression
 
@@ -388,7 +389,7 @@ def one_d_scaling(profile, horizon):
 def homothetic(profile, reference, horizon):
     """Phi(t, y) = lam(t) y with lam(0) = 1 on any reference domain."""
     if abs(float(profile(0.0)) - 1.0) > 1e-12:
-        raise ValueError("homothety profile must satisfy lam(0) = 1")
+        raise ProfileStart("profile of a homothetic motion must satisfy profile(0) = 1")
     _check_positive_profile(profile, horizon, "lam")
     return StretchMotion(profile, reference, 1.0, horizon)
 

@@ -43,9 +43,10 @@ horizon, l0, rho0, dt, cfl and the counts must be positive, grid at least
 divide the step count that ``kernels.step_count`` gives for dt and horizon.
 The special token ``u1 = Compatible`` requests the initial velocity that
 makes the transformed problem start at rest, u1 = -Phi_dot(0,.) . grad u0.
-A radial R <= rho0 is an error, and so is a motion that cannot be built, a
-homothetic profile(0) != 1, a w_time without w or a boundary load w w_time
-that does not vanish on the moving end.
+A radial R <= rho0 is an error, and so is a motion that cannot be built
+(a profile not positive on the horizon, a homothetic profile(0) != 1), a
+w_time without w or a boundary load w w_time that does not vanish on the
+moving end.
 ``series`` lists tables of the kind (``SERIES``).  Expressions are bound
 at parse (only SineMode reads it): time profiles to the horizon, spatial
 fields to ``length`` (identity, homothetic), profile(0) (one_d_scaling,
@@ -277,9 +278,6 @@ def parse_scenario(path):
     if kind == "wave":
         motion, num = resolved["motion"], resolved["numerics"]
         horizon = motion["horizon"]
-        if motion["kind"] == "homothetic" and abs(float(motion["profile"](0.0)) - 1.0) > 1e-12:
-            raise TypeMismatch("profile of a homothetic motion must satisfy profile(0) = 1",
-                               line_of["motion.profile"])
         try:
             step_count(num["dt"], horizon, num["store_every"])
         except ValueError as exc:  # store_every = 1 always divides, so its line exists
@@ -346,7 +344,7 @@ def _early_checks(sc, line_of):
     if sc.kind == "wave":
         try:
             fam = build_motion(sc.motion)
-        except DebondWaveError as exc:  # e.g. a profile not positive on the horizon
+        except DebondWaveError as exc:  # e.g. a homothetic profile(0) != 1
             raise TypeMismatch(str(exc), line_of.get("motion.profile")) from None
         if sc.data["w"] is None:
             if "data.w_time" in line_of:

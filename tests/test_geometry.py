@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from debondwave.domains import Ball, Interval, Tetrahedron
-from debondwave.errors import LevelOutOfRange, NonPositiveScale
+from debondwave.errors import LevelOutOfRange, NonPositiveScale, ProfileStart
 from debondwave.expressions import Affine, Const, Poly
 from debondwave.motion import (
     SublevelFlowMotion,
@@ -212,7 +212,7 @@ def test_builder_guards():
         one_d_scaling(Affine(1.0, -2.0), 1.0)
     with pytest.raises(LevelOutOfRange):
         radial_annulus_flow(1.0, Affine(0.5, 0.6), 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ProfileStart, match="^profile"):
         homothetic(Affine(1.1, 0.1), Ball(1.0, 2), 1.0)  # lam(0) != 1
 
 

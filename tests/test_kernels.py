@@ -13,7 +13,7 @@ from debondwave.expressions import Affine, Const, Poly
 from debondwave.fd import solve_fd
 from debondwave.galerkin import Trajectory
 from debondwave.griffith import CoupledNumerics, evolve_coupled_1d
-from debondwave.motion import identity_motion, one_d_scaling
+from debondwave.motion import identity_motion, interval_flow, one_d_scaling
 from debondwave.transform import PulledBackProblem
 
 
@@ -127,8 +127,8 @@ def test_numpy_kernel_chained_single_steps_match_reference():
     h = y[1] - y[0]
     dt = 0.5 / n
     B3 = np.empty((3, n))
-    a3, b3, g3 = abg3 = np.empty((3, 3, n + 1))
-    stepper = kernels.Stepper(h, dt, B3, abg3[:2], g3)
+    a3, b3, g3 = np.empty((3, 3, n + 1))
+    stepper = kernels.Stepper(h, dt, B3, a3, b3, g3)
     v, vd = _initial(y)
     stepper.state[0] = v
     stepper.state[1] = vd
@@ -170,7 +170,7 @@ def test_stepper_without_forcing_matches_zero_forcing(moving):
                                              moving=moving, forced=False)
     got = []
     for g in (None, gn):
-        stepper = kernels.Stepper(y[1] - y[0], 0.5 / n, Bm, np.stack((an, bn)), g)
+        stepper = kernels.Stepper(y[1] - y[0], 0.5 / n, Bm, an, bn, g)
         stepper.state[:] = _initial(y)
         out = np.zeros((2, nsteps + 1, n + 1))
         assert stepper.run(nsteps, 1, *out) == nsteps + 1
@@ -178,6 +178,105 @@ def test_stepper_without_forcing_matches_zero_forcing(moving):
     for a, b in zip(*got):
         assert np.array_equal(a, b)
         assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+# --- the stepper without the a term -----------------------------------------
+
+
+def _affine_slices(n, S, forced):
+    """Slices of the criterion-4 stretch lam = 1 + t/2, from ``line``: a is
+    -(lam''/lam) y, all -0; one slice at t = 0.3 when S is 1."""
+    problem = _moving_problem(1.0, _wavy_forcing if forced else None)
+    y = np.linspace(0.0, 1.0, n + 1)
+    ym = 0.5 * (y[:-1] + y[1:])
+    ts = np.array([0.3]) if S == 1 else 0.5 * (0.5 / n) * np.arange(S)
+    Bm = problem.line(ts, ym)[0]
+    _, an, bn, gn = problem.line(ts, y)
+    assert not np.any(an) and np.all(np.signbit(an))
+    return y, Bm, an, bn, (gn if forced else None)
+
+
+def _same_bits(got, want):
+    # the same values, NaN where NaN, and the same signs of zero
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b, equal_nan=True)
+        num = ~np.isnan(a)
+        assert np.array_equal(np.signbit(a[num]), np.signbit(b[num]))
+
+
+@pytest.mark.parametrize("moving, forced, store_every", [
+    (False, False, 1),   # frozen slice
+    (True, False, 1),    # half-step slices
+    (True, True, 1),     # forced
+    (True, False, 4),    # stores every 4th step only
+])
+def test_a_free_stepper_matches_the_zero_a_slices(moving, forced, store_every):
+    n, nsteps = 64, 40
+    y, Bm, an, bn, gn = _affine_slices(n, 2 * nsteps + 1 if moving else 1, forced)
+    dt = 0.5 / n
+    free = _run(kernels.fd_run, y, dt, nsteps, Bm, None, bn, gn, store_every)
+    full = _run(kernels.fd_run, y, dt, nsteps, Bm, an, bn, gn, store_every)
+    assert free[0] == full[0] == nsteps // store_every + 1
+    _same_bits(free[1:], full[1:])
+
+
+def test_a_free_stepper_chained_single_steps_match_the_full_stepper():
+    # the coupled-solver pattern on three slices refilled before every step
+    n, nsteps = 64, 30
+    y, Bm, an, bn, gn = _affine_slices(n, 2 * nsteps + 1, forced=True)
+    h, dt = y[1] - y[0], 0.5 / n
+    B3 = np.empty((3, n))
+    a3, b3, g3 = np.empty((3, 3, n + 1))
+    free = kernels.Stepper(h, dt, B3, None, b3, g3)
+    full = kernels.Stepper(h, dt, B3, a3, b3, g3)
+    for stepper in (free, full):
+        stepper.state[:] = _initial(y)
+    rows = np.zeros((2, 2, 2, n + 1))
+    for k in range(nsteps):
+        sl = slice(2 * k, 2 * k + 3)
+        B3[:], a3[:], b3[:], g3[:] = Bm[sl], an[sl], bn[sl], gn[sl]
+        for stepper, out in zip((free, full), rows):
+            assert stepper.run(1, 1, *out) == 2
+        _same_bits((free.state, rows[0]), (full.state, rows[1]))
+
+
+@pytest.mark.parametrize("moving, slot, status", [
+    (False, 0, -1),   # the frozen slice serves the first step
+    (True, 5, -3),    # the half-step slice of step 2
+    (True, 6, -3),    # the end slice of step 2
+])
+def test_a_free_stepper_blows_up_at_the_same_step(moving, slot, status):
+    n, nsteps = 16, 5
+    y, Bm, an, bn, gn = _affine_slices(n, 2 * nsteps + 1 if moving else 1, forced=True)
+    gn[slot, n // 2] = np.nan
+    dt = 0.5 / n
+    free = _run(kernels.fd_run, y, dt, nsteps, Bm, None, bn, gn, 1)
+    full = _run(kernels.fd_run, y, dt, nsteps, Bm, an, bn, gn, 1)
+    assert free[0] == full[0] == status
+    # the rows stored before the blow-up, and the state it left
+    _same_bits((free[1], free[2], *(rows[:-status] for rows in free[3:])),
+               (full[1], full[2], *(rows[:-status] for rows in full[3:])))
+
+
+@pytest.mark.parametrize("fam, a_free", [
+    (one_d_scaling(Affine(1.0, 0.5), 1.0), True),     # lam'' = 0
+    (interval_flow(4.0, Affine(1.0, 0.5), 1.0), True),  # rho affine: lam'' = 0
+    (one_d_scaling(Poly(1.0, 0.3, 0.1), 1.0), False),  # lam'' = 0.2
+], ids=["affine", "interval-flow", "poly"])
+def test_solve_fd_steps_without_a_where_lam_accelerates_nowhere(monkeypatch, fam, a_free):
+    steppers = []
+
+    class Recording(kernels.Stepper):
+        def __init__(self, *args):
+            super().__init__(*args)
+            steppers.append(self)
+
+    monkeypatch.setattr(kernels, "Stepper", Recording)
+    L = fam.reference.length
+    solve_fd(PulledBackProblem(fam), L, 100, _sine, _kick, dt=2e-3, T=1.0)
+    (stepper,) = steppers
+    Bm, an, bn, gn = stepper.coefficients
+    assert (an is None) == a_free
 
 
 def _unit_run(v, vd, h, dt, nsteps, Bm, an, bn, gn, store_every, out_v, out_vd):
@@ -286,7 +385,7 @@ def test_stepper_and_fd_run_report_the_same_nan_blowup(moving, slot, status):
     gn = gn.copy()
     gn[slot, n // 2] = np.nan
     dt = 0.5 / n
-    stepper = kernels.Stepper(y[1] - y[0], dt, Bm, np.stack((an, bn)), gn)
+    stepper = kernels.Stepper(y[1] - y[0], dt, Bm, an, bn, gn)
     stepper.state[:] = _initial(y)
     assert stepper.run(nsteps) == status
     assert _run(kernels.fd_run, y, dt, nsteps, Bm, an, bn, gn, 1)[0] == status
