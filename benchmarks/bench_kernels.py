@@ -2,18 +2,20 @@
 cylinder scheme and the grid solver.
 
 Prints the best of three timings, and that time per RK4 step in
-microseconds, for one long unforced kernels.fd_run call on precomputed
-slices, with the a term and without it (a = 0, the path solve_fd takes
-when lam'' = 0 over the run), for 6144 chained single-step runs of one
-unforced kernels.Stepper at n = 1024 on three coefficient slices (as the
-coupled front solver makes them for scenarios/debonding_constant.scn; the
-solver also refills the slices in place before each step, which is not timed
-here), for one solve_transformed_modal call on the criterion-4 problem
-(l(t) = 1 + t/2, v0 = sin(pi y), m = 64, dt = 5e-4, T = 1, assembly and
-projection included) and for one solve_cylinder call on the same
-problem at 64 partitions of the 768-cell grid (640 inner steps of
-kernels.UnitStepper, the trajectory store included).  Then, for one
-solve_fd call on the same problem at n = 800, dt = 5e-4 (coefficient fill
+microseconds, for one long unforced run of a kernels.Stepper on
+2 nsteps + 1 precomputed half-step slices, with the a term and without it
+(a = 0, the path solve_fd takes when lam'' = 0 over the run), for 6144
+chained single-step runs of one unforced kernels.Stepper at n = 1024 on
+three coefficient slices (as the coupled front solver makes them for
+scenarios/debonding_constant.scn; the solver also refills the slices in
+place before each step, which is not timed here), for one
+solve_transformed_modal call on the criterion-4 problem (l(t) = 1 + t/2,
+v0 = sin(pi y), m = 64, dt = 5e-4, T = 1, assembly and projection
+included) and for one solve_cylinder call on the same problem at 64
+partitions of the 768-cell grid (640 inner steps of kernels.UnitStepper,
+the count the partition rule gives; only the 65 partition-end states are
+stored), with the tracemalloc peak of that call.  Then, for one solve_fd
+call on the same problem at n = 800, dt = 5e-4 (coefficient fill
 included), the median of three wall times and the tracemalloc peak of a
 fourth call, with the bytes of the returned trajectory it includes; then
 the peak of one call that stores only t = 0 and t = 1 (store_every =
@@ -31,12 +33,12 @@ import tracemalloc
 
 import numpy as np
 
-from debondwave.cylinder import solve_cylinder
+from debondwave.cylinder import INNER_CFL, solve_cylinder
 from debondwave.energy import ledger_transformed
 from debondwave.expressions import Affine
 from debondwave.fd import solve_fd
 from debondwave.galerkin import solve_transformed_modal
-from debondwave.kernels import Stepper, fd_run
+from debondwave.kernels import Stepper
 from debondwave.motion import one_d_scaling
 from debondwave.transform import PulledBackProblem
 
@@ -52,15 +54,13 @@ def bench_fd(n, nsteps, repeats=3, a_term=True):
     bn = 0.2 * y[None, :] * np.ones((S, 1))
     best = np.inf
     for _ in range(repeats):
-        v = np.sin(np.pi * y)
-        vd = rng.standard_normal(n + 1) * 0.01
+        stepper = Stepper(h, dt, Bm, an, bn)
+        v, vd = stepper.state
+        v[:] = np.sin(np.pi * y)
+        vd[:] = rng.standard_normal(n + 1) * 0.01
         v[0] = v[-1] = vd[0] = vd[-1] = 0.0
-        out_v = np.empty((2, n + 1))
-        out_vd = np.empty((2, n + 1))
-        out_v[0] = v
-        out_vd[0] = vd
         t0 = time.perf_counter()
-        fd_run(v, vd, h, dt, nsteps, Bm, an, bn, None, nsteps, out_v, out_vd)
+        stepper.run(nsteps)
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -100,7 +100,8 @@ def bench_modal(m, nsteps, repeats=3):
 
 def bench_cylinder(inner_n, partitions, repeats=3):
     """One cylinder solve of the criterion-4 problem over T = 1; returns
-    (best time, inner steps)."""
+    (best time, inner steps, tracemalloc peak of one more solve).  Each
+    partition takes ceil(width / (INNER_CFL h)) steps, h = l(1) / inner_n."""
     fam = _criterion4_problem().fam
 
     def u0(x):
@@ -110,12 +111,17 @@ def bench_cylinder(inner_n, partitions, repeats=3):
         x = np.asarray(x, dtype=float)
         return -(x / 2.0) * np.pi * np.cos(np.pi * x)
 
+    def solve():
+        return solve_cylinder(fam, u0, u1, partitions=partitions, inner_n=inner_n)
+
     best = np.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
-        run = solve_cylinder(fam, u0, u1, partitions=partitions, inner_n=inner_n)
+        solve()
         best = min(best, time.perf_counter() - t0)
-    return best, len(run.traj.times) - 1
+    h = fam.domain_measure(1.0) / inner_n
+    steps = int(np.sum(np.ceil(np.diff(np.linspace(0.0, 1.0, partitions + 1)) / (INNER_CFL * h))))
+    return best, steps, _traced_peak(solve)[1]
 
 
 def _criterion4_problem():
@@ -181,8 +187,9 @@ def main():
     for name, bench, n, steps in cases:
         best = bench(n, steps)
         print(f"{name:<22} {best:>14.4f} {1e6 * best / steps:>10.1f}")
-    best, steps = bench_cylinder(768, 64)
+    best, steps, peak = bench_cylinder(768, 64)
     print(f"{'cylinder 64 x 768':<22} {best:>14.4f} {1e6 * best / steps:>10.1f}")
+    print(f"solve_cylinder 64 x 768: tracemalloc peak {peak / 1e6:.2f} MB")
     median, peak, held = bench_solve_fd(args.grid)
     print(f"solve_fd n={args.grid}: median {median:.4f} s of 3, tracemalloc peak "
           f"{peak / 1e6:.1f} MB ({held / 1e6:.1f} MB of it the returned trajectory)")

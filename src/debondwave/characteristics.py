@@ -178,21 +178,20 @@ class FrontCurve:
         return float(np.interp(t, self.times, self.position))
 
 
-def front_ode_exact(sc: CharScenario, dt=1e-3, check=True):
+def front_ode_exact(sc: CharScenario, dt=1e-3):
     """Integrate the exact front ODE with RK4 up to min(T, T*).
 
     T* is the first time l(t) - t hits zero (located by step bisection);
     past it the backward characteristic no longer reads initial data and
-    the formula is refused.  With ``check`` the data must pass
-    ``compatibility_check`` at l0, and u0(l0) = 0.
+    the formula is refused.  The data must pass ``compatibility_check`` at
+    l0, and u0(l0) = 0.
     """
-    if check:
-        l0 = sc.l0
-        if abs(float(sc.u0(l0))) > 1e-9:
-            raise CompatibilityViolated("u0 must vanish at the initial front")
-        verdict = compatibility_check(float(sc.u0.deriv(l0)), float(sc.u1(l0)), float(sc.kappa(l0)))
-        if verdict is Verdict.INCOMPATIBLE:
-            raise CompatibilityViolated("front data fail the compatibility conditions at l0")
+    l0 = sc.l0
+    if abs(float(sc.u0(l0))) > 1e-9:
+        raise CompatibilityViolated("u0 must vanish at the initial front")
+    verdict = compatibility_check(float(sc.u0.deriv(l0)), float(sc.u1(l0)), float(sc.kappa(l0)))
+    if verdict is Verdict.INCOMPATIBLE:
+        raise CompatibilityViolated("front data fail the compatibility conditions at l0")
 
     def speed(t, ell):
         xi = ell - t

@@ -13,9 +13,9 @@ partition the RK4 stepper strictly dissipates the discrete energy
 
 so cylinder runs satisfy the energy inequality by construction; the
 inequality is still measured and reported, never assumed.  The scheme
-solves the unforced problem.  Each partition's step count is known
-before the loop, so the stepper writes its stored states straight into
-the preallocated trajectory.
+solves the unforced problem.  The trajectory holds the K + 1 partition-end
+states at the partition grid, each with the frozen length it was stepped
+on as its front; the inner steps are not stored.
 """
 
 from dataclasses import dataclass
@@ -39,9 +39,7 @@ def discrete_energy(v, vd, h):
 @dataclass
 class CylinderRun:
     traj: Trajectory
-    partition_times: np.ndarray
     energies: np.ndarray       # E_h at partition endpoints (incl. t = 0)
-    h: float
 
     def energy_margin(self):
         """max over partition endpoints of E(t) - E(0)."""
@@ -50,7 +48,7 @@ class CylinderRun:
 
 def solve_cylinder(fam, u0, u1, partitions=32, inner_n=384):
     """Cylinder-scheme solution of the moving-domain problem for a 1d family
-    on [0, horizon]; the trajectory stores every inner step."""
+    on [0, horizon]; the trajectory stores the partition-end states."""
     if fam.dim != 1:
         raise ValueError("cylinder scheme is 1d")
     K = int(partitions)
@@ -63,13 +61,11 @@ def solve_cylinder(fam, u0, u1, partitions=32, inner_n=384):
     h = L_final / inner_n
     marks = np.maximum.accumulate(np.clip(np.round(lengths / h).astype(int), 8, inner_n))
     steps = np.maximum(1, np.ceil(np.diff(tgrid) / (INNER_CFL * h)).astype(int))
-    rows = np.concatenate([[0], np.cumsum(steps)])
 
-    # the whole trajectory, zero beyond each partition's frozen domain
+    # the partition-end states, zero beyond each partition's frozen domain
     x = np.linspace(0.0, L_final, inner_n + 1)
-    vals = np.zeros((rows[-1] + 1, inner_n + 1))
+    vals = np.zeros((K + 1, inner_n + 1))
     vels = np.zeros_like(vals)
-    times = np.zeros(rows[-1] + 1)
     inside = x <= lengths[0] + 1e-12
     for row, data in ((vals[0], u0), (vels[0], u1)):
         row[inside] = np.asarray(data(np.minimum(x[inside], lengths[0])), dtype=float)
@@ -77,26 +73,25 @@ def solve_cylinder(fam, u0, u1, partitions=32, inner_n=384):
         row[0] = 0.0
 
     for k in range(K):
-        t0, m, n, r = tgrid[k], marks[k], steps[k], rows[k]
-        dt = (tgrid[k + 1] - t0) / n
+        m, n = marks[k], steps[k]
         # the standard wave equation on the frozen domain, from the last
-        # stored state, zero beyond the previous partition's domain
-        stepper = kernels.UnitStepper(h, dt, m + 1)
-        stepper.state[:] = vals[r, : m + 1], vels[r, : m + 1]
-        status = stepper.run(n, 1, vals[r: r + n + 1, : m + 1], vels[r: r + n + 1, : m + 1])
+        # partition's end state, zero beyond its domain
+        stepper = kernels.UnitStepper(h, (tgrid[k + 1] - tgrid[k]) / n, m + 1)
+        stepper.state[:] = vals[k, : m + 1], vels[k, : m + 1]
+        status = stepper.run(n)
         if status < 0:
             raise BlowUp(f"cylinder partition {k} blew up at inner step {-status}")
-        times[r + 1: r + n + 1] = t0 + np.arange(1, n + 1) * dt
+        vals[k + 1, : m + 1], vels[k + 1, : m + 1] = stepper.state
 
     traj = Trajectory(
         kind="grid",
-        times=times,
+        times=tgrid,
         values=vals,
         velocities=vels,
         L=L_final,
         x=x,
-        front=np.concatenate([marks[:1], np.repeat(marks[:-1], steps)]) * h,
+        front=np.concatenate([marks[:1], marks[:-1]]) * h,
         meta={"partitions": K, "inner_n": inner_n, "h": h},
     )
-    energies = [discrete_energy(vals[r], vels[r], h) for r in rows]
-    return CylinderRun(traj=traj, partition_times=tgrid, energies=np.asarray(energies), h=h)
+    energies = [discrete_energy(v, vd, h) for v, vd in zip(vals, vels)]
+    return CylinderRun(traj=traj, energies=np.asarray(energies))

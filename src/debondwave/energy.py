@@ -159,21 +159,15 @@ def balance_residual_moving(led: EnergyLedger):
     return np.abs(led.kinetic + led.potential + bd - e0 - led.work)
 
 
-def balance_residual_fixed(traj, problem):
-    """Fixed-domain balance with remainder, per stored time.
+def _fixed_residual(problem, times, yq, wq, vd, vy):
+    """Fixed-domain balance with remainder, per stored time, from v_dot and
+    v_y at the quadrature nodes:
 
     residual(t) = | 1/2||v'||^2 + 1/2<B grad v, grad v> - initial - R(t) |,
     R(t) = int_0^t ( 1/2<B' grad v, grad v> - <a grad v, v'> - <div b, v'^2>
                      + <g, v'> ),
     with B, B', a, div b and g in closed form, a block of stored times at once.
     """
-    yq, wq = _quadrature(traj)
-    vd, vy = traj.eval_all(yq)
-    return _fixed_residual(problem, traj.times, yq, wq, vd, vy)
-
-
-def _fixed_residual(problem, times, yq, wq, vd, vy):
-    """The fixed-domain residual from v_dot and v_y at the quadrature nodes."""
     lhs, rate = np.empty(len(times)), np.empty(len(times))
     for s in _row_blocks(len(times), len(yq)):
         B, a, _, g = problem.line(times[s], yq)

@@ -63,7 +63,7 @@ def solve_fd(problem, L, n, v0, v1, dt, T, store_every=1):
     # ts[2 k0 : 2 (k0 + K) + 1] from slot 0 of the buffers
     K = max(1, min(nsteps, _BLOCK_POINTS // (n + 1)))
     S = 2 * K + 1
-    ts = 0.5 * dt * np.arange(2 * nsteps + 1)
+    ts = kernels.half_steps(nsteps, dt)
     Bm = np.empty((S, n))
     # a = -(lam''/lam) y is +-0 at every node when lam'' is 0 at every slice
     an = np.empty((S, n + 1)) if np.any(problem.rates(ts)[2]) else None

@@ -20,9 +20,9 @@ acceleration is
     d'' = -K0 d / lam^2 + r^2 K2 d + (lam''/lam) A1 d + 2 r A1 d' + g,
 
 fixed products combined with scalar weights.  ``integrate`` reads the
-stretch rates once for the weights of every stage time (and projects a
-forcing for all of them in row blocks), then hands the stacked state
-X = (d, d') to the shared RK4 driver, ``kernels.RK4``, with
+stretch rates once for the weights at the 2n + 1 half-step times of an
+n-step run (and projects a forcing at all of them in row blocks), then
+hands X = (d, d') to the shared RK4 driver, ``kernels.RK4``, with
 ``GalerkinSystem.accel`` as its acceleration: two matmuls a stage,
 X @ [K0; K2; A1]^T giving the six products K0 x, K2 x, A1 x for x = d, d',
 and their sum weighted by (-1/lam^2, r^2, lam''/lam, 0, 0, 2r).  No m x m
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BlowUp, QuadratureFailure
-from .kernels import RK4, step_count
+from .kernels import RK4, half_steps, step_count
 
 
 def gauss_legendre_panels(L, panels, nodes):
@@ -226,19 +226,18 @@ class Trajectory:
 def integrate(system: GalerkinSystem, d0, ddot0, dt, T, store_every=1):
     """RK4 on the projected system: one ``kernels.RK4`` run whose
     acceleration is ``system.accel``.  The trajectory stores every
-    store_every-th step; dt is the one ``step_count`` gives.  Step k samples
-    t_k = k dt, t_k + dt/2 and t_k + dt; the weights (and a forcing) of all
-    3 nsteps stage times are evaluated before the first step."""
+    store_every-th step; dt is the one ``step_count`` gives.  The weights
+    (and a forcing) are evaluated before the first step at the 2 nsteps + 1
+    half-step times of ``kernels.half_steps``, the grid solver's."""
     m = system.basis.m
     nsteps, dt = step_count(dt, T, store_every)
-    tk = np.arange(nsteps) * dt
-    ts = np.stack((tk, tk + 0.5 * dt, tk + dt), axis=1).reshape(-1)
+    ts = half_steps(nsteps, dt)
     weights = system.stage_weights(ts)
     G = system.projected_forcing(ts)
     if G is None:
         G = [None] * len(ts)
 
-    rk = RK4(m, dt, 3, 1)
+    rk = RK4(m, dt)
     views = [(Y[:2], Y[2]) for Y in rk.stages]
 
     def accel(s, j):

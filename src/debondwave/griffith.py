@@ -193,9 +193,6 @@ def _fixed_end_taper(y, yc, u0_at_0, u1_at_0):
     return np.where(inside, H, 0.0), np.where(inside, theta, 0.0)
 
 
-_SLICES = (0.0, 0.5, 1.0)  # the RK4 coefficient slices of one step, in dt
-
-
 class _Interval:
     """(0, ell(t)) on the reference (0, l0), Phi = (ell / l0) y: the front
     is the right end, and the data are tapered at the fixed end."""
@@ -281,7 +278,7 @@ class _Annulus:
         self.Rym = R - 0.5 * (self.y[:-1] + self.y[1:])
         self._m = np.empty(n)
         self._n = np.empty(n + 1)
-        self._P = np.empty((len(_SLICES), n + 1))
+        self._P = np.empty((3, n + 1))
         self._rule = gauss_legendre_panels(1.0, 8, 10)  # debond()'s quadrature
 
     def initial_state(self, om):
@@ -337,7 +334,7 @@ def _evolve_coupled(geo, p0, kap0, horizon, num, forcing, verdict):
     the front at l + om (tau - t) -> Euler front advance.
 
     The run owns one ``kernels.Stepper``: v and vd are views of its state,
-    and each step refills its three coefficient slices in place."""
+    and each step refills its three slices in place, at t + half_steps(1, dt)."""
     n = num.n
     h = geo.L / n
     # reference characteristic speed is at most (1 + omega) l0 / ell <= 2
@@ -350,6 +347,7 @@ def _evolve_coupled(geo, p0, kap0, horizon, num, forcing, verdict):
     an, bn = np.empty((2, 3, n + 1))
     gn = None if forcing is None else np.empty((3, n + 1))
     stepper = kernels.Stepper(h, dt, Bm, an, bn, gn)
+    slots = kernels.half_steps(1, dt).tolist()
     v, vd = stepper.state
     om = flow_rule(p0, kap0)
     v[:], vd[:] = geo.initial_state(om)
@@ -377,11 +375,11 @@ def _evolve_coupled(geo, p0, kap0, horizon, num, forcing, verdict):
             raise SupersonicStep(f"flow rule returned {om} at t = {t}")
         acc = (om - om_prev) / dt if k > 0 else 0.0
 
-        pos_slices = [pos + om * frac * dt for frac in _SLICES]
+        pos_slices = [pos + om * s for s in slots]
         geo.fill(Bm, an, bn, pos_slices, om, acc)
         if forcing is not None:
-            for j, frac in enumerate(_SLICES):
-                gn[j] = np.asarray(forcing(t + frac * dt, geo.nodes(pos_slices[j])), dtype=float)
+            for j, s in enumerate(slots):
+                gn[j] = np.asarray(forcing(t + s, geo.nodes(pos_slices[j])), dtype=float)
         if stepper.run(1) < 0:
             raise BlowUp(f"{geo.name} run blew up at step {k}")
         pos = pos + dt * om

@@ -4,25 +4,16 @@ preallocated stacked array.  At the solvers' sizes (65 to 1025 unknowns)
 a numpy call costs one to two microseconds, mostly call overhead, so a
 step costs about what its number of calls says.
 
-``RK4`` steps x'' = f(t, x, x') with the state (x, x') stacked; its owner
-supplies the acceleration.  Besides the four accelerations a step makes
-11 numpy calls: 6 for the stage states, 4 for the stage sum (one
-``np.add.reduce`` over the stage axis) and 1 for the blow-up guard; the
-Dirichlet steppers add one to set the ends after a run's first step.
-
-``Stepper`` supplies the grid acceleration,
-v'' = d/dy(B v') - a v' + 2 b v'* + g with homogeneous Dirichlet ends
-(v'* is the y-derivative of the velocity), in 10 numpy calls a stage, 11
-with a forcing: 51 a step, 55 forced.  Without the a term (an None) a
-stage makes 8 calls, 9 forced: 43 a step, 47 forced.  Its coefficients
-are Bm (S, n), an and bn (S, n+1), and gn (S, n+1), or None without a
-forcing; slot 2k holds t_k and 2k+1 t_k + dt/2.  The grid solver runs
-one a block of steps at a time, without a when lam'' = 0 over the run,
-the coupled solvers once per step, always with a, and ``fd_run`` is its
-one-shot wrapper.  ``UnitStepper`` supplies v'' = v_yy alone, in 3 calls
-a stage (23 a step): the cylinder solver's frozen partitions.
-``galerkin.integrate`` supplies the modal acceleration, on slots 3k,
-3k+1 and 3k+2 at t_k, t_k + dt/2 and t_k + dt.
+``RK4`` steps x'' = f(t, x, x') with the state (x, x') stacked, in 11
+numpy calls a step besides its four accelerations: 6 for the stage
+states, 4 for the stage sum (one ``np.add.reduce`` over the stage axis)
+and 1 for the blow-up guard.  Every owner supplies the acceleration from
+data at one set of slots, the 2n + 1 ``half_steps`` of an n-step run.
+``Stepper`` is the grid wave right-hand side with Dirichlet ends, run by
+the grid solver a block of steps at a time and by the coupled solvers a
+step at a time; ``UnitStepper`` is v'' = v_yy alone, for the cylinder
+solver's frozen partitions; ``galerkin.integrate`` supplies the modal
+acceleration.
 """
 
 import numpy as np
@@ -47,19 +38,24 @@ def step_count(dt, T, store_every=1):
     return nsteps, dt
 
 
+def half_steps(nsteps, dt):
+    """The slot times of an nsteps run from 0: slot j at j dt / 2."""
+    return 0.5 * dt * np.arange(2 * nsteps + 1)
+
+
 class RK4:
     """Classical fixed-step RK4 for x'' = f(t, x, x') on n unknowns.
 
     It owns the stage workspace ``stages``: stages[s] = (x_s, x'_s, x''_s)
     at stage s, and the state (x, x') is the (2, n) view ``state``.  The
     owner sets ``accel(s, j)``, which writes x''_s into stages[s, 2] with
-    the data of slot j (step k uses slots j, j + per_stage twice and
-    j + 2 per_stage, j = per_step k), and may set ``clamp()``, applied to
+    the data of slot j (step k of each run, counted from 0, uses slots 2k,
+    2k+1 twice and 2k+2), and may set ``clamp()``, applied to
     the state after the first step of each run, before the blow-up guard:
     a clamp that later steps keep, as zero ends with zero accelerations.
     """
 
-    def __init__(self, n, dt, per_step, per_stage):
+    def __init__(self, n, dt):
         # rows 0-1 of stages[s] are the stage state and rows 1-2 its time
         # derivative, so the four stage derivatives are K = stages[:, 1:]
         W = np.empty((4, 3, n))
@@ -67,7 +63,6 @@ class RK4:
         self.state = W[0, :2]
         self.accel = None
         self.clamp = None
-        self._slots = per_step, per_stage
         K = W[:, 1:]
         # the state flat for the blow-up guard: a view, as W is contiguous
         Xf = W[0].reshape(-1)[:2 * n]
@@ -86,11 +81,10 @@ class RK4:
         """
         accel, clamp = self.accel, self.clamp
         X, Xf, S1, S2, S3, K0, K1, K2, K, K12, Ksum, half, full, sixth, two = self._work
-        per_step, per_stage = self._slots
         status = 1
         for k in range(nsteps):
-            j = per_step * k
-            jh = j + per_stage
+            j = 2 * k
+            jh = j + 1
             accel(0, j)
             np.multiply(K0, half, out=S1)
             np.add(X, S1, out=S1)
@@ -100,7 +94,7 @@ class RK4:
             accel(2, jh)
             np.multiply(K2, full, out=S3)
             np.add(X, S3, out=S3)
-            accel(3, jh + per_stage)
+            accel(3, jh + 1)
             # X += (dt/6) (((K0 + 2 K1) + 2 K2) + K3): a reduction over the
             # outer stage axis adds whole rows in index order
             np.multiply(K12, two, out=K12)
@@ -129,8 +123,8 @@ class _Dirichlet(RK4):
     after a run's first step (the first step's stages see the ends as
     given, as the reference stepper's do)."""
 
-    def __init__(self, n1, dt, per_step, per_stage):
-        super().__init__(n1, dt, per_step, per_stage)
+    def __init__(self, n1, dt):
+        super().__init__(n1, dt)
         self.stages[:, 2, ::n1 - 1] = 0.0
         edges = self.state[:, ::n1 - 1]
         self.clamp = lambda: edges.fill(0.0)
@@ -140,17 +134,15 @@ class Stepper(_Dirichlet):
     """``RK4`` with the wave right-hand side on one grid, one dt and one set
     of coefficients, held by reference in ``coefficients``: Bm (S, n), an,
     bn (S, n+1) and gn (S, n+1), which a caller may refill in place between
-    runs.  an None steps without the a term (a = 0, as for lam'' = 0), gn
-    None without a forcing.  S is 1 (a frozen slice serves every stage), or
-    at least 2 nsteps + 1 half-step slices for a run of nsteps, with slot 0
-    at the run's first time: every run starts from slot 0.  A stage makes
-    10 numpy calls, 8 without the a term and one more with a forcing: 51 a
-    step (55 forced), or 43 (47) without a.
+    runs; a run of nsteps reads slots 0 to 2 nsteps, so S > 2 nsteps.  an
+    None steps without the a term (a = 0, as for lam'' = 0), gn None
+    without a forcing.  A stage makes 10 numpy calls, 8 without the a term
+    and one more with a forcing: 51 a step (55 forced), or 43 (47) without a.
     """
 
     def __init__(self, h, dt, Bm, an, bn, gn=None):
         n1 = bn.shape[1]
-        super().__init__(n1, dt, *((0, 0) if Bm.shape[0] == 1 else (2, 1)))
+        super().__init__(n1, dt)
         self.coefficients = Bm, an, bn, gn
         # work arrays of one right-hand side: d = v_{i+1} - v_i, c = central
         # differences of (v, vd), or of vd alone without the a term
@@ -204,7 +196,7 @@ class UnitStepper(_Dirichlet):
     """
 
     def __init__(self, h, dt, n1):
-        super().__init__(n1, dt, 0, 0)
+        super().__init__(n1, dt)
         d = np.empty(n1 - 1)
         dr, dl = d[1:], d[:-1]
         views = [(x[1:], x[:-1], acc[1:-1])
@@ -218,22 +210,6 @@ class UnitStepper(_Dirichlet):
             np.multiply(acc, inv_h2, out=acc)
 
         self.accel = accel
-
-
-def fd_run(v, vd, h, dt, nsteps, Bm, an, bn, gn, store_every, out_v, out_vd):
-    """Advance (v, vd) in place by nsteps RK4 steps: a one-shot ``Stepper``
-    on the given slices; an and gn may be None.
-
-    Bm holds one frozen slice or at least 2 nsteps + 1 half-step slices,
-    slot 0 at the first step's time.  Every store_every-th state goes to
-    out_v/out_vd from row 1 on.  Returns the number of rows filled, or
-    -(k + 1) when step k blows up.
-    """
-    stepper = Stepper(h, dt, Bm, an, bn, gn)
-    stepper.state[:] = v, vd
-    status = stepper.run(nsteps, store_every, out_v, out_vd)
-    v[:], vd[:] = stepper.state
-    return status
 
 
 def backend_name():

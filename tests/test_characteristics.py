@@ -101,9 +101,10 @@ def test_front_ode_subcritical_rest():
 
 
 def test_front_ode_critical_equality_is_stationary():
-    sc = CharScenario(l0=1.0, u0=Poly(2.0, -2.0), u1=Const(SQ2 - 2.0),
-                      kappa=Const(1.0), horizon= 2.0)
-    fc = front_ode_exact(sc, dt=1e-2, check=False)
+    # front data F = u0' - u1 = -sqrt(2) at rest, so F^2 = 2 kappa
+    sc = CharScenario(l0=1.0, u0=Poly(SQ2, -SQ2), u1=Const(0.0),
+                      kappa=Const(1.0), horizon=2.0)
+    fc = front_ode_exact(sc, dt=1e-2)
     assert np.max(fc.speed) < 1e-12
 
 

@@ -1,5 +1,6 @@
 """Tolerances, oracle grids and sample counts are module constants: no
-library call takes one, and each check holds its value at the boundary."""
+library call takes one or a switch that skips a check, and each check
+holds its value at the boundary."""
 
 import importlib
 import inspect
@@ -47,6 +48,12 @@ def test_no_library_call_takes_a_tolerance():
     taking = sorted(q for q, fn in seen.items()
                     if "tol" in inspect.signature(fn).parameters and q not in REPORTED_BOUND)
     assert taking == []
+
+
+def test_no_library_call_can_skip_a_check():
+    seen = dict(_public_callables())
+    assert "debondwave.characteristics.front_ode_exact" in seen
+    assert sorted(q for q, fn in seen.items() if "check" in inspect.signature(fn).parameters) == []
 
 
 def test_compatibility_tolerance_is_1e_9():

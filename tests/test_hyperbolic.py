@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from debondwave.cylinder import solve_cylinder
+from debondwave import kernels
+from debondwave.cylinder import INNER_CFL, solve_cylinder
 from debondwave.domains import Interval
 from debondwave.errors import BlowUp, CflViolation, NotMonotone, QuadratureFailure
 from debondwave.expressions import Affine, Const, Poly, SineMode, SpaceTimeField
@@ -343,6 +346,32 @@ def test_integrate_matches_per_stage_matrix_loop(problem):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def test_integrate_samples_the_times_solve_fd_fills(monkeypatch):
+    # one RK4 slot rule: the modal weights are taken at the 2 nsteps + 1
+    # half-step times at which the grid solver fills its coefficients
+    problem = PulledBackProblem(one_d_scaling(Poly(1.0, 0.3, 0.1), 1.0))
+    weighted, filled = [], []
+    stage_weights, line = GalerkinSystem.stage_weights, problem.line
+
+    def weights_at(self, ts):
+        weighted.append(np.array(ts))
+        return stage_weights(self, ts)
+
+    def line_into(t, y, out=None):
+        if out is not None and out[2] is not None:  # the b fill of a block
+            filled.append(np.array(t))
+        return line(t, y, out=out)
+
+    monkeypatch.setattr(GalerkinSystem, "stage_weights", weights_at)
+    monkeypatch.setattr(problem, "line", line_into)
+    v0 = lambda y: np.sin(np.pi * np.asarray(y))
+    solve_transformed_modal(problem, 1.0, v0, _zero, m=8, dt=3e-3, T=0.3)
+    solve_fd(problem, 1.0, 64, v0, _zero, dt=3e-3, T=0.3)
+    assert len(weighted) == len(filled) == 1  # 100 steps: one block of the grid fill
+    assert len(filled[0]) == 201
+    assert np.array_equal(weighted[0], filled[0])
+
+
 # --- grid solver ---------------------------------------------------------------
 
 
@@ -415,8 +444,9 @@ def test_cylinder_constant_domain_matches_plain_solve():
     fam = identity_motion(Interval(1.0), 1.0)
     u0 = lambda x: np.sin(np.pi * np.asarray(x, dtype=float))
     run = solve_cylinder(fam, u0, _zero, partitions=4, inner_n=64)
-    # same stepper, same grid, same dt sequence: partitioning is vacuous
-    dt = run.traj.times[1] - run.traj.times[0]
+    # same stepper, same grid, same dt sequence: partitioning is vacuous;
+    # each partition of 0.25 takes the fewest steps of at most 0.8 h
+    dt = 0.25 / np.ceil(0.25 / (INNER_CFL * (1.0 / 64)))
     ref = solve_fd(_identity_problem(), 1.0, 64, u0, _zero, dt=dt, T=1.0)
     assert np.max(np.abs(run.traj.values[-1] - ref.values[-1])) < 1e-10
 
@@ -458,6 +488,46 @@ def test_cylinder_convergence_to_transformed_solution():
         uc = np.interp(xs, run.traj.x, run.traj.values[i])
         errs.append(np.sqrt(np.sum((uc - uref) ** 2) * w))
     assert errs[0] > errs[1] > errs[2]
+
+
+def test_cylinder_keeps_the_partition_ends_of_a_chained_run():
+    # the parent scheme by hand: one UnitStepper per partition, every inner
+    # step stored; the solver keeps only the rows at the partition ends
+    fam = one_d_scaling(Affine(1.0, 0.5), 1.0)
+    u0 = lambda x: np.sin(np.pi * np.clip(np.asarray(x, dtype=float), 0.0, 1.0))
+
+    def u1(x):
+        x = np.asarray(x, dtype=float)
+        return -(x / 2.0) * np.pi * np.cos(np.pi * x)
+
+    K, inner_n = 64, 768
+    tracemalloc.start()
+    try:
+        run = solve_cylinder(fam, u0, u1, partitions=K, inner_n=inner_n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6  # every inner step of 768 cells would take 8.1 MB
+
+    tgrid = np.linspace(0.0, 1.0, K + 1)
+    h = 1.5 / inner_n
+    marks = np.maximum.accumulate(np.clip(np.round(fam.domain_measure(tgrid) / h).astype(int),
+                                          8, inner_n))
+    steps = np.ceil(np.diff(tgrid) / (INNER_CFL * h)).astype(int)
+    x = np.linspace(0.0, 1.5, inner_n + 1)
+    V, Vd = np.zeros((2, steps.sum() + 1, inner_n + 1))
+    V[0, :marks[0]] = u0(x[:marks[0]])
+    Vd[0, :marks[0]] = u1(x[:marks[0]])
+    ends = np.concatenate([[0], np.cumsum(steps)])
+    for k in range(K):
+        r, n, m = ends[k], steps[k], marks[k] + 1
+        stepper = kernels.UnitStepper(h, (tgrid[k + 1] - tgrid[k]) / n, m)
+        stepper.state[:] = V[r, :m], Vd[r, :m]
+        assert stepper.run(n, 1, V[r:r + n + 1, :m], Vd[r:r + n + 1, :m]) == n + 1
+    tr = run.traj
+    assert np.array_equal(tr.values, V[ends]) and np.array_equal(tr.velocities, Vd[ends])
+    assert np.array_equal(tr.times, tgrid)
+    assert np.array_equal(tr.front, np.concatenate([marks[:1], marks[:-1]]) * h)
 
 
 def test_cylinder_energy_never_increases():
@@ -594,19 +664,15 @@ def test_cylinder_run_is_bit_for_bit():
 
     run = solve_cylinder(fam, u0, u1, partitions=8, inner_n=64)
     tr = run.traj
-    assert tr.values.shape == tr.velocities.shape == (57, 65)
-    assert [repr(float(tr.times[i])) for i in (1, 28, 37, 56)] == [
-        "0.017857142857142856", "0.5", "0.6607142857142857", "1.0"]
-    assert [repr(float(tr.values[i, 20])) for i in (1, 28, 37, 56)] == [
-        "0.9923410436648127", "0.1351719026341693", "-0.3597106286462278",
-        "-0.746173078113004"]
-    assert [repr(float(tr.velocities[i, 40])) for i in (1, 28, 37, 56)] == [
-        "1.4080111957044985", "-0.5094859908521155", "-1.4139896810197294",
-        "-1.1816876835907015"]
-    assert [repr(float(tr.front[i])) for i in (1, 28, 37, 56)] == [
-        "1.0078125", "1.1953125", "1.3125", "1.4296875"]
-    assert repr(float(np.sum(tr.values))) == "216.17750097653692"
-    assert repr(float(np.sum(tr.velocities))) == "-3220.3357523842615"
+    assert tr.values.shape == tr.velocities.shape == (9, 65)
+    assert [repr(float(tr.times[i])) for i in (4, 8)] == ["0.5", "1.0"]
+    assert [repr(float(tr.values[i, 20])) for i in (4, 8)] == [
+        "0.1351719026341693", "-0.746173078113004"]
+    assert [repr(float(tr.velocities[i, 40])) for i in (4, 8)] == [
+        "-0.5094859908521155", "-1.1816876835907015"]
+    assert [repr(float(tr.front[i])) for i in (4, 8)] == ["1.1953125", "1.4296875"]
+    assert repr(float(np.sum(tr.values))) == "28.94024223927611"
+    assert repr(float(np.sum(tr.velocities))) == "-485.48367272942835"
     assert [repr(float(e)) for e in run.energies] == [
         "2.672613287276652", "2.6709564305417914", "2.6542751171690773",
         "2.6401570150129743", "2.6148206059049777", "2.591387245834728",

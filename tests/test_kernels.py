@@ -39,12 +39,9 @@ def _ref_run(v, vd, h, dt, nsteps, Bm, an, bn, gn, store_every, out_v, out_vd):
     k2a = np.empty(n1)
     k3a = np.empty(n1)
     k4a = np.empty(n1)
-    frozen = Bm.shape[0] == 1
     stored = 1
     for k in range(nsteps):
-        j0 = 0 if frozen else 2 * k
-        j1 = 0 if frozen else 2 * k + 1
-        j2 = 0 if frozen else 2 * k + 2
+        j0, j1, j2 = 2 * k, 2 * k + 1, 2 * k + 2
         _ref_rhs(v, vd, h, Bm[j0], an[j0], bn[j0], gn[j0], k1a)
         v2 = v + (0.5 * dt) * vd
         vd2 = vd + (0.5 * dt) * k1a
@@ -89,6 +86,15 @@ def _initial(y, seed=2):
     return v, vd
 
 
+def _stepper_run(v, vd, h, dt, nsteps, Bm, an, bn, gn, store_every, out_v, out_vd):
+    # one Stepper run on the given slices, (v, vd) advanced in place
+    stepper = kernels.Stepper(h, dt, Bm, an, bn, gn)
+    stepper.state[:] = v, vd
+    status = stepper.run(nsteps, store_every, out_v, out_vd)
+    v[:], vd[:] = stepper.state
+    return status
+
+
 def _run(impl, y, dt, nsteps, Bm, an, bn, gn, store_every):
     h = y[1] - y[0]
     v, vd = _initial(y)
@@ -102,16 +108,15 @@ def _run(impl, y, dt, nsteps, Bm, an, bn, gn, store_every):
 
 
 @pytest.mark.parametrize("moving, forced, store_every", [
-    (False, False, 1),   # frozen: one slice for every step
+    (False, False, 1),   # frozen: one slice tiled to every slot
     (True, True, 1),     # 2 nsteps + 1 time-dependent slices with a forcing
     (True, False, 4),    # stores every 4th step only
 ])
 def test_numpy_kernel_matches_reference_bit_for_bit(moving, forced, store_every):
     n, nsteps = 64, 40
-    S = 2 * nsteps + 1 if moving else 1
-    y, Bm, an, bn, gn = _coefficient_slices(n, S, moving, forced)
+    y, Bm, an, bn, gn = _coefficient_slices(n, 2 * nsteps + 1, moving, forced)
     dt = 0.5 / n
-    got = _run(kernels.fd_run, y, dt, nsteps, Bm, an, bn, gn, store_every)
+    got = _run(_stepper_run, y, dt, nsteps, Bm, an, bn, gn, store_every)
     ref = _run(_ref_run, y, dt, nsteps, Bm, an, bn, gn, store_every)
     assert got[0] == ref[0] == nsteps // store_every + 1
     for a, b in zip(got[1:], ref[1:]):
@@ -148,7 +153,7 @@ def test_stepper_clamps_nonzero_ends_like_the_reference():
     y, Bm, an, bn, gn = _coefficient_slices(n, 2 * nsteps + 1, moving=True, forced=True)
     h, dt = y[1] - y[0], 0.5 / n
     states = []
-    for impl in (kernels.fd_run, _ref_run):
+    for impl in (_stepper_run, _ref_run):
         v, vd = _initial(y)
         v[0], vd[-1] = 0.3, -0.2
         out = np.empty((2, nsteps + 1, n + 1))
@@ -166,8 +171,7 @@ def test_stepper_clamps_nonzero_ends_like_the_reference():
 def test_stepper_without_forcing_matches_zero_forcing(moving):
     # gn=None skips the add of +0: the same values and the same zero signs
     n, nsteps = 64, 40
-    y, Bm, an, bn, gn = _coefficient_slices(n, 2 * nsteps + 1 if moving else 1,
-                                             moving=moving, forced=False)
+    y, Bm, an, bn, gn = _coefficient_slices(n, 2 * nsteps + 1, moving=moving, forced=False)
     got = []
     for g in (None, gn):
         stepper = kernels.Stepper(y[1] - y[0], 0.5 / n, Bm, an, bn, g)
@@ -183,13 +187,13 @@ def test_stepper_without_forcing_matches_zero_forcing(moving):
 # --- the stepper without the a term -----------------------------------------
 
 
-def _affine_slices(n, S, forced):
-    """Slices of the criterion-4 stretch lam = 1 + t/2, from ``line``: a is
-    -(lam''/lam) y, all -0; one slice at t = 0.3 when S is 1."""
+def _affine_slices(n, S, moving, forced):
+    """S slices of the criterion-4 stretch lam = 1 + t/2, from ``line``: a is
+    -(lam''/lam) y, all -0; every slice at t = 0.3 unless ``moving``."""
     problem = _moving_problem(1.0, _wavy_forcing if forced else None)
     y = np.linspace(0.0, 1.0, n + 1)
     ym = 0.5 * (y[:-1] + y[1:])
-    ts = np.array([0.3]) if S == 1 else 0.5 * (0.5 / n) * np.arange(S)
+    ts = 0.5 * (0.5 / n) * np.arange(S) if moving else np.full(S, 0.3)
     Bm = problem.line(ts, ym)[0]
     _, an, bn, gn = problem.line(ts, y)
     assert not np.any(an) and np.all(np.signbit(an))
@@ -205,17 +209,17 @@ def _same_bits(got, want):
 
 
 @pytest.mark.parametrize("moving, forced, store_every", [
-    (False, False, 1),   # frozen slice
+    (False, False, 1),   # frozen slice in every slot
     (True, False, 1),    # half-step slices
     (True, True, 1),     # forced
     (True, False, 4),    # stores every 4th step only
 ])
 def test_a_free_stepper_matches_the_zero_a_slices(moving, forced, store_every):
     n, nsteps = 64, 40
-    y, Bm, an, bn, gn = _affine_slices(n, 2 * nsteps + 1 if moving else 1, forced)
+    y, Bm, an, bn, gn = _affine_slices(n, 2 * nsteps + 1, moving, forced)
     dt = 0.5 / n
-    free = _run(kernels.fd_run, y, dt, nsteps, Bm, None, bn, gn, store_every)
-    full = _run(kernels.fd_run, y, dt, nsteps, Bm, an, bn, gn, store_every)
+    free = _run(_stepper_run, y, dt, nsteps, Bm, None, bn, gn, store_every)
+    full = _run(_stepper_run, y, dt, nsteps, Bm, an, bn, gn, store_every)
     assert free[0] == full[0] == nsteps // store_every + 1
     _same_bits(free[1:], full[1:])
 
@@ -223,7 +227,7 @@ def test_a_free_stepper_matches_the_zero_a_slices(moving, forced, store_every):
 def test_a_free_stepper_chained_single_steps_match_the_full_stepper():
     # the coupled-solver pattern on three slices refilled before every step
     n, nsteps = 64, 30
-    y, Bm, an, bn, gn = _affine_slices(n, 2 * nsteps + 1, forced=True)
+    y, Bm, an, bn, gn = _affine_slices(n, 2 * nsteps + 1, moving=True, forced=True)
     h, dt = y[1] - y[0], 0.5 / n
     B3 = np.empty((3, n))
     a3, b3, g3 = np.empty((3, 3, n + 1))
@@ -241,17 +245,17 @@ def test_a_free_stepper_chained_single_steps_match_the_full_stepper():
 
 
 @pytest.mark.parametrize("moving, slot, status", [
-    (False, 0, -1),   # the frozen slice serves the first step
+    (False, 0, -1),   # the frozen slice of the first step
     (True, 5, -3),    # the half-step slice of step 2
     (True, 6, -3),    # the end slice of step 2
 ])
 def test_a_free_stepper_blows_up_at_the_same_step(moving, slot, status):
     n, nsteps = 16, 5
-    y, Bm, an, bn, gn = _affine_slices(n, 2 * nsteps + 1 if moving else 1, forced=True)
+    y, Bm, an, bn, gn = _affine_slices(n, 2 * nsteps + 1, moving, forced=True)
     gn[slot, n // 2] = np.nan
     dt = 0.5 / n
-    free = _run(kernels.fd_run, y, dt, nsteps, Bm, None, bn, gn, 1)
-    full = _run(kernels.fd_run, y, dt, nsteps, Bm, an, bn, gn, 1)
+    free = _run(_stepper_run, y, dt, nsteps, Bm, None, bn, gn, 1)
+    full = _run(_stepper_run, y, dt, nsteps, Bm, an, bn, gn, 1)
     assert free[0] == full[0] == status
     # the rows stored before the blow-up, and the state it left
     _same_bits((free[1], free[2], *(rows[:-status] for rows in free[3:])),
@@ -280,7 +284,7 @@ def test_solve_fd_steps_without_a_where_lam_accelerates_nowhere(monkeypatch, fam
 
 
 def _unit_run(v, vd, h, dt, nsteps, Bm, an, bn, gn, store_every, out_v, out_vd):
-    # the fd_run call pattern on UnitStepper, which reads no coefficients
+    # the _stepper_run call pattern on UnitStepper, which reads no coefficients
     stepper = kernels.UnitStepper(h, dt, len(v))
     stepper.state[:] = v, vd
     status = stepper.run(nsteps, store_every, out_v, out_vd)
@@ -295,10 +299,10 @@ def _unit_run(v, vd, h, dt, nsteps, Bm, an, bn, gn, store_every, out_v, out_vd):
 def test_unit_stepper_matches_stepper_with_unit_coefficients(nsteps, dt_h, status):
     n = 48
     y = np.linspace(0.0, 1.0, n + 1)
-    Bm = np.ones((1, n))
-    zero = np.zeros((1, n + 1))
+    Bm = np.ones((2 * nsteps + 1, n))
+    zero = np.zeros((2 * nsteps + 1, n + 1))
     unit, grid, ref = (_run(impl, y, dt_h / n, nsteps, Bm, zero, zero, zero, 1)
-                       for impl in (_unit_run, kernels.fd_run, _ref_run))
+                       for impl in (_unit_run, _stepper_run, _ref_run))
     rows = abs(status)  # the stored rows, the initial one included
     assert unit[0] == grid[0] == status
     for a, b in zip(unit[1:], grid[1:]):
@@ -319,12 +323,12 @@ def test_unit_stepper_matches_stepper_with_unit_coefficients(nsteps, dt_h, statu
 
 @pytest.mark.parametrize("store_every", [1, 3])
 def test_rk4_driver_matches_textbook_rk4(store_every):
-    # x'' = -A x - 2 C x' + g_j with a forcing per stage slot, slots laid out
-    # like the modal solver's: 3k, 3k + 1, 3k + 2 at t_k, t_k + dt/2, t_k + dt
+    # x'' = -A x - 2 C x' + g_j with a forcing per half-step slot: step k
+    # reads 2k, 2k + 1 and 2k + 2 at t_k, t_k + dt/2 and t_k + dt
     n, nsteps, dt = 5, 12, 0.05
     rng = np.random.default_rng(7)
     A, C = rng.standard_normal((2, n, n))
-    g = rng.standard_normal((3 * nsteps, n))
+    g = rng.standard_normal((2 * nsteps + 1, n))
     x0 = rng.standard_normal((2, n))
 
     def accel(x, xd, j):
@@ -336,7 +340,7 @@ def test_rk4_driver_matches_textbook_rk4(store_every):
     y = x0.copy()
     ref = [y]
     for k in range(nsteps):
-        j = 3 * k
+        j = 2 * k
         k1 = f(y, j)
         k2 = f(y + (0.5 * dt) * k1, j + 1)
         k3 = f(y + (0.5 * dt) * k2, j + 1)
@@ -346,7 +350,7 @@ def test_rk4_driver_matches_textbook_rk4(store_every):
             ref.append(y)
     ref = np.array(ref)
 
-    rk = kernels.RK4(n, dt, 3, 1)
+    rk = kernels.RK4(n, dt)
 
     def stage_accel(s, j):
         x, xd, out = rk.stages[s]
@@ -366,29 +370,26 @@ def test_rk4_driver_matches_textbook_rk4(store_every):
 
 def test_kernel_reports_nan_state_as_blowup():
     n, nsteps = 16, 5
-    y, Bm, an, bn, gn = _coefficient_slices(n, 1, moving=False, forced=True)
-    gn = gn.copy()
+    y, Bm, an, bn, gn = _coefficient_slices(n, 2 * nsteps + 1, moving=False, forced=True)
     gn[0, n // 2] = np.nan
-    status = _run(kernels.fd_run, y, 0.5 / n, nsteps, Bm, an, bn, gn, 1)[0]
+    status = _run(_stepper_run, y, 0.5 / n, nsteps, Bm, an, bn, gn, 1)[0]
     assert status == -1
 
 
 @pytest.mark.parametrize("moving, slot, status", [
-    (False, 0, -1),   # the frozen slice serves the first step
+    (False, 0, -1),   # the frozen slice of the first step
     (True, 5, -3),    # the half-step slice of step 2
     (True, 6, -3),    # the end slice of step 2: NaN velocity, caught at step 2
 ])
-def test_stepper_and_fd_run_report_the_same_nan_blowup(moving, slot, status):
+def test_stepper_reports_the_same_nan_blowup_storing_or_not(moving, slot, status):
     n, nsteps = 16, 5
-    y, Bm, an, bn, gn = _coefficient_slices(n, 2 * nsteps + 1 if moving else 1,
-                                             moving=moving, forced=True)
-    gn = gn.copy()
+    y, Bm, an, bn, gn = _coefficient_slices(n, 2 * nsteps + 1, moving=moving, forced=True)
     gn[slot, n // 2] = np.nan
     dt = 0.5 / n
     stepper = kernels.Stepper(y[1] - y[0], dt, Bm, an, bn, gn)
     stepper.state[:] = _initial(y)
     assert stepper.run(nsteps) == status
-    assert _run(kernels.fd_run, y, dt, nsteps, Bm, an, bn, gn, 1)[0] == status
+    assert _run(_stepper_run, y, dt, nsteps, Bm, an, bn, gn, 1)[0] == status
 
 
 
@@ -400,7 +401,7 @@ def test_stepper_and_fd_run_report_the_same_nan_blowup(moving, slot, status):
 def test_blowup_guard_reads_the_largest_entry(x0, status):
     # x'' = 0 from rest keeps the state; one entry or all of them at x0
     n = 1000
-    rk = kernels.RK4(n, 0.1, 0, 0)
+    rk = kernels.RK4(n, 0.1)
     rk.accel = lambda s, j: rk.stages[s, 2].fill(0.0)
     for state in (np.full(n, x0), np.where(np.arange(n) == 7, x0, 0.0)):
         rk.state[0], rk.state[1] = state, 0.0
@@ -456,7 +457,7 @@ def _ref_solve_fd(problem, L, n, v0, v1, dt, T, store_every=1):
     out_vd = np.empty((nstored, n + 1))
     out_v[0] = v
     out_vd[0] = vd
-    status = kernels.fd_run(v, vd, h, dt, nsteps, Bm, an, bn, gn, store_every, out_v, out_vd)
+    status = _stepper_run(v, vd, h, dt, nsteps, Bm, an, bn, gn, store_every, out_v, out_vd)
     if status < 0:
         raise BlowUp(f"grid state exceeded {kernels.BLOWUP_LIMIT:g} at step {-status}; shrink dt")
     times = np.arange(nstored) * (store_every * dt)
