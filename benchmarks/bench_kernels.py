@@ -3,11 +3,12 @@ cylinder scheme and the grid solver.
 
 Prints the best of three timings, and that time per RK4 step in
 microseconds, for one long unforced run of a kernels.Stepper on
-2 nsteps + 1 precomputed half-step slices, with the a term and without it
-(a = 0, the path solve_fd takes when lam'' = 0 over the run), for 6144
-chained single-step runs of one unforced kernels.Stepper at n = 1024 on
-three coefficient slices (as the coupled front solver makes them for
-scenarios/debonding_constant.scn; the solver also refills the slices in
+2 nsteps + 1 precomputed half-step coefficient rows (kernels.coefficient_rows:
+[B | a | b] a slot), with the a term and without it (rows [B | b], the
+path solve_fd takes when lam'' = 0 over the run), for 6144 chained
+single-step runs of one unforced kernels.Stepper at n = 1024 on three
+coefficient rows (as the coupled front solver makes them for
+scenarios/debonding_constant.scn; the solver also refills the rows in
 place before each step, which is not timed here), for one
 solve_transformed_modal call on the criterion-4 problem (l(t) = 1 + t/2,
 v0 = sin(pi y), m = 64, dt = 5e-4, T = 1, assembly and projection
@@ -38,7 +39,7 @@ from debondwave.energy import ledger_transformed
 from debondwave.expressions import Affine
 from debondwave.fd import solve_fd
 from debondwave.galerkin import solve_transformed_modal
-from debondwave.kernels import Stepper
+from debondwave.kernels import Stepper, coefficient_rows
 from debondwave.motion import one_d_scaling
 from debondwave.transform import PulledBackProblem
 
@@ -46,15 +47,16 @@ from debondwave.transform import PulledBackProblem
 def bench_fd(n, nsteps, repeats=3, a_term=True):
     h = 1.0 / n
     dt = 0.7 * h
-    S = 2 * nsteps + 1
     rng = np.random.default_rng(0)
     y = np.linspace(0.0, 1.0, n + 1)
-    Bm = 1.0 - 0.2 * np.sin(np.pi * 0.5 * (y[:-1] + y[1:]))[None, :] * np.ones((S, 1))
-    an = 0.1 * y[None, :] * np.ones((S, 1)) if a_term else None
-    bn = 0.2 * y[None, :] * np.ones((S, 1))
+    B, a, b = coefficient_rows(2 * nsteps + 1, n, with_a=a_term)
+    B[:] = 1.0 - 0.2 * np.sin(np.pi * 0.5 * (y[:-1] + y[1:]))
+    if a_term:
+        a[:] = 0.1 * y[1:-1]
+    b[:] = 0.2 * y[1:-1]
     best = np.inf
     for _ in range(repeats):
-        stepper = Stepper(h, dt, Bm, an, bn)
+        stepper = Stepper(h, dt, B, a, b)
         v, vd = stepper.state
         v[:] = np.sin(np.pi * y)
         vd[:] = rng.standard_normal(n + 1) * 0.01
@@ -71,11 +73,11 @@ def bench_chain(n, nsteps, repeats=3):
     dt = 0.45 * h
     y = np.linspace(0.0, 1.0, n + 1)
     ym = 0.5 * (y[:-1] + y[1:])
-    Bm = np.tile(1.0 - 0.2 * ym ** 2, (3, 1))
-    an, bn = np.tile(-0.1 * y, (3, 1)), np.tile(0.2 * y, (3, 1))
+    B, a, b = coefficient_rows(3, n)
+    B[:], a[:], b[:] = 1.0 - 0.2 * ym ** 2, -0.1 * y[1:-1], 0.2 * y[1:-1]
     best = np.inf
     for _ in range(repeats):
-        stepper = Stepper(h, dt, Bm, an, bn)
+        stepper = Stepper(h, dt, B, a, b)
         v, vd = stepper.state
         v[:] = np.sin(np.pi * y)
         vd[:] = 0.0

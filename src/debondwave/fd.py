@@ -5,17 +5,17 @@ midpoints, centered first differences for the a and b terms, homogeneous
 Dirichlet ends.  Time: classical RK4 at fixed step, coefficients sampled
 on the half-step grid.  The run goes in blocks of K steps, K about
 2^16 / (n + 1) whatever store_every: each block's 2K + 1 half-step slices
-come from one closed-form PulledBackProblem.line call per node set,
-written in place into the coefficient buffers of the one
-``kernels.Stepper`` the run owns (no forcing buffer without a forcing),
-so the coefficients take O(2^16) memory whatever the step count or the
+come from one closed-form PulledBackProblem.line call per node set (B at
+midpoints; a, b, g at inner nodes), written in place into the rows of the
+``kernels.Stepper`` the run owns (no forcing buffer without a forcing), so
+the coefficients take O(2^16) memory whatever the step count or the
 storing stride; a stored step may fall anywhere in a block.
 
 When lam'' is 0 at every half-step time of the run (rates() over them),
 as for a constant-speed stretch, the identity or the interval flow of an
 affine rho, a = -(lam''/lam) y is +-0 everywhere: the run neither fills a
-nor steps with it (43 numpy calls a step instead of 51, 47 instead of
-55 forced).  The bits hold: the full step subtracts a v_y = +-0 from the
+nor steps with it (39 numpy calls a step instead of 43, 43 instead of
+47 forced).  The bits hold: the full step subtracts a v_y = +-0 from the
 flux term and then adds the b term, and x - (+-0) = x except that
 -0 - (-0) = +0, so only a -0 flux term followed by a -0 b term (and no
 forcing, or a -0 one) could end with the other sign of zero.
@@ -64,11 +64,9 @@ def solve_fd(problem, L, n, v0, v1, dt, T, store_every=1):
     K = max(1, min(nsteps, _BLOCK_POINTS // (n + 1)))
     S = 2 * K + 1
     ts = kernels.half_steps(nsteps, dt)
-    Bm = np.empty((S, n))
     # a = -(lam''/lam) y is +-0 at every node when lam'' is 0 at every slice
-    an = np.empty((S, n + 1)) if np.any(problem.rates(ts)[2]) else None
-    bn = np.empty((S, n + 1))
-    gn = None if problem.forcing is None else np.empty((S, n + 1))
+    B, a, b = kernels.coefficient_rows(S, n, with_a=bool(np.any(problem.rates(ts)[2])))
+    g = None if problem.forcing is None else np.empty((S, n - 1))
 
     maxB = _max_B(problem, ts, xm)
     if dt > CFL_SAFETY * h / np.sqrt(maxB):
@@ -76,7 +74,7 @@ def solve_fd(problem, L, n, v0, v1, dt, T, store_every=1):
             f"dt = {dt} exceeds {CFL_SAFETY} h / sqrt(max B) = {CFL_SAFETY * h / np.sqrt(maxB)}"
         )
 
-    stepper = kernels.Stepper(h, dt, Bm, an, bn, gn)
+    stepper = kernels.Stepper(h, dt, B, a, b, g)
     v, vd = stepper.state
     v[:], vd[:] = v0(x), v1(x)
     v[0] = v[-1] = 0.0
@@ -91,9 +89,9 @@ def solve_fd(problem, L, n, v0, v1, dt, T, store_every=1):
         k = min(K, nsteps - k0)
         m = 2 * k + 1
         tb = ts[2 * k0:2 * k0 + m]
-        problem.line(tb, xm, out=(Bm[:m], None, None, None))
-        problem.line(tb, x, out=(None, None if an is None else an[:m], bn[:m],
-                                 None if gn is None else gn[:m]))
+        problem.line(tb, xm, out=(B[:m], None, None, None))
+        problem.line(tb, x[1:-1], out=(None, None if a is None else a[:m], b[:m],
+                                       None if g is None else g[:m]))
         status = stepper.run(k, store_every, out_v[k0 // store_every:],
                              out_vd[k0 // store_every:], done=k0)
         if status < 0:

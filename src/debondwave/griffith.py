@@ -15,9 +15,9 @@ from the updated front; one loop serves the interval and the annulus,
 which is 2d (the radial reduction of a disc with a hole).  Both check their
 front data with ``characteristics.compatibility_check``.
 The loop owns one ``kernels.Stepper`` for the whole run: its state is the
-solution, and each step refills the stepper's three coefficient slices in
-place.  The 1d exact ODE from the characteristics module is the oracle for
-the constant-data scenario.
+solution, and each step refills the stepper's three coefficient rows in
+place, a and b of all three with one divide.  The 1d exact ODE from the
+characteristics module is the oracle for the constant-data scenario.
 
 The radial supercritical run passes near the switch p^2 = 2 kappa at
 t = 0.31, so one ulp more PDE velocity per step moves its front speed by
@@ -163,14 +163,6 @@ class FrontHistory:
     trace: np.ndarray         # normal derivative p at the front
     kappa: np.ndarray
 
-    def second_difference_bound(self):
-        """C^{2,1} surrogate: bounded discrete second differences of the front."""
-        if len(self.times) < 3:
-            return 0.0
-        dt = np.diff(self.times)
-        dd = np.diff(self.position, 2) / (dt[:-1] * dt[1:])
-        return float(np.max(np.abs(dd)))
-
 
 def _fixed_end_taper(y, yc, u0_at_0, u1_at_0):
     """C^2 correction (H, theta) enforcing u(t,0) = 0 compatibility.
@@ -211,8 +203,9 @@ class _Interval:
         self.y = np.linspace(0.0, l0, n + 1)
         self.ym = 0.5 * (self.y[:-1] + self.y[1:])
         self.yc = max(num.taper * l0, 4 * (l0 / n))
+        self.yi = self.y[1:-1]
         self._m = np.empty(n)
-        self._n = np.empty(n + 1)
+        self._ab = np.empty((2, n - 1))
         # debond()'s quadrature, for a kappa without a closed-form integral
         if not isinstance(self.kappa, Expression):
             self._rule = gauss_legendre_panels(1.0, 8, 10)
@@ -234,17 +227,18 @@ class _Interval:
     def nodes(self, ell):
         return (ell / self.L) * self.y
 
-    def drift(self, ell, om, out=None):
-        return np.divide(np.multiply(self.y, om, out=self._n), ell, out=out)
+    def drift(self, ell, om):
+        return (self.y * om) / ell
 
-    def fill(self, B, a, b, ells, om, acc):
-        lt = np.array(ells)[:, None]
+    def fill(self, B, ab, ells, om, acc):
+        """B = (L^2 - (om y)^2) / ell^2 at the midpoints and a, b = (-acc y,
+        om y) / ell at the inner nodes (ab (3, 2, n-1)), fronts ells (3, 1, 1)."""
+        lt = ells[:, 0]
         q = np.multiply(self.ym, om, out=self._m)
         np.square(q, out=q)
         np.subtract(self.L * self.L, q, out=q)
         np.divide(q, lt * lt, out=B)
-        self.drift(lt, om, out=b)
-        self.drift(lt, -acc, out=a)
+        np.divide(np.multiply(self.yi, np.array([[-acc], [om]]), out=self._ab), ells, out=ab)
 
     def volume(self, ell):
         return 1.0, ell / self.L
@@ -276,9 +270,10 @@ class _Annulus:
         self.Ry = R - self.y
         self.nRy = -self.Ry
         self.Rym = R - 0.5 * (self.y[:-1] + self.y[1:])
+        self.Ryi, self.nRyi = self.Ry[1:-1], self.nRy[1:-1]
         self._m = np.empty(n)
-        self._n = np.empty(n + 1)
-        self._P = np.empty((3, n + 1))
+        self._ab = np.empty((2, n - 1))
+        self._P = np.empty((3, n - 1))
         self._rule = gauss_legendre_panels(1.0, 8, 10)  # debond()'s quadrature
 
     def initial_state(self, om):
@@ -298,25 +293,27 @@ class _Annulus:
     def nodes(self, rho):
         return self.R - (rho / self.L) * self.Ry
 
-    def drift(self, rho, om, out=None):
-        return np.divide(np.multiply(self.nRy, om / self.L, out=self._n), rho / self.L, out=out)
+    def drift(self, rho, om):
+        return (self.nRy * (om / self.L)) / (rho / self.L)
 
-    def fill(self, B, a, b, rhos, om, acc):
-        st = [r / self.L for r in rhos]
-        s = np.array(st)[:, None]
+    def fill(self, B, ab, rhos, om, acc):
+        """``_Interval.fill`` for the annulus, s = rho / L: B = 1/s^2 - (om (R - ym)
+        / (L s))^2, and a, b = (acc, -om) (R - y) / (L s), then a -= 1 / (phi s)."""
+        s = np.divide(rhos, self.L)
+        st = s[:, 0]
         np.multiply(self.Rym, om / self.L, out=self._m)
-        np.divide(self._m, s, out=B)
+        np.divide(self._m, st, out=B)
         np.square(B, out=B)
-        np.subtract(np.array([1.0 / x ** 2 for x in st])[:, None], B, out=B)
-        rt = np.array(rhos)[:, None]
-        self.drift(rt, om, out=b)
-        self.drift(rt, -acc, out=a)
+        # Python pow on the scalars: np.square is x*x and may round otherwise
+        np.subtract(np.array([1.0 / x ** 2 for x in s.ravel().tolist()])[:, None], B, out=B)
+        col = np.array([[-acc / self.L], [om / self.L]])
+        np.divide(np.multiply(self.nRyi, col, out=self._ab), s, out=ab)
         # a -= 1 / (phi s), phi = R - s (R - y) the node radii
-        P = np.multiply(s, self.Ry, out=self._P)
+        P = np.multiply(st, self.Ryi, out=self._P)
         np.subtract(self.R, P, out=P)
-        np.multiply(P, s, out=P)
+        np.multiply(P, st, out=P)
         np.divide(1.0, P, out=P)
-        np.subtract(a, P, out=a)
+        np.subtract(ab[:, 0], P, out=ab[:, 0])
 
     def volume(self, rho):
         return 2.0 * np.pi * self.nodes(rho) * (rho / self.L), 1.0
@@ -334,7 +331,7 @@ def _evolve_coupled(geo, p0, kap0, horizon, num, forcing, verdict):
     the front at l + om (tau - t) -> Euler front advance.
 
     The run owns one ``kernels.Stepper``: v and vd are views of its state,
-    and each step refills its three slices in place, at t + half_steps(1, dt)."""
+    and each step refills its three rows in place, at t + half_steps(1, dt)."""
     n = num.n
     h = geo.L / n
     # reference characteristic speed is at most (1 + omega) l0 / ell <= 2
@@ -343,11 +340,10 @@ def _evolve_coupled(geo, p0, kap0, horizon, num, forcing, verdict):
     dt = horizon / nsteps
     window = slice(-3, None) if geo.side == "right" else slice(0, 3)
 
-    Bm = np.empty((3, n))
-    an, bn = np.empty((2, 3, n + 1))
-    gn = None if forcing is None else np.empty((3, n + 1))
-    stepper = kernels.Stepper(h, dt, Bm, an, bn, gn)
-    slots = kernels.half_steps(1, dt).tolist()
+    B, a, b = kernels.coefficient_rows(3, n)
+    g = None if forcing is None else np.empty((3, n - 1))
+    stepper = kernels.Stepper(h, dt, B, a, b, g)
+    slots = kernels.half_steps(1, dt)[:, None, None]
     v, vd = stepper.state
     om = flow_rule(p0, kap0)
     v[:], vd[:] = geo.initial_state(om)
@@ -375,11 +371,11 @@ def _evolve_coupled(geo, p0, kap0, horizon, num, forcing, verdict):
             raise SupersonicStep(f"flow rule returned {om} at t = {t}")
         acc = (om - om_prev) / dt if k > 0 else 0.0
 
-        pos_slices = [pos + om * s for s in slots]
-        geo.fill(Bm, an, bn, pos_slices, om, acc)
+        fronts = pos + om * slots
+        geo.fill(B, stepper.ab, fronts, om, acc)
         if forcing is not None:
-            for j, s in enumerate(slots):
-                gn[j] = np.asarray(forcing(t + s, geo.nodes(pos_slices[j])), dtype=float)
+            for j, (s, front) in enumerate(zip(slots.ravel().tolist(), fronts.ravel())):
+                g[j] = np.asarray(forcing(t + s, geo.nodes(front)), dtype=float)[1:-1]
         if stepper.run(1) < 0:
             raise BlowUp(f"{geo.name} run blew up at step {k}")
         pos = pos + dt * om

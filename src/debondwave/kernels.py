@@ -11,9 +11,10 @@ and 1 for the blow-up guard.  Every owner supplies the acceleration from
 data at one set of slots, the 2n + 1 ``half_steps`` of an n-step run.
 ``Stepper`` is the grid wave right-hand side with Dirichlet ends, run by
 the grid solver a block of steps at a time and by the coupled solvers a
-step at a time; ``UnitStepper`` is v'' = v_yy alone, for the cylinder
-solver's frozen partitions; ``galerkin.integrate`` supplies the modal
-acceleration.
+step at a time; one multiply a stage by its coefficient row [B | a | b]
+covers all three, so a step makes 43 calls (47 forced), 39 (43) without
+a.  ``UnitStepper`` is v'' = v_yy alone, for the cylinder solver's frozen
+partitions; ``galerkin.integrate`` supplies the modal acceleration.
 """
 
 import numpy as np
@@ -53,6 +54,8 @@ class RK4:
     2k+1 twice and 2k+2), and may set ``clamp()``, applied to
     the state after the first step of each run, before the blow-up guard:
     a clamp that later steps keep, as zero ends with zero accelerations.
+    An owner that holds ``slots`` slots sets it: a run that would read
+    more is refused with a ValueError before its first step.
     """
 
     def __init__(self, n, dt):
@@ -63,6 +66,7 @@ class RK4:
         self.state = W[0, :2]
         self.accel = None
         self.clamp = None
+        self.slots = np.inf
         K = W[:, 1:]
         # the state flat for the blow-up guard: a view, as W is contiguous
         Xf = W[0].reshape(-1)[:2 * n]
@@ -79,6 +83,9 @@ class RK4:
         store_every.  Returns the number of rows filled (1 when nothing is
         stored), or -(k + 1) when step k blows up.
         """
+        if 2 * nsteps + 1 > self.slots:
+            raise ValueError(f"{nsteps} steps read {2 * nsteps + 1} slots; "
+                             f"the owner has {self.slots}")
         accel, clamp = self.accel, self.clamp
         X, Xf, S1, S2, S3, K0, K1, K2, K, K12, Ksum, half, full, sixth, two = self._work
         status = 1
@@ -130,39 +137,49 @@ class _Dirichlet(RK4):
         self.clamp = lambda: edges.fill(0.0)
 
 
+def coefficient_rows(S, n, with_a=True):
+    """S slots of ``Stepper`` coefficients on n cells, one row a slot: [B (n)
+    | a (n-1) | b (n-1)], or [B | b] without a (a None).  Returns the views
+    B, a, b: B at the cell midpoints, a and b at the inner nodes."""
+    rows = np.empty((S, 2 * n - 1 + with_a * (n - 1)))
+    ab = rows[:, n:].reshape(S, -1, n - 1)
+    return rows[:, :n], (ab[:, 0] if with_a else None), ab[:, -1]
+
+
 class Stepper(_Dirichlet):
-    """``RK4`` with the wave right-hand side on one grid, one dt and one set
-    of coefficients, held by reference in ``coefficients``: Bm (S, n), an,
-    bn (S, n+1) and gn (S, n+1), which a caller may refill in place between
-    runs; a run of nsteps reads slots 0 to 2 nsteps, so S > 2 nsteps.  an
-    None steps without the a term (a = 0, as for lam'' = 0), gn None
-    without a forcing.  A stage makes 10 numpy calls, 8 without the a term
-    and one more with a forcing: 51 a step (55 forced), or 43 (47) without a.
+    """``RK4`` with the wave right-hand side on one grid and one dt, on
+    coefficients held by reference: the views B, a, b of ``coefficient_rows``
+    (a None: no a term, as for lam'' = 0), ``ab`` the (S, 2 or 1, n-1) block
+    of a and b, and g (S, n-1) at the inner nodes (None: no forcing), which
+    a caller may refill in place between runs; a run of nsteps reads slots
+    0 to 2 nsteps.  A stage makes 8 numpy calls, 7 without a and one more
+    with a forcing: 43 a step (47 forced), or 39 (43) without a.
     """
 
-    def __init__(self, h, dt, Bm, an, bn, gn=None):
-        n1 = bn.shape[1]
+    def __init__(self, h, dt, B, a, b, g=None):
+        rows = B.base
+        if rows is None or any(x is not None and x.base is not rows for x in (a, b)):
+            raise ValueError("B, a and b must be the views of one coefficient_rows call")
+        n1 = B.shape[1] + 1
         super().__init__(n1, dt)
-        self.coefficients = Bm, an, bn, gn
-        # work arrays of one right-hand side: d = v_{i+1} - v_i, c = central
-        # differences of (v, vd), or of vd alone without the a term
-        rows = slice(1 if an is None else 0, 2)
-        d = np.empty(n1 - 1)
-        c = np.empty((2, n1 - 2))[rows]
-        views = [(x[0, 1:], x[0, :-1], x[rows, 2:], x[rows, :-2], acc[1:-1])
+        self.slots = len(rows)
+        self.ab = rows[:, n1 - 1:].reshape(self.slots, -1, n1 - 2)
+        # w = [d | c] is laid out like a coefficient row (d = v_{i+1} - v_i, c
+        # the central differences of (v, vd), or of vd alone), so one multiply
+        # covers B, a and b; over a and b rows in separate blocks it did not pay
+        vrows = slice(1 if a is None else 0, 2)
+        w = np.empty(rows.shape[1])
+        d, c = w[:n1 - 1], w[n1 - 1:].reshape(-1, n1 - 2)
+        views = [(x[0, 1:], x[0, :-1], x[vrows, 2:], x[vrows, :-2], acc[1:-1])
                  for x, acc in zip(self.stages[:, :2], self.stages[:, 2])]
         dr, dl = d[1:], d[:-1]
         c0, c1 = c[0], c[-1]
-        an = None if an is None else an[:, 1:-1]
-        bn = bn[:, 1:-1]
-        gn = None if gn is None else gn[:, 1:-1]
         inv_h2 = np.array(1.0 / (h * h))
         # rows 1/2h and 2/2h: the b term's factor 2 is a power of two, so in
         # the scale it rounds as a multiply by 2 afterwards (away from
-        # subnormals).  The scale is a full array and a and b multiply row
-        # by row: a (2, 1) scale column, or one multiply over both strided
-        # a and b rows, costs more than the call it saves
-        scale = np.repeat([[0.5 / h], [2.0 * (0.5 / h)]], n1 - 2, axis=1)[rows]
+        # subnormals).  The scale is a full array: a (2, 1) scale column
+        # costs more than the call it saves
+        scale = np.repeat([[0.5 / h], [2.0 * (0.5 / h)]], n1 - 2, axis=1)[vrows]
 
         def accel(s, j):
             # acc = d/dy(B v_y) - a v_y + 2 b vd_y + g, each term rounded in
@@ -171,19 +188,16 @@ class Stepper(_Dirichlet):
             # and a -0 b term end -0 here where the full step gives +0
             vr, vl, xr, xl, acc = views[s]
             np.subtract(vr, vl, out=d)
-            np.multiply(Bm[j], d, out=d)
+            np.subtract(xr, xl, out=c)
+            np.multiply(w, rows[j], out=w)
             np.subtract(dr, dl, out=acc)
             np.multiply(acc, inv_h2, out=acc)
-            np.subtract(xr, xl, out=c)
-            if an is not None:
-                np.multiply(an[j], c0, out=c0)
-            np.multiply(bn[j], c1, out=c1)
             np.multiply(c, scale, out=c)
-            if an is not None:
+            if a is not None:
                 np.subtract(acc, c0, out=acc)
             np.add(acc, c1, out=acc)
-            if gn is not None:
-                np.add(acc, gn[j], out=acc)
+            if g is not None:
+                np.add(acc, g[j], out=acc)
 
         self.accel = accel
 

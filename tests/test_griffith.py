@@ -4,6 +4,7 @@ import pytest
 from debondwave.characteristics import CharScenario, front_ode_exact
 from debondwave.errors import CompatibilityViolated, NonPositiveToughness
 from debondwave.expressions import Const, Poly, SineMode, SpaceTimeField
+from debondwave import griffith, kernels
 from debondwave.fd import solve_fd
 from debondwave.griffith import (
     CoupledNumerics,
@@ -124,7 +125,10 @@ def test_coupled_front_monotone_and_subsonic():
     assert np.all(np.diff(run.front.position) >= 0.0)
     assert np.all((run.front.speed >= 0.0) & (run.front.speed < 1.0))
     assert run.report.ok()
-    assert np.isfinite(run.front.second_difference_bound())
+    # C^{2,1} surrogate: bounded discrete second differences of the front
+    dt = np.diff(run.front.times)
+    dd = np.diff(run.front.position, 2) / (dt[:-1] * dt[1:])
+    assert np.isfinite(float(np.max(np.abs(dd))))
 
 
 def test_coupled_energy_balance_with_toughness():
@@ -255,3 +259,53 @@ def test_coupled_1d_run_is_bit_for_bit():
     run = evolve_coupled_1d(constant_scenario(0.5), CoupledNumerics(n=64))
     assert _front_pins(run) == ("1.3535533905932793", "0.7071067811865445", 73,
                                  "-1.9999999999999931")
+
+
+# --- the coupled coefficient fill against the per-slot formulas --------------
+
+
+def _ref_interval_fill(geo, ells, om, acc):
+    # per slot: B = (L^2 - (om ym)^2) / ell^2 and a, b = (-acc y, om y) / ell
+    B, a, b = [], [], []
+    for ell in ells:
+        q = np.subtract(geo.L * geo.L, np.square(np.multiply(geo.ym, om)))
+        B.append(np.divide(q, ell * ell))
+        a.append(np.divide(np.multiply(geo.y, -acc), ell))
+        b.append(np.divide(np.multiply(geo.y, om), ell))
+    return B, a, b
+
+
+def _ref_annulus_fill(geo, rhos, om, acc):
+    # per slot, s = rho / L: B = 1/s^2 - (om (R - ym) / (L s))^2, a and b the
+    # drifts (acc, -om) (R - y) / (L s), and a -= 1 / ((R - s (R - y)) s)
+    B, a, b = [], [], []
+    for rho in rhos:
+        s = rho / geo.L
+        B.append(np.subtract(1.0 / s ** 2, np.square(np.divide(np.multiply(geo.Rym, om / geo.L), s))))
+        b.append(np.divide(np.multiply(geo.nRy, om / geo.L), rho / geo.L))
+        ai = np.divide(np.multiply(geo.nRy, -acc / geo.L), rho / geo.L)
+        P = np.divide(1.0, np.multiply(np.subtract(geo.R, np.multiply(s, geo.Ry)), s))
+        a.append(np.subtract(ai, P))
+    return B, a, b
+
+
+@pytest.mark.parametrize("om, acc", [(0.4, 0.0), (0.4, -2.5), (0.0, 1.5)],
+                         ids=["acc=0", "acc<0", "om=0"])
+@pytest.mark.parametrize("geometry", ["interval", "annulus"])
+def test_coupled_fill_matches_the_per_slot_formulas(geometry, om, acc):
+    n = 64
+    num = CoupledNumerics(n=n)
+    if geometry == "interval":
+        geo, ref, pos = griffith._Interval(constant_scenario(1.0), num), _ref_interval_fill, 1.3
+    else:
+        u0, u1 = radial_data()
+        geo, ref, pos = griffith._Annulus(2.0, 0.5, u0, u1, Const(1.0), num), _ref_annulus_fill, 0.7
+    fronts = pos + om * kernels.half_steps(1, 0.01)[:, None, None]
+    B, a, b = kernels.coefficient_rows(3, n)
+    geo.fill(B, kernels.Stepper(1.0 / n, 0.01, B, a, b).ab, fronts, om, acc)
+    want = ref(geo, fronts.ravel().tolist(), om, acc)
+    for got, rows, inner in ((B, want[0], slice(None)), (a, want[1], slice(1, -1)),
+                             (b, want[2], slice(1, -1))):
+        for j in range(3):
+            assert np.array_equal(got[j], rows[j][inner])
+            assert np.array_equal(np.signbit(got[j]), np.signbit(rows[j][inner]))

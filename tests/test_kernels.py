@@ -86,9 +86,26 @@ def _initial(y, seed=2):
     return v, vd
 
 
+def _fill_rows(rows, Bm, an, bn, gn=None):
+    # the rows (B, a, b[, g]) from the slices the reference reads: B at the
+    # midpoints, a, b and g at the inner nodes
+    B, *inner = rows
+    B[:] = Bm
+    for row, full in zip(inner, (an, bn, gn)):
+        if row is not None:
+            row[:] = full[:, 1:-1]
+
+
+def _stepper(h, dt, Bm, an, bn, gn=None):
+    # a Stepper on rows holding the reference's slices; an None: no a term
+    rows = kernels.coefficient_rows(*Bm.shape, with_a=an is not None)
+    _fill_rows(rows, Bm, an, bn)
+    return kernels.Stepper(h, dt, *rows, None if gn is None else gn[:, 1:-1])
+
+
 def _stepper_run(v, vd, h, dt, nsteps, Bm, an, bn, gn, store_every, out_v, out_vd):
     # one Stepper run on the given slices, (v, vd) advanced in place
-    stepper = kernels.Stepper(h, dt, Bm, an, bn, gn)
+    stepper = _stepper(h, dt, Bm, an, bn, gn)
     stepper.state[:] = v, vd
     status = stepper.run(nsteps, store_every, out_v, out_vd)
     v[:], vd[:] = stepper.state
@@ -131,16 +148,15 @@ def test_numpy_kernel_chained_single_steps_match_reference():
     y, Bm, an, bn, gn = _coefficient_slices(n, 2 * nsteps + 1, moving=True, forced=True)
     h = y[1] - y[0]
     dt = 0.5 / n
-    B3 = np.empty((3, n))
-    a3, b3, g3 = np.empty((3, 3, n + 1))
-    stepper = kernels.Stepper(h, dt, B3, a3, b3, g3)
+    rows = (*kernels.coefficient_rows(3, n), np.empty((3, n - 1)))
+    stepper = kernels.Stepper(h, dt, *rows)
     v, vd = _initial(y)
     stepper.state[0] = v
     stepper.state[1] = vd
     out_v, out_vd, ref_v, ref_vd = np.empty((4, 2, n + 1))
     for k in range(nsteps):
         sl = slice(2 * k, 2 * k + 3)
-        B3[:], a3[:], b3[:], g3[:] = Bm[sl], an[sl], bn[sl], gn[sl]
+        _fill_rows(rows, Bm[sl], an[sl], bn[sl], gn[sl])
         assert stepper.run(1, 1, out_v, out_vd) == 2
         assert _ref_run(v, vd, h, dt, 1, Bm[sl], an[sl], bn[sl], gn[sl], 1, ref_v, ref_vd) == 2
         assert np.array_equal(stepper.state[0], v) and np.array_equal(stepper.state[1], vd)
@@ -164,6 +180,28 @@ def test_stepper_clamps_nonzero_ends_like_the_reference():
         assert np.array_equal(a, b)
 
 
+def test_stepper_refuses_a_run_longer_than_its_slots_before_stepping():
+    # 2 steps read slots 0 to 4; three rows hold only the slots of one
+    n = 16
+    y, Bm, an, bn, gn = _coefficient_slices(n, 3, moving=True, forced=True)
+    stepper = _stepper(y[1] - y[0], 0.5 / n, Bm, an, bn, gn)
+    stepper.state[:] = _initial(y)
+    before = stepper.state.copy()
+    with pytest.raises(ValueError, match="2 steps read 5 slots; the owner has 3"):
+        stepper.run(2)
+    assert np.array_equal(stepper.state, before)
+    assert stepper.run(1) == 1
+
+
+def test_stepper_refuses_coefficients_not_in_one_row():
+    n = 16
+    B, a, b = kernels.coefficient_rows(3, n)
+    B1, _, b1 = kernels.coefficient_rows(3, n, with_a=False)
+    for rows in ((np.empty((3, n)), a, b), (B1, a, b1), (B, a, b1)):
+        with pytest.raises(ValueError, match="coefficient_rows"):
+            kernels.Stepper(1.0 / n, 0.01, *rows)
+
+
 # --- the stepper without a forcing, and the unit-coefficient stepper -------
 
 
@@ -174,7 +212,7 @@ def test_stepper_without_forcing_matches_zero_forcing(moving):
     y, Bm, an, bn, gn = _coefficient_slices(n, 2 * nsteps + 1, moving=moving, forced=False)
     got = []
     for g in (None, gn):
-        stepper = kernels.Stepper(y[1] - y[0], 0.5 / n, Bm, an, bn, g)
+        stepper = _stepper(y[1] - y[0], 0.5 / n, Bm, an, bn, g)
         stepper.state[:] = _initial(y)
         out = np.zeros((2, nsteps + 1, n + 1))
         assert stepper.run(nsteps, 1, *out) == nsteps + 1
@@ -229,16 +267,18 @@ def test_a_free_stepper_chained_single_steps_match_the_full_stepper():
     n, nsteps = 64, 30
     y, Bm, an, bn, gn = _affine_slices(n, 2 * nsteps + 1, moving=True, forced=True)
     h, dt = y[1] - y[0], 0.5 / n
-    B3 = np.empty((3, n))
-    a3, b3, g3 = np.empty((3, 3, n + 1))
-    free = kernels.Stepper(h, dt, B3, None, b3, g3)
-    full = kernels.Stepper(h, dt, B3, a3, b3, g3)
+    g3 = np.empty((3, n - 1))
+    free_rows = (*kernels.coefficient_rows(3, n, with_a=False), g3)
+    full_rows = (*kernels.coefficient_rows(3, n), g3)
+    free = kernels.Stepper(h, dt, *free_rows)
+    full = kernels.Stepper(h, dt, *full_rows)
     for stepper in (free, full):
         stepper.state[:] = _initial(y)
     rows = np.zeros((2, 2, 2, n + 1))
     for k in range(nsteps):
         sl = slice(2 * k, 2 * k + 3)
-        B3[:], a3[:], b3[:], g3[:] = Bm[sl], an[sl], bn[sl], gn[sl]
+        for coef in (free_rows, full_rows):
+            _fill_rows(coef, Bm[sl], an[sl], bn[sl], gn[sl])
         for stepper, out in zip((free, full), rows):
             assert stepper.run(1, 1, *out) == 2
         _same_bits((free.state, rows[0]), (full.state, rows[1]))
@@ -279,8 +319,7 @@ def test_solve_fd_steps_without_a_where_lam_accelerates_nowhere(monkeypatch, fam
     L = fam.reference.length
     solve_fd(PulledBackProblem(fam), L, 100, _sine, _kick, dt=2e-3, T=1.0)
     (stepper,) = steppers
-    Bm, an, bn, gn = stepper.coefficients
-    assert (an is None) == a_free
+    assert (stepper.ab.shape[1] == 1) == a_free  # b alone, no a
 
 
 def _unit_run(v, vd, h, dt, nsteps, Bm, an, bn, gn, store_every, out_v, out_vd):
@@ -386,7 +425,7 @@ def test_stepper_reports_the_same_nan_blowup_storing_or_not(moving, slot, status
     y, Bm, an, bn, gn = _coefficient_slices(n, 2 * nsteps + 1, moving=moving, forced=True)
     gn[slot, n // 2] = np.nan
     dt = 0.5 / n
-    stepper = kernels.Stepper(y[1] - y[0], dt, Bm, an, bn, gn)
+    stepper = _stepper(y[1] - y[0], dt, Bm, an, bn, gn)
     stepper.state[:] = _initial(y)
     assert stepper.run(nsteps) == status
     assert _run(_stepper_run, y, dt, nsteps, Bm, an, bn, gn, 1)[0] == status
