@@ -20,9 +20,12 @@ call on the same problem at n = 800, dt = 5e-4 (coefficient fill
 included), the median of three wall times and the tracemalloc peak of a
 fourth call, with the bytes of the returned trajectory it includes; then
 the peak of one call that stores only t = 0 and t = 1 (store_every =
-2000).  Last, the tracemalloc peak of ledger_transformed on the every-step n = 800
-trajectory, without and with the fixed-domain balance (problem=), beside
-the trajectory it reads.  Usage:
+2000).  Then the tracemalloc peak of ledger_transformed on the every-step
+n = 800 trajectory, without and with the fixed-domain balance (problem=),
+beside the trajectory it reads.  Last, the peak of the whole n = 800 run
+with its ledger, stored (solve_fd, then ledger_transformed on the
+trajectory) beside streamed (solve_fd with reader=energy.GridLedger, which
+stores no trajectory), and streamed with problem=.  Usage:
 
     python benchmarks/bench_kernels.py [--steps N] [--grid N]
 """
@@ -35,7 +38,7 @@ import tracemalloc
 import numpy as np
 
 from debondwave.cylinder import INNER_CFL, solve_cylinder
-from debondwave.energy import ledger_transformed
+from debondwave.energy import GridLedger, ledger_transformed
 from debondwave.expressions import Affine
 from debondwave.fd import solve_fd
 from debondwave.galerkin import solve_transformed_modal
@@ -142,9 +145,9 @@ def _traced_peak(fn):
     return out, peak
 
 
-def _solve(problem, n, store_every=1):
+def _solve(problem, n, store_every=1, reader=None):
     return solve_fd(problem, 1.0, n, lambda y: np.sin(np.pi * y), np.zeros_like,
-                    dt=5e-4, T=1.0, store_every=store_every)
+                    dt=5e-4, T=1.0, store_every=store_every, reader=reader)
 
 
 def bench_solve_fd(n, repeats=3):
@@ -163,15 +166,21 @@ def bench_solve_fd(n, repeats=3):
 
 def bench_memory(n):
     """tracemalloc peaks of solve_fd storing only both ends (store_every =
-    2000) and of ledger_transformed without and with problem= on the
-    every-step trajectory (already allocated, so not counted)."""
+    2000), of ledger_transformed without and with problem= on the
+    every-step trajectory (already allocated, so not counted), and of the
+    every-step run with its ledger: stored, streamed, streamed with problem=."""
     problem = _criterion4_problem()
     fam = problem.fam
     _, sparse = _traced_peak(lambda: _solve(problem, n, store_every=2000))
     traj = _solve(problem, n)
     _, plain = _traced_peak(lambda: ledger_transformed(traj, fam))
     _, fixed = _traced_peak(lambda: ledger_transformed(traj, fam, problem=problem))
-    return sparse, plain, fixed
+    del traj
+    _, stored = _traced_peak(lambda: ledger_transformed(_solve(problem, n), fam))
+    _, streamed = _traced_peak(lambda: _solve(problem, n, reader=GridLedger(fam)))
+    _, streamed_fixed = _traced_peak(
+        lambda: _solve(problem, n, reader=GridLedger(fam, problem=problem)))
+    return sparse, plain, fixed, stored, streamed, streamed_fixed
 
 
 def main():
@@ -195,10 +204,13 @@ def main():
     median, peak, held = bench_solve_fd(args.grid)
     print(f"solve_fd n={args.grid}: median {median:.4f} s of 3, tracemalloc peak "
           f"{peak / 1e6:.1f} MB ({held / 1e6:.1f} MB of it the returned trajectory)")
-    sparse, plain, fixed = bench_memory(args.grid)
+    sparse, plain, fixed, stored, streamed, streamed_fixed = bench_memory(args.grid)
     print(f"solve_fd n={args.grid} store_every=2000: tracemalloc peak {sparse / 1e6:.1f} MB")
     print(f"ledger_transformed on that n={args.grid} trajectory: tracemalloc peak "
           f"{plain / 1e6:.1f} MB, {fixed / 1e6:.1f} MB with problem=")
+    print(f"solve_fd n={args.grid} with its ledger: tracemalloc peak {stored / 1e6:.1f} MB "
+          f"stored, {streamed / 1e6:.1f} MB streamed (GridLedger), "
+          f"{streamed_fixed / 1e6:.1f} MB streamed with problem=")
 
 if __name__ == "__main__":
     main()

@@ -12,6 +12,7 @@ from .kernels import backend_name
 from .characteristics import CharScenario, dalembert_fixed, front_ode_exact
 from .domains import Annulus, Ball, Box, Interval, Tetrahedron
 from .energy import (
+    GridLedger,
     balance_residual_moving,
     ledger_transformed,
     measure_identity_residual,

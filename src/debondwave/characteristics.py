@@ -174,9 +174,6 @@ class FrontCurve:
     speed: np.ndarray
     tstar: float
 
-    def position_at(self, t):
-        return float(np.interp(t, self.times, self.position))
-
 
 def front_ode_exact(sc: CharScenario, dt=1e-3):
     """Integrate the exact front ODE with RK4 up to min(T, T*).

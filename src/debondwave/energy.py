@@ -13,7 +13,9 @@ det DPhi; boundary integrals use the per-face parametrization, never a
 space-time mesh.  The 1d ledgers read the closed-form stretch
 Phi = lam(t) y (det DPhi = lam, DPsi = 1/lam, the moving end at lam L with
 normal speed lam' L) and form their integrands a block of stored times at
-a time, so their transient memory does not grow with the step count.
+a time, so their transient memory does not grow with the step count:
+``ledger_transformed`` from a stored trajectory, ``GridLedger`` from the
+rows of a grid run as ``fd.solve_fd`` makes them, storing none.
 Normal derivatives at the boundary come from one-sided stencils.  Time
 accumulation uses the forward rectangle rule, matching the first-order
 convergence the moving balance exhibits; the fixed-domain remainder uses
@@ -30,7 +32,7 @@ import numpy as np
 
 from .characteristics import one_sided_derivative
 from .errors import SupersonicSpeed
-from .galerkin import gauss_legendre_panels
+from .galerkin import gauss_legendre_panels, grid_sampler
 from .motion import boundary_kinematics
 
 
@@ -61,29 +63,9 @@ def _accumulate(times, rates, rule):
     return out
 
 
-def _quadrature(traj):
+def _quadrature(L, modes=0):
     """Gauss-Legendre nodes and weights on (0, L): max(16, modes) panels of 10."""
-    panels = max(16, (traj.basis.m if traj.kind == "modal" else 16))
-    return gauss_legendre_panels(traj.L, panels, 10)
-
-
-def front_normal_derivative(traj, fam):
-    """du/dnu at the moving end of a 1d reference trajectory, per stored time.
-
-    Uses the one-sided stencil on v at the three nearest samples (grid
-    nodes, or offsets L/(2m) apart for modal trajectories), then the
-    pushforward factor DPsi = 1/lam.
-    """
-    L = traj.L
-    if traj.kind == "grid":
-        h = traj.x[1] - traj.x[0]
-        v = traj.values[:, -3:]
-    else:
-        h = L / (2.0 * traj.basis.m)
-        v = traj.values @ traj.basis.values(np.array([L - 2 * h, L - h, L])).T
-        v[:, -1] = 0.0
-    lam, _, _ = fam.stretch(traj.times)
-    return one_sided_derivative(v.T, h, "right") / lam  # outward normal +1 at the right end
+    return gauss_legendre_panels(L, max(16, modes), 10)
 
 
 # quadrature values in one row block of the ledgers.  Blocks start at
@@ -102,54 +84,148 @@ def _row_blocks(nt, nq):
     return [slice(a, b) for a, b in zip([0] + ends, ends + [nt])]
 
 
-def ledger_transformed(traj, fam, forcing=None, kappa=None, problem=None):
-    """Energy ledger for a transformed-solver trajectory on a 1d family.
+class _Ledger:
+    """The 1d ledger of a transformed run, fed one ``_row_blocks`` block of
+    stored times at a time by ``add`` once ``open`` has set the times.
 
     det DPhi = lam, DPsi = 1/lam and Psi_dot(t, Phi) = -(lam'/lam) y; the
     fixed end y = 0 does not move, the moving end sits at lam L with normal
-    speed lam' L.  The trajectory is evaluated once at the quadrature
-    nodes, and the integrands are formed in blocks of stored times.
+    speed lam' L, and du/dnu there comes from the one-sided stencil on v at
+    three samples h apart.  With a problem it keeps the fixed-domain balance
+    with remainder, with B, B', a, div b and g in closed form:
+
+    residual(t) = | 1/2||v'||^2 + 1/2<B grad v, grad v> - initial - R(t) |,
+    R(t) = int_0^t ( 1/2<B' grad v, grad v> - <a grad v, v'> - <div b, v'^2>
+                     + <g, v'> ).
     """
-    if fam.dim != 1:
-        raise ValueError("ledger_transformed is the 1d path")
+
+    def __init__(self, fam, forcing=None, kappa=None, problem=None):
+        if fam.dim != 1:
+            raise ValueError("ledger_transformed is the 1d path")
+        self.fam, self.forcing, self.kappa, self.problem = fam, forcing, kappa, problem
+
+    def open(self, times, L, modes, h):
+        self.yq, self.wq = _quadrature(L, modes)
+        self.blocks = _row_blocks(len(times), len(self.yq))
+        self.times, self.L, self.h = times, L, h
+        self.lam, self.dlam, _ = self.fam.stretch(times)
+        self.rate = self.dlam / self.lam
+        (self.kinetic, self.potential, self.work_rate, self.p,
+         self.lhs, self.fixed_rate) = (np.zeros(len(times)) for _ in range(6))
+
+    def add(self, s, vd, vy, front):
+        """The stored times s: v_dot and v_y at the quadrature nodes, and v
+        at the three samples nearest the moving end, one row a time."""
+        yq, wq, lam, ts = self.yq, self.wq, self.lam[s], self.times[s]
+        ud = vd - vy * np.multiply.outer(self.rate[s], yq)
+        gu = vy / lam[:, None]
+        self.kinetic[s] = 0.5 * lam * ((ud * ud) @ wq)
+        self.potential[s] = 0.5 * lam * ((gu * gu) @ wq)
+        if self.forcing is not None:
+            f = np.asarray(self.forcing(ts[:, None], np.multiply.outer(lam, yq)), dtype=float)
+            self.work_rate[s] = lam * ((f * ud) @ wq)
+        # pushed forward by DPsi = 1/lam; the outward normal is +1 at the right end
+        self.p[s] = one_sided_derivative(front.T, self.h, "right") / lam
+        if self.problem is not None:
+            B, a, _, g = self.problem.line(ts, yq)
+            Bdot, divb = self.problem.line_rates(ts, yq)
+            vy2 = vy * vy
+            vd2 = vd * vd
+            self.lhs[s] = 0.5 * (vd2 @ wq) + 0.5 * ((B * vy2) @ wq)
+            self.fixed_rate[s] = (0.5 * ((Bdot * vy2) @ wq)
+                                  - ((a * vy * vd) @ wq)
+                                  - ((divb * vd2) @ wq)
+                                  + ((g * vd) @ wq))
+
+    def ledger(self):
+        times, L = self.times, self.L
+        omega = self.dlam * L
+        bdry_rate = 0.5 * omega * (1.0 - omega ** 2) * self.p ** 2
+        Gtot = np.full(len(times), np.nan)
+        growing = omega > 1e-13
+        Gtot[growing] = bdry_rate[growing] / omega[growing]
+        debond = None
+        if self.kappa is not None:
+            kx = np.asarray(self.kappa(self.lam * L), dtype=float)
+            debond = _accumulate(times, omega * kx, "rect")
+        led = EnergyLedger(
+            times=times.copy(), kinetic=self.kinetic, potential=self.potential,
+            work=_accumulate(times, self.work_rate, "rect"),
+            boundary_dissipation=_accumulate(times, bdry_rate, "rect"),
+            debond_dissipation=debond, G_total=Gtot,
+        )
+        led.residual_moving = balance_residual_moving(led)
+        if self.problem is not None:
+            R = _accumulate(times, self.fixed_rate, "trap")
+            led.residual_fixed = np.abs(self.lhs - self.lhs[0] - R)
+        return led
+
+
+def ledger_transformed(traj, fam, forcing=None, kappa=None, problem=None):
+    """Energy ledger of a stored transformed-solver trajectory on a 1d family:
+    evaluated once at the quadrature nodes, it goes to ``_Ledger`` a block
+    of stored times at a time.  The samples near the moving end are the
+    last three grid nodes, or points L/(2m) apart for a modal trajectory.
+    """
     L = traj.L
-    yq, wq = _quadrature(traj)
-    times = traj.times
-    lam, dlam, _ = fam.stretch(times)
-    rate = dlam / lam
+    acc = _Ledger(fam, forcing, kappa, problem)
+    if traj.kind == "grid":
+        acc.open(traj.times, L, 0, traj.x[1] - traj.x[0])
+        front = traj.values[:, -3:]
+    else:
+        acc.open(traj.times, L, traj.basis.m, L / (2.0 * traj.basis.m))
+        front = traj.values @ traj.basis.values(L - np.array([2 * acc.h, acc.h, 0.0])).T
+        front[:, -1] = 0.0
+    vd, vy = traj.eval_all(acc.yq)
+    for s in acc.blocks:
+        acc.add(s, vd[s], vy[s], front[s])
+    return acc.ledger()
 
-    vd, vy = traj.eval_all(yq)
-    kinetic, potential, work_rate = (np.zeros(len(times)) for _ in range(3))
-    for s in _row_blocks(len(times), len(yq)):
-        ud = vd[s] - vy[s] * np.multiply.outer(rate[s], yq)
-        gu = vy[s] / lam[s, None]
-        kinetic[s] = 0.5 * lam[s] * ((ud * ud) @ wq)
-        potential[s] = 0.5 * lam[s] * ((gu * gu) @ wq)
-        if forcing is not None:
-            f = np.asarray(forcing(times[s, None], np.multiply.outer(lam[s], yq)), dtype=float)
-            work_rate[s] = lam[s] * ((f * ud) @ wq)
 
-    omega = dlam * L
-    p = front_normal_derivative(traj, fam)
-    bdry_rate = 0.5 * omega * (1.0 - omega ** 2) * p ** 2
-    Gtot = np.full(len(times), np.nan)
-    growing = omega > 1e-13
-    Gtot[growing] = bdry_rate[growing] / omega[growing]
+class GridLedger(_Ledger):
+    """A ``fd.solve_fd`` reader: the run returns ``ledger_transformed`` of
+    its grid trajectory, with the same bits, and stores no trajectory.  Each
+    stored row is sampled by ``grid_sampler`` as it arrives, into the
+    column-major arrays of its ``_row_blocks`` block, and each full block
+    goes to ``add``: the reader holds one solver block of rows and one
+    ledger block of samples whatever the step count.
+    """
 
-    work = _accumulate(times, work_rate, "rect")
-    bdry = _accumulate(times, bdry_rate, "rect")
-    debond = None
-    if kappa is not None:
-        kx = np.asarray(kappa(lam * L), dtype=float)
-        debond = _accumulate(times, omega * kx, "rect")
-    led = EnergyLedger(
-        times=times.copy(), kinetic=kinetic, potential=potential, work=work,
-        boundary_dissipation=bdry, debond_dissipation=debond, G_total=Gtot,
-    )
-    led.residual_moving = balance_residual_moving(led)
-    if problem is not None:
-        led.residual_fixed = _fixed_residual(problem, times, yq, wq, vd, vy)
-    return led
+    def start(self, times, L, x, meta, v, vd):
+        self.open(times, L, 0, x[1] - x[0])
+        self.sample = grid_sampler(x, self.yq)
+        rows = max(s.stop - s.start for s in self.blocks)
+        self.vd, self.vy = (np.empty((rows, len(self.yq)), order="F") for _ in range(2))
+        self.front = np.empty((rows, 3))
+        self.buf = np.empty((2, 2, len(x)))
+        self.buf[0, 1], self.buf[1, 1] = v, vd
+        self.b, self.at, self.pending = 0, 0, 1
+
+    def _read(self):
+        V, Vd = self.buf[:, 1:self.pending + 1]
+        i = 0
+        while i < len(V):
+            s = self.blocks[self.b]
+            r, k = self.at - s.start, min(len(V) - i, s.stop - self.at)
+            self.sample(V[i:i + k], Vd[i:i + k], self.vd[r:r + k], self.vy[r:r + k])
+            self.front[r:r + k] = V[i:i + k, -3:]
+            i, self.at = i + k, self.at + k
+            if self.at == s.stop:
+                n = s.stop - s.start
+                self.add(s, self.vd[:n], self.vy[:n], self.front[:n])
+                self.b += 1
+        self.pending = 0
+
+    def rows(self, count):
+        self._read()
+        if len(self.buf[0]) < count + 1:
+            self.buf = np.empty((2, count + 1, self.buf.shape[2]))
+        self.pending = count
+        return self.buf[0, :count + 1], self.buf[1, :count + 1]
+
+    def finish(self):
+        self._read()
+        return self.ledger()
 
 
 def balance_residual_moving(led: EnergyLedger):
@@ -157,31 +233,6 @@ def balance_residual_moving(led: EnergyLedger):
     e0 = led.kinetic[0] + led.potential[0]
     bd = led.boundary_dissipation if led.boundary_dissipation is not None else 0.0
     return np.abs(led.kinetic + led.potential + bd - e0 - led.work)
-
-
-def _fixed_residual(problem, times, yq, wq, vd, vy):
-    """Fixed-domain balance with remainder, per stored time, from v_dot and
-    v_y at the quadrature nodes:
-
-    residual(t) = | 1/2||v'||^2 + 1/2<B grad v, grad v> - initial - R(t) |,
-    R(t) = int_0^t ( 1/2<B' grad v, grad v> - <a grad v, v'> - <div b, v'^2>
-                     + <g, v'> ),
-    with B, B', a, div b and g in closed form, a block of stored times at once.
-    """
-    lhs, rate = np.empty(len(times)), np.empty(len(times))
-    for s in _row_blocks(len(times), len(yq)):
-        B, a, _, g = problem.line(times[s], yq)
-        Bdot, divb = problem.line_rates(times[s], yq)
-        vys, vds = vy[s], vd[s]
-        vy2 = vys * vys
-        vd2 = vds * vds
-        lhs[s] = 0.5 * (vd2 @ wq) + 0.5 * ((B * vy2) @ wq)
-        rate[s] = (0.5 * ((Bdot * vy2) @ wq)
-                   - ((a * vys * vds) @ wq)
-                   - ((divb * vd2) @ wq)
-                   + ((g * vds) @ wq))
-    R = _accumulate(times, rate, "trap")
-    return np.abs(lhs - lhs[0] - R)
 
 
 # --- release rate ----------------------------------------------------------

@@ -17,6 +17,7 @@ import math
 import re
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .errors import TypeMismatch
 
@@ -104,21 +105,20 @@ class Poly(Expression):
         if not coeffs:
             coeffs = (0.0,)
         self.coeffs = np.asarray(coeffs, dtype=float)
+        # the derivative and antiderivative coefficients, formed once
+        self._forms = (P.polyder(self.coeffs), P.polyder(self.coeffs, 2), P.polyint(self.coeffs))
 
     def __call__(self, x):
-        return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), self.coeffs)
+        return P.polyval(np.asarray(x, dtype=float), self.coeffs)
 
     def deriv(self, x):
-        d = np.polynomial.polynomial.polyder(self.coeffs)
-        return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), d)
+        return P.polyval(np.asarray(x, dtype=float), self._forms[0])
 
     def deriv2(self, x):
-        d2 = np.polynomial.polynomial.polyder(self.coeffs, 2)
-        return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), d2)
+        return P.polyval(np.asarray(x, dtype=float), self._forms[1])
 
     def antiderivative(self, x):
-        ai = np.polynomial.polynomial.polyint(self.coeffs)
-        return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), ai)
+        return P.polyval(np.asarray(x, dtype=float), self._forms[2])
 
     def spec(self):
         return "Poly(" + ", ".join(f"{c:g}" for c in self.coeffs) + ")"

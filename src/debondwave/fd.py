@@ -9,7 +9,9 @@ come from one closed-form PulledBackProblem.line call per node set (B at
 midpoints; a, b, g at inner nodes), written in place into the rows of the
 ``kernels.Stepper`` the run owns (no forcing buffer without a forcing), so
 the coefficients take O(2^16) memory whatever the step count or the
-storing stride; a stored step may fall anywhere in a block.
+storing stride; a stored step may fall anywhere in a block.  The stepper
+writes each stored row once, into the views a reader hands out a block at
+a time: ``Rows`` keeps them all, ``energy.GridLedger`` one block of them.
 
 When lam'' is 0 at every half-step time of the run (rates() over them),
 as for a constant-speed stretch, the identity or the interval flow of an
@@ -45,12 +47,33 @@ def _max_B(problem, ts, xm):
     return float(np.max(problem.line(ts, xm[:1], out=(col, None, None, None))[0]))
 
 
-def solve_fd(problem, L, n, v0, v1, dt, T, store_every=1):
+class Rows:
+    """The default ``solve_fd`` reader: the run's grid Trajectory."""
+
+    def start(self, times, L, x, meta, v, vd):
+        V, Vd = (np.empty((len(times), len(x))) for _ in range(2))
+        V[0], Vd[0] = v, vd
+        self.traj = Trajectory("grid", times, V, Vd, L, x=x, meta=meta)
+        self.done = 1
+
+    def rows(self, count):
+        i, self.done = self.done, self.done + count
+        return self.traj.values[i - 1:i + count], self.traj.velocities[i - 1:i + count]
+
+    def finish(self):
+        return self.traj
+
+
+def solve_fd(problem, L, n, v0, v1, dt, T, store_every=1, reader=None):
     """Solve the transformed problem on n cells over (0, L) up to time T.
 
-    v0, v1 are callables; the trajectory stores nodal values each
-    store_every steps, and dt is the one ``kernels.step_count`` gives.
-    Raises CflViolation or BlowUp.
+    v0, v1 are callables; the run stores nodal values each store_every
+    steps, and dt is the one ``kernels.step_count`` gives.  It returns
+    reader.finish(), after reader.start(times, L, x, meta, v, vd) with the
+    stored times and first row, and reader.rows(count) for each block: two
+    (count + 1, n + 1) views whose rows 1 to count (as ``RK4.run`` writes)
+    the run fills with its next stored values and velocities before its
+    next call.  Raises CflViolation or BlowUp.
     """
     if n < MIN_CELLS:
         raise ValueError(f"need at least {MIN_CELLS} grid cells")
@@ -80,11 +103,9 @@ def solve_fd(problem, L, n, v0, v1, dt, T, store_every=1):
     v[0] = v[-1] = 0.0
     vd[0] = vd[-1] = 0.0
 
-    nstored = nsteps // store_every + 1
-    out_v = np.empty((nstored, n + 1))
-    out_vd = np.empty((nstored, n + 1))
-    out_v[0] = v
-    out_vd[0] = vd
+    reader = Rows() if reader is None else reader
+    times = np.arange(nsteps // store_every + 1) * (store_every * dt)
+    reader.start(times, L, x, {"dt": dt, "n": n}, v, vd)
     for k0 in range(0, nsteps, K):
         k = min(K, nsteps - k0)
         m = 2 * k + 1
@@ -92,12 +113,8 @@ def solve_fd(problem, L, n, v0, v1, dt, T, store_every=1):
         problem.line(tb, xm, out=(B[:m], None, None, None))
         problem.line(tb, x[1:-1], out=(None, None if a is None else a[:m], b[:m],
                                        None if g is None else g[:m]))
-        status = stepper.run(k, store_every, out_v[k0 // store_every:],
-                             out_vd[k0 // store_every:], done=k0)
+        out = reader.rows((k0 + k) // store_every - k0 // store_every)
+        status = stepper.run(k, store_every, *out, done=k0)
         if status < 0:
             raise BlowUp(f"grid state exceeded {kernels.BLOWUP_LIMIT:g} at step {k0 - status}; shrink dt")
-    times = np.arange(nstored) * (store_every * dt)
-    return Trajectory(
-        kind="grid", times=times, values=out_v, velocities=out_vd,
-        L=L, x=x, meta={"dt": dt, "n": n},
-    )
+    return reader.finish()

@@ -197,30 +197,33 @@ class Trajectory:
     def eval_all(self, y):
         """(v_dot, v_y) at reference points y for every stored time, (nt, len(y)).
 
-        A grid trajectory is interpolated, and differenced for v_y, a block
-        of rows at a time into column-major outputs, so the transient beside
-        them does not grow with nt.  The rows are independent, so the bits
-        are those of the whole array at once; the outputs keep its memory
-        order too, by which the ledger's matmuls round.
+        A grid trajectory goes through ``grid_sampler`` into column-major
+        outputs: the memory order by which the ledger's matmuls round.
         """
         y = np.asarray(y, dtype=float).reshape(-1)
         if self.kind == "modal":
             return self.velocities @ self.basis.values(y).T, self.values @ self.basis.derivs(y).T
-        x = self.x
-        j = np.clip(np.searchsorted(x, y, side="right") - 1, 0, len(x) - 2)
-        w = np.clip((y - x[j]) / (x[j + 1] - x[j]), 0.0, 1.0)
+        vd, vy = (np.empty((len(self.values), len(y)), order="F") for _ in range(2))
+        grid_sampler(self.x, y)(self.values, self.velocities, vd, vy)
+        return vd, vy
 
-        def interp(F):
-            return F[:, j] + w * (F[:, j + 1] - F[:, j])
 
-        V = self.values
-        vd, vy = (np.empty((len(V), len(y)), order="F") for _ in range(2))
-        rows = max(1, (1 << 16) // max(len(x), len(y)))
+def grid_sampler(x, y):
+    """sample(V, Vd, vd, vy) writes v_dot and v_y at the points y into vd
+    and vy, from rows of values V and velocities Vd on the grid nodes x, by
+    linear interpolation (v_y of the second-order np.gradient), a block of
+    rows at a time.  The rows are independent: any split has the same bits."""
+    j = np.clip(np.searchsorted(x, y, side="right") - 1, 0, len(x) - 2)
+    w = np.clip((y - x[j]) / (x[j + 1] - x[j]), 0.0, 1.0)
+    rows = max(1, (1 << 16) // max(len(x), len(y)))
+
+    def sample(V, Vd, vd, vy):
         for r in range(0, len(V), rows):
             s = slice(r, r + rows)
-            vd[s] = interp(self.velocities[s])
-            vy[s] = interp(np.gradient(V[s], x, axis=1, edge_order=2))
-        return vd, vy
+            for out, F in ((vd, Vd[s]), (vy, np.gradient(V[s], x, axis=1, edge_order=2))):
+                out[s] = F[:, j] + w * (F[:, j + 1] - F[:, j])
+
+    return sample
 
 
 def integrate(system: GalerkinSystem, d0, ddot0, dt, T, store_every=1):

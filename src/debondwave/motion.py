@@ -139,11 +139,6 @@ class MotionFamily:
     def domain_measure(self, t):
         raise NotImplementedError
 
-    def is_nondecreasing(self):
-        """Whether the family's profile never decreases at 200 samples of [0, horizon]."""
-        ts = np.linspace(0.0, self.horizon, 200)
-        return bool(np.all(self.profile.deriv(ts) >= -1e-12))
-
     def stretch(self, t):
         """(lam, lam', lam'') at a scalar t or an array of times, for families
         with Phi(t, y) = lam(t) y; the others raise NotImplementedError."""
@@ -358,12 +353,6 @@ class SublevelFlowMotion(MotionFamily):
         return p(t) / self._rho0, p.deriv(t) / self._rho0, p.deriv2(t) / self._rho0
 
     # sublevel-specific checks ----------------------------------------------
-    def level_identity_residual(self, t, y):
-        """| g(Phi(t,y)) - R - (rho(t)/rho(0)) (g(y) - R) |."""
-        Y, q, _, _, _ = self._parts(t, y)
-        lhs = self._g(self.phi(t, Y)) - self.R
-        return float(np.max(np.abs(lhs - q * (self._g(Y) - self.R))))
-
     def speed_condition_margin(self):
         """1 - max rho'(t) on MARGIN_SAMPLES times of [0, horizon] (|grad g| = 1
         for both kinds); a positive margin certifies H2."""

@@ -9,6 +9,7 @@ import pytest
 import debondwave
 from debondwave.domains import Interval
 from debondwave.energy import (
+    GridLedger,
     _quadrature,
     ledger_transformed,
     measure_identity_residual,
@@ -115,7 +116,7 @@ def test_ledger_evaluates_the_trajectory_once(monkeypatch):
 def _whole_array_ledger(traj, fam, forcing, problem):
     """(kinetic, potential, work, residual_fixed) from every stored time at
     once, the formulas of the ledger before its row blocks."""
-    yq, wq = _quadrature(traj)
+    yq, wq = _quadrature(traj.L, traj.basis.m if traj.kind == "modal" else 0)
     times = traj.times
     lam, dlam, _ = fam.stretch(times)
     vd, vy = traj.eval_all(yq)
@@ -219,6 +220,58 @@ def test_boundary_dissipation_monotone():
                     lambda y: 0.0 * np.asarray(y), dt=2e-3, T=1.0)
     led = ledger_transformed(traj, fam)
     assert np.min(np.diff(led.boundary_dissipation)) >= -1e-13
+
+
+_LEDGER_FIELDS = ("times", "kinetic", "potential", "work", "boundary_dissipation",
+                  "debond_dissipation", "residual_moving", "residual_fixed", "G_total")
+
+
+# n = 64 steps in solver blocks of 1008: at 2000 steps the 192-row ledger
+# blocks straddle the solver blocks' seam, and a stride of 5 ends the first
+# solver block between two stored steps; 193 and 385 stored rows leave a
+# one-row tail that joins the last block
+@pytest.mark.parametrize("dt, store_every", [(1 / 2000, 1), (1 / 2000, 5), (1 / 192, 1),
+                                            (1 / 1920, 5), (1e-3, 1000)])
+@pytest.mark.parametrize("forced", [False, True])
+def test_streamed_grid_ledger_keeps_the_stored_ledger_bits(dt, store_every, forced):
+    v0 = lambda y: np.sin(np.pi * y)
+    v1 = lambda y: 0.0 * np.asarray(y)
+    if forced:
+        # lam'' != 0, so the run steps with the a term, and the fixed balance
+        fam = one_d_scaling(Poly(1.0, 0.2, 0.3), 1.0)
+        forcing = SpaceTimeField(SineMode(1.0, 2).bound(1.0), Poly(0.5, 1.0, -0.3))
+        pb = PulledBackProblem(fam, forcing=forcing)
+        kw = dict(forcing=forcing, kappa=Const(1.0), problem=pb)
+    else:
+        fam = one_d_scaling(Affine(1.0, 0.5), 1.0)
+        pb = PulledBackProblem(fam)
+        kw = {}
+    traj = solve_fd(pb, 1.0, 64, v0, v1, dt=dt, T=1.0, store_every=store_every)
+    want = ledger_transformed(traj, fam, **kw)
+    got = solve_fd(pb, 1.0, 64, v0, v1, dt=dt, T=1.0, store_every=store_every,
+                   reader=GridLedger(fam, **kw))
+    assert len(got.times) == len(traj.times)
+    for name in _LEDGER_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if b is not None:
+            assert np.array_equal(a, b, equal_nan=name == "G_total"), name
+    assert (got.residual_fixed is None) == (not forced)
+
+
+def test_energy_suite_stores_no_grid_trajectory():
+    # the suite's n = 800 grid trajectory alone is 25.6 MB (31.1 MiB traced
+    # with its ledger when it was stored); streamed, the cylinder runs and
+    # the modal ledger set the peak
+    from debondwave.verify import run_suite
+
+    tracemalloc.start()
+    try:
+        run_suite("energy")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20
 
 
 # --- release rate -----------------------------------------------------------

@@ -35,6 +35,22 @@ def test_poly_calculus():
     assert abs(p.integral(0.0, 2.0) - (2 - 4 + 8)) < 1e-14
 
 
+@pytest.mark.parametrize("coeffs", [(), (2.5,), (2.0, -2.0), (-48.0, 80.0, -44.0, 8.0),
+                                    (0.1, -0.0, 1e-300, 3.7, -1e5)])
+def test_poly_forms_keep_the_per_call_bits(coeffs):
+    # the derivative and antiderivative coefficients are formed once; every
+    # evaluation keeps the bits of forming them again at each call
+    P = np.polynomial.polynomial
+    p = Poly(*coeffs)
+    c = np.asarray(coeffs or (0.0,), dtype=float)
+    for x in (0.7, np.float64(-1.3), np.linspace(-2.0, 3.0, 41), np.array([[0.5, -0.0]])):
+        xs = np.asarray(x, dtype=float)
+        assert np.array_equal(p(x), P.polyval(xs, c))
+        assert np.array_equal(p.deriv(x), P.polyval(xs, P.polyder(c)))
+        assert np.array_equal(p.deriv2(x), P.polyval(xs, P.polyder(c, 2)))
+        assert np.array_equal(p.antiderivative(x), P.polyval(xs, P.polyint(c)))
+
+
 def test_sine_mode_needs_binding():
     s = SineMode(2.0, 1)
     with pytest.raises(ValueError):

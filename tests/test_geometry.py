@@ -162,7 +162,8 @@ def test_omega_nonnegative_and_subsonic_random_profiles():
     for _ in range(10):
         prof = Poly(1.0, rng.uniform(0.0, 0.8), rng.uniform(0.0, 0.1))
         fam = one_d_scaling(prof, 1.0)
-        assert fam.is_nondecreasing()
+        # the profile never decreases at 200 samples of [0, horizon]
+        assert np.all(prof.deriv(np.linspace(0.0, fam.horizon, 200)) >= -1e-12)
         for t in np.linspace(0.0, 1.0, 5):
             for fk in boundary_kinematics(fam, t):
                 assert np.all(fk.omega >= -1e-13)
@@ -182,20 +183,27 @@ def test_omega_independent_of_the_diffeomorphism():
 # --- sublevel specifics -------------------------------------------------------
 
 
+def _level_identity_residual(fam, t, y):
+    """| g(Phi(t,y)) - R - (rho(t)/rho(0)) (g(y) - R) | for g = |x|."""
+    q = fam.profile(t) / fam.profile(0.0)
+    lhs = np.linalg.norm(fam.phi(t, y), axis=-1) - fam.R
+    return float(np.max(np.abs(lhs - q * (np.linalg.norm(y, axis=-1) - fam.R))))
+
+
 def test_level_identity_example():
     fam = radial_annulus_flow(1.0, Affine(0.2, 0.1), 1.0)
     y = np.array([[0.9, 0.0]])
     x = fam.phi(1.0, y)
     assert abs(np.linalg.norm(x[0]) - 0.85) < 1e-8
-    assert fam.level_identity_residual(1.0, y) < 1e-8
-    assert fam.level_identity_residual(0.0, y) < 1e-13
+    assert _level_identity_residual(fam, 1.0, y) < 1e-8
+    assert _level_identity_residual(fam, 0.0, y) < 1e-13
 
 
 def test_level_identity_stationary_profile():
     fam = radial_annulus_flow(1.0, Const(0.2), 1.0)
     Y = fam.reference.interior_grid(12)
     assert np.max(np.abs(fam.phi(0.7, Y) - Y)) < 1e-12
-    assert fam.level_identity_residual(0.7, Y) < 1e-12
+    assert _level_identity_residual(fam, 0.7, Y) < 1e-12
 
 
 def test_speed_condition_margins():
