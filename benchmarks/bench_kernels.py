@@ -24,7 +24,7 @@ the peak of one call that stores only t = 0 and t = 1 (store_every =
 n = 800 trajectory, without and with the fixed-domain balance (problem=),
 beside the trajectory it reads.  Last, the peak of the whole n = 800 run
 with its ledger, stored (solve_fd, then ledger_transformed on the
-trajectory) beside streamed (solve_fd with reader=energy.GridLedger, which
+trajectory) beside streamed (solve_fd with reader=energy.Ledger, which
 stores no trajectory), and streamed with problem=.  Usage:
 
     python benchmarks/bench_kernels.py [--steps N] [--grid N]
@@ -38,7 +38,7 @@ import tracemalloc
 import numpy as np
 
 from debondwave.cylinder import INNER_CFL, solve_cylinder
-from debondwave.energy import GridLedger, ledger_transformed
+from debondwave.energy import Ledger, ledger_transformed
 from debondwave.expressions import Affine
 from debondwave.fd import solve_fd
 from debondwave.galerkin import solve_transformed_modal
@@ -177,9 +177,9 @@ def bench_memory(n):
     _, fixed = _traced_peak(lambda: ledger_transformed(traj, fam, problem=problem))
     del traj
     _, stored = _traced_peak(lambda: ledger_transformed(_solve(problem, n), fam))
-    _, streamed = _traced_peak(lambda: _solve(problem, n, reader=GridLedger(fam)))
+    _, streamed = _traced_peak(lambda: _solve(problem, n, reader=Ledger(fam)))
     _, streamed_fixed = _traced_peak(
-        lambda: _solve(problem, n, reader=GridLedger(fam, problem=problem)))
+        lambda: _solve(problem, n, reader=Ledger(fam, problem=problem)))
     return sparse, plain, fixed, stored, streamed, streamed_fixed
 
 
@@ -209,7 +209,7 @@ def main():
     print(f"ledger_transformed on that n={args.grid} trajectory: tracemalloc peak "
           f"{plain / 1e6:.1f} MB, {fixed / 1e6:.1f} MB with problem=")
     print(f"solve_fd n={args.grid} with its ledger: tracemalloc peak {stored / 1e6:.1f} MB "
-          f"stored, {streamed / 1e6:.1f} MB streamed (GridLedger), "
+          f"stored, {streamed / 1e6:.1f} MB streamed (Ledger), "
           f"{streamed_fixed / 1e6:.1f} MB streamed with problem=")
 
 if __name__ == "__main__":

@@ -14,8 +14,8 @@ space-time mesh.  The 1d ledgers read the closed-form stretch
 Phi = lam(t) y (det DPhi = lam, DPsi = 1/lam, the moving end at lam L with
 normal speed lam' L) and form their integrands a block of stored times at
 a time, so their transient memory does not grow with the step count:
-``ledger_transformed`` from a stored trajectory, ``GridLedger`` from the
-rows of a grid run as ``fd.solve_fd`` makes them, storing none.
+``Ledger`` reads the rows of a grid run as ``fd.solve_fd`` makes them,
+storing none, and ``ledger_transformed`` a stored trajectory.
 Normal derivatives at the boundary come from one-sided stencils.  Time
 accumulation uses the forward rectangle rule, matching the first-order
 convergence the moving balance exhibits; the fixed-domain remainder uses
@@ -26,13 +26,13 @@ equivalent form (1-omega)/(1+omega) [p - u_dot]^2 / 2 cross-checked
 whenever the pair (p, u_dot) is kinematically consistent.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .characteristics import one_sided_derivative
 from .errors import SupersonicSpeed
-from .galerkin import gauss_legendre_panels, grid_sampler
+from .galerkin import gauss_legendre_panels, sampler
 from .motion import boundary_kinematics
 
 
@@ -47,7 +47,6 @@ class EnergyLedger:
     residual_moving: np.ndarray = None
     residual_fixed: np.ndarray = None
     G_total: np.ndarray = None
-    meta: dict = field(default_factory=dict)
 
 
 def _accumulate(times, rates, rule):
@@ -84,9 +83,41 @@ def _row_blocks(nt, nq):
     return [slice(a, b) for a, b in zip([0] + ends, ends + [nt])]
 
 
-class _Ledger:
-    """The 1d ledger of a transformed run, fed one ``_row_blocks`` block of
-    stored times at a time by ``add`` once ``open`` has set the times.
+def _moving_block(forcing, ts, lam, dlam, yq, wq, vd, vy):
+    """Kinetic, potential energy and work rate at ts from v_dot, v_y at yq."""
+    ud = vd - vy * np.multiply.outer(dlam / lam, yq)
+    gu = vy / lam[:, None]
+    kinetic = 0.5 * lam * ((ud * ud) @ wq)
+    potential = 0.5 * lam * ((gu * gu) @ wq)
+    if forcing is None:
+        return kinetic, potential, 0.0
+    f = np.asarray(forcing(ts[:, None], np.multiply.outer(lam, yq)), dtype=float)
+    return kinetic, potential, lam * ((f * ud) @ wq)
+
+
+def _fixed_block(problem, ts, yq, wq, vd, vy):
+    """The fixed balance's energy and rate of R (``Ledger``) at ts, likewise."""
+    B, a, _, g = problem.line(ts, yq)
+    Bdot, divb = problem.line_rates(ts, yq)
+    vy2 = vy * vy
+    vd2 = vd * vd
+    return (0.5 * (vd2 @ wq) + 0.5 * ((B * vy2) @ wq), 0.5 * ((Bdot * vy2) @ wq)
+            - ((a * vy * vd) @ wq) - ((divb * vd2) @ wq) + ((g * vd) @ wq))
+
+
+class Ledger:
+    """The 1d ledger of a transformed run, a ``fd.solve_fd`` reader: ``start``
+    with the stored times, ``feed`` with the stored rows in order (grid
+    values or modal coefficients), and ``finish`` returns the EnergyLedger.
+    ``ledger_transformed`` feeds it a stored trajectory in one call.
+
+    Each row is sampled at the quadrature nodes by ``galerkin.sampler`` into
+    its ``_row_blocks`` block, and each full block is summed (by functions,
+    whose temporaries go before the next rows are sampled), so the ledger
+    holds one block of samples.  The three samples nearest the moving end
+    (the last three grid nodes, or points L/(2m) apart) give du/dnu once
+    over each fed chunk: a modal product over a block or over one row
+    rounds otherwise, so a modal trajectory is fed whole.
 
     det DPhi = lam, DPsi = 1/lam and Psi_dot(t, Phi) = -(lam'/lam) y; the
     fixed end y = 0 does not move, the moving end sits at lam L with normal
@@ -101,43 +132,52 @@ class _Ledger:
 
     def __init__(self, fam, forcing=None, kappa=None, problem=None):
         if fam.dim != 1:
-            raise ValueError("ledger_transformed is the 1d path")
+            raise ValueError("the transformed ledger is the 1d path")
         self.fam, self.forcing, self.kappa, self.problem = fam, forcing, kappa, problem
 
-    def open(self, times, L, modes, h):
-        self.yq, self.wq = _quadrature(L, modes)
+    def start(self, times, kind, L, x=None, basis=None, meta=None):
+        self.yq, self.wq = _quadrature(L, 0 if basis is None else basis.m)
         self.blocks = _row_blocks(len(times), len(self.yq))
-        self.times, self.L, self.h = times, L, h
+        order, self.sample = sampler(self.yq, x, basis)
+        rows = max(s.stop - s.start for s in self.blocks)
+        self.vd, self.vy = (np.empty((rows, len(self.yq)), order=order) for _ in range(2))
+        if basis is None:
+            self.h, self.ends = x[1] - x[0], None
+        else:
+            self.h = L / (2.0 * basis.m)
+            self.ends = basis.values(L - np.array([2 * self.h, self.h, 0.0])).T
+        self.times, self.L, self.b, self.at = times, L, 0, 0
         self.lam, self.dlam, _ = self.fam.stretch(times)
-        self.rate = self.dlam / self.lam
-        (self.kinetic, self.potential, self.work_rate, self.p,
-         self.lhs, self.fixed_rate) = (np.zeros(len(times)) for _ in range(6))
+        self.kinetic, self.potential, self.work_rate, self.p, self.lhs, self.fixed_rate = (
+            np.zeros(len(times)) for _ in range(6))
 
-    def add(self, s, vd, vy, front):
-        """The stored times s: v_dot and v_y at the quadrature nodes, and v
-        at the three samples nearest the moving end, one row a time."""
-        yq, wq, lam, ts = self.yq, self.wq, self.lam[s], self.times[s]
-        ud = vd - vy * np.multiply.outer(self.rate[s], yq)
-        gu = vy / lam[:, None]
-        self.kinetic[s] = 0.5 * lam * ((ud * ud) @ wq)
-        self.potential[s] = 0.5 * lam * ((gu * gu) @ wq)
-        if self.forcing is not None:
-            f = np.asarray(self.forcing(ts[:, None], np.multiply.outer(lam, yq)), dtype=float)
-            self.work_rate[s] = lam * ((f * ud) @ wq)
+    def feed(self, V, Vd):
+        if self.ends is None:
+            ends = V[:, -3:]
+        else:
+            ends = V @ self.ends
+            ends[:, -1] = 0.0
         # pushed forward by DPsi = 1/lam; the outward normal is +1 at the right end
-        self.p[s] = one_sided_derivative(front.T, self.h, "right") / lam
-        if self.problem is not None:
-            B, a, _, g = self.problem.line(ts, yq)
-            Bdot, divb = self.problem.line_rates(ts, yq)
-            vy2 = vy * vy
-            vd2 = vd * vd
-            self.lhs[s] = 0.5 * (vd2 @ wq) + 0.5 * ((B * vy2) @ wq)
-            self.fixed_rate[s] = (0.5 * ((Bdot * vy2) @ wq)
-                                  - ((a * vy * vd) @ wq)
-                                  - ((divb * vd2) @ wq)
-                                  + ((g * vd) @ wq))
+        fed = slice(self.at, self.at + len(V))
+        self.p[fed] = one_sided_derivative(ends.T, self.h, "right") / self.lam[fed]
+        i = 0
+        while i < len(V):
+            s = self.blocks[self.b]
+            r, k = self.at - s.start, min(len(V) - i, s.stop - self.at)
+            self.sample(V[i:i + k], Vd[i:i + k], self.vd[r:r + k], self.vy[r:r + k])
+            i, self.at = i + k, self.at + k
+            if self.at < s.stop:
+                break
+            self.b += 1
+            n = s.stop - s.start
+            vd, vy, ts = self.vd[:n], self.vy[:n], self.times[s]
+            if self.problem is not None:
+                self.lhs[s], self.fixed_rate[s] = _fixed_block(
+                    self.problem, ts, self.yq, self.wq, vd, vy)
+            self.kinetic[s], self.potential[s], self.work_rate[s] = _moving_block(
+                self.forcing, ts, self.lam[s], self.dlam[s], self.yq, self.wq, vd, vy)
 
-    def ledger(self):
+    def finish(self):
         times, L = self.times, self.L
         omega = self.dlam * L
         bdry_rate = 0.5 * omega * (1.0 - omega ** 2) * self.p ** 2
@@ -162,70 +202,13 @@ class _Ledger:
 
 
 def ledger_transformed(traj, fam, forcing=None, kappa=None, problem=None):
-    """Energy ledger of a stored transformed-solver trajectory on a 1d family:
-    evaluated once at the quadrature nodes, it goes to ``_Ledger`` a block
-    of stored times at a time.  The samples near the moving end are the
-    last three grid nodes, or points L/(2m) apart for a modal trajectory.
-    """
-    L = traj.L
-    acc = _Ledger(fam, forcing, kappa, problem)
-    if traj.kind == "grid":
-        acc.open(traj.times, L, 0, traj.x[1] - traj.x[0])
-        front = traj.values[:, -3:]
-    else:
-        acc.open(traj.times, L, traj.basis.m, L / (2.0 * traj.basis.m))
-        front = traj.values @ traj.basis.values(L - np.array([2 * acc.h, acc.h, 0.0])).T
-        front[:, -1] = 0.0
-    vd, vy = traj.eval_all(acc.yq)
-    for s in acc.blocks:
-        acc.add(s, vd[s], vy[s], front[s])
-    return acc.ledger()
-
-
-class GridLedger(_Ledger):
-    """A ``fd.solve_fd`` reader: the run returns ``ledger_transformed`` of
-    its grid trajectory, with the same bits, and stores no trajectory.  Each
-    stored row is sampled by ``grid_sampler`` as it arrives, into the
-    column-major arrays of its ``_row_blocks`` block, and each full block
-    goes to ``add``: the reader holds one solver block of rows and one
-    ledger block of samples whatever the step count.
-    """
-
-    def start(self, times, L, x, meta, v, vd):
-        self.open(times, L, 0, x[1] - x[0])
-        self.sample = grid_sampler(x, self.yq)
-        rows = max(s.stop - s.start for s in self.blocks)
-        self.vd, self.vy = (np.empty((rows, len(self.yq)), order="F") for _ in range(2))
-        self.front = np.empty((rows, 3))
-        self.buf = np.empty((2, 2, len(x)))
-        self.buf[0, 1], self.buf[1, 1] = v, vd
-        self.b, self.at, self.pending = 0, 0, 1
-
-    def _read(self):
-        V, Vd = self.buf[:, 1:self.pending + 1]
-        i = 0
-        while i < len(V):
-            s = self.blocks[self.b]
-            r, k = self.at - s.start, min(len(V) - i, s.stop - self.at)
-            self.sample(V[i:i + k], Vd[i:i + k], self.vd[r:r + k], self.vy[r:r + k])
-            self.front[r:r + k] = V[i:i + k, -3:]
-            i, self.at = i + k, self.at + k
-            if self.at == s.stop:
-                n = s.stop - s.start
-                self.add(s, self.vd[:n], self.vy[:n], self.front[:n])
-                self.b += 1
-        self.pending = 0
-
-    def rows(self, count):
-        self._read()
-        if len(self.buf[0]) < count + 1:
-            self.buf = np.empty((2, count + 1, self.buf.shape[2]))
-        self.pending = count
-        return self.buf[0, :count + 1], self.buf[1, :count + 1]
-
-    def finish(self):
-        self._read()
-        return self.ledger()
+    """Energy ledger of a stored transformed-solver trajectory on a 1d
+    family: its rows go to a ``Ledger`` in one feed, the calls a grid run
+    makes on its reader."""
+    led = Ledger(fam, forcing, kappa, problem)
+    led.start(traj.times, traj.kind, traj.L, x=traj.x, basis=traj.basis)
+    led.feed(traj.values, traj.velocities)
+    return led.finish()
 
 
 def balance_residual_moving(led: EnergyLedger):

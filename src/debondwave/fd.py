@@ -9,9 +9,9 @@ come from one closed-form PulledBackProblem.line call per node set (B at
 midpoints; a, b, g at inner nodes), written in place into the rows of the
 ``kernels.Stepper`` the run owns (no forcing buffer without a forcing), so
 the coefficients take O(2^16) memory whatever the step count or the
-storing stride; a stored step may fall anywhere in a block.  The stepper
-writes each stored row once, into the views a reader hands out a block at
-a time: ``Rows`` keeps them all, ``energy.GridLedger`` one block of them.
+storing stride; a stored step may fall anywhere in a block.  The run feeds
+each block's stored rows to a reader: ``Rows`` copies them into the
+Trajectory it returns, ``energy.Ledger`` samples them into its sums.
 
 When lam'' is 0 at every half-step time of the run (rates() over them),
 as for a constant-speed stretch, the identity or the interval flow of an
@@ -48,17 +48,18 @@ def _max_B(problem, ts, xm):
 
 
 class Rows:
-    """The default ``solve_fd`` reader: the run's grid Trajectory."""
+    """The default ``solve_fd`` reader: it copies the fed rows into a Trajectory."""
 
-    def start(self, times, L, x, meta, v, vd):
-        V, Vd = (np.empty((len(times), len(x))) for _ in range(2))
-        V[0], Vd[0] = v, vd
-        self.traj = Trajectory("grid", times, V, Vd, L, x=x, meta=meta)
-        self.done = 1
+    def start(self, times, kind, L, x=None, basis=None, meta=None):
+        shape = (len(times), len(x))
+        self.traj = Trajectory(kind, times, np.empty(shape), np.empty(shape), L,
+                               basis=basis, x=x, meta=meta)
+        self.done = 0
 
-    def rows(self, count):
-        i, self.done = self.done, self.done + count
-        return self.traj.values[i - 1:i + count], self.traj.velocities[i - 1:i + count]
+    def feed(self, V, Vd):
+        i, self.done = self.done, self.done + len(V)
+        self.traj.values[i:self.done] = V
+        self.traj.velocities[i:self.done] = Vd
 
     def finish(self):
         return self.traj
@@ -69,11 +70,11 @@ def solve_fd(problem, L, n, v0, v1, dt, T, store_every=1, reader=None):
 
     v0, v1 are callables; the run stores nodal values each store_every
     steps, and dt is the one ``kernels.step_count`` gives.  It returns
-    reader.finish(), after reader.start(times, L, x, meta, v, vd) with the
-    stored times and first row, and reader.rows(count) for each block: two
-    (count + 1, n + 1) views whose rows 1 to count (as ``RK4.run`` writes)
-    the run fills with its next stored values and velocities before its
-    next call.  Raises CflViolation or BlowUp.
+    reader.finish(), after reader.start(times, "grid", L, x=x, meta=meta)
+    with the stored times, and reader.feed(V, Vd) with each block's stored
+    values and velocities in order (the first block's begin with the first
+    row): views of one buffer that the next block overwrites.  Raises
+    CflViolation or BlowUp.
     """
     if n < MIN_CELLS:
         raise ValueError(f"need at least {MIN_CELLS} grid cells")
@@ -105,7 +106,10 @@ def solve_fd(problem, L, n, v0, v1, dt, T, store_every=1, reader=None):
 
     reader = Rows() if reader is None else reader
     times = np.arange(nsteps // store_every + 1) * (store_every * dt)
-    reader.start(times, L, x, {"dt": dt, "n": n}, v, vd)
+    reader.start(times, "grid", L, x=x, meta={"dt": dt, "n": n})
+    # RK4.run stores from row 1; row 0, the first stored row, goes with block 0
+    V, Vd = np.empty((2, min(len(times), -(-K // store_every) + 1), n + 1))
+    V[0], Vd[0] = v, vd
     for k0 in range(0, nsteps, K):
         k = min(K, nsteps - k0)
         m = 2 * k + 1
@@ -113,8 +117,9 @@ def solve_fd(problem, L, n, v0, v1, dt, T, store_every=1, reader=None):
         problem.line(tb, xm, out=(B[:m], None, None, None))
         problem.line(tb, x[1:-1], out=(None, None if a is None else a[:m], b[:m],
                                        None if g is None else g[:m]))
-        out = reader.rows((k0 + k) // store_every - k0 // store_every)
-        status = stepper.run(k, store_every, *out, done=k0)
+        status = stepper.run(k, store_every, V, Vd, done=k0)
         if status < 0:
             raise BlowUp(f"grid state exceeded {kernels.BLOWUP_LIMIT:g} at step {k0 - status}; shrink dt")
+        first = int(k0 > 0)
+        reader.feed(V[first:status], Vd[first:status])
     return reader.finish()

@@ -26,7 +26,9 @@ hands X = (d, d') to the shared RK4 driver, ``kernels.RK4``, with
 ``GalerkinSystem.accel`` as its acceleration: two matmuls a stage,
 X @ [K0; K2; A1]^T giving the six products K0 x, K2 x, A1 x for x = d, d',
 and their sum weighted by (-1/lam^2, r^2, lam''/lam, 0, 0, 2r).  No m x m
-array is formed while stepping.
+array is formed while stepping.  ``sampler`` takes v_dot and v_y from the
+stored rows of a run, modal or grid, for ``Trajectory.eval_all`` and the
+energy ledger.
 """
 
 from dataclasses import dataclass, field
@@ -35,6 +37,8 @@ import numpy as np
 
 from .errors import BlowUp, QuadratureFailure
 from .kernels import RK4, half_steps, step_count
+
+QUAD_NODES = 10  # Gauss points per panel of GalerkinSystem's assembly
 
 
 def gauss_legendre_panels(L, panels, nodes):
@@ -78,12 +82,12 @@ class SineBasis:
 
 class GalerkinSystem:
     """The fixed affine pieces of the projected system, integrated by
-    nodes-point Gauss on max(8, m) panels, and its stage acceleration."""
+    QUAD_NODES-point Gauss on max(8, m) panels, and its stage acceleration."""
 
-    def __init__(self, basis: SineBasis, problem, nodes=10):
+    def __init__(self, basis: SineBasis, problem):
         self.basis = basis
         self.problem = problem
-        self.yq, self.wq = gauss_legendre_panels(basis.L, max(8, basis.m), nodes)
+        self.yq, self.wq = gauss_legendre_panels(basis.L, max(8, basis.m), QUAD_NODES)
         self.W = basis.values(self.yq)     # (Q, m)
         self.Wp = basis.derivs(self.yq)    # (Q, m)
         wWp = self.wq[:, None] * self.Wp
@@ -195,24 +199,32 @@ class Trajectory:
         return v, vd, vy
 
     def eval_all(self, y):
-        """(v_dot, v_y) at reference points y for every stored time, (nt, len(y)).
-
-        A grid trajectory goes through ``grid_sampler`` into column-major
-        outputs: the memory order by which the ledger's matmuls round.
-        """
+        """(v_dot, v_y) at reference points y for every stored time, (nt,
+        len(y)), in the memory order of ``sampler``."""
         y = np.asarray(y, dtype=float).reshape(-1)
-        if self.kind == "modal":
-            return self.velocities @ self.basis.values(y).T, self.values @ self.basis.derivs(y).T
-        vd, vy = (np.empty((len(self.values), len(y)), order="F") for _ in range(2))
-        grid_sampler(self.x, y)(self.values, self.velocities, vd, vy)
+        order, sample = sampler(y, self.x, self.basis)
+        vd, vy = (np.empty((len(self.values), len(y)), order=order) for _ in range(2))
+        sample(self.values, self.velocities, vd, vy)
         return vd, vy
 
 
-def grid_sampler(x, y):
-    """sample(V, Vd, vd, vy) writes v_dot and v_y at the points y into vd
-    and vy, from rows of values V and velocities Vd on the grid nodes x, by
-    linear interpolation (v_y of the second-order np.gradient), a block of
-    rows at a time.  The rows are independent: any split has the same bits."""
+def sampler(y, x=None, basis=None):
+    """(order, sample): sample(V, Vd, vd, vy) writes v_dot and v_y at the
+    points y into vd and vy from rows V, Vd of values and velocities: grid
+    values on the nodes x by linear interpolation (v_y of the second-order
+    np.gradient), or coefficients of a modal basis by two matmuls.  Grid
+    rows are independent, so any split has the same bits; modal ones round
+    as the whole product for any split into blocks of more than one row.
+    order ("F" grid, "C" modal) is the memory order of the outputs, by
+    which the ledger's matmuls over them round."""
+    if basis is not None:
+        W, Wp = basis.values(y).T, basis.derivs(y).T
+
+        def sample(V, Vd, vd, vy):
+            np.matmul(Vd, W, out=vd)
+            np.matmul(V, Wp, out=vy)
+
+        return "C", sample
     j = np.clip(np.searchsorted(x, y, side="right") - 1, 0, len(x) - 2)
     w = np.clip((y - x[j]) / (x[j + 1] - x[j]), 0.0, 1.0)
     rows = max(1, (1 << 16) // max(len(x), len(y)))
@@ -223,7 +235,7 @@ def grid_sampler(x, y):
             for out, F in ((vd, Vd[s]), (vy, np.gradient(V[s], x, axis=1, edge_order=2))):
                 out[s] = F[:, j] + w * (F[:, j + 1] - F[:, j])
 
-    return sample
+    return "F", sample
 
 
 def integrate(system: GalerkinSystem, d0, ddot0, dt, T, store_every=1):

@@ -192,8 +192,6 @@ class _Interval:
     name = "coupled 1d"
     side, normal = "right", 1.0
     limit = np.inf
-    traj_meta = {"reference": True}
-    ledger_meta = {"coupled": True}
 
     def __init__(self, sc, num):
         self.sc = sc
@@ -243,12 +241,13 @@ class _Interval:
     def volume(self, ell):
         return 1.0, ell / self.L
 
-    def debond(self, ell):
+    def debond(self, ell):  # a column of fronts
         l0 = self.L
         if isinstance(self.kappa, Expression):
-            return float(self.kappa.integral(l0, ell))
+            return self.kappa.integral(l0, ell)
         xq, wq = self._rule
-        return (ell - l0) * float(np.sum(wq * np.asarray(self.kappa(l0 + (ell - l0) * xq))))
+        return (ell - l0) * np.sum(wq * np.asarray(self.kappa(l0 + (ell - l0) * xq)),
+                                   axis=1, keepdims=True)
 
 
 class _Annulus:
@@ -258,14 +257,12 @@ class _Annulus:
 
     name = "radial coupled"
     side, normal = "left", -1.0
-    ledger_meta = {"coupled": "radial"}
 
     def __init__(self, R, rho0, u0, u1, kappa, num):
         self.R, self.L = R, rho0
         self.u0, self.u1, self.kappa = u0, u1, kappa
         n = num.n
         self.limit = R - 4 * (rho0 / n)
-        self.traj_meta = {"radial": True, "R": R}
         self.y = np.linspace(R - rho0, R, n + 1)
         self.Ry = R - self.y
         self.nRy = -self.Ry
@@ -319,11 +316,12 @@ class _Annulus:
         return 2.0 * np.pi * self.nodes(rho) * (rho / self.L), 1.0
 
     def debond(self, rho):
-        # newly debonded ring R - rho < r < R - rho0
+        # newly debonded rings R - rho < r < R - rho0, for a column of fronts
         xq, wq = self._rule
         a, b = self.R - rho, self.R - self.L
         rr = a + (b - a) * xq
-        return (b - a) * float(np.sum(wq * np.asarray(self.kappa(rr)) * (2.0 * np.pi) * rr))
+        return (b - a) * np.sum(wq * np.asarray(self.kappa(rr)) * (2.0 * np.pi) * rr,
+                                axis=1, keepdims=True)
 
 
 def _evolve_coupled(geo, p0, kap0, horizon, num, forcing, verdict):
@@ -352,11 +350,9 @@ def _evolve_coupled(geo, p0, kap0, horizon, num, forcing, verdict):
 
     times, position, speed, trace, kappas = np.empty((5, nsteps + 1))
     times[0], position[0], speed[0], trace[0], kappas[0] = 0.0, geo.L, om, p0, kap0
-    nst = -(-nsteps // num.store_every) + 1
-    st_times, st_pos = np.empty((2, nst))
-    st_v = np.empty((nst, n + 1))
-    st_vd = np.empty((nst, n + 1))
-    st_times[0], st_pos[0], st_v[0], st_vd[0] = 0.0, geo.L, v, vd
+    st = np.append(np.arange(0, nsteps, num.store_every), nsteps)
+    st_v, st_vd = np.empty((2, len(st), n + 1))
+    st_v[0], st_vd[0] = v, vd
     stored = 1
 
     pos = geo.L
@@ -389,50 +385,53 @@ def _evolve_coupled(geo, p0, kap0, horizon, num, forcing, verdict):
         trace[k + 1] = p
         kappas[k + 1] = kap
         if (k + 1) % num.store_every == 0 or k + 1 == nsteps:
-            st_times[stored] = t + dt
-            st_pos[stored] = pos
-            st_v[stored] = v
-            st_vd[stored] = vd
+            st_v[stored], st_vd[stored] = v, vd
             stored += 1
 
     front = FrontHistory(times=times, position=position, speed=speed, trace=trace, kappa=kappas)
     traj = Trajectory(
-        kind="grid", times=st_times, values=st_v, velocities=st_vd, L=geo.L, x=geo.y,
-        front=st_pos, meta={"dt": dt, "n": n, **geo.traj_meta},
+        kind="grid", times=times[st], values=st_v, velocities=st_vd, L=geo.L, x=geo.y,
+        front=position[st], meta={"dt": dt, "n": n},
     )
+    del stepper, v, vd, B, a, b, g  # the run's buffers go before the ledger's
     ledger = _coupled_ledger(geo, traj, forcing)
     report = griffith_check(front.times, front.speed, front.trace, front.kappa)
     return CoupledRun(front=front, traj=traj, ledger=ledger, report=report,
                       meta={"verdict": verdict.value, "dt": dt})
 
 
+# values in one (rows, n + 1) block of the coupled ledger, rounded up to whole rows
+_BLOCK_VALUES = 1 << 11
+
+
 def _coupled_ledger(geo, traj, forcing):
-    """Kinetic/potential/work and debonding dissipation along a coupled run."""
-    y = traj.x
+    """Kinetic/potential/work and debonding dissipation along a coupled run,
+    a block of stored rows at a time (sums along axis 1 round as per row)."""
+    y, times = traj.x, traj.times
     h = y[1] - y[0]
-    nt = len(traj.times)
-    kinetic = np.empty(nt)
-    potential = np.empty(nt)
+    nt = len(times)
+    kinetic, potential, debond = np.empty((3, nt))
     work_rate = np.zeros(nt)
-    debond = np.empty(nt)
-    speeds = np.gradient(traj.front, traj.times) if nt > 2 else np.zeros(nt)
+    speeds = np.gradient(traj.front, times) if nt > 2 else np.zeros(nt)
     w = np.full(len(y), h)
     w[0] = w[-1] = 0.5 * h
-    for i in range(nt):
-        pos = traj.front[i]
-        vy = np.gradient(traj.values[i], h, edge_order=2)
-        ud = traj.velocities[i] - geo.drift(pos, speeds[i]) * vy
+    rows = -(-_BLOCK_VALUES // len(y))
+    for r in range(0, nt, rows):
+        s = slice(r, r + rows)
+        pos = traj.front[s, None]
+        vy = np.gradient(traj.values[s], h, axis=1, edge_order=2)
+        ud = traj.velocities[s] - geo.drift(pos, speeds[s, None]) * vy
         ur = geo.grad(vy, pos)
         vol, scale = geo.volume(pos)
-        kinetic[i] = 0.5 * np.sum(w * ud * ud * vol) * scale
-        potential[i] = 0.5 * np.sum(w * ur * ur * vol) * scale
+        kinetic[s, None] = 0.5 * np.sum(w * ud * ud * vol, axis=1, keepdims=True) * scale
+        potential[s, None] = 0.5 * np.sum(w * ur * ur * vol, axis=1, keepdims=True) * scale
         if forcing is not None:
-            f = np.asarray(forcing(traj.times[i], geo.nodes(pos)))
-            work_rate[i] = np.sum(w * f * ud * vol) * scale
-        debond[i] = geo.debond(pos)
-    work = _accumulate(traj.times, work_rate, "trap")
-    led = EnergyLedger(times=traj.times.copy(), kinetic=kinetic, potential=potential,
-                       work=work, debond_dissipation=debond, meta=dict(geo.ledger_meta))
+            f = np.asarray(forcing(times[s, None], geo.nodes(pos)))
+            work_rate[s, None] = np.sum(w * f * ud * vol, axis=1, keepdims=True) * scale
+        debond[s, None] = geo.debond(pos)
+    work = _accumulate(times, work_rate, "trap")
+    led = EnergyLedger(times=times.copy(), kinetic=kinetic, potential=potential,
+                       work=work, debond_dissipation=debond)
     E = kinetic + potential - work
     led.residual_moving = np.abs(E + debond - E[0])
     return led

@@ -14,7 +14,7 @@ import numpy as np
 from .characteristics import CharScenario, front_ode_exact
 from .cylinder import solve_cylinder
 from .domains import Ball, Box, Interval, Tetrahedron
-from .energy import GridLedger, ledger_transformed, measure_identity_residual
+from .energy import Ledger, ledger_transformed, measure_identity_residual
 from .expressions import Affine, Const, Poly
 from .fd import solve_fd
 from .galerkin import solve_transformed_modal
@@ -205,9 +205,9 @@ def suite_energy():
     # store no trajectory; the modal one is dropped once its value is read
     t0 = time.time()
     r1 = float(solve_fd(problem, 1.0, 400, v0, v1, dt=1e-3, T=1.0,
-                        reader=GridLedger(fam)).residual_moving.max())
+                        reader=Ledger(fam)).residual_moving.max())
     r2 = float(solve_fd(problem, 1.0, 800, v0, v1, dt=5e-4, T=1.0,
-                        reader=GridLedger(fam)).residual_moving.max())
+                        reader=Ledger(fam)).residual_moving.max())
     out.append(_check("energy", "moving-balance", r1, 5e-3, t0,
                       note=f"refined={r2:.3g}"))
     ratio = r1 / r2

@@ -309,3 +309,59 @@ def test_coupled_fill_matches_the_per_slot_formulas(geometry, om, acc):
         for j in range(3):
             assert np.array_equal(got[j], rows[j][inner])
             assert np.array_equal(np.signbit(got[j]), np.signbit(rows[j][inner]))
+
+
+# --- the coupled ledger's row blocks against the per-row formulas ------------
+
+
+def _per_row_ledger(geo, traj, forcing):
+    """(kinetic, potential, work, debond) of a coupled run one stored row at
+    a time: the ledger's formulas before its row blocks, the debonded part
+    as a column of one front."""
+    y, times = traj.x, traj.times
+    h = y[1] - y[0]
+    w = np.full(len(y), h)
+    w[0] = w[-1] = 0.5 * h
+    speeds = np.gradient(traj.front, times)
+    kinetic, potential, rate, debond = np.zeros((4, len(times)))
+    for i, pos in enumerate(traj.front):
+        vy = np.gradient(traj.values[i], h, edge_order=2)
+        ud = traj.velocities[i] - geo.drift(pos, speeds[i]) * vy
+        ur = geo.grad(vy, pos)
+        vol, scale = geo.volume(pos)
+        kinetic[i] = 0.5 * np.sum(w * ud * ud * vol) * scale
+        potential[i] = 0.5 * np.sum(w * ur * ur * vol) * scale
+        f = np.asarray(forcing(times[i], geo.nodes(pos)))
+        rate[i] = np.sum(w * f * ud * vol) * scale
+        debond[i] = geo.debond(np.array([[pos]]))[0, 0]
+    work = np.zeros(len(times))
+    work[1:] = np.cumsum(0.5 * np.diff(times) * (rate[:-1] + rate[1:]))
+    return kinetic, potential, work, debond
+
+
+@pytest.mark.parametrize("case", ["1d", "1d-quadrature", "radial"])
+def test_coupled_ledger_blocks_keep_the_per_row_bits(case):
+    # forced runs at n = 128 (blocks of 16 rows): 108 stored rows in 1d,
+    # 115 on the annulus, so each ends with a shorter block
+    forcing = SpaceTimeField(Const(0.5))
+    if case == "radial":
+        u0, u1 = radial_data()
+        num = CoupledNumerics(n=128, taper=0.0, store_every=2)
+        run = evolve_coupled_radial(2.0, 0.5, u0, u1, Const(1.0), horizon=0.4,
+                                    numerics=num, forcing=forcing)
+        geo = griffith._Annulus(2.0, 0.5, u0, u1, Const(1.0), num)
+    else:
+        # the quadrature case takes debond()'s Gauss rule, kappa(1) = 1 as before
+        kappa = Const(1.0) if case == "1d" else (lambda x: 0.5 + 0.5 * np.asarray(x))
+        sc = CharScenario(l0=1.0, u0=Poly(2.0, -2.0), u1=Const(SQ2), kappa=kappa,
+                          horizon=1.5, forcing=forcing)
+        num = CoupledNumerics(n=128, store_every=4)
+        run = evolve_coupled_1d(sc, num)
+        geo = griffith._Interval(sc, num)
+    assert np.max(run.front.speed) > 0.0 and len(run.traj.times) % 16
+    want = _per_row_ledger(geo, run.traj, forcing)
+    led = run.ledger
+    for got, ref in zip((led.kinetic, led.potential, led.work, led.debond_dissipation), want):
+        assert np.array_equal(got, ref)
+    E = want[0] + want[1] - want[2]
+    assert np.array_equal(led.residual_moving, np.abs(E + want[3] - E[0]))

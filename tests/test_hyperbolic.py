@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from debondwave import kernels
+from debondwave import galerkin, kernels
 from debondwave.cylinder import INNER_CFL, solve_cylinder
 from debondwave.domains import Interval
 from debondwave.errors import BlowUp, CflViolation, NotMonotone, QuadratureFailure
@@ -101,11 +101,14 @@ def test_assembly_against_brute_force_quadrature():
     assert abs(B11 - oracle) < 1e-8
 
 
-def test_quadrature_insensitive_to_node_doubling():
+def test_quadrature_insensitive_to_node_doubling(monkeypatch):
     fam = one_d_scaling(Affine(1.0, 0.5), 1.0)
     basis = SineBasis(1.0, 8)
-    coarse = GalerkinSystem(basis, PulledBackProblem(fam), nodes=10)
-    fine = GalerkinSystem(basis, PulledBackProblem(fam), nodes=20)
+    assert galerkin.QUAD_NODES == 10
+    coarse = GalerkinSystem(basis, PulledBackProblem(fam))
+    monkeypatch.setattr(galerkin, "QUAD_NODES", 20)
+    fine = GalerkinSystem(basis, PulledBackProblem(fam))
+    assert len(fine.yq) == 2 * len(coarse.yq)
     d, dd = _random_state(8)
     for t in (0.0, 0.6):
         a, b = _stage_accel(coarse, t, d, dd), _stage_accel(fine, t, d, dd)
