@@ -22,16 +22,23 @@ fourth call, with the bytes of the returned trajectory it includes; then
 the peak of one call that stores only t = 0 and t = 1 (store_every =
 2000).  Then the tracemalloc peak of ledger_transformed on the every-step
 n = 800 trajectory, without and with the fixed-domain balance (problem=),
-beside the trajectory it reads.  Last, the peak of the whole n = 800 run
+beside the trajectory it reads.  Then the peak of the whole n = 800 run
 with its ledger, stored (solve_fd, then ledger_transformed on the
 trajectory) beside streamed (solve_fd with reader=energy.Ledger, which
-stores no trajectory), and streamed with problem=.  Usage:
+stores no trajectory), and streamed with problem=.  Last, the
+tracemalloc peak in MiB of each `debondwave run` on a scenarios/ file
+(parse and run, CSVs written to a temporary directory) and of the verify
+suites energy and coupled-1d.  Usage:
 
     python benchmarks/bench_kernels.py [--steps N] [--grid N]
 """
 
 import argparse
+import gc
+import glob
+import os
 import statistics
+import tempfile
 import time
 import tracemalloc
 
@@ -44,7 +51,12 @@ from debondwave.fd import solve_fd
 from debondwave.galerkin import solve_transformed_modal
 from debondwave.kernels import Stepper, coefficient_rows
 from debondwave.motion import one_d_scaling
+from debondwave.runner import run_scenario
+from debondwave.scenarios import parse_scenario
 from debondwave.transform import PulledBackProblem
+from debondwave.verify import run_suite
+
+SCENARIOS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "scenarios")
 
 
 def bench_fd(n, nsteps, repeats=3, a_term=True):
@@ -183,6 +195,22 @@ def bench_memory(n):
     return sparse, plain, fixed, stored, streamed, streamed_fixed
 
 
+def run_peaks():
+    """(name, tracemalloc peak) of each scenarios/ run and of the verify
+    suites energy and coupled-1d, each after a full garbage collection
+    (cyclic garbage left by earlier calls would move the peaks)."""
+    peaks = []
+    with tempfile.TemporaryDirectory() as out:
+        for path in sorted(glob.glob(os.path.join(SCENARIOS, "*.scn"))):
+            gc.collect()
+            peak = _traced_peak(lambda: run_scenario(parse_scenario(path), out))[1]
+            peaks.append((f"run {os.path.basename(path)}", peak))
+    for suite in ("energy", "coupled-1d"):
+        gc.collect()
+        peaks.append((f"verify {suite}", _traced_peak(lambda: run_suite(suite))[1]))
+    return peaks
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--steps", type=int, default=4000)
@@ -211,6 +239,9 @@ def main():
     print(f"solve_fd n={args.grid} with its ledger: tracemalloc peak {stored / 1e6:.1f} MB "
           f"stored, {streamed / 1e6:.1f} MB streamed (Ledger), "
           f"{streamed_fixed / 1e6:.1f} MB streamed with problem=")
+    for name, peak in run_peaks():
+        print(f"{name:<28} tracemalloc peak {peak / 2 ** 20:6.2f} MiB")
+
 
 if __name__ == "__main__":
     main()

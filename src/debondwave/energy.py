@@ -13,7 +13,8 @@ det DPhi; boundary integrals use the per-face parametrization, never a
 space-time mesh.  The 1d ledgers read the closed-form stretch
 Phi = lam(t) y (det DPhi = lam, DPsi = 1/lam, the moving end at lam L with
 normal speed lam' L) and form their integrands a block of stored times at
-a time, so their transient memory does not grow with the step count:
+a time (about ``_BLOCK_VALUES`` = 2^13 quadrature values, 48 rows of a grid
+ledger), so their transient memory does not grow with the step count:
 ``Ledger`` reads the rows of a grid run as ``fd.solve_fd`` makes them,
 storing none, and ``ledger_transformed`` a stored trajectory.
 Normal derivatives at the boundary come from one-sided stencils.  Time
@@ -64,15 +65,16 @@ def _accumulate(times, rates, rule):
 
 def _quadrature(L, modes=0):
     """Gauss-Legendre nodes and weights on (0, L): max(16, modes) panels of 10."""
-    return gauss_legendre_panels(L, max(16, modes), 10)
+    return gauss_legendre_panels(L, max(16, modes))
 
 
 # quadrature values in one row block of the ledgers.  Blocks start at
 # multiples of 16 rows and none is a single row, so at one BLAS thread each
 # block's matrix-vector products round every row as those of the whole
 # array do: OpenBLAS treats the rows past a multiple of 4 apart, and a
-# single row takes another path.
-_BLOCK_VALUES = 1 << 15
+# single row takes another path.  The block's temporaries are most of a
+# streamed grid run's transient memory.
+_BLOCK_VALUES = 1 << 13
 
 
 def _row_blocks(nt, nq):

@@ -38,12 +38,15 @@ import numpy as np
 from .errors import BlowUp, QuadratureFailure
 from .kernels import RK4, half_steps, step_count
 
-QUAD_NODES = 10  # Gauss points per panel of GalerkinSystem's assembly
+# the 10-point Gauss-Legendre rule on (-1, 1), nodes and weights: the rule of
+# every panel of gauss_legendre_panels, formed once
+QUAD_NODES = np.polynomial.legendre.leggauss(10)
 
 
-def gauss_legendre_panels(L, panels, nodes):
-    """Composite Gauss-Legendre rule on (0, L): points and weights."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
+def gauss_legendre_panels(L, panels):
+    """Composite Gauss-Legendre rule on (0, L), QUAD_NODES on each of the
+    panels: points and weights."""
+    x, w = QUAD_NODES
     edges = np.linspace(0.0, L, panels + 1)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -75,19 +78,19 @@ class SineBasis:
 
     def project(self, f):
         """L^2 coefficients of a callable by 10-point Gauss on max(8, m) panels."""
-        y, w = gauss_legendre_panels(self.L, max(8, self.m), 10)
+        y, w = gauss_legendre_panels(self.L, max(8, self.m))
         vals = np.asarray(f(y), dtype=float)
         return self.values(y).T @ (w * vals)
 
 
 class GalerkinSystem:
-    """The fixed affine pieces of the projected system, integrated by
-    QUAD_NODES-point Gauss on max(8, m) panels, and its stage acceleration."""
+    """The fixed affine pieces of the projected system, integrated by the
+    QUAD_NODES rule on max(8, m) panels, and its stage acceleration."""
 
     def __init__(self, basis: SineBasis, problem):
         self.basis = basis
         self.problem = problem
-        self.yq, self.wq = gauss_legendre_panels(basis.L, max(8, basis.m), QUAD_NODES)
+        self.yq, self.wq = gauss_legendre_panels(basis.L, max(8, basis.m))
         self.W = basis.values(self.yq)     # (Q, m)
         self.Wp = basis.derivs(self.yq)    # (Q, m)
         wWp = self.wq[:, None] * self.Wp

@@ -16,8 +16,12 @@ which is 2d (the radial reduction of a disc with a hole).  Both check their
 front data with ``characteristics.compatibility_check``.
 The loop owns one ``kernels.Stepper`` for the whole run: its state is the
 solution, and each step refills the stepper's three coefficient rows in
-place, a and b of all three with one divide.  The 1d exact ODE from the
-characteristics module is the oracle for the constant-data scenario.
+place, a and b of all three with one divide.  The energy ledger is summed
+in the step loop, one stored row behind (a row's front speed needs the
+next stored position), so a run stores no trajectory unless a caller
+passes a reader (``fd.solve_fd``'s contract; ``fd.Rows`` builds the
+Trajectory).  The 1d exact ODE from the characteristics module is the
+oracle for the constant-data scenario.
 
 The radial supercritical run passes near the switch p^2 = 2 kappa at
 t = 0.31, so one ulp more PDE velocity per step moves its front speed by
@@ -149,7 +153,7 @@ class CoupledNumerics:
 @dataclass
 class CoupledRun:
     front: "FrontHistory"
-    traj: Trajectory
+    traj: Trajectory          # reader.finish(), or None without a reader
     ledger: EnergyLedger
     report: GriffithReport
     meta: dict = field(default_factory=dict)
@@ -206,7 +210,7 @@ class _Interval:
         self._ab = np.empty((2, n - 1))
         # debond()'s quadrature, for a kappa without a closed-form integral
         if not isinstance(self.kappa, Expression):
-            self._rule = gauss_legendre_panels(1.0, 8, 10)
+            self._rule = gauss_legendre_panels(1.0, 8)
 
     def initial_state(self, om):
         sc, y = self.sc, self.y
@@ -271,7 +275,7 @@ class _Annulus:
         self._m = np.empty(n)
         self._ab = np.empty((2, n - 1))
         self._P = np.empty((3, n - 1))
-        self._rule = gauss_legendre_panels(1.0, 8, 10)  # debond()'s quadrature
+        self._rule = gauss_legendre_panels(1.0, 8)  # debond()'s quadrature
 
     def initial_state(self, om):
         # v_dot(0) = u1 + u0' Phi_dot(0, .), Phi_dot = -(om/rho0)(R - y)
@@ -324,12 +328,14 @@ class _Annulus:
                                 axis=1, keepdims=True)
 
 
-def _evolve_coupled(geo, p0, kap0, horizon, num, forcing, verdict):
+def _evolve_coupled(geo, p0, kap0, horizon, num, forcing, verdict, reader):
     """Each step: front trace -> flow rule -> one RK4 step of the PDE with
     the front at l + om (tau - t) -> Euler front advance.
 
     The run owns one ``kernels.Stepper``: v and vd are views of its state,
-    and each step refills its three rows in place, at t + half_steps(1, dt)."""
+    and each step refills its three rows in place, at t + half_steps(1, dt).
+    Each stored row goes to the run's ``_CoupledLedger``, and to the reader
+    if there is one."""
     n = num.n
     h = geo.L / n
     # reference characteristic speed is at most (1 + omega) l0 / ell <= 2
@@ -348,12 +354,16 @@ def _evolve_coupled(geo, p0, kap0, horizon, num, forcing, verdict):
     v[0] = v[-1] = 0.0
     vd[0] = vd[-1] = 0.0
 
-    times, position, speed, trace, kappas = np.empty((5, nsteps + 1))
-    times[0], position[0], speed[0], trace[0], kappas[0] = 0.0, geo.L, om, p0, kap0
-    st = np.append(np.arange(0, nsteps, num.store_every), nsteps)
-    st_v, st_vd = np.empty((2, len(st), n + 1))
-    st_v[0], st_vd[0] = v, vd
-    stored = 1
+    # step k ends at k dt + dt, the loop's own arithmetic
+    times = np.append(0.0, np.arange(nsteps) * dt + dt)
+    position, speed, trace, kappas = np.empty((4, nsteps + 1))
+    position[0], speed[0], trace[0], kappas[0] = geo.L, om, p0, kap0
+    stored = times[np.append(np.arange(0, nsteps, num.store_every), nsteps)]
+    ledger = _CoupledLedger(geo, stored, forcing)
+    ledger.feed(v, vd, geo.L)
+    if reader is not None:
+        reader.start(stored, "grid", geo.L, x=geo.y, meta={"dt": dt, "n": n})
+        reader.feed(v[None], vd[None])
 
     pos = geo.L
     om_prev = om
@@ -379,24 +389,19 @@ def _evolve_coupled(geo, p0, kap0, horizon, num, forcing, verdict):
         if pos >= geo.limit:
             raise HorizonReached(f"front reached the outer circle region at t = {t + dt}")
 
-        times[k + 1] = t + dt
         position[k + 1] = pos
         speed[k + 1] = om
         trace[k + 1] = p
         kappas[k + 1] = kap
         if (k + 1) % num.store_every == 0 or k + 1 == nsteps:
-            st_v[stored], st_vd[stored] = v, vd
-            stored += 1
+            ledger.feed(v, vd, pos)
+            if reader is not None:
+                reader.feed(v[None], vd[None])
 
     front = FrontHistory(times=times, position=position, speed=speed, trace=trace, kappa=kappas)
-    traj = Trajectory(
-        kind="grid", times=times[st], values=st_v, velocities=st_vd, L=geo.L, x=geo.y,
-        front=position[st], meta={"dt": dt, "n": n},
-    )
-    del stepper, v, vd, B, a, b, g  # the run's buffers go before the ledger's
-    ledger = _coupled_ledger(geo, traj, forcing)
     report = griffith_check(front.times, front.speed, front.trace, front.kappa)
-    return CoupledRun(front=front, traj=traj, ledger=ledger, report=report,
+    return CoupledRun(front=front, traj=None if reader is None else reader.finish(),
+                      ledger=ledger.finish(), report=report,
                       meta={"verdict": verdict.value, "dt": dt})
 
 
@@ -404,40 +409,96 @@ def _evolve_coupled(geo, p0, kap0, horizon, num, forcing, verdict):
 _BLOCK_VALUES = 1 << 11
 
 
-def _coupled_ledger(geo, traj, forcing):
+class _CoupledLedger:
     """Kinetic/potential/work and debonding dissipation along a coupled run,
-    a block of stored rows at a time (sums along axis 1 round as per row)."""
-    y, times = traj.x, traj.times
-    h = y[1] - y[0]
-    nt = len(times)
-    kinetic, potential, debond = np.empty((3, nt))
-    work_rate = np.zeros(nt)
-    speeds = np.gradient(traj.front, times) if nt > 2 else np.zeros(nt)
-    w = np.full(len(y), h)
-    w[0] = w[-1] = 0.5 * h
-    rows = -(-_BLOCK_VALUES // len(y))
-    for r in range(0, nt, rows):
-        s = slice(r, r + rows)
-        pos = traj.front[s, None]
-        vy = np.gradient(traj.values[s], h, axis=1, edge_order=2)
-        ud = traj.velocities[s] - geo.drift(pos, speeds[s, None]) * vy
+    summed in the step loop one stored row behind: ``feed`` takes each
+    stored row with its front position, and a block of rows is summed once
+    the row after it is stored (sums along axis 1 round as per row), so the
+    ledger holds one block and one look-ahead row.
+
+    Each row's front speed is np.gradient(stored positions, stored times)
+    at that row, which needs the next stored position.  np.gradient picks
+    its uniform or non-uniform formula from the whole time array, so the
+    step or the coefficients are formed here once from all stored times,
+    as np.gradient forms them, with its first-order edge quotients."""
+
+    def __init__(self, geo, times, forcing):
+        self.geo, self.times, self.forcing = geo, times, forcing
+        y = geo.y
+        self.h = y[1] - y[0]
+        self.w = np.full(len(y), self.h)
+        self.w[0] = self.w[-1] = 0.5 * self.h
+        nt = len(times)
+        self.front = np.empty(nt)
+        self.kinetic, self.potential, self.debond = np.empty((3, nt))
+        self.work_rate = np.zeros(nt)
+        self.dx = np.diff(times)
+        if (self.dx == self.dx[0]).all():
+            self.coef = None
+        else:
+            dx1, dx2 = self.dx[:-1], self.dx[1:]
+            self.coef = (-(dx2) / (dx1 * (dx1 + dx2)), (dx2 - dx1) / (dx1 * dx2),
+                         dx1 / (dx2 * (dx1 + dx2)))
+        self.rows = -(-_BLOCK_VALUES // len(y))
+        self.V, self.Vd = np.empty((2, self.rows + 1, len(y)))
+        self.first = self.fed = 0
+
+    def feed(self, v, vd, pos):
+        i = self.fed - self.first
+        self.V[i], self.Vd[i] = v, vd
+        self.front[self.fed] = pos
+        self.fed += 1
+        if i == self.rows:
+            self._sum(i)
+            self.V[0], self.Vd[0] = self.V[i], self.Vd[i]
+
+    def _speeds(self, lo, hi):
+        """np.gradient(front, times)[lo:hi], from front[lo - 1:hi + 1]."""
+        f, dx, nt = self.front, self.dx, len(self.times)
+        out = np.empty(hi - lo)
+        a, b = max(lo, 1), min(hi, nt - 1)
+        if a < b:
+            if self.coef is None:
+                out[a - lo:b - lo] = (f[a + 1:b + 1] - f[a - 1:b - 1]) / (2. * dx[0])
+            else:
+                ca, cb, cc = (c[a - 1:b - 1] for c in self.coef)
+                out[a - lo:b - lo] = ca * f[a - 1:b - 1] + cb * f[a:b] + cc * f[a + 1:b + 1]
+        if lo == 0:
+            out[0] = (f[1] - f[0]) / dx[0]
+        if hi == nt:
+            out[-1] = (f[nt - 1] - f[nt - 2]) / dx[-1]
+        return out
+
+    def _sum(self, rows):
+        geo, w = self.geo, self.w
+        s = slice(self.first, self.first + rows)
+        self.first += rows
+        pos = self.front[s, None]
+        vy = np.gradient(self.V[:rows], self.h, axis=1, edge_order=2)
+        ud = self.Vd[:rows] - geo.drift(pos, self._speeds(s.start, s.stop)[:, None]) * vy
         ur = geo.grad(vy, pos)
         vol, scale = geo.volume(pos)
-        kinetic[s, None] = 0.5 * np.sum(w * ud * ud * vol, axis=1, keepdims=True) * scale
-        potential[s, None] = 0.5 * np.sum(w * ur * ur * vol, axis=1, keepdims=True) * scale
-        if forcing is not None:
-            f = np.asarray(forcing(times[s, None], geo.nodes(pos)))
-            work_rate[s, None] = np.sum(w * f * ud * vol, axis=1, keepdims=True) * scale
-        debond[s, None] = geo.debond(pos)
-    work = _accumulate(times, work_rate, "trap")
-    led = EnergyLedger(times=times.copy(), kinetic=kinetic, potential=potential,
-                       work=work, debond_dissipation=debond)
-    E = kinetic + potential - work
-    led.residual_moving = np.abs(E + debond - E[0])
-    return led
+        self.kinetic[s, None] = 0.5 * np.sum(w * ud * ud * vol, axis=1, keepdims=True) * scale
+        self.potential[s, None] = 0.5 * np.sum(w * ur * ur * vol, axis=1, keepdims=True) * scale
+        if self.forcing is not None:
+            f = np.asarray(self.forcing(self.times[s, None], geo.nodes(pos)))
+            self.work_rate[s, None] = np.sum(w * f * ud * vol, axis=1, keepdims=True) * scale
+        self.debond[s, None] = geo.debond(pos)
+
+    def finish(self):
+        """The EnergyLedger, after the last block (its last row's speed is
+        the edge quotient)."""
+        self._sum(self.fed - self.first)
+        times, kinetic, debond = self.times, self.kinetic, self.debond
+        work = _accumulate(times, self.work_rate, "trap")
+        led = EnergyLedger(times=times.copy(), kinetic=kinetic, potential=self.potential,
+                           work=work, debond_dissipation=debond)
+        E = kinetic + self.potential - work
+        led.residual_moving = np.abs(E + debond - E[0])
+        return led
 
 
-def evolve_coupled_1d(sc: CharScenario, numerics: CoupledNumerics = None):
+def evolve_coupled_1d(sc: CharScenario, numerics: CoupledNumerics = None, reader=None):
     """Staggered coupled evolution of the 1d debonding problem.
 
     Data are regularized near the fixed end x = 0 by a C^2 ramp over the
@@ -445,7 +506,9 @@ def evolve_coupled_1d(sc: CharScenario, numerics: CoupledNumerics = None):
     compatibility without touching the front's domain of dependence for
     t <= (1 - taper) T*.  The front trace, flow rule, front advance and
     PDE advance alternate explicitly; the map is rebuilt from the updated
-    front each step.
+    front each step.  With a reader (``fd.solve_fd``'s start / feed /
+    finish), the stored rows also go to it and run.traj is
+    reader.finish(); without one, run.traj is None.
     """
     num = numerics or CoupledNumerics()
     p0 = float(sc.u0.deriv(sc.l0))
@@ -456,20 +519,20 @@ def evolve_coupled_1d(sc: CharScenario, numerics: CoupledNumerics = None):
     forcing = sc.forcing if sc.forcing is not None and not (
         hasattr(sc.forcing, "is_zero") and sc.forcing.is_zero()) else None
     geo = _Interval(sc, num)
-    run = _evolve_coupled(geo, p0, kap0, sc.horizon, num, forcing, verdict)
+    run = _evolve_coupled(geo, p0, kap0, sc.horizon, num, forcing, verdict, reader)
     run.meta["taper"] = geo.yc
     return run
 
 
 def evolve_coupled_radial(R, rho0, u0, u1, kappa, horizon,
-                          numerics: CoupledNumerics = None, forcing=None):
+                          numerics: CoupledNumerics = None, forcing=None, reader=None):
     """Coupled debonding on 2d annuli { R - rho(t) < |x| < R } (radial symmetry).
 
     The radial reduction adds the drift -u_r / r to the 1d operator;
     the inner circle is the front, the outer one stays fixed.  Data are
     radial profiles of r on [R - rho0, R]; compatibility must hold at the
     inner circle (activated or resting start) and homogeneous conditions
-    at the outer one.
+    at the outer one.  ``reader`` as in ``evolve_coupled_1d``.
     """
     num = numerics or CoupledNumerics(taper=0.0)
     p0 = -float(u0.deriv(R - rho0))  # outward normal at the inner circle is -e_r
@@ -478,4 +541,4 @@ def evolve_coupled_radial(R, rho0, u0, u1, kappa, horizon,
     if verdict is Verdict.INCOMPATIBLE:
         raise CompatibilityViolated("radial data incompatible at the inner circle")
     geo = _Annulus(R, rho0, u0, u1, kappa, num)
-    return _evolve_coupled(geo, p0, kap0, horizon, num, forcing, verdict)
+    return _evolve_coupled(geo, p0, kap0, horizon, num, forcing, verdict, reader)

@@ -25,7 +25,7 @@ def weak_residual(traj, problem, n_probes=8):
     if nt < 5:
         return 0.0
     basis = SineBasis(traj.L, n_probes)
-    yq, wq = gauss_legendre_panels(traj.L, max(8, 2 * n_probes), 10)
+    yq, wq = gauss_legendre_panels(traj.L, max(8, 2 * n_probes))
     W = wq[:, None] * basis.values(yq)
     Wp = wq[:, None] * basis.derivs(yq)
 

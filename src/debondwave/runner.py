@@ -3,6 +3,11 @@
 CSV layout: comma separated, '.' decimal, mandatory header row, times in
 the first column, 17 significant digits.  The manifest echoes the fully
 resolved scenario so a run can be reproduced byte for byte.
+
+A grid wave run whose [output] series does not list ``trajectory`` hands
+its rows to an ``energy.Ledger`` as ``solve_fd`` makes them and stores
+none; with ``trajectory`` listed, and for the spectral solver, the run is
+stored and ``ledger_transformed`` reads it, with the same bits.
 """
 
 import contextlib
@@ -12,7 +17,7 @@ import os
 import numpy as np
 
 from .characteristics import CharScenario
-from .energy import ledger_transformed
+from .energy import Ledger, ledger_transformed
 from .errors import TypeMismatch
 from .expressions import Const, SpaceTimeField
 from .fd import solve_fd
@@ -115,19 +120,24 @@ def _run_wave(sc):
     problem = PulledBackProblem(fam, forcing)
     data = pullback_initial(fam, u0, u1)
     num = sc.numerics
+    kappa = sc.data.get("kappa")
     with _stage("solve"):
         if num["solver"] == "spectral":
             traj = solve_transformed_modal(
                 problem, L, data.v0, data.v1, m=num["modes"], dt=num["dt"],
                 T=fam.horizon, store_every=num["store_every"])
         else:
-            traj = solve_fd(problem, L, num["grid"], data.v0, data.v1,
-                            dt=num["dt"], T=fam.horizon, store_every=num["store_every"])
+            # without a trajectory table, the ledger sums the rows as the run makes them
+            keep = "trajectory" in sc.series
+            out = solve_fd(problem, L, num["grid"], data.v0, data.v1, dt=num["dt"],
+                           T=fam.horizon, store_every=num["store_every"],
+                           reader=None if keep else Ledger(fam, forcing, kappa, problem))
+            traj, led = (out, None) if keep else (None, out)
+    if traj is not None:
+        with _stage("ledger"):
+            led = ledger_transformed(traj, fam, forcing=forcing, kappa=kappa, problem=problem)
 
     moving = sc.motion["kind"] != "identity"
-    with _stage("ledger"):
-        led = ledger_transformed(traj, fam, forcing=forcing, kappa=sc.data.get("kappa"),
-                                 problem=problem)
 
     cols = [("t", led.times), ("kinetic", led.kinetic), ("potential", led.potential),
             ("work", led.work)]
@@ -137,6 +147,8 @@ def _run_wave(sc):
             cols += [("debond_dissipation", led.debond_dissipation)]
         cols += [("residual_moving", led.residual_moving)]
     cols += [("residual_fixed", led.residual_fixed)]
+    if traj is None:
+        return {"ledger": cols}
     trajectory = [("t", traj.times)] + [
         (f"c{k}", traj.values[:, k]) for k in range(traj.values.shape[1])]
     return {"ledger": cols, "trajectory": trajectory}

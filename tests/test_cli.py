@@ -461,6 +461,20 @@ def test_run_writes_trajectory_series(tmp_path, capsys):
                                atol=1e-15)
 
 
+@pytest.mark.parametrize("text", [MOVING, FORCED], ids=["moving", "forced"])
+def test_streamed_and_stored_grid_runs_write_the_same_ledger(tmp_path, text):
+    # without trajectory in series the grid run hands its rows to the
+    # ledger as it makes them; with it, the ledger reads the stored run
+    name = "moving" if text is MOVING else "forced"
+    for series in ("ledger", "ledger, trajectory"):
+        out = tmp_path / series.replace(", ", "-")
+        path = _write(tmp_path, f"{out.name}.scn", text + f"\n[output]\nseries = {series}\n")
+        assert main(["run", path, "--out", str(out)]) == 0
+    streamed = (tmp_path / "ledger" / name / "ledger.csv").read_bytes()
+    assert streamed == (tmp_path / "ledger-trajectory" / name / "ledger.csv").read_bytes()
+    assert not (tmp_path / "ledger" / name / "trajectory.csv").exists()
+
+
 def test_homothetic_run_matches_interval_scaling(tmp_path):
     homothetic = MOVING.replace("kind = one_d_scaling", "kind = homothetic\nlength = 1.0")
     for name, text in (("scaling", MOVING), ("homothetic", homothetic)):

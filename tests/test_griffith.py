@@ -5,7 +5,7 @@ from debondwave.characteristics import CharScenario, front_ode_exact
 from debondwave.errors import CompatibilityViolated, NonPositiveToughness
 from debondwave.expressions import Const, Poly, SineMode, SpaceTimeField
 from debondwave import griffith, kernels
-from debondwave.fd import solve_fd
+from debondwave.fd import Rows, solve_fd
 from debondwave.griffith import (
     CoupledNumerics,
     Verdict,
@@ -20,6 +20,7 @@ from debondwave.griffith import (
 from debondwave.motion import identity_motion
 from debondwave.domains import Interval
 from debondwave.transform import PulledBackProblem
+from debondwave.verify import constant_data_scenario
 
 SQ2 = np.sqrt(2.0)
 
@@ -94,6 +95,11 @@ def constant_scenario(T):
                         kappa=Const(1.0), horizon=T)
 
 
+def _stored_fronts(run):
+    """The front positions at a run's stored steps, those of run.traj.times."""
+    return run.front.position[np.isin(run.front.times, run.traj.times)]
+
+
 def test_coupled_constant_data_tracks_exact_speed():
     T = 0.8 * (2.0 + SQ2)
     run = evolve_coupled_1d(constant_scenario(T), CoupledNumerics(n=512, store_every=16))
@@ -142,7 +148,7 @@ def test_coupled_subcritical_rest_reduces_to_fixed_solve():
     u0 = SineMode(0.4, 1).bound(1.0)
     sc = CharScenario(l0=1.0, u0=u0, u1=Const(0.0), kappa=Const(1.0), horizon=1.2)
     dt = 1.2 / 768
-    run = evolve_coupled_1d(sc, CoupledNumerics(n=256, cfl=0.4, store_every=8))
+    run = evolve_coupled_1d(sc, CoupledNumerics(n=256, cfl=0.4, store_every=8), reader=Rows())
     assert run.meta["dt"] == dt
     assert np.max(run.front.speed) == 0.0
     assert np.max(run.front.position) == 1.0
@@ -157,19 +163,21 @@ def test_coupled_boundary_kinematic_identity():
     # |u_dot + omega du/dnu| at the moving front, with u_dot reconstructed
     # independently by time differences of u at a fixed physical point
     T = 0.8 * (2.0 + SQ2)
-    run = evolve_coupled_1d(constant_scenario(T), CoupledNumerics(n=512, store_every=4))
+    run = evolve_coupled_1d(constant_scenario(T), CoupledNumerics(n=512, store_every=4),
+                            reader=Rows())
     traj = run.traj
+    fronts = _stored_fronts(run)
     h = traj.x[1] - traj.x[0]
     worst = 0.0
     for i in range(4, len(traj.times) - 4, 40):
         t = traj.times[i]
-        ell = traj.front[i]
+        ell = fronts[i]
         om = np.interp(t, run.front.times, run.front.speed)
         p = np.interp(t, run.front.times, run.front.trace)
         xbar = 0.99 * ell  # fixed physical probe just inside the front
         us = []
         for j in (i - 1, i + 1):
-            y = xbar / traj.front[j]  # reference coordinate of xbar at time j
+            y = xbar / fronts[j]  # reference coordinate of xbar at time j
             us.append(float(np.interp(y, traj.x, traj.values[j])))
         dt = traj.times[i + 1] - traj.times[i - 1]
         ud = (us[1] - us[0]) / dt
@@ -226,7 +234,7 @@ def test_radial_solver_reproduces_manufactured_solution():
 
     run = evolve_coupled_radial(2.0, 0.5, phi, Const(0.0), Const(1.0), horizon=0.5,
                                 numerics=CoupledNumerics(n=256, taper=0.0),
-                                forcing=forcing)
+                                forcing=forcing, reader=Rows())
     assert np.max(run.front.speed) == 0.0
     i = len(run.traj.times) - 1
     exact = np.cos(run.traj.times[i]) * phi(run.traj.x)
@@ -314,17 +322,18 @@ def test_coupled_fill_matches_the_per_slot_formulas(geometry, om, acc):
 # --- the coupled ledger's row blocks against the per-row formulas ------------
 
 
-def _per_row_ledger(geo, traj, forcing):
+def _per_row_ledger(geo, traj, front, forcing):
     """(kinetic, potential, work, debond) of a coupled run one stored row at
-    a time: the ledger's formulas before its row blocks, the debonded part
-    as a column of one front."""
+    a time, with the front positions at the stored steps: the ledger's
+    formulas before its row blocks, the debonded part as a column of one
+    front, the speeds np.gradient's over the whole run."""
     y, times = traj.x, traj.times
     h = y[1] - y[0]
     w = np.full(len(y), h)
     w[0] = w[-1] = 0.5 * h
-    speeds = np.gradient(traj.front, times)
+    speeds = np.gradient(front, times)
     kinetic, potential, rate, debond = np.zeros((4, len(times)))
-    for i, pos in enumerate(traj.front):
+    for i, pos in enumerate(front):
         vy = np.gradient(traj.values[i], h, edge_order=2)
         ud = traj.velocities[i] - geo.drift(pos, speeds[i]) * vy
         ur = geo.grad(vy, pos)
@@ -339,29 +348,69 @@ def _per_row_ledger(geo, traj, forcing):
     return kinetic, potential, work, debond
 
 
-@pytest.mark.parametrize("case", ["1d", "1d-quadrature", "radial"])
+@pytest.mark.parametrize("case", ["1d", "1d-quadrature", "radial", "radial-short-gap",
+                                  "1d-two-rows"])
 def test_coupled_ledger_blocks_keep_the_per_row_bits(case):
     # forced runs at n = 128 (blocks of 16 rows): 108 stored rows in 1d,
-    # 115 on the annulus, so each ends with a shorter block
+    # 115 on the annulus, so each ends with a shorter block; the short-gap
+    # run stores every 5th of 228 steps (47 rows, the last gap 3 steps), and
+    # the two-row run only its first and last steps
     forcing = SpaceTimeField(Const(0.5))
-    if case == "radial":
+    if case.startswith("radial"):
         u0, u1 = radial_data()
-        num = CoupledNumerics(n=128, taper=0.0, store_every=2)
+        num = CoupledNumerics(n=128, taper=0.0, store_every=5 if "gap" in case else 2)
         run = evolve_coupled_radial(2.0, 0.5, u0, u1, Const(1.0), horizon=0.4,
-                                    numerics=num, forcing=forcing)
+                                    numerics=num, forcing=forcing, reader=Rows())
         geo = griffith._Annulus(2.0, 0.5, u0, u1, Const(1.0), num)
     else:
         # the quadrature case takes debond()'s Gauss rule, kappa(1) = 1 as before
-        kappa = Const(1.0) if case == "1d" else (lambda x: 0.5 + 0.5 * np.asarray(x))
+        kappa = (lambda x: 0.5 + 0.5 * np.asarray(x)) if case == "1d-quadrature" else Const(1.0)
         sc = CharScenario(l0=1.0, u0=Poly(2.0, -2.0), u1=Const(SQ2), kappa=kappa,
                           horizon=1.5, forcing=forcing)
-        num = CoupledNumerics(n=128, store_every=4)
-        run = evolve_coupled_1d(sc, num)
+        num = CoupledNumerics(n=128, store_every=10 ** 6 if case == "1d-two-rows" else 4)
+        run = evolve_coupled_1d(sc, num, reader=Rows())
         geo = griffith._Interval(sc, num)
-    assert np.max(run.front.speed) > 0.0 and len(run.traj.times) % 16
-    want = _per_row_ledger(geo, run.traj, forcing)
+    nt, nsteps = len(run.traj.times), len(run.front.times) - 1
+    assert np.max(run.front.speed) > 0.0
+    if case == "1d-two-rows":
+        assert nt == 2
+    elif case == "radial-short-gap":
+        assert nsteps % num.store_every and len(set(np.diff(run.traj.times))) > 1
+    else:
+        assert nt % 16
+    want = _per_row_ledger(geo, run.traj, _stored_fronts(run), forcing)
     led = run.ledger
     for got, ref in zip((led.kinetic, led.potential, led.work, led.debond_dissipation), want):
         assert np.array_equal(got, ref)
     E = want[0] + want[1] - want[2]
     assert np.array_equal(led.residual_moving, np.abs(E + want[3] - E[0]))
+
+
+@pytest.mark.parametrize("geometry", ["interval", "annulus"])
+def test_coupled_run_stores_no_trajectory_without_a_reader(geometry):
+    def go(reader=None):
+        if geometry == "interval":
+            return evolve_coupled_1d(constant_scenario(0.5), CoupledNumerics(n=64),
+                                     reader=reader)
+        u0, u1 = radial_data()
+        return evolve_coupled_radial(2.0, 0.5, u0, u1, Const(1.0), horizon=0.2,
+                                     numerics=CoupledNumerics(n=64, taper=0.0), reader=reader)
+
+    bare, kept = go(), go(Rows())
+    assert bare.traj is None and np.array_equal(kept.traj.times, kept.ledger.times)
+    for name in ("times", "position", "speed", "trace", "kappa"):
+        assert np.array_equal(getattr(bare.front, name), getattr(kept.front, name))
+    for name in ("times", "kinetic", "potential", "work", "debond_dissipation",
+                 "residual_moving"):
+        assert np.array_equal(getattr(bare.ledger, name), getattr(kept.ledger, name))
+
+
+def test_coupled_ledger_with_two_stored_rows():
+    # every coupled run stores its first and last steps; with only those the
+    # front speed is the difference quotient between them, not 0
+    sc = constant_data_scenario(0.2)
+    every = evolve_coupled_1d(sc, CoupledNumerics(n=256, store_every=8)).ledger
+    two = evolve_coupled_1d(sc, CoupledNumerics(n=256, store_every=1000)).ledger
+    assert len(two.times) == 2
+    assert abs(two.kinetic[0] - every.kinetic[0]) <= 1e-9 * abs(every.kinetic[0])
+    assert two.residual_moving.max() < 1e-2
