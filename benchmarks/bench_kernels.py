@@ -1,21 +1,28 @@
 """Time the RK4 wave stepper in its two call patterns, the modal RK4, the
-cylinder scheme and the grid solver.
+cylinder scheme, the coupled front solvers and the grid solver.
 
-Prints the best of three timings, and that time per RK4 step in
-microseconds, for one long unforced run of a kernels.Stepper on
-2 nsteps + 1 precomputed half-step coefficient rows (kernels.coefficient_rows:
-[B | a | b] a slot), with the a term and without it (rows [B | b], the
-path solve_fd takes when lam'' = 0 over the run), for 6144 chained
-single-step runs of one unforced kernels.Stepper at n = 1024 on three
-coefficient rows (as the coupled front solver makes them for
-scenarios/debonding_constant.scn; the solver also refills the rows in
-place before each step, which is not timed here), for one
-solve_transformed_modal call on the criterion-4 problem (l(t) = 1 + t/2,
-v0 = sin(pi y), m = 64, dt = 5e-4, T = 1, assembly and projection
-included) and for one solve_cylinder call on the same problem at 64
+Each per-step row is timed in PROCESSES fresh processes (--row NAME):
+each process prints its best of three timings, and the row shows the
+median and quartiles of those bests, in seconds and in microseconds per
+RK4 step, since one process's timing drifts by up to 2x from the next on
+a shared machine.  The rows: one long unforced run of a kernels.Stepper
+on 2 nsteps + 1 precomputed half-step coefficient rows
+(kernels.coefficient_rows: [B | a | b] a slot), with the a term and
+without it (rows [B | b], the path solve_fd takes when lam'' = 0 over the
+run); 6144 chained single steps (kernels.RK4.step) of one unforced
+kernels.Stepper at n = 1024 on three coefficient rows (as the coupled
+front solver makes them for scenarios/debonding_constant.scn; the solver
+also refills the rows in place before each step, which is not timed
+here); one solve_transformed_modal call on the criterion-4 problem (l(t)
+= 1 + t/2, v0 = sin(pi y), m = 64, dt = 5e-4, T = 1, assembly and
+projection included); one solve_cylinder call on the same problem at 64
 partitions of the 768-cell grid (640 inner steps of kernels.UnitStepper,
 the count the partition rule gives; only the 65 partition-end states are
-stored), with the tracemalloc peak of that call.  Then, for one solve_fd
+stored); and one whole coupled run of scenarios/debonding_constant.scn
+(n = 1024, 6144 steps) and of scenarios/debonding_radial.scn (n = 512),
+as ``debondwave run`` makes it without the CSVs: front trace, flow rule,
+coefficient fill, step and ledger, per step.  Then the tracemalloc peak
+of that cylinder call.  Then, for one solve_fd
 call on the same problem at n = 800, dt = 5e-4 (coefficient fill
 included), the median of three wall times and the tracemalloc peak of a
 fourth call, with the bytes of the returned trajectory it includes; then
@@ -38,6 +45,8 @@ import gc
 import glob
 import os
 import statistics
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -51,11 +60,13 @@ from debondwave.fd import solve_fd
 from debondwave.galerkin import solve_transformed_modal
 from debondwave.kernels import Stepper, coefficient_rows
 from debondwave.motion import one_d_scaling
-from debondwave.runner import run_scenario
+from debondwave.runner import _run_coupled, run_scenario
 from debondwave.scenarios import parse_scenario
 from debondwave.transform import PulledBackProblem
 from debondwave.verify import run_suite
 
+# fresh processes a per-step row is timed in
+PROCESSES = 5
 SCENARIOS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "scenarios")
 
 
@@ -83,7 +94,7 @@ def bench_fd(n, nsteps, repeats=3, a_term=True):
 
 
 def bench_chain(n, nsteps, repeats=3):
-    """nsteps single-step runs of one Stepper, the coupled solvers' pattern."""
+    """nsteps chained single steps of one Stepper, the coupled solvers' pattern."""
     h = 1.0 / n
     dt = 0.45 * h
     y = np.linspace(0.0, 1.0, n + 1)
@@ -96,11 +107,24 @@ def bench_chain(n, nsteps, repeats=3):
         v, vd = stepper.state
         v[:] = np.sin(np.pi * y)
         vd[:] = 0.0
+        step = stepper.step
         t0 = time.perf_counter()
         for _ in range(nsteps):
-            stepper.run(1)
+            step(0)
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def bench_coupled(name, repeats=3):
+    """(best time, steps) of the coupled run of a scenarios/ file, tables
+    built and no CSV written."""
+    sc = parse_scenario(os.path.join(SCENARIOS, name))
+    best = np.inf
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        tables = _run_coupled(sc)
+        best = min(best, time.perf_counter() - t0)
+    return best, len(tables["front"][0][1]) - 1
 
 
 def bench_modal(m, nsteps, repeats=3):
@@ -211,23 +235,47 @@ def run_peaks():
     return peaks
 
 
+def step_rows(args):
+    """Per-step rows: name -> a function returning (best time, RK4 steps)."""
+    return {
+        "wave stepper": lambda: (bench_fd(args.grid, args.steps), args.steps),
+        "wave stepper, a = 0": lambda: (bench_fd(args.grid, args.steps, a_term=False),
+                                        args.steps),
+        "1-step chain": lambda: (bench_chain(1024, 6144), 6144),
+        "modal RK4": lambda: (bench_modal(64, 2000), 2000),
+        "cylinder 64 x 768": lambda: bench_cylinder(768, 64)[:2],
+        "coupled 1d n=1024": lambda: bench_coupled("debonding_constant.scn"),
+        "coupled radial n=512": lambda: bench_coupled("debonding_radial.scn"),
+    }
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--steps", type=int, default=4000)
     ap.add_argument("--grid", type=int, default=800)
+    ap.add_argument("--row", help="time one per-step row in this process and print it")
     args = ap.parse_args()
+    rows = step_rows(args)
+    if args.row is not None:
+        best, steps = rows[args.row]()
+        print(best, steps)
+        return
 
-    cases = (("wave stepper", bench_fd, args.grid, args.steps),
-             ("wave stepper, a = 0", lambda n, steps: bench_fd(n, steps, a_term=False),
-              args.grid, args.steps),
-             ("1-step chain", bench_chain, 1024, 6144),
-             ("modal RK4", bench_modal, 64, 2000))
-    print(f"{'kernel':<22} {'best time (s)':>14} {'us / step':>10}")
-    for name, bench, n, steps in cases:
-        best = bench(n, steps)
-        print(f"{name:<22} {best:>14.4f} {1e6 * best / steps:>10.1f}")
-    best, steps, peak = bench_cylinder(768, 64)
-    print(f"{'cylinder 64 x 768':<22} {best:>14.4f} {1e6 * best / steps:>10.1f}")
+    print(f"per-step rows: median [quartiles] of {PROCESSES} processes' best of 3")
+    print(f"{'kernel':<22} {'time (s)':>24} {'us / step':>22}")
+    for name in rows:
+        cmd = [sys.executable, os.path.abspath(__file__), "--row", name,
+               "--steps", str(args.steps), "--grid", str(args.grid)]
+        bests = []
+        for _ in range(PROCESSES):
+            best, steps = subprocess.run(cmd, check=True, capture_output=True,
+                                         text=True).stdout.split()
+            bests.append(float(best))
+        q1, med, q3 = statistics.quantiles(bests, n=4, method="inclusive")
+        us = [1e6 * x / int(steps) for x in (med, q1, q3)]
+        print(f"{name:<22} {med:>14.4f} [{q1:.4f}, {q3:.4f}] {us[0]:>10.1f} "
+              f"[{us[1]:.1f}, {us[2]:.1f}]")
+    peak = bench_cylinder(768, 64, repeats=1)[2]
     print(f"solve_cylinder 64 x 768: tracemalloc peak {peak / 1e6:.2f} MB")
     median, peak, held = bench_solve_fd(args.grid)
     print(f"solve_fd n={args.grid}: median {median:.4f} s of 3, tracemalloc peak "

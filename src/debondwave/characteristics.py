@@ -262,9 +262,11 @@ def one_sided_derivative(values, spacing, side):
 
     values are ordered inward-to-boundary: [f(b - 2 h), f(b - h), f(b)] for
     side='right', or [f(a), f(a + h), f(a + 2 h)] reversed for side='left'
-    (pass values boundary-first there: [f(a), f(a+h), f(a+2h)]).
+    (pass values boundary-first there: [f(a), f(a+h), f(a+2h)]).  values
+    is a float64 array or a list of floats (``.tolist()`` of three samples),
+    indexed as it is: the same float64 arithmetic either way.
     """
-    v = np.asarray(values, dtype=float)
+    v = values
     if len(v) < 3:
         raise TooFewSamples("one-sided stencil needs three samples")
     if side == "right":

@@ -55,6 +55,10 @@ class BlowUp(DebondWaveError):
     """State norm exceeded the instability threshold."""
 
 
+class RunTooLarge(DebondWaveError):
+    """A run's step count exceeds kernels.MAX_STEPS; refused before it allocates."""
+
+
 class CflViolation(DebondWaveError):
     """Requested time step violates the CFL guard."""
 

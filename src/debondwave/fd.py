@@ -74,7 +74,7 @@ def solve_fd(problem, L, n, v0, v1, dt, T, store_every=1, reader=None):
     with the stored times, and reader.feed(V, Vd) with each block's stored
     values and velocities in order (the first block's begin with the first
     row): views of one buffer that the next block overwrites.  Raises
-    CflViolation or BlowUp.
+    RunTooLarge (before any allocation), CflViolation or BlowUp.
     """
     if n < MIN_CELLS:
         raise ValueError(f"need at least {MIN_CELLS} grid cells")
@@ -82,6 +82,7 @@ def solve_fd(problem, L, n, v0, v1, dt, T, store_every=1, reader=None):
     x = np.linspace(0.0, L, n + 1)
     xm = 0.5 * (x[:-1] + x[1:])
     nsteps, dt = kernels.step_count(dt, T, store_every)
+    kernels.check_steps(nsteps)
 
     # K steps to a block, whatever store_every; block k0 reads the slices
     # ts[2 k0 : 2 (k0 + K) + 1] from slot 0 of the buffers

@@ -36,11 +36,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BlowUp, QuadratureFailure
-from .kernels import RK4, half_steps, step_count
+from .kernels import RK4, check_steps, half_steps, step_count
 
 # the 10-point Gauss-Legendre rule on (-1, 1), nodes and weights: the rule of
-# every panel of gauss_legendre_panels, formed once
-QUAD_NODES = np.polynomial.legendre.leggauss(10)
+# every panel of gauss_legendre_panels.  The literals are the reprs of
+# np.polynomial.legendre.leggauss(10), which round-trip; forming the rule
+# would make the process's first LAPACK call at import
+QUAD_NODES = (
+    np.array([-0.9739065285171717, -0.8650633666889845, -0.6794095682990244,
+              -0.4333953941292472, -0.14887433898163122, 0.14887433898163122,
+              0.4333953941292472, 0.6794095682990244, 0.8650633666889845,
+              0.9739065285171717]),
+    np.array([0.06667134430868814, 0.1494513491505804, 0.219086362515982,
+              0.2692667193099965, 0.2955242247147528, 0.2955242247147528,
+              0.2692667193099965, 0.219086362515982, 0.1494513491505804,
+              0.06667134430868814]),
+)
 
 
 def gauss_legendre_panels(L, panels):
@@ -147,11 +158,12 @@ class GalerkinSystem:
     def accel(self, X, w, g, out):
         """d'' of the stacked (2, m) state X = (d, d') into out, for stage
         weights w (one row of ``stage_weights``) and projected forcing g (or
-        None): two matmuls, the six products X @ op and their weighted sum."""
-        np.dot(X, self.op, out=self._products)
-        np.dot(w, self._rows, out=out)
+        None): two matmuls, the six products X @ op and their weighted sum
+        (ndarray.dot: np.dot's routine without its dispatcher)."""
+        X.dot(self.op, out=self._products)
+        w.dot(self._rows, out=out)
         if g is not None:
-            np.add(out, g, out=out)
+            np.add(out, g, out)
         return out
 
 
@@ -249,6 +261,7 @@ def integrate(system: GalerkinSystem, d0, ddot0, dt, T, store_every=1):
     half-step times of ``kernels.half_steps``, the grid solver's."""
     m = system.basis.m
     nsteps, dt = step_count(dt, T, store_every)
+    check_steps(nsteps)
     ts = half_steps(nsteps, dt)
     weights = system.stage_weights(ts)
     G = system.projected_forcing(ts)

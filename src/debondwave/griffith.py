@@ -15,8 +15,11 @@ from the updated front; one loop serves the interval and the annulus,
 which is 2d (the radial reduction of a disc with a hole).  Both check their
 front data with ``characteristics.compatibility_check``.
 The loop owns one ``kernels.Stepper`` for the whole run: its state is the
-solution, and each step refills the stepper's three coefficient rows in
-place, a and b of all three with one divide.  The energy ledger is summed
+solution, each step refills the stepper's three coefficient rows in
+place, a and b of all three with one divide, and advances it with one
+``Stepper.step`` (no run bookkeeping: the ends stay +0 without a clamp).
+The front scalars (trace, flow rule, slot fronts) are Python floats,
+with the float64 arithmetic of their array forms.  The energy ledger is summed
 in the step loop, one stored row behind (a row's front speed needs the
 next stored position), so a run stores no trajectory unless a caller
 passes a reader (``fd.solve_fd``'s contract; ``fd.Rows`` builds the
@@ -29,6 +32,7 @@ t = 0.31, so one ulp more PDE velocity per step moves its front speed by
 of the stepping kernel (no matmul, tensordot, einsum or 1/h prescaling).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,7 +69,7 @@ def flow_rule(p, kappa, udot=None):
     if udot is None:
         p2 = p * p
         if p2 > 2.0 * kappa:
-            return float(np.sqrt(1.0 - 2.0 * kappa / p2))
+            return math.sqrt(1.0 - 2.0 * kappa / p2)
         return 0.0
     q = (p - udot) ** 2
     return max((q - 2.0 * kappa) / (q + 2.0 * kappa), 0.0)
@@ -208,6 +212,8 @@ class _Interval:
         self.yi = self.y[1:-1]
         self._m = np.empty(n)
         self._ab = np.empty((2, n - 1))
+        self._col = np.empty((2, 1))     # (-acc, om)
+        self._lt2 = np.empty((3, 1))     # the squared fronts
         # debond()'s quadrature, for a kappa without a closed-form integral
         if not isinstance(self.kappa, Expression):
             self._rule = gauss_legendre_panels(1.0, 8)
@@ -235,12 +241,15 @@ class _Interval:
     def fill(self, B, ab, ells, om, acc):
         """B = (L^2 - (om y)^2) / ell^2 at the midpoints and a, b = (-acc y,
         om y) / ell at the inner nodes (ab (3, 2, n-1)), fronts ells (3, 1, 1)."""
+        q, col, lt2 = self._m, self._col, self._lt2
         lt = ells[:, 0]
-        q = np.multiply(self.ym, om, out=self._m)
-        np.square(q, out=q)
-        np.subtract(self.L * self.L, q, out=q)
-        np.divide(q, lt * lt, out=B)
-        np.divide(np.multiply(self.yi, np.array([[-acc], [om]]), out=self._ab), ells, out=ab)
+        np.multiply(self.ym, om, q)
+        np.square(q, q)
+        np.subtract(self.L * self.L, q, q)
+        np.multiply(lt, lt, lt2)
+        np.divide(q, lt2, B)
+        col[0, 0], col[1, 0] = -acc, om
+        np.divide(np.multiply(self.yi, col, self._ab), ells, ab)
 
     def volume(self, ell):
         return 1.0, ell / self.L
@@ -275,6 +284,9 @@ class _Annulus:
         self._m = np.empty(n)
         self._ab = np.empty((2, n - 1))
         self._P = np.empty((3, n - 1))
+        self._s = np.empty((3, 1, 1))    # the fronts over rho0
+        self._inv_s2 = np.empty((3, 1))  # 1 / s^2
+        self._col = np.empty((2, 1))     # (-acc, om) / L
         self._rule = gauss_legendre_panels(1.0, 8)  # debond()'s quadrature
 
     def initial_state(self, om):
@@ -300,21 +312,23 @@ class _Annulus:
     def fill(self, B, ab, rhos, om, acc):
         """``_Interval.fill`` for the annulus, s = rho / L: B = 1/s^2 - (om (R - ym)
         / (L s))^2, and a, b = (acc, -om) (R - y) / (L s), then a -= 1 / (phi s)."""
-        s = np.divide(rhos, self.L)
+        s, inv_s2, col, P = self._s, self._inv_s2, self._col, self._P
+        np.divide(rhos, self.L, s)
         st = s[:, 0]
-        np.multiply(self.Rym, om / self.L, out=self._m)
-        np.divide(self._m, st, out=B)
-        np.square(B, out=B)
+        np.multiply(self.Rym, om / self.L, self._m)
+        np.divide(self._m, st, B)
+        np.square(B, B)
         # Python pow on the scalars: np.square is x*x and may round otherwise
-        np.subtract(np.array([1.0 / x ** 2 for x in s.ravel().tolist()])[:, None], B, out=B)
-        col = np.array([[-acc / self.L], [om / self.L]])
-        np.divide(np.multiply(self.nRyi, col, out=self._ab), s, out=ab)
+        inv_s2[:, 0] = [1.0 / x ** 2 for x in s.ravel().tolist()]
+        np.subtract(inv_s2, B, B)
+        col[0, 0], col[1, 0] = -acc / self.L, om / self.L
+        np.divide(np.multiply(self.nRyi, col, self._ab), s, ab)
         # a -= 1 / (phi s), phi = R - s (R - y) the node radii
-        P = np.multiply(st, self.Ryi, out=self._P)
-        np.subtract(self.R, P, out=P)
-        np.multiply(P, st, out=P)
-        np.divide(1.0, P, out=P)
-        np.subtract(ab[:, 0], P, out=ab[:, 0])
+        np.multiply(st, self.Ryi, P)
+        np.subtract(self.R, P, P)
+        np.multiply(P, st, P)
+        np.divide(1.0, P, P)
+        np.subtract(ab[:, 0], P, ab[:, 0])
 
     def volume(self, rho):
         return 2.0 * np.pi * self.nodes(rho) * (rho / self.L), 1.0
@@ -341,13 +355,16 @@ def _evolve_coupled(geo, p0, kap0, horizon, num, forcing, verdict, reader):
     # reference characteristic speed is at most (1 + omega) l0 / ell <= 2
     dt = num.cfl * h
     nsteps = int(np.ceil(horizon / dt - 1e-12))
+    kernels.check_steps(nsteps)
     dt = horizon / nsteps
     window = slice(-3, None) if geo.side == "right" else slice(0, 3)
 
     B, a, b = kernels.coefficient_rows(3, n)
     g = None if forcing is None else np.empty((3, n - 1))
     stepper = kernels.Stepper(h, dt, B, a, b, g)
-    slots = kernels.half_steps(1, dt)[:, None, None]
+    slots = kernels.half_steps(1, dt).tolist()
+    fronts = np.empty((3, 1, 1))
+    front_slots = fronts.reshape(-1)
     v, vd = stepper.state
     om = flow_rule(p0, kap0)
     v[:], vd[:] = geo.initial_state(om)
@@ -370,19 +387,21 @@ def _evolve_coupled(geo, p0, kap0, horizon, num, forcing, verdict, reader):
 
     for k in range(nsteps):
         t = k * dt
-        p = geo.grad(geo.normal * one_sided_derivative(v[window], h, geo.side), pos)
+        p = geo.grad(geo.normal * one_sided_derivative(v[window].tolist(), h, geo.side), pos)
         kap = geo.kappa_at(pos)
         om = flow_rule(p, kap)
         if om >= 1.0 - 1e-12:
             raise SupersonicStep(f"flow rule returned {om} at t = {t}")
         acc = (om - om_prev) / dt if k > 0 else 0.0
 
-        fronts = pos + om * slots
+        front_slots[:] = [pos + om * s for s in slots]
         geo.fill(B, stepper.ab, fronts, om, acc)
         if forcing is not None:
-            for j, (s, front) in enumerate(zip(slots.ravel().tolist(), fronts.ravel())):
+            for j, (s, front) in enumerate(zip(slots, front_slots)):
                 g[j] = np.asarray(forcing(t + s, geo.nodes(front)), dtype=float)[1:-1]
-        if stepper.run(1) < 0:
+        # the ends start at +0 and stay +0 (zero end accelerations), so the
+        # first-step clamp of a run would change nothing here
+        if not stepper.step(0):
             raise BlowUp(f"{geo.name} run blew up at step {k}")
         pos = pos + dt * om
         om_prev = om

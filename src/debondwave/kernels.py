@@ -7,20 +7,37 @@ step costs about what its number of calls says.
 ``RK4`` steps x'' = f(t, x, x') with the state (x, x') stacked, in 11
 numpy calls a step besides its four accelerations: 6 for the stage
 states, 4 for the stage sum (one ``np.add.reduce`` over the stage axis)
-and 1 for the blow-up guard.  Every owner supplies the acceleration from
-data at one set of slots, the 2n + 1 ``half_steps`` of an n-step run.
-``Stepper`` is the grid wave right-hand side with Dirichlet ends, run by
-the grid solver a block of steps at a time and by the coupled solvers a
-step at a time; one multiply a stage by its coefficient row [B | a | b]
-covers all three, so a step makes 43 calls (47 forced), 39 (43) without
-a.  ``UnitStepper`` is v'' = v_yy alone, for the cylinder solver's frozen
-partitions; ``galerkin.integrate`` supplies the modal acceleration.
+and 1 for the blow-up guard (``ndarray.dot``, np.dot's routine without
+its Python dispatcher).  ``RK4.step`` is that one step; ``run`` loops
+over it and adds only the slot check, the first-step clamp and the
+store.  The ufuncs of a step and of the accelerations below are bound
+once and take their outputs by position, which saves the lookups and
+the keyword parse of each call.  Every owner supplies the acceleration
+from data at one set of slots, the 2n + 1 ``half_steps`` of an n-step
+run.  ``Stepper`` is the grid wave right-hand side with Dirichlet ends,
+run by the grid solver a block of steps at a time and stepped by the
+coupled solvers one ``step`` at a time; one multiply a stage by its
+coefficient row [B | a | b] covers all three, so a step makes 43 calls
+(47 forced), 39 (43) without a.  ``UnitStepper`` is v'' = v_yy alone,
+for the cylinder solver's frozen partitions; ``galerkin.integrate``
+supplies the modal acceleration.  The solvers refuse a run of more than
+``MAX_STEPS`` steps (``check_steps``) before they allocate for it.
 """
 
 import numpy as np
 
+from .errors import RunTooLarge
+
 BLOWUP_LIMIT = 1.0e12
 _LIMIT_SQ = BLOWUP_LIMIT * BLOWUP_LIMIT
+# steps a run may take.  A run's per-step tables (slot times, weights, front
+# history, energy ledger) grow with its step count alone: a whole scenario
+# run held about 470 bytes a step, with modes = 1 and with front_grid = 16,
+# so 10^7 steps hold about 5 GB, and at the cheapest step (about 22 us) take
+# about 4 minutes.  That is 800 times verify coupled-1d's n = 2048 run
+# (about 1.2e4 steps) and 100 times debonding_constant.scn at front_grid =
+# 16384 (about 1e5 steps)
+MAX_STEPS = 10 ** 7
 
 
 def step_count(dt, T, store_every=1):
@@ -37,6 +54,13 @@ def step_count(dt, T, store_every=1):
     if nsteps % store_every:
         raise ValueError("store_every must divide the step count")
     return nsteps, dt
+
+
+def check_steps(nsteps):
+    """Refuse a run of more than MAX_STEPS steps with RunTooLarge: callers
+    check before they allocate their per-step tables."""
+    if nsteps > MAX_STEPS:
+        raise RunTooLarge(f"{nsteps:.3g} steps exceed MAX_STEPS = {MAX_STEPS:.0e}")
 
 
 def half_steps(nsteps, dt):
@@ -56,6 +80,11 @@ class RK4:
     a clamp that later steps keep, as zero ends with zero accelerations.
     An owner that holds ``slots`` slots sets it: a run that would read
     more is refused with a ValueError before its first step.
+
+    ``step(j)`` is one step on slots j, j+1, j+1 and j+2, with no clamp and
+    no slot check; it returns whether the state passed the blow-up guard.
+    ``run`` steps with it, so an owner that steps one step at a time (the
+    coupled front loop) calls ``step`` and skips a run's bookkeeping.
     """
 
     def __init__(self, n, dt):
@@ -63,17 +92,64 @@ class RK4:
         # derivative, so the four stage derivatives are K = stages[:, 1:]
         W = np.empty((4, 3, n))
         self.stages = W
-        self.state = W[0, :2]
-        self.accel = None
+        self.state = X = W[0, :2]
+        # the owner's accel (the ``accel`` property), in a list that step reads
+        # at each call: step holds no reference to self, so no cycle keeps a
+        # stepper's buffers alive until the cyclic collector runs
+        self._accel = hook = [None]
         self.clamp = None
         self.slots = np.inf
         K = W[:, 1:]
+        K0, K1, K2 = K[:3]
+        K12 = K[1:3]
+        S1, S2, S3 = W[1, :2], W[2, :2], W[3, :2]
+        Ksum = np.empty((2, n))
         # the state flat for the blow-up guard: a view, as W is contiguous
         Xf = W[0].reshape(-1)[:2 * n]
         # scalars as 0-d arrays: the same float64 arithmetic, less call overhead
-        self._work = (self.state, Xf, W[1, :2], W[2, :2], W[3, :2], *K[:3], K, K[1:3],
-                      np.empty((2, n)),
-                      *(np.array(x) for x in (0.5 * dt, dt, dt / 6.0, 2.0)))
+        half, full, sixth, two = (np.array(x) for x in (0.5 * dt, dt, dt / 6.0, 2.0))
+        # bound once: the ufuncs, outputs passed by position, and Xf.dot, the
+        # routine of np.dot without its dispatcher
+        multiply, add, add_reduce = np.multiply, np.add, np.add.reduce
+        absolute, max_reduce, dot = np.abs, np.maximum.reduce, Xf.dot
+
+        def guard():
+            # both rows, so a NaN velocity from the last stage counts at this
+            # step; not (max <= limit): a NaN state is a blow-up too.  The
+            # sum of squares is at least the largest square in any order, so
+            # below the limit's square it clears the state in one call
+            return dot(Xf) < _LIMIT_SQ or max_reduce(absolute(X, S1), None) <= BLOWUP_LIMIT
+
+        def step(j):
+            accel = hook[0]
+            accel(0, j)
+            multiply(K0, half, S1)
+            add(X, S1, S1)
+            accel(1, j + 1)
+            multiply(K1, half, S2)
+            add(X, S2, S2)
+            accel(2, j + 1)
+            multiply(K2, full, S3)
+            add(X, S3, S3)
+            accel(3, j + 2)
+            # X += (dt/6) (((K0 + 2 K1) + 2 K2) + K3): a reduction over the
+            # outer stage axis adds whole rows in index order
+            multiply(K12, two, K12)
+            add_reduce(K, 0, None, Ksum)
+            multiply(Ksum, sixth, Ksum)
+            add(X, Ksum, X)
+            return guard()
+
+        self.step = step
+        self._guard = guard
+
+    @property
+    def accel(self):
+        return self._accel[0]
+
+    @accel.setter
+    def accel(self, f):
+        self._accel[0] = f
 
     def run(self, nsteps, store_every=1, out_v=None, out_vd=None, done=0):
         """Advance ``state`` in place by nsteps RK4 steps.
@@ -86,36 +162,14 @@ class RK4:
         if 2 * nsteps + 1 > self.slots:
             raise ValueError(f"{nsteps} steps read {2 * nsteps + 1} slots; "
                              f"the owner has {self.slots}")
-        accel, clamp = self.accel, self.clamp
-        X, Xf, S1, S2, S3, K0, K1, K2, K, K12, Ksum, half, full, sixth, two = self._work
+        step, clamp, X = self.step, self.clamp, self.state
         status = 1
         for k in range(nsteps):
-            j = 2 * k
-            jh = j + 1
-            accel(0, j)
-            np.multiply(K0, half, out=S1)
-            np.add(X, S1, out=S1)
-            accel(1, jh)
-            np.multiply(K1, half, out=S2)
-            np.add(X, S2, out=S2)
-            accel(2, jh)
-            np.multiply(K2, full, out=S3)
-            np.add(X, S3, out=S3)
-            accel(3, jh + 1)
-            # X += (dt/6) (((K0 + 2 K1) + 2 K2) + K3): a reduction over the
-            # outer stage axis adds whole rows in index order
-            np.multiply(K12, two, out=K12)
-            np.add.reduce(K, axis=0, out=Ksum)
-            np.multiply(Ksum, sixth, out=Ksum)
-            np.add(X, Ksum, out=X)
+            ok = step(2 * k)
             if k == 0 and clamp is not None:
                 clamp()
-            # both rows, so a NaN velocity from the last stage counts at this
-            # step; not (max <= limit): a NaN state is a blow-up too.  The
-            # sum of squares is at least the largest square in any order, so
-            # below the limit's square it clears the state in one call
-            if not np.dot(Xf, Xf) < _LIMIT_SQ and not (
-                    np.maximum.reduce(np.abs(X, out=S1), axis=None) <= BLOWUP_LIMIT):
+                ok = self._guard()
+            if not ok:
                 return -(k + 1)
             if out_v is not None and (done + k + 1) % store_every == 0:
                 out_v[status] = X[0]
@@ -180,6 +234,7 @@ class Stepper(_Dirichlet):
         # subnormals).  The scale is a full array: a (2, 1) scale column
         # costs more than the call it saves
         scale = np.repeat([[0.5 / h], [2.0 * (0.5 / h)]], n1 - 2, axis=1)[vrows]
+        subtract, multiply, add = np.subtract, np.multiply, np.add
 
         def accel(s, j):
             # acc = d/dy(B v_y) - a v_y + 2 b vd_y + g, each term rounded in
@@ -187,17 +242,17 @@ class Stepper(_Dirichlet):
             # Without a, acc - (+-0) = acc is skipped: only a -0 flux term
             # and a -0 b term end -0 here where the full step gives +0
             vr, vl, xr, xl, acc = views[s]
-            np.subtract(vr, vl, out=d)
-            np.subtract(xr, xl, out=c)
-            np.multiply(w, rows[j], out=w)
-            np.subtract(dr, dl, out=acc)
-            np.multiply(acc, inv_h2, out=acc)
-            np.multiply(c, scale, out=c)
+            subtract(vr, vl, d)
+            subtract(xr, xl, c)
+            multiply(w, rows[j], w)
+            subtract(dr, dl, acc)
+            multiply(acc, inv_h2, acc)
+            multiply(c, scale, c)
             if a is not None:
-                np.subtract(acc, c0, out=acc)
-            np.add(acc, c1, out=acc)
+                subtract(acc, c0, acc)
+            add(acc, c1, acc)
             if g is not None:
-                np.add(acc, g[j], out=acc)
+                add(acc, g[j], acc)
 
         self.accel = accel
 
@@ -216,12 +271,13 @@ class UnitStepper(_Dirichlet):
         views = [(x[1:], x[:-1], acc[1:-1])
                  for x, acc in zip(self.stages[:, 0], self.stages[:, 2])]
         inv_h2 = np.array(1.0 / (h * h))
+        subtract, multiply = np.subtract, np.multiply
 
         def accel(s, j):
             vr, vl, acc = views[s]
-            np.subtract(vr, vl, out=d)
-            np.subtract(dr, dl, out=acc)
-            np.multiply(acc, inv_h2, out=acc)
+            subtract(vr, vl, d)
+            subtract(dr, dl, acc)
+            multiply(acc, inv_h2, acc)
 
         self.accel = accel
 

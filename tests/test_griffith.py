@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from debondwave.characteristics import CharScenario, front_ode_exact
+from debondwave.characteristics import CharScenario, front_ode_exact, one_sided_derivative
 from debondwave.errors import CompatibilityViolated, NonPositiveToughness
 from debondwave.expressions import Const, Poly, SineMode, SpaceTimeField
 from debondwave import griffith, kernels
@@ -33,6 +33,34 @@ def test_flow_rule_closed_form():
     assert flow_rule(1.0, 1.0) == 0.0  # p^2 <= 2 kappa
     with pytest.raises(NonPositiveToughness):
         flow_rule(1.0, 0.0)
+
+
+def test_flow_rule_rounds_as_numpy_sqrt():
+    # math.sqrt and np.sqrt are both correctly rounded: the same bits as
+    # float(np.sqrt(..)), on a seeded draw and at the switch p^2 = 2 kappa
+    def numpy_rule(p, kappa):
+        p2 = p * p
+        return float(np.sqrt(1.0 - 2.0 * kappa / p2)) if p2 > 2.0 * kappa else 0.0
+
+    rng = np.random.default_rng(26)
+    pairs = [(p, k) for p, k in zip(rng.uniform(-6.0, 6.0, 2000), rng.uniform(0.01, 9.0, 2000))]
+    for p in rng.uniform(0.1, 6.0, 200):
+        p = float(p)
+        switch = 0.5 * (p * p)  # 2 kappa == p^2 exactly
+        pairs += [(p, switch), (-p, switch), (p, np.nextafter(switch, 0.0))]
+    for p, k in pairs:
+        got = flow_rule(float(p), float(k))
+        assert type(got) is float and got.hex() == numpy_rule(float(p), float(k)).hex()
+
+
+def test_front_trace_float_path_matches_array_path():
+    # the coupled loop hands the three front samples as a list of floats
+    v = np.random.default_rng(4).standard_normal(64)
+    for window, side in ((slice(-3, None), "right"), (slice(0, 3), "left")):
+        for h in (1.0 / 64, 0.5 / 1024, 0.37):
+            got = one_sided_derivative(v[window].tolist(), h, side)
+            want = one_sided_derivative(v[window], h, side)
+            assert type(got) is float and got.hex() == float(want).hex()
 
 
 def test_flow_rule_quotient_form():

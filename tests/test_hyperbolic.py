@@ -101,6 +101,12 @@ def test_assembly_against_brute_force_quadrature():
     assert abs(B11 - oracle) < 1e-8
 
 
+def test_quadrature_literals_are_the_gauss_legendre_rule():
+    # written out so that importing the package makes no LAPACK call
+    for got, want in zip(galerkin.QUAD_NODES, np.polynomial.legendre.leggauss(10)):
+        assert np.array_equal(got, want)
+
+
 def test_quadrature_insensitive_to_node_doubling(monkeypatch):
     fam = one_d_scaling(Affine(1.0, 0.5), 1.0)
     basis = SineBasis(1.0, 8)

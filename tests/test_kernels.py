@@ -5,10 +5,10 @@ one."""
 import numpy as np
 import pytest
 
-from debondwave import fd, kernels
+from debondwave import fd, galerkin, kernels
 from debondwave.characteristics import CharScenario
 from debondwave.domains import Interval
-from debondwave.errors import BlowUp, CflViolation
+from debondwave.errors import BlowUp, CflViolation, RunTooLarge
 from debondwave.expressions import Affine, Const, Poly
 from debondwave.fd import solve_fd
 from debondwave.galerkin import Trajectory
@@ -404,6 +404,92 @@ def test_rk4_driver_matches_textbook_rk4(store_every):
     assert np.array_equal(out_v, ref[:, 0]) and np.array_equal(out_vd, ref[:, 1])
 
 
+# --- RK4.step: the single step that run loops over ---------------------------
+
+
+def _chained_steps(rk, nsteps):
+    """rk.run(nsteps, 1, ...) as chained rk.step(2k) calls with the first
+    step's clamp applied by hand: (run's status, the states after each step)."""
+    rows = [rk.state.copy()]
+    for k in range(nsteps):
+        ok = rk.step(2 * k)
+        if k == 0 and rk.clamp is not None:
+            rk.clamp()
+        if not ok:
+            return -(k + 1), np.array(rows)
+        rows.append(rk.state.copy())
+    return nsteps + 1, np.array(rows)
+
+
+def _grid_stepper_maker(case, n, nsteps, nan_slot=None):
+    """A function making a fresh stepper of the case, its state set with
+    nonzero ends, so that the first step's clamp matters."""
+    S = 2 * nsteps + 1
+    if case == "a-free":
+        y, Bm, an, bn, gn = _affine_slices(n, S, moving=True, forced=nan_slot is not None)
+        an = None
+    else:
+        y, Bm, an, bn, gn = _coefficient_slices(n, S, moving=True, forced=case != "full")
+        if case == "full":
+            gn = None
+    if nan_slot is not None:
+        gn[nan_slot, n // 2] = np.nan
+    h, dt = y[1] - y[0], 0.5 / n
+
+    def make():
+        if case == "unit":
+            rk = kernels.UnitStepper(h, dt, n + 1)
+        else:
+            rk = _stepper(h, dt, Bm, an, bn, gn)
+        v, vd = _initial(y)
+        v[0], vd[-1] = 0.3, -0.2
+        rk.state[:] = v, vd
+        return rk
+
+    return make
+
+
+@pytest.mark.parametrize("case", ["full", "a-free", "forced", "unit"])
+def test_chained_steps_match_a_run(case):
+    n, nsteps = 32, 12
+    make = _grid_stepper_maker(case, n, nsteps)
+    rk = make()
+    out = np.empty((2, nsteps + 1, n + 1))
+    out[:, 0] = rk.state
+    assert rk.run(nsteps, 1, *out) == nsteps + 1
+    status, rows = _chained_steps(make(), nsteps)
+    assert status == nsteps + 1
+    _same_bits((rows[:, 0], rows[:, 1]), out)
+    assert rows[1, 0, 0] == rows[1, 1, -1] == 0.0
+
+
+def test_chained_steps_match_the_modal_driver():
+    # galerkin.integrate is one run; the same RK4 stepped one step at a time
+    problem = _moving_problem(1.0, _wavy_forcing)
+    system = galerkin.GalerkinSystem(galerkin.SineBasis(1.0, 8), problem)
+    d0, dd0 = np.random.default_rng(5).standard_normal((2, 8))
+    dt, nsteps = 0.02, 25
+    traj = galerkin.integrate(system, d0, dd0, dt, nsteps * dt)
+    ts = kernels.half_steps(nsteps, dt)
+    weights, G = system.stage_weights(ts), system.projected_forcing(ts)
+    rk = kernels.RK4(8, dt)
+    rk.accel = lambda s, j: system.accel(rk.stages[s, :2], weights[j], G[j], rk.stages[s, 2])
+    rk.state[:] = d0, dd0
+    status, rows = _chained_steps(rk, nsteps)
+    assert status == nsteps + 1
+    _same_bits((rows[:, 0], rows[:, 1]), (traj.values, traj.velocities))
+
+
+@pytest.mark.parametrize("case", ["forced", "a-free"])
+@pytest.mark.parametrize("slot, status", [(0, -1), (5, -3), (6, -3)])
+def test_step_reports_a_nan_blowup_at_the_step_run_does(case, slot, status):
+    n, nsteps = 16, 5
+    make = _grid_stepper_maker(case, n, nsteps, nan_slot=slot)
+    assert make().run(nsteps) == status
+    got, rows = _chained_steps(make(), nsteps)
+    assert got == status and len(rows) == -status
+
+
 # --- blow-up guard: a NaN state must count as a blow-up ---------------------
 
 
@@ -583,3 +669,11 @@ def test_solve_fd_blowup_names_the_reference_step():
         messages.append(str(err.value))
     assert messages[0] == messages[1]
     assert "at step 350;" in messages[0]
+
+
+def test_the_run_bound_counts_steps_alone():
+    # per-step tables grow with the step count, whatever the unknowns: a
+    # fine grid with few steps passes, and so does a run at the bound
+    kernels.check_steps(kernels.MAX_STEPS)
+    with pytest.raises(RunTooLarge):
+        kernels.check_steps(kernels.MAX_STEPS + 1)

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from debondwave.cli import main
-from debondwave.errors import BoundaryMismatch, TypeMismatch, UnknownKey
+from debondwave.errors import BoundaryMismatch, RunTooLarge, TypeMismatch, UnknownKey
 from debondwave.expressions import Const, SineMode, SpaceTimeField
+from debondwave.runner import run_scenario
 from debondwave.scenarios import parse_scenario
 from debondwave.transform import lift_dirichlet
 
@@ -223,3 +224,21 @@ def test_w_time_without_w_names_its_line(tmp_path, capsys):
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error: line 7: ")
     assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("name, old, new, stage", [
+    # about 6e15 steps of the 1025-node front grid
+    ("debonding_constant.scn", "l0 = 1.0", "l0 = 1e-12", "[stage: coupled] "),
+    # about 1e303 modal steps
+    ("standing_wave.scn", "horizon = 1.0", "horizon = 1e300", "[stage: wave] [stage: solve] "),
+])
+def test_a_run_beyond_the_step_bound_is_refused_before_it_allocates(tmp_path, name, old,
+                                                                    new, stage):
+    # these raised MemoryError in np.arange and a bare ValueError in half_steps
+    with open(os.path.join(SCENARIOS, name), encoding="utf-8") as fh:
+        text = fh.read()
+    assert old in text
+    sc = parse_scenario(_write(tmp_path, name, text.replace(old, new)))
+    with pytest.raises(RunTooLarge) as err:
+        run_scenario(sc, str(tmp_path / "out"))
+    assert str(err.value).startswith(stage)
