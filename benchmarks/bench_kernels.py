@@ -1,5 +1,6 @@
 """Time the RK4 wave stepper in its two call patterns, the modal RK4, the
-cylinder scheme, the coupled front solvers and the grid solver.
+cylinder scheme, the coupled front solvers, the grid solver and the
+measure identity.
 
 Each per-step row is timed in PROCESSES fresh processes (--row NAME):
 each process prints its best of three timings, and the row shows the
@@ -21,8 +22,13 @@ the count the partition rule gives; only the 65 partition-end states are
 stored); and one whole coupled run of scenarios/debonding_constant.scn
 (n = 1024, 6144 steps) and of scenarios/debonding_radial.scn (n = 512),
 as ``debondwave run`` makes it without the CSVs: front trace, flow rule,
-coefficient fill, step and ledger, per step.  Then the tracemalloc peak
-of that cylinder call.  Then, for one solve_fd
+coefficient fill, step and ledger, per step.  The geometry row times
+energy.measure_identity_residual over the seven families of
+verify._builtin_families() the same way (the identities suite's measure
+identity: boundary_kinematics at 201 times of each family's faces at
+resolution 128), with the time per family, and then the tracemalloc peak
+of that call on the homothetic box.  Then the tracemalloc peak
+of the cylinder call.  Then, for one solve_fd
 call on the same problem at n = 800, dt = 5e-4 (coefficient fill
 included), the median of three wall times and the tracemalloc peak of a
 fourth call, with the bytes of the returned trajectory it includes; then
@@ -54,7 +60,7 @@ import tracemalloc
 import numpy as np
 
 from debondwave.cylinder import INNER_CFL, solve_cylinder
-from debondwave.energy import Ledger, ledger_transformed
+from debondwave.energy import Ledger, ledger_transformed, measure_identity_residual
 from debondwave.expressions import Affine
 from debondwave.fd import solve_fd
 from debondwave.galerkin import solve_transformed_modal
@@ -63,7 +69,7 @@ from debondwave.motion import one_d_scaling
 from debondwave.runner import _run_coupled, run_scenario
 from debondwave.scenarios import parse_scenario
 from debondwave.transform import PulledBackProblem
-from debondwave.verify import run_suite
+from debondwave.verify import _builtin_families, run_suite
 
 # fresh processes a per-step row is timed in
 PROCESSES = 5
@@ -165,6 +171,29 @@ def bench_cylinder(inner_n, partitions, repeats=3):
     return best, steps, _traced_peak(solve)[1]
 
 
+def bench_identities(repeats=3):
+    """(best time, families) of measure_identity_residual over the built-in
+    families, after one untimed call each."""
+    fams = list(_builtin_families().values())
+    for fam in fams:
+        measure_identity_residual(fam)
+    best = np.inf
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for fam in fams:
+            measure_identity_residual(fam)
+        best = min(best, time.perf_counter() - t0)
+    return best, len(fams)
+
+
+def identity_peak():
+    """tracemalloc peak of measure_identity_residual on the homothetic box,
+    after one untimed call."""
+    fam = _builtin_families()["homothetic_box"]
+    measure_identity_residual(fam)
+    return _traced_peak(lambda: measure_identity_residual(fam))[1]
+
+
 def _criterion4_problem():
     return PulledBackProblem(one_d_scaling(Affine(1.0, 0.5), 1.0))
 
@@ -249,32 +278,48 @@ def step_rows(args):
     }
 
 
+GEOMETRY = "measure identity"
+
+
+def fresh_processes(name, args):
+    """(median, q1, q3, count) of a row's best times over PROCESSES fresh
+    processes; count is the row's RK4 steps or families."""
+    cmd = [sys.executable, os.path.abspath(__file__), "--row", name,
+           "--steps", str(args.steps), "--grid", str(args.grid)]
+    bests = []
+    for _ in range(PROCESSES):
+        best, count = subprocess.run(cmd, check=True, capture_output=True,
+                                     text=True).stdout.split()
+        bests.append(float(best))
+    q1, med, q3 = statistics.quantiles(bests, n=4, method="inclusive")
+    return med, q1, q3, int(count)
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--steps", type=int, default=4000)
     ap.add_argument("--grid", type=int, default=800)
-    ap.add_argument("--row", help="time one per-step row in this process and print it")
+    ap.add_argument("--row", help="time one row in this process and print it")
     args = ap.parse_args()
     rows = step_rows(args)
     if args.row is not None:
-        best, steps = rows[args.row]()
-        print(best, steps)
+        best, count = bench_identities() if args.row == GEOMETRY else rows[args.row]()
+        print(best, count)
         return
 
     print(f"per-step rows: median [quartiles] of {PROCESSES} processes' best of 3")
     print(f"{'kernel':<22} {'time (s)':>24} {'us / step':>22}")
     for name in rows:
-        cmd = [sys.executable, os.path.abspath(__file__), "--row", name,
-               "--steps", str(args.steps), "--grid", str(args.grid)]
-        bests = []
-        for _ in range(PROCESSES):
-            best, steps = subprocess.run(cmd, check=True, capture_output=True,
-                                         text=True).stdout.split()
-            bests.append(float(best))
-        q1, med, q3 = statistics.quantiles(bests, n=4, method="inclusive")
-        us = [1e6 * x / int(steps) for x in (med, q1, q3)]
+        med, q1, q3, steps = fresh_processes(name, args)
+        us = [1e6 * x / steps for x in (med, q1, q3)]
         print(f"{name:<22} {med:>14.4f} [{q1:.4f}, {q3:.4f}] {us[0]:>10.1f} "
               f"[{us[1]:.1f}, {us[2]:.1f}]")
+    med, q1, q3, fams = fresh_processes(GEOMETRY, args)
+    ms = [1e3 * x / fams for x in (med, q1, q3)]
+    print(f"{GEOMETRY:<22} {med:>14.4f} [{q1:.4f}, {q3:.4f}] {ms[0]:>10.2f} "
+          f"[{ms[1]:.2f}, {ms[2]:.2f}] ms / family ({fams} families)")
+    print(f"measure identity, homothetic box: tracemalloc peak "
+          f"{identity_peak() / 2 ** 20:.2f} MiB")
     peak = bench_cylinder(768, 64, repeats=1)[2]
     print(f"solve_cylinder 64 x 768: tracemalloc peak {peak / 1e6:.2f} MB")
     median, peak, held = bench_solve_fd(args.grid)

@@ -232,12 +232,13 @@ class Box(ReferenceDomain):
             raise ValueError("box boundary quadrature implemented for dim <= 3")
         faces = []
         per_axis = max(2, int(round(resolution ** (1.0 / max(1, n - 1)))))
+        if n > 1:  # one rule for every face and every axis along it
+            x, w = np.polynomial.legendre.leggauss(per_axis)
         for i in range(n):
             others = [j for j in range(n) if j != i]
             if others:
                 grids, weights = [], []
                 for j in others:
-                    x, w = np.polynomial.legendre.leggauss(per_axis)
                     grids.append(0.5 * self.extents[j] * (x + 1.0))
                     weights.append(0.5 * self.extents[j] * w)
                 mesh = np.meshgrid(*grids, indexing="ij")

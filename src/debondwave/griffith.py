@@ -353,10 +353,8 @@ def _evolve_coupled(geo, p0, kap0, horizon, num, forcing, verdict, reader):
     n = num.n
     h = geo.L / n
     # reference characteristic speed is at most (1 + omega) l0 / ell <= 2
-    dt = num.cfl * h
-    nsteps = int(np.ceil(horizon / dt - 1e-12))
+    nsteps, dt = kernels.cfl_step_count(h, num.cfl, horizon)
     kernels.check_steps(nsteps)
-    dt = horizon / nsteps
     window = slice(-3, None) if geo.side == "right" else slice(0, 3)
 
     B, a, b = kernels.coefficient_rows(3, n)

@@ -56,6 +56,13 @@ def step_count(dt, T, store_every=1):
     return nsteps, dt
 
 
+def cfl_step_count(h, cfl, T):
+    """(nsteps, dt) of a coupled run from 0 to T on cells of width h: the
+    fewest steps of at most cfl h, each T / nsteps."""
+    nsteps = int(np.ceil(T / (cfl * h) - 1e-12))
+    return nsteps, T / nsteps
+
+
 def check_steps(nsteps):
     """Refuse a run of more than MAX_STEPS steps with RunTooLarge: callers
     check before they allocate their per-step tables."""

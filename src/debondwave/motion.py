@@ -19,12 +19,15 @@ in q and q'.  Psi for SublevelFlow is the same transport evaluated from t
 back to 0, never the inverse matrix of DPhi.
 
 The composed fields DPsi(t, Phi) and Psi_dot(t, Phi) use the exact
-algebraic relations (matrix inverse and -DPsi Phi_dot); the *direct*
-Psi-side evaluators (psi, dpsi, det_dpsi, psi_dot) are kept independent
-so that identity validation is not circular.  Tolerances are split by the
-class attribute tol, which no constructor takes: 1e-9 for stretches
-(round-off), 1e-6 for sublevel flows (their Psi side is the backward
-transport, and its psi_dot a central difference).
+algebraic relations (the inverse of DPhi and -DPsi Phi_dot), and the
+normal pushforward DPsi(t, Phi)^T nu0 that boundary_kinematics reads is a
+closed form per kind: nu0 / lam for a stretch, nu0 / q on the reflected
+line, and (c/q) yh + (nu0 - c yh)/s radially (yh = y/|y|, c = yh . nu0).
+The *direct* Psi-side evaluators (psi, dpsi, det_dpsi, psi_dot) are kept
+independent so that identity validation is not circular.  Tolerances are
+split by the class attribute tol, which no constructor takes: 1e-9 for
+stretches (round-off), 1e-6 for sublevel flows (their Psi side is the
+backward transport, and its psi_dot a central difference).
 
 Time is an array axis: every map, boundary_kinematics and domain_measure
 take a scalar t, which gives vector fields (P, N), Jacobians (P, N, N),
@@ -58,6 +61,14 @@ def _as_points(Y, dim):
     if Y.shape[-1] != dim:
         raise ValueError(f"points have dimension {Y.shape[-1]}, family has {dim}")
     return Y
+
+
+def _dot(a, b):
+    """sum_k a_k b_k over the short last axis, summed in index order."""
+    out = a[..., 0] * b[..., 0]
+    for k in range(1, a.shape[-1]):
+        out = out + a[..., k] * b[..., k]
+    return out
 
 
 def _pow(x, n):
@@ -112,6 +123,11 @@ class MotionFamily:
 
     # composed fields used by kinematics and the diffusion B -------------
     def dpsi_at_phi(self, t, Y):
+        raise NotImplementedError
+
+    def normal_pushforward(self, t, Y, nu0):
+        """DPsi(t, Phi(t, y))^T nu0 for reference normals nu0 (P, N) at the
+        points Y, in closed form: (P, N), or (S, P, N) for (S,) times."""
         raise NotImplementedError
 
     def psi_dot_at_phi(self, t, Y):
@@ -198,6 +214,10 @@ class StretchMotion(MotionFamily):
 
     def dpsi_at_phi(self, t, Y):
         return self._eyes(Y, 1.0 / self._lam(t))
+
+    def normal_pushforward(self, t, Y, nu0):
+        """nu0 / lam at every time."""
+        return nu0 / self._lam(t)
 
     def psi(self, t, X):
         return _as_points(X, self.dim) / self._lam(t)
@@ -331,6 +351,16 @@ class SublevelFlowMotion(MotionFamily):
     def dpsi_at_phi(self, t, Y):
         return np.linalg.inv(self.dphi(t, Y))
 
+    def normal_pushforward(self, t, Y, nu0):
+        """nu0 / q on the line; radially DPhi = q yh yh^T + s (I - yh yh^T) is
+        symmetric, so DPsi^T nu0 = (c/q) yh + (nu0 - c yh)/s with c = yh . nu0."""
+        Y, q, _, r0, s = self._parts(t, Y)
+        if not self.radial:
+            return nu0 / q[..., None]
+        yh = Y / r0[..., None]
+        c = _dot(yh, nu0)
+        return (c / q)[..., None] * yh + (1.0 / s)[..., None] * (nu0 - c[..., None] * yh)
+
     # independent inverse side ----------------------------------------------
     def psi(self, t, X):
         return self._flow(X, t, 0.0)[0]
@@ -413,28 +443,31 @@ class FaceKinematics:
 def boundary_kinematics(fam, t, resolution=64, faces=None):
     """Normals, space-time normals and scalar normal velocity per face.
 
-    nu is the pushforward DPsi^T nu0 / |DPsi^T nu0|; omega = Phi_dot . nu;
-    the space-time normal is (-omega, nu) normalized.  Physical quadrature
-    weights carry the surface Jacobian det DPhi |DPsi^T nu0|.
+    nu is the pushforward DPsi^T nu0 / |DPsi^T nu0|, with DPsi^T nu0 from
+    the family's closed-form normal_pushforward (no Jacobian matrix is
+    formed); omega = Phi_dot . nu; the space-time normal is (-omega, nu)
+    normalized.  Physical quadrature weights carry the surface Jacobian
+    det DPhi |DPsi^T nu0|.  Sums over the N components run in index order.
     """
     if faces is None:
         faces = fam.reference.boundary_faces(resolution)
     out = []
     for face in faces:
         Y = face.points
-        K = fam.dpsi_at_phi(t, Y)
-        raw = np.einsum("...ji,...j->...i", K, face.normals)  # K^T nu0
-        norms = np.linalg.norm(raw, axis=-1)
+        raw = fam.normal_pushforward(t, Y, face.normals)
+        norms = np.sqrt(_dot(raw, raw))
         if np.any(norms < 1e-14):
             raise DegenerateNormal(f"normal pushforward degenerate on face {face.name}")
         nu = raw / norms[..., None]
         x = fam.phi(t, Y)
-        pd = fam.phi_dot(t, Y)
-        omega = np.sum(pd * nu, axis=-1)
+        omega = _dot(fam.phi_dot(t, Y), nu)
         denom = np.sqrt(1.0 + omega ** 2)
-        nu_st = np.concatenate([(-omega / denom)[..., None], nu / denom[..., None]], axis=-1)
+        nu_st = np.empty(nu.shape[:-1] + (nu.shape[-1] + 1,))
+        nu_st[..., 0] = -omega / denom
+        nu_st[..., 1:] = nu / denom[..., None]
         # consistency of the two omega formulas (algebraic, asserted per time)
-        omega_alt = -nu_st[..., 0] / np.linalg.norm(nu_st[..., 1:], axis=-1)
+        spatial = nu_st[..., 1:]
+        omega_alt = -nu_st[..., 0] / np.sqrt(_dot(spatial, spatial))
         gap = np.max(np.abs(omega - omega_alt), axis=-1)
         if np.any(gap > 1e-9 * (1.0 + np.max(np.abs(omega), axis=-1))):
             raise DegenerateNormal("omega mismatch between definitions")

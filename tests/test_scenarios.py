@@ -226,19 +226,42 @@ def test_w_time_without_w_names_its_line(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "out")
 
 
-@pytest.mark.parametrize("name, old, new, stage", [
+@pytest.mark.parametrize("name, old, new, line", [
     # about 6e15 steps of the 1025-node front grid
-    ("debonding_constant.scn", "l0 = 1.0", "l0 = 1e-12", "[stage: coupled] "),
+    ("debonding_constant.scn", "l0 = 1.0", "l0 = 1e-12", 7),
     # about 1e303 modal steps
-    ("standing_wave.scn", "horizon = 1.0", "horizon = 1e300", "[stage: wave] [stage: solve] "),
+    ("standing_wave.scn", "horizon = 1.0", "horizon = 1e300", 8),
 ])
-def test_a_run_beyond_the_step_bound_is_refused_before_it_allocates(tmp_path, name, old,
-                                                                    new, stage):
-    # these raised MemoryError in np.arange and a bare ValueError in half_steps
+def test_a_run_beyond_the_step_bound_is_refused_before_it_allocates(tmp_path, capsys, name,
+                                                                    old, new, line):
+    # these raised MemoryError in np.arange and a bare ValueError in half_steps;
+    # parse refuses them at the horizon line
     with open(os.path.join(SCENARIOS, name), encoding="utf-8") as fh:
         text = fh.read()
     assert old in text
-    sc = parse_scenario(_write(tmp_path, name, text.replace(old, new)))
-    with pytest.raises(RunTooLarge) as err:
-        run_scenario(sc, str(tmp_path / "out"))
-    assert str(err.value).startswith(stage)
+    path = _write(tmp_path, name, text.replace(old, new))
+    with pytest.raises(TypeMismatch, match=f"^line {line}: .* steps exceed MAX_STEPS"):
+        parse_scenario(path)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: line {line}: ")
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_a_step_bound_error_without_a_horizon_line_names_the_dt_line(tmp_path):
+    # the file keeps the default horizon, so the step it sets is what to change
+    path = _write(tmp_path, "t.scn", WAVE_FILE.replace("dt = 0.005", "dt = 1e-300"))
+    with pytest.raises(TypeMismatch, match="^line 5: .* steps exceed MAX_STEPS"):
+        parse_scenario(path)
+
+
+def test_the_run_time_step_bound_still_refuses_a_run_parse_did_not_check(tmp_path):
+    # the solvers keep their own check_steps: a parsed scenario changed
+    # afterwards is refused before it allocates, at its stage
+    for name, section, key, value, stage in (
+            ("debonding_constant.scn", "coupled", "l0", 1e-12, "[stage: coupled] "),
+            ("standing_wave.scn", "motion", "horizon", 1e300, "[stage: wave] [stage: solve] ")):
+        sc = parse_scenario(os.path.join(SCENARIOS, name))
+        getattr(sc, section)[key] = value
+        with pytest.raises(RunTooLarge) as err:
+            run_scenario(sc, str(tmp_path / "out"))
+        assert str(err.value).startswith(stage)
