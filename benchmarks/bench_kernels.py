@@ -1,6 +1,6 @@
 """Time the RK4 wave stepper in its two call patterns, the modal RK4, the
-cylinder scheme, the coupled front solvers, the grid solver and the
-measure identity.
+cylinder scheme, the coupled front solvers, the grid ledger, the grid
+solver and the measure identity.
 
 Each per-step row is timed in PROCESSES fresh processes (--row NAME):
 each process prints its best of three timings, and the row shows the
@@ -22,14 +22,17 @@ the count the partition rule gives; only the 65 partition-end states are
 stored); and one whole coupled run of scenarios/debonding_constant.scn
 (n = 1024, 6144 steps) and of scenarios/debonding_radial.scn (n = 512),
 as ``debondwave run`` makes it without the CSVs: front trace, flow rule,
-coefficient fill, step and ledger, per step.  The geometry row times
-energy.measure_identity_residual over the seven families of
-verify._builtin_families() the same way (the identities suite's measure
-identity: boundary_kinematics at 201 times of each family's faces at
-resolution 128), with the time per family, and then the tracemalloc peak
-of that call on the homothetic box.  Then the tracemalloc peak
-of the cylinder call.  Then, for one solve_fd
-call on the same problem at n = 800, dt = 5e-4 (coefficient fill
+coefficient fill, step and ledger, per step.  The two grid-ledger rows
+time one energy.Ledger (start, 1000 stored rows fed in chunks of 100,
+finish) at n = 400 and n = 800 on the criterion-4 motion, per stored row:
+the sampling of v_dot and v_y at the quadrature nodes and the block sums.
+The geometry row times energy.measure_identity_residual over the seven
+families of verify._builtin_families() the same way (the identities
+suite's measure identity: boundary_kinematics at 201 times of each
+family's faces at resolution 128), with the time per family, and then the
+tracemalloc peak of that call on the homothetic box and on the sublevel
+annulus.  Then the tracemalloc peak of the cylinder call.  Then, for one
+solve_fd call on the same problem at n = 800, dt = 5e-4 (coefficient fill
 included), the median of three wall times and the tracemalloc peak of a
 fourth call, with the bytes of the returned trajectory it includes; then
 the peak of one call that stores only t = 0 and t = 1 (store_every =
@@ -186,12 +189,36 @@ def bench_identities(repeats=3):
     return best, len(fams)
 
 
-def identity_peak():
-    """tracemalloc peak of measure_identity_residual on the homothetic box,
-    after one untimed call."""
-    fam = _builtin_families()["homothetic_box"]
-    measure_identity_residual(fam)
-    return _traced_peak(lambda: measure_identity_residual(fam))[1]
+def identity_peaks():
+    """tracemalloc peaks of measure_identity_residual on the homothetic box
+    and on the sublevel annulus, each after one untimed call."""
+    fams = _builtin_families()
+    peaks = []
+    for name in ("homothetic_box", "sublevel_annulus"):
+        measure_identity_residual(fams[name])
+        peaks.append(_traced_peak(lambda: measure_identity_residual(fams[name]))[1])
+    return peaks
+
+
+def bench_ledger(n, rows=1000, chunk=100, repeats=3):
+    """(best time, stored rows) of one energy.Ledger on the criterion-4
+    motion over rows stored grid rows at n cells, fed chunk rows at a time
+    as a streamed run feeds them (the same chunk each time)."""
+    fam = _criterion4_problem().fam
+    x = np.linspace(0.0, 1.0, n + 1)
+    times = np.arange(rows) * (1.0 / rows)
+    phase = np.linspace(0.0, 1.0, chunk)[:, None]
+    V, Vd = np.sin(np.pi * x) * np.cos(phase), np.sin(np.pi * x) * np.sin(phase)
+    best = np.inf
+    for _ in range(repeats):
+        led = Ledger(fam)
+        t0 = time.perf_counter()
+        led.start(times, "grid", 1.0, x=x)
+        for _ in range(rows // chunk):
+            led.feed(V, Vd)
+        led.finish()
+        best = min(best, time.perf_counter() - t0)
+    return best, rows
 
 
 def _criterion4_problem():
@@ -265,7 +292,8 @@ def run_peaks():
 
 
 def step_rows(args):
-    """Per-step rows: name -> a function returning (best time, RK4 steps)."""
+    """Per-step rows: name -> a function returning (best time, RK4 steps or,
+    for the grid-ledger rows, stored rows)."""
     return {
         "wave stepper": lambda: (bench_fd(args.grid, args.steps), args.steps),
         "wave stepper, a = 0": lambda: (bench_fd(args.grid, args.steps, a_term=False),
@@ -275,6 +303,8 @@ def step_rows(args):
         "cylinder 64 x 768": lambda: bench_cylinder(768, 64)[:2],
         "coupled 1d n=1024": lambda: bench_coupled("debonding_constant.scn"),
         "coupled radial n=512": lambda: bench_coupled("debonding_radial.scn"),
+        "grid ledger n=400": lambda: bench_ledger(400),
+        "grid ledger n=800": lambda: bench_ledger(800),
     }
 
 
@@ -283,7 +313,7 @@ GEOMETRY = "measure identity"
 
 def fresh_processes(name, args):
     """(median, q1, q3, count) of a row's best times over PROCESSES fresh
-    processes; count is the row's RK4 steps or families."""
+    processes; count is the row's RK4 steps, stored rows or families."""
     cmd = [sys.executable, os.path.abspath(__file__), "--row", name,
            "--steps", str(args.steps), "--grid", str(args.grid)]
     bests = []
@@ -308,7 +338,7 @@ def main():
         return
 
     print(f"per-step rows: median [quartiles] of {PROCESSES} processes' best of 3")
-    print(f"{'kernel':<22} {'time (s)':>24} {'us / step':>22}")
+    print(f"{'kernel':<22} {'time (s)':>24} {'us / step or row':>22}")
     for name in rows:
         med, q1, q3, steps = fresh_processes(name, args)
         us = [1e6 * x / steps for x in (med, q1, q3)]
@@ -318,8 +348,9 @@ def main():
     ms = [1e3 * x / fams for x in (med, q1, q3)]
     print(f"{GEOMETRY:<22} {med:>14.4f} [{q1:.4f}, {q3:.4f}] {ms[0]:>10.2f} "
           f"[{ms[1]:.2f}, {ms[2]:.2f}] ms / family ({fams} families)")
-    print(f"measure identity, homothetic box: tracemalloc peak "
-          f"{identity_peak() / 2 ** 20:.2f} MiB")
+    box, annulus = identity_peaks()
+    print(f"measure identity: tracemalloc peak {box / 2 ** 20:.2f} MiB homothetic box, "
+          f"{annulus / 2 ** 20:.2f} MiB sublevel annulus")
     peak = bench_cylinder(768, 64, repeats=1)[2]
     print(f"solve_cylinder 64 x 768: tracemalloc peak {peak / 1e6:.2f} MB")
     median, peak, held = bench_solve_fd(args.grid)

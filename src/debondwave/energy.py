@@ -265,9 +265,11 @@ def measure_identity_residual(fam):
 
     Simpson's rule on 201 times over the boundary faces at resolution 128.
     The times go to boundary_kinematics in blocks of about _BLOCK_POINTS
-    face points, which bounds the memory of one call; omega there comes
-    from the family's closed-form normal pushforward, so no Jacobian
-    matrix is formed or inverted at any face point.
+    face points, which bounds the memory of one call; each call evaluates
+    all faces together, and omega there comes from the family's
+    closed-form normal pushforward, so no Jacobian matrix is formed or
+    inverted at any face point.  The flux is summed per face, in face
+    order.
     """
     T = fam.horizon
     ts = np.linspace(0.0, T, 201)

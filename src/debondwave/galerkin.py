@@ -227,7 +227,8 @@ def sampler(y, x=None, basis=None):
     """(order, sample): sample(V, Vd, vd, vy) writes v_dot and v_y at the
     points y into vd and vy from rows V, Vd of values and velocities: grid
     values on the nodes x by linear interpolation (v_y of the second-order
-    np.gradient), or coefficients of a modal basis by two matmuls.  Grid
+    np.gradient, evaluated only at the nodes next to y by ``_gradient_at``),
+    or coefficients of a modal basis by two matmuls.  Grid
     rows are independent, so any split has the same bits; modal ones round
     as the whole product for any split into blocks of more than one row.
     order ("F" grid, "C" modal) is the memory order of the outputs, by
@@ -243,14 +244,57 @@ def sampler(y, x=None, basis=None):
     j = np.clip(np.searchsorted(x, y, side="right") - 1, 0, len(x) - 2)
     w = np.clip((y - x[j]) / (x[j + 1] - x[j]), 0.0, 1.0)
     rows = max(1, (1 << 16) // max(len(x), len(y)))
+    gradient = _gradient_at(x, np.concatenate((j, j + 1)))
 
     def sample(V, Vd, vd, vy):
         for r in range(0, len(V), rows):
             s = slice(r, r + rows)
-            for out, F in ((vd, Vd[s]), (vy, np.gradient(V[s], x, axis=1, edge_order=2))):
-                out[s] = F[:, j] + w * (F[:, j + 1] - F[:, j])
+            F = Vd[s]
+            vd[s] = F[:, j] + w * (F[:, j + 1] - F[:, j])
+            G = gradient(V[s])
+            Gj, Gj1 = G[:, :len(j)], G[:, len(j):]
+            vy[s] = Gj + w * (Gj1 - Gj)
 
     return "F", sample
+
+
+def _gradient_at(x, k):
+    """gradient(F): np.gradient(F, x, axis=1, edge_order=2)[:, k] with the
+    same bits, reading only the nodes next to k.  Its coefficients are
+    np.gradient's own, formed once, and each column keeps its operation
+    order: (F[k + 1] - F[k - 1]) / (2 dx) at inner nodes of uniformly
+    spaced x, and a F[i] + b F[i + 1] + c F[i + 2] at the other columns (the
+    end formulas at k = 0 and n, the non-uniform inner ones elsewhere)."""
+    n = len(x) - 1
+    dx = x[1:] - x[:-1]
+    coef = np.empty((3, n + 1))
+    if (dx == dx[0]).all():
+        h = float(dx[0])
+        coef[:, 0], coef[:, n] = (-1.5 / h, 2. / h, -0.5 / h), (0.5 / h, -2. / h, 1.5 / h)
+        central = (k > 0) & (k < n)
+    else:
+        d1, d2 = dx[:-1], dx[1:]
+        coef[:, 1:n] = -d2 / (d1 * (d1 + d2)), (d2 - d1) / (d1 * d2), d1 / (d2 * (d1 + d2))
+        d1, d2 = float(dx[0]), float(dx[1])
+        coef[:, 0] = (-(2. * d1 + d2) / (d1 * (d1 + d2)), (d1 + d2) / (d1 * d2),
+                      -d1 / (d2 * (d1 + d2)))
+        d1, d2 = float(dx[-2]), float(dx[-1])
+        coef[:, n] = (d2 / (d1 * (d1 + d2)), -(d2 + d1) / (d1 * d2),
+                      (2. * d2 + d1) / (d2 * (d1 + d2)))
+        central = np.zeros(len(k), dtype=bool)
+    mid, rest = np.flatnonzero(central), np.flatnonzero(~central)
+    hi, lo, two_dx = k[mid] + 1, k[mid] - 1, 2. * dx[0]
+    a, b, c = coef[:, k[rest]]
+    i0 = np.minimum(np.maximum(k[rest] - 1, 0), n - 2)
+    i1, i2 = i0 + 1, i0 + 2
+
+    def gradient(F):
+        G = np.empty((len(F), len(k)))
+        G[:, mid] = (F[:, hi] - F[:, lo]) / two_dx
+        G[:, rest] = a * F[:, i0] + b * F[:, i1] + c * F[:, i2]
+        return G
+
+    return gradient
 
 
 def integrate(system: GalerkinSystem, d0, ddot0, dt, T, store_every=1):

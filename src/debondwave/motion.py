@@ -16,13 +16,16 @@ line, so Omega_t = (0, rho(t))).  Either way each point moves along its
 straight gradient line and g - R scales by q = rho(t1)/rho(t0), so Phi,
 DPhi, Phi_dot, det DPhi and its t- and y-derivatives are exact formulas
 in q and q'.  Psi for SublevelFlow is the same transport evaluated from t
-back to 0, never the inverse matrix of DPhi.
+back to 0, never the inverse matrix of DPhi.  phi and psi only transport
+the points; dphi and dpsi form the Jacobian from that same transport.
 
 The composed fields DPsi(t, Phi) and Psi_dot(t, Phi) use the exact
 algebraic relations (the inverse of DPhi and -DPsi Phi_dot), and the
 normal pushforward DPsi(t, Phi)^T nu0 that boundary_kinematics reads is a
 closed form per kind: nu0 / lam for a stretch, nu0 / q on the reflected
 line, and (c/q) yh + (nu0 - c yh)/s radially (yh = y/|y|, c = yh . nu0).
+boundary_kinematics evaluates all faces of a call together, each map once
+on their stacked points, and hands each face slices of the results.
 The *direct* Psi-side evaluators (psi, dpsi, det_dpsi, psi_dot) are kept
 independent so that identity validation is not circular.  Tolerances are
 split by the class attribute tol, which no constructor takes: 1e-9 for
@@ -277,10 +280,12 @@ class SublevelFlowMotion(MotionFamily):
 
     # flow plumbing --------------------------------------------------------
     def _flow(self, Y, t0, t1):
-        """Transport points from the level sets at t0 to those at t1, with DPhi.
+        """Transport points from the level sets at t0 to those at t1.
 
         g - R scales by q = rho(t1)/rho(t0) along the straight gradient
-        lines of g, so both the points and the Jacobian are closed-form.
+        lines of g, so the points are closed-form.  Returns the points x and
+        what ``_jacobian`` forms DPhi from: q and, radially, y/|y|, |x| and
+        |y| (None on the line).
         """
         Y = _as_points(Y, self.dim)
         q = (np.asarray(self.profile(t1), dtype=float)
@@ -290,17 +295,23 @@ class SublevelFlowMotion(MotionFamily):
             yh = Y / r0[..., None]
             r = self.R + q * (r0 - self.R)
             x = r[..., None] * yh
-            radial = yh[..., :, None] * yh[..., None, :]
-            J = (q[..., None, None] * radial
-                 + (r / r0)[..., None, None] * (np.eye(self.dim) - radial))
         else:
             x = q[..., None] * Y
-            J = q[..., None, None] * np.ones((Y.shape[-2], 1, 1))
+            yh = r = r0 = None
         if not np.all(np.isfinite(x)):
             raise FlowEscape("sublevel flow produced non-finite points")
         if np.any(self._g(x) <= 1e-3 * self.R):
             raise FlowEscape("sublevel flow left the region where g is usable")
-        return x, J
+        return x, q, yh, r, r0
+
+    def _jacobian(self, x, q, yh, r, r0):
+        """DPhi of the transport ``_flow`` returned: q yh yh^T + (r/r0)
+        (I - yh yh^T) radially, q on the line."""
+        if yh is None:
+            return q[..., None, None] * np.ones((x.shape[-2], 1, 1))
+        radial = yh[..., :, None] * yh[..., None, :]
+        return (q[..., None, None] * radial
+                + (r / r0)[..., None, None] * (np.eye(self.dim) - radial))
 
     def _parts(self, t, Y):
         """Points, q = rho(t)/rho(0) and q' (with a trailing axis for the
@@ -318,7 +329,7 @@ class SublevelFlowMotion(MotionFamily):
         return self._flow(Y, 0.0, t)[0]
 
     def dphi(self, t, Y):
-        return self._flow(Y, 0.0, t)[1]
+        return self._jacobian(*self._flow(Y, 0.0, t))
 
     def phi_dot(self, t, Y):
         """q' (|y| - R) y/|y| radially, q' y on the line."""
@@ -366,7 +377,7 @@ class SublevelFlowMotion(MotionFamily):
         return self._flow(X, t, 0.0)[0]
 
     def dpsi(self, t, X):
-        return self._flow(X, t, 0.0)[1]
+        return self._jacobian(*self._flow(X, t, 0.0))
 
     def domain_measure(self, t):
         rho = np.asarray(self.profile(t), dtype=float)
@@ -448,31 +459,47 @@ def boundary_kinematics(fam, t, resolution=64, faces=None):
     formed); omega = Phi_dot . nu; the space-time normal is (-omega, nu)
     normalized.  Physical quadrature weights carry the surface Jacobian
     det DPhi |DPsi^T nu0|.  Sums over the N components run in index order.
+
+    All faces are evaluated together: their points and reference normals
+    are stacked, each map is called once, and every face's fields are
+    slices of the stacked results, with the bits of a call per face.  The
+    checks stay per face: a degenerate pushforward raises DegenerateNormal
+    naming the first such face before any division (the faces before it
+    are evaluated and checked first), and the two omega formulas must
+    agree per time over each face's points.
     """
     if faces is None:
         faces = fam.reference.boundary_faces(resolution)
+    sizes = [len(face.weights) for face in faces]
+    starts = np.cumsum([0] + sizes[:-1])
+    Y = np.concatenate([face.points for face in faces])
+    raw = fam.normal_pushforward(t, Y, np.concatenate([face.normals for face in faces]))
+    norms = np.sqrt(_dot(raw, raw))
+    degenerate = np.logical_or.reduceat(norms < 1e-14, starts, axis=-1)
+    if np.any(degenerate):
+        first = int(np.argmax(degenerate.reshape(-1, len(faces)).any(axis=0)))
+        if first:
+            boundary_kinematics(fam, t, faces=faces[:first])
+        raise DegenerateNormal(f"normal pushforward degenerate on face {faces[first].name}")
+    nu = raw / norms[..., None]
+    x = fam.phi(t, Y)
+    omega = _dot(fam.phi_dot(t, Y), nu)
+    denom = np.sqrt(1.0 + omega ** 2)
+    nu_st = np.empty(nu.shape[:-1] + (nu.shape[-1] + 1,))
+    nu_st[..., 0] = -omega / denom
+    nu_st[..., 1:] = nu / denom[..., None]
+    # consistency of the two omega formulas (algebraic, asserted per time and face)
+    spatial = nu_st[..., 1:]
+    omega_alt = -nu_st[..., 0] / np.sqrt(_dot(spatial, spatial))
+    gap = np.maximum.reduceat(np.abs(omega - omega_alt), starts, axis=-1)
+    if np.any(gap > 1e-9 * (1.0 + np.maximum.reduceat(np.abs(omega), starts, axis=-1))):
+        raise DegenerateNormal("omega mismatch between definitions")
+    w_phys = np.concatenate([face.weights for face in faces]) * fam.det_dphi(t, Y) * norms
     out = []
-    for face in faces:
-        Y = face.points
-        raw = fam.normal_pushforward(t, Y, face.normals)
-        norms = np.sqrt(_dot(raw, raw))
-        if np.any(norms < 1e-14):
-            raise DegenerateNormal(f"normal pushforward degenerate on face {face.name}")
-        nu = raw / norms[..., None]
-        x = fam.phi(t, Y)
-        omega = _dot(fam.phi_dot(t, Y), nu)
-        denom = np.sqrt(1.0 + omega ** 2)
-        nu_st = np.empty(nu.shape[:-1] + (nu.shape[-1] + 1,))
-        nu_st[..., 0] = -omega / denom
-        nu_st[..., 1:] = nu / denom[..., None]
-        # consistency of the two omega formulas (algebraic, asserted per time)
-        spatial = nu_st[..., 1:]
-        omega_alt = -nu_st[..., 0] / np.sqrt(_dot(spatial, spatial))
-        gap = np.max(np.abs(omega - omega_alt), axis=-1)
-        if np.any(gap > 1e-9 * (1.0 + np.max(np.abs(omega), axis=-1))):
-            raise DegenerateNormal("omega mismatch between definitions")
-        w_phys = face.weights * fam.det_dphi(t, Y) * norms
-        out.append(FaceKinematics(face.name, Y, x, nu, nu_st, omega, w_phys))
+    for face, a, n in zip(faces, starts, sizes):
+        sl = slice(a, a + n)
+        out.append(FaceKinematics(face.name, face.points, x[..., sl, :], nu[..., sl, :],
+                                  nu_st[..., sl, :], omega[..., sl], w_phys[..., sl]))
     return out
 
 

@@ -1,8 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from debondwave.domains import Ball, Interval, Tetrahedron
-from debondwave.errors import LevelOutOfRange, NonPositiveScale, ProfileStart
+from debondwave.domains import Ball, BoundaryFace, Box, Interval, Tetrahedron
+from debondwave.errors import (
+    DegenerateNormal,
+    FlowEscape,
+    LevelOutOfRange,
+    NonPositiveScale,
+    ProfileStart,
+)
 from debondwave.expressions import Affine, Const, Poly
 from debondwave.motion import (
     SublevelFlowMotion,
@@ -180,6 +188,59 @@ def test_omega_independent_of_the_diffeomorphism():
             assert np.max(np.abs(a.x - b.x)) < 1e-6
 
 
+def _stacking_families():
+    fams = dict(_builtin_families())
+    fams["homothetic_box_3d"] = homothetic(Affine(1.0, 0.3), Box((1.0, 0.5, 0.7)), 1.0)
+    fams["homothetic_ball_3d"] = homothetic(Poly(1.0, 0.2, 0.05), Ball(1.0, 3), 1.0)
+    return fams
+
+
+@pytest.mark.parametrize("name", sorted(_stacking_families()))
+def test_stacked_faces_equal_one_call_per_face(name):
+    # every face of one call is a slice of maps evaluated on all faces at
+    # once; each must carry the bits of a call on that face alone
+    fam = _stacking_families()[name]
+    faces = fam.reference.boundary_faces(16)
+    for t in (np.linspace(0.0, 1.0, 7) * fam.horizon, 0.45 * fam.horizon):
+        stacked = boundary_kinematics(fam, t, faces=faces)
+        assert [fk.name for fk in stacked] == [face.name for face in faces]
+        for face, got in zip(faces, stacked):
+            (alone,) = boundary_kinematics(fam, t, faces=[face])
+            assert got.y is face.points and alone.y is face.points
+            for field in ("x", "nu", "nu_spacetime", "omega", "weights"):
+                assert np.array_equal(getattr(got, field), getattr(alone, field)), field
+
+
+def _without_normals(faces, *which):
+    return [BoundaryFace(f.name, f.points, f.weights, np.zeros_like(f.normals)) if i in which
+            else f for i, f in enumerate(faces)]
+
+
+@pytest.mark.parametrize("which", [(1,), (1, 3), (0, 2)])
+def test_a_degenerate_face_is_named_before_any_division(which):
+    fam = homothetic(Affine(1.0, 0.3), Box((1.0, 0.5)), 1.0)
+    faces = _without_normals(fam.reference.boundary_faces(8), *which)
+    for t in (np.linspace(0.0, 1.0, 5), 0.5):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateNormal, match=f"on face {faces[which[0]].name}$"):
+                boundary_kinematics(fam, t, faces=faces)
+
+
+def test_a_face_before_a_degenerate_one_fails_first():
+    # face by face, the first face's transport escapes before the second
+    # face's pushforward is looked at
+    fam = radial_annulus_flow(1.0, Affine(0.2, 0.1), 1.0)
+    first, second = fam.reference.boundary_faces(8)
+    near_origin = BoundaryFace(first.name, 1e-6 * first.points, first.weights, first.normals)
+    faces = [near_origin] + _without_normals([second], 0)
+    for t in (np.zeros(3), 0.0):
+        with pytest.raises(FlowEscape):
+            boundary_kinematics(fam, t, faces=faces)
+    with pytest.raises(DegenerateNormal, match=f"on face {second.name}$"):
+        boundary_kinematics(fam, 0.0, faces=[first] + faces[1:])
+
+
 # --- sublevel specifics -------------------------------------------------------
 
 
@@ -282,6 +343,57 @@ def test_sublevel_map_solves_the_level_set_flow():
             assert np.max(np.abs(fam.phi_dot(t, Y) - X)) < 1e-12
             det_t = fam.det_dphi(t, Y) * np.einsum("pii->p", DX)
             assert np.max(np.abs(fam.det_dphi_dt(t, Y) - det_t)) < 1e-12
+
+
+def _jacobian_forming_flow(fam, Y, t0, t1):
+    """The points and DPhi of the transport in one formula: the reference
+    that the transport-only maps and the Jacobian maps must match bit for bit."""
+    q = (np.asarray(fam.profile(t1), dtype=float)
+         / np.asarray(fam.profile(t0), dtype=float))[..., None]
+    if not fam.radial:
+        return q[..., None] * Y, q[..., None, None] * np.ones((Y.shape[-2], 1, 1))
+    r0 = np.linalg.norm(Y, axis=-1)
+    yh = Y / r0[..., None]
+    r = fam.R + q * (r0 - fam.R)
+    radial = yh[..., :, None] * yh[..., None, :]
+    J = q[..., None, None] * radial + (r / r0)[..., None, None] * (np.eye(fam.dim) - radial)
+    return r[..., None] * yh, J
+
+
+_SUBLEVEL = {
+    "radial": radial_annulus_flow(1.0, Affine(0.2, 0.1), 1.0),
+    "radial_3d": radial_annulus_flow(2.0, Poly(0.5, 0.3, -0.1), 1.0, dim=3),
+    "reflected": interval_flow(4.0, Affine(1.0, 0.5), 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SUBLEVEL))
+def test_sublevel_transport_keeps_the_points_of_the_jacobian_path(name):
+    # phi and psi transport the points only; dphi and dpsi form DPhi from
+    # the same transport, and both keep the bits of the one formula
+    fam = _SUBLEVEL[name]
+    Y = fam.reference.interior_grid(20)
+    for t in (np.linspace(0.0, 1.0, 6) * fam.horizon, 0.7 * fam.horizon):
+        x, J = _jacobian_forming_flow(fam, Y, 0.0, t)
+        assert np.array_equal(fam.phi(t, Y), x)
+        assert np.array_equal(fam.dphi(t, Y), J)
+        y, K = _jacobian_forming_flow(fam, x, t, 0.0)
+        assert np.array_equal(fam.psi(t, x), y)
+        assert np.array_equal(fam.dpsi(t, x), K)
+
+
+@pytest.mark.parametrize("name", sorted(_SUBLEVEL))
+def test_sublevel_transport_still_refuses_escaping_points(name):
+    fam = _SUBLEVEL[name]
+    inner = np.zeros((1, fam.dim))
+    # g = 0 at the origin of the radial kinds and at x = R on the line
+    inner[0, 0] = 1e-6 * fam.R if fam.radial else fam.R
+    nonfinite = np.full((1, fam.dim), np.nan)
+    for method in (fam.phi, fam.psi):
+        with pytest.raises(FlowEscape, match="non-finite"):
+            method(0.5, nonfinite)
+        with pytest.raises(FlowEscape, match="region where g is usable"):
+            method(0.0, inner)
 
 
 # --- time as an array axis ------------------------------------------------------

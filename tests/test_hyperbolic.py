@@ -188,6 +188,29 @@ def test_eval_all_gradient_matches_full_array_gradient(x):
     assert got.flags.f_contiguous == want.flags.f_contiguous
 
 
+@pytest.mark.parametrize("n, uniform", [(400, False), (1024, True)])
+def test_sampler_keeps_the_bits_of_np_gradient(n, uniform):
+    # the grid sampler evaluates np.gradient's stencil only at the nodes next
+    # to the quadrature points; v_dot and v_y must keep the bits of the whole
+    # np.gradient row interpolated, at the ledger's sizes
+    x = np.linspace(0.0, 1.0, n + 1)
+    d = np.diff(x)
+    assert (d == d[0]).all() == uniform
+    y, _ = gauss_legendre_panels(1.0, 16)
+    j = np.clip(np.searchsorted(x, y, side="right") - 1, 0, n - 1)
+    assert j[0] == 0 and j[-1] == n - 1  # the end formulas are read
+    rows = 2 * ((1 << 16) // (n + 1)) + 3  # block seams are hit
+    rng = np.random.default_rng(n)
+    V, Vd = rng.standard_normal((2, rows, n + 1))
+    order, sample = galerkin.sampler(y, x)
+    vd, vy = (np.empty((rows, len(y)), order=order) for _ in range(2))
+    sample(V, Vd, vd, vy)
+    w = np.clip((y - x[j]) / (x[j + 1] - x[j]), 0.0, 1.0)
+    G = np.gradient(V, x, axis=1, edge_order=2)
+    assert np.array_equal(vy, G[:, j] + w * (G[:, j + 1] - G[:, j]))
+    assert np.array_equal(vd, Vd[:, j] + w * (Vd[:, j + 1] - Vd[:, j]))
+
+
 def test_eval_all_gradient_transient_stays_small():
     import tracemalloc
 
