@@ -15,8 +15,8 @@ Phi = lam(t) y (det DPhi = lam, DPsi = 1/lam, the moving end at lam L with
 normal speed lam' L) and form their integrands a block of stored times at
 a time (about ``_BLOCK_VALUES`` = 2^13 quadrature values, 48 rows of a grid
 ledger), so their transient memory does not grow with the step count:
-``Ledger`` reads the rows of a grid run as ``fd.solve_fd`` makes them,
-storing none, and ``ledger_transformed`` a stored trajectory.
+``Ledger`` reads the rows of a run as its solver makes them, storing
+none, and ``ledger_transformed`` a stored trajectory.
 Normal derivatives at the boundary come from one-sided stencils.  Time
 accumulation uses the forward rectangle rule, matching the first-order
 convergence the moving balance exhibits; the fixed-domain remainder uses
@@ -108,7 +108,7 @@ def _fixed_block(problem, ts, yq, wq, vd, vy):
 
 
 class Ledger:
-    """The 1d ledger of a transformed run, a ``fd.solve_fd`` reader: ``start``
+    """The 1d ledger of a transformed run, a solver's reader: ``start``
     with the stored times, ``feed`` with the stored rows in order (grid
     values or modal coefficients), and ``finish`` returns the EnergyLedger.
     ``ledger_transformed`` feeds it a stored trajectory in one call.

@@ -10,8 +10,9 @@ midpoints; a, b, g at inner nodes), written in place into the rows of the
 ``kernels.Stepper`` the run owns (no forcing buffer without a forcing), so
 the coefficients take O(2^16) memory whatever the step count or the
 storing stride; a stored step may fall anywhere in a block.  The run feeds
-each block's stored rows to a reader: ``Rows`` copies them into the
-Trajectory it returns, ``energy.Ledger`` samples them into its sums.
+each block's stored rows to a reader: ``galerkin.Rows`` builds the
+Trajectory it returns (keeping the one block of a run that has only one),
+``energy.Ledger`` samples them into its sums.
 
 When lam'' is 0 at every half-step time of the run (rates() over them),
 as for a constant-speed stretch, the identity or the interval flow of an
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import kernels
 from .errors import BlowUp, CflViolation
-from .galerkin import Trajectory
+from .galerkin import Rows
 
 CFL_SAFETY = 0.9
 MIN_CELLS = 8
@@ -45,24 +46,6 @@ def _max_B(problem, ts, xm):
     every time, and rounding is monotone, so that column holds the max."""
     col = np.empty((len(ts), 1))
     return float(np.max(problem.line(ts, xm[:1], out=(col, None, None, None))[0]))
-
-
-class Rows:
-    """The default ``solve_fd`` reader: it copies the fed rows into a Trajectory."""
-
-    def start(self, times, kind, L, x=None, basis=None, meta=None):
-        shape = (len(times), len(x))
-        self.traj = Trajectory(kind, times, np.empty(shape), np.empty(shape), L,
-                               basis=basis, x=x, meta=meta)
-        self.done = 0
-
-    def feed(self, V, Vd):
-        i, self.done = self.done, self.done + len(V)
-        self.traj.values[i:self.done] = V
-        self.traj.velocities[i:self.done] = Vd
-
-    def finish(self):
-        return self.traj
 
 
 def solve_fd(problem, L, n, v0, v1, dt, T, store_every=1, reader=None):

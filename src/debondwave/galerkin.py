@@ -26,9 +26,10 @@ hands X = (d, d') to the shared RK4 driver, ``kernels.RK4``, with
 ``GalerkinSystem.accel`` as its acceleration: two matmuls a stage,
 X @ [K0; K2; A1]^T giving the six products K0 x, K2 x, A1 x for x = d, d',
 and their sum weighted by (-1/lam^2, r^2, lam''/lam, 0, 0, 2r).  No m x m
-array is formed while stepping.  ``sampler`` takes v_dot and v_y from the
-stored rows of a run, modal or grid, for ``Trajectory.eval_all`` and the
-energy ledger.
+array is formed while stepping.  The run feeds its reader (``Rows``, which
+builds the Trajectory of every 1d solver, by default) in one call.
+``sampler`` takes v_dot and v_y from the stored rows of a run, modal or
+grid, for the Trajectory and the energy ledger.
 """
 
 from dataclasses import dataclass, field
@@ -200,18 +201,13 @@ class Trajectory:
         return self.eval_index(i, y)
 
     def eval_index(self, i, y):
+        """(v, v_dot, v_y) at points y at stored time i; v_dot, v_y by ``sampler``."""
         y = np.asarray(y, dtype=float).reshape(-1)
-        if self.kind == "modal":
-            W = self.basis.values(y)
-            Wp = self.basis.derivs(y)
-            v = W @ self.values[i]
-            vd = W @ self.velocities[i]
-            vy = Wp @ self.values[i]
-        else:
-            v = np.interp(y, self.x, self.values[i])
-            vd = np.interp(y, self.x, self.velocities[i])
-            vy = np.interp(y, self.x, np.gradient(self.values[i], self.x, edge_order=2))
-        return v, vd, vy
+        v = (self.basis.values(y) @ self.values[i] if self.kind == "modal"
+             else np.interp(y, self.x, self.values[i]))
+        vd, vy = np.empty((2, 1, len(y)))
+        sampler(y, self.x, self.basis)[1](self.values[i][None], self.velocities[i][None], vd, vy)
+        return v, vd[0], vy[0]
 
     def eval_all(self, y):
         """(v_dot, v_y) at reference points y for every stored time, (nt,
@@ -221,6 +217,30 @@ class Trajectory:
         vd, vy = (np.empty((len(self.values), len(y)), order=order) for _ in range(2))
         sample(self.values, self.velocities, vd, vy)
         return vd, vy
+
+
+class Rows:
+    """The default reader of every 1d solver: the Trajectory of the fed rows,
+    kept when one feed holds them all, else copied as they come."""
+
+    def start(self, times, kind, L, x=None, basis=None, meta=None):
+        self.traj = Trajectory(kind, times, None, None, L, basis=basis, x=x, meta=meta)
+        self.done = 0
+
+    def feed(self, V, Vd):
+        traj, i = self.traj, self.done
+        self.done += len(V)
+        if i == 0 and self.done == len(traj.times):
+            traj.values, traj.velocities = V, Vd
+            return
+        if traj.values is None:
+            shape = (len(traj.times), V.shape[1])  # nodes or modes, as fed
+            traj.values, traj.velocities = np.empty(shape), np.empty(shape)
+        traj.values[i:self.done] = V
+        traj.velocities[i:self.done] = Vd
+
+    def finish(self):
+        return self.traj
 
 
 def sampler(y, x=None, basis=None):
@@ -297,13 +317,15 @@ def _gradient_at(x, k):
     return gradient
 
 
-def integrate(system: GalerkinSystem, d0, ddot0, dt, T, store_every=1):
+def integrate(system: GalerkinSystem, d0, ddot0, dt, T, store_every=1, reader=None):
     """RK4 on the projected system: one ``kernels.RK4`` run whose
-    acceleration is ``system.accel``.  The trajectory stores every
-    store_every-th step; dt is the one ``step_count`` gives.  The weights
-    (and a forcing) are evaluated before the first step at the 2 nsteps + 1
-    half-step times of ``kernels.half_steps``, the grid solver's."""
-    m = system.basis.m
+    acceleration is ``system.accel``.  The run stores every store_every-th
+    step; dt is the one ``step_count`` gives.  The weights (and a forcing)
+    are evaluated before the first step at the 2 nsteps + 1 half-step
+    times of ``kernels.half_steps``, the grid solver's.  The whole stored
+    run goes to the reader in one feed (a modal product over fewer rows
+    rounds otherwise), and it returns reader.finish()."""
+    basis, m = system.basis, system.basis.m
     nsteps, dt = step_count(dt, T, store_every)
     check_steps(nsteps)
     ts = half_steps(nsteps, dt)
@@ -329,17 +351,18 @@ def integrate(system: GalerkinSystem, d0, ddot0, dt, T, store_every=1):
     if status < 0:
         norm = np.max(np.abs(rk.state))
         raise BlowUp(f"modal state norm {norm} at t = {-status * dt}; shrink dt")
-    return Trajectory(
-        kind="modal", times=(np.arange(nstored) * store_every) * dt, values=vals,
-        velocities=vels, L=system.basis.L, basis=system.basis,
-        meta={"dt": dt, "m": m},
-    )
+    # the reader works without the run's tables (or a system no caller holds)
+    del rk, accel, views, weights, G, ts, system, d0, ddot0
+    reader = Rows() if reader is None else reader
+    reader.start((np.arange(nstored) * store_every) * dt, "modal", basis.L,
+                 basis=basis, meta={"dt": dt, "m": m})
+    reader.feed(vals, vels)
+    return reader.finish()
 
 
-def solve_transformed_modal(problem, L, v0, v1, m=32, dt=1e-3, T=1.0, store_every=1):
-    """Assemble and integrate in one call; v0, v1 are callables on (0, L)."""
+def solve_transformed_modal(problem, L, v0, v1, m=32, dt=1e-3, T=1.0, store_every=1,
+                            reader=None):
+    """Assemble and ``integrate`` in one call; v0, v1 are callables on (0, L)."""
     basis = SineBasis(L, m)
-    system = GalerkinSystem(basis, problem)
-    d0 = basis.project(v0)
-    dd0 = basis.project(v1)
-    return integrate(system, d0, dd0, dt, T, store_every=store_every)
+    return integrate(GalerkinSystem(basis, problem), basis.project(v0), basis.project(v1),
+                     dt, T, store_every=store_every, reader=reader)

@@ -22,8 +22,8 @@ The front scalars (trace, flow rule, slot fronts) are Python floats,
 with the float64 arithmetic of their array forms.  The energy ledger is summed
 in the step loop, one stored row behind (a row's front speed needs the
 next stored position), so a run stores no trajectory unless a caller
-passes a reader (``fd.solve_fd``'s contract; ``fd.Rows`` builds the
-Trajectory).  The 1d exact ODE from the characteristics module is the
+passes a reader (every 1d solver's contract; ``galerkin.Rows`` builds
+the Trajectory).  The 1d exact ODE from the characteristics module is the
 oracle for the constant-data scenario.
 
 The radial supercritical run passes near the switch p^2 = 2 kappa at
@@ -523,7 +523,7 @@ def evolve_coupled_1d(sc: CharScenario, numerics: CoupledNumerics = None, reader
     compatibility without touching the front's domain of dependence for
     t <= (1 - taper) T*.  The front trace, flow rule, front advance and
     PDE advance alternate explicitly; the map is rebuilt from the updated
-    front each step.  With a reader (``fd.solve_fd``'s start / feed /
+    front each step.  With a reader (every 1d solver's start / feed /
     finish), the stored rows also go to it and run.traj is
     reader.finish(); without one, run.traj is None.
     """

@@ -44,12 +44,12 @@ def step_count(dt, T, store_every=1):
     """(nsteps, dt) of a fixed-step run from 0 to T.
 
     dt is kept when it divides T within 1e-9 max(1, T); otherwise the run
-    takes ceil(T / dt) steps of T / nsteps, so it ends at T, not past it.
-    Raises ValueError unless store_every divides nsteps.
+    takes ceil(T / dt) steps of T / nsteps, at least one, so it ends at T,
+    not past it.  Raises ValueError unless store_every divides nsteps.
     """
     nsteps = int(round(T / dt))
     if abs(nsteps * dt - T) > 1e-9 * max(1.0, T):
-        nsteps = int(np.ceil(T / dt - 1e-12))
+        nsteps = max(1, int(np.ceil(T / dt - 1e-12)))
         dt = T / nsteps
     if nsteps % store_every:
         raise ValueError("store_every must divide the step count")
@@ -58,8 +58,8 @@ def step_count(dt, T, store_every=1):
 
 def cfl_step_count(h, cfl, T):
     """(nsteps, dt) of a coupled run from 0 to T on cells of width h: the
-    fewest steps of at most cfl h, each T / nsteps."""
-    nsteps = int(np.ceil(T / (cfl * h) - 1e-12))
+    fewest steps of at most cfl h, at least one, each T / nsteps."""
+    nsteps = max(1, int(np.ceil(T / (cfl * h) - 1e-12)))
     return nsteps, T / nsteps
 
 

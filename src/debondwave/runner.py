@@ -4,10 +4,10 @@ CSV layout: comma separated, '.' decimal, mandatory header row, times in
 the first column, 17 significant digits.  The manifest echoes the fully
 resolved scenario so a run can be reproduced byte for byte.
 
-A grid wave run whose [output] series does not list ``trajectory`` hands
-its rows to an ``energy.Ledger`` as ``solve_fd`` makes them and stores
-none; with ``trajectory`` listed, and for the spectral solver, the run is
-stored and ``ledger_transformed`` reads it, with the same bits.
+A wave run's [output] series alone picks its reader, for either solver:
+without ``trajectory`` listed the run hands its rows to an
+``energy.Ledger`` as it makes them and stores none; with it, ``Rows``
+stores the run and ``ledger_transformed`` reads it, with the same bits.
 """
 
 import contextlib
@@ -21,7 +21,7 @@ from .energy import Ledger, ledger_transformed
 from .errors import TypeMismatch
 from .expressions import Const, SpaceTimeField
 from .fd import solve_fd
-from .galerkin import solve_transformed_modal
+from .galerkin import Rows, solve_transformed_modal
 from .griffith import CoupledNumerics, evolve_coupled_1d, evolve_coupled_radial
 from .scenarios import SERIES, Scenario, SlopeField, build_motion, lift_boundary_load
 from .transform import PulledBackProblem, pullback_initial
@@ -121,19 +121,19 @@ def _run_wave(sc):
     data = pullback_initial(fam, u0, u1)
     num = sc.numerics
     kappa = sc.data.get("kappa")
+    # without a trajectory table, the ledger sums the rows as the run makes them
+    keep = "trajectory" in sc.series
+    reader = Rows() if keep else Ledger(fam, forcing, kappa, problem)
     with _stage("solve"):
         if num["solver"] == "spectral":
-            traj = solve_transformed_modal(
+            out = solve_transformed_modal(
                 problem, L, data.v0, data.v1, m=num["modes"], dt=num["dt"],
-                T=fam.horizon, store_every=num["store_every"])
+                T=fam.horizon, store_every=num["store_every"], reader=reader)
         else:
-            # without a trajectory table, the ledger sums the rows as the run makes them
-            keep = "trajectory" in sc.series
             out = solve_fd(problem, L, num["grid"], data.v0, data.v1, dt=num["dt"],
-                           T=fam.horizon, store_every=num["store_every"],
-                           reader=None if keep else Ledger(fam, forcing, kappa, problem))
-            traj, led = (out, None) if keep else (None, out)
-    if traj is not None:
+                           T=fam.horizon, store_every=num["store_every"], reader=reader)
+    traj, led = (out, None) if keep else (None, out)
+    if keep:
         with _stage("ledger"):
             led = ledger_transformed(traj, fam, forcing=forcing, kappa=kappa, problem=problem)
 

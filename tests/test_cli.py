@@ -461,11 +461,14 @@ def test_run_writes_trajectory_series(tmp_path, capsys):
                                atol=1e-15)
 
 
-@pytest.mark.parametrize("text", [MOVING, FORCED], ids=["moving", "forced"])
-def test_streamed_and_stored_grid_runs_write_the_same_ledger(tmp_path, text):
-    # without trajectory in series the grid run hands its rows to the
-    # ledger as it makes them; with it, the ledger reads the stored run
-    name = "moving" if text is MOVING else "forced"
+SPECTRAL = MOVING.replace("solver = grid\ngrid = 128", "solver = spectral\nmodes = 16")
+
+
+@pytest.mark.parametrize("text, name", [(MOVING, "moving"), (FORCED, "forced"),
+                                        (SPECTRAL, "moving")], ids=["moving", "forced", "spectral"])
+def test_streamed_and_stored_grid_runs_write_the_same_ledger(tmp_path, text, name):
+    # without trajectory in series the run, grid or spectral, hands its rows
+    # to the ledger as it makes them; with it, the ledger reads the stored run
     for series in ("ledger", "ledger, trajectory"):
         out = tmp_path / series.replace(", ", "-")
         path = _write(tmp_path, f"{out.name}.scn", text + f"\n[output]\nseries = {series}\n")

@@ -56,6 +56,16 @@ def test_no_library_call_can_skip_a_check():
     assert sorted(q for q, fn in seen.items() if "check" in inspect.signature(fn).parameters) == []
 
 
+def test_every_1d_solver_takes_a_reader():
+    # one reader contract: each 1d solver entry point hands its stored rows
+    # to reader.start / feed / finish, so no solver builds its own trajectory
+    seen = dict(_public_callables())
+    solvers = ["debondwave.fd.solve_fd", "debondwave.galerkin.integrate",
+               "debondwave.galerkin.solve_transformed_modal",
+               "debondwave.griffith.evolve_coupled_1d", "debondwave.griffith.evolve_coupled_radial"]
+    assert [q for q in solvers if "reader" not in inspect.signature(seen[q]).parameters] == []
+
+
 def test_compatibility_tolerance_is_1e_9():
     # |u1| <= 1e-9 is a front at rest
     assert compatibility_check(1.0, 1e-9, 1.0) is Verdict.SUBCRITICAL_REST

@@ -257,18 +257,13 @@ _LEDGER_FIELDS = ("times", "kinetic", "potential", "work", "boundary_dissipation
                   "debond_dissipation", "residual_moving", "residual_fixed", "G_total")
 
 
-# n = 64 steps in solver blocks of 1008: at 2000 steps the 192-row ledger
-# blocks straddle the solver blocks' seam, and a stride of 5 ends the first
-# solver block between two stored steps; 193 and 385 stored rows leave a
-# one-row tail that joins the last block
-@pytest.mark.parametrize("dt, store_every", [(1 / 2000, 1), (1 / 2000, 5), (1 / 192, 1),
-                                            (1 / 1920, 5), (1e-3, 1000)])
-@pytest.mark.parametrize("forced", [False, True])
-def test_streamed_grid_ledger_keeps_the_stored_ledger_bits(dt, store_every, forced):
+def _streamed_ledger_keeps_the_stored_ledger_bits(solve, forced, **run):
+    """solve(..., reader=Ledger) against ledger_transformed of the run
+    solve(...) stores, in every field."""
     v0 = lambda y: np.sin(np.pi * y)
     v1 = lambda y: 0.0 * np.asarray(y)
     if forced:
-        # lam'' != 0, so the run steps with the a term, and the fixed balance
+        # lam'' != 0, so a grid run steps with the a term, and the fixed balance
         fam = one_d_scaling(Poly(1.0, 0.2, 0.3), 1.0)
         forcing = SpaceTimeField(SineMode(1.0, 2).bound(1.0), Poly(0.5, 1.0, -0.3))
         pb = PulledBackProblem(fam, forcing=forcing)
@@ -277,10 +272,9 @@ def test_streamed_grid_ledger_keeps_the_stored_ledger_bits(dt, store_every, forc
         fam = one_d_scaling(Affine(1.0, 0.5), 1.0)
         pb = PulledBackProblem(fam)
         kw = {}
-    traj = solve_fd(pb, 1.0, 64, v0, v1, dt=dt, T=1.0, store_every=store_every)
+    traj = solve(pb, 1.0, v0=v0, v1=v1, T=1.0, **run)
     want = ledger_transformed(traj, fam, **kw)
-    got = solve_fd(pb, 1.0, 64, v0, v1, dt=dt, T=1.0, store_every=store_every,
-                   reader=Ledger(fam, **kw))
+    got = solve(pb, 1.0, v0=v0, v1=v1, T=1.0, reader=Ledger(fam, **kw), **run)
     assert len(got.times) == len(traj.times)
     for name in _LEDGER_FIELDS:
         a, b = getattr(got, name), getattr(want, name)
@@ -288,6 +282,27 @@ def test_streamed_grid_ledger_keeps_the_stored_ledger_bits(dt, store_every, forc
         if b is not None:
             assert np.array_equal(a, b, equal_nan=name == "G_total"), name
     assert (got.residual_fixed is None) == (not forced)
+
+
+# n = 64 steps in solver blocks of 1008: at 2000 steps the 192-row ledger
+# blocks straddle the solver blocks' seam, and a stride of 5 ends the first
+# solver block between two stored steps; 193 and 385 stored rows leave a
+# one-row tail that joins the last block
+@pytest.mark.parametrize("dt, store_every", [(1 / 2000, 1), (1 / 2000, 5), (1 / 192, 1),
+                                            (1 / 1920, 5), (1e-3, 1000)])
+@pytest.mark.parametrize("forced", [False, True])
+def test_streamed_grid_ledger_keeps_the_stored_ledger_bits(dt, store_every, forced):
+    _streamed_ledger_keeps_the_stored_ledger_bits(solve_fd, forced, n=64, dt=dt,
+                                                  store_every=store_every)
+
+
+@pytest.mark.parametrize("store_every", [1, 10])
+@pytest.mark.parametrize("forced", [False, True])
+def test_streamed_modal_ledger_keeps_the_stored_ledger_bits(store_every, forced):
+    # the modal run feeds its reader the whole stored run, the one feed
+    # ledger_transformed makes on the kept trajectory
+    _streamed_ledger_keeps_the_stored_ledger_bits(solve_transformed_modal, forced, m=16,
+                                                  dt=1e-3, store_every=store_every)
 
 
 def test_energy_suite_stores_no_grid_trajectory():

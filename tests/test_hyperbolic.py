@@ -11,6 +11,7 @@ from debondwave.expressions import Affine, Const, Poly, SineMode, SpaceTimeField
 from debondwave.fd import solve_fd
 from debondwave.galerkin import (
     GalerkinSystem,
+    Rows,
     SineBasis,
     Trajectory,
     gauss_legendre_panels,
@@ -229,6 +230,35 @@ def test_eval_all_gradient_transient_stays_small():
         tracemalloc.stop()
     held = sum(a.nbytes for a in out)
     assert peak - held < 0.25 * values.nbytes
+
+
+def test_rows_keeps_a_whole_feed_and_copies_chunks():
+    times = np.arange(4) * 0.25
+    x = np.linspace(0.0, 1.0, 9)
+    V, Vd = np.random.default_rng(7).standard_normal((2, 4, 9))
+    rows = Rows()
+    rows.start(times, "grid", 1.0, x=x)
+    rows.feed(V, Vd)
+    kept = rows.finish()
+    assert kept.values is V and kept.velocities is Vd
+    # chunks come through one buffer that the next chunk overwrites
+    rows = Rows()
+    rows.start(times, "grid", 1.0, x=x)
+    buf = np.empty((2, 2, 9))
+    for i in (0, 2):
+        buf[:] = V[i:i + 2], Vd[i:i + 2]
+        rows.feed(*buf)
+    buf[:] = np.nan
+    copied = rows.finish()
+    assert np.array_equal(copied.values, V) and np.array_equal(copied.velocities, Vd)
+    # modal rows are sized by the basis, not by grid nodes
+    rows = Rows()
+    rows.start(times, "modal", 1.0, basis=SineBasis(1.0, 5))
+    rows.feed(V[:1, :5], Vd[:1, :5])
+    rows.feed(V[1:, :5], Vd[1:, :5])
+    modal = rows.finish()
+    assert np.array_equal(modal.values, V[:, :5]) and np.array_equal(modal.velocities, Vd[:, :5])
+    assert modal.x is None and modal.basis.m == 5
 
 
 def test_trajectory_eval_refuses_times_between_samples():

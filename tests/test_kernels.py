@@ -677,3 +677,16 @@ def test_the_run_bound_counts_steps_alone():
     kernels.check_steps(kernels.MAX_STEPS)
     with pytest.raises(RunTooLarge):
         kernels.check_steps(kernels.MAX_STEPS + 1)
+
+
+@pytest.mark.parametrize("dt, T", [(1e300, 1.0), (1e300, 2.7), (3.0, 1.0)])
+def test_a_step_longer_than_the_horizon_is_one_step(dt, T):
+    # ceil(T / dt - 1e-12) is 0 when T / dt < 1e-12, and T / 0 divided by zero
+    assert kernels.step_count(dt, T) == (1, T)
+    with pytest.raises(ValueError, match="store_every must divide"):
+        kernels.step_count(dt, T, store_every=2)
+
+
+@pytest.mark.parametrize("h, cfl", [(1e300, 0.5), (1e-3, 1e300), (1.0, 3.0)])
+def test_a_cfl_step_longer_than_the_horizon_is_one_step(h, cfl):
+    assert kernels.cfl_step_count(h, cfl, 2.7) == (1, 2.7)

@@ -4,12 +4,14 @@ row, and the manifest echoes exactly that row."""
 import glob
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from debondwave.cli import main
-from debondwave.errors import BoundaryMismatch, RunTooLarge, TypeMismatch, UnknownKey
+from debondwave.errors import (BoundaryMismatch, DebondWaveError, RunTooLarge, TypeMismatch,
+                               UnknownKey)
 from debondwave.expressions import Const, SineMode, SpaceTimeField
 from debondwave.runner import run_scenario
 from debondwave.scenarios import parse_scenario
@@ -247,6 +249,27 @@ def test_a_run_beyond_the_step_bound_is_refused_before_it_allocates(tmp_path, ca
     assert not os.path.exists(tmp_path / "out")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # l0 = 1e300 overflows before it blows up
+@pytest.mark.parametrize("name, old, new, code", [
+    # one step of T: a modal step of 1 runs, a grid step of 1 breaks the CFL bound
+    ("standing_wave.scn", "dt = 0.001", "dt = 1e300", 0),
+    ("moving_interval.scn", "dt = 0.001", "dt = 1e300", 3),
+    ("debonding_constant.scn", "l0 = 1.0", "l0 = 1e300", 3),
+    ("debonding_constant.scn", "store_every = 16", "store_every = 1\ncfl = 1e300", 0),
+])
+def test_a_step_longer_than_the_horizon_is_one_step_of_it(tmp_path, capsys, name, old, new,
+                                                          code):
+    # these divided by zero in the step count: validate printed a traceback
+    # and exited 1, and sweep took the file for a defect
+    with open(os.path.join(SCENARIOS, name), encoding="utf-8") as fh:
+        text = fh.read()
+    assert old in text
+    path = _write(tmp_path, name, text.replace(old, new))
+    assert main(["validate", path]) == 0
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_a_step_bound_error_without_a_horizon_line_names_the_dt_line(tmp_path):
     # the file keeps the default horizon, so the step it sets is what to change
     path = _write(tmp_path, "t.scn", WAVE_FILE.replace("dt = 0.005", "dt = 1e-300"))
@@ -265,3 +288,39 @@ def test_the_run_time_step_bound_still_refuses_a_run_parse_did_not_check(tmp_pat
         with pytest.raises(RunTooLarge) as err:
             run_scenario(sc, str(tmp_path / "out"))
         assert str(err.value).startswith(stage)
+
+
+# the fuzz's grids: each case runs in tens of milliseconds at most
+FUZZ_GRIDS = {"front_grid": "64", "grid": "40", "modes": "8"}
+# no value gives a run near kernels.MAX_STEPS: a step count past it is
+# refused at parse, and the rest stay far below it at these grids
+FUZZ_VALUES = ("0", "-1", "1e-12", "1e300", "nan", "inf", "", "Const(1.0)", "Const(nan)",
+               "SineMode(1.0, 1)", "Affine(1.0, 0.5)", "Poly(1.0, -2.0)", "Poly(0.0, 1.0, -1.0)")
+
+
+def test_every_one_line_mutation_of_the_scenario_files_runs_or_is_typed(tmp_path):
+    # a fixed table, not a random draw: each value in turn on each key line
+    # of the four scenarios/ files, on small grids
+    untyped, cases = [], 0
+    for path in sorted(glob.glob(os.path.join(SCENARIOS, "*.scn"))):
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        lines = [f"{ln.split(' =')[0]} = {FUZZ_GRIDS[ln.split(' =')[0]]}"
+                 if ln.split(" =")[0] in FUZZ_GRIDS else ln for ln in lines]
+        for i, line in enumerate(lines):
+            if "=" not in line or line.startswith("#"):
+                continue
+            for value in FUZZ_VALUES:
+                mutated = lines[:i] + [f"{line.split(' =')[0]} = {value}"] + lines[i + 1:]
+                case = _write(tmp_path, os.path.basename(path), "\n".join(mutated) + "\n")
+                cases += 1
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", RuntimeWarning)
+                        run_scenario(parse_scenario(case), str(tmp_path / "out"))
+                except DebondWaveError:
+                    pass
+                except Exception as exc:  # noqa: BLE001 - the finding is its type
+                    untyped.append((os.path.basename(path), line, value, repr(exc)))
+    assert cases > 400
+    assert untyped == []
