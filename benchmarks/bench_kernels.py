@@ -44,7 +44,7 @@ trajectory) beside streamed (solve_fd with reader=energy.Ledger, which
 stores no trajectory), and streamed with problem=.  Last, the
 tracemalloc peak in MiB of each `debondwave run` on a scenarios/ file
 (parse and run, CSVs written to a temporary directory) and of the verify
-suites energy and coupled-1d.  Usage:
+suites transform-equivalence, energy and coupled-1d.  Usage:
 
     python benchmarks/bench_kernels.py [--steps N] [--grid N]
 """
@@ -277,15 +277,16 @@ def bench_memory(n):
 
 def run_peaks():
     """(name, tracemalloc peak) of each scenarios/ run and of the verify
-    suites energy and coupled-1d, each after a full garbage collection
-    (cyclic garbage left by earlier calls would move the peaks)."""
+    suites transform-equivalence, energy and coupled-1d, each after a full
+    garbage collection (cyclic garbage left by earlier calls would move the
+    peaks)."""
     peaks = []
     with tempfile.TemporaryDirectory() as out:
         for path in sorted(glob.glob(os.path.join(SCENARIOS, "*.scn"))):
             gc.collect()
             peak = _traced_peak(lambda: run_scenario(parse_scenario(path), out))[1]
             peaks.append((f"run {os.path.basename(path)}", peak))
-    for suite in ("energy", "coupled-1d"):
+    for suite in ("transform-equivalence", "energy", "coupled-1d"):
         gc.collect()
         peaks.append((f"verify {suite}", _traced_peak(lambda: run_suite(suite))[1]))
     return peaks

@@ -5,6 +5,7 @@ grid, and a boundary quadrature organized per face.  Normals are sampled
 per face only, never at edges or corners, where they are undefined.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -15,6 +16,16 @@ _CLOSURE_TOL = 1e-12  # slack of contains() on every domain boundary
 
 def _unit_ball_volume(n):
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+
+
+@functools.cache
+def _gauss_rule(n):
+    """np.polynomial.legendre.leggauss(n), nodes and weights on (-1, 1),
+    formed once per n in the process (an eigenvalue solve) and read-only."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 @dataclass(frozen=True)
@@ -184,7 +195,7 @@ def _sphere_face(name, radius, dim, resolution, outward):
         # Gauss in cos(polar) times uniform azimuth: exact for zonal polynomials
         nt = max(4, resolution // 8)
         np_az = max(8, resolution // 2)
-        mu, gw = np.polynomial.legendre.leggauss(nt)
+        mu, gw = _gauss_rule(nt)
         phi = (np.arange(np_az) + 0.5) * (2 * np.pi / np_az)
         MU, PHI = np.meshgrid(mu, phi, indexing="ij")
         s = np.sqrt(1.0 - MU ** 2)
@@ -233,7 +244,7 @@ class Box(ReferenceDomain):
         faces = []
         per_axis = max(2, int(round(resolution ** (1.0 / max(1, n - 1)))))
         if n > 1:  # one rule for every face and every axis along it
-            x, w = np.polynomial.legendre.leggauss(per_axis)
+            x, w = _gauss_rule(per_axis)
         for i in range(n):
             others = [j for j in range(n) if j != i]
             if others:
@@ -307,7 +318,7 @@ class Tetrahedron(ReferenceDomain):
         n = np.asarray(self.normal, dtype=float)
         lv = self.level
         q = max(4, resolution // 4)
-        x, w = np.polynomial.legendre.leggauss(q)
+        x, w = _gauss_rule(q)
         faces = []
         # coordinate edges: y2 = 0 up to lv/n1, and y1 = 0 up to lv/n2
         for i in range(2):

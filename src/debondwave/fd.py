@@ -4,15 +4,17 @@ Space: flux-form central differences for d/dy(B v_y) with B at cell
 midpoints, centered first differences for the a and b terms, homogeneous
 Dirichlet ends.  Time: classical RK4 at fixed step, coefficients sampled
 on the half-step grid.  The run goes in blocks of K steps, K about
-2^16 / (n + 1) whatever store_every: each block's 2K + 1 half-step slices
-come from one closed-form PulledBackProblem.line call per node set (B at
-midpoints; a, b, g at inner nodes), written in place into the rows of the
-``kernels.Stepper`` the run owns (no forcing buffer without a forcing), so
-the coefficients take O(2^16) memory whatever the step count or the
-storing stride; a stored step may fall anywhere in a block.  The run feeds
-each block's stored rows to a reader: ``galerkin.Rows`` builds the
-Trajectory it returns (keeping the one block of a run that has only one),
-``energy.Ledger`` samples them into its sums.
+2^15 / (n + 1) whatever store_every (81 at n = 400, 40 at n = 800): each
+block's 2K + 1 half-step slices come from one closed-form
+PulledBackProblem.line call per node set (B at midpoints; a, b, g at inner
+nodes), written in place into the rows of the ``kernels.Stepper`` the run
+owns (no forcing buffer without a forcing), so the coefficients take
+O(2^15) memory whatever the step count or the storing stride; a stored
+step may fall anywhere in a block.  Grid rows are independent, so the
+block size does not move a bit.  The run feeds each block's stored rows
+to a reader (a zero-step run its first row alone): ``galerkin.Rows``
+builds the Trajectory it returns (keeping the one block of a run that has
+only one), ``energy.Ledger`` samples them into its sums.
 
 When lam'' is 0 at every half-step time of the run (rates() over them),
 as for a constant-speed stretch, the identity or the interval flow of an
@@ -36,8 +38,8 @@ from .galerkin import Rows
 
 CFL_SAFETY = 0.9
 MIN_CELLS = 8
-# node-steps in one coefficient block: about 80 steps at n = 800
-_BLOCK_POINTS = 1 << 16
+# node-steps in one coefficient block: 40 steps at n = 800
+_BLOCK_POINTS = 1 << 15
 
 
 def _max_B(problem, ts, xm):
@@ -106,4 +108,6 @@ def solve_fd(problem, L, n, v0, v1, dt, T, store_every=1, reader=None):
             raise BlowUp(f"grid state exceeded {kernels.BLOWUP_LIMIT:g} at step {k0 - status}; shrink dt")
         first = int(k0 > 0)
         reader.feed(V[first:status], Vd[first:status])
+    if nsteps == 0:  # a zero horizon stores its first row alone
+        reader.feed(V[:1], Vd[:1])
     return reader.finish()

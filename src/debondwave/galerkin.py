@@ -68,7 +68,11 @@ def gauss_legendre_panels(L, panels):
 
 
 class SineBasis:
-    """First m sine modes on (0, L), L^2-orthonormal."""
+    """First m sine modes on (0, L), L^2-orthonormal.
+
+    ``values`` and ``derivs`` build their (len(y), m) table in one array:
+    the outer product y freqs, then sin or cos and the scale in place, so a
+    table peaks at its own size (the same bits as scale * sin(outer))."""
 
     def __init__(self, L, m):
         if m < 1:
@@ -81,12 +85,18 @@ class SineBasis:
         self.scale = np.sqrt(2.0 / self.L)
 
     def values(self, y):
-        y = np.asarray(y, dtype=float)
-        return self.scale * np.sin(np.outer(y, self.freqs))
+        """(len(y), m) table scale sin(freqs y)."""
+        T = np.outer(np.asarray(y, dtype=float), self.freqs)
+        np.sin(T, out=T)
+        T *= self.scale
+        return T
 
     def derivs(self, y):
-        y = np.asarray(y, dtype=float)
-        return self.scale * self.freqs[None, :] * np.cos(np.outer(y, self.freqs))
+        """(len(y), m) table (scale freqs) cos(freqs y)."""
+        T = np.outer(np.asarray(y, dtype=float), self.freqs)
+        np.cos(T, out=T)
+        T *= self.scale * self.freqs
+        return T
 
     def project(self, f):
         """L^2 coefficients of a callable by 10-point Gauss on max(8, m) panels."""
@@ -170,7 +180,13 @@ class GalerkinSystem:
 
 @dataclass
 class Trajectory:
-    """Discrete-in-time solution, modal coefficients or grid values."""
+    """Discrete-in-time solution, modal coefficients or grid values.
+
+    ``eval(t, y)`` gives (v, v_dot, v_y) at the stored time nearest t, and
+    ``value_at(t, y)`` gives v alone with the same bits and refusal, without
+    the v_dot and v_y tables: W @ values for a modal run, np.interp on the
+    nodes for a grid one.
+    """
 
     kind: str                 # 'modal' | 'grid'
     times: np.ndarray         # (nt,)
@@ -186,28 +202,40 @@ class Trajectory:
         i = int(np.argmin(np.abs(self.times - t)))
         return i
 
-    def eval(self, t, y):
-        """(v, v_dot, v_y) at reference points y, at the stored time nearest t.
-
-        Raises ValueError when t lies more than half a stored step away
-        from every stored time.
-        """
+    def _stored_index(self, t):
+        """Index of the stored time nearest t, refused (ValueError) more
+        than half a stored step away from every stored time."""
         i = self.index_of(t)
         gap = abs(t - self.times[i])
         step = np.max(np.diff(self.times), initial=0.0)
         if gap > 0.5 * step + 1e-12 * max(1.0, abs(t)):
             raise ValueError(f"t = {t} is {gap:g} from the nearest stored time "
                              f"{self.times[i]}, more than half a step")
-        return self.eval_index(i, y)
+        return i
+
+    def eval(self, t, y):
+        """(v, v_dot, v_y) at reference points y, at the stored time nearest t.
+
+        Raises ValueError when t lies more than half a stored step away
+        from every stored time.
+        """
+        return self.eval_index(self._stored_index(t), y)
+
+    def value_at(self, t, y):
+        """v alone at points y, at the stored time nearest t: eval(t, y)[0]
+        with the same bits and refusal, without the v_dot and v_y tables."""
+        return self._v(self._stored_index(t), np.asarray(y, dtype=float).reshape(-1))
+
+    def _v(self, i, y):
+        return (self.basis.values(y) @ self.values[i] if self.kind == "modal"
+                else np.interp(y, self.x, self.values[i]))
 
     def eval_index(self, i, y):
         """(v, v_dot, v_y) at points y at stored time i; v_dot, v_y by ``sampler``."""
         y = np.asarray(y, dtype=float).reshape(-1)
-        v = (self.basis.values(y) @ self.values[i] if self.kind == "modal"
-             else np.interp(y, self.x, self.values[i]))
         vd, vy = np.empty((2, 1, len(y)))
         sampler(y, self.x, self.basis)[1](self.values[i][None], self.velocities[i][None], vd, vy)
-        return v, vd[0], vy[0]
+        return self._v(i, y), vd[0], vy[0]
 
     def eval_all(self, y):
         """(v_dot, v_y) at reference points y for every stored time, (nt,

@@ -141,7 +141,8 @@ def _criterion4_scenario():
 def _cross_solver_distances(fam, problem, v0, v1, u0, u1, m, n, parts, dt, inner_n):
     """L2 distances at t = 1 between the three solvers' physical fields.
 
-    The modal and grid runs store only t = 0 and t = 1, the one time read.
+    The modal and grid runs store only t = 0 and t = 1, the one time read,
+    and each trajectory gives its values there alone (``Trajectory.value_at``).
     """
     store = step_count(dt, 1.0)[0]
     modal = solve_transformed_modal(problem, 1.0, v0, v1, m=m, dt=dt, T=1.0, store_every=store)
@@ -150,10 +151,9 @@ def _cross_solver_distances(fam, problem, v0, v1, u0, u1, m, n, parts, dt, inner
     lT = fam.domain_measure(1.0)
     xs = np.linspace(0.0, lT, 3001)[1:-1]
     w = xs[1] - xs[0]
-    um = modal.eval(1.0, xs / lT)[0]
-    ug = grid.eval(1.0, xs / lT)[0]
-    i = cyl.traj.index_of(1.0)
-    uc = np.interp(xs, cyl.traj.x, cyl.traj.values[i])
+    um = modal.value_at(1.0, xs / lT)
+    ug = grid.value_at(1.0, xs / lT)
+    uc = cyl.traj.value_at(1.0, xs)
 
     def l2(a, b):
         return float(np.sqrt(np.sum((a - b) ** 2) * w))

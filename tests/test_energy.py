@@ -121,7 +121,7 @@ def _sampled_rows(monkeypatch):
     return seen
 
 
-# 2000 steps: several ledger blocks, and at n = 64 two solver blocks of at most 1008
+# 2000 steps: several ledger blocks, and at n = 64 four solver blocks of at most 504
 @pytest.mark.parametrize("source", ["grid", "modal", "streamed-1", "streamed-5"])
 def test_ledger_samples_each_stored_row_once(monkeypatch, source):
     fam = one_d_scaling(Affine(1.0, 0.5), 1.0)
@@ -284,7 +284,7 @@ def _streamed_ledger_keeps_the_stored_ledger_bits(solve, forced, **run):
     assert (got.residual_fixed is None) == (not forced)
 
 
-# n = 64 steps in solver blocks of 1008: at 2000 steps the 192-row ledger
+# n = 64 steps in solver blocks of 504: at 2000 steps the 192-row ledger
 # blocks straddle the solver blocks' seam, and a stride of 5 ends the first
 # solver block between two stored steps; 193 and 385 stored rows leave a
 # one-row tail that joins the last block
@@ -303,6 +303,26 @@ def test_streamed_modal_ledger_keeps_the_stored_ledger_bits(store_every, forced)
     # ledger_transformed makes on the kept trajectory
     _streamed_ledger_keeps_the_stored_ledger_bits(solve_transformed_modal, forced, m=16,
                                                   dt=1e-3, store_every=store_every)
+
+
+def test_a_zero_horizon_grid_ledger_is_row_0_of_a_longer_run():
+    # a zero-step run feeds its first row, so the ledger reads its energy.
+    # It is the stored one-row run's ledger bit for bit; row 0 of a longer
+    # run rounds its quadrature sums in a matrix-vector product over more
+    # rows (OpenBLAS sums a lone row another way), so it agrees to rounding
+    fam = one_d_scaling(Affine(1.0, 0.5), 1.0)
+    pb = PulledBackProblem(fam)
+    v0 = lambda y: np.sin(np.pi * y)
+    v1 = lambda y: 0.0 * np.asarray(y)
+    kw = dict(kappa=Const(1.0), problem=pb)
+    got, longer = (solve_fd(pb, 1.0, 64, v0, v1, dt=1e-3, T=T, reader=Ledger(fam, **kw))
+                   for T in (0.0, 1.0))
+    stored = ledger_transformed(solve_fd(pb, 1.0, 64, v0, v1, dt=1e-3, T=0.0), fam, **kw)
+    assert got.kinetic[0] + got.potential[0] > 1.0
+    for name in _LEDGER_FIELDS:
+        assert np.array_equal(getattr(got, name), getattr(stored, name)), name
+        np.testing.assert_allclose(getattr(got, name), getattr(longer, name)[:1],
+                                   rtol=1e-15, atol=0.0, err_msg=name)
 
 
 def test_energy_suite_stores_no_grid_trajectory():

@@ -251,6 +251,32 @@ def _level_identity_residual(fam, t, y):
     return float(np.max(np.abs(lhs - q * (np.linalg.norm(y, axis=-1) - fam.R))))
 
 
+@pytest.mark.parametrize("domain", [Box((1.0, 0.5)), Tetrahedron((0.6, 0.8)), Ball(1.0, 3)],
+                         ids=["box", "tetrahedron", "ball-3d"])
+def test_boundary_faces_form_each_gauss_rule_once(monkeypatch, domain):
+    first = domain.boundary_faces(128)
+
+    def formed_again(n):
+        raise AssertionError(f"leggauss({n}) formed a second time")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", formed_again)
+    second = domain.boundary_faces(128)
+    assert [f.name for f in second] == [f.name for f in first]
+    for a, b in zip(first, second):
+        for field in ("points", "weights", "normals"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), (a.name, field)
+
+
+def test_the_cached_gauss_rule_is_leggauss_and_read_only():
+    from debondwave.domains import _gauss_rule
+
+    for n in (128, 5):
+        rule = _gauss_rule(n)
+        assert rule is _gauss_rule(n)
+        for got, want in zip(rule, np.polynomial.legendre.leggauss(n)):
+            assert np.array_equal(got, want) and not got.flags.writeable
+
+
 def test_level_identity_example():
     fam = radial_annulus_flow(1.0, Affine(0.2, 0.1), 1.0)
     y = np.array([[0.9, 0.0]])

@@ -261,6 +261,75 @@ def test_rows_keeps_a_whole_feed_and_copies_chunks():
     assert modal.x is None and modal.basis.m == 5
 
 
+def _value_at_trajectories():
+    grid, modal = _grid_and_modal_trajectories()
+    fam = one_d_scaling(Affine(1.0, 0.5), 1.0)
+    cyl = solve_cylinder(fam, lambda x: np.sin(np.pi * np.clip(x, 0.0, 1.0)), _zero,
+                         partitions=10, inner_n=60)
+    return {"grid": grid, "modal": modal, "cylinder": cyl.traj}
+
+
+@pytest.mark.parametrize("kind", ["grid", "modal", "cylinder"])
+def test_value_at_is_eval_v_bit_for_bit_and_refuses_the_same_times(kind):
+    traj = _value_at_trajectories()[kind]
+    ys = np.concatenate([np.linspace(0.0, traj.L, 37), [0.0125, 0.9999]])
+    for t in (0.0, 0.3, 0.34, 0.96, 1.0, 1.04):  # stored or within half a step
+        assert np.array_equal(traj.value_at(t, ys), traj.eval(t, ys)[0])
+    for t in (1.06, -0.06, 3.0):
+        for evaluate in (traj.eval, traj.value_at):
+            with pytest.raises(ValueError, match="more than half a step"):
+                evaluate(t, ys)
+
+
+def test_sine_tables_keep_the_two_temporary_bits_in_one_table():
+    basis = SineBasis(1.0, 64)
+    y = np.linspace(0.0, 1.0, 3001)
+    table = 8 * len(y) * basis.m
+    for build, formula in (
+            (basis.values, lambda: basis.scale * np.sin(np.outer(y, basis.freqs))),
+            (basis.derivs, lambda: (basis.scale * basis.freqs[None, :]
+                                    * np.cos(np.outer(y, basis.freqs))))):
+        tracemalloc.start()
+        try:
+            got = build(y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, formula())
+        assert peak < 1.25 * table  # the formulas peak at two tables
+
+
+def test_cross_solver_distances_stay_small_at_the_fine_level():
+    # 2.45 MiB traced (5.39 MiB when the modal eval also formed v_dot and
+    # v_y, the basis held two temporaries and a grid block 2^16 node-steps)
+    import gc
+
+    from debondwave import verify
+
+    args = verify._criterion4_scenario()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        verify._cross_solver_distances(*args, 64, 800, 64, 5e-4, 768)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20
+
+
+def test_a_zero_horizon_grid_run_keeps_its_first_row():
+    # no step: the first row, v0 and v1 at the nodes with zero ends, is fed alone
+    problem = PulledBackProblem(one_d_scaling(Affine(1.0, 0.5), 1.0))
+    v0 = lambda y: 1.0 + np.sin(np.pi * y)
+    v1 = lambda y: 2.0 - np.asarray(y)
+    traj = solve_fd(problem, 1.0, 64, v0, v1, dt=1e-3, T=0.0)
+    assert np.array_equal(traj.times, [0.0])
+    for got, data in ((traj.values, v0), (traj.velocities, v1)):
+        want = data(traj.x)
+        want[[0, -1]] = 0.0
+        assert got.shape == (1, 65) and np.array_equal(got[0], want)
+
+
 def test_trajectory_eval_refuses_times_between_samples():
     grid, _ = _grid_and_modal_trajectories()
     ys = np.linspace(0.0, 1.0, 5)

@@ -608,7 +608,8 @@ def _wavy_forcing(t, x):
 
 @pytest.mark.parametrize("n, dt, T, store_every, forcing", [
     (200, 2e-3, 2.0, 1, None),              # 1000 steps, not a multiple of a block
-    (200, 2e-3, 0.5, 1, None),              # 250 steps, shorter than one block
+    (200, 2e-3, 0.5, 1, None),              # 250 steps, one block and a part
+    (200, 2e-3, 0.3, 1, None),              # 150 steps, shorter than one block
     (200, 2e-3, 1.998, 3, None),            # 999 steps stored every 3rd
     (200, 2e-3, 2.002, 7, _wavy_forcing),   # 1001 steps stored every 7th, forced
     (1 << 16, 1e-5, 3e-5, 1, None),         # so many nodes that a block is one step

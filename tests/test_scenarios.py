@@ -298,29 +298,55 @@ FUZZ_VALUES = ("0", "-1", "1e-12", "1e300", "nan", "inf", "", "Const(1.0)", "Con
                "SineMode(1.0, 1)", "Affine(1.0, 0.5)", "Poly(1.0, -2.0)", "Poly(0.0, 1.0, -1.0)")
 
 
+# the keys each file leaves at its default, fuzzed on one inserted line
+FUZZ_DEFAULT_KEYS = {
+    "debonding_constant.scn": ("data.f", "data.f_time", "numerics.cfl", "numerics.taper",
+                               "output.series"),
+    "debonding_radial.scn": ("data.f", "data.f_time", "numerics.cfl", "output.series"),
+    "moving_interval.scn": ("data.f", "data.f_time", "data.w", "data.w_time", "output.series"),
+    "standing_wave.scn": ("data.f", "data.f_time", "data.w", "data.w_time", "output.series"),
+}
+
+
+def _one_line_mutations(name, lines):
+    """(line, value, mutated lines): each FUZZ_VALUES value on each key line
+    of a file, and on one line inserted for each key it leaves at its
+    default (under its section's header, or a new one at the end)."""
+    for i, line in enumerate(lines):
+        if "=" in line and not line.startswith("#"):
+            key = line.split(" =")[0]
+            for value in FUZZ_VALUES:
+                yield line, value, lines[:i] + [f"{key} = {value}"] + lines[i + 1:]
+    for dotted in FUZZ_DEFAULT_KEYS[name]:
+        section, key = dotted.split(".")
+        assert not any(ln.startswith(f"{key} =") for ln in lines), dotted
+        header = f"[{section}]"
+        i, head = (lines.index(header) + 1, []) if header in lines else (len(lines), [header])
+        for value in FUZZ_VALUES:
+            yield dotted, value, lines[:i] + head + [f"{key} = {value}"] + lines[i:]
+
+
 def test_every_one_line_mutation_of_the_scenario_files_runs_or_is_typed(tmp_path):
     # a fixed table, not a random draw: each value in turn on each key line
-    # of the four scenarios/ files, on small grids
+    # of the four scenarios/ files and on each key they leave at its
+    # default, on small grids
     untyped, cases = [], 0
     for path in sorted(glob.glob(os.path.join(SCENARIOS, "*.scn"))):
+        name = os.path.basename(path)
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
         lines = [f"{ln.split(' =')[0]} = {FUZZ_GRIDS[ln.split(' =')[0]]}"
                  if ln.split(" =")[0] in FUZZ_GRIDS else ln for ln in lines]
-        for i, line in enumerate(lines):
-            if "=" not in line or line.startswith("#"):
-                continue
-            for value in FUZZ_VALUES:
-                mutated = lines[:i] + [f"{line.split(' =')[0]} = {value}"] + lines[i + 1:]
-                case = _write(tmp_path, os.path.basename(path), "\n".join(mutated) + "\n")
-                cases += 1
-                try:
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore", RuntimeWarning)
-                        run_scenario(parse_scenario(case), str(tmp_path / "out"))
-                except DebondWaveError:
-                    pass
-                except Exception as exc:  # noqa: BLE001 - the finding is its type
-                    untyped.append((os.path.basename(path), line, value, repr(exc)))
-    assert cases > 400
+        for line, value, mutated in _one_line_mutations(name, lines):
+            case = _write(tmp_path, name, "\n".join(mutated) + "\n")
+            cases += 1
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    run_scenario(parse_scenario(case), str(tmp_path / "out"))
+            except DebondWaveError:
+                pass
+            except Exception as exc:  # noqa: BLE001 - the finding is its type
+                untyped.append((name, line, value, repr(exc)))
+    assert cases == 455 + 19 * len(FUZZ_VALUES)
     assert untyped == []
