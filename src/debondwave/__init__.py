@@ -13,11 +13,8 @@ from .characteristics import CharScenario, dalembert_fixed, front_ode_exact
 from .domains import Annulus, Ball, Box, Interval, Tetrahedron
 from .energy import (
     Ledger,
-    balance_residual_moving,
     ledger_transformed,
     measure_identity_residual,
-    release_rate_density,
-    total_release_rate,
 )
 from .expressions import Affine, Const, Poly, SineMode, SpaceTimeField, parse_expression
 from .fd import solve_fd

@@ -22,9 +22,10 @@ accumulation uses the forward rectangle rule, matching the first-order
 convergence the moving balance exhibits; the fixed-domain remainder uses
 trapezoid.
 
-The release-rate density is G_alpha = (1 - alpha^2) p^2 / 2 with the
-equivalent form (1-omega)/(1+omega) [p - u_dot]^2 / 2 cross-checked
-whenever the pair (p, u_dot) is kinematically consistent.
+The ledger's G_total is the boundary dissipation rate over the front
+speed, (1 - omega^2) p^2 / 2 at the moving end; the pointwise density
+G_alpha = (1 - alpha^2) p^2 / 2 of a front history is
+``griffith.griffith_check``'s G.
 """
 
 from dataclasses import dataclass
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characteristics import one_sided_derivative
-from .errors import SupersonicSpeed
 from .galerkin import gauss_legendre_panels, sampler
 from .motion import boundary_kinematics
 
@@ -190,13 +190,14 @@ class Ledger:
         if self.kappa is not None:
             kx = np.asarray(self.kappa(self.lam * L), dtype=float)
             debond = _accumulate(times, omega * kx, "rect")
+        work = _accumulate(times, self.work_rate, "rect")
+        bd = _accumulate(times, bdry_rate, "rect")
+        e0 = self.kinetic[0] + self.potential[0]
         led = EnergyLedger(
-            times=times.copy(), kinetic=self.kinetic, potential=self.potential,
-            work=_accumulate(times, self.work_rate, "rect"),
-            boundary_dissipation=_accumulate(times, bdry_rate, "rect"),
-            debond_dissipation=debond, G_total=Gtot,
+            times=times.copy(), kinetic=self.kinetic, potential=self.potential, work=work,
+            boundary_dissipation=bd, debond_dissipation=debond, G_total=Gtot,
+            residual_moving=np.abs(self.kinetic + self.potential + bd - e0 - work),
         )
-        led.residual_moving = balance_residual_moving(led)
         if self.problem is not None:
             R = _accumulate(times, self.fixed_rate, "trap")
             led.residual_fixed = np.abs(self.lhs - self.lhs[0] - R)
@@ -211,48 +212,6 @@ def ledger_transformed(traj, fam, forcing=None, kappa=None, problem=None):
     led.start(traj.times, traj.kind, traj.L, x=traj.x, basis=traj.basis)
     led.feed(traj.values, traj.velocities)
     return led.finish()
-
-
-def balance_residual_moving(led: EnergyLedger):
-    """|kinetic + potential + boundary_dissipation - initial - work| per time."""
-    e0 = led.kinetic[0] + led.potential[0]
-    bd = led.boundary_dissipation if led.boundary_dissipation is not None else 0.0
-    return np.abs(led.kinetic + led.potential + bd - e0 - led.work)
-
-
-# --- release rate ----------------------------------------------------------
-
-RELEASE_FORMS_TOL = 1e-10
-
-
-def release_rate_density(p, udot=None, alpha=0.0):
-    """G_alpha = (1 - alpha^2) p^2 / 2, cross-checked against the
-    (1-a)/(1+a) [p - u_dot]^2 / 2 form on kinematically consistent pairs."""
-    if not (0.0 <= alpha < 1.0):
-        raise SupersonicSpeed(f"front speed {alpha} outside [0, 1)")
-    G = 0.5 * (1.0 - alpha * alpha) * p * p
-    if udot is not None and abs(udot + alpha * p) <= 1e-8 * (1.0 + abs(p)):
-        alt = 0.5 * (1.0 - alpha) / (1.0 + alpha) * (p - udot) ** 2
-        if abs(alt - G) > RELEASE_FORMS_TOL * max(1.0, abs(G)):
-            raise AssertionError(
-                f"release-rate forms disagree: {G} vs {alt} at alpha={alpha}")
-    return G
-
-
-def total_release_rate(omega, p, weights):
-    """Boundary-integrated release rate; None when int omega <= 0.
-
-    G(t) = int (omega/2)(1-omega^2) p^2 / int omega, the paper's quotient,
-    defined only for growing boundaries.
-    """
-    omega = np.asarray(omega, dtype=float)
-    p = np.asarray(p, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    den = float(np.sum(weights * omega))
-    if den <= 0.0:
-        return None
-    num = float(np.sum(weights * 0.5 * omega * (1.0 - omega ** 2) * p ** 2))
-    return num / den
 
 
 # --- measure identity -------------------------------------------------------

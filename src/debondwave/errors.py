@@ -81,10 +81,6 @@ class CompatibilityViolated(DebondWaveError):
 # --- energy / griffith --------------------------------------------------
 
 
-class SupersonicSpeed(DebondWaveError):
-    """Front speed outside [0, 1)."""
-
-
 class NonPositiveToughness(DebondWaveError):
     """Toughness must be strictly positive."""
 

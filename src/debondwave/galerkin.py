@@ -29,7 +29,7 @@ and their sum weighted by (-1/lam^2, r^2, lam''/lam, 0, 0, 2r).  No m x m
 array is formed while stepping.  The run feeds its reader (``Rows``, which
 builds the Trajectory of every 1d solver, by default) in one call.
 ``sampler`` takes v_dot and v_y from the stored rows of a run, modal or
-grid, for the Trajectory and the energy ledger.
+grid, for ``Trajectory.eval``, the energy ledger and ``weak_residual``.
 """
 
 from dataclasses import dataclass, field
@@ -182,10 +182,13 @@ class GalerkinSystem:
 class Trajectory:
     """Discrete-in-time solution, modal coefficients or grid values.
 
-    ``eval(t, y)`` gives (v, v_dot, v_y) at the stored time nearest t, and
-    ``value_at(t, y)`` gives v alone with the same bits and refusal, without
-    the v_dot and v_y tables: W @ values for a modal run, np.interp on the
-    nodes for a grid one.
+    Two readers, both at the stored time nearest t and both refusing a t
+    more than half a stored step from every stored time: ``value_at(t, y)``
+    gives v alone (W @ values for a modal run, np.interp on the nodes for a
+    grid one), and ``eval(t, y)`` gives (v, v_dot, v_y), the v of
+    ``value_at`` with v_dot and v_y by ``sampler`` on the one stored row.
+    Readers of many rows (the ledgers, ``weak_residual``) call ``sampler``
+    on blocks of rows.
     """
 
     kind: str                 # 'modal' | 'grid'
@@ -198,14 +201,10 @@ class Trajectory:
     front: np.ndarray = None  # physical domain length per time (cylinder runs)
     meta: dict = field(default_factory=dict)
 
-    def index_of(self, t):
-        i = int(np.argmin(np.abs(self.times - t)))
-        return i
-
     def _stored_index(self, t):
         """Index of the stored time nearest t, refused (ValueError) more
         than half a stored step away from every stored time."""
-        i = self.index_of(t)
+        i = int(np.argmin(np.abs(self.times - t)))
         gap = abs(t - self.times[i])
         step = np.max(np.diff(self.times), initial=0.0)
         if gap > 0.5 * step + 1e-12 * max(1.0, abs(t)):
@@ -219,7 +218,11 @@ class Trajectory:
         Raises ValueError when t lies more than half a stored step away
         from every stored time.
         """
-        return self.eval_index(self._stored_index(t), y)
+        i = self._stored_index(t)
+        y = np.asarray(y, dtype=float).reshape(-1)
+        vd, vy = np.empty((2, 1, len(y)))
+        sampler(y, self.x, self.basis)[1](self.values[i][None], self.velocities[i][None], vd, vy)
+        return self._v(i, y), vd[0], vy[0]
 
     def value_at(self, t, y):
         """v alone at points y, at the stored time nearest t: eval(t, y)[0]
@@ -229,22 +232,6 @@ class Trajectory:
     def _v(self, i, y):
         return (self.basis.values(y) @ self.values[i] if self.kind == "modal"
                 else np.interp(y, self.x, self.values[i]))
-
-    def eval_index(self, i, y):
-        """(v, v_dot, v_y) at points y at stored time i; v_dot, v_y by ``sampler``."""
-        y = np.asarray(y, dtype=float).reshape(-1)
-        vd, vy = np.empty((2, 1, len(y)))
-        sampler(y, self.x, self.basis)[1](self.values[i][None], self.velocities[i][None], vd, vy)
-        return self._v(i, y), vd[0], vy[0]
-
-    def eval_all(self, y):
-        """(v_dot, v_y) at reference points y for every stored time, (nt,
-        len(y)), in the memory order of ``sampler``."""
-        y = np.asarray(y, dtype=float).reshape(-1)
-        order, sample = sampler(y, self.x, self.basis)
-        vd, vy = (np.empty((len(self.values), len(y)), order=order) for _ in range(2))
-        sample(self.values, self.velocities, vd, vy)
-        return vd, vy
 
 
 class Rows:

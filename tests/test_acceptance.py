@@ -7,13 +7,15 @@ through session fixtures.
 
 Known red check: criterion 4's two cylinder pairs.  The frozen-domain
 scheme is pinned to freezing at each partition's left endpoint (a single
-partition must solve on the initial domain), which carries a first-order
-domain-lag error measured at 0.96 * (T / partitions) for this scenario:
-3.0e-2 at 32 partitions against the 2e-2 target, 1.5e-2 at 64.  The
-solvers themselves are cross-checked against exact characteristic values
-to 4e-6, and the error constant is grid-independent, so the target is not
-reachable for this scheme at 32 partitions; the check is kept failing
-rather than loosened.
+partition must solve on the initial domain).  With zero-extension
+restarts it carries a first-order domain-lag error measured at
+0.96 * (T / partitions) for this scenario: 3.0e-2 at 32 partitions
+against the 2e-2 target, 1.5e-2 at 64, grid-independent.  The solvers
+themselves are cross-checked against exact characteristic values to
+4e-6.  The error is reducible: a restart that remaps the state as the
+moving wall reflects it, with the same left-end freeze, measured 1.17e-3
+at 32 partitions in a scratch prototype (ROADMAP item 14).  Until such a
+restart lands the check is kept failing rather than loosened.
 """
 
 import pytest

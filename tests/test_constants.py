@@ -13,7 +13,6 @@ import pytest
 import debondwave
 from debondwave.characteristics import Verdict, adaptive_simpson, compatibility_check
 from debondwave.domains import Interval
-from debondwave.energy import release_rate_density
 from debondwave.errors import BoundaryMismatch
 from debondwave.expressions import Const, Poly, SpaceTimeField
 from debondwave.griffith import griffith_check
@@ -85,13 +84,6 @@ def test_griffith_tolerance_is_1e_3():
     # complementarity alpha (G - kappa) at speed 1/2, G = 1.5 below kappa
     assert griffith_check(ts, np.full(1, 0.5), p, np.full(1, 1.5 + 1.5e-3)).ok()
     assert not griffith_check(ts, np.full(1, 0.5), p, np.full(1, 1.5 + 3e-3)).ok()
-
-
-def test_release_rate_forms_agree_to_1e_10():
-    # at alpha = 0 the second form is (1 - u_dot)^2 / 2 = G - u_dot + O(u_dot^2)
-    assert release_rate_density(1.0, udot=5e-11, alpha=0.0) == 0.5
-    with pytest.raises(AssertionError, match="release-rate forms disagree"):
-        release_rate_density(1.0, udot=2e-10, alpha=0.0)
 
 
 def test_lift_tolerance_is_1e_9():

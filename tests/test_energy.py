@@ -14,15 +14,12 @@ from debondwave.energy import (
     _quadrature,
     ledger_transformed,
     measure_identity_residual,
-    release_rate_density,
-    total_release_rate,
 )
-from debondwave.errors import SupersonicSpeed
 from debondwave.expressions import Affine, Const, Poly, SineMode, SpaceTimeField
 from debondwave.domains import Ball, Box, Tetrahedron
 from debondwave.fd import solve_fd
-from debondwave.galerkin import SineBasis, Trajectory, solve_transformed_modal
-from debondwave.griffith import flow_rule
+from debondwave.galerkin import SineBasis, Trajectory, sampler, solve_transformed_modal
+from debondwave.griffith import flow_rule, griffith_check
 from debondwave.motion import (
     homothetic,
     identity_motion,
@@ -150,7 +147,9 @@ def _whole_array_ledger(traj, fam, forcing, problem):
     yq, wq = _quadrature(traj.L, traj.basis.m if traj.kind == "modal" else 0)
     times = traj.times
     lam, dlam, _ = fam.stretch(times)
-    vd, vy = traj.eval_all(yq)
+    order, sample = sampler(yq, traj.x, traj.basis)
+    vd, vy = (np.empty((len(times), len(yq)), order=order) for _ in range(2))
+    sample(traj.values, traj.velocities, vd, vy)
     ud = vd - vy * np.multiply.outer(dlam / lam, yq)
     gu = vy / lam[:, None]
     kinetic = 0.5 * lam * ((ud * ud) @ wq)
@@ -343,12 +342,19 @@ def test_energy_suite_stores_no_grid_trajectory():
 # --- release rate -----------------------------------------------------------
 
 
+def _G(p, alpha):
+    """The release-rate density G_alpha that griffith_check writes, one point."""
+    return float(griffith_check([0.0], [alpha], [p], [1.0]).G[0])
+
+
 def test_release_rate_values():
-    assert abs(release_rate_density(2.0, alpha=0.0) - 2.0) < 1e-14
-    assert abs(release_rate_density(2.0, alpha=0.6) - 1.28) < 1e-14
-    assert release_rate_density(0.0, alpha=0.3) == 0.0
-    with pytest.raises(SupersonicSpeed):
-        release_rate_density(1.0, alpha=1.0)
+    assert abs(_G(2.0, 0.0) - 2.0) < 1e-14
+    assert abs(_G(2.0, 0.6) - 1.28) < 1e-14
+    assert _G(0.0, 0.3) == 0.0
+    # at the wave speed G = 0 = kappa, so only the subsonic condition can fail
+    report = griffith_check([0.0], [1.0], [1.0], [0.0])
+    assert report.G[0] == 0.0 and report.complementarity[0] == 0.0
+    assert not report.ok()
 
 
 def test_release_rate_equivalent_form_on_consistent_pairs():
@@ -357,21 +363,10 @@ def test_release_rate_equivalent_form_on_consistent_pairs():
         p = rng.uniform(0.5, 5.0) * (1 if rng.uniform() < 0.5 else -1)
         k = rng.uniform(0.1, 5.0)
         om = flow_rule(p, k)
-        # consistent kinematic pair u_dot = -omega p; both forms must agree
-        release_rate_density(p, udot=-om * p, alpha=om)
-
-
-def test_total_release_rate():
-    # 1d: only the moving endpoint contributes
-    G = total_release_rate(omega=[0.0, 0.5], p=[1.0, 2.0], weights=[1.0, 1.0])
-    assert abs(G - 0.5 * (1 - 0.25) * 4.0) < 1e-14
-    assert total_release_rate([0.0, 0.0], [1.0, 1.0], [1.0, 1.0]) is None
-    # radial: constant over the circle equals the pointwise density
-    om = np.full(64, 0.3)
-    p = np.full(64, 1.7)
-    w = np.full(64, 2 * np.pi * 0.8 / 64)
-    G = total_release_rate(om, p, w)
-    assert abs(G - 0.5 * (1 - 0.09) * 1.7 ** 2) < 1e-12
+        # consistent kinematic pair u_dot = -omega p: (1 - om)/(1 + om) (p - u_dot)^2 / 2
+        alt = 0.5 * (1.0 - om) / (1.0 + om) * (p + om * p) ** 2
+        G = _G(p, om)
+        assert abs(alt - G) <= 1e-10 * max(1.0, abs(G))
 
 
 def test_measure_identity_all_families(monkeypatch):

@@ -149,87 +149,80 @@ def _grid_and_modal_trajectories():
     return grid, modal
 
 
-def test_eval_all_matches_eval_index():
+def test_sampler_matches_eval_row_by_row():
+    # the sampler over every stored row, as the ledger and weak_residual read
+    # rows, against eval at each stored time (one row through the sampler)
     ys = np.concatenate([np.linspace(0.0, 1.0, 23), [0.0125, 0.9999]])
     for traj in _grid_and_modal_trajectories():
-        batch = traj.eval_all(ys)
-        assert len(batch) == 2  # (v_dot, v_y): no caller reads v
-        for i in range(len(traj.times)):
-            for got, want in zip(batch, traj.eval_index(i, ys)[1:]):
+        order, sample = galerkin.sampler(ys, traj.x, traj.basis)
+        batch = [np.empty((len(traj.times), len(ys)), order=order) for _ in range(2)]
+        sample(traj.values, traj.velocities, *batch)
+        for i, t in enumerate(traj.times):
+            for got, want in zip(batch, traj.eval(t, ys)[1:]):
                 assert np.max(np.abs(got[i] - want)) < 1e-13
 
 
-def _full_gradient_eval(traj, y):
-    # v_y the way eval_all took it before: np.gradient of the whole array
-    x = traj.x
-    j = np.clip(np.searchsorted(x, y, side="right") - 1, 0, len(x) - 2)
-    w = np.clip((y - x[j]) / (x[j + 1] - x[j]), 0.0, 1.0)
-    G = np.gradient(traj.values, x, axis=1, edge_order=2)
-    return G[:, j] + w * (G[:, j + 1] - G[:, j])
+_GAUSS_16 = gauss_legendre_panels(1.0, 16)[0]
 
 
-@pytest.mark.parametrize("x", [
-    np.arange(41) * 0.25,          # equal diffs: numpy's uniform branch
-    np.linspace(0.0, 1.0, 41),     # unequal diffs in the last bit: nonuniform branch
+def _nodes_and_clipped(x):
+    # both end cells, every interior cell, nodes, and points clipped past both ends
+    return np.concatenate([[-1.0, 0.0], x, 0.5 * (x[:-1] + x[1:]), [x[-1], 2 * x[-1]]])
+
+
+@pytest.mark.parametrize("x, y, rows, uniform", [
+    # the ledger's sizes, Gauss points, rows across two sampler block seams
+    pytest.param(np.linspace(0.0, 1.0, 401), _GAUSS_16, 2 * ((1 << 16) // 401) + 3, False,
+                 id="400-False"),
+    pytest.param(np.linspace(0.0, 1.0, 1025), _GAUSS_16, 2 * ((1 << 16) // 1025) + 3, True,
+                 id="1024-True"),
+    # equal diffs (numpy's uniform branch) and unequal ones in the last bit
+    # (the nonuniform branch), every node and midpoint, 4000 rows
+    pytest.param(np.arange(41) * 0.25, _nodes_and_clipped(np.arange(41) * 0.25), 4000, True,
+                 id="40-True-clipped"),
+    pytest.param(np.linspace(0.0, 1.0, 41), _nodes_and_clipped(np.linspace(0.0, 1.0, 41)),
+                 4000, False, id="40-False-clipped"),
 ])
-def test_eval_all_gradient_matches_full_array_gradient(x):
-    d = np.diff(x)
-    assert (d == d[0]).all() == (x[1] == 0.25)
-    # more rows than one np.gradient block of eval_all, so block seams are hit
-    nt = 4000
-    rng = np.random.default_rng(5)
-    values = rng.standard_normal((nt, len(x)))
-    traj = Trajectory(kind="grid", times=np.arange(nt) * 0.1, values=values,
-                      velocities=values ** 2, L=x[-1], x=x)
-    # both end cells, every interior cell, nodes, and points clipped at the ends
-    y = np.concatenate([[-1.0, 0.0], x, 0.5 * (x[:-1] + x[1:]), [x[-1], 2 * x[-1]]])
-    got, want = traj.eval_all(y)[1], _full_gradient_eval(traj, y)
-    assert np.array_equal(got, want)
-    # the memory order too: a matmul on v_y sums in an order set by it
-    assert got.flags.f_contiguous == want.flags.f_contiguous
-
-
-@pytest.mark.parametrize("n, uniform", [(400, False), (1024, True)])
-def test_sampler_keeps_the_bits_of_np_gradient(n, uniform):
+def test_sampler_keeps_the_bits_of_np_gradient(x, y, rows, uniform):
     # the grid sampler evaluates np.gradient's stencil only at the nodes next
-    # to the quadrature points; v_dot and v_y must keep the bits of the whole
-    # np.gradient row interpolated, at the ledger's sizes
-    x = np.linspace(0.0, 1.0, n + 1)
+    # to the sample points; v_dot and v_y must keep the bits of the whole
+    # np.gradient row interpolated
     d = np.diff(x)
     assert (d == d[0]).all() == uniform
-    y, _ = gauss_legendre_panels(1.0, 16)
-    j = np.clip(np.searchsorted(x, y, side="right") - 1, 0, n - 1)
-    assert j[0] == 0 and j[-1] == n - 1  # the end formulas are read
-    rows = 2 * ((1 << 16) // (n + 1)) + 3  # block seams are hit
-    rng = np.random.default_rng(n)
-    V, Vd = rng.standard_normal((2, rows, n + 1))
+    j = np.clip(np.searchsorted(x, y, side="right") - 1, 0, len(x) - 2)
+    assert j[0] == 0 and j[-1] == len(x) - 2  # the end formulas are read
+    rng = np.random.default_rng(len(x) - 1)
+    V, Vd = rng.standard_normal((2, rows, len(x)))
     order, sample = galerkin.sampler(y, x)
+    assert rows > (1 << 16) // max(len(x), len(y))  # block seams are hit
     vd, vy = (np.empty((rows, len(y)), order=order) for _ in range(2))
     sample(V, Vd, vd, vy)
     w = np.clip((y - x[j]) / (x[j + 1] - x[j]), 0.0, 1.0)
     G = np.gradient(V, x, axis=1, edge_order=2)
-    assert np.array_equal(vy, G[:, j] + w * (G[:, j + 1] - G[:, j]))
+    want = G[:, j] + w * (G[:, j + 1] - G[:, j])
+    assert np.array_equal(vy, want)
     assert np.array_equal(vd, Vd[:, j] + w * (Vd[:, j + 1] - Vd[:, j]))
+    # the memory order too: a matmul on v_y sums in an order set by it
+    assert vy.flags.f_contiguous == want.flags.f_contiguous
 
 
-def test_eval_all_gradient_transient_stays_small():
-    import tracemalloc
-
+def test_weak_residual_transient_stays_small():
+    # weak_residual samples only the rows its stencil reads, a block at a
+    # time: no v_dot or v_y table of every stored time
     nt, n = 2000, 800
     x = np.linspace(0.0, 1.0, n + 1)
     values = np.random.default_rng(6).standard_normal((nt, n + 1))
     traj = Trajectory(kind="grid", times=np.arange(nt) * 0.01, values=values,
                       velocities=values, L=1.0, x=x)
-    y, _ = gauss_legendre_panels(1.0, 2)
+    problem = _identity_problem()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        out = traj.eval_all(y)
+        weak_residual(traj, problem)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    held = sum(a.nbytes for a in out)
-    assert peak - held < 0.25 * values.nbytes
+    assert peak < 0.25 * values.nbytes
 
 
 def test_rows_keeps_a_whole_feed_and_copies_chunks():
@@ -333,9 +326,10 @@ def test_a_zero_horizon_grid_run_keeps_its_first_row():
 def test_trajectory_eval_refuses_times_between_samples():
     grid, _ = _grid_and_modal_trajectories()
     ys = np.linspace(0.0, 1.0, 5)
-    assert np.array_equal(grid.eval(0.3, ys)[0], grid.eval_index(3, ys)[0])
-    assert np.array_equal(grid.eval(0.34, ys)[0], grid.eval_index(3, ys)[0])  # within half a step
-    assert np.array_equal(grid.eval(1.04, ys)[0], grid.eval_index(10, ys)[0])
+    at = lambda i: grid.eval(grid.times[i], ys)[0]
+    assert np.array_equal(grid.eval(0.3, ys)[0], at(3))
+    assert np.array_equal(grid.eval(0.34, ys)[0], at(3))  # within half a step
+    assert np.array_equal(grid.eval(1.04, ys)[0], at(10))
     for t in (1.06, -0.06, 3.0):
         with pytest.raises(ValueError):
             grid.eval(t, ys)
@@ -509,7 +503,7 @@ def test_integrate_samples_the_times_solve_fd_fills(monkeypatch):
 def test_fd_standing_wave():
     traj = solve_fd(_identity_problem(), 1.0, 200,
                     lambda y: np.sin(np.pi * y), _zero, dt=2e-3, T=0.5)
-    i = traj.index_of(0.5)
+    i = np.argmin(np.abs(traj.times - 0.5))
     got = np.interp(0.5, traj.x, traj.values[i])
     assert abs(got) < 5e-3  # exact: cos(pi/2) sin(pi/2) = 0
 
@@ -562,8 +556,8 @@ def test_modal_grid_agreement_moving():
     w = ys[1] - ys[0]
     worst = 0.0
     for i in range(0, len(modal.times), 10):
-        vm = modal.eval_index(i, ys)[0]
-        vg = grid.eval_index(i, ys)[0]
+        vm = modal.value_at(modal.times[i], ys)
+        vg = grid.value_at(grid.times[i], ys)
         worst = max(worst, np.sqrt(np.sum((vm - vg) ** 2) * w))
     assert worst < 1e-2
 
@@ -615,7 +609,7 @@ def test_cylinder_convergence_to_transformed_solution():
     errs = []
     for parts in (8, 16, 32):
         run = solve_cylinder(fam, u0, u1, partitions=parts, inner_n=192)
-        i = run.traj.index_of(1.0)
+        i = np.argmin(np.abs(run.traj.times - 1.0))
         uc = np.interp(xs, run.traj.x, run.traj.values[i])
         errs.append(np.sqrt(np.sum((uc - uref) ** 2) * w))
     assert errs[0] > errs[1] > errs[2]
@@ -729,8 +723,9 @@ def _weak_residual_loop(traj, problem, n_probes):
     worst = 0.0
     for i in range(2, nt - 2, max(1, (nt - 4) // 200)):
         t = traj.times[i]
-        _, vd, vy = traj.eval_index(i, yq)
-        vdd = sum(c * traj.eval_index(i + k, yq)[1] for k, c in ((2, -1), (1, 8), (-1, -8), (-2, 1)))
+        _, vd, vy = traj.eval(t, yq)
+        vdd = sum(c * traj.eval(traj.times[i + k], yq)[1]
+                  for k, c in ((2, -1), (1, 8), (-1, -8), (-2, 1)))
         vdd = vdd / (12.0 * dt)
         B, a, b, g = problem.line(t, yq)
         _, divb = problem.line_rates(t, yq)
@@ -762,7 +757,7 @@ def test_galerkin_reprojection_reproduces_coefficients():
     traj = solve_transformed_modal(pb, 1.0, lambda y: np.sin(np.pi * y) + 0.2 * np.sin(3 * np.pi * y),
                                    _zero, m=8, dt=2e-3, T=0.2)
     i = len(traj.times) // 2
-    coeffs = basis.project(lambda y: traj.eval_index(i, y)[0])
+    coeffs = basis.project(lambda y: traj.value_at(traj.times[i], y))
     assert np.max(np.abs(coeffs - traj.values[i])) < 1e-12
 
 

@@ -255,7 +255,7 @@ def test_lifted_load_solution_matches_dalembert():
     for (t, x) in [(0.25, 0.4), (0.5, 0.7)]:
         exact = (dalembert_fixed(1.0, Const(0.0), Const(0.0), f_a, t, x)
                  + dalembert_fixed(1.0, Const(0.0), Const(0.0), f_b, t, x))
-        i = traj.index_of(t)
+        i = np.argmin(np.abs(traj.times - t))
         got = np.interp(x, traj.x, traj.values[i])
         assert abs(got - exact) < 5e-4
 
