@@ -44,7 +44,11 @@ trajectory) beside streamed (solve_fd with reader=energy.Ledger, which
 stores no trajectory), and streamed with problem=.  Last, the
 tracemalloc peak in MiB of each `debondwave run` on a scenarios/ file
 (parse and run, CSVs written to a temporary directory) and of the verify
-suites transform-equivalence, energy and coupled-1d.  Usage:
+suites transform-equivalence, energy and coupled-1d, and the import
+footprint: over PROCESSES fresh interpreters, the wall time and peak
+resident set (VmHWM) of ``import debondwave.cli`` and the public numpy
+submodules it loaded, so a heavy import such as numpy.polynomial shows
+here.  Usage:
 
     python benchmarks/bench_kernels.py [--steps N] [--grid N]
 """
@@ -52,6 +56,7 @@ suites transform-equivalence, energy and coupled-1d.  Usage:
 import argparse
 import gc
 import glob
+import json
 import os
 import statistics
 import subprocess
@@ -62,6 +67,7 @@ import tracemalloc
 
 import numpy as np
 
+import debondwave
 from debondwave.cylinder import INNER_CFL, solve_cylinder
 from debondwave.energy import Ledger, ledger_transformed, measure_identity_residual
 from debondwave.expressions import Affine
@@ -292,6 +298,40 @@ def run_peaks():
     return peaks
 
 
+# VmHWM, not ru_maxrss: on Linux a child's ru_maxrss keeps the resident
+# peak of the process that spawned it (exec carries it over), so from here
+# it reads this script's own peak; VmHWM is the peak of the child's memory
+IMPORT_PROBE = """\
+import json, sys, time
+t0 = time.perf_counter()
+import debondwave.cli
+wall = time.perf_counter() - t0
+with open("/proc/self/status") as fh:
+    hwm = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+numpy = sorted(m for m in sys.modules if m.startswith("numpy.") and m.count(".") == 1
+               and not m.startswith("numpy._"))
+print(json.dumps([wall, hwm, numpy]))
+"""
+
+
+def import_footprint():
+    """(wall quartiles in s, peak resident set quartiles in KiB, numpy
+    submodules) of ``import debondwave.cli`` over PROCESSES fresh
+    interpreters."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(debondwave.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    walls, peaks, loaded = [], [], set()
+    for _ in range(PROCESSES):
+        out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], check=True, env=env,
+                             capture_output=True, text=True).stdout
+        wall, hwm, numpy = json.loads(out)
+        walls.append(wall)
+        peaks.append(hwm)
+        loaded.update(numpy)
+    return (statistics.quantiles(walls, n=4, method="inclusive"),
+            statistics.quantiles(peaks, n=4, method="inclusive"), sorted(loaded))
+
+
 def step_rows(args):
     """Per-step rows: name -> a function returning (best time, RK4 steps or,
     for the grid-ledger rows, stored rows)."""
@@ -366,6 +406,11 @@ def main():
           f"{streamed_fixed / 1e6:.1f} MB streamed with problem=")
     for name, peak in run_peaks():
         print(f"{name:<28} tracemalloc peak {peak / 2 ** 20:6.2f} MiB")
+    (w1, wall, w3), (r1, rss, r3), numpy = import_footprint()
+    print(f"import debondwave.cli: median [quartiles] of {PROCESSES} interpreters "
+          f"{1e3 * wall:.1f} ms [{1e3 * w1:.1f}, {1e3 * w3:.1f}], VmHWM "
+          f"{rss / 1024:.2f} MiB [{r1 / 1024:.2f}, {r3 / 1024:.2f}]; numpy submodules: "
+          + ", ".join(numpy))
 
 
 if __name__ == "__main__":

@@ -17,9 +17,15 @@ import math
 import re
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .errors import TypeMismatch
+
+
+def _float_text(c):
+    """The shortest text that parses back to the float c, without a
+    trailing '.0': specs echo the data that parsing them rebuilds."""
+    text = repr(float(c))
+    return text[:-2] if text.endswith(".0") else text
 
 
 class Expression:
@@ -71,7 +77,7 @@ class Const(Expression):
         return self.c * np.asarray(x, dtype=float)
 
     def spec(self):
-        return f"Const({self.c:g})"
+        return f"Const({_float_text(self.c)})"
 
 
 class Affine(Expression):
@@ -95,33 +101,70 @@ class Affine(Expression):
         return self.a * x + 0.5 * self.b * x * x
 
     def spec(self):
-        return f"Affine({self.a:g}, {self.b:g})"
+        return f"Affine({_float_text(self.a)}, {_float_text(self.b)})"
+
+
+# numpy.polynomial.polynomial's polyval, polyder and polyint on a 1-d float
+# array, operation for operation: every bit is numpy's, signed zeros and
+# non-finite values included
+def _polyval(x, c):
+    """c[0] + c[1] x + ... by numpy's Horner loop."""
+    c0 = c[-1] + x * 0
+    for ci in c[-2::-1]:
+        c0 = ci + c0 * x
+    return c0
+
+
+def _polyder(c, m):
+    """The m-th derivative's coefficients (numpy's scl = 1 multiply is exact
+    and left out)."""
+    if m >= len(c):
+        return c[:1] * 0
+    for _ in range(m):
+        c = np.arange(1, len(c)) * c[1:]
+    return c
+
+
+def _polyint(c):
+    """The antiderivative's coefficients, zero at x = 0 (k = [], lbnd = 0)."""
+    if len(c) == 1 and c[0] == 0:
+        return c + 0
+    out = np.empty(len(c) + 1)
+    out[0] = c[0] * 0
+    out[1:] = c / np.arange(1, len(c) + 1)
+    out[0] += 0 - _polyval(0, out)
+    return out
 
 
 class Poly(Expression):
-    """c0 + c1*x + c2*x^2 + ...  (coefficients in ascending order)."""
+    """c0 + c1*x + c2*x^2 + ...  (coefficients in ascending order).
+
+    Evaluated by a local copy of numpy's Horner loop, with numpy's
+    rounding: importing numpy.polynomial for it would cost every process
+    about 0.7 MiB of resident memory and a few milliseconds."""
 
     def __init__(self, *coeffs):
         if not coeffs:
             coeffs = (0.0,)
         self.coeffs = np.asarray(coeffs, dtype=float)
         # the derivative and antiderivative coefficients, formed once
-        self._forms = (P.polyder(self.coeffs), P.polyder(self.coeffs, 2), P.polyint(self.coeffs))
+        self._forms = (_polyder(self.coeffs, 1), _polyder(self.coeffs, 2),
+                       _polyint(self.coeffs))
 
     def __call__(self, x):
-        return P.polyval(np.asarray(x, dtype=float), self.coeffs)
+        return _polyval(np.asarray(x, dtype=float), self.coeffs)
 
     def deriv(self, x):
-        return P.polyval(np.asarray(x, dtype=float), self._forms[0])
+        return _polyval(np.asarray(x, dtype=float), self._forms[0])
 
     def deriv2(self, x):
-        return P.polyval(np.asarray(x, dtype=float), self._forms[1])
+        return _polyval(np.asarray(x, dtype=float), self._forms[1])
 
     def antiderivative(self, x):
-        return P.polyval(np.asarray(x, dtype=float), self._forms[2])
+        return _polyval(np.asarray(x, dtype=float), self._forms[2])
 
     def spec(self):
-        return "Poly(" + ", ".join(f"{c:g}" for c in self.coeffs) + ")"
+        return "Poly(" + ", ".join(_float_text(c) for c in self.coeffs) + ")"
 
 
 class SineMode(Expression):
@@ -157,7 +200,7 @@ class SineMode(Expression):
         return -self.amplitude / w * np.cos(w * np.asarray(x, dtype=float))
 
     def spec(self):
-        return f"SineMode({self.amplitude:g}, {self.k})"
+        return f"SineMode({_float_text(self.amplitude)}, {self.k})"
 
 
 _EXPR_RE = re.compile(r"^\s*([A-Za-z]\w*)\s*\(([^)]*)\)\s*$")

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import debondwave
 from debondwave.errors import TypeMismatch
 from debondwave.expressions import (
     Affine,
@@ -82,3 +87,58 @@ def test_const_scalar_path_keeps_the_array_path_bits(c):
         got = np.asarray(k(x))
         assert got.shape == np.shape(want) and got.dtype == want.dtype
         assert got.tobytes() == np.asarray(want).tobytes()
+
+
+def _poly_cases():
+    """Coefficients of 1 to 7 terms, with positive, zero and negative
+    leading and constant terms."""
+    rng = np.random.default_rng(11)
+    for n in range(1, 8):
+        for lead in (2.5, 0.0, -0.0, -1.75):
+            for const in (0.3, 0.0, -0.0, -4.0):
+                c = rng.uniform(-3.0, 3.0, n)
+                c[-1], c[0] = lead, const
+                yield pytest.param(c, id=f"{n}-{lead}-{const}")
+
+
+def _xs():
+    rng = np.random.default_rng(12)
+    line = np.concatenate([[-0.0, 0.0, -1.0, 1.0, 2.0], rng.uniform(-2.5, 2.5, 27)])
+    return {"()": np.asarray(-0.7), "(n,)": line, "(S, 1)": line[:9, None],
+            "(S, n)": line.reshape(4, 8)}
+
+
+@pytest.mark.parametrize("coeffs", list(_poly_cases()))
+def test_poly_keeps_the_bits_of_numpy_polynomial(coeffs):
+    # the module's Horner loop, derivative and antiderivative forms copy
+    # numpy's operations: same values, signed zeros and shapes
+    P = np.polynomial.polynomial
+    p = Poly(*coeffs)
+    for shape, x in _xs().items():
+        for got, want in ((p(x), P.polyval(x, coeffs)),
+                          (p.deriv(x), P.polyval(x, P.polyder(coeffs))),
+                          (p.deriv2(x), P.polyval(x, P.polyder(coeffs, 2))),
+                          (p.antiderivative(x), P.polyval(x, P.polyint(coeffs)))):
+            assert type(got) is type(want) and np.shape(got) == np.shape(want), shape
+            assert np.array_equal(got, want), shape
+            assert np.array_equal(np.signbit(got), np.signbit(want)), shape
+
+
+def test_scenario_runs_leave_numpy_polynomial_unloaded(tmp_path):
+    # importing numpy.polynomial costs a process about 0.7 MiB; only the
+    # n-d Gauss rules of domains load it, lazily
+    scenarios = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                             "scenarios")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(debondwave.__file__)))
+    runs = [["run", os.path.join(scenarios, name), "--out", str(tmp_path)]
+            for name in ("moving_interval.scn", "debonding_radial.scn")]
+    code = ("import sys\n"
+            "import debondwave.cli\n"
+            f"for argv in {runs!r}:\n"
+            "    assert debondwave.cli.main(argv) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
+    assert os.path.exists(tmp_path / "debonding-radial" / "front.csv")

@@ -12,9 +12,10 @@ import pytest
 from debondwave.cli import main
 from debondwave.errors import (BoundaryMismatch, DebondWaveError, RunTooLarge, TypeMismatch,
                                UnknownKey)
-from debondwave.expressions import Const, SineMode, SpaceTimeField
+from debondwave.expressions import (Affine, Const, Expression, Poly, SineMode, SpaceTimeField,
+                                    parse_expression)
 from debondwave.runner import run_scenario
-from debondwave.scenarios import parse_scenario
+from debondwave.scenarios import SECTIONS, parse_scenario
 from debondwave.transform import lift_dirichlet
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -350,3 +351,31 @@ def test_every_one_line_mutation_of_the_scenario_files_runs_or_is_typed(tmp_path
                 untyped.append((name, line, value, repr(exc)))
     assert cases == 455 + 19 * len(FUZZ_VALUES)
     assert untyped == []
+
+
+# the numbers of each expression kind that its spec() echoes
+SPEC_NUMBERS = {Const: ("c",), Affine: ("a", "b"), SineMode: ("amplitude", "k"),
+                Poly: ("coeffs",)}
+
+
+def test_every_expression_spec_parses_back_to_the_same_numbers():
+    # the manifest echoes expressions by spec(), so a run re-made from it
+    # must read the same floats, bit for bit
+    exprs = []
+    for path in sorted(glob.glob(os.path.join(SCENARIOS, "*.scn"))):
+        sc = parse_scenario(path)
+        for section in SECTIONS[1:]:
+            exprs += [v for v in getattr(sc, section).values() if isinstance(v, Expression)]
+    for value in FUZZ_VALUES + ("Const(-0.0)", "Affine(1e16, 5e-324)",
+                                "Poly(0.1, -2.5e-310, 1e22, 123456789.123)"):
+        try:
+            exprs.append(parse_expression(value))
+        except TypeMismatch:
+            pass
+    assert len(exprs) >= 20
+    for expr in exprs:
+        back = parse_expression(expr.spec())
+        assert type(back) is type(expr)
+        for name in SPEC_NUMBERS[type(expr)]:
+            assert np.asarray(getattr(back, name)).tobytes() == \
+                np.asarray(getattr(expr, name)).tobytes(), expr.spec()
