@@ -3,20 +3,22 @@
 Space: flux-form central differences for d/dy(B v_y) with B at cell
 midpoints, centered first differences for the a and b terms, homogeneous
 Dirichlet ends.  Time: classical RK4 at fixed step, coefficients sampled
-on the half-step grid.  The run goes in blocks of K steps, K about
-2^15 / (n + 1) whatever store_every (81 at n = 400, 40 at n = 800): each
-block's 2K + 1 half-step slices come from one closed-form
-PulledBackProblem.line call per node set (B at midpoints; a, b, g at inner
-nodes), written in place into the rows of the ``kernels.Stepper`` the run
-owns (no forcing buffer without a forcing), so the coefficients take
-O(2^15) memory whatever the step count or the storing stride; a stored
-step may fall anywhere in a block.  Grid rows are independent, so the
-block size does not move a bit.  The run feeds each block's stored rows
-to a reader (a zero-step run its first row alone): ``galerkin.Rows``
+on the half-step grid.  The stretch rates (lam, lam'/lam, lam''/lam) of
+all 2 nsteps + 1 half-step times are read once, by one
+PulledBackProblem.rates call.  The run goes in blocks of K steps, K about
+2^13 / (n + 1) whatever store_every (20 at n = 400, 10 at n = 800): each
+block's 2K + 1 half-step slices are filled from slices of those rates,
+one PulledBackProblem._fill call per node set (B at midpoints; a, b, g at
+inner nodes), written in place into the rows of the ``kernels.Stepper``
+the run owns (no forcing buffer without a forcing), so the coefficients
+take O(2^13) memory whatever the step count or the storing stride; a
+stored step may fall anywhere in a block.  Grid rows are independent, so
+the block size does not move a bit.  The run feeds each block's stored
+rows to a reader (a zero-step run its first row alone): ``galerkin.Rows``
 builds the Trajectory it returns (keeping the one block of a run that has
 only one), ``energy.Ledger`` samples them into its sums.
 
-When lam'' is 0 at every half-step time of the run (rates() over them),
+When lam'' is 0 at every half-step time of the run (those rates),
 as for a constant-speed stretch, the identity or the interval flow of an
 affine rho, a = -(lam''/lam) y is +-0 everywhere: the run neither fills a
 nor steps with it (39 numpy calls a step instead of 43, 43 instead of
@@ -38,16 +40,17 @@ from .galerkin import Rows
 
 CFL_SAFETY = 0.9
 MIN_CELLS = 8
-# node-steps in one coefficient block: 40 steps at n = 800
-_BLOCK_POINTS = 1 << 15
+# node-steps in one coefficient block: 10 steps at n = 800
+_BLOCK_POINTS = 1 << 13
 
 
-def _max_B(problem, ts, xm):
-    """max B over the slices at times ts and the midpoints xm, from the
-    first midpoint alone: B = 1/lam^2 - (lam'/lam)^2 y^2 falls with y^2 at
-    every time, and rounding is monotone, so that column holds the max."""
+def _max_B(problem, ts, rates, xm):
+    """max B over the slices at times ts (with their rates) and the
+    midpoints xm, from the first midpoint alone: B = 1/lam^2 - (lam'/lam)^2
+    y^2 falls with y^2 at every time, and rounding is monotone, so that
+    column holds the max."""
     col = np.empty((len(ts), 1))
-    return float(np.max(problem.line(ts, xm[:1], out=(col, None, None, None))[0]))
+    return float(np.max(problem._fill(ts, xm[:1], rates, out=(col, None, None, None))[0]))
 
 
 def solve_fd(problem, L, n, v0, v1, dt, T, store_every=1, reader=None):
@@ -74,11 +77,13 @@ def solve_fd(problem, L, n, v0, v1, dt, T, store_every=1, reader=None):
     K = max(1, min(nsteps, _BLOCK_POINTS // (n + 1)))
     S = 2 * K + 1
     ts = kernels.half_steps(nsteps, dt)
+    # the rates of every slice, read once: each block fills from its slices
+    rates = np.broadcast_arrays(ts, *problem.rates(ts))[1:]
     # a = -(lam''/lam) y is +-0 at every node when lam'' is 0 at every slice
-    B, a, b = kernels.coefficient_rows(S, n, with_a=bool(np.any(problem.rates(ts)[2])))
+    B, a, b = kernels.coefficient_rows(S, n, with_a=bool(np.any(rates[2])))
     g = None if problem.forcing is None else np.empty((S, n - 1))
 
-    maxB = _max_B(problem, ts, xm)
+    maxB = _max_B(problem, ts, rates, xm)
     if dt > CFL_SAFETY * h / np.sqrt(maxB):
         raise CflViolation(
             f"dt = {dt} exceeds {CFL_SAFETY} h / sqrt(max B) = {CFL_SAFETY * h / np.sqrt(maxB)}"
@@ -99,10 +104,11 @@ def solve_fd(problem, L, n, v0, v1, dt, T, store_every=1, reader=None):
     for k0 in range(0, nsteps, K):
         k = min(K, nsteps - k0)
         m = 2 * k + 1
-        tb = ts[2 * k0:2 * k0 + m]
-        problem.line(tb, xm, out=(B[:m], None, None, None))
-        problem.line(tb, x[1:-1], out=(None, None if a is None else a[:m], b[:m],
-                                       None if g is None else g[:m]))
+        slots = slice(2 * k0, 2 * k0 + m)
+        tb, rb = ts[slots], [r[slots] for r in rates]
+        problem._fill(tb, xm, rb, out=(B[:m], None, None, None))
+        problem._fill(tb, x[1:-1], rb, out=(None, None if a is None else a[:m], b[:m],
+                                            None if g is None else g[:m]))
         status = stepper.run(k, store_every, V, Vd, done=k0)
         if status < 0:
             raise BlowUp(f"grid state exceeded {kernels.BLOWUP_LIMIT:g} at step {k0 - status}; shrink dt")

@@ -178,15 +178,26 @@ class GalerkinSystem:
         return out
 
 
+# rows of the sine table a modal Trajectory builds at a time for its v.  At
+# one BLAS thread each block's matrix-vector product rounds every row as the
+# whole table's does: OpenBLAS takes rows 4 at a time, the rows past the
+# last multiple of 4 apart and a lone row another way, so blocks start at
+# multiples of 256 and a lone last row joins the block before it.  A
+# threaded product splits the table at rows of its own (at two threads a
+# 12289 x 64 table moved an ulp, a 2999 x 64 one did not)
+_TABLE_ROWS = 256
+
+
 @dataclass
 class Trajectory:
     """Discrete-in-time solution, modal coefficients or grid values.
 
     Two readers, both at the stored time nearest t and both refusing a t
     more than half a stored step from every stored time: ``value_at(t, y)``
-    gives v alone (W @ values for a modal run, np.interp on the nodes for a
-    grid one), and ``eval(t, y)`` gives (v, v_dot, v_y), the v of
-    ``value_at`` with v_dot and v_y by ``sampler`` on the one stored row.
+    gives v alone (W @ values for a modal run, the sine table W built
+    _TABLE_ROWS points at a time; np.interp on the nodes for a grid one),
+    and ``eval(t, y)`` gives (v, v_dot, v_y), the v of ``value_at`` with
+    v_dot and v_y by ``sampler`` on the one stored row.
     Readers of many rows (the ledgers, ``weak_residual``) call ``sampler``
     on blocks of rows.
     """
@@ -230,8 +241,15 @@ class Trajectory:
         return self._v(self._stored_index(t), np.asarray(y, dtype=float).reshape(-1))
 
     def _v(self, i, y):
-        return (self.basis.values(y) @ self.values[i] if self.kind == "modal"
-                else np.interp(y, self.x, self.values[i]))
+        if self.kind != "modal":
+            return np.interp(y, self.x, self.values[i])
+        v, r = np.empty(len(y)), 0
+        while r < len(y):
+            e = r + _TABLE_ROWS
+            e = len(y) if len(y) - e <= 1 else e  # no lone last row
+            np.matmul(self.basis.values(y[r:e]), self.values[i], out=v[r:e])
+            r = e
+        return v
 
 
 class Rows:
@@ -279,16 +297,24 @@ def sampler(y, x=None, basis=None):
     j = np.clip(np.searchsorted(x, y, side="right") - 1, 0, len(x) - 2)
     w = np.clip((y - x[j]) / (x[j + 1] - x[j]), 0.0, 1.0)
     rows = max(1, (1 << 16) // max(len(x), len(y)))
-    gradient = _gradient_at(x, np.concatenate((j, j + 1)))
+    q, k = len(y), np.concatenate((j, j + 1))
+    gradient = _gradient_at(x, k)
+
+    def interpolate(G, out):
+        # G holds a field at the nodes j | j + 1; out = G[:, j] + w (G[:, j + 1]
+        # - G[:, j]), formed in a new array (an in-place op on a view that
+        # partly overlaps its input makes numpy copy the input first)
+        Gj = G[:, :q]
+        d = G[:, q:] - Gj
+        np.multiply(w, d, out=d)
+        np.add(Gj, d, out=d)
+        out[...] = d
 
     def sample(V, Vd, vd, vy):
         for r in range(0, len(V), rows):
             s = slice(r, r + rows)
-            F = Vd[s]
-            vd[s] = F[:, j] + w * (F[:, j + 1] - F[:, j])
-            G = gradient(V[s])
-            Gj, Gj1 = G[:, :len(j)], G[:, len(j):]
-            vy[s] = Gj + w * (Gj1 - Gj)
+            interpolate(Vd[s][:, k], vd[s])
+            interpolate(gradient(V[s]), vy[s])
 
     return "F", sample
 
@@ -317,16 +343,36 @@ def _gradient_at(x, k):
         coef[:, n] = (d2 / (d1 * (d1 + d2)), -(d2 + d1) / (d1 * d2),
                       (2. * d2 + d1) / (d2 * (d1 + d2)))
         central = np.zeros(len(k), dtype=bool)
-    mid, rest = np.flatnonzero(central), np.flatnonzero(~central)
-    hi, lo, two_dx = k[mid] + 1, k[mid] - 1, 2. * dx[0]
-    a, b, c = coef[:, k[rest]]
+    rest = np.flatnonzero(~central)
+    r, any_central = len(rest), central.any()
     i0 = np.minimum(np.maximum(k[rest] - 1, 0), n - 2)
-    i1, i2 = i0 + 1, i0 + 2
+    a, b, c = coef[:, k[rest]]
+    # one gather a call, P = F[:, cols]: i0, i0 + 1 and i0 + 2 at the other
+    # columns, then, with central ones, k + 1 and k - 1 at every column
+    # (clipped to the nodes: the central formula is formed at every column
+    # and the other columns are overwritten)
+    cols = [i0, i0 + 1, i0 + 2]
+    if any_central:
+        cols += [np.minimum(k + 1, n), np.maximum(k - 1, 0)]
+    cols = np.concatenate(cols)
+    p0, p1, p2 = (slice(i * r, (i + 1) * r) for i in range(3))
+    hi, lo = slice(3 * r, 3 * r + len(k)), slice(3 * r + len(k), None)
+    two_dx = 2. * dx[0]
 
     def gradient(F):
-        G = np.empty((len(F), len(k)))
-        G[:, mid] = (F[:, hi] - F[:, lo]) / two_dx
-        G[:, rest] = a * F[:, i0] + b * F[:, i1] + c * F[:, i2]
+        P = F[:, cols]
+        # the products in place in P, each on its own columns
+        P0, P1, P2 = P[:, p0], P[:, p1], P[:, p2]
+        np.multiply(a, P0, out=P0)
+        np.multiply(b, P1, out=P1)
+        R = P0 + P1
+        np.multiply(c, P2, out=P2)
+        np.add(R, P2, out=R)
+        if not any_central:
+            return R
+        G = P[:, hi] - P[:, lo]
+        np.divide(G, two_dx, out=G)
+        G[:, rest] = R
         return G
 
     return gradient

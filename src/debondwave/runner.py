@@ -32,22 +32,24 @@ from .scenarios import SERIES, Scenario, SlopeField, build_motion, lift_boundary
 from .transform import PulledBackProblem, pullback_initial
 
 
-# rows a CSV is formatted and written at a time: the formatter's transient
-# (a list of floats, their tuple and the text) stays this many rows long
+# rows a CSV is formatted and written at a time: the writer's transient (the
+# block's stacked values, their list of floats, its tuple and the text)
+# stays this many rows long
 _BLOCK_ROWS = 256
 
 
 def write_csv(path, columns):
     """columns: list of (name, array); deterministic 17-digit format,
-    written _BLOCK_ROWS rows at a time."""
+    written _BLOCK_ROWS rows at a time, each block stacked from its slices
+    of the columns."""
     names = [c[0] for c in columns]
-    table = np.column_stack([np.asarray(c[1], dtype=float) for c in columns])
+    values = [np.asarray(c[1], dtype=float) for c in columns]
     row = ",".join(["%.17g"] * len(names)) + "\n"
     block = row * _BLOCK_ROWS
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(names) + "\n")
-        for start in range(0, len(table), _BLOCK_ROWS):
-            rows = table[start:start + _BLOCK_ROWS]
+        for start in range(0, len(values[0]), _BLOCK_ROWS):
+            rows = np.column_stack([v[start:start + _BLOCK_ROWS] for v in values])
             text = block if len(rows) == _BLOCK_ROWS else row * len(rows)
             fh.write(text % tuple(rows.ravel().tolist()))
 

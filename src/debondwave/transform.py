@@ -22,8 +22,11 @@ coefficients are exact in lam and its two derivatives:
 
 rates() gives lam, lam'/lam and lam''/lam, and line() and line_rates()
 evaluate the coefficients from them, for a scalar t or for an array of
-times at once.  In any dimension diffusion() builds B alone from the
-composed map fields K and w; it is what the n-d ellipticity check needs.
+times at once.  line() is rates() and then _fill(), which takes the rates
+given, so a caller that holds them (solve_fd, over a whole run) fills
+from slices of them with the one formula.  In any dimension diffusion()
+builds B alone from the composed map fields K and w; it is what the n-d
+ellipticity check needs.
 """
 
 from dataclasses import dataclass
@@ -62,17 +65,22 @@ class PulledBackProblem:
 
         A scalar t gives (n,) arrays, an (S,) array of times (S, n) arrays.
         out, if given, is a tuple of four arrays of that shape filled in
-        place; an entry None is not computed.
+        place; an entry None is not computed.  It is ``_fill`` with
+        rates(t).
         """
         t = np.asarray(t, dtype=float)
+        return self._fill(t, y, self.rates(t), out)
+
+    def _fill(self, t, y, rates, out=None):
+        """line(t, y, out) from rates = (lam, lam'/lam, lam''/lam) at t."""
         y = np.asarray(y, dtype=float).reshape(-1)
-        lam, rate, accel = self.rates(t)
+        lam, rate, accel = rates
         if out is None:
             out = tuple(np.empty(t.shape + y.shape) for _ in range(4))
         B, a, b, g = out
         if B is not None:
             np.multiply.outer(-rate * rate, y * y, out=B)
-            B += np.expand_dims(1.0 / (lam * lam), -1)
+            B += np.asarray(1.0 / (lam * lam))[..., None]
         if a is not None:
             np.multiply.outer(-accel, y, out=a)
         if b is not None:

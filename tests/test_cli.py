@@ -7,7 +7,7 @@ import pytest
 
 from debondwave.cli import main
 from debondwave.errors import MissingRequired, TypeMismatch, UnknownKey
-from debondwave.runner import _BLOCK_ROWS, write_csv
+from debondwave.runner import _BLOCK_ROWS, run_scenario, write_csv
 from debondwave.scenarios import parse_scenario
 
 SQ2 = np.sqrt(2.0)
@@ -367,6 +367,40 @@ def test_write_csv_transient_stays_a_quarter_of_the_table_at_once_writer(tmp_pat
     assert (tmp_path / "write_csv.csv").read_bytes() == \
         (tmp_path / "_write_csv_at_once.csv").read_bytes()
     assert peaks[1] < 0.25 * peaks[0], peaks
+
+
+def test_write_csv_transient_does_not_grow_with_the_row_count(tmp_path):
+    # each block is stacked from its slices of the columns: a table four
+    # times longer than the coupled run's traces the same peak (stacked
+    # whole, the 6145 x 6 table alone was 0.28 MiB of 0.38 MiB)
+    peaks = []
+    for rows in (6145, 4 * 6145):
+        table = np.random.default_rng(3).standard_normal((rows, 6))
+        columns = [(f"c{k}", table[:, k].copy()) for k in range(6)]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            write_csv(str(tmp_path / f"{rows}.csv"), columns)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 4096, peaks
+
+
+def test_streamed_grid_run_memory_is_bounded(tmp_path):
+    # moving_interval.scn streams its n = 400 grid run into its ledger a
+    # solver block at a time: 2.46 MiB traced with blocks of 2^15
+    # node-steps, about 1.4 MiB with 2^13
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
+                        "moving_interval.scn")
+    run_scenario(parse_scenario(path), str(tmp_path / "warm"))
+    tracemalloc.start()
+    try:
+        run_scenario(parse_scenario(path), str(tmp_path / "out"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 def test_tol_scale_belongs_to_suites_only(tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import debondwave
-from debondwave import energy
+from debondwave import energy, fd
 from debondwave.domains import Interval
 from debondwave.energy import (
     Ledger,
@@ -283,12 +283,28 @@ def _streamed_ledger_keeps_the_stored_ledger_bits(solve, forced, **run):
     assert (got.residual_fixed is None) == (not forced)
 
 
-# n = 64 steps in solver blocks of 504: at 2000 steps the 192-row ledger
-# blocks straddle the solver blocks' seam, and a stride of 5 ends the first
-# solver block between two stored steps; 193 and 385 stored rows leave a
-# one-row tail that joins the last block
-@pytest.mark.parametrize("dt, store_every", [(1 / 2000, 1), (1 / 2000, 5), (1 / 192, 1),
-                                            (1 / 1920, 5), (1e-3, 1000)])
+# n = 64 steps in solver blocks of fd._BLOCK_POINTS // 65 = 126 steps, and
+# the ledger sums blocks of 48 rows (160 quadrature values): at 2000 and at
+# 192 steps the first seam, after 127 fed rows, falls inside a ledger block,
+# and a stride of 5 ends the first solver block between two stored steps;
+# 193 and 385 stored rows leave a one-row tail that joins the last block.
+# 252 steps are two whole solver blocks, 630 at a stride of 5 end the run
+# on a stored step at a seam, and a stride of 7 ends every solver block on a
+# stored step (test_the_streamed_ledger_cases_cross_the_seams checks these
+# counts against the block sizes)
+_STREAMED_GRID_CASES = [(1 / 2000, 1), (1 / 2000, 5), (1 / 192, 1), (1 / 1920, 5), (1e-3, 1000),
+                        (1 / 252, 1), (1 / 630, 5), (1 / 1260, 7)]
+
+
+def test_the_streamed_ledger_cases_cross_the_seams():
+    K = fd._BLOCK_POINTS // 65
+    rows = energy._row_blocks(2001, 160)[0].stop
+    assert (1 + K) % rows  # the first seam falls inside a ledger block
+    assert K < 192 and K % 5 and K % 7 == 0
+    assert 252 == 2 * K and 630 == 5 * K
+
+
+@pytest.mark.parametrize("dt, store_every", _STREAMED_GRID_CASES)
 @pytest.mark.parametrize("forced", [False, True])
 def test_streamed_grid_ledger_keeps_the_stored_ledger_bits(dt, store_every, forced):
     _streamed_ledger_keeps_the_stored_ledger_bits(solve_fd, forced, n=64, dt=dt,

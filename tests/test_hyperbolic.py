@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -274,6 +277,50 @@ def test_value_at_is_eval_v_bit_for_bit_and_refuses_the_same_times(kind):
                 evaluate(t, ys)
 
 
+def check_modal_value_at_keeps_the_whole_table_bits():
+    # tables shorter than, equal to and across the 256-row blocks, a lone
+    # row past a block, and the cross-solver distances' 2999 points
+    for m in (32, 64):
+        basis = SineBasis(1.0, m)
+        coeffs = np.random.default_rng(m).standard_normal((1, m))
+        traj = Trajectory(kind="modal", times=np.array([0.0]), values=coeffs,
+                          velocities=coeffs, L=1.0, basis=basis)
+        for points in (1, 5, 255, 256, 257, 513, 1000, 2999):
+            y = np.linspace(0.0, 1.0, points)
+            assert np.array_equal(traj.value_at(0.0, y), basis.values(y) @ coeffs[0]), \
+                (m, points)
+
+
+def test_modal_value_at_blocks_keep_the_whole_table_bits():
+    # at one BLAS thread: a threaded gemv splits the whole table at rows
+    # that no block boundary can follow, so more threads may move an ulp
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(galerkin.__file__)))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join([src, tests])}
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import test_hyperbolic; test_hyperbolic.check_modal_value_at_keeps_the_whole_table_bits()"],
+        env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+def test_modal_value_at_holds_a_block_of_its_sine_table():
+    # the cross-solver distances' m = 64 read on 2999 points: the whole
+    # table is 1.5 MB, a 256-row block 0.13 MB
+    basis = SineBasis(1.0, 64)
+    traj = Trajectory(kind="modal", times=np.array([0.0]), values=np.ones((1, 64)),
+                      velocities=np.ones((1, 64)), L=1.0, basis=basis)
+    y = np.linspace(0.0, 1.0, 3001)[1:-1]
+    tracemalloc.start()
+    try:
+        traj.value_at(0.0, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * 8 * len(y) * basis.m
+
+
 def test_sine_tables_keep_the_two_temporary_bits_in_one_table():
     basis = SineBasis(1.0, 64)
     y = np.linspace(0.0, 1.0, 3001)
@@ -476,19 +523,19 @@ def test_integrate_samples_the_times_solve_fd_fills(monkeypatch):
     # half-step times at which the grid solver fills its coefficients
     problem = PulledBackProblem(one_d_scaling(Poly(1.0, 0.3, 0.1), 1.0))
     weighted, filled = [], []
-    stage_weights, line = GalerkinSystem.stage_weights, problem.line
+    stage_weights, fill = GalerkinSystem.stage_weights, problem._fill
 
     def weights_at(self, ts):
         weighted.append(np.array(ts))
         return stage_weights(self, ts)
 
-    def line_into(t, y, out=None):
+    def fill_into(t, y, rates, out=None):
         if out is not None and out[2] is not None:  # the b fill of a block
             filled.append(np.array(t))
-        return line(t, y, out=out)
+        return fill(t, y, rates, out=out)
 
     monkeypatch.setattr(GalerkinSystem, "stage_weights", weights_at)
-    monkeypatch.setattr(problem, "line", line_into)
+    monkeypatch.setattr(problem, "_fill", fill_into)
     v0 = lambda y: np.sin(np.pi * np.asarray(y))
     solve_transformed_modal(problem, 1.0, v0, _zero, m=8, dt=3e-3, T=0.3)
     solve_fd(problem, 1.0, 64, v0, _zero, dt=3e-3, T=0.3)

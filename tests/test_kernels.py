@@ -653,7 +653,8 @@ def test_cfl_guard_reads_the_max_of_every_slice(problem):
     x = np.linspace(0.0, 1.0, n + 1)
     xm = 0.5 * (x[:-1] + x[1:])
     ts = 0.5 * dt * np.arange(2 * nsteps + 1)
-    assert fd._max_B(problem, ts, xm) == float(np.max(problem.line(ts, xm)[0]))
+    rates = np.broadcast_arrays(ts, *problem.rates(ts))[1:]
+    assert fd._max_B(problem, ts, rates, xm) == float(np.max(problem.line(ts, xm)[0]))
 
 
 def test_solve_fd_blowup_names_the_reference_step():
