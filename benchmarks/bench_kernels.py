@@ -43,9 +43,10 @@ with its ledger, stored (solve_fd, then ledger_transformed on the
 trajectory) beside streamed (solve_fd with reader=energy.Ledger, which
 stores no trajectory), and streamed with problem=.  Last, the
 tracemalloc peak in MiB of each `debondwave run` on a scenarios/ file
-(parse and run, CSVs written to a temporary directory) and of the verify
-suites transform-equivalence, energy and coupled-1d, and the import
-footprint: over PROCESSES fresh interpreters, the wall time and peak
+(parse and run, CSVs written to a temporary directory), of the verify
+suites transform-equivalence, energy and coupled-1d and of the m = 64
+Galerkin assembly alone (GalerkinSystem, on the criterion-4 problem), and
+the import footprint: over PROCESSES fresh interpreters, the wall time and peak
 resident set (VmHWM) of ``import debondwave.cli`` and the public numpy
 submodules it loaded, so a heavy import such as numpy.polynomial shows
 here.  Usage:
@@ -72,7 +73,7 @@ from debondwave.cylinder import INNER_CFL, solve_cylinder
 from debondwave.energy import Ledger, ledger_transformed, measure_identity_residual
 from debondwave.expressions import Affine
 from debondwave.fd import solve_fd
-from debondwave.galerkin import solve_transformed_modal
+from debondwave.galerkin import GalerkinSystem, SineBasis, solve_transformed_modal
 from debondwave.kernels import Stepper, coefficient_rows
 from debondwave.motion import one_d_scaling
 from debondwave.runner import _run_coupled, run_scenario
@@ -282,10 +283,11 @@ def bench_memory(n):
 
 
 def run_peaks():
-    """(name, tracemalloc peak) of each scenarios/ run and of the verify
-    suites transform-equivalence, energy and coupled-1d, each after a full
-    garbage collection (cyclic garbage left by earlier calls would move the
-    peaks)."""
+    """(name, tracemalloc peak) of each scenarios/ run, of the verify
+    suites transform-equivalence, energy and coupled-1d, and of the m = 64
+    Galerkin assembly alone (GalerkinSystem on the criterion-4 problem),
+    each after a full garbage collection (cyclic garbage left by earlier
+    calls would move the peaks)."""
     peaks = []
     with tempfile.TemporaryDirectory() as out:
         for path in sorted(glob.glob(os.path.join(SCENARIOS, "*.scn"))):
@@ -295,6 +297,10 @@ def run_peaks():
     for suite in ("transform-equivalence", "energy", "coupled-1d"):
         gc.collect()
         peaks.append((f"verify {suite}", _traced_peak(lambda: run_suite(suite))[1]))
+    problem = _criterion4_problem()
+    gc.collect()
+    peaks.append(("GalerkinSystem m=64",
+                  _traced_peak(lambda: GalerkinSystem(SineBasis(1.0, 64), problem))[1]))
     return peaks
 
 

@@ -16,7 +16,9 @@ normal speed lam' L) and form their integrands a block of stored times at
 a time (about ``_BLOCK_VALUES`` = 2^13 quadrature values, 48 rows of a grid
 ledger), so their transient memory does not grow with the step count:
 ``Ledger`` reads the rows of a run as its solver makes them, storing
-none, and ``ledger_transformed`` a stored trajectory.
+none, and ``ledger_transformed`` a stored trajectory.  The fixed balance
+of a block reads the stretch rates once and forms each of its terms in
+one work array of the block's shape, besides the squared samples.
 Normal derivatives at the boundary come from one-sided stencils.  Time
 accumulation uses the forward rectangle rule, matching the first-order
 convergence the moving balance exhibits; the fixed-domain remainder uses
@@ -98,13 +100,32 @@ def _moving_block(forcing, ts, lam, dlam, yq, wq, vd, vy):
 
 
 def _fixed_block(problem, ts, yq, wq, vd, vy):
-    """The fixed balance's energy and rate of R (``Ledger``) at ts, likewise."""
-    B, a, _, g = problem.line(ts, yq)
-    Bdot, divb = problem.line_rates(ts, yq)
+    """The fixed balance's energy and rate of R (``Ledger``) at ts, likewise.
+
+    The rates are read once, and each coefficient product is formed in one
+    C-ordered work array: B, dB/dt, a and g filled in place, div b as the
+    column lam'/lam.  C is the order of the full-array product of a
+    coefficient and the samples, F-ordered grid samples too, and the order
+    sets how the matvec rounds.  The a term (+-0 when lam'' is 0 over the
+    block) and the g term (0 without a forcing) are formed only when they
+    can be nonzero, as in ``solve_fd``.
+    """
+    rates = np.broadcast_arrays(ts, *problem.rates(ts))[1:]
+    work = np.empty(vd.shape)
     vy2 = vy * vy
     vd2 = vd * vd
-    return (0.5 * (vd2 @ wq) + 0.5 * ((B * vy2) @ wq), 0.5 * ((Bdot * vy2) @ wq)
-            - ((a * vy * vd) @ wq) - ((divb * vd2) @ wq) + ((g * vd) @ wq))
+    problem._fill(ts, yq, rates, out=(work, None, None, None))
+    lhs = 0.5 * (vd2 @ wq) + 0.5 * (np.multiply(work, vy2, out=work) @ wq)
+    rate = 0.5 * (np.multiply(problem._fill_dB(yq, rates, work), vy2, out=work) @ wq)
+    if np.any(rates[2]):
+        problem._fill(ts, yq, rates, out=(None, work, None, None))
+        np.multiply(work, vy, out=work)
+        rate -= np.multiply(work, vd, out=work) @ wq
+    rate -= np.multiply(rates[1][:, None], vd2, out=work) @ wq
+    if problem.forcing is not None:
+        problem._fill(ts, yq, rates, out=(None, None, None, work))
+        rate += np.multiply(work, vd, out=work) @ wq
+    return lhs, rate
 
 
 class Ledger:
@@ -150,8 +171,10 @@ class Ledger:
             self.ends = basis.values(L - np.array([2 * self.h, self.h, 0.0])).T
         self.times, self.L, self.b, self.at = times, L, 0, 0
         self.lam, self.dlam, _ = self.fam.stretch(times)
-        self.kinetic, self.potential, self.work_rate, self.p, self.lhs, self.fixed_rate = (
-            np.zeros(len(times)) for _ in range(6))
+        self.kinetic, self.potential, self.work_rate, self.p = (
+            np.zeros(len(times)) for _ in range(4))
+        if self.problem is not None:
+            self.lhs, self.fixed_rate = np.zeros(len(times)), np.zeros(len(times))
 
     def feed(self, V, Vd):
         if self.ends is None:

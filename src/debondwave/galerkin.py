@@ -14,7 +14,8 @@ b = (lam'/lam) y, so the matrices are affine in three fixed ones,
     K0 = <w'_l, w'_k>,   K2 = <y^2 w'_l, w'_k>,   A1 = <y w'_l, w_k>,
 
 assembled once by composite Gauss-Legendre quadrature (the affine
-decomposition of reduced-basis methods).  With r = lam'/lam the
+decomposition of reduced-basis methods); the system keeps these three,
+not the sine tables at the quadrature nodes.  With r = lam'/lam the
 acceleration is
 
     d'' = -K0 d / lam^2 + r^2 K2 d + (lam''/lam) A1 d + 2 r A1 d' + g,
@@ -107,18 +108,31 @@ class SineBasis:
 
 class GalerkinSystem:
     """The fixed affine pieces of the projected system, integrated by the
-    QUAD_NODES rule on max(8, m) panels, and its stage acceleration."""
+    QUAD_NODES rule on max(8, m) panels, and its stage acceleration.
+
+    It keeps the quadrature rule (yq, wq), K0, K2, A1 and the stacked
+    ``op``, and no (Q, m) table.  The assembly holds two tables at a time:
+    Wp = w'_k(yq) and one product table P, which is w Wp for K0, then
+    scaled by y^2 in place for K2, then w Wp again, scaled by y, for A1
+    once Wp is gone and W = w_k(yq) is built.  Each P has the bits of
+    y^2 (w Wp) or y (w Wp) formed whole.  ``projected_forcing`` builds its
+    own W.
+    """
 
     def __init__(self, basis: SineBasis, problem):
         self.basis = basis
         self.problem = problem
         self.yq, self.wq = gauss_legendre_panels(basis.L, max(8, basis.m))
-        self.W = basis.values(self.yq)     # (Q, m)
-        self.Wp = basis.derivs(self.yq)    # (Q, m)
-        wWp = self.wq[:, None] * self.Wp
-        self.K0 = self.Wp.T @ wWp
-        self.K2 = self.Wp.T @ ((self.yq * self.yq)[:, None] * wWp)
-        self.A1 = self.W.T @ (self.yq[:, None] * wWp)
+        y, w = self.yq[:, None], self.wq[:, None]
+        Wp = basis.derivs(self.yq)         # (Q, m)
+        P = w * Wp
+        self.K0 = Wp.T @ P
+        P *= y * y
+        self.K2 = Wp.T @ P
+        np.multiply(w, Wp, out=P)
+        del Wp
+        P *= y
+        self.A1 = basis.values(self.yq).T @ P
         # X @ op for a stacked (2, m) state X = (d, d') is (2, 3m): the rows
         # (K0 x, K2 x, A1 x) for x = d and for x = d'
         self.op = np.hstack((self.K0.T, self.K2.T, self.A1.T))
@@ -147,11 +161,13 @@ class GalerkinSystem:
 
     def projected_forcing(self, ts):
         """(S, m) projected forcing <g(t), w_k> at the S times ts, or None
-        without a forcing.  The quadrature values are taken in blocks of
+        without a forcing, through a sine table W at the quadrature nodes
+        built for the call.  The quadrature values are taken in blocks of
         rows, so the transient stays bounded."""
         if self.problem.forcing is None:
             return None
         ts = np.asarray(ts, dtype=float).reshape(-1)
+        W = self.basis.values(self.yq)
         G = np.empty((len(ts), self.basis.m))
         rows = max(1, (1 << 16) // len(self.yq))
         buf = np.empty((min(rows, len(ts)), len(self.yq)))
@@ -163,7 +179,7 @@ class GalerkinSystem:
             if not finite.all():
                 raise QuadratureFailure(f"non-finite forcing at t = {block[np.argmin(finite)]}")
             np.multiply(g, self.wq, out=g)
-            np.matmul(g, self.W, out=G[r:r + rows])
+            np.matmul(g, W, out=G[r:r + rows])
         return G
 
     def accel(self, X, w, g, out):

@@ -24,9 +24,10 @@ rates() gives lam, lam'/lam and lam''/lam, and line() and line_rates()
 evaluate the coefficients from them, for a scalar t or for an array of
 times at once.  line() is rates() and then _fill(), which takes the rates
 given, so a caller that holds them (solve_fd, over a whole run) fills
-from slices of them with the one formula.  In any dimension diffusion()
-builds B alone from the composed map fields K and w; it is what the n-d
-ellipticity check needs.
+from slices of them with the one formula; line_rates() likewise forms
+dB/dt by _fill_dB(), with which the fixed energy balance fills its own
+array.  In any dimension diffusion() builds B alone from the composed map
+fields K and w; it is what the n-d ellipticity check needs.
 """
 
 from dataclasses import dataclass
@@ -98,11 +99,18 @@ class PulledBackProblem:
         """1d closed form: (dB/dt, div b) along y, shaped like line()."""
         t = np.asarray(t, dtype=float)
         y = np.asarray(y, dtype=float).reshape(-1)
-        lam, rate, accel = self.rates(t)
-        dB = np.multiply.outer(-2.0 * rate * (accel - rate * rate), y * y)
-        dB -= np.expand_dims(2.0 * rate / (lam * lam), -1)
-        divb = np.multiply.outer(rate, np.ones_like(y))
+        rates = self.rates(t)
+        dB = self._fill_dB(y, rates, np.empty(t.shape + y.shape))
+        divb = np.multiply.outer(rates[1], np.ones_like(y))
         return dB, divb
+
+    def _fill_dB(self, y, rates, out):
+        """dB/dt of line_rates along y, from rates = (lam, lam'/lam,
+        lam''/lam) at the times of out's rows, written into out."""
+        lam, rate, accel = rates
+        np.multiply.outer(-2.0 * rate * (accel - rate * rate), y * y, out=out)
+        out -= np.expand_dims(2.0 * rate / (lam * lam), -1)
+        return out
 
 
 def ellipticity_constant(problem_or_fam, nt=21, npts=41):

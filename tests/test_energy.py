@@ -172,28 +172,30 @@ def _whole_array_ledger(traj, fam, forcing, problem):
 
 
 def check_ledger_blocks_match_the_whole_array():
-    fam = one_d_scaling(Affine(1.0, 0.5), 1.0)
     forcing = SpaceTimeField(SineMode(1.0, 2).bound(1.0), Poly(0.5, 1.0, -0.3))
-    pb = PulledBackProblem(fam, forcing=forcing)
     v0 = lambda y: np.sin(np.pi * y)
     v1 = lambda y: 0.0 * np.asarray(y)
-    # ledger blocks of 192 rows at 160 quadrature values (grid), 96 at 320
-    # (m = 32): row counts past several blocks, and one row past a block
-    trajs = [solve_fd(pb, 1.0, 64, v0, v1, dt=1 / 500, T=1.0),
-             solve_fd(pb, 1.0, 64, v0, v1, dt=1 / 192, T=1.0),
-             solve_transformed_modal(pb, 1.0, v0, v1, m=32, dt=1 / 300, T=1.0),
-             solve_transformed_modal(pb, 1.0, v0, v1, m=32, dt=1 / 96, T=1.0)]
-    for traj in trajs:
-        assert len(traj.times) % 16
-        led = ledger_transformed(traj, fam, forcing=forcing, problem=pb)
-        kinetic, potential, work, fixed = _whole_array_ledger(traj, fam, forcing, pb)
-        assert np.array_equal(led.kinetic, kinetic)
-        assert np.array_equal(led.potential, potential)
-        assert np.array_equal(led.work, work)
-        assert np.array_equal(led.residual_moving,
-                              np.abs(kinetic + potential + led.boundary_dissipation
-                                     - (kinetic[0] + potential[0]) - work))
-        assert np.array_equal(led.residual_fixed, fixed)
+    # a constant-speed stretch (lam'' = 0: the fixed balance forms no a
+    # term) and an accelerating one (lam'' != 0), each with the forcing
+    for fam in (one_d_scaling(Affine(1.0, 0.5), 1.0), one_d_scaling(Poly(1.0, 0.5, 0.25), 1.0)):
+        pb = PulledBackProblem(fam, forcing=forcing)
+        # ledger blocks of 192 rows at 160 quadrature values (grid), 96 at 320
+        # (m = 32): row counts past several blocks, and one row past a block
+        trajs = [solve_fd(pb, 1.0, 64, v0, v1, dt=1 / 500, T=1.0),
+                 solve_fd(pb, 1.0, 64, v0, v1, dt=1 / 192, T=1.0),
+                 solve_transformed_modal(pb, 1.0, v0, v1, m=32, dt=1 / 300, T=1.0),
+                 solve_transformed_modal(pb, 1.0, v0, v1, m=32, dt=1 / 96, T=1.0)]
+        for traj in trajs:
+            assert len(traj.times) % 16
+            led = ledger_transformed(traj, fam, forcing=forcing, problem=pb)
+            kinetic, potential, work, fixed = _whole_array_ledger(traj, fam, forcing, pb)
+            assert np.array_equal(led.kinetic, kinetic)
+            assert np.array_equal(led.potential, potential)
+            assert np.array_equal(led.work, work)
+            assert np.array_equal(led.residual_moving,
+                                  np.abs(kinetic + potential + led.boundary_dissipation
+                                         - (kinetic[0] + potential[0]) - work))
+            assert np.array_equal(led.residual_fixed, fixed)
 
 
 def test_ledger_row_blocks_keep_the_whole_array_bits():

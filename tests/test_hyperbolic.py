@@ -69,7 +69,7 @@ def _stage_accel(system, t, d, dd):
 
 def _direct_accel(system, t, d, dd):
     """2 b d' - (B + a) d + g with each matrix by direct quadrature of line()."""
-    W, Wp, wq = system.W, system.Wp, system.wq
+    W, Wp, wq = system.basis.values(system.yq), system.basis.derivs(system.yq), system.wq
     B, a, b, g = system.problem.line(t, system.yq)
     Bmat = Wp.T @ ((wq * B)[:, None] * Wp)
     amat = W.T @ ((wq * a)[:, None] * Wp)
@@ -134,6 +134,21 @@ def test_affine_matrices_match_direct_quadrature(forcing):
     for t in (0.0, 0.45, 1.0):
         got, want = _stage_accel(system, t, d, dd), _direct_accel(system, t, d, dd)
         assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("m", [16, 32, 64])
+def test_assembly_keeps_the_table_product_bits_and_no_table(m):
+    # the products of the whole sine tables, each weight table formed from w Wp
+    problem = PulledBackProblem(one_d_scaling(Affine(1.0, 0.5), 1.0))
+    system = GalerkinSystem(SineBasis(1.0, m), problem)
+    y, w = system.yq, system.wq
+    W, Wp = system.basis.values(y), system.basis.derivs(y)
+    wWp = w[:, None] * Wp
+    assert np.array_equal(system.K0, Wp.T @ wWp)
+    assert np.array_equal(system.K2, Wp.T @ ((y * y)[:, None] * wWp))
+    assert np.array_equal(system.A1, W.T @ (y[:, None] * wWp))
+    held = [k for k, v in vars(system).items() if np.ndim(v) == 2 and len(v) == len(y)]
+    assert held == []
 
 
 # --- trajectories -------------------------------------------------------------
@@ -471,7 +486,7 @@ def _ref_accel(system, t, d, dd):
     gvec = 0.0
     if system.problem.forcing is not None:
         g = system.problem.line(t, system.yq)[3]
-        gvec = system.W.T @ (system.wq * g)
+        gvec = system.basis.values(system.yq).T @ (system.wq * g)
     return 2.0 * (bmat @ dd) - (Bmat + amat) @ d + gvec
 
 
