@@ -110,7 +110,7 @@ def _fixed_block(problem, ts, yq, wq, vd, vy):
     block) and the g term (0 without a forcing) are formed only when they
     can be nonzero, as in ``solve_fd``.
     """
-    rates = np.broadcast_arrays(ts, *problem.rates(ts))[1:]
+    rates = problem.rates(ts)
     work = np.empty(vd.shape)
     vy2 = vy * vy
     vd2 = vd * vd

@@ -44,13 +44,13 @@ MIN_CELLS = 8
 _BLOCK_POINTS = 1 << 13
 
 
-def _max_B(problem, ts, rates, xm):
-    """max B over the slices at times ts (with their rates) and the
-    midpoints xm, from the first midpoint alone: B = 1/lam^2 - (lam'/lam)^2
+def _max_B(problem, ts, rates, ym):
+    """max B over the slices at times ts (with their rates) and the cell
+    midpoints, from the first midpoint ym alone: B = 1/lam^2 - (lam'/lam)^2
     y^2 falls with y^2 at every time, and rounding is monotone, so that
     column holds the max."""
     col = np.empty((len(ts), 1))
-    return float(np.max(problem._fill(ts, xm[:1], rates, out=(col, None, None, None))[0]))
+    return float(np.max(problem._fill(ts, [ym], rates, out=(col, None, None, None))[0]))
 
 
 def solve_fd(problem, L, n, v0, v1, dt, T, store_every=1, reader=None):
@@ -62,32 +62,32 @@ def solve_fd(problem, L, n, v0, v1, dt, T, store_every=1, reader=None):
     with the stored times, and reader.feed(V, Vd) with each block's stored
     values and velocities in order (the first block's begin with the first
     row): views of one buffer that the next block overwrites.  Raises
-    RunTooLarge (before any allocation), CflViolation or BlowUp.
+    RunTooLarge (before any allocation), CflViolation (before any array
+    of the grid's size) or BlowUp.
     """
     if n < MIN_CELLS:
         raise ValueError(f"need at least {MIN_CELLS} grid cells")
     h = L / n
-    x = np.linspace(0.0, L, n + 1)
-    xm = 0.5 * (x[:-1] + x[1:])
     nsteps, dt = kernels.step_count(dt, T, store_every)
-    kernels.check_steps(nsteps)
-
-    # K steps to a block, whatever store_every; block k0 reads the slices
-    # ts[2 k0 : 2 (k0 + K) + 1] from slot 0 of the buffers
-    K = max(1, min(nsteps, _BLOCK_POINTS // (n + 1)))
-    S = 2 * K + 1
     ts = kernels.half_steps(nsteps, dt)
     # the rates of every slice, read once: each block fills from its slices
-    rates = np.broadcast_arrays(ts, *problem.rates(ts))[1:]
-    # a = -(lam''/lam) y is +-0 at every node when lam'' is 0 at every slice
-    B, a, b = kernels.coefficient_rows(S, n, with_a=bool(np.any(rates[2])))
-    g = None if problem.forcing is None else np.empty((S, n - 1))
-
-    maxB = _max_B(problem, ts, rates, xm)
+    rates = problem.rates(ts)
+    # the first midpoint 0.5 (x[0] + x[1]) with x[1] = 0 + h: the bits of xm[0]
+    maxB = _max_B(problem, ts, rates, 0.5 * (0.0 + h))
     if dt > CFL_SAFETY * h / np.sqrt(maxB):
         raise CflViolation(
             f"dt = {dt} exceeds {CFL_SAFETY} h / sqrt(max B) = {CFL_SAFETY * h / np.sqrt(maxB)}"
         )
+
+    x = np.linspace(0.0, L, n + 1)
+    xm = 0.5 * (x[:-1] + x[1:])
+    # K steps to a block, whatever store_every; block k0 reads the slices
+    # ts[2 k0 : 2 (k0 + K) + 1] from slot 0 of the buffers
+    K = max(1, min(nsteps, _BLOCK_POINTS // (n + 1)))
+    S = 2 * K + 1
+    # a = -(lam''/lam) y is +-0 at every node when lam'' is 0 at every slice
+    B, a, b = kernels.coefficient_rows(S, n, with_a=bool(np.any(rates[2])))
+    g = None if problem.forcing is None else np.empty((S, n - 1))
 
     stepper = kernels.Stepper(h, dt, B, a, b, g)
     v, vd = stepper.state

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BlowUp, QuadratureFailure
-from .kernels import RK4, check_steps, half_steps, step_count
+from .kernels import RK4, half_steps, step_count
 
 # the 10-point Gauss-Legendre rule on (-1, 1), nodes and weights: the rule of
 # every panel of gauss_legendre_panels.  The literals are the reprs of
@@ -148,7 +148,7 @@ class GalerkinSystem:
         stretch rate.
         """
         ts = np.asarray(ts, dtype=float).reshape(-1)
-        lam, rate, accel = np.broadcast_arrays(ts, *self.problem.rates(ts))[1:]
+        lam, rate, accel = self.problem.rates(ts)
         bad = ~(np.isfinite(lam) & np.isfinite(rate) & np.isfinite(accel))
         if bad.any():
             raise QuadratureFailure(f"non-finite coefficients at t = {ts[np.argmax(bad)]}")
@@ -404,7 +404,6 @@ def integrate(system: GalerkinSystem, d0, ddot0, dt, T, store_every=1, reader=No
     rounds otherwise), and it returns reader.finish()."""
     basis, m = system.basis, system.basis.m
     nsteps, dt = step_count(dt, T, store_every)
-    check_steps(nsteps)
     ts = half_steps(nsteps, dt)
     weights = system.stage_weights(ts)
     G = system.projected_forcing(ts)

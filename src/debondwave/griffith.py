@@ -17,7 +17,7 @@ front data with ``characteristics.compatibility_check``.
 The loop owns one ``kernels.Stepper`` for the whole run: its state is the
 solution, each step refills the stepper's three coefficient rows in
 place, a and b of all three with one divide, and advances it with one
-``Stepper.step`` (no run bookkeeping: the ends stay +0 without a clamp).
+``Stepper.step`` (no run bookkeeping; the ends start and stay at +0).
 The front scalars (trace, flow rule, slot fronts) are Python floats,
 with the float64 arithmetic of their array forms.  The energy ledger is summed
 in the step loop, one stored row behind (a row's front speed needs the
@@ -354,7 +354,6 @@ def _evolve_coupled(geo, p0, kap0, horizon, num, forcing, verdict, reader):
     h = geo.L / n
     # reference characteristic speed is at most (1 + omega) l0 / ell <= 2
     nsteps, dt = kernels.cfl_step_count(h, num.cfl, horizon)
-    kernels.check_steps(nsteps)
     window = slice(-3, None) if geo.side == "right" else slice(0, 3)
 
     B, a, b = kernels.coefficient_rows(3, n)
@@ -397,8 +396,6 @@ def _evolve_coupled(geo, p0, kap0, horizon, num, forcing, verdict, reader):
         if forcing is not None:
             for j, (s, front) in enumerate(zip(slots, front_slots)):
                 g[j] = np.asarray(forcing(t + s, geo.nodes(front)), dtype=float)[1:-1]
-        # the ends start at +0 and stay +0 (zero end accelerations), so the
-        # first-step clamp of a run would change nothing here
         if not stepper.step(0):
             raise BlowUp(f"{geo.name} run blew up at step {k}")
         pos = pos + dt * om

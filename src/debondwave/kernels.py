@@ -9,20 +9,22 @@ numpy calls a step besides its four accelerations: 6 for the stage
 states, 4 for the stage sum (one ``np.add.reduce`` over the stage axis)
 and 1 for the blow-up guard (``ndarray.dot``, np.dot's routine without
 its Python dispatcher).  ``RK4.step`` is that one step; ``run`` loops
-over it and adds only the slot check, the first-step clamp and the
-store.  The ufuncs of a step and of the accelerations below are bound
-once and take their outputs by position, which saves the lookups and
-the keyword parse of each call.  Every owner supplies the acceleration
-from data at one set of slots, the 2n + 1 ``half_steps`` of an n-step
-run.  ``Stepper`` is the grid wave right-hand side with Dirichlet ends,
-run by the grid solver a block of steps at a time and stepped by the
-coupled solvers one ``step`` at a time; one multiply a stage by its
-coefficient row [B | a | b] covers all three, so a step makes 43 calls
-(47 forced), 39 (43) without a.  ``UnitStepper`` is v'' = v_yy alone,
-for the cylinder solver's frozen partitions; ``galerkin.integrate``
-supplies the modal acceleration.  The solvers refuse a run of more than
-``MAX_STEPS`` steps (``check_steps``) before they allocate for it.
+over it and adds only the slot check and the store.  The ufuncs of a
+step and of the accelerations below are bound once and take their
+outputs by position, which saves the lookups and the keyword parse of
+each call.  Every owner supplies the acceleration from data at one set
+of slots, the 2n + 1 ``half_steps`` of an n-step run.  ``Stepper`` is
+the grid wave right-hand side with Dirichlet ends, run by the grid
+solver a block of steps at a time and stepped by the coupled solvers one
+``step`` at a time; one multiply a stage by its coefficient row
+[B | a | b] covers all three, so a step makes 43 calls (47 forced), 39
+(43) without a.  ``UnitStepper`` is v'' = v_yy alone, for the cylinder
+solver's frozen partitions; ``galerkin.integrate`` supplies the modal
+acceleration.  ``step_count`` and ``cfl_step_count`` refuse a count
+past ``MAX_STEPS`` or not finite, before a solver allocates for it.
 """
+
+import math
 
 import numpy as np
 
@@ -40,34 +42,46 @@ _LIMIT_SQ = BLOWUP_LIMIT * BLOWUP_LIMIT
 MAX_STEPS = 10 ** 7
 
 
+def _refuse(count):
+    """count, refused with RunTooLarge when it exceeds MAX_STEPS or is not
+    finite."""
+    if not count <= MAX_STEPS:
+        raise RunTooLarge(f"{count:.3g} steps exceed MAX_STEPS = {MAX_STEPS:.0e}")
+    return count
+
+
+def _ratio(T, step):
+    """T / step, refused when it is not finite (int() overflows on it), as
+    when step underflows to 0."""
+    ratio = T / step if step else math.inf
+    return ratio if math.isfinite(ratio) else _refuse(ratio)
+
+
 def step_count(dt, T, store_every=1):
     """(nsteps, dt) of a fixed-step run from 0 to T.
 
     dt is kept when it divides T within 1e-9 max(1, T); otherwise the run
     takes ceil(T / dt) steps of T / nsteps, at least one, so it ends at T,
-    not past it.  Raises ValueError unless store_every divides nsteps.
+    not past it.  Raises RunTooLarge when T / dt is not finite, ValueError
+    unless store_every divides nsteps, then RunTooLarge past MAX_STEPS.
     """
-    nsteps = int(round(T / dt))
+    ratio = _ratio(T, dt)
+    nsteps = int(round(ratio))
     if abs(nsteps * dt - T) > 1e-9 * max(1.0, T):
-        nsteps = max(1, int(np.ceil(T / dt - 1e-12)))
+        nsteps = max(1, int(np.ceil(ratio - 1e-12)))
         dt = T / nsteps
     if nsteps % store_every:
         raise ValueError("store_every must divide the step count")
-    return nsteps, dt
+    return _refuse(nsteps), dt
 
 
 def cfl_step_count(h, cfl, T):
     """(nsteps, dt) of a coupled run from 0 to T on cells of width h: the
-    fewest steps of at most cfl h, at least one, each T / nsteps."""
-    nsteps = max(1, int(np.ceil(T / (cfl * h) - 1e-12)))
+    fewest steps of at most cfl h, at least one, each T / nsteps.  Raises
+    RunTooLarge when T / (cfl h) is not finite or nsteps exceeds MAX_STEPS.
+    """
+    nsteps = _refuse(max(1, int(np.ceil(_ratio(T, cfl * h) - 1e-12))))
     return nsteps, T / nsteps
-
-
-def check_steps(nsteps):
-    """Refuse a run of more than MAX_STEPS steps with RunTooLarge: callers
-    check before they allocate their per-step tables."""
-    if nsteps > MAX_STEPS:
-        raise RunTooLarge(f"{nsteps:.3g} steps exceed MAX_STEPS = {MAX_STEPS:.0e}")
 
 
 def half_steps(nsteps, dt):
@@ -82,14 +96,12 @@ class RK4:
     at stage s, and the state (x, x') is the (2, n) view ``state``.  The
     owner sets ``accel(s, j)``, which writes x''_s into stages[s, 2] with
     the data of slot j (step k of each run, counted from 0, uses slots 2k,
-    2k+1 twice and 2k+2), and may set ``clamp()``, applied to
-    the state after the first step of each run, before the blow-up guard:
-    a clamp that later steps keep, as zero ends with zero accelerations.
-    An owner that holds ``slots`` slots sets it: a run that would read
-    more is refused with a ValueError before its first step.
+    2k+1 twice and 2k+2).  An owner that holds ``slots`` slots sets it: a
+    run that would read more is refused with a ValueError before its
+    first step.
 
-    ``step(j)`` is one step on slots j, j+1, j+1 and j+2, with no clamp and
-    no slot check; it returns whether the state passed the blow-up guard.
+    ``step(j)`` is one step on slots j, j+1, j+1 and j+2, with no slot
+    check; it returns whether the state passed the blow-up guard.
     ``run`` steps with it, so an owner that steps one step at a time (the
     coupled front loop) calls ``step`` and skips a run's bookkeeping.
     """
@@ -104,7 +116,6 @@ class RK4:
         # at each call: step holds no reference to self, so no cycle keeps a
         # stepper's buffers alive until the cyclic collector runs
         self._accel = hook = [None]
-        self.clamp = None
         self.slots = np.inf
         K = W[:, 1:]
         K0, K1, K2 = K[:3]
@@ -119,13 +130,6 @@ class RK4:
         # routine of np.dot without its dispatcher
         multiply, add, add_reduce = np.multiply, np.add, np.add.reduce
         absolute, max_reduce, dot = np.abs, np.maximum.reduce, Xf.dot
-
-        def guard():
-            # both rows, so a NaN velocity from the last stage counts at this
-            # step; not (max <= limit): a NaN state is a blow-up too.  The
-            # sum of squares is at least the largest square in any order, so
-            # below the limit's square it clears the state in one call
-            return dot(Xf) < _LIMIT_SQ or max_reduce(absolute(X, S1), None) <= BLOWUP_LIMIT
 
         def step(j):
             accel = hook[0]
@@ -145,10 +149,13 @@ class RK4:
             add_reduce(K, 0, None, Ksum)
             multiply(Ksum, sixth, Ksum)
             add(X, Ksum, X)
-            return guard()
+            # blow-up guard, both rows (a NaN velocity from the last stage
+            # counts at this step); not (max <= limit): a NaN state blows up
+            # too.  The sum of squares is at least the largest square in any
+            # order, so below the limit's square it clears the state in one call
+            return dot(Xf) < _LIMIT_SQ or max_reduce(absolute(X, S1), None) <= BLOWUP_LIMIT
 
         self.step = step
-        self._guard = guard
 
     @property
     def accel(self):
@@ -169,14 +176,10 @@ class RK4:
         if 2 * nsteps + 1 > self.slots:
             raise ValueError(f"{nsteps} steps read {2 * nsteps + 1} slots; "
                              f"the owner has {self.slots}")
-        step, clamp, X = self.step, self.clamp, self.state
+        step, X = self.step, self.state
         status = 1
         for k in range(nsteps):
-            ok = step(2 * k)
-            if k == 0 and clamp is not None:
-                clamp()
-                ok = self._guard()
-            if not ok:
+            if not step(2 * k):
                 return -(k + 1)
             if out_v is not None and (done + k + 1) % store_every == 0:
                 out_v[status] = X[0]
@@ -186,16 +189,13 @@ class RK4:
 
 
 class _Dirichlet(RK4):
-    """``RK4`` on n1 grid nodes whose end values stay 0: their
-    accelerations are 0, and the clamp sets the ends of the state to 0
-    after a run's first step (the first step's stages see the ends as
-    given, as the reference stepper's do)."""
+    """``RK4`` on n1 grid nodes whose end accelerations are 0.  The owner
+    starts both ends of v and vd at +0, as every solver does; the zero
+    accelerations then keep them at +0 through every stage and step."""
 
     def __init__(self, n1, dt):
         super().__init__(n1, dt)
         self.stages[:, 2, ::n1 - 1] = 0.0
-        edges = self.state[:, ::n1 - 1]
-        self.clamp = lambda: edges.fill(0.0)
 
 
 def coefficient_rows(S, n, with_a=True):

@@ -244,7 +244,6 @@ class StretchMotion(MotionFamily):
 # --- sublevel flow --------------------------------------------------------
 
 FLOW_TOL = 1.0e-6
-MARGIN_SAMPLES = 41  # times of speed_condition_margin
 
 
 class SublevelFlowMotion(MotionFamily):
@@ -392,13 +391,6 @@ class SublevelFlowMotion(MotionFamily):
             return super().stretch(t)
         p = self.profile
         return p(t) / self._rho0, p.deriv(t) / self._rho0, p.deriv2(t) / self._rho0
-
-    # sublevel-specific checks ----------------------------------------------
-    def speed_condition_margin(self):
-        """1 - max rho'(t) on MARGIN_SAMPLES times of [0, horizon] (|grad g| = 1
-        for both kinds); a positive margin certifies H2."""
-        ts = np.linspace(0.0, self.horizon, MARGIN_SAMPLES)
-        return 1.0 - float(np.max(self.profile.deriv(ts)))
 
 
 # --- constructors ---------------------------------------------------------

@@ -48,7 +48,7 @@ def weak_residual(traj, problem, n_probes=8):
         vd, vy = vd[at[2]], vy[at[2]]
         t = traj.times[rows]
         B, a, b, g = problem.line(t, yq)
-        _, divb = problem.line_rates(t, yq)
+        divb = problem.rates(t)[1][:, None]  # div b = lam'/lam along each row
         r = (vdd + a * vy + 2.0 * vd * divb - g) @ W + (B * vy + 2.0 * vd * b) @ Wp
         worst = max(worst, float(np.max(np.abs(r))))
     return worst

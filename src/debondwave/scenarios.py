@@ -42,8 +42,8 @@ horizon, l0, rho0, dt, cfl and the counts must be positive, grid at least
 ``fd.MIN_CELLS`` and taper in [0, 1), and a wave file's store_every must
 divide the step count that ``kernels.step_count`` gives for dt and horizon.
 No run may take more than ``kernels.MAX_STEPS`` steps (a coupled run's
-count is ``kernels.cfl_step_count``'s); a file that asks for more is an
-error at its horizon line.
+count is ``kernels.cfl_step_count``'s); a file that asks for more, or
+whose count is not finite, is an error at its horizon line.
 The special token ``u1 = Compatible`` requests the initial velocity that
 makes the transformed problem start at rest, u1 = -Phi_dot(0,.) . grad u0.
 A radial R <= rho0 is an error, and so is a motion that cannot be built
@@ -72,7 +72,7 @@ from .errors import (
 )
 from .expressions import SpaceTimeField, parse_expression
 from .fd import MIN_CELLS
-from .kernels import cfl_step_count, check_steps, step_count
+from .kernels import cfl_step_count, step_count
 from .motion import SublevelFlowMotion, homothetic, identity_motion, one_d_scaling
 from .transform import lift_dirichlet
 
@@ -335,24 +335,22 @@ def lift_boundary_load(sc, fam, u0, u1):
 def _check_step_count(sc, line_of):
     """The run's step count, from kernels.step_count for a wave run (whose
     store_every must divide it, else an error at the store_every line) and
-    kernels.cfl_step_count for a coupled one, at most kernels.MAX_STEPS;
-    a count beyond it is reported at the horizon line (or, when the file
-    keeps the default horizon, at the first line that sets the step)."""
+    kernels.cfl_step_count for a coupled one; a count they refuse is
+    reported at the horizon line (or, when the file keeps the default
+    horizon, at the first line that sets the step)."""
     num, horizon = sc.numerics, sc.motion["horizon"]
-    if sc.kind == "wave":
-        try:
-            nsteps = step_count(num["dt"], horizon, num["store_every"])[0]
-        except ValueError as exc:  # store_every = 1 always divides, so its line exists
-            raise TypeMismatch(f"{exc} (dt = {num['dt']:g}, horizon = {horizon:g})",
-                               line_of["numerics.store_every"]) from None
-        keys = ("motion.horizon", "numerics.dt")
-    else:
-        length = "l0" if sc.kind == "coupled" else "rho0"
-        h = sc.coupled[length] / num["front_grid"]
-        nsteps = cfl_step_count(h, num["cfl"], horizon)[0]
-        keys = ("motion.horizon", f"coupled.{length}", "numerics.front_grid", "numerics.cfl")
     try:
-        check_steps(nsteps)
+        if sc.kind == "wave":
+            keys = ("motion.horizon", "numerics.dt")
+            try:
+                step_count(num["dt"], horizon, num["store_every"])
+            except ValueError as exc:  # store_every = 1 always divides, so its line exists
+                raise TypeMismatch(f"{exc} (dt = {num['dt']:g}, horizon = {horizon:g})",
+                                   line_of["numerics.store_every"]) from None
+        else:
+            length = "l0" if sc.kind == "coupled" else "rho0"
+            keys = ("motion.horizon", f"coupled.{length}", "numerics.front_grid", "numerics.cfl")
+            cfl_step_count(sc.coupled[length] / num["front_grid"], num["cfl"], horizon)
     except RunTooLarge as exc:
         raise TypeMismatch(str(exc), next((line_of[k] for k in keys if k in line_of),
                                           None)) from None

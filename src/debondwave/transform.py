@@ -20,13 +20,13 @@ coefficients are exact in lam and its two derivatives:
     dB/dt = -2 lam'/lam^3 - 2 (lam'/lam)(lam''/lam - (lam'/lam)^2) y^2,
     div b = lam'/lam.
 
-rates() gives lam, lam'/lam and lam''/lam, and line() and line_rates()
-evaluate the coefficients from them, for a scalar t or for an array of
-times at once.  line() is rates() and then _fill(), which takes the rates
-given, so a caller that holds them (solve_fd, over a whole run) fills
-from slices of them with the one formula; line_rates() likewise forms
-dB/dt by _fill_dB(), with which the fixed energy balance fills its own
-array.  In any dimension diffusion() builds B alone from the composed map
+rates() gives lam, lam'/lam and lam''/lam, shaped like t (a scalar t or
+an array of times), and line() evaluates the coefficients from them.
+line() is rates() and then _fill(), which takes the rates given, so a
+caller that holds them (solve_fd, over a whole run) fills from slices of
+them with the one formula; _fill_dB() forms dB/dt from them likewise, in
+the fixed energy balance's own array, and div b is the rate lam'/lam
+itself.  In any dimension diffusion() builds B alone from the composed map
 fields K and w; it is what the n-d ellipticity check needs.
 """
 
@@ -55,11 +55,12 @@ class PulledBackProblem:
         return np.einsum("...ij,...kj->...ik", K, K) - w[..., :, None] * w[..., None, :]
 
     def rates(self, t):
-        """lam, lam'/lam and lam''/lam at a scalar t or an array of times."""
+        """lam, lam'/lam and lam''/lam, arrays shaped like t (a scalar t or
+        an array of times), for a constant stretch too."""
         if self.fam.dim != 1:
-            raise ValueError("rates(), line() and line_rates() are the 1d path")
+            raise ValueError("rates() and line() are the 1d path")
         lam, dlam, ddlam = self.fam.stretch(t)
-        return lam, dlam / lam, ddlam / lam
+        return np.broadcast_arrays(t, lam, dlam / lam, ddlam / lam)[1:]
 
     def line(self, t, y, out=None):
         """1d closed form: (B, a, b, g) along reference points y.
@@ -95,17 +96,8 @@ class PulledBackProblem:
                 g[...] = self.forcing(t[:, None], np.multiply.outer(lam, y))
         return out
 
-    def line_rates(self, t, y):
-        """1d closed form: (dB/dt, div b) along y, shaped like line()."""
-        t = np.asarray(t, dtype=float)
-        y = np.asarray(y, dtype=float).reshape(-1)
-        rates = self.rates(t)
-        dB = self._fill_dB(y, rates, np.empty(t.shape + y.shape))
-        divb = np.multiply.outer(rates[1], np.ones_like(y))
-        return dB, divb
-
     def _fill_dB(self, y, rates, out):
-        """dB/dt of line_rates along y, from rates = (lam, lam'/lam,
+        """dB/dt along y, shaped like line(), from rates = (lam, lam'/lam,
         lam''/lam) at the times of out's rows, written into out."""
         lam, rate, accel = rates
         np.multiply.outer(-2.0 * rate * (accel - rate * rate), y * y, out=out)
@@ -113,12 +105,9 @@ class PulledBackProblem:
         return out
 
 
-def ellipticity_constant(problem_or_fam, nt=21, npts=41):
+def ellipticity_constant(fam, nt=21, npts=41):
     """min over the sample grid of the smallest eigenvalue of B (> 0 or raise)."""
-    problem = problem_or_fam
-    if isinstance(problem_or_fam, MotionFamily):
-        problem = PulledBackProblem(problem_or_fam)
-    fam = problem.fam
+    problem = PulledBackProblem(fam)
     ts = np.linspace(0.0, fam.horizon, nt)
     Y = fam.reference.interior_grid(npts)
     if fam.dim == 1:

@@ -14,7 +14,7 @@ import debondwave
 from debondwave.characteristics import Verdict, adaptive_simpson, compatibility_check
 from debondwave.domains import Interval
 from debondwave.errors import BoundaryMismatch
-from debondwave.expressions import Const, Poly, SpaceTimeField
+from debondwave.expressions import Const, SpaceTimeField
 from debondwave.griffith import griffith_check
 from debondwave.motion import identity_motion, interval_flow
 from debondwave.transform import lift_dirichlet
@@ -101,11 +101,3 @@ def test_quadrature_tolerance_is_1e_9():
 def test_motion_tolerances_are_class_attributes():
     assert identity_motion(Interval(1.0), 1.0).tol == 1e-9
     assert interval_flow(4.0, Const(1.0), 1.0).tol == 1e-6
-
-
-def test_speed_margin_samples_41_times():
-    # rho' = 0.2 - (t - 0.5183)^2 peaks between the samples k / 40 = 0.5 and
-    # 0.525; 21, 40, 42 or 81 samples would come nearer or stay farther
-    peak = 0.5183
-    fam = interval_flow(4.0, Poly(0.3, 0.2 - peak * peak, peak, -1.0 / 3.0), 1.0)
-    assert abs(fam.speed_condition_margin() - (0.8 + (0.525 - peak) ** 2)) < 1e-12

@@ -160,7 +160,11 @@ def _whole_array_ledger(traj, fam, forcing, problem):
     work[1:] = np.cumsum(np.diff(times) * work_rate[:-1])
 
     B, a, _, g = problem.line(times, yq)
-    Bdot, divb = problem.line_rates(times, yq)
+    rates = problem.rates(times)
+    Bdot = problem._fill_dB(yq, rates, np.empty(B.shape))
+    # div b = lam'/lam as a full C-ordered array: the product's order sets
+    # how the matvec rounds
+    divb = np.repeat(rates[1][:, None], len(yq), axis=1)
     vy2 = vy * vy
     vd2 = vd * vd
     lhs = 0.5 * (vd2 @ wq) + 0.5 * ((B * vy2) @ wq)

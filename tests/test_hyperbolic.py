@@ -790,7 +790,7 @@ def _weak_residual_loop(traj, problem, n_probes):
                   for k, c in ((2, -1), (1, 8), (-1, -8), (-2, 1)))
         vdd = vdd / (12.0 * dt)
         B, a, b, g = problem.line(t, yq)
-        _, divb = problem.line_rates(t, yq)
+        divb = problem.rates(t)[1]
         for phi, phip in zip(basis.values(yq).T, basis.derivs(yq).T):
             r = np.sum(wq * ((vdd + a * vy - g) * phi + B * vy * phip
                              + 2.0 * vd * (divb * phi + b * phip)))

@@ -2,6 +2,8 @@
 steppers, blow-up guard; the blocked grid solver against the all-at-once
 one."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -161,23 +163,6 @@ def test_numpy_kernel_chained_single_steps_match_reference():
         assert _ref_run(v, vd, h, dt, 1, Bm[sl], an[sl], bn[sl], gn[sl], 1, ref_v, ref_vd) == 2
         assert np.array_equal(stepper.state[0], v) and np.array_equal(stepper.state[1], vd)
         assert np.array_equal(out_v[1], ref_v[1]) and np.array_equal(out_vd[1], ref_vd[1])
-
-
-def test_stepper_clamps_nonzero_ends_like_the_reference():
-    # the ends feed the first step's stage states before they are set to 0
-    n, nsteps = 32, 6
-    y, Bm, an, bn, gn = _coefficient_slices(n, 2 * nsteps + 1, moving=True, forced=True)
-    h, dt = y[1] - y[0], 0.5 / n
-    states = []
-    for impl in (_stepper_run, _ref_run):
-        v, vd = _initial(y)
-        v[0], vd[-1] = 0.3, -0.2
-        out = np.empty((2, nsteps + 1, n + 1))
-        assert impl(v, vd, h, dt, nsteps, Bm, an, bn, gn, 1, *out) == nsteps + 1
-        states.append((v, vd, out[:, 1:]))
-    assert states[0][0][0] == states[0][1][-1] == 0.0
-    for a, b in zip(*states):
-        assert np.array_equal(a, b)
 
 
 def test_stepper_refuses_a_run_longer_than_its_slots_before_stepping():
@@ -408,14 +393,11 @@ def test_rk4_driver_matches_textbook_rk4(store_every):
 
 
 def _chained_steps(rk, nsteps):
-    """rk.run(nsteps, 1, ...) as chained rk.step(2k) calls with the first
-    step's clamp applied by hand: (run's status, the states after each step)."""
+    """rk.run(nsteps, 1, ...) as chained rk.step(2k) calls: (run's status,
+    the states after each step)."""
     rows = [rk.state.copy()]
     for k in range(nsteps):
-        ok = rk.step(2 * k)
-        if k == 0 and rk.clamp is not None:
-            rk.clamp()
-        if not ok:
+        if not rk.step(2 * k):
             return -(k + 1), np.array(rows)
         rows.append(rk.state.copy())
     return nsteps + 1, np.array(rows)
@@ -423,7 +405,7 @@ def _chained_steps(rk, nsteps):
 
 def _grid_stepper_maker(case, n, nsteps, nan_slot=None):
     """A function making a fresh stepper of the case, its state set with
-    nonzero ends, so that the first step's clamp matters."""
+    +0 ends, as every solver starts it."""
     S = 2 * nsteps + 1
     if case == "a-free":
         y, Bm, an, bn, gn = _affine_slices(n, S, moving=True, forced=nan_slot is not None)
@@ -441,9 +423,7 @@ def _grid_stepper_maker(case, n, nsteps, nan_slot=None):
             rk = kernels.UnitStepper(h, dt, n + 1)
         else:
             rk = _stepper(h, dt, Bm, an, bn, gn)
-        v, vd = _initial(y)
-        v[0], vd[-1] = 0.3, -0.2
-        rk.state[:] = v, vd
+        rk.state[:] = _initial(y)
         return rk
 
     return make
@@ -652,9 +632,23 @@ def test_cfl_guard_reads_the_max_of_every_slice(problem):
     n, nsteps, dt = 200, 1000, 2e-3
     x = np.linspace(0.0, 1.0, n + 1)
     xm = 0.5 * (x[:-1] + x[1:])
+    # solve_fd forms the first midpoint before the grid: the bits of xm[0]
+    ym = 0.5 * (0.0 + 1.0 / n)
+    assert np.array_equal([ym], xm[:1])
     ts = 0.5 * dt * np.arange(2 * nsteps + 1)
-    rates = np.broadcast_arrays(ts, *problem.rates(ts))[1:]
-    assert fd._max_B(problem, ts, rates, xm) == float(np.max(problem.line(ts, xm)[0]))
+    assert fd._max_B(problem, ts, problem.rates(ts), ym) == float(np.max(problem.line(ts, xm)[0]))
+
+
+def test_solve_fd_refuses_a_cfl_violation_before_it_allocates_the_grid():
+    # 200 000 cells: x alone would be 1.6 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(CflViolation):
+            solve_fd(_moving_problem(1.0), 1.0, 200_000, _sine, _kick, dt=1e-3, T=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_solve_fd_blowup_names_the_reference_step():
@@ -675,10 +669,20 @@ def test_solve_fd_blowup_names_the_reference_step():
 
 def test_the_run_bound_counts_steps_alone():
     # per-step tables grow with the step count, whatever the unknowns: a
-    # fine grid with few steps passes, and so does a run at the bound
-    kernels.check_steps(kernels.MAX_STEPS)
+    # run at the bound passes, and one step more is refused
+    limit = kernels.MAX_STEPS
+    assert kernels.step_count(1.0, float(limit)) == (limit, 1.0)
+    assert kernels.cfl_step_count(1.0, 1.0, float(limit)) == (limit, 1.0)
     with pytest.raises(RunTooLarge):
-        kernels.check_steps(kernels.MAX_STEPS + 1)
+        kernels.step_count(1.0, float(limit + 1))
+    with pytest.raises(RunTooLarge):
+        kernels.cfl_step_count(1.0, 1.0, float(limit + 1))
+    # so is a count that is not finite, before int() meets it: T / dt
+    # overflows to inf, or cfl h underflows to 0
+    with pytest.raises(RunTooLarge):
+        kernels.step_count(1e-309, 1.0)
+    with pytest.raises(RunTooLarge):
+        kernels.cfl_step_count(1.0 / 1024, 5e-324, 1.0)
 
 
 @pytest.mark.parametrize("dt, T", [(1e300, 1.0), (1e300, 2.7), (3.0, 1.0)])

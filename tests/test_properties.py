@@ -46,7 +46,8 @@ def test_closed_form_rates_match_central_differences(c0, c1, c2, c3, kind, t):
     fam = _family(c0, c1, c2, c3, kind)
     pb = PulledBackProblem(fam)
     ys = np.linspace(0.0, fam.reference.length, 11)
-    dB, divb = pb.line_rates(t, ys)
+    rates = pb.rates(t)
+    dB, divb = pb._fill_dB(ys, rates, np.empty(ys.shape)), rates[1]
 
     h = 1e-5
     Bp, _, _, _ = pb.line(t + h, ys)

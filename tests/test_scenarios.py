@@ -271,6 +271,29 @@ def test_a_step_longer_than_the_horizon_is_one_step_of_it(tmp_path, capsys, name
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, old, new, line", [
+    # T / dt overflows to inf, and cfl h underflows to a subnormal or to 0
+    ("moving_interval.scn", "dt = 0.001", "dt = 1e-309", 9),
+    ("moving_interval.scn", "horizon = 1.0", "horizon = 1e306", 9),
+    ("debonding_constant.scn", "store_every = 16", "store_every = 1\ncfl = 1e-320", 7),
+    ("debonding_constant.scn", "store_every = 16", "store_every = 1\ncfl = 5e-324", 7),
+])
+def test_a_step_count_that_is_not_finite_is_refused_at_its_line(tmp_path, capsys, name, old,
+                                                                 new, line):
+    # these raised OverflowError or ZeroDivisionError in the step count:
+    # validate and run printed a traceback and exited 1.  Refused at parse,
+    # they start no run
+    with open(os.path.join(SCENARIOS, name), encoding="utf-8") as fh:
+        text = fh.read()
+    assert old in text
+    path = _write(tmp_path, name, text.replace(old, new))
+    assert main(["validate", path]) == 2
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"line {line}: inf steps exceed MAX_STEPS") == 2
+    assert "Traceback" not in err
+
+
 def test_a_step_bound_error_without_a_horizon_line_names_the_dt_line(tmp_path):
     # the file keeps the default horizon, so the step it sets is what to change
     path = _write(tmp_path, "t.scn", WAVE_FILE.replace("dt = 0.005", "dt = 1e-300"))
@@ -279,7 +302,7 @@ def test_a_step_bound_error_without_a_horizon_line_names_the_dt_line(tmp_path):
 
 
 def test_the_run_time_step_bound_still_refuses_a_run_parse_did_not_check(tmp_path):
-    # the solvers keep their own check_steps: a parsed scenario changed
+    # the solvers' step counts refuse it too: a parsed scenario changed
     # afterwards is refused before it allocates, at its stage
     for name, section, key, value, stage in (
             ("debonding_constant.scn", "coupled", "l0", 1e-12, "[stage: coupled] "),

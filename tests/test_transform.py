@@ -97,10 +97,12 @@ def test_array_time_line_stacks_scalar_calls(name):
         assert arr.shape == (7, 13)
         stacked = np.array([pb.line(t, ys)[k] for t in ts])
         assert np.max(np.abs(arr - stacked)) <= 1e-15
-    rates = pb.line_rates(ts, ys)
-    for k, arr in enumerate(rates):
-        assert arr.shape == (7, 13)
-        stacked = np.array([pb.line_rates(t, ys)[k] for t in ts])
+    rates = pb.rates(ts)
+    assert [r.shape for r in rates] == [(7,)] * 3  # shaped like ts, a constant stretch too
+    dB = pb._fill_dB(ys, rates, np.empty((7, 13)))
+    for arr, one in ((rates[1], lambda t: pb.rates(t)[1]),
+                     (dB, lambda t: pb._fill_dB(ys, pb.rates(t), np.empty(13)))):
+        stacked = np.array([one(t) for t in ts])
         assert np.max(np.abs(arr - stacked)) <= 1e-15
 
 
