@@ -1,13 +1,12 @@
 """1d characteristics machinery: d'Alembert solutions and the exact front ODE.
 
 This module supplies ground truth for every 1d test.  The fixed-interval
-solution uses odd 2L-periodic extensions of the data,
-
-    u(t,x) = [u0~(x+t) + u0~(x-t)]/2 + 1/2 int_{x-t}^{x+t} u1~
-             + 1/2 iint_{cone} f~,
-
-with data integrals taken exactly between reflection points whenever the
-fields come from the expression catalog.  The debonding front obeys
+solution is u = F(t + x) - F(t - x), F(s) = [u0~(s) + U1(s)]/2, with u0~ the
+odd 2L-periodic extension of u0 and U1 the antiderivative of u1's, which is
+even and 2L-periodic (the extension has zero mean over a period): U1(s) is
+the integral of u1 from 0 to the one point of [0, L] that s folds to, exact
+for a catalog expression.  A forcing adds 1/2 iint_{cone} f~.  The debonding
+front obeys
 
     l'(t) = max( (F^2 - 2 kappa(l)) / (F^2 + 2 kappa(l)), 0 ),
     F = u0'(l-t) - u1(l-t) - int_0^t f(tau, tau - t + l(t)) dtau,
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CompatibilityViolated, NonPositiveToughness, TooFewSamples
-from .expressions import Expression
+from .expressions import Expression, forcing_or_none
 
 QUAD_TOL = 1e-9  # error target of every adaptive Simpson quadrature below
 
@@ -70,50 +69,31 @@ def _extended_value(field, s, L):
     return sign * float(field(p))
 
 
-def _extended_integral(field, a, b, L):
-    """Integral of the odd 2L-periodic extension over [a, b].
-
-    The interval is split at reflection points; on [kL, (k+1)L] the
-    extension is +/- field composed with an affine fold, so each piece
-    reduces to an integral of the bare field over a subinterval of [0, L]:
-    exact when the field is a catalog expression, adaptive Simpson else.
-    """
-    if b < a:
-        return -_extended_integral(field, b, a, L)
-    total = 0.0
-    exact = isinstance(field, Expression)
-    lo = a
-    guard = 0
-    while lo < b - 1e-14 * max(1.0, abs(b), abs(a)) and guard < 10_000:
-        guard += 1
-        k = math.floor(lo / L + 1e-12)
-        hi = min(b, (k + 1) * L)
-        if hi <= lo:
-            break
-        if k % 2 == 0:
-            p1, p2, sign = lo - k * L, hi - k * L, 1.0
-        else:
-            p1, p2, sign = (k + 1) * L - hi, (k + 1) * L - lo, -1.0
-        if exact:
-            seg = float(field.integral(p1, p2))
-        else:
-            seg = adaptive_simpson(lambda x: float(field(x)), p1, p2)
-        total += sign * seg
-        lo = hi
-    return total
+def _antiderivative(field, s, L):
+    """int_0^p field at the folded point p = _fold(s, L)[0]: the antiderivative
+    of the odd 2L-periodic extension, even and 2L-periodic.  Exact for a
+    catalog expression, adaptive Simpson at QUAD_TOL else."""
+    p = _fold(s, L)[0]
+    if isinstance(field, Expression):
+        return float(field.integral(0.0, p))
+    return adaptive_simpson(lambda x: float(field(x)), 0.0, p)
 
 
 def dalembert_fixed(L, u0, u1, f, t, x):
     """Exact solution of the fixed-interval problem at one point."""
     if not (0.0 <= x <= L):
         raise ValueError("x outside [0, L]")
-    u = 0.5 * (_extended_value(u0, x + t, L) + _extended_value(u0, x - t, L))
-    u += 0.5 * _extended_integral(u1, x - t, x + t, L)
-    if f is not None and not (hasattr(f, "is_zero") and f.is_zero()):
+
+    def F(s):
+        return 0.5 * (_extended_value(u0, s, L) + _antiderivative(u1, s, L))
+
+    u = F(t + x) - F(t - x)
+    f = forcing_or_none(f)
+    if f is not None:
         def cone_slice(s):
             lo, hi = x - (t - s), x + (t - s)
-            if hasattr(f, "space") and isinstance(f.space, Expression):
-                inner = _extended_integral(f.space, lo, hi, L)
+            if isinstance(getattr(f, "space", None), Expression):
+                inner = _antiderivative(f.space, hi, L) - _antiderivative(f.space, lo, L)
                 return float(f.time(s)) * inner
             return adaptive_simpson(lambda xi: _extended_value(lambda p: f(s, p), xi, L), lo, hi)
 
@@ -190,14 +170,16 @@ def front_ode_exact(sc: CharScenario, dt=1e-3):
     if verdict is Verdict.INCOMPATIBLE:
         raise CompatibilityViolated("front data fail the compatibility conditions at l0")
 
+    forcing = forcing_or_none(sc.forcing)
+
     def speed(t, ell):
         xi = ell - t
         if xi < -1e-12:
             return None
         xi = max(xi, 0.0)
         F = sc.front_data(xi)
-        if sc.forcing is not None and not (hasattr(sc.forcing, "is_zero") and sc.forcing.is_zero()):
-            F -= adaptive_simpson(lambda tau: float(sc.forcing(tau, tau - t + ell)), 0.0, t)
+        if forcing is not None:
+            F -= adaptive_simpson(lambda tau: float(forcing(tau, tau - t + ell)), 0.0, t)
         k = float(sc.kappa(ell))
         F2 = F * F
         return max((F2 - 2.0 * k) / (F2 + 2.0 * k), 0.0)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characteristics import one_sided_derivative
-from .galerkin import gauss_legendre_panels, sampler
+from .galerkin import gauss_legendre_panels, row_blocks, sampler
 from .motion import boundary_kinematics
 
 
@@ -70,21 +70,10 @@ def _quadrature(L, modes=0):
     return gauss_legendre_panels(L, max(16, modes))
 
 
-# quadrature values in one row block of the ledgers.  Blocks start at
-# multiples of 16 rows and none is a single row, so at one BLAS thread each
-# block's matrix-vector products round every row as those of the whole
-# array do: OpenBLAS treats the rows past a multiple of 4 apart, and a
-# single row takes another path.  The block's temporaries are most of a
-# streamed grid run's transient memory.
+# quadrature values in one row block of the ledgers (``galerkin.row_blocks``
+# of a multiple of 16 rows).  The block's temporaries are most of a streamed
+# grid run's transient memory.
 _BLOCK_VALUES = 1 << 13
-
-
-def _row_blocks(nt, nq):
-    rows = max(16, _BLOCK_VALUES // nq // 16 * 16)
-    ends = list(range(rows, nt, rows))
-    if ends and nt - ends[-1] == 1:
-        ends.pop()
-    return [slice(a, b) for a, b in zip([0] + ends, ends + [nt])]
 
 
 def _moving_block(forcing, ts, lam, dlam, yq, wq, vd, vy):
@@ -135,7 +124,7 @@ class Ledger:
     ``ledger_transformed`` feeds it a stored trajectory in one call.
 
     Each row is sampled at the quadrature nodes by ``galerkin.sampler`` into
-    its ``_row_blocks`` block, and each full block is summed (by functions,
+    its ``galerkin.row_blocks`` block, and each full block is summed (by functions,
     whose temporaries go before the next rows are sampled), so the ledger
     holds one block of samples.  The three samples nearest the moving end
     (the last three grid nodes, or points L/(2m) apart) give du/dnu once
@@ -160,7 +149,7 @@ class Ledger:
 
     def start(self, times, kind, L, x=None, basis=None, meta=None):
         self.yq, self.wq = _quadrature(L, 0 if basis is None else basis.m)
-        self.blocks = _row_blocks(len(times), len(self.yq))
+        self.blocks = row_blocks(len(times), max(16, _BLOCK_VALUES // len(self.yq) // 16 * 16))
         order, self.sample = sampler(self.yq, x, basis)
         rows = max(s.stop - s.start for s in self.blocks)
         self.vd, self.vy = (np.empty((rows, len(self.yq)), order=order) for _ in range(2))

@@ -274,3 +274,10 @@ class SpaceTimeField:
     def spec(self):
         return f"{self.space.spec()} * {self.time.spec()}"
 
+
+def forcing_or_none(f):
+    """f, or None when f is None or a field whose ``is_zero()`` holds: a zero
+    forcing is no forcing, so no solver or oracle evaluates it."""
+    if f is None or (hasattr(f, "is_zero") and f.is_zero()):
+        return None
+    return f

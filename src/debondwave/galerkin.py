@@ -194,13 +194,19 @@ class GalerkinSystem:
         return out
 
 
-# rows of the sine table a modal Trajectory builds at a time for its v.  At
-# one BLAS thread each block's matrix-vector product rounds every row as the
-# whole table's does: OpenBLAS takes rows 4 at a time, the rows past the
-# last multiple of 4 apart and a lone row another way, so blocks start at
-# multiples of 256 and a lone last row joins the block before it.  A
-# threaded product splits the table at rows of its own (at two threads a
-# 12289 x 64 table moved an ulp, a 2999 x 64 one did not)
+def row_blocks(n, rows):
+    """Slices of n rows, rows (a multiple of 4) at a time, a lone last row
+    joining the block before it: at one BLAS thread a product over each block
+    rounds every row as the whole product does, for OpenBLAS takes rows 4 at a
+    time and a lone row another way.  A threaded product splits at rows of
+    its own (at two threads a 12289 x 64 table moved an ulp)."""
+    ends = list(range(rows, n, rows))
+    if ends and n - ends[-1] == 1:
+        ends.pop()
+    return [slice(a, b) for a, b in zip([0] + ends, ends + [n])]
+
+
+# rows of the sine table a modal Trajectory builds at a time, in row_blocks
 _TABLE_ROWS = 256
 
 
@@ -259,12 +265,9 @@ class Trajectory:
     def _v(self, i, y):
         if self.kind != "modal":
             return np.interp(y, self.x, self.values[i])
-        v, r = np.empty(len(y)), 0
-        while r < len(y):
-            e = r + _TABLE_ROWS
-            e = len(y) if len(y) - e <= 1 else e  # no lone last row
-            np.matmul(self.basis.values(y[r:e]), self.values[i], out=v[r:e])
-            r = e
+        v = np.empty(len(y))
+        for s in row_blocks(len(y), _TABLE_ROWS):
+            np.matmul(self.basis.values(y[s]), self.values[i], out=v[s])
         return v
 
 
@@ -335,23 +338,33 @@ def sampler(y, x=None, basis=None):
     return "F", sample
 
 
+def gradient_spacing(x):
+    """np.gradient's spacing rule on nodes x: (dx, None) for equal steps dx,
+    else (dx, (a, b, c)), its inner coefficients of F[i - 1], F[i], F[i + 1]
+    as np.gradient forms them."""
+    dx = np.diff(x)
+    if (dx == dx[0]).all():
+        return dx, None
+    d1, d2 = dx[:-1], dx[1:]
+    return dx, (-d2 / (d1 * (d1 + d2)), (d2 - d1) / (d1 * d2), d1 / (d2 * (d1 + d2)))
+
+
 def _gradient_at(x, k):
     """gradient(F): np.gradient(F, x, axis=1, edge_order=2)[:, k] with the
     same bits, reading only the nodes next to k.  Its coefficients are
     np.gradient's own, formed once, and each column keeps its operation
     order: (F[k + 1] - F[k - 1]) / (2 dx) at inner nodes of uniformly
-    spaced x, and a F[i] + b F[i + 1] + c F[i + 2] at the other columns (the
-    end formulas at k = 0 and n, the non-uniform inner ones elsewhere)."""
+    spaced x, and a F[i] + b F[i + 1] + c F[i + 2] at the other columns (end
+    formulas at k = 0 and n, ``gradient_spacing``'s inner ones elsewhere)."""
     n = len(x) - 1
-    dx = x[1:] - x[:-1]
+    dx, inner = gradient_spacing(x)
     coef = np.empty((3, n + 1))
-    if (dx == dx[0]).all():
+    if inner is None:
         h = float(dx[0])
         coef[:, 0], coef[:, n] = (-1.5 / h, 2. / h, -0.5 / h), (0.5 / h, -2. / h, 1.5 / h)
         central = (k > 0) & (k < n)
     else:
-        d1, d2 = dx[:-1], dx[1:]
-        coef[:, 1:n] = -d2 / (d1 * (d1 + d2)), (d2 - d1) / (d1 * d2), d1 / (d2 * (d1 + d2))
+        coef[:, 1:n] = inner
         d1, d2 = float(dx[0]), float(dx[1])
         coef[:, 0] = (-(2. * d1 + d2) / (d1 * (d1 + d2)), (d1 + d2) / (d1 * d2),
                       -d1 / (d2 * (d1 + d2)))

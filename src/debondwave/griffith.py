@@ -52,8 +52,8 @@ from .errors import (
     NonPositiveToughness,
     SupersonicStep,
 )
-from .expressions import Expression
-from .galerkin import Trajectory, gauss_legendre_panels
+from .expressions import Expression, forcing_or_none
+from .galerkin import Trajectory, gauss_legendre_panels, gradient_spacing
 
 
 def flow_rule(p, kappa, udot=None):
@@ -349,7 +349,8 @@ def _evolve_coupled(geo, p0, kap0, horizon, num, forcing, verdict, reader):
     The run owns one ``kernels.Stepper``: v and vd are views of its state,
     and each step refills its three rows in place, at t + half_steps(1, dt).
     Each stored row goes to the run's ``_CoupledLedger``, and to the reader
-    if there is one."""
+    if there is one.  A zero forcing is stepped as none."""
+    forcing = forcing_or_none(forcing)
     n = num.n
     h = geo.L / n
     # reference characteristic speed is at most (1 + omega) l0 / ell <= 2
@@ -432,9 +433,9 @@ class _CoupledLedger:
 
     Each row's front speed is np.gradient(stored positions, stored times)
     at that row, which needs the next stored position.  np.gradient picks
-    its uniform or non-uniform formula from the whole time array, so the
-    step or the coefficients are formed here once from all stored times,
-    as np.gradient forms them, with its first-order edge quotients."""
+    its uniform or non-uniform formula from the whole time array, so
+    ``galerkin.gradient_spacing`` forms them here once from all stored
+    times; the edges take np.gradient's first-order quotients."""
 
     def __init__(self, geo, times, forcing):
         self.geo, self.times, self.forcing = geo, times, forcing
@@ -446,13 +447,7 @@ class _CoupledLedger:
         self.front = np.empty(nt)
         self.kinetic, self.potential, self.debond = np.empty((3, nt))
         self.work_rate = np.zeros(nt)
-        self.dx = np.diff(times)
-        if (self.dx == self.dx[0]).all():
-            self.coef = None
-        else:
-            dx1, dx2 = self.dx[:-1], self.dx[1:]
-            self.coef = (-(dx2) / (dx1 * (dx1 + dx2)), (dx2 - dx1) / (dx1 * dx2),
-                         dx1 / (dx2 * (dx1 + dx2)))
+        self.dx, self.coef = gradient_spacing(times)
         self.rows = -(-_BLOCK_VALUES // len(y))
         self.V, self.Vd = np.empty((2, self.rows + 1, len(y)))
         self.first = self.fed = 0
@@ -530,10 +525,8 @@ def evolve_coupled_1d(sc: CharScenario, numerics: CoupledNumerics = None, reader
     verdict = compatibility_check(p0, float(sc.u1(sc.l0)), kap0)
     if verdict is Verdict.INCOMPATIBLE:
         raise CompatibilityViolated("coupled run requires compatible front data")
-    forcing = sc.forcing if sc.forcing is not None and not (
-        hasattr(sc.forcing, "is_zero") and sc.forcing.is_zero()) else None
     geo = _Interval(sc, num)
-    run = _evolve_coupled(geo, p0, kap0, sc.horizon, num, forcing, verdict, reader)
+    run = _evolve_coupled(geo, p0, kap0, sc.horizon, num, sc.forcing, verdict, reader)
     run.meta["taper"] = geo.yc
     return run
 

@@ -24,7 +24,7 @@ import numpy as np
 from .characteristics import CharScenario
 from .energy import Ledger, ledger_transformed
 from .errors import TypeMismatch
-from .expressions import Const, SpaceTimeField
+from .expressions import Const, SpaceTimeField, forcing_or_none
 from .fd import solve_fd
 from .galerkin import Rows, solve_transformed_modal
 from .griffith import CoupledNumerics, evolve_coupled_1d, evolve_coupled_radial
@@ -101,10 +101,7 @@ def run_scenario(sc: Scenario, out_dir=None):
 
 
 def _forcing_field(sc):
-    f = sc.data["f"]
-    if isinstance(f, Const) and f.c == 0.0 and sc.data["f_time"] is None:
-        return None
-    return SpaceTimeField(f, sc.data["f_time"])
+    return forcing_or_none(SpaceTimeField(sc.data["f"], sc.data["f_time"]))
 
 
 def _run_wave(sc):

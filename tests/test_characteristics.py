@@ -57,6 +57,18 @@ def test_dalembert_forcing_cone():
     assert abs(got - 0.5 * 0.04 / 2.0) < 1e-9
 
 
+@pytest.mark.parametrize("u1", [Poly(0.0, 1.0, -1.0), lambda y: float(Poly(0.0, 1.0, -1.0)(y))],
+                         ids=["catalog", "callable"])
+def test_dalembert_at_large_times_is_its_twin_a_period_earlier(u1):
+    # the oracle reads the data at one folded point, exactly for catalog data
+    # and by adaptive Simpson for a callable, so t and t mod 2L give the same
+    # bits however far apart they are
+    u0 = SineMode(1.0, 2).bound(1.0)
+    near = dalembert_fixed(1.0, u0, u1, None, 0.25, 0.25)
+    assert dalembert_fixed(1.0, u0, u1, None, 20000.25, 0.25) == near
+    assert abs(near - 1.0 / 24.0) < 1e-9  # half of int_0^0.5 (x - x^2); u0 = sin(2 pi x)
+
+
 def test_dalembert_interior_stencil_residual():
     u0 = SineMode(1.0, 1).bound(1.0)
     u1 = Poly(0.0, 0.5, -0.5)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import debondwave
-from debondwave import energy, fd
+from debondwave import energy, fd, galerkin
 from debondwave.domains import Interval
 from debondwave.energy import (
     Ledger,
@@ -304,7 +304,7 @@ _STREAMED_GRID_CASES = [(1 / 2000, 1), (1 / 2000, 5), (1 / 192, 1), (1 / 1920, 5
 
 def test_the_streamed_ledger_cases_cross_the_seams():
     K = fd._BLOCK_POINTS // 65
-    rows = energy._row_blocks(2001, 160)[0].stop
+    rows = galerkin.row_blocks(2001, max(16, energy._BLOCK_VALUES // 160 // 16 * 16))[0].stop
     assert (1 + K) % rows  # the first seam falls inside a ledger block
     assert K < 192 and K % 5 and K % 7 == 0
     assert 252 == 2 * K and 630 == 5 * K

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from debondwave.characteristics import CharScenario, front_ode_exact, one_sided_derivative
+from debondwave.characteristics import (CharScenario, dalembert_fixed, front_ode_exact,
+                                        one_sided_derivative)
 from debondwave.errors import CompatibilityViolated, NonPositiveToughness
 from debondwave.expressions import Const, Poly, SineMode, SpaceTimeField
 from debondwave import griffith, kernels
@@ -289,6 +292,38 @@ def test_radial_supercritical_run_is_bit_for_bit():
                                 numerics=CoupledNumerics(n=128, taper=0.0))
     assert _front_pins(run) == ("0.6626877278081944", "0.038674767591575586", 181,
                                  "-0.4275448696952554")
+
+
+class _CountingZero:
+    """A forcing whose is_zero() holds, counting its evaluations."""
+
+    calls = 0
+
+    def is_zero(self):
+        return True
+
+    def __call__(self, t, x):
+        self.calls += 1
+        return 0.0 * np.asarray(x, dtype=float)
+
+
+def test_a_zero_forcing_is_never_evaluated():
+    # a zero forcing is no forcing: the runs keep the unforced bits
+    f = _CountingZero()
+    plain = constant_scenario(0.5)
+    sc = dataclasses.replace(plain, forcing=f)
+    assert _front_pins(evolve_coupled_1d(sc, CoupledNumerics(n=64))) == _front_pins(
+        evolve_coupled_1d(plain, CoupledNumerics(n=64)))
+    u0, u1 = radial_data()
+    radial = [evolve_coupled_radial(2.0, 0.5, u0, u1, Const(1.0), horizon=0.2,
+                                    numerics=CoupledNumerics(n=64, taper=0.0), forcing=g)
+              for g in (f, None)]
+    assert _front_pins(radial[0]) == _front_pins(radial[1])
+    assert np.array_equal(front_ode_exact(sc).position, front_ode_exact(plain).position)
+    u0 = SineMode(1.0, 1).bound(1.0)
+    assert dalembert_fixed(1.0, u0, Const(0.0), f, 0.3, 0.7) == dalembert_fixed(
+        1.0, u0, Const(0.0), None, 0.3, 0.7)
+    assert f.calls == 0
 
 
 def test_coupled_1d_run_is_bit_for_bit():

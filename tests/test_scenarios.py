@@ -4,6 +4,7 @@ row, and the manifest echoes exactly that row."""
 import glob
 import json
 import os
+import pathlib
 import warnings
 
 import numpy as np
@@ -312,6 +313,23 @@ def test_the_run_time_step_bound_still_refuses_a_run_parse_did_not_check(tmp_pat
         with pytest.raises(RunTooLarge) as err:
             run_scenario(sc, str(tmp_path / "out"))
         assert str(err.value).startswith(stage)
+
+
+@pytest.mark.parametrize("name", ["moving_interval.scn", "debonding_radial.scn"])
+def test_a_zero_forcing_writes_the_tables_of_no_forcing(tmp_path, name):
+    # f = 0 times any f_time is no forcing: the run never evaluates it, so
+    # every table keeps the bytes of the file without those lines (the
+    # manifest echoes the two lines)
+    with open(os.path.join(SCENARIOS, name), encoding="utf-8") as fh:
+        text = fh.read()
+    zero = text.replace("[data]\n", "[data]\nf = Const(0.0)\nf_time = Affine(-1.0, 0.5)\n")
+    tables = []
+    for tag, body in (("plain", text), ("zero", zero)):
+        run = run_scenario(parse_scenario(_write(tmp_path, tag + ".scn", body)),
+                           str(tmp_path / tag))
+        tables.append({os.path.basename(f): pathlib.Path(f).read_bytes()
+                       for f in run.files if f.endswith(".csv")})
+    assert tables[0] and tables[0] == tables[1]
 
 
 # the fuzz's grids: each case runs in tens of milliseconds at most
