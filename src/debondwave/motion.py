@@ -5,32 +5,35 @@ Phi(t, .), with inverse Psi(t, .).  Two kinds are built in:
 
     Stretch         Phi(t, y) = lam(t) y with lam = p(t)/s on any reference
                     domain; the identity (p = 1), the interval scaling
-                    (p = l, s = l(0)) and the homothety (lam(0) = 1) are
-                    its three constructors
-    SublevelFlow    Phi is the flow of  x' = (rho'/rho)(g(x) - R) grad g/|grad g|^2,
-                    so that Omega_t = { R - rho(t) < g < R }
+                    (p = l, s = l(0)), the interval flow (p = rho,
+                    s = rho(0)) and the homothety (lam(0) = 1) are its
+                    constructors
+    SublevelFlow    Phi is the flow of  x' = (rho'/rho)(|x| - R) x/|x|^2,
+                    so that Omega_t = { R - rho(t) < |x| < R } (annuli)
 
-Both have closed-form maps.  The sublevel flow has two level kinds:
-"radial" (g = |x|, annuli in dim >= 2) and "reflected" (g = R - x on the
-line, so Omega_t = (0, rho(t))).  Either way each point moves along its
-straight gradient line and g - R scales by q = rho(t1)/rho(t0), so Phi,
-DPhi, Phi_dot, det DPhi and its t- and y-derivatives are exact formulas
-in q and q'.  Psi for SublevelFlow is the same transport evaluated from t
-back to 0, never the inverse matrix of DPhi.  phi and psi only transport
-the points; dphi and dpsi form the Jacobian from that same transport.
+Both are the level-set flow x' = (rho'/rho)(g(x) - R) grad g/|grad g|^2 of
+Omega_t = { R - rho(t) < g < R }.  On the line, g = R - x gives the field
+(rho'/rho) x, in which R cancels: Phi = (rho(t)/rho(0)) y, so the interval
+flow is built as that stretch.  Radially (g = |x|) each point moves along
+its ray and |x| - R scales by q = rho(t1)/rho(t0), so Phi, DPhi, Phi_dot,
+det DPhi and its t- and y-derivatives are exact formulas in q and q'.  Psi
+for SublevelFlow is the same transport evaluated from t back to 0, never
+the inverse matrix of DPhi, and psi_dot is its time derivative.  phi and
+psi only transport the points; dphi and dpsi form the Jacobian from that
+same transport.
 
 The composed fields DPsi(t, Phi) and Psi_dot(t, Phi) use the exact
 algebraic relations (the inverse of DPhi and -DPsi Phi_dot), and the
 normal pushforward DPsi(t, Phi)^T nu0 that boundary_kinematics reads is a
-closed form per kind: nu0 / lam for a stretch, nu0 / q on the reflected
-line, and (c/q) yh + (nu0 - c yh)/s radially (yh = y/|y|, c = yh . nu0).
+closed form per kind: nu0 / lam for a stretch and (c/q) yh + (nu0 - c yh)/s
+radially (yh = y/|y|, c = yh . nu0).
 boundary_kinematics evaluates all faces of a call together, each map once
 on their stacked points, and hands each face slices of the results.
 The *direct* Psi-side evaluators (psi, dpsi, det_dpsi, psi_dot) are kept
 independent so that identity validation is not circular.  Tolerances are
 split by the class attribute tol, which no constructor takes: 1e-9 for
-stretches (round-off), 1e-6 for sublevel flows (their Psi side is the
-backward transport, and its psi_dot a central difference).
+stretches (round-off), 1e-6 for the sublevel flow (its det DPsi varies in
+x, so validate's central differences of it carry truncation error).
 
 Time is an array axis: every map, boundary_kinematics and domain_measure
 take a scalar t, which gives vector fields (P, N), Jacobians (P, N, N),
@@ -93,17 +96,12 @@ def _check_positive_profile(profile, horizon, name):
 class MotionFamily:
     """Base class for the built-in families; each sets ``tol`` for validate."""
 
-    kind = "abstract"
-
     def __init__(self, reference: ReferenceDomain, horizon: float):
         if horizon <= 0:
             raise ValueError("horizon must be positive")
         self.reference = reference
         self.horizon = float(horizon)
         self.dim = reference.dim
-        # finite-difference steps for validation-side derivatives
-        self._eps_t = 5.0e-6 * max(1.0, self.horizon)
-        self._eps_x = 5.0e-6
 
     # forward side -------------------------------------------------------
     def phi(self, t, Y):
@@ -150,18 +148,12 @@ class MotionFamily:
         return np.linalg.det(self.dpsi(t, X))
 
     def psi_dot(self, t, X):
-        """Direct time derivative of Psi at fixed x, by central differences."""
-        eps = self._eps_t
-        return (self.psi(t + eps, X) - self.psi(t - eps, X)) / (2.0 * eps)
+        """Time derivative of Psi at fixed x."""
+        raise NotImplementedError
 
     # derived --------------------------------------------------------------
     def domain_measure(self, t):
         raise NotImplementedError
-
-    def stretch(self, t):
-        """(lam, lam', lam'') at a scalar t or an array of times, for families
-        with Phi(t, y) = lam(t) y; the others raise NotImplementedError."""
-        raise NotImplementedError(f"{self.kind} is not a pure stretch Phi = lam(t) y")
 
 
 # --- stretch --------------------------------------------------------------
@@ -237,6 +229,7 @@ class StretchMotion(MotionFamily):
         return _pow(self.profile(t), self.dim) * (self.reference.measure() / s ** self.dim)
 
     def stretch(self, t):
+        """(lam, lam', lam'') at a scalar t or an array of times."""
         p, s = self.profile, self.scale
         return p(t) / s, p.deriv(t) / s, p.deriv2(t) / s
 
@@ -246,80 +239,58 @@ class StretchMotion(MotionFamily):
 FLOW_TOL = 1.0e-6
 
 
+def _check_below_level(R, profile, horizon):
+    """rho positive and below the outer level R on the padded horizon."""
+    if np.any(_check_positive_profile(profile, horizon, "rho") >= R):
+        raise LevelOutOfRange("rho(t) must stay below the outer level R")
+
+
 class SublevelFlowMotion(MotionFamily):
-    """Omega_t = { R - rho(t) < g < R }, transported by the level-set flow.
+    """Annuli Omega_t = { R - rho(t) < |x| < R } in dim >= 2, transported by
+    the level-set flow of g = |x|."""
 
-    level_kind is "radial" (g = |x|, annuli in dim >= 2) or "reflected"
-    (g = R - x on the line, so Omega_t = (0, rho(t)) and Phi = q y); dim
-    is read by the radial kind only.
-    """
-
-    kind = "sublevel_flow"
-    level_kinds = ("radial", "reflected")
     tol = FLOW_TOL
 
-    def __init__(self, level_kind, R, profile: Expression, horizon, dim=2):
-        if level_kind not in self.level_kinds:
-            raise ValueError(f"level_kind must be one of {self.level_kinds}, got {level_kind!r}")
-        self.radial = level_kind == "radial"
+    def __init__(self, R, profile: Expression, horizon, dim=2):
         self.R = float(R)
         self.profile = profile
-        rho = _check_positive_profile(profile, horizon, "rho")
-        if np.any(rho >= self.R):
-            raise LevelOutOfRange("rho(t) must stay below the outer level R")
+        _check_below_level(self.R, profile, horizon)
         self._rho0 = float(profile(0.0))
-        if self.radial:
-            reference = Annulus(self.R - self._rho0, self.R, dim)
-        else:
-            reference = Interval(self._rho0)
-        super().__init__(reference, horizon)
-
-    def _g(self, X):
-        return np.linalg.norm(X, axis=-1) if self.radial else self.R - X[..., 0]
+        super().__init__(Annulus(self.R - self._rho0, self.R, dim), horizon)
 
     # flow plumbing --------------------------------------------------------
     def _flow(self, Y, t0, t1):
         """Transport points from the level sets at t0 to those at t1.
 
-        g - R scales by q = rho(t1)/rho(t0) along the straight gradient
-        lines of g, so the points are closed-form.  Returns the points x and
-        what ``_jacobian`` forms DPhi from: q and, radially, y/|y|, |x| and
-        |y| (None on the line).
+        |x| - R scales by q = rho(t1)/rho(t0) along the rays, so the points
+        are closed-form.  Returns the points x and what ``_jacobian`` forms
+        DPhi from: q, y/|y|, |x| and |y|.
         """
         Y = _as_points(Y, self.dim)
         q = (np.asarray(self.profile(t1), dtype=float)
              / np.asarray(self.profile(t0), dtype=float))[..., None]
-        if self.radial:
-            r0 = np.linalg.norm(Y, axis=-1)
-            yh = Y / r0[..., None]
-            r = self.R + q * (r0 - self.R)
-            x = r[..., None] * yh
-        else:
-            x = q[..., None] * Y
-            yh = r = r0 = None
+        r0 = np.linalg.norm(Y, axis=-1)
+        yh = Y / r0[..., None]
+        r = self.R + q * (r0 - self.R)
+        x = r[..., None] * yh
         if not np.all(np.isfinite(x)):
             raise FlowEscape("sublevel flow produced non-finite points")
-        if np.any(self._g(x) <= 1e-3 * self.R):
+        if np.any(np.linalg.norm(x, axis=-1) <= 1e-3 * self.R):
             raise FlowEscape("sublevel flow left the region where g is usable")
         return x, q, yh, r, r0
 
     def _jacobian(self, x, q, yh, r, r0):
-        """DPhi of the transport ``_flow`` returned: q yh yh^T + (r/r0)
-        (I - yh yh^T) radially, q on the line."""
-        if yh is None:
-            return q[..., None, None] * np.ones((x.shape[-2], 1, 1))
+        """DPhi of the transport ``_flow`` returned: q yh yh^T + (r/r0) (I - yh yh^T)."""
         radial = yh[..., :, None] * yh[..., None, :]
         return (q[..., None, None] * radial
                 + (r / r0)[..., None, None] * (np.eye(self.dim) - radial))
 
     def _parts(self, t, Y):
         """Points, q = rho(t)/rho(0) and q' (with a trailing axis for the
-        points); for the radial kind also |y| and s = |Phi|/|y| = q + (1 - q) R/|y|."""
+        points), |y| and s = |Phi|/|y| = q + (1 - q) R/|y|."""
         Y = _as_points(Y, self.dim)
         q = (np.asarray(self.profile(t), dtype=float) / self._rho0)[..., None]
         dq = (np.asarray(self.profile.deriv(t), dtype=float) / self._rho0)[..., None]
-        if not self.radial:
-            return Y, q, dq, None, None
         r0 = np.linalg.norm(Y, axis=-1)
         return Y, q, dq, r0, q + (1.0 - q) * self.R / r0
 
@@ -331,29 +302,23 @@ class SublevelFlowMotion(MotionFamily):
         return self._jacobian(*self._flow(Y, 0.0, t))
 
     def phi_dot(self, t, Y):
-        """q' (|y| - R) y/|y| radially, q' y on the line."""
+        """q' (|y| - R) y/|y|."""
         Y, _, dq, r0, _ = self._parts(t, Y)
-        if not self.radial:
-            return dq[..., None] * Y
         return dq[..., None] * (r0[..., None] - self.R) * (Y / r0[..., None])
 
     def det_dphi(self, t, Y):
-        """q s^(n-1) radially, q on the line."""
-        Y, q, _, _, s = self._parts(t, Y)
-        return q * s ** (self.dim - 1) if self.radial else q * np.ones(Y.shape[-2])
+        """q s^(n-1)."""
+        _, q, _, _, s = self._parts(t, Y)
+        return q * s ** (self.dim - 1)
 
     def det_dphi_dt(self, t, Y):
-        """q' s^(n-1) + (n-1) q s^(n-2) q' (|y| - R)/|y| radially, q' on the line."""
-        Y, q, dq, r0, s = self._parts(t, Y)
-        if not self.radial:
-            return dq * np.ones(Y.shape[-2])
+        """q' s^(n-1) + (n-1) q s^(n-2) q' (|y| - R)/|y|."""
+        _, q, dq, r0, s = self._parts(t, Y)
         n = self.dim
         return dq * s ** (n - 1) + (n - 1) * q * s ** (n - 2) * dq * (r0 - self.R) / r0
 
     def grad_det_dphi(self, t, Y):
-        """-(n-1) q (1-q) R s^(n-2)/|y|^2 y/|y| radially, 0 on the line."""
-        if not self.radial:
-            return np.zeros_like(self.phi_dot(t, Y))
+        """-(n-1) q (1-q) R s^(n-2)/|y|^2 y/|y|."""
         Y, q, _, r0, s = self._parts(t, Y)
         n = self.dim
         return (-(n - 1) * q * (1.0 - q) * self.R * s ** (n - 2) / r0 ** 3)[..., None] * Y
@@ -362,11 +327,9 @@ class SublevelFlowMotion(MotionFamily):
         return np.linalg.inv(self.dphi(t, Y))
 
     def normal_pushforward(self, t, Y, nu0):
-        """nu0 / q on the line; radially DPhi = q yh yh^T + s (I - yh yh^T) is
-        symmetric, so DPsi^T nu0 = (c/q) yh + (nu0 - c yh)/s with c = yh . nu0."""
+        """DPhi = q yh yh^T + s (I - yh yh^T) is symmetric, so
+        DPsi^T nu0 = (c/q) yh + (nu0 - c yh)/s with c = yh . nu0."""
         Y, q, _, r0, s = self._parts(t, Y)
-        if not self.radial:
-            return nu0 / q[..., None]
         yh = Y / r0[..., None]
         c = _dot(yh, nu0)
         return (c / q)[..., None] * yh + (1.0 / s)[..., None] * (nu0 - c[..., None] * yh)
@@ -378,19 +341,19 @@ class SublevelFlowMotion(MotionFamily):
     def dpsi(self, t, X):
         return self._jacobian(*self._flow(X, t, 0.0))
 
+    def psi_dot(self, t, X):
+        """-rho(0) rho'/rho^2 (|x| - R) x/|x|: the time derivative of the
+        backward transport y = R + (rho(0)/rho(t)) (|x| - R) along x/|x|."""
+        X = _as_points(X, self.dim)
+        rho = np.asarray(self.profile(t), dtype=float)
+        dq = (-self._rho0 * np.asarray(self.profile.deriv(t), dtype=float) / (rho * rho))[..., None]
+        r = np.linalg.norm(X, axis=-1)
+        return dq[..., None] * (r[..., None] - self.R) * (X / r[..., None])
+
     def domain_measure(self, t):
         rho = np.asarray(self.profile(t), dtype=float)
-        if self.radial:
-            n = self.dim
-            return _unit_ball_volume(n) * (self.R ** n - _pow(self.R - rho, n))
-        return rho[()]  # a float for a scalar t
-
-    def stretch(self, t):
-        """The reflected flow is Phi(t, y) = (rho(t)/rho(0)) y."""
-        if self.radial:
-            return super().stretch(t)
-        p = self.profile
-        return p(t) / self._rho0, p.deriv(t) / self._rho0, p.deriv2(t) / self._rho0
+        n = self.dim
+        return _unit_ball_volume(n) * (self.R ** n - _pow(self.R - rho, n))
 
 
 # --- constructors ---------------------------------------------------------
@@ -418,12 +381,15 @@ def homothetic(profile, reference, horizon):
 
 def radial_annulus_flow(R, profile, horizon, dim=2):
     """Annuli { R - rho(t) < |x| < R }."""
-    return SublevelFlowMotion("radial", R, profile, horizon, dim)
+    return SublevelFlowMotion(R, profile, horizon, dim)
 
 
 def interval_flow(R, profile, horizon):
-    """Intervals (0, rho(t)) realized as sublevel sets of g(x) = R - x."""
-    return SublevelFlowMotion("reflected", R, profile, horizon)
+    """Intervals (0, rho(t)) as sublevel sets of g(x) = R - x, with rho below
+    R.  Their level-set flow (rho'/rho) x does not see R, so this is the
+    stretch Phi = (rho(t)/rho(0)) y that one_d_scaling(rho) builds."""
+    _check_below_level(R, profile, horizon)
+    return one_d_scaling(profile, horizon)
 
 
 # --- boundary kinematics --------------------------------------------------
@@ -505,9 +471,7 @@ class RegularityReport:
     residuals: dict
     max_phi_dot: float
     min_det_dphi: float
-    second_diff_bound: float
     h1_ok: bool
-    h1prime_ok: bool
     h2_ok: bool
 
     def max_residual(self):
@@ -515,7 +479,7 @@ class RegularityReport:
 
 
 def validate(fam, nt=20, npts=20):
-    """Check the seven map identities and hypotheses H1/H1'/H2 on a grid.
+    """Check the seven map identities and hypotheses H1/H2 on a grid.
 
     Violations are reported, never raised.  The Psi-side quantities come
     from the independent inverse evaluators (closed forms, the backward
@@ -524,8 +488,9 @@ def validate(fam, nt=20, npts=20):
     ts = np.linspace(0.0, fam.horizon, nt)
     Y = fam.reference.interior_grid(npts)
     eye = np.eye(fam.dim)
-    eps_x = fam._eps_x
-    eps_t = fam._eps_t
+    # central-difference steps in x and t for the det DPsi derivatives
+    eps_x = 5.0e-6
+    eps_t = 5.0e-6 * max(1.0, fam.horizon)
 
     # every field at every time at once: (nt, P, ...)
     X = fam.phi(ts, Y)
@@ -570,10 +535,6 @@ def validate(fam, nt=20, npts=20):
         div += (fp[..., k] - fm[..., k]) / (2.0 * eps_x)
     res["divergence"] = worst(dJt + div)
 
-    # H1' surrogate: bounded second differences of Phi_dot
-    eps2 = max(1.0e-5 * max(1.0, fam.horizon), eps_t)
-    d2 = (fam.phi_dot(ts + eps2, Y) - 2.0 * pd + fam.phi_dot(ts - eps2, Y)) / eps2 ** 2
-    second = worst(d2)
     max_pd = float(np.max(np.linalg.norm(pd, axis=-1)))
     min_det = float(np.min(detJ))
 
@@ -581,8 +542,6 @@ def validate(fam, nt=20, npts=20):
         residuals=res,
         max_phi_dot=max_pd,
         min_det_dphi=min_det,
-        second_diff_bound=second,
         h1_ok=(max(res.values()) <= 10 * fam.tol and min_det > 0),
-        h1prime_ok=bool(np.isfinite(second)),
         h2_ok=max_pd < 1.0,
     )

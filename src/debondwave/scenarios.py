@@ -73,7 +73,7 @@ from .errors import (
 from .expressions import SpaceTimeField, parse_expression
 from .fd import MIN_CELLS
 from .kernels import cfl_step_count, step_count
-from .motion import SublevelFlowMotion, homothetic, identity_motion, one_d_scaling
+from .motion import homothetic, identity_motion, interval_flow, one_d_scaling, radial_annulus_flow
 from .transform import lift_dirichlet
 
 _EXPR = "expr"  # a catalog expression; the other types are float, int and str
@@ -94,6 +94,7 @@ _POSITIVE = (lambda v: v > 0, "must be positive")
 _PROFILE = {"motion.profile": (_EXPR, REQUIRED)}
 _LENGTH = {"motion.length": (float, 1.0, _POSITIVE)}
 _KAPPA = {"data.kappa": (_EXPR, "Const(1.0)")}
+_LEVEL_KINDS = {"radial": radial_annulus_flow, "reflected": interval_flow}
 _EVERY_RUN = {
     "motion.horizon": (float, 1.0, _POSITIVE),
     "data.u1": (_EXPR, "Const(0.0)"),
@@ -123,7 +124,7 @@ ROW = {
                     **_PROFILE, **_KAPPA,
                     "motion.level": (float, 1.0),
                     "motion.level_kind": (str, "radial",
-                                          dict.fromkeys(SublevelFlowMotion.level_kinds, {})),
+                                          dict.fromkeys(_LEVEL_KINDS, {})),
                 },
             }),
             "data.u0": (_EXPR, "SineMode(1.0, 1)"),
@@ -320,7 +321,7 @@ def build_motion(motion):
         return one_d_scaling(motion["profile"], T)
     if kind == "homothetic":
         return homothetic(motion["profile"], Interval(motion["length"]), T)
-    return SublevelFlowMotion(motion["level_kind"], motion["level"], motion["profile"], T)
+    return _LEVEL_KINDS[motion["level_kind"]](motion["level"], motion["profile"], T)
 
 
 def lift_boundary_load(sc, fam, u0, u1):

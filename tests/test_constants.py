@@ -100,4 +100,4 @@ def test_quadrature_tolerance_is_1e_9():
 
 def test_motion_tolerances_are_class_attributes():
     assert identity_motion(Interval(1.0), 1.0).tol == 1e-9
-    assert interval_flow(4.0, Const(1.0), 1.0).tol == 1e-6
+    assert interval_flow(4.0, Const(1.0), 1.0).tol == 1e-9

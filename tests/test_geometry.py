@@ -13,7 +13,6 @@ from debondwave.errors import (
 )
 from debondwave.expressions import Affine, Const, Poly
 from debondwave.motion import (
-    SublevelFlowMotion,
     boundary_kinematics,
     homothetic,
     identity_motion,
@@ -178,14 +177,25 @@ def test_omega_nonnegative_and_subsonic_random_profiles():
                 assert np.all(np.abs(fk.omega) < 1.0)
 
 
-def test_omega_independent_of_the_diffeomorphism():
-    prof = Affine(1.0, 0.5)
-    f1 = one_d_scaling(prof, 1.0)
-    f2 = interval_flow(4.0, prof, 1.0)
-    for t in np.linspace(0.0, 1.0, 9):
-        for a, b in zip(boundary_kinematics(f1, t), boundary_kinematics(f2, t)):
-            assert np.max(np.abs(a.omega - b.omega)) < 1e-6
-            assert np.max(np.abs(a.x - b.x)) < 1e-6
+@pytest.mark.parametrize("profile", [Affine(1.0, 0.5), Poly(1.0, 0.3, 0.1)], ids=["affine", "poly"])
+def test_interval_flow_is_the_interval_scaling(profile):
+    # for g = R - x the level-set field is (rho'/rho) x and R cancels: the
+    # interval flow is the scaling of its profile, map for map, bit for bit
+    flow, scaling = interval_flow(4.0, profile, 1.0), one_d_scaling(profile, 1.0)
+    Y = scaling.reference.interior_grid(20)
+    nu0 = np.where(Y < 0.5, -1.0, 1.0)
+    for t in (0.45, np.linspace(0.0, 1.0, 6)):
+        X = scaling.phi(t, Y)
+        for method in _FORWARD:
+            assert np.array_equal(getattr(flow, method)(t, Y), getattr(scaling, method)(t, Y)), method
+        for method in _INVERSE:
+            assert np.array_equal(getattr(flow, method)(t, X), getattr(scaling, method)(t, X)), method
+        assert np.array_equal(flow.normal_pushforward(t, Y, nu0),
+                              scaling.normal_pushforward(t, Y, nu0))
+        assert np.array_equal(flow.domain_measure(t), scaling.domain_measure(t))
+        for a, b in zip(flow.stretch(t), scaling.stretch(t)):
+            assert np.array_equal(a, b)
+    assert flow.tol == scaling.tol
 
 
 def _stacking_families():
@@ -303,18 +313,22 @@ def test_speed_condition_margins():
     assert abs(report.max_phi_dot - 1.5) < 1e-9 and not report.h2_ok
 
 
+def test_radial_psi_dot_is_exact():
+    # the time derivative of the backward transport, not a difference of it
+    assert validate(radial_annulus_flow(1.0, Affine(0.2, 0.1), 1.0)).residuals["psi_dot"] < 1e-14
+
+
 def test_builder_guards():
     with pytest.raises(NonPositiveScale):
         one_d_scaling(Affine(1.0, -2.0), 1.0)
     with pytest.raises(LevelOutOfRange):
         radial_annulus_flow(1.0, Affine(0.5, 0.6), 1.0)
+    with pytest.raises(LevelOutOfRange):
+        interval_flow(1.0, Affine(0.5, 0.6), 1.0)  # rho(1) = 1.1 >= R
+    with pytest.raises(NonPositiveScale):
+        interval_flow(4.0, Affine(1.0, -2.0), 1.0)
     with pytest.raises(ProfileStart, match="^profile"):
         homothetic(Affine(1.1, 0.1), Ball(1.0, 2), 1.0)  # lam(0) != 1
-
-
-def test_unknown_level_kind_is_refused():
-    with pytest.raises(ValueError, match="level_kind"):
-        SublevelFlowMotion("affine", 1.0, Affine(0.2, 0.1), 1.0)
 
 
 def test_sublevel_flow_matches_closed_form_map():
@@ -329,11 +343,11 @@ def test_sublevel_flow_matches_closed_form_map():
     assert np.max(np.abs(got - expect)) < 1e-9
 
 
-def _level_set_rates(fam, t, x):
+def _level_set_rates(fam, R, t, x):
     """The paper's field X = (rho'/rho)(g - R) grad g/|grad g|^2 and its Jacobian."""
     s = float(fam.profile.deriv(t)) / float(fam.profile(t))
     if fam.dim == 1:  # g = R - x
-        g, G, H = fam.R - x[:, 0], -np.ones_like(x), np.zeros((len(x), 1, 1))
+        g, G, H = R - x[:, 0], -np.ones_like(x), np.zeros((len(x), 1, 1))
     else:  # g = |x|
         g = np.linalg.norm(x, axis=1)
         G = x / g[:, None]
@@ -342,26 +356,28 @@ def _level_set_rates(fam, t, x):
     base = G / G2[:, None]
     HG = np.einsum("pij,pj->pi", H, G)
     Dbase = H / G2[:, None, None] - 2.0 * base[:, :, None] * HG[:, None, :] / G2[:, None, None]
-    X = s * (g - fam.R)[:, None] * base
-    DX = s * (base[:, :, None] * G[:, None, :] + (g - fam.R)[:, None, None] * Dbase)
+    X = s * (g - R)[:, None] * base
+    DX = s * (base[:, :, None] * G[:, None, :] + (g - R)[:, None, None] * Dbase)
     return X, DX
 
 
 def test_sublevel_map_solves_the_level_set_flow():
     # the closed-form Phi must solve the level-set flow: dPhi/dt = X(t, Phi)
     # and, for the variational equation, d(DPhi)/dt = DX(t, Phi) DPhi; the
-    # exact rates must read Phi_dot = X(t, Phi) and d/dt det DPhi = det DPhi tr DX
+    # exact rates must read Phi_dot = X(t, Phi) and d/dt det DPhi = det DPhi tr DX;
+    # on the line the map is the stretch interval_flow builds, which solves
+    # the flow of g = R - x
     fams = (
-        radial_annulus_flow(1.0, Poly(0.2, 0.1, 0.05), 1.0),
-        radial_annulus_flow(2.0, Poly(0.5, 0.3, -0.1), 1.0, dim=3),
-        interval_flow(4.0, Poly(1.0, 0.5, 0.2), 1.0),
+        (1.0, radial_annulus_flow(1.0, Poly(0.2, 0.1, 0.05), 1.0)),
+        (2.0, radial_annulus_flow(2.0, Poly(0.5, 0.3, -0.1), 1.0, dim=3)),
+        (4.0, interval_flow(4.0, Poly(1.0, 0.5, 0.2), 1.0)),
     )
     h = 1e-5
-    for fam in fams:
+    for R, fam in fams:
         Y = fam.reference.interior_grid(8)
         for t in (0.1, 0.45, 0.9):
             x = fam.phi(t, Y)
-            X, DX = _level_set_rates(fam, t, x)
+            X, DX = _level_set_rates(fam, R, t, x)
             phi_t = (fam.phi(t + h, Y) - fam.phi(t - h, Y)) / (2.0 * h)
             dphi_t = (fam.dphi(t + h, Y) - fam.dphi(t - h, Y)) / (2.0 * h)
             assert np.max(np.abs(X)) > 1e-2
@@ -377,8 +393,6 @@ def _jacobian_forming_flow(fam, Y, t0, t1):
     that the transport-only maps and the Jacobian maps must match bit for bit."""
     q = (np.asarray(fam.profile(t1), dtype=float)
          / np.asarray(fam.profile(t0), dtype=float))[..., None]
-    if not fam.radial:
-        return q[..., None] * Y, q[..., None, None] * np.ones((Y.shape[-2], 1, 1))
     r0 = np.linalg.norm(Y, axis=-1)
     yh = Y / r0[..., None]
     r = fam.R + q * (r0 - fam.R)
@@ -390,7 +404,6 @@ def _jacobian_forming_flow(fam, Y, t0, t1):
 _SUBLEVEL = {
     "radial": radial_annulus_flow(1.0, Affine(0.2, 0.1), 1.0),
     "radial_3d": radial_annulus_flow(2.0, Poly(0.5, 0.3, -0.1), 1.0, dim=3),
-    "reflected": interval_flow(4.0, Affine(1.0, 0.5), 1.0),
 }
 
 
@@ -413,8 +426,7 @@ def test_sublevel_transport_keeps_the_points_of_the_jacobian_path(name):
 def test_sublevel_transport_still_refuses_escaping_points(name):
     fam = _SUBLEVEL[name]
     inner = np.zeros((1, fam.dim))
-    # g = 0 at the origin of the radial kinds and at x = R on the line
-    inner[0, 0] = 1e-6 * fam.R if fam.radial else fam.R
+    inner[0, 0] = 1e-6 * fam.R  # g = |x| is 0 at the origin
     nonfinite = np.full((1, fam.dim), np.nan)
     for method in (fam.phi, fam.psi):
         with pytest.raises(FlowEscape, match="non-finite"):

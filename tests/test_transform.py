@@ -262,22 +262,6 @@ def test_lifted_load_solution_matches_dalembert():
         assert abs(got - exact) < 5e-4
 
 
-def test_matched_families_give_matching_coefficients(paper_formula):
-    # the scaling family and the sublevel realization of the same tube must
-    # produce the same transformed coefficients, not just the same omega:
-    # the scaling's closed form against the formula on the flow's map fields
-    prof = Affine(1.0, 0.5)
-    pa = PulledBackProblem(one_d_scaling(prof, 1.0))
-    flow = interval_flow(4.0, prof, 1.0)
-    ys = np.linspace(0.05, 0.95, 19)
-    for t in (0.0, 0.4, 1.0):
-        Ba, aa, ba, _ = pa.line(t, ys)
-        Bb, ab, bb = paper_formula(flow, t, ys.reshape(-1, 1))
-        assert np.max(np.abs(Ba - Bb[:, 0, 0])) < 1e-12
-        assert np.max(np.abs(ba - bb[:, 0])) < 1e-12
-        assert np.max(np.abs(aa - ab[:, 0])) < 1e-6  # finite-differenced on the formula side
-
-
 @pytest.mark.parametrize("name", ["homothetic_box", "homothetic_tetra"])
 def test_pushforward_zero_extends_outside_boxes_and_simplices(name):
     fam = _builtin_families()[name]
