@@ -48,5 +48,4 @@ from .transform import (
     ellipticity_constant,
     lift_dirichlet,
     pullback_initial,
-    pushforward,
 )

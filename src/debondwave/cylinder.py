@@ -60,7 +60,9 @@ def solve_cylinder(fam, u0, u1, partitions=32, inner_n=384):
     L_final = lengths[-1]
     h = L_final / inner_n
     marks = np.maximum.accumulate(np.clip(np.round(lengths / h).astype(int), 8, inner_n))
-    steps = np.maximum(1, np.ceil(np.diff(tgrid) / (INNER_CFL * h)).astype(int))
+    # (steps, dt) of each partition by the one CFL step rule, so a run past
+    # kernels.MAX_STEPS is refused before any stepper is built
+    steps = [kernels.cfl_step_count(h, INNER_CFL, span) for span in np.diff(tgrid)]
 
     # the partition-end states, zero beyond each partition's frozen domain
     x = np.linspace(0.0, L_final, inner_n + 1)
@@ -73,10 +75,10 @@ def solve_cylinder(fam, u0, u1, partitions=32, inner_n=384):
         row[0] = 0.0
 
     for k in range(K):
-        m, n = marks[k], steps[k]
+        m, (n, dt) = marks[k], steps[k]
         # the standard wave equation on the frozen domain, from the last
         # partition's end state, zero beyond its domain
-        stepper = kernels.UnitStepper(h, (tgrid[k + 1] - tgrid[k]) / n, m + 1)
+        stepper = kernels.UnitStepper(h, dt, m + 1)
         stepper.state[:] = vals[k, : m + 1], vels[k, : m + 1]
         status = stepper.run(n)
         if status < 0:

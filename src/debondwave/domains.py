@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_CLOSURE_TOL = 1e-12  # slack of contains() on every domain boundary
-
 
 def _unit_ball_volume(n):
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
@@ -55,11 +53,6 @@ class ReferenceDomain:
     def boundary_faces(self, resolution=64):
         raise NotImplementedError
 
-    def contains(self, Y):
-        """Whether each point of Y (..., dim) lies in the closure, within
-        _CLOSURE_TOL."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Interval(ReferenceDomain):
@@ -74,10 +67,6 @@ class Interval(ReferenceDomain):
 
     def measure(self):
         return self.length
-
-    def contains(self, Y):
-        y = np.asarray(Y, dtype=float)[..., 0]
-        return (y >= -_CLOSURE_TOL) & (y <= self.length + _CLOSURE_TOL)
 
     def interior_grid(self, k):
         return np.linspace(0.0, self.length, k).reshape(-1, 1)
@@ -118,9 +107,6 @@ class Ball(ReferenceDomain):
     def measure(self):
         return _unit_ball_volume(self.dim_) * self.radius ** self.dim_
 
-    def contains(self, Y):
-        return np.linalg.norm(Y, axis=-1) <= self.radius + _CLOSURE_TOL
-
     def interior_grid(self, k):
         n = self.dim_
         side = max(2, int(round(k ** (1.0 / n))))
@@ -157,10 +143,6 @@ class Annulus(ReferenceDomain):
     def measure(self):
         v = _unit_ball_volume(self.dim_)
         return v * (self.outer ** self.dim_ - self.inner ** self.dim_)
-
-    def contains(self, Y):
-        r = np.linalg.norm(Y, axis=-1)
-        return (r >= self.inner - _CLOSURE_TOL) & (r <= self.outer + _CLOSURE_TOL)
 
     def interior_grid(self, k):
         n = self.dim_
@@ -228,11 +210,6 @@ class Box(ReferenceDomain):
     def measure(self):
         return float(np.prod(self.extents))
 
-    def contains(self, Y):
-        Y = np.asarray(Y, dtype=float)
-        hi = np.asarray(self.extents) + _CLOSURE_TOL
-        return np.all((Y >= -_CLOSURE_TOL) & (Y <= hi), axis=-1)
-
     def interior_grid(self, k):
         n = self.dim
         side = max(2, int(round(k ** (1.0 / n))))
@@ -299,11 +276,6 @@ class Tetrahedron(ReferenceDomain):
         d = self.dim
         # simplex with legs level/n_i along the axes
         return self.level ** d / (math.factorial(d) * float(np.prod(n)))
-
-    def contains(self, Y):
-        Y = np.asarray(Y, dtype=float)
-        return (np.all(Y >= -_CLOSURE_TOL, axis=-1)
-                & (Y @ np.asarray(self.normal) <= self.level + _CLOSURE_TOL))
 
     def interior_grid(self, k):
         n = np.asarray(self.normal, dtype=float)

@@ -106,7 +106,8 @@ class PulledBackProblem:
 
 
 def ellipticity_constant(fam, nt=21, npts=41):
-    """min over the sample grid of the smallest eigenvalue of B (> 0 or raise)."""
+    """min over the sample grid of the smallest eigenvalue of B (> 0 or
+    raise NotElliptic, as a NaN does)."""
     problem = PulledBackProblem(fam)
     ts = np.linspace(0.0, fam.horizon, nt)
     Y = fam.reference.interior_grid(npts)
@@ -114,7 +115,7 @@ def ellipticity_constant(fam, nt=21, npts=41):
         c = float(np.min(problem.line(ts, Y)[0]))
     else:
         c = float(np.min(np.linalg.eigvalsh(problem.diffusion(ts, Y))))
-    if c <= 0.0:
+    if not c > 0.0:
         raise NotElliptic(f"min eig(B) = {c} <= 0 on the sample grid")
     return c
 
@@ -138,31 +139,6 @@ def pullback_initial(fam, u0, u1):
         return np.asarray(u1(y), dtype=float) + pd * np.asarray(u0.deriv(y), dtype=float)
 
     return TransformedData(v0=u0, v1=v1)
-
-
-def pushforward(fam, traj_eval, t, x):
-    """Physical-space values (u, u_dot, grad u) at x, zero-extended.
-
-    traj_eval(t, y) must return (v, v_dot, grad v) on reference points;
-    the chain rules u_dot = v_dot + grad v . Psi_dot and
-    grad u = DPsi^T grad v are applied at y = Psi(t, x).  The boolean
-    array flags points outside Omega_t (zero extension used there).
-    """
-    X = _as_points(x, fam.dim)
-    y = fam.psi(t, X)
-    outside = ~fam.reference.contains(y)
-    y = np.clip(y, 0.0, fam.reference.length) if fam.dim == 1 else y
-    v, vd, vy = traj_eval(t, y)
-    K = fam.dpsi_at_phi(t, y)
-    psd = fam.psi_dot_at_phi(t, y)
-    u = np.array(v, dtype=float)
-    ud = np.asarray(vd, dtype=float) + np.sum(np.asarray(vy) * psd, axis=1)
-    gu = np.einsum("pji,pj->pi", K, np.asarray(vy, dtype=float))
-    if np.any(outside):
-        u[outside] = 0.0
-        ud[outside] = 0.0
-        gu[outside] = 0.0
-    return u, ud, gu, outside
 
 
 LIFT_TOL = 1e-9

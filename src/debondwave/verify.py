@@ -19,6 +19,7 @@ from .expressions import Affine, Const, Poly
 from .fd import solve_fd
 from .galerkin import solve_transformed_modal
 from .griffith import (
+    GRIFFITH_TOL,
     CoupledNumerics,
     evolve_coupled_1d,
     evolve_coupled_radial,
@@ -78,7 +79,10 @@ def _builtin_families():
 
 
 def suite_identities():
-    """Criteria 1, 2 and 12: map identities, omega agreement, measure identity."""
+    """Criteria 1, 2 and 12: map identities, omega agreement, measure identity.
+
+    Each worst value is an np.maximum, which keeps a NaN where max() drops
+    one that comes second, so a NaN reads as NaN and fails its check."""
     out = []
     fams = _builtin_families()
     analytic = ("identity", "one_d_scaling", "homothetic_ball",
@@ -87,14 +91,14 @@ def suite_identities():
     worst_analytic = 0.0
     for name in analytic:
         rep = validate(fams[name], nt=20, npts=20)
-        worst_analytic = max(worst_analytic, rep.max_residual())
+        worst_analytic = np.maximum(worst_analytic, rep.max_residual())
     out.append(_check("identities", "jacobian-analytic", worst_analytic,
                       1e-9, t0))
     t0 = time.time()
     worst_flow = 0.0
     for name in ("sublevel_annulus", "sublevel_interval"):
         rep = validate(fams[name], nt=20, npts=20)
-        worst_flow = max(worst_flow, rep.max_residual())
+        worst_flow = np.maximum(worst_flow, rep.max_residual())
     out.append(_check("identities", "jacobian-sublevel", worst_flow,
                       1e-6, t0))
     out.append(_check("identities", "jacobian-runtime",
@@ -110,13 +114,13 @@ def suite_identities():
     for name, (face, speed) in moving.items():
         for fk in boundary_kinematics(fams[name], ts, resolution=16):
             want = speed if fk.name == face else 0.0
-            worst = max(worst, float(np.max(np.abs(fk.omega - want))))
+            worst = np.maximum(worst, np.max(np.abs(fk.omega - want)))
     out.append(_check("identities", "omega-well-defined", worst, 1e-6, t0))
 
     t0 = time.time()
     worst = 0.0
     for name, fam in fams.items():
-        worst = max(worst, measure_identity_residual(fam))
+        worst = np.maximum(worst, measure_identity_residual(fam))
     out.append(_check("identities", "measure-identity", worst, 1e-6, t0))
     return out
 
@@ -175,9 +179,7 @@ def suite_transform_equivalence():
                       abs(cb - 1.0 / 3.0), 1e-10, t0))
     t0 = time.time()
     worst_cb = np.inf
-    for name, f in _builtin_families().items():
-        if f.dim != 1:
-            continue
+    for f in _builtin_families().values():
         worst_cb = min(worst_cb, ellipticity_constant(f, nt=11, npts=21))
     out.append(_check("transform-equivalence", "ellipticity-positive", worst_cb,
                       0.0, t0, larger_is_better=True))
@@ -310,9 +312,9 @@ def suite_coupled_radial():
                       float(run.front.speed.max()), 1.0 - 1e-12, t0))
     gmax = float(np.max(run.report.G - run.report.kappa))
     cmax = float(np.max(np.abs(run.report.complementarity)))
-    out.append(_check("coupled-radial", "griffith-bound", gmax, 1e-3, t0))
+    out.append(_check("coupled-radial", "griffith-bound", gmax, GRIFFITH_TOL, t0))
     out.append(_check("coupled-radial", "griffith-complementarity", cmax,
-                      1e-3, t0))
+                      GRIFFITH_TOL, t0))
     out.append(_check("coupled-radial", "runtime", time.time() - t0, 60.0, t0))
     return out
 

@@ -70,7 +70,7 @@ def _assert_all(results, names):
 
 
 def test_criterion_01_jacobian_identities(identities_results):
-    """Seven map identities on a 20 x 20 grid, 1e-9 analytic / 1e-6 flow, < 2 s."""
+    """Eight map identities on a 20 x 20 grid, 1e-9 analytic / 1e-6 flow, < 2 s."""
     _assert_all(identities_results,
                 ["jacobian-analytic", "jacobian-sublevel", "jacobian-runtime"])
 

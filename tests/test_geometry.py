@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from debondwave import verify
 from debondwave.domains import Ball, BoundaryFace, Box, Interval, Tetrahedron
 from debondwave.errors import (
     DegenerateNormal,
@@ -115,6 +116,28 @@ def test_validate_judges_h1_by_the_class_tolerance():
     assert not validate(fam, nt=12, npts=12).h1_ok
 
 
+def test_validate_checks_the_inverse_map():
+    # Psi(t, Phi(t, y)) = y holds to round-off on every built-in family, and
+    # a psi off by one part in a million fails H1: no other residual reads psi
+    for name, fam in _builtin_families().items():
+        assert validate(fam).residuals["inverse"] <= 1.2e-16, name
+    fam = one_d_scaling(Affine(1.0, 0.5), 1.0)
+    psi = fam.psi
+    fam.psi = lambda t, X: (1.0 + 1e-6) * psi(t, X)
+    rep = validate(fam)
+    assert rep.residuals["inverse"] > 1e-7
+    assert not rep.h1_ok
+
+
+def test_validate_fails_h1_on_a_nan_residual():
+    # psi_dot is not the first residual, where max() would drop a NaN
+    fam = one_d_scaling(Affine(1.0, 0.5), 1.0)
+    fam.psi_dot = lambda t, X: np.full(np.shape(X), np.nan)
+    rep = validate(fam)
+    assert np.isnan(rep.residuals["psi_dot"]) and np.isnan(rep.max_residual())
+    assert not rep.h1_ok
+
+
 def test_validate_detects_supersonic_growth():
     rep = validate(one_d_scaling(Affine(1.0, 1.2), 1.0), nt=6, npts=6)
     assert abs(rep.max_phi_dot - 1.2) < 1e-12
@@ -146,8 +169,7 @@ def test_omega_endpoints_1d():
     left, right = boundary_kinematics(fam, 0.7)
     assert abs(left.omega[0]) < 1e-14
     assert abs(right.omega[0] - 0.5) < 1e-14
-    # space-time normal has unit length and the stated time component
-    assert abs(np.linalg.norm(right.nu_spacetime[0]) - 1.0) < 1e-14
+    assert left.nu[0, 0] == -1.0 and right.nu[0, 0] == 1.0
 
 
 def test_omega_homothetic_ball_and_tetrahedron():
@@ -175,6 +197,24 @@ def test_omega_nonnegative_and_subsonic_random_profiles():
             for fk in boundary_kinematics(fam, t):
                 assert np.all(fk.omega >= -1e-13)
                 assert np.all(np.abs(fk.omega) < 1.0)
+
+
+@pytest.mark.parametrize("wrong", [lambda w: 1.5 * w, lambda w: np.full_like(w, np.nan)],
+                         ids=["scaled", "nan"])
+def test_criterion_2_fails_a_wrong_omega(monkeypatch, wrong):
+    # omega is checked against each tube's closed-form normal speed, so a
+    # scaled omega and a NaN one both read red
+    kinematics = verify.boundary_kinematics
+
+    def broken(fam, t, **kw):
+        faces = kinematics(fam, t, **kw)
+        for fk in faces:
+            fk.omega = wrong(fk.omega)
+        return faces
+
+    monkeypatch.setattr(verify, "boundary_kinematics", broken)
+    (check,) = [c for c in verify.suite_identities() if c.name == "omega-well-defined"]
+    assert not check.passed
 
 
 @pytest.mark.parametrize("profile", [Affine(1.0, 0.5), Poly(1.0, 0.3, 0.1)], ids=["affine", "poly"])
@@ -217,7 +257,7 @@ def test_stacked_faces_equal_one_call_per_face(name):
         for face, got in zip(faces, stacked):
             (alone,) = boundary_kinematics(fam, t, faces=[face])
             assert got.y is face.points and alone.y is face.points
-            for field in ("x", "nu", "nu_spacetime", "omega", "weights"):
+            for field in ("x", "nu", "omega", "weights"):
                 assert np.array_equal(getattr(got, field), getattr(alone, field)), field
 
 
@@ -471,5 +511,5 @@ def test_batched_times_equal_stacked_scalar_calls(name):
         assert np.array_equal(B[i], PulledBackProblem(fam).diffusion(t, Y))
         for batch, single in zip(faces, boundary_kinematics(fam, t, resolution=16)):
             assert batch.name == single.name and np.array_equal(batch.y, single.y)
-            for field in ("x", "nu", "nu_spacetime", "omega", "weights"):
+            for field in ("x", "nu", "omega", "weights"):
                 assert np.array_equal(getattr(batch, field)[i], getattr(single, field)), field

@@ -9,7 +9,8 @@ import pytest
 from debondwave import galerkin, kernels
 from debondwave.cylinder import INNER_CFL, solve_cylinder
 from debondwave.domains import Interval
-from debondwave.errors import BlowUp, CflViolation, NotMonotone, QuadratureFailure
+from debondwave.errors import (BlowUp, CflViolation, NotMonotone, QuadratureFailure,
+                               RunTooLarge)
 from debondwave.expressions import Affine, Const, Poly, SineMode, SpaceTimeField
 from debondwave.fd import solve_fd
 from debondwave.galerkin import (
@@ -651,6 +652,20 @@ def test_cylinder_rejects_shrinking_domain():
     fam.domain_measure = lambda t: 1.0 - 0.3 * t
     with pytest.raises(NotMonotone):
         solve_cylinder(fam, _zero, _zero, partitions=4, inner_n=64)
+
+
+def test_cylinder_refuses_a_partition_past_max_steps_before_stepping(monkeypatch):
+    # each partition takes the coupled runs' step rule, kernels.cfl_step_count:
+    # 10 steps a partition here, refused before any stepper is built
+    fam = one_d_scaling(Affine(1.0, 0.5), 1.0)
+
+    def no_stepper(*args):
+        raise AssertionError("a stepper was built")
+
+    monkeypatch.setattr(kernels, "MAX_STEPS", 9)
+    monkeypatch.setattr(kernels, "UnitStepper", no_stepper)
+    with pytest.raises(RunTooLarge, match="10 steps exceed MAX_STEPS"):
+        solve_cylinder(fam, _zero, _zero, partitions=32, inner_n=384)
 
 
 def test_cylinder_convergence_to_transformed_solution():

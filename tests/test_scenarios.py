@@ -336,8 +336,9 @@ def test_a_zero_forcing_writes_the_tables_of_no_forcing(tmp_path, name):
 FUZZ_GRIDS = {"front_grid": "64", "grid": "40", "modes": "8"}
 # no value gives a run near kernels.MAX_STEPS: a step count past it is
 # refused at parse, and the rest stay far below it at these grids
-FUZZ_VALUES = ("0", "-1", "1e-12", "1e300", "nan", "inf", "", "Const(1.0)", "Const(nan)",
-               "SineMode(1.0, 1)", "Affine(1.0, 0.5)", "Poly(1.0, -2.0)", "Poly(0.0, 1.0, -1.0)")
+FUZZ_VALUES = ("0", "-1", "1e-12", "1e300", "5e-324", "1.7976931348623157e308", "nan", "inf",
+               "", "Const(1.0)", "Const(nan)", "SineMode(1.0, 1)", "Affine(1.0, 0.5)",
+               "Poly(1.0, -2.0)", "Poly(0.0, 1.0, -1.0)")
 
 
 # the keys each file leaves at its default, fuzzed on one inserted line
@@ -372,13 +373,14 @@ def test_every_one_line_mutation_of_the_scenario_files_runs_or_is_typed(tmp_path
     # a fixed table, not a random draw: each value in turn on each key line
     # of the four scenarios/ files and on each key they leave at its
     # default, on small grids
-    untyped, cases = [], 0
+    untyped, cases, key_lines = [], 0, 0
     for path in sorted(glob.glob(os.path.join(SCENARIOS, "*.scn"))):
         name = os.path.basename(path)
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
         lines = [f"{ln.split(' =')[0]} = {FUZZ_GRIDS[ln.split(' =')[0]]}"
                  if ln.split(" =")[0] in FUZZ_GRIDS else ln for ln in lines]
+        key_lines += sum("=" in ln and not ln.startswith("#") for ln in lines)
         for line, value, mutated in _one_line_mutations(name, lines):
             case = _write(tmp_path, name, "\n".join(mutated) + "\n")
             cases += 1
@@ -390,7 +392,8 @@ def test_every_one_line_mutation_of_the_scenario_files_runs_or_is_typed(tmp_path
                 pass
             except Exception as exc:  # noqa: BLE001 - the finding is its type
                 untyped.append((name, line, value, repr(exc)))
-    assert cases == 455 + 19 * len(FUZZ_VALUES)
+    defaults = sum(len(keys) for keys in FUZZ_DEFAULT_KEYS.values())
+    assert cases == (key_lines + defaults) * len(FUZZ_VALUES)
     assert untyped == []
 
 

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from debondwave.domains import Annulus, Ball, Box, Interval, Tetrahedron
+from debondwave.domains import Ball, Box, Interval, Tetrahedron
 from debondwave.errors import BoundaryMismatch, NotElliptic
 from debondwave.expressions import Affine, Const, Poly, SineMode, SpaceTimeField
-from debondwave.galerkin import Trajectory
 from debondwave.motion import (
     homothetic,
     identity_motion,
@@ -17,9 +16,8 @@ from debondwave.transform import (
     ellipticity_constant,
     lift_dirichlet,
     pullback_initial,
-    pushforward,
 )
-from debondwave.verify import _builtin_families
+from debondwave.verify import suite_transform_equivalence
 
 
 def _scaling():
@@ -175,44 +173,15 @@ def test_ellipticity_constant_of_sublevel_annulus():
     assert ellipticity_constant(radial_annulus_flow(1.0, Affine(0.2, 0.1), 1.0)) > 0.0
 
 
-def test_pushforward_round_trip_identity():
-    fam = identity_motion(Interval(1.0), 1.0)
-    times = np.linspace(0.0, 1.0, 5)
-    x = np.linspace(0.0, 1.0, 33)
-    vals = np.sin(np.pi * x)[None, :] * np.cos(times)[:, None]
-    vels = np.zeros_like(vals)
-    traj = Trajectory(kind="grid", times=times, values=vals, velocities=vels, L=1.0, x=x)
-
-    def traj_eval(t, y):
-        v, vd, vy = traj.eval(t, y[:, 0])
-        return v, vd, vy.reshape(-1, 1)
-
-    u, ud, gu, outside = pushforward(fam, traj_eval, 0.5, x[5:12])
-    assert np.max(np.abs(u - vals[2][5:12])) < 1e-12
-    assert not outside.any()
-
-
-def test_pushforward_linear_field_and_zero_extension():
-    fam = _scaling()
-    x = np.linspace(0.0, 1.0, 65)
-    times = np.array([0.0, 0.5, 1.0])
-    vals = np.tile(x, (3, 1))  # v(t, y) = y
-    traj = Trajectory(kind="grid", times=times, values=vals,
-                      velocities=np.zeros_like(vals), L=1.0, x=x)
-
-    def traj_eval(t, y):
-        v, vd, vy = traj.eval(t, y[:, 0])
-        return v, vd, vy.reshape(-1, 1)
-
-    t = 1.0  # l = 1.5; u(t, x) = x / 1.5, grad u = 1/1.5
-    pts = np.array([0.3, 0.9, 1.2])
-    u, ud, gu, outside = pushforward(fam, traj_eval, t, pts)
-    assert np.max(np.abs(u - pts / 1.5)) < 1e-10
-    assert np.max(np.abs(gu[:, 0] - 1.0 / 1.5)) < 1e-8
-    assert not outside.any()
-
-    u2, _, _, outside2 = pushforward(fam, traj_eval, t, np.array([1.7]))
-    assert outside2.all() and u2[0] == 0.0
+@pytest.mark.parametrize("flip", [-1.0, np.nan], ids=["negated", "nan"])
+def test_criterion_3_reads_the_diffusion_of_every_family(monkeypatch, flip):
+    # the n-d families' B comes from diffusion(), the 1d ones' from line();
+    # a broken n-d B must stop the suite, and a NaN one as well
+    diffusion = PulledBackProblem.diffusion
+    monkeypatch.setattr(PulledBackProblem, "diffusion",
+                        lambda self, t, Y: flip * diffusion(self, t, Y))
+    with pytest.raises(NotElliptic):
+        suite_transform_equivalence()
 
 
 def test_lift_dirichlet():
@@ -260,31 +229,3 @@ def test_lifted_load_solution_matches_dalembert():
         i = np.argmin(np.abs(traj.times - t))
         got = np.interp(x, traj.x, traj.values[i])
         assert abs(got - exact) < 5e-4
-
-
-@pytest.mark.parametrize("name", ["homothetic_box", "homothetic_tetra"])
-def test_pushforward_zero_extends_outside_boxes_and_simplices(name):
-    fam = _builtin_families()[name]
-
-    def traj_eval(t, y):  # v = 1 on the reference domain
-        return np.ones(len(y)), np.zeros(len(y)), np.zeros_like(y)
-
-    x = np.array([[5.0, 5.0], [0.1, 0.1]])
-    u, ud, gu, outside = pushforward(fam, traj_eval, 0.5, x)
-    assert outside.tolist() == [True, False]
-    assert u.tolist() == [0.0, 1.0]
-    assert not ud.any() and not gu.any()
-
-
-@pytest.mark.parametrize("reference, inside, outside", [
-    (Interval(1.0), [[0.0], [1.0]], [[-1e-9], [1.0 + 1e-9]]),
-    (Ball(1.0, 2), [[0.0, 0.0], [0.6, 0.8]], [[0.8, 0.7]]),
-    (Annulus(0.5, 1.0), [[0.5, 0.0], [0.0, -1.0]], [[0.1, 0.1], [1.0, 0.1]]),
-    (Box((1.0, 0.5)), [[0.0, 0.0], [1.0, 0.5]], [[0.5, 0.6], [-0.1, 0.2], [5.0, 5.0]]),
-    (Tetrahedron((0.6, 0.8)), [[0.0, 0.0], [0.6, 0.8]], [[1.0, 0.8], [-0.1, 0.1], [5.0, 5.0]]),
-])
-def test_reference_domains_contain_their_closure_only(reference, inside, outside):
-    assert reference.contains(np.array(inside)).all()
-    assert not reference.contains(np.array(outside)).any()
-    # any leading axes, as per-time points have
-    assert reference.contains(np.array(inside)[None]).shape == (1, len(inside))
